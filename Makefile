@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race chaos bench bench-compare bench-report bench-elastic server-smoke serve-smoke bench-colocation bench-autopar bench-replan ci
+.PHONY: all build vet test race chaos bench bench-smoke bench-compare bench-report bench-elastic server-smoke serve-smoke bench-colocation bench-autopar bench-replan ci
 
 all: ci
 
@@ -36,6 +36,13 @@ server-smoke:
 # detector (the batcher, replay loop, and pipeline engine all engage).
 serve-smoke:
 	$(GO) test -race -run 'TestServeSmoke|TestServeOverHTTP' -count 1 .
+
+# Benchmark build-and-run smoke (~5 s): the repo benchmark the driver
+# runs (BENCHMARK.json) must build and complete one tiny pass of every
+# workload, so a broken benchmark is caught here first. --smoke shrinks
+# the workloads; --seconds shrinks each timed loop from its 10 s.
+bench-smoke:
+	$(GO) run ./benchmark --smoke --seconds 0.2
 
 bench:
 	$(GO) test -bench 'BenchmarkConv2DForward|BenchmarkGroupEpoch' -benchtime 2x -run '^$$' .
@@ -88,4 +95,6 @@ bench-report:
 	$(GO) run ./cmd/socflow-bench --exp scalability --samples 480 --epochs 6 \
 		--metrics-out BENCH_pr3.json --trace-out BENCH_pr3.trace.json
 
-ci: vet build test race server-smoke serve-smoke
+# One gate list: scripts/ci.sh is the single definition of CI.
+ci:
+	./scripts/ci.sh

@@ -272,19 +272,12 @@ func buildDistributedSpec(submitCtx context.Context, cfg DistributedConfig, o ru
 			mesh = tcp
 		}
 
-		if pplan != nil {
-			return runPipelineTrack(ctx, cfg, o, mesh, spec, train, val, pplan, popts, reg, userReg, ctl)
-		}
-
-		if o.logger != nil {
-			o.logger.Printf("distributed run: %s on %s, %d SoCs in %d groups", cfg.Model, cfg.Dataset, cfg.NumSoCs, cfg.Groups)
-		}
+		// What both tracks share; the pipeline track takes its groups
+		// from the plan instead.
 		dcfg := runtime.DistConfig{
-			JobSpec:        cfg.JobSpec,
-			Groups:         runtime.GroupsFromMapping(mapping),
-			DegradeOnFault: cfg.DegradeOnFault,
-			Metrics:        reg,
-			EpochEnd:       func(epoch int, acc float64) { ctl.ObserveEpoch(epoch) },
+			JobSpec:  cfg.JobSpec,
+			Metrics:  reg,
+			EpochEnd: func(epoch int, acc float64) { ctl.ObserveEpoch(epoch) },
 		}
 		if cfg.InjectCrashes > 0 {
 			dcfg.Faults = transport.RandomCrashPlan(cfg.Seed+7, cfg.NumSoCs, cfg.Epochs, cfg.InjectCrashes)
@@ -295,6 +288,15 @@ func buildDistributedSpec(submitCtx context.Context, cfg DistributedConfig, o ru
 			dcfg.Checkpoints = store
 			dcfg.CheckpointEvery = o.checkpointEvery
 		}
+		if pplan != nil {
+			return runPipelineTrack(ctx, cfg, o, mesh, spec, train, val, pplan, popts, dcfg, userReg, ctl)
+		}
+
+		if o.logger != nil {
+			o.logger.Printf("distributed run: %s on %s, %d SoCs in %d groups", cfg.Model, cfg.Dataset, cfg.NumSoCs, cfg.Groups)
+		}
+		dcfg.Groups = runtime.GroupsFromMapping(mapping)
+		dcfg.DegradeOnFault = cfg.DegradeOnFault
 		if o.recovery || len(cfg.PreemptWindows) > 0 {
 			dcfg.Faults, dcfg.Recovery = recoveryPlan(cfg, o, dcfg.Faults)
 		}
@@ -372,19 +374,11 @@ func recoveryPlan(cfg DistributedConfig, o runOptions, faults *transport.FaultPl
 // leader's epoch-end hook: each target is pushed to the elastic
 // manager and mirrored to the control plane via Controller.Resize so
 // the scheduler's view of the job footprint tracks the tide.
-func runPipelineTrack(ctx context.Context, cfg DistributedConfig, o runOptions, mesh transport.Mesh, spec *nn.Spec, train, val *dataset.Dataset, p *autoplan.Plan, popts autoplan.Options, reg *metrics.Registry, userReg *metrics.Registry, ctl *server.Controller) (*DistributedReport, error) {
+func runPipelineTrack(ctx context.Context, cfg DistributedConfig, o runOptions, mesh transport.Mesh, spec *nn.Spec, train, val *dataset.Dataset, p *autoplan.Plan, popts autoplan.Options, dcfg runtime.DistConfig, userReg *metrics.Registry, ctl *server.Controller) (*DistributedReport, error) {
 	if o.logger != nil {
 		o.logger.Printf("distributed pipeline run: %s on %s, plan %s", cfg.Model, cfg.Dataset, p.String())
 	}
-	pcfg := runtime.PipelineConfig{
-		JobSpec:  cfg.JobSpec,
-		Plan:     p,
-		Metrics:  reg,
-		EpochEnd: func(epoch int, acc float64) { ctl.ObserveEpoch(epoch) },
-	}
-	if cfg.InjectCrashes > 0 {
-		pcfg.Faults = transport.RandomCrashPlan(cfg.Seed+7, cfg.NumSoCs, cfg.Epochs, cfg.InjectCrashes)
-	}
+	pcfg := runtime.PipelineConfig{DistConfig: dcfg, Plan: p}
 	if o.recovery || len(cfg.PreemptWindows) > 0 || len(cfg.ResizeSchedule) > 0 {
 		pcfg.Faults, pcfg.Recovery = recoveryPlan(cfg, o, pcfg.Faults)
 		pcfg.Planner = &popts
@@ -404,7 +398,7 @@ func runPipelineTrack(ctx context.Context, cfg DistributedConfig, o runOptions, 
 		}
 	}
 	finish := core.BeginKernelHarvest(userReg)
-	span := reg.BeginSpan("run", "facade", 0)
+	span := dcfg.Metrics.BeginSpan("run", "facade", 0)
 	res, err := runtime.RunPipeline(ctx, mesh, spec, train, val, pcfg)
 	span.End()
 	finish()

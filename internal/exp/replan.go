@@ -71,7 +71,7 @@ func ExpReplan(o Options) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exp replan plain baseline: %w", err)
 	}
-	clean, err := do(runtime.PipelineConfig{Recovery: rc, Planner: &popts})
+	clean, err := do(runtime.PipelineConfig{DistConfig: runtime.DistConfig{Recovery: rc}, Planner: &popts})
 	if err != nil {
 		return nil, fmt.Errorf("exp replan fault-free elastic: %w", err)
 	}
@@ -93,10 +93,13 @@ func ExpReplan(o Options) (*Table, error) {
 	victim := p.Placement[p.Groups()-1][0]
 	crashEpoch := epochs / 2
 	crashed, err := do(runtime.PipelineConfig{
-		Recovery: rc, Planner: &popts,
-		Faults: &transport.FaultPlan{Events: []transport.FaultEvent{
-			{Kind: transport.FaultCrash, Node: victim, Epoch: crashEpoch, Iter: 1},
-		}},
+		DistConfig: runtime.DistConfig{
+			Recovery: rc,
+			Faults: &transport.FaultPlan{Events: []transport.FaultEvent{
+				{Kind: transport.FaultCrash, Node: victim, Epoch: crashEpoch, Iter: 1},
+			}},
+		},
+		Planner: &popts,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("exp replan crash campaign: %w", err)
@@ -105,12 +108,15 @@ func ExpReplan(o Options) (*Table, error) {
 	// A tidal shrink: two SoCs reclaimed at the same boundary.
 	resizes := make(chan int, 1)
 	shrunk, err := do(runtime.PipelineConfig{
-		Recovery: rc, Planner: &popts, Resizes: resizes,
-		EpochEnd: func(epoch int, _ float64) {
-			if epoch == crashEpoch-1 {
-				resizes <- socs - 2
-			}
+		DistConfig: runtime.DistConfig{
+			Recovery: rc,
+			EpochEnd: func(epoch int, _ float64) {
+				if epoch == crashEpoch-1 {
+					resizes <- socs - 2
+				}
+			},
 		},
+		Planner: &popts, Resizes: resizes,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("exp replan tidal shrink campaign: %w", err)

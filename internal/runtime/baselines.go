@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -43,24 +44,25 @@ func RunPS(mesh transport.Mesh, spec *nn.Spec, train, val *dataset.Dataset, cfg 
 		return nil, fmt.Errorf("runtime: the server must be one of the workers (it aggregates its own gradient too)")
 	}
 
+	return runBaseline(mesh, "ps worker", cfg.Workers, func(node transport.Node, res *DistResult, resMu *sync.Mutex) error {
+		return runPSWorker(node, spec, train, val, cfg, res, resMu)
+	})
+}
+
+// runBaseline runs one baseline worker per listed node on the shared
+// pool, handing each the run's result and its lock. The baseline entry
+// points take no context.
+func runBaseline(mesh transport.Mesh, prefix string, ids []int,
+	work func(node transport.Node, res *DistResult, resMu *sync.Mutex) error) (*DistResult, error) {
+
 	res := &DistResult{}
 	var resMu sync.Mutex
-	errs := make(chan error, len(cfg.Workers))
-	var wg sync.WaitGroup
-	for _, id := range cfg.Workers {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			if err := runPSWorker(mesh.Node(id), spec, train, val, cfg, res, &resMu); err != nil {
-				errs <- fmt.Errorf("ps worker %d: %w", id, err)
-			}
-		}(id)
+	p := newPool(nil, prefix, func() { mesh.Close() }, func(id int) error { return work(mesh.Node(id), res, &resMu) })
+	for _, id := range ids {
+		p.launch(id)
 	}
-	wg.Wait()
-	select {
-	case err := <-errs:
+	if err := p.wait(context.TODO()); err != nil {
 		return nil, err
-	default:
 	}
 	return res, nil
 }
@@ -139,26 +141,9 @@ func RunFed(mesh transport.Mesh, spec *nn.Spec, train, val *dataset.Dataset, cfg
 	if rankOf(cfg.Server, cfg.Clients) < 0 {
 		return nil, fmt.Errorf("runtime: the server must be one of the clients")
 	}
-	res := &DistResult{}
-	var resMu sync.Mutex
-	errs := make(chan error, len(cfg.Clients))
-	var wg sync.WaitGroup
-	for _, id := range cfg.Clients {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			if err := runFedClient(mesh.Node(id), spec, train, val, cfg, res, &resMu); err != nil {
-				errs <- fmt.Errorf("fed client %d: %w", id, err)
-			}
-		}(id)
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return nil, err
-	default:
-	}
-	return res, nil
+	return runBaseline(mesh, "fed client", cfg.Clients, func(node transport.Node, res *DistResult, resMu *sync.Mutex) error {
+		return runFedClient(node, spec, train, val, cfg, res, resMu)
+	})
 }
 
 func runFedClient(node transport.Node, spec *nn.Spec, train, val *dataset.Dataset, cfg FedConfig,

@@ -2,8 +2,11 @@ package runtime
 
 import (
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"socflow/internal/core"
 	"socflow/internal/dataset"
@@ -140,5 +143,74 @@ func TestRunMixedDistributedValidation(t *testing.T) {
 		Beta:       0, // invalid
 	}); err == nil {
 		t.Fatal("beta 0 must be rejected")
+	}
+}
+
+// brokenMesh gives one node an endpoint whose every Send fails.
+type brokenMesh struct {
+	transport.Mesh
+	bad int
+}
+
+func (m brokenMesh) Node(i int) transport.Node {
+	if i != m.bad {
+		return m.Mesh.Node(i)
+	}
+	return brokenNode{m.Mesh.Node(i)}
+}
+
+type brokenNode struct{ transport.Node }
+
+func (brokenNode) Send(int, []byte) error { return errors.New("link down") }
+
+// A worker's transport error must tear the mesh down on every baseline
+// entry point — its peers are blocked in Recv on it — and come back
+// promptly as a joined error naming the failed worker and the peers
+// the teardown unwound.
+func TestBaselinesTearDownOnWorkerError(t *testing.T) {
+	train, val := fmnistSplit(t, 60, 3)
+	spec := nn.MustSpec("lenet5")
+	const bad = 3
+	for _, tc := range []struct {
+		name string
+		run  func(mesh transport.Mesh) error
+	}{
+		{"ps worker", func(mesh transport.Mesh) error {
+			_, err := RunPS(mesh, spec, train, val, PSConfig{
+				Workers: []int{0, 1, 2, 3}, Server: 0, Epochs: 2, GlobalBatch: 16, LR: 0.02, Seed: 5})
+			return err
+		}},
+		{"fed client", func(mesh transport.Mesh) error {
+			_, err := RunFed(mesh, spec, train, val, FedConfig{
+				Clients: []int{0, 1, 2, 3}, Server: 0, Rounds: 2, ClientBatch: 8, LR: 0.02, Seed: 5})
+			return err
+		}},
+		{"mixed worker", func(mesh transport.Mesh) error {
+			_, err := RunMixedDistributed(context.Background(), mesh, spec, train, val, MixedDistConfig{
+				DistConfig: DistConfig{
+					JobSpec: core.JobSpec{Epochs: 2, GlobalBatch: 16, LR: 0.02, Seed: 5},
+					Groups:  [][]int{{0, 1}, {2, 3}},
+				},
+				Beta: 0.75,
+			})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			done := make(chan error, 1)
+			go func() { done <- tc.run(brokenMesh{transport.NewChanMesh(4), bad}) }()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), tc.name+" 3: link down") {
+					t.Fatalf("error must name the failed worker: %v", err)
+				}
+				joined, ok := err.(interface{ Unwrap() []error })
+				if !ok || len(joined.Unwrap()) < 2 {
+					t.Fatalf("error must join the failed worker's with its unwound peers': %v", err)
+				}
+			case <-time.After(60 * time.Second):
+				t.Fatal("peers of the failed worker were left blocked in Recv")
+			}
+		})
 	}
 }

@@ -119,11 +119,13 @@ func TestChaosPipelineSchedules(t *testing.T) {
 		rc := fastRecovery()
 		rc.Rejoins = rejoins
 		cfg := PipelineConfig{
-			JobSpec:  core.JobSpec{Epochs: epochs, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
-			Plan:     p,
-			Faults:   plan,
-			Recovery: rc,
-			Planner:  popts,
+			DistConfig: DistConfig{
+				JobSpec:  core.JobSpec{Epochs: epochs, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
+				Faults:   plan,
+				Recovery: rc,
+			},
+			Plan:    p,
+			Planner: popts,
 		}
 		type outcome struct {
 			res *DistResult

@@ -25,6 +25,16 @@ func rankOf(id int, members []int) int {
 	return -1
 }
 
+// positionIn locates id among groups: its group and its rank there.
+func positionIn(groups [][]int, id int) (g, i int, ok bool) {
+	for g, members := range groups {
+		if i := rankOf(id, members); i >= 0 {
+			return g, i, true
+		}
+	}
+	return 0, 0, false
+}
+
 // chunkBounds splits length n into count contiguous chunks and returns
 // chunk c's [lo, hi) bounds.
 func chunkBounds(n, count, c int) (lo, hi int) {

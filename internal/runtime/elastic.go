@@ -5,26 +5,22 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"socflow/internal/core"
-	"socflow/internal/dataset"
-	"socflow/internal/metrics"
-	"socflow/internal/nn"
 	"socflow/internal/tensor"
 	"socflow/internal/transport"
 )
 
-// runElastic is the recovery-enabled sibling of the plain worker pool:
-// the mesh is stacked WithMetrics(WithHeartbeat(WithFaults(base))) so
-// the fault plan *causes* crashes innermost, the heartbeat layer turns
-// the resulting silence into detection evidence, and the outer meter
-// keeps counting pure data-plane payloads. Workers train in
-// barrier-delimited rounds under the recovery manager; failed rounds
-// retry from in-memory snapshots, and scheduled returns re-admit nodes
-// with a leader-served state transfer.
-func runElastic(ctx context.Context, base transport.Mesh, spec *nn.Spec, train, val *dataset.Dataset,
-	cfg DistConfig, nodeGroup []int) (*DistResult, error) {
+// runElastic is the recovery-enabled worker pool of both tracks: the
+// mesh is stacked WithMetrics(WithHeartbeat(WithFaults(base))) so the
+// fault plan *causes* crashes innermost, the heartbeat layer turns the
+// resulting silence into detection evidence, and the outer meter keeps
+// counting pure data-plane payloads. One worker goroutine runs per
+// listed node under a roundManager driven by the track's policy; work
+// is a node's whole elastic life. On success res carries the recovery
+// counters.
+func runElastic(ctx context.Context, base transport.Mesh, cfg *DistConfig, res *DistResult, prefix string,
+	workers []int, policy roundPolicy, resizes <-chan int, work func(m *roundManager, node transport.Node) error) error {
 
 	rc := cfg.Recovery.withDefaults()
 	inner := base
@@ -36,85 +32,90 @@ func runElastic(ctx context.Context, base transport.Mesh, spec *nn.Spec, train, 
 	if cfg.Metrics != nil {
 		top = transport.WithMetrics(top, cfg.Metrics)
 	}
-
-	res := &DistResult{EpochAccuracies: make([]float64, cfg.Epochs)}
-	var resMu sync.Mutex
-	var wg sync.WaitGroup
-	var (
-		errMu      sync.Mutex
-		workerErrs []error
-		closeOnce  sync.Once
-	)
-	mgr := newRecoveryManager(&cfg, rc, hb, nodeGroup)
+	m := newRoundManager(cfg.Epochs, rc, hb, cfg.Metrics, workers, policy)
 	// Manager first so supervision stops before the dying mesh turns
 	// every silence into a spurious detection; mesh second to unblock
 	// workers stuck in collectives.
-	teardown := func() {
-		closeOnce.Do(func() {
-			mgr.close()
-			top.Close()
-		})
+	p := newPool(cfg.Metrics, prefix, func() { m.close(); top.Close() },
+		func(id int) error { return work(m, top.Node(id)) })
+	m.spawnFn = p.launch
+	m.start(resizes)
+	for _, id := range workers {
+		p.launch(id)
 	}
-	fail := func(id int, err error) {
-		errMu.Lock()
-		workerErrs = append(workerErrs, fmt.Errorf("worker %d: %w", id, err))
-		errMu.Unlock()
-		cfg.Metrics.Counter("runtime.worker.errors").Inc()
-		cfg.Metrics.Emit(metrics.Event{Kind: metrics.KindWorkerError, Node: id, Detail: err.Error()})
-		teardown()
+	err := p.wait(ctx)
+	p.teardown()
+	if err != nil {
+		return err
 	}
-	stop := context.AfterFunc(ctx, teardown)
-	defer stop()
+	m.mu.Lock()
+	done, stats := m.done, m.stats
+	m.mu.Unlock()
+	if !done {
+		return fmt.Errorf("runtime: elastic run ended before completing %d epochs (all workers gone)", cfg.Epochs)
+	}
+	res.Recovery = &stats
+	return nil
+}
 
-	launch := func(id int) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := &elasticWorker{
-				mgr:   mgr,
-				node:  top.Node(id),
-				spec:  spec,
-				train: train,
-				val:   val,
-				cfg:   &cfg,
-				group: nodeGroup[id],
-				res:   res,
-				resMu: &resMu,
+// dpPolicy is the data-parallel round policy: every live worker trains
+// every round in its configured group, and a rejoiner's state comes
+// from a donor holding the boundary state.
+type dpPolicy struct {
+	groups [][]int
+}
+
+func (p *dpPolicy) changed(int, string, bool) {}
+func (p *dpPolicy) commit(*round)             {}
+
+func (p *dpPolicy) build(m *roundManager, r *round) error {
+	r.groups = make([][]int, len(p.groups))
+	for g, members := range p.groups {
+		for _, x := range members {
+			// A joiner due later than this round's epoch stays parked at
+			// the barrier: it has no state to retry an earlier epoch with.
+			if due, joining := m.joining[x]; !m.dead[x] && !(joining && due > r.epoch) {
+				r.groups[g] = append(r.groups[g], x)
 			}
-			if err := w.run(); err != nil {
-				fail(id, err)
-			}
-		}()
-	}
-	mgr.spawnFn = launch
-	mgr.start()
-	for id, g := range nodeGroup {
-		if g >= 0 {
-			launch(id)
 		}
 	}
-	wg.Wait()
-	teardown()
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if len(r.leaders()) == 0 {
+		return fmt.Errorf("runtime: no group has a live member at epoch %d", r.epoch)
 	}
-	if len(workerErrs) > 0 {
-		return nil, errors.Join(workerErrs...)
+	// Donor assignment: a joiner's state comes from a groupmate holding
+	// the boundary state when one exists, else from any such worker —
+	// weights are identical across groups at epoch boundaries, so every
+	// veteran's snapshot is authoritative.
+	veteran := func(candidates []int) int {
+		for _, c := range candidates {
+			if m.stateful[c] && !m.dead[c] {
+				return c
+			}
+		}
+		return -1
 	}
-	if !mgr.completed() {
-		return nil, fmt.Errorf("runtime: elastic run ended before completing %d epochs (all workers gone)", cfg.Epochs)
+	for _, members := range r.groups {
+		for _, x := range members {
+			if m.stateful[x] {
+				continue
+			}
+			donor := veteran(members)
+			if donor < 0 {
+				donor = veteran(m.workers)
+			}
+			if donor < 0 {
+				return fmt.Errorf("runtime: no live donor for rejoining node %d", x)
+			}
+			r.transfer[x] = donor
+		}
 	}
-	stats := mgr.snapshot()
-	res.Recovery = &stats
-	return res, nil
+	return nil
 }
 
 // elasticSnap is a worker's in-memory snapshot of the training state
 // at the start of an epoch: weights, batch-norm state, and optimizer
 // velocities, all deep copies.
 type elasticSnap struct {
-	epoch   int
 	weights []*tensor.Tensor
 	state   []*tensor.Tensor
 	vel     []*tensor.Tensor
@@ -134,145 +135,56 @@ func copySet(dst, src []*tensor.Tensor) {
 	}
 }
 
-// elasticWorker is one SoC's elastic life: rounds from the manager,
-// snapshots between them, and the same collective protocol inside.
-type elasticWorker struct {
-	mgr   *recoveryManager
+// roundTrainer is the track-specific half of an elastic worker.
+type roundTrainer interface {
+	// enter positions the worker for round r: rollback on a retry
+	// (unless its state is about to arrive by transfer — receives) and
+	// any reconfiguration. It reports whether the worker trains this
+	// round (false: it only serves state) and the optimizer velocities
+	// its snapshots carry.
+	enter(e *elasticState, r *round, receives bool) (trains bool, vel []*tensor.Tensor, err error)
+	runEpoch(epoch int, r *round) error
+}
+
+// elasticState is the track-independent half of an elastic worker:
+// rounds from the manager, start-of-epoch snapshots between them, and
+// the state-transfer handshake when membership changes.
+type elasticState struct {
+	mgr   *roundManager
 	node  transport.Node
-	spec  *nn.Spec
-	train, val *dataset.Dataset
-	cfg   *DistConfig
-	group int
-	res   *DistResult
-	resMu *sync.Mutex
+	clock *faultClock
+	// weights and state are the full replica's tensors.
+	weights, state []*tensor.Tensor
+	// shipVel sends the optimizer velocities along with transferred
+	// state (data-parallel); a pipeline newcomer's stage has no momentum
+	// history by construction.
+	shipVel bool
+	snaps   map[int]*elasticSnap
 }
 
-// recoverableRoundErr reports whether a round failure should be
-// retried (manager-driven abort or a declared-dead peer) rather than
-// tearing the run down.
-func recoverableRoundErr(err error) bool {
-	return errors.Is(err, transport.ErrRoundAborted) || errors.Is(err, transport.ErrPeerDead)
-}
-
-func (w *elasticWorker) run() error {
-	cfg := w.cfg
-	me := w.node.ID()
-	reg := cfg.Metrics
-	ticker, _ := w.node.(transport.FaultTicker)
-	tick := func(epoch, iter int) {
-		if ticker != nil {
-			ticker.TickFault(epoch, iter)
-		}
-	}
-	cGradBytes := reg.Counter("runtime.gradsync.bytes")
-	cIters := reg.Counter("runtime.iterations")
-	cCrashes := reg.Counter("runtime.faults.crashes")
-	cCkpts := reg.Counter("runtime.checkpoints.saved")
-
-	// Identical init everywhere — a rejoiner rebuilds the same shell
-	// and then overwrites it with the transferred state.
-	model := w.spec.BuildMicro(tensor.NewRNG(cfg.Seed), w.train.Channels(), w.train.ImageSize(), w.train.Classes)
-	opt := nn.NewSGD(cfg.LR, cfg.Momentum, 0)
-	params := model.Params()
-	weights := model.Weights()
-	state := model.StateTensors()
-	vel := opt.VelocityTensors(params)
-
-	snaps := map[int]*elasticSnap{0: {epoch: 0, weights: cloneSet(weights), state: cloneSet(state), vel: cloneSet(vel)}}
-	takeSnap := func(epoch int) {
-		snaps[epoch] = &elasticSnap{epoch: epoch, weights: cloneSet(weights), state: cloneSet(state), vel: cloneSet(vel)}
-		delete(snaps, epoch-2)
-	}
-
-	// shards as of the start of shardEpoch; realigned by folding the
-	// deterministic reshuffle history when a retry or rejoin moves the
-	// round cursor off the incremental path.
-	shards := w.train.ShardIID(len(cfg.Groups), cfg.Seed+1)
-	shardEpoch := 0
-	alignShards := func(epoch int) {
-		if shardEpoch == epoch {
-			return
-		}
-		shards = w.train.ShardIID(len(cfg.Groups), cfg.Seed+1)
-		for k := 0; k < epoch; k++ {
-			shards = dataset.Reshuffle(shards, cfg.Seed+uint64(1000+k))
-		}
-		shardEpoch = epoch
-	}
-
-	var gradFlat, syncFlat []float32
-	var last *roundInfo
+// run is one node's elastic life.
+func (e *elasticState) run(t roundTrainer) error {
+	e.snaps = make(map[int]*elasticSnap)
+	me := e.node.ID()
+	var last *round
 	var lastErr error
-
 	for {
-		round, err := w.mgr.next(me, last, lastErr)
-		if err != nil {
+		r, err := e.mgr.next(me, last, lastErr)
+		if err != nil || r == nil {
 			return err
 		}
-		if round == nil {
-			return nil
-		}
-		last, lastErr = round, nil
-		epoch := round.epoch
-		alignShards(epoch)
-
-		_, joiningThisRound := round.joiners[me]
-		if round.restore && !joiningThisRound {
-			// Joiners skip the rollback: their state arrives by transfer
-			// below, already positioned at the round's epoch.
-			snap := snaps[epoch]
-			if snap == nil {
-				return fmt.Errorf("runtime: worker %d has no snapshot for epoch %d retry", me, epoch)
-			}
-			copySet(weights, snap.weights)
-			copySet(state, snap.state)
-			copySet(vel, snap.vel)
-		}
-
-		// Rejoin handshake: the donor ships its epoch-start state
-		// (weights + batch-norm state + optimizer velocities + epoch
-		// cursor) over the Checkpoint wire encoding; the joiner
-		// installs it before touching a batch.
-		if donor, ok := round.joiners[me]; ok {
-			if err := w.receiveState(round, donor, weights, state, vel); err != nil {
-				if recoverableRoundErr(err) {
-					lastErr = err
-					continue
-				}
-				return err
-			}
-			takeSnap(epoch)
-		}
-		for _, joiner := range round.donees(me) {
-			blob := (&core.Checkpoint{
-				Epoch:   epoch,
-				Weights: weights,
-				State:   append(append([]*tensor.Tensor{}, state...), vel...),
-			}).Bytes()
-			if err := w.node.Send(joiner, blob); err != nil {
-				if recoverableRoundErr(err) {
-					lastErr = err
-					break
-				}
-				return err
-			}
-			w.mgr.addTransferBytes(int64(len(blob)))
-		}
-		if lastErr != nil {
-			continue
-		}
-
-		err = w.runRound(round, model, opt, params, shards[w.group], weights, state, &gradFlat, &syncFlat,
-			tick, cGradBytes, cIters, cCkpts)
-		switch {
-		case err == errSelfCrash:
-			cCrashes.Inc()
-			return nil // injected preemption: clean observed-by-peers exit
+		last, lastErr = r, nil
+		switch err := e.step(t, r); {
 		case err == nil:
-			shards = dataset.Reshuffle(shards, cfg.Seed+uint64(1000+epoch))
-			shardEpoch = epoch + 1
-			takeSnap(epoch + 1)
-		case recoverableRoundErr(err):
+		case err == errSelfCrash:
+			return nil // injected preemption: clean observed-by-peers exit
+		case errors.Is(err, transport.ErrInjectedCrash):
+			// The preemption landed inside a collective.
+			e.clock.crashed(r.epoch, 0)
+			return nil
+		case errors.Is(err, transport.ErrRoundAborted) || errors.Is(err, transport.ErrPeerDead):
+			// Manager-driven abort or a declared-dead peer: retried from
+			// the barrier rather than tearing the run down.
 			lastErr = err
 		default:
 			return err
@@ -280,152 +192,114 @@ func (w *elasticWorker) run() error {
 	}
 }
 
-// errSelfCrash marks the worker's own injected preemption point: the
-// scheduler told this SoC to yield, which is self-knowledge, not
-// plan-peeking — peers still learn of it only through lost heartbeats.
-var errSelfCrash = errors.New("runtime: self preemption")
-
-// classify turns a transport error into the worker's fate: the
-// worker's own injected crash maps to errSelfCrash, everything else
-// passes through.
-func (w *elasticWorker) classify(err error, epoch, iter int) error {
-	if errors.Is(err, transport.ErrInjectedCrash) {
-		w.cfg.Metrics.Emit(metrics.Event{Kind: metrics.KindFault, Epoch: epoch, Iter: iter, Node: w.node.ID(), Detail: "crash"})
-		return errSelfCrash
-	}
-	return err
-}
-
-// receiveState installs a donor's snapshot into the local model.
-func (w *elasticWorker) receiveState(round *roundInfo, donor int, weights, state, vel []*tensor.Tensor) error {
-	blob, err := w.node.Recv(donor)
+// step is one round: position, snapshot, state transfer, epoch.
+func (e *elasticState) step(t roundTrainer, r *round) error {
+	_, receives := r.transfer[e.node.ID()]
+	trains, vel, err := t.enter(e, r, receives)
 	if err != nil {
 		return err
 	}
-	cp, err := core.ReadCheckpoint(bytes.NewReader(blob))
-	if err != nil {
-		return fmt.Errorf("runtime: decoding transferred state: %w", err)
+	if trains && !receives {
+		// Snapshot before any transport so a failed transfer can still
+		// retry this epoch from here.
+		e.takeSnap(r.epoch, vel)
 	}
-	if cp.Epoch != round.epoch {
-		return fmt.Errorf("runtime: transferred state is for epoch %d, want %d", cp.Epoch, round.epoch)
+	if err := e.exchangeState(r, vel); err != nil {
+		return err
 	}
-	if len(cp.Weights) != len(weights) || len(cp.State) != len(state)+len(vel) {
-		return fmt.Errorf("runtime: transferred state shape mismatch (%d/%d tensors, want %d/%d)",
-			len(cp.Weights), len(cp.State), len(weights), len(state)+len(vel))
+	if receives {
+		e.takeSnap(r.epoch, vel)
 	}
-	copySet(weights, cp.Weights)
-	copySet(state, cp.State[:len(state)])
-	copySet(vel, cp.State[len(state):])
+	if !trains {
+		return nil // served state without training; back to the barrier
+	}
+	return t.runEpoch(r.epoch, r)
+}
+
+func (e *elasticState) takeSnap(epoch int, vel []*tensor.Tensor) {
+	e.snaps[epoch] = &elasticSnap{weights: cloneSet(e.weights), state: cloneSet(e.state), vel: cloneSet(vel)}
+	delete(e.snaps, epoch-2)
+}
+
+// restore rolls the replica back to the epoch's start-of-round
+// snapshot. Velocities come along only into the views they were taken
+// under; pass nil to leave momentum alone.
+func (e *elasticState) restore(epoch int, vel []*tensor.Tensor) error {
+	snap := e.snaps[epoch]
+	if snap == nil {
+		return fmt.Errorf("runtime: worker %d has no snapshot for epoch %d retry", e.node.ID(), epoch)
+	}
+	copySet(e.weights, snap.weights)
+	copySet(e.state, snap.state)
+	if len(vel) == len(snap.vel) {
+		copySet(vel, snap.vel)
+	}
 	return nil
 }
 
-// runRound executes one epoch under a frozen membership view: the
-// proportional batch split and gradient scaling use the round's live
-// member list, so a re-admitted node re-expands the split at exactly
-// this boundary.
-func (w *elasticWorker) runRound(round *roundInfo, model *nn.Sequential, opt *nn.SGD, params []*nn.Param,
-	shard *dataset.Dataset, weights, state []*tensor.Tensor, gradFlat, syncFlat *[]float32,
-	tick func(int, int), cGradBytes, cIters, cCkpts *metrics.Counter) error {
-
-	cfg := w.cfg
-	me := w.node.ID()
-	reg := cfg.Metrics
-	epoch := round.epoch
-	lv := round.liveByGroup[w.group]
-	rank := rankOf(me, lv)
-	if rank < 0 {
-		return fmt.Errorf("runtime: worker %d missing from its round membership", me)
+// exchangeState is the round-start handshake over the Checkpoint wire
+// encoding: a receiver installs its sender's epoch-boundary state
+// before touching a batch; a sender ships it to each of its receivers,
+// ascending. The sender's snapshot is authoritative when it exists (the
+// node may have trained past the boundary in a failed attempt);
+// otherwise its live replica is exactly the boundary state.
+func (e *elasticState) exchangeState(r *round, vel []*tensor.Tensor) error {
+	me := e.node.ID()
+	if !e.shipVel {
+		vel = nil
 	}
-	epochSpan := reg.BeginSpan("epoch", "worker", me)
-	defer epochSpan.End()
-
-	selfCrashed := func(e, i int) bool { return cfg.Faults.CrashedAt(me, e, i) }
-
-	it := dataset.NewBatchIterator(shard, cfg.GlobalBatch, cfg.Seed+uint64(100+epoch))
-	iters := it.BatchesPerEpoch()
-	for i := 0; i < iters; i++ {
-		tick(epoch, i)
-		if selfCrashed(epoch, i) {
-			reg.Emit(metrics.Event{Kind: metrics.KindFault, Epoch: epoch, Iter: i, Node: me, Detail: "crash"})
-			return errSelfCrash
+	if from, ok := r.transfer[me]; ok {
+		blob, err := e.node.Recv(from)
+		if err != nil {
+			return err
 		}
-		iterSpan := reg.BeginSpan("iter", "worker", me)
-		x, labels := it.Next()
-		n := x.Shape[0]
-		lo := rank * n / len(lv)
-		hi := (rank + 1) * n / len(lv)
-		model.ZeroGrad()
-		if hi > lo {
-			xm := tensor.Rows(x, lo, hi)
-			logits := model.Forward(xm, true)
-			_, g := nn.SoftmaxCrossEntropy(logits, labels[lo:hi])
-			model.Backward(g)
-			scale := float32(hi-lo) * float32(len(lv)) / float32(n)
-			for _, gr := range model.Grads() {
-				tensor.Scale(scale, gr)
-			}
+		cp, err := core.ReadCheckpoint(bytes.NewReader(blob))
+		if err != nil {
+			return fmt.Errorf("runtime: decoding transferred state: %w", err)
 		}
-		*gradFlat = flattenInto(*gradFlat, model.Grads())
-		flat := *gradFlat
-		if len(lv) > 1 {
-			cGradBytes.Add(int64(4 * len(flat)))
+		if cp.Epoch != r.epoch {
+			return fmt.Errorf("runtime: transferred state is for epoch %d, want %d", cp.Epoch, r.epoch)
 		}
-		if err := RingAllReduceAverage(w.node, lv, flat); err != nil {
-			iterSpan.End()
-			return w.classify(err, epoch, i)
+		if len(cp.Weights) != len(e.weights) || len(cp.State) != len(e.state)+len(vel) {
+			return fmt.Errorf("runtime: transferred state shape mismatch (%d/%d tensors, want %d/%d)",
+				len(cp.Weights), len(cp.State), len(e.weights), len(e.state)+len(vel))
 		}
-		unflatten(flat, model.Grads())
-		opt.Step(params)
-		cIters.Inc()
-		iterSpan.End()
+		copySet(e.weights, cp.Weights)
+		copySet(e.state, cp.State[:len(e.state)])
+		copySet(vel, cp.State[len(e.state):])
 	}
-
-	tick(epoch, transport.IterEpochEnd)
-	if selfCrashed(epoch, transport.IterEpochEnd) {
-		reg.Emit(metrics.Event{Kind: metrics.KindFault, Epoch: epoch, Iter: transport.IterEpochEnd, Node: me, Detail: "crash"})
-		return errSelfCrash
+	to := r.receivers(me)
+	if len(to) == 0 {
+		return nil
 	}
-
-	// Delayed aggregation over the round's frozen leader ring, then
-	// the intra-group broadcast.
-	sync := append(append([]*tensor.Tensor{}, weights...), state...)
-	*syncFlat = flattenInto(*syncFlat, sync)
-	flat := *syncFlat
-	if me == lv[0] {
-		if err := RingAllReduceAverage(w.node, round.leaders, flat); err != nil {
-			return w.classify(err, epoch, transport.IterEpochEnd)
+	weights, state := e.weights, e.state
+	if snap := e.snaps[r.epoch]; snap != nil {
+		weights, state = snap.weights, snap.state
+		if e.shipVel {
+			vel = snap.vel
 		}
 	}
-	if err := Broadcast(w.node, lv, lv[0], flat); err != nil {
-		return w.classify(err, epoch, transport.IterEpochEnd)
-	}
-	unflatten(flat, sync)
-
-	if me == round.global {
-		acc := accuracyOn(model, w.val)
-		w.resMu.Lock()
-		w.res.EpochAccuracies[epoch] = acc
-		if epoch == cfg.Epochs-1 {
-			w.res.Final = model
+	blob := (&core.Checkpoint{
+		Epoch:   r.epoch,
+		Weights: weights,
+		State:   append(append([]*tensor.Tensor{}, state...), vel...),
+	}).Bytes()
+	for _, x := range to {
+		if err := e.node.Send(x, blob); err != nil {
+			return err
 		}
-		w.resMu.Unlock()
-		reg.ObserveEpoch(epoch, acc, 0)
-		if cfg.EpochEnd != nil {
-			cfg.EpochEnd(epoch, acc)
-		}
-		if cfg.Checkpoints != nil {
-			every := cfg.CheckpointEvery
-			if every <= 0 {
-				every = 1
-			}
-			if (epoch+1)%every == 0 || epoch == cfg.Epochs-1 {
-				cp := &core.Checkpoint{Epoch: epoch + 1, Weights: weights, State: state}
-				if err := cfg.Checkpoints.Save(cp); err != nil {
-					return fmt.Errorf("runtime: auto-checkpoint at epoch %d: %w", epoch, err)
-				}
-				cCkpts.Inc()
-			}
-		}
+		e.mgr.addTransferBytes(int64(len(blob)))
 	}
 	return nil
+}
+
+// enter implements roundTrainer: a data-parallel worker trains every
+// round it is in, under the same stage cut, so momentum always carries.
+func (w *dpWorker) enter(e *elasticState, r *round, receives bool) (bool, []*tensor.Tensor, error) {
+	if r.restore && !receives {
+		if err := e.restore(r.epoch, w.vel); err != nil {
+			return false, nil, err
+		}
+	}
+	return true, w.vel, nil
 }

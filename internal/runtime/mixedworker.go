@@ -3,7 +3,6 @@ package runtime
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"socflow/internal/core"
 	"socflow/internal/dataset"
@@ -64,38 +63,23 @@ func RunMixedDistributed(ctx context.Context, mesh transport.Mesh, spec *nn.Spec
 		return nil, fmt.Errorf("runtime: epochs=%d batch=%d", cfg.Epochs, cfg.GlobalBatch)
 	}
 
-	res := &DistResult{}
-	var resMu sync.Mutex
-	errs := make(chan error, numNodes)
-	var wg sync.WaitGroup
-	stop := context.AfterFunc(ctx, func() { mesh.Close() })
-	defer stop()
-	for id := 0; id < numNodes; id++ {
-		if nodeGroup[id] < 0 {
-			continue
+	rep := newReporter(&cfg.DistConfig, val)
+	p := newPool(cfg.Metrics, "mixed worker", func() { mesh.Close() }, func(id int) error {
+		return runMixedWorker(mesh.Node(id), spec, train, val, cfg, nodeGroup[id], leaders, rep)
+	})
+	for id, g := range nodeGroup {
+		if g >= 0 {
+			p.launch(id)
 		}
-		wg.Add(1)
-		go func(id, g int) {
-			defer wg.Done()
-			if err := runMixedWorker(mesh.Node(id), spec, train, val, cfg, g, leaders, res, &resMu); err != nil {
-				errs <- fmt.Errorf("mixed worker %d: %w", id, err)
-			}
-		}(id, nodeGroup[id])
 	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if err := p.wait(ctx); err != nil {
 		return nil, err
 	}
-	select {
-	case err := <-errs:
-		return nil, err
-	default:
-	}
-	return res, nil
+	return rep.res, nil
 }
 
 func runMixedWorker(node transport.Node, spec *nn.Spec, train, val *dataset.Dataset, cfg MixedDistConfig,
-	group int, leaders []int, res *DistResult, resMu *sync.Mutex) error {
+	group int, leaders []int, rep *reporter) error {
 
 	members := cfg.Groups[group]
 	rank := rankOf(node.ID(), members)
@@ -163,20 +147,10 @@ func runMixedWorker(node transport.Node, spec *nn.Spec, train, val *dataset.Data
 		shards = dataset.Reshuffle(shards, cfg.Seed+uint64(1000+epoch))
 
 		if isGlobalLeader {
-			acc := accuracyOn(mp.FP32, val)
-			resMu.Lock()
-			res.EpochAccuracies = append(res.EpochAccuracies, acc)
-			resMu.Unlock()
-			cfg.Metrics.ObserveEpoch(epoch, acc, 0)
-			if cfg.EpochEnd != nil {
-				cfg.EpochEnd(epoch, acc)
+			if err := rep.epochEnd(epoch, mp.FP32); err != nil {
+				return err
 			}
 		}
-	}
-	if isGlobalLeader {
-		resMu.Lock()
-		res.Final = mp.FP32
-		resMu.Unlock()
 	}
 	return nil
 }

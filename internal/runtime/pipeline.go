@@ -2,11 +2,8 @@ package runtime
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 
-	"socflow/internal/core"
 	"socflow/internal/dataset"
 	"socflow/internal/metrics"
 	"socflow/internal/nn"
@@ -17,40 +14,25 @@ import (
 
 // PipelineConfig describes a distributed pipeline-parallel training
 // run executing an auto-parallelization plan over a mesh. The embedded
-// JobSpec supplies the shared hyperparameters; the schedule (sharding,
-// batch order, reshuffles) follows the core Pipeline strategy's seed
-// discipline exactly, so a mesh run and the in-process strategy are
-// bit-comparable.
+// DistConfig supplies everything the tracks share — the JobSpec
+// hyperparameters, EpochEnd, Metrics, Faults (without Recovery a crash
+// is fatal: the failing stage tears the mesh down exactly like the
+// data-parallel track), Recovery and Checkpoints; its Groups and
+// DegradeOnFault must stay unset, because the plan's placement is the
+// group layout and pipeline groups shrink only through Recovery. The
+// schedule (sharding, batch order, reshuffles) follows the core
+// Pipeline strategy's seed discipline exactly, so a mesh run and the
+// in-process strategy are bit-comparable.
 type PipelineConfig struct {
-	core.JobSpec
+	DistConfig
 	// Plan is the searched pipeline plan (plan.Search). Mode must be
 	// ModePipeline; Placement maps stage i of group g to mesh node
 	// Placement[g][i].
 	Plan *autoplan.Plan
-	// EpochEnd, when non-nil, is called by the global leader after each
-	// epoch with the 0-based epoch and validation accuracy.
-	EpochEnd func(epoch int, acc float64)
-	// Metrics, when non-nil, wraps the mesh with byte/message counters
-	// and receives per-epoch accuracy through ObserveEpoch.
-	Metrics *metrics.Registry
-	// Faults, when non-nil, is applied to the mesh via
-	// transport.WithFaults: stage workers tick the shared fault clock
-	// every iteration and at each epoch boundary, so scripted crashes,
-	// link drops, and stragglers fire at their (epoch, iteration)
-	// trigger points. Without Recovery a crash is fatal — the failing
-	// stage tears the mesh down exactly like the data-parallel track.
-	Faults *transport.FaultPlan
-	// Recovery, when non-nil, switches the run onto the elastic
-	// pipeline track: the mesh is stacked with transport.WithHeartbeat,
-	// a manager supervises stage workers in barrier-delimited rounds
-	// with start-of-epoch snapshots, and detected deaths or tidal
-	// resizes trigger a re-plan-vs-degrade decision at the next round
-	// boundary (see pipeline_elastic.go).
-	Recovery *RecoveryConfig
-	// Planner, when non-nil on the elastic track, re-invokes
-	// plan.Search on membership changes restricted to the surviving
-	// SoC set (plan.Options.Nodes) and adopts the re-plan when it
-	// prices below degrade-in-place. Nil means degrade-only recovery.
+	// Planner, when non-nil on the elastic track (Recovery set),
+	// re-invokes plan.Search on membership changes restricted to the
+	// surviving SoC set (plan.Options.Nodes) and adopts the re-plan when
+	// it prices below degrade-in-place. Nil means degrade-only recovery.
 	Planner *autoplan.Options
 	// Resizes, when non-nil on the elastic track, delivers tidal
 	// capacity targets (total usable SoCs) from the control plane's
@@ -94,8 +76,15 @@ func RunPipeline(ctx context.Context, mesh transport.Mesh, spec *nn.Spec, train,
 	if cfg.Epochs <= 0 || cfg.GlobalBatch <= 0 {
 		return nil, fmt.Errorf("runtime: epochs=%d batch=%d", cfg.Epochs, cfg.GlobalBatch)
 	}
+	if cfg.Groups != nil || cfg.DegradeOnFault {
+		return nil, fmt.Errorf("runtime: RunPipeline takes its groups from the plan and shrinks them only through Recovery; Groups and DegradeOnFault must be unset")
+	}
+	rep := newReporter(&cfg.DistConfig, val)
 	if cfg.Recovery != nil {
-		return runElasticPipeline(ctx, mesh, spec, train, val, cfg)
+		if err := runElasticPipeline(ctx, mesh, spec, train, &cfg, rep); err != nil {
+			return nil, err
+		}
+		return rep.res, nil
 	}
 	// Metering sits inside the fault decorator, matching the
 	// data-parallel track: injected failures move no bytes.
@@ -105,56 +94,37 @@ func RunPipeline(ctx context.Context, mesh transport.Mesh, spec *nn.Spec, train,
 	if cfg.Faults != nil {
 		mesh = transport.WithFaults(mesh, cfg.Faults)
 	}
-
-	res := &DistResult{EpochAccuracies: make([]float64, cfg.Epochs)}
-	var resMu sync.Mutex
-	var wg sync.WaitGroup
-
-	var (
-		errMu      sync.Mutex
-		workerErrs []error
-		closeOnce  sync.Once
-	)
-	fail := func(id int, err error) {
-		errMu.Lock()
-		workerErrs = append(workerErrs, fmt.Errorf("stage worker %d: %w", id, err))
-		errMu.Unlock()
-		cfg.Metrics.Counter("runtime.worker.errors").Inc()
-		cfg.Metrics.Emit(metrics.Event{Kind: metrics.KindWorkerError, Node: id, Detail: err.Error()})
-		closeOnce.Do(func() { mesh.Close() })
-	}
-	stop := context.AfterFunc(ctx, func() { mesh.Close() })
-	defer stop()
-
-	d := p.Depth()
-	for g := range p.Placement {
-		// Members beyond the pipeline depth hold no stage and host no
-		// worker.
-		for i := 0; i < d; i++ {
-			wg.Add(1)
-			go func(g, i int) {
-				defer wg.Done()
-				id := p.Placement[g][i]
-				w := newPipeWorker(mesh.Node(id), spec, train, val, &cfg, res, &resMu)
-				w.configure(p, g, i)
-				for epoch := 0; epoch < cfg.Epochs; epoch++ {
-					w.alignData(epoch)
-					if err := w.runEpoch(epoch); err != nil {
-						fail(id, err)
-						return
-					}
-				}
-			}(g, i)
+	stages := stageGroups(p)
+	pl := newPool(cfg.Metrics, "stage worker", func() { mesh.Close() }, func(id int) error {
+		w := newPipeWorker(mesh.Node(id), spec, train, &cfg.DistConfig, rep)
+		g, i, _ := positionIn(stages, id)
+		w.configure(p, g, i)
+		for epoch := 0; epoch < cfg.Epochs; epoch++ {
+			if err := w.runEpoch(epoch, nil); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	for _, members := range stages {
+		for _, id := range members {
+			pl.launch(id)
 		}
 	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if err := pl.wait(ctx); err != nil {
 		return nil, err
 	}
-	if len(workerErrs) > 0 {
-		return nil, errors.Join(workerErrs...)
+	return rep.res, nil
+}
+
+// stageGroups returns a plan's placed nodes, per group in stage order.
+// Members beyond the pipeline depth hold no stage and host no worker.
+func stageGroups(p *autoplan.Plan) [][]int {
+	out := make([][]int, len(p.Placement))
+	for g, members := range p.Placement {
+		out[g] = members[:p.Depth()]
 	}
-	return res, nil
+	return out
 }
 
 // pipeWorker is one placed stage's execution state, shared between the
@@ -165,12 +135,10 @@ func RunPipeline(ctx context.Context, mesh transport.Mesh, spec *nn.Spec, train,
 // position.
 type pipeWorker struct {
 	node  transport.Node
-	spec  *nn.Spec
 	train *dataset.Dataset
-	val   *dataset.Dataset
-	cfg   *PipelineConfig
-	res   *DistResult
-	resMu *sync.Mutex
+	cfg   *DistConfig
+	rep   *reporter
+	clock faultClock
 
 	// Every node builds the identical full replica from the seed and
 	// then trains only its own contiguous layer slice. Fused stage
@@ -192,30 +160,23 @@ type pipeWorker struct {
 	// every node because leadership migrates on the elastic track.
 	stageSync [][]*tensor.Tensor
 
-	shards     []*dataset.Dataset
-	shardEpoch int
-	shardN     int
-	it         *dataset.BatchIterator
+	cursor shardCursor
+	it     *dataset.BatchIterator
 
 	syncFlat []float32
 	// elastic switches on the epoch-end leader-served full-model sync
 	// (every placed node ends the epoch holding the aggregated model,
 	// so any survivor can donate state to a re-plan).
-	elastic     bool
-	tick        func(epoch, iter int)
-	selfCrashed func(epoch, iter int) bool
+	elastic bool
 
 	cIters    *metrics.Counter
 	cActBytes *metrics.Counter
 	cSyncB    *metrics.Counter
 }
 
-func newPipeWorker(node transport.Node, spec *nn.Spec, train, val *dataset.Dataset, cfg *PipelineConfig,
-	res *DistResult, resMu *sync.Mutex) *pipeWorker {
-
-	w := &pipeWorker{
-		node: node, spec: spec, train: train, val: val, cfg: cfg, res: res, resMu: resMu,
-	}
+func newPipeWorker(node transport.Node, spec *nn.Spec, train *dataset.Dataset, cfg *DistConfig, rep *reporter) *pipeWorker {
+	w := &pipeWorker{node: node, train: train, cfg: cfg, rep: rep}
+	w.clock = newFaultClock(node, cfg.Metrics)
 	w.model = spec.BuildMicro(tensor.NewRNG(cfg.Seed), train.Channels(), train.ImageSize(), train.Classes)
 	w.weights = w.model.Weights()
 	w.state = w.model.StateTensors()
@@ -224,13 +185,6 @@ func newPipeWorker(node transport.Node, spec *nn.Spec, train, val *dataset.Datas
 	w.cIters = reg.Counter("runtime.iterations")
 	w.cActBytes = reg.Counter("runtime.pipeline.act.bytes")
 	w.cSyncB = reg.Counter("runtime.pipeline.sync.bytes")
-	ticker, _ := node.(transport.FaultTicker)
-	w.tick = func(epoch, iter int) {
-		if ticker != nil {
-			ticker.TickFault(epoch, iter)
-		}
-	}
-	w.selfCrashed = func(epoch, iter int) bool { return false }
 	return w
 }
 
@@ -269,13 +223,6 @@ func (w *pipeWorker) sameStage(p *autoplan.Plan, i int) bool {
 	return true
 }
 
-// repoint adopts a plan that kept this node's stage intact (the caller
-// checked sameStage): only the plan reference and group index move;
-// stage views, optimizer, and velocities stay.
-func (w *pipeWorker) repoint(p *autoplan.Plan, g int) {
-	w.p, w.g = p, g
-}
-
 // alignData positions the deterministic data cursor at the start of an
 // epoch under the current plan's group count: the IID shard fold, the
 // reshuffle history, and the epoch's batch iterator — the same seed
@@ -284,26 +231,21 @@ func (w *pipeWorker) repoint(p *autoplan.Plan, g int) {
 // path.
 func (w *pipeWorker) alignData(epoch int) {
 	n := w.p.Groups()
-	if w.shards == nil || w.shardN != n || w.shardEpoch > epoch {
-		w.shards = w.train.ShardIID(n, w.cfg.Seed+1)
-		w.shardN = n
-		w.shardEpoch = 0
-	}
-	for ; w.shardEpoch < epoch; w.shardEpoch++ {
-		w.shards = dataset.Reshuffle(w.shards, w.cfg.Seed+uint64(1000+w.shardEpoch))
-	}
+	shards := w.cursor.at(w.train, n, w.cfg.Seed, epoch)
 	seed := w.cfg.Seed + uint64(100+w.g)
 	if epoch > 0 {
 		seed = w.cfg.Seed + uint64(2000+(epoch-1)*n+w.g)
 	}
-	w.it = dataset.NewBatchIterator(w.shards[w.g], w.cfg.GlobalBatch, seed)
+	w.it = dataset.NewBatchIterator(shards[w.g], w.cfg.GlobalBatch, seed)
 }
 
 // runEpoch is one epoch at the worker's current position: the
 // micro-batch relay with its neighbours every iteration, the optimizer
 // step on its own parameters, and the per-epoch cross-group ring plus
-// leader gather. The caller aligns the data cursor first.
-func (w *pipeWorker) runEpoch(epoch int) error {
+// leader gather. The position comes from configure, not from the
+// round. Returns errSelfCrash at the worker's own preemption point.
+func (w *pipeWorker) runEpoch(epoch int, _ *round) error {
+	w.alignData(epoch)
 	p := w.p
 	cfg := w.cfg
 	n := p.Groups()
@@ -351,9 +293,7 @@ func (w *pipeWorker) runEpoch(epoch int) error {
 	defer epochSpan.End()
 	steps := w.it.BatchesPerEpoch()
 	for s := 0; s < steps; s++ {
-		w.tick(epoch, s)
-		if w.selfCrashed(epoch, s) {
-			reg.Emit(metrics.Event{Kind: metrics.KindFault, Epoch: epoch, Iter: s, Node: me, Detail: "crash"})
+		if w.clock.crashedAt(epoch, s) {
 			return errSelfCrash
 		}
 		x, labels := w.it.Next()
@@ -414,9 +354,7 @@ func (w *pipeWorker) runEpoch(epoch int) error {
 		}
 	}
 
-	w.tick(epoch, transport.IterEpochEnd)
-	if w.selfCrashed(epoch, transport.IterEpochEnd) {
-		reg.Emit(metrics.Event{Kind: metrics.KindFault, Epoch: epoch, Iter: transport.IterEpochEnd, Node: me, Detail: "crash"})
+	if w.clock.crashedAt(epoch, transport.IterEpochEnd) {
 		return errSelfCrash
 	}
 
@@ -454,16 +392,8 @@ func (w *pipeWorker) runEpoch(epoch int) error {
 				w.stageSync[j][k].CopyFrom(t)
 			}
 		}
-		acc := accuracyOn(w.model, w.val)
-		w.resMu.Lock()
-		w.res.EpochAccuracies[epoch] = acc
-		if epoch == cfg.Epochs-1 {
-			w.res.Final = w.model
-		}
-		w.resMu.Unlock()
-		reg.ObserveEpoch(epoch, acc, 0)
-		if cfg.EpochEnd != nil {
-			cfg.EpochEnd(epoch, acc)
+		if err := w.rep.epochEnd(epoch, w.model); err != nil {
+			return err
 		}
 	}
 

@@ -4,7 +4,9 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"socflow/internal/core"
 	"socflow/internal/nn"
@@ -42,13 +44,13 @@ func TestElasticPipelineFaultFreeBitIdentical(t *testing.T) {
 	js := core.JobSpec{Epochs: 3, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4}
 
 	plain, err := RunPipeline(context.Background(), transport.NewChanMesh(4), spec, train, val, PipelineConfig{
-		JobSpec: js, Plan: p,
+		DistConfig: DistConfig{JobSpec: js}, Plan: p,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	elastic, err := RunPipeline(context.Background(), transport.NewChanMesh(4), spec, train, val, PipelineConfig{
-		JobSpec: js, Plan: p, Recovery: fastRecovery(),
+		DistConfig: DistConfig{JobSpec: js, Recovery: fastRecovery()}, Plan: p,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +93,7 @@ func TestElasticPipelineCrashReplansAndCompletes(t *testing.T) {
 	js := core.JobSpec{Epochs: 5, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4}
 
 	clean, err := RunPipeline(context.Background(), transport.NewChanMesh(6), spec, train, val, PipelineConfig{
-		JobSpec: js, Plan: p, Recovery: fastRecovery(), Planner: popts,
+		DistConfig: DistConfig{JobSpec: js, Recovery: fastRecovery()}, Plan: p, Planner: popts,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,10 +102,13 @@ func TestElasticPipelineCrashReplansAndCompletes(t *testing.T) {
 	// Kill a placed stage of the last group, permanently, mid-epoch.
 	victim := p.Placement[p.Groups()-1][0]
 	res, err := RunPipeline(context.Background(), transport.NewChanMesh(6), spec, train, val, PipelineConfig{
-		JobSpec: js, Plan: p, Recovery: fastRecovery(), Planner: popts,
-		Faults: &transport.FaultPlan{Events: []transport.FaultEvent{
-			{Kind: transport.FaultCrash, Node: victim, Epoch: 1, Iter: 1},
-		}},
+		DistConfig: DistConfig{
+			JobSpec: js, Recovery: fastRecovery(),
+			Faults: &transport.FaultPlan{Events: []transport.FaultEvent{
+				{Kind: transport.FaultCrash, Node: victim, Epoch: 1, Iter: 1},
+			}},
+		},
+		Plan: p, Planner: popts,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,16 +153,18 @@ func TestElasticPipelineTidalShrink(t *testing.T) {
 	p, popts := elasticPipePlan(t, 6, 2, 16, train.Len())
 	resizes := make(chan int, 1)
 	cfg := PipelineConfig{
-		JobSpec:  core.JobSpec{Epochs: 5, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
-		Plan:     p,
-		Recovery: fastRecovery(),
-		Planner:  popts,
-		Resizes:  resizes,
-		EpochEnd: func(epoch int, _ float64) {
-			if epoch == 1 {
-				resizes <- 4
-			}
+		DistConfig: DistConfig{
+			JobSpec:  core.JobSpec{Epochs: 5, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
+			Recovery: fastRecovery(),
+			EpochEnd: func(epoch int, _ float64) {
+				if epoch == 1 {
+					resizes <- 4
+				}
+			},
 		},
+		Plan:    p,
+		Planner: popts,
+		Resizes: resizes,
 	}
 	res, err := RunPipeline(context.Background(), transport.NewChanMesh(6), spec, train, val, cfg)
 	if err != nil {
@@ -187,6 +194,86 @@ func TestElasticPipelineTidalShrink(t *testing.T) {
 	}
 }
 
+// lossyMesh silently loses the data frames one node sends another once
+// armed. Heartbeats keep flowing, so the receiver stays observably
+// alive while the frame it waits for never comes.
+type lossyMesh struct {
+	transport.Mesh
+	from, to int
+	armed    atomic.Bool
+}
+
+func (m *lossyMesh) Node(i int) transport.Node {
+	if i != m.from {
+		return m.Mesh.Node(i)
+	}
+	return lossyNode{m.Mesh.Node(i), m}
+}
+
+type lossyNode struct {
+	transport.Node
+	m *lossyMesh
+}
+
+func (n lossyNode) Send(to int, payload []byte) error {
+	// The heartbeat layer tags data frames 0x00 and beats 0x01.
+	if to == n.m.to && n.m.armed.Load() && len(payload) > 0 && payload[0] == 0 {
+		return nil
+	}
+	return n.Node.Send(to, payload)
+}
+
+// Regression for the reclaim hang: a node the tide writes out while its
+// goroutine is healthy and parked in Recv on a *live* peer must still be
+// woken when its round fails — nothing else ever will. The leader's
+// epoch-end full-model frame to the victim is lost at the same moment
+// the shrink arrives, which holds the victim in that Recv no matter how
+// the goroutines are scheduled; the run has to return regardless.
+func TestElasticPipelineReclaimWakesParkedVictim(t *testing.T) {
+	spec, train, val := elasticFixture(t, 300)
+	p, popts := elasticPipePlan(t, 6, 2, 16, train.Len())
+	const victim = 5 // the highest-numbered SoC is reclaimed first
+	if _, _, placed := positionIn(stageGroups(p), victim); !placed || p.Placement[0][0] == victim {
+		t.Fatalf("plan %s does not place node %d behind another leader", p, victim)
+	}
+	mesh := &lossyMesh{Mesh: transport.NewChanMesh(6), from: p.Placement[0][0], to: victim}
+	resizes := make(chan int, 1)
+	cfg := PipelineConfig{
+		DistConfig: DistConfig{
+			JobSpec:  core.JobSpec{Epochs: 4, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
+			Recovery: fastRecovery(),
+			EpochEnd: func(epoch int, _ float64) {
+				if epoch == 1 && !mesh.armed.Swap(true) {
+					resizes <- 4
+				}
+			},
+		},
+		Plan:    p,
+		Planner: popts,
+		Resizes: resizes,
+	}
+	type outcome struct {
+		res *DistResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := RunPipeline(context.Background(), mesh, spec, train, val, cfg)
+		done <- outcome{res, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if len(o.res.Replans) < 1 || o.res.Replans[0].Trigger != "resize" {
+			t.Fatalf("shrink produced no resize episode: %+v", o.res.Replans)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("run hung: the reclaimed node was never woken from its Recv")
+	}
+}
+
 // Without a Planner the elastic pipeline still recovers by degrading in
 // place: the broken group is dropped and the survivors carry the
 // campaign.
@@ -198,12 +285,14 @@ func TestElasticPipelineDegradeOnlyRecovery(t *testing.T) {
 	}
 	victim := p.Placement[p.Groups()-1][0]
 	res, err := RunPipeline(context.Background(), transport.NewChanMesh(6), spec, train, val, PipelineConfig{
-		JobSpec:  core.JobSpec{Epochs: 4, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
-		Plan:     p,
-		Recovery: fastRecovery(),
-		Faults: &transport.FaultPlan{Events: []transport.FaultEvent{
-			{Kind: transport.FaultCrash, Node: victim, Epoch: 1, Iter: 0},
-		}},
+		DistConfig: DistConfig{
+			JobSpec:  core.JobSpec{Epochs: 4, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
+			Recovery: fastRecovery(),
+			Faults: &transport.FaultPlan{Events: []transport.FaultEvent{
+				{Kind: transport.FaultCrash, Node: victim, Epoch: 1, Iter: 0},
+			}},
+		},
+		Plan: p,
 	})
 	if err != nil {
 		t.Fatal(err)

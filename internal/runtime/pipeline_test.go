@@ -64,8 +64,8 @@ func TestRunPipelineMatchesCoreStrategyBitwise(t *testing.T) {
 	}
 
 	dist, err := RunPipeline(context.Background(), transport.NewChanMesh(16), spec, train, val, PipelineConfig{
-		JobSpec: core.JobSpec{Epochs: 2, GlobalBatch: 8, LR: 0.02, Momentum: 0.9, Seed: 42},
-		Plan:    p,
+		DistConfig: DistConfig{JobSpec: core.JobSpec{Epochs: 2, GlobalBatch: 8, LR: 0.02, Momentum: 0.9, Seed: 42}},
+		Plan:       p,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,11 +111,13 @@ func TestRunPipelineTicksFaultPlan(t *testing.T) {
 	}
 	victim := p.Placement[0][1]
 	_, err = RunPipeline(context.Background(), transport.NewChanMesh(4), spec, train, val, PipelineConfig{
-		JobSpec: core.JobSpec{Epochs: 2, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
-		Plan:    p,
-		Faults: &transport.FaultPlan{Events: []transport.FaultEvent{
-			{Kind: transport.FaultCrash, Node: victim, Epoch: 0, Iter: 1},
-		}},
+		DistConfig: DistConfig{
+			JobSpec: core.JobSpec{Epochs: 2, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
+			Faults: &transport.FaultPlan{Events: []transport.FaultEvent{
+				{Kind: transport.FaultCrash, Node: victim, Epoch: 0, Iter: 1},
+			}},
+		},
+		Plan: p,
 	})
 	if err == nil {
 		t.Fatal("scripted crash never fired: the pipeline is not ticking the fault plan")
@@ -132,12 +134,20 @@ func TestRunPipelineRejectsBadConfigs(t *testing.T) {
 	spec := nn.MustSpec("resnet34")
 	js := core.JobSpec{Epochs: 1, GlobalBatch: 8, LR: 0.02, Momentum: 0.9, Seed: 1}
 
-	if _, err := RunPipeline(context.Background(), transport.NewChanMesh(8), spec, train, val, PipelineConfig{JobSpec: js}); err == nil {
+	if _, err := RunPipeline(context.Background(), transport.NewChanMesh(8), spec, train, val, PipelineConfig{DistConfig: DistConfig{JobSpec: js}}); err == nil {
 		t.Fatal("nil plan accepted")
 	}
 	p := pipelinePlan(t, 16, 2)
-	if _, err := RunPipeline(context.Background(), transport.NewChanMesh(8), spec, train, val, PipelineConfig{JobSpec: js, Plan: p}); err == nil {
+	if _, err := RunPipeline(context.Background(), transport.NewChanMesh(8), spec, train, val, PipelineConfig{DistConfig: DistConfig{JobSpec: js}, Plan: p}); err == nil {
 		t.Fatal("16-SoC plan accepted on an 8-node mesh")
+	}
+	for name, dc := range map[string]DistConfig{
+		"Groups":         {JobSpec: js, Groups: p.Placement},
+		"DegradeOnFault": {JobSpec: js, DegradeOnFault: true},
+	} {
+		if _, err := RunPipeline(context.Background(), transport.NewChanMesh(16), spec, train, val, PipelineConfig{DistConfig: dc, Plan: p}); err == nil {
+			t.Fatalf("%s accepted on the pipeline track, which takes its groups from the plan", name)
+		}
 	}
 	dataPlan, err := autoplan.Search(autoplan.Options{
 		Spec: nn.MustSpec("lenet5"), NumSoCs: 8, MaxGroups: 1, GlobalBatch: 64, Samples: 50_000,
@@ -146,7 +156,7 @@ func TestRunPipelineRejectsBadConfigs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if dataPlan.Mode == autoplan.ModeData {
-		if _, err := RunPipeline(context.Background(), transport.NewChanMesh(8), spec, train, val, PipelineConfig{JobSpec: js, Plan: dataPlan}); err == nil {
+		if _, err := RunPipeline(context.Background(), transport.NewChanMesh(8), spec, train, val, PipelineConfig{DistConfig: DistConfig{JobSpec: js}, Plan: dataPlan}); err == nil {
 			t.Fatal("data-parallel plan accepted by the pipeline runtime")
 		}
 	}

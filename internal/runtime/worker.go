@@ -2,9 +2,7 @@ package runtime
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 
 	"socflow/internal/core"
 	"socflow/internal/dataset"
@@ -50,8 +48,8 @@ type DistConfig struct {
 	// emerges from detection, not plan consultation.
 	Recovery *RecoveryConfig
 	// Checkpoints, when non-nil, receives periodic automatic
-	// checkpoints written by the global leader at epoch boundaries
-	// (elastic track only).
+	// checkpoints of the aggregated model, written by the global leader
+	// at epoch boundaries on every track.
 	Checkpoints *core.CheckpointStore
 	// CheckpointEvery is the epoch stride between automatic
 	// checkpoints; <=1 checkpoints every epoch. The final epoch is
@@ -82,19 +80,16 @@ func (cfg *DistConfig) live(members []int, epoch, iter int) []int {
 }
 
 // epochLeaders returns the leader ring at the end of an epoch — the
-// first live member of every group that still has survivors — and the
-// global leader (the first entry), which evaluates and reports.
-func (cfg *DistConfig) epochLeaders(epoch int) (leaders []int, global int) {
+// first live member of every group that still has survivors. The first
+// entry is the global leader, which evaluates and reports.
+func (cfg *DistConfig) epochLeaders(epoch int) (leaders []int) {
 	for _, members := range cfg.Groups {
 		lv := cfg.live(members, epoch, transport.IterEpochEnd)
 		if len(lv) > 0 {
 			leaders = append(leaders, lv[0])
 		}
 	}
-	if len(leaders) == 0 {
-		return nil, -1
-	}
-	return leaders, leaders[0]
+	return leaders
 }
 
 // DistResult is what RunDistributed reports.
@@ -156,14 +151,31 @@ func RunDistributed(ctx context.Context, mesh transport.Mesh, spec *nn.Spec, tra
 	if cfg.Epochs <= 0 || cfg.GlobalBatch <= 0 {
 		return nil, fmt.Errorf("runtime: epochs=%d batch=%d", cfg.Epochs, cfg.GlobalBatch)
 	}
+	var workers []int
+	for id, g := range nodeGroup {
+		if g >= 0 { // other nodes host no worker (e.g. spare SoCs)
+			workers = append(workers, id)
+		}
+	}
+	rep := newReporter(&cfg, val)
 	if cfg.Recovery != nil {
 		// Elastic track: no survivor precheck — liveness is discovered
 		// at runtime by the failure detector, and preempted nodes may
 		// come back.
-		return runElastic(ctx, mesh, spec, train, val, cfg, nodeGroup)
+		err := runElastic(ctx, mesh, &cfg, rep.res, "worker", workers, &dpPolicy{groups: cfg.Groups}, nil,
+			func(m *roundManager, node transport.Node) error {
+				w := newDPWorker(node, spec, train, &cfg, nodeGroup[node.ID()], rep)
+				w.clock.plan = cfg.Faults
+				e := &elasticState{mgr: m, node: node, clock: &w.clock, weights: w.weights, state: w.state, shipVel: true}
+				return e.run(w)
+			})
+		if err != nil {
+			return nil, err
+		}
+		return rep.res, nil
 	}
 	if cfg.degraded() {
-		if ldrs, _ := cfg.epochLeaders(cfg.Epochs - 1); len(ldrs) == 0 {
+		if len(cfg.epochLeaders(cfg.Epochs-1)) == 0 {
 			return nil, fmt.Errorf("runtime: fault plan leaves no survivor to finish the run")
 		}
 	}
@@ -176,195 +188,198 @@ func RunDistributed(ctx context.Context, mesh transport.Mesh, spec *nn.Spec, tra
 	if cfg.Faults != nil {
 		mesh = transport.WithFaults(mesh, cfg.Faults)
 	}
-
-	res := &DistResult{EpochAccuracies: make([]float64, cfg.Epochs)}
-	var resMu sync.Mutex
-	var wg sync.WaitGroup
-
-	// First-error teardown: the first failing worker closes the mesh so
-	// every peer blocked in a collective errors out and unwinds —
-	// wg.Wait() below cannot block on a survivor stuck in Recv. All
-	// worker errors are collected and joined.
-	var (
-		errMu      sync.Mutex
-		workerErrs []error
-		closeOnce  sync.Once
-	)
-	fail := func(id int, err error) {
-		errMu.Lock()
-		workerErrs = append(workerErrs, fmt.Errorf("worker %d: %w", id, err))
-		errMu.Unlock()
-		cfg.Metrics.Counter("runtime.worker.errors").Inc()
-		cfg.Metrics.Emit(metrics.Event{Kind: metrics.KindWorkerError, Node: id, Detail: err.Error()})
-		closeOnce.Do(func() { mesh.Close() })
-	}
-
-	// Workers block in collectives, not on ctx; closing the mesh on
-	// cancellation errors those calls out so every worker unwinds.
-	stop := context.AfterFunc(ctx, func() { mesh.Close() })
-	defer stop()
-
-	for id := 0; id < numNodes; id++ {
-		g := nodeGroup[id]
-		if g < 0 {
-			continue // node hosts no worker (e.g. spare SoC)
+	p := newPool(cfg.Metrics, "worker", func() { mesh.Close() }, func(id int) error {
+		w := newDPWorker(mesh.Node(id), spec, train, &cfg, nodeGroup[id], rep)
+		if cfg.degraded() {
+			w.clock.plan = cfg.Faults
 		}
-		wg.Add(1)
-		go func(id, g int) {
-			defer wg.Done()
-			if err := runWorker(mesh.Node(id), spec, train, val, cfg, g, res, &resMu); err != nil {
-				fail(id, err)
+		for epoch := 0; epoch < cfg.Epochs; epoch++ {
+			if err := w.runEpoch(epoch, nil); err != nil {
+				if err == errSelfCrash {
+					// Injected preemption in degraded mode: a clean exit,
+					// and the survivors' membership views — all derived
+					// from the shared plan — exclude this worker from the
+					// same point on.
+					return nil
+				}
+				return err
 			}
-		}(id, g)
+		}
+		return nil
+	})
+	for _, id := range workers {
+		p.launch(id)
 	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if err := p.wait(ctx); err != nil {
 		return nil, err
 	}
-	if len(workerErrs) > 0 {
-		return nil, errors.Join(workerErrs...)
-	}
-	return res, nil
+	return rep.res, nil
 }
 
-// runWorker is one SoC's whole life: deterministic local schedule plus
-// the collective calls at group and epoch boundaries. In degraded mode
-// a worker whose crash point has arrived exits cleanly at the next
-// boundary, and the survivors' membership views — all derived from the
-// shared plan — exclude it from the same point on.
-func runWorker(node transport.Node, spec *nn.Spec, train, val *dataset.Dataset, cfg DistConfig,
-	group int, res *DistResult, resMu *sync.Mutex) error {
+// dpWorker is one SoC's data-parallel execution state, shared between
+// the plain and elastic tracks: the seed-built replica, its optimizer,
+// the deterministic data cursor, and the collective calls at group and
+// epoch boundaries.
+type dpWorker struct {
+	node  transport.Node
+	train *dataset.Dataset
+	cfg   *DistConfig
+	group int
+	rep   *reporter
+	clock faultClock
 
-	members := cfg.Groups[group]
-	me := node.ID()
-	ticker, _ := node.(transport.FaultTicker)
-	tick := func(epoch, iter int) {
-		if ticker != nil {
-			ticker.TickFault(epoch, iter)
-		}
-	}
-	crashed := func(epoch, iter int) bool {
-		return cfg.degraded() && cfg.Faults.CrashedAt(me, epoch, iter)
-	}
-	// Instruments resolve once per worker; on a nil registry they are
-	// nil and every use below is a free no-op.
-	reg := cfg.Metrics
-	cGradBytes := reg.Counter("runtime.gradsync.bytes")
-	cIters := reg.Counter("runtime.iterations")
-	cCrashes := reg.Counter("runtime.faults.crashes")
-	crashExit := func(epoch, iter int, span *metrics.ActiveSpan) {
-		cCrashes.Inc()
-		reg.Emit(metrics.Event{Kind: metrics.KindFault, Epoch: epoch, Iter: iter, Node: me, Detail: "crash"})
-		span.End()
-	}
+	model   *nn.Sequential
+	opt     *nn.SGD
+	params  []*nn.Param
+	weights []*tensor.Tensor
+	state   []*tensor.Tensor // batch-norm running statistics
+	sync    []*tensor.Tensor // weights ++ state, the epoch-end sync set
+	vel     []*tensor.Tensor
 
-	// Identical init everywhere: same seed, same stream.
-	model := spec.BuildMicro(tensor.NewRNG(cfg.Seed), train.Channels(), train.ImageSize(), train.Classes)
-	opt := nn.NewSGD(cfg.LR, cfg.Momentum, 0)
-
-	// Every node derives the identical sharding and batch order.
-	shards := train.ShardIID(len(cfg.Groups), cfg.Seed+1)
+	cursor shardCursor
 
 	// Flat exchange buffers, reused across iterations and epochs.
-	var gradFlat, syncFlat []float32
+	gradFlat, syncFlat []float32
 
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		epochSpan := reg.BeginSpan("epoch", "worker", me)
-		shard := shards[group]
-		// The iterator consumes the full configured global batch; the
-		// proportional split below spreads any remainder over members
-		// instead of silently truncating the batch.
-		it := dataset.NewBatchIterator(shard, cfg.GlobalBatch, cfg.Seed+uint64(100+epoch))
-		iters := it.BatchesPerEpoch()
-		for i := 0; i < iters; i++ {
-			tick(epoch, i)
-			if crashed(epoch, i) {
-				crashExit(epoch, i, epochSpan)
-				return nil // injected preemption: clean degraded exit
+	// Instruments resolve once per worker; on a nil registry they are
+	// nil and every use is a free no-op.
+	cGradBytes, cIters *metrics.Counter
+}
+
+func newDPWorker(node transport.Node, spec *nn.Spec, train *dataset.Dataset, cfg *DistConfig, group int, rep *reporter) *dpWorker {
+	w := &dpWorker{node: node, train: train, cfg: cfg, group: group, rep: rep}
+	w.clock = newFaultClock(node, cfg.Metrics)
+	// Identical init everywhere: same seed, same stream. A rejoiner
+	// rebuilds the same shell and then overwrites it with the
+	// transferred state.
+	w.model = spec.BuildMicro(tensor.NewRNG(cfg.Seed), train.Channels(), train.ImageSize(), train.Classes)
+	w.opt = nn.NewSGD(cfg.LR, cfg.Momentum, 0)
+	w.params = w.model.Params()
+	w.weights = w.model.Weights()
+	w.state = w.model.StateTensors()
+	w.sync = append(append([]*tensor.Tensor{}, w.weights...), w.state...)
+	w.vel = w.opt.VelocityTensors(w.params)
+	w.cGradBytes = cfg.Metrics.Counter("runtime.gradsync.bytes")
+	w.cIters = cfg.Metrics.Counter("runtime.iterations")
+	return w
+}
+
+// shardCursor is the deterministic shard schedule every node derives
+// alike: the IID fold over n groups plus the cross-group reshuffle
+// history (§3.1) up to an epoch. It advances incrementally and
+// recomputes from scratch when a retry moves the cursor backwards or a
+// re-plan changes the group count.
+type shardCursor struct {
+	shards   []*dataset.Dataset
+	n, epoch int
+}
+
+// at returns the shards as of the start of epoch.
+func (c *shardCursor) at(train *dataset.Dataset, n int, seed uint64, epoch int) []*dataset.Dataset {
+	if c.shards == nil || c.n != n || c.epoch > epoch {
+		c.shards, c.n, c.epoch = train.ShardIID(n, seed+1), n, 0
+	}
+	for ; c.epoch < epoch; c.epoch++ {
+		c.shards = dataset.Reshuffle(c.shards, seed+uint64(1000+c.epoch))
+	}
+	return c.shards
+}
+
+// runEpoch is one data-parallel epoch. Membership comes from the
+// round's frozen view on the elastic track (r != nil) — a re-admitted
+// node re-expands the split at exactly that boundary — and from the
+// shared fault plan, re-derived per iteration, on the plain one.
+// Returns errSelfCrash at the worker's own preemption point.
+func (w *dpWorker) runEpoch(epoch int, r *round) error {
+	cfg := w.cfg
+	me := w.node.ID()
+	reg := cfg.Metrics
+	live := func(iter int) []int {
+		if r != nil {
+			return r.groups[w.group]
+		}
+		return cfg.live(cfg.Groups[w.group], epoch, iter)
+	}
+	epochSpan := reg.BeginSpan("epoch", "worker", me)
+	defer epochSpan.End()
+	shards := w.cursor.at(w.train, len(cfg.Groups), cfg.Seed, epoch)
+	// The iterator consumes the full configured global batch; the
+	// proportional split below spreads any remainder over members
+	// instead of silently truncating the batch.
+	it := dataset.NewBatchIterator(shards[w.group], cfg.GlobalBatch, cfg.Seed+uint64(100+epoch))
+	iters := it.BatchesPerEpoch()
+	for i := 0; i < iters; i++ {
+		if w.clock.crashedAt(epoch, i) {
+			return errSelfCrash
+		}
+		iterSpan := reg.BeginSpan("iter", "worker", me)
+		lv := live(i)
+		rank := rankOf(me, lv)
+		if rank < 0 {
+			return fmt.Errorf("runtime: worker %d missing from its group membership", me)
+		}
+		x, labels := it.Next()
+		// This member's slice of the group batch; slice bounds are
+		// proportional, so ragged batches split without loss.
+		n := x.Shape[0]
+		lo := rank * n / len(lv)
+		hi := (rank + 1) * n / len(lv)
+		w.model.ZeroGrad()
+		if hi > lo {
+			xm := tensor.Rows(x, lo, hi)
+			logits := w.model.Forward(xm, true)
+			_, g := nn.SoftmaxCrossEntropy(logits, labels[lo:hi])
+			w.model.Backward(g)
+			// Weight by actual slice size so the group average is
+			// the full-batch mean gradient.
+			scale := float32(hi-lo) * float32(len(lv)) / float32(n)
+			for _, gr := range w.model.Grads() {
+				tensor.Scale(scale, gr)
 			}
-			iterSpan := reg.BeginSpan("iter", "worker", me)
-			lv := cfg.live(members, epoch, i)
-			rank := rankOf(me, lv)
-			x, labels := it.Next()
-			// This member's slice of the group batch; slice bounds are
-			// proportional, so ragged batches split without loss.
-			n := x.Shape[0]
-			lo := rank * n / len(lv)
-			hi := (rank + 1) * n / len(lv)
-			model.ZeroGrad()
-			if hi > lo {
-				xm := tensor.Rows(x, lo, hi)
-				logits := model.Forward(xm, true)
-				_, g := nn.SoftmaxCrossEntropy(logits, labels[lo:hi])
-				model.Backward(g)
-				// Weight by actual slice size so the group average is
-				// the full-batch mean gradient.
-				scale := float32(hi-lo) * float32(len(lv)) / float32(n)
-				for _, gr := range model.Grads() {
-					tensor.Scale(scale, gr)
-				}
-			}
-			// Intra-group SSGD: average gradients over the ring.
-			gradFlat = flattenInto(gradFlat, model.Grads())
-			flat := gradFlat
-			if len(lv) > 1 {
-				// Gradient payload entering group sync (4 bytes/float);
-				// the transport counters see the ring's chunked wire
-				// traffic, this sees the logical volume.
-				cGradBytes.Add(int64(4 * len(flat)))
-			}
-			if err := RingAllReduceAverage(node, lv, flat); err != nil {
-				return err
-			}
-			unflatten(flat, model.Grads())
-			opt.Step(model.Params())
-			cIters.Inc()
+		}
+		// Intra-group SSGD: average gradients over the ring.
+		w.gradFlat = flattenInto(w.gradFlat, w.model.Grads())
+		if len(lv) > 1 {
+			// Gradient payload entering group sync (4 bytes/float);
+			// the transport counters see the ring's chunked wire
+			// traffic, this sees the logical volume.
+			w.cGradBytes.Add(int64(4 * len(w.gradFlat)))
+		}
+		if err := RingAllReduceAverage(w.node, lv, w.gradFlat); err != nil {
 			iterSpan.End()
-		}
-
-		tick(epoch, transport.IterEpochEnd)
-		if crashed(epoch, transport.IterEpochEnd) {
-			crashExit(epoch, transport.IterEpochEnd, epochSpan)
-			return nil
-		}
-		lv := cfg.live(members, epoch, transport.IterEpochEnd)
-		leaders, globalLeader := cfg.epochLeaders(epoch)
-
-		// Delayed aggregation: leaders average weights across groups,
-		// then each leader broadcasts within its group. Batch-norm
-		// running statistics travel with the weights.
-		sync := append(model.Weights(), model.StateTensors()...)
-		syncFlat = flattenInto(syncFlat, sync)
-		flat := syncFlat
-		if me == lv[0] {
-			if err := RingAllReduceAverage(node, leaders, flat); err != nil {
-				return err
-			}
-		}
-		if err := Broadcast(node, lv, lv[0], flat); err != nil {
 			return err
 		}
-		unflatten(flat, sync)
+		unflatten(w.gradFlat, w.model.Grads())
+		w.opt.Step(w.params)
+		w.cIters.Inc()
+		iterSpan.End()
+	}
 
-		// Cross-group reshuffle (§3.1) — identical on every node.
-		shards = dataset.Reshuffle(shards, cfg.Seed+uint64(1000+epoch))
+	if w.clock.crashedAt(epoch, transport.IterEpochEnd) {
+		return errSelfCrash
+	}
+	lv := live(transport.IterEpochEnd)
+	leaders := cfg.epochLeaders(epoch)
+	if r != nil {
+		leaders = r.leaders()
+	}
 
-		if me == globalLeader {
-			acc := accuracyOn(model, val)
-			resMu.Lock()
-			res.EpochAccuracies[epoch] = acc
-			if epoch == cfg.Epochs-1 {
-				res.Final = model
-			}
-			resMu.Unlock()
-			// The distributed track has no simulated clock; epochs land
-			// on the wall clock only.
-			reg.ObserveEpoch(epoch, acc, 0)
-			if cfg.EpochEnd != nil {
-				cfg.EpochEnd(epoch, acc)
-			}
+	// Delayed aggregation: leaders average weights across groups,
+	// then each leader broadcasts within its group. Batch-norm
+	// running statistics travel with the weights.
+	w.syncFlat = flattenInto(w.syncFlat, w.sync)
+	if me == lv[0] {
+		if err := RingAllReduceAverage(w.node, leaders, w.syncFlat); err != nil {
+			return err
 		}
-		epochSpan.End()
+	}
+	if err := Broadcast(w.node, lv, lv[0], w.syncFlat); err != nil {
+		return err
+	}
+	unflatten(w.syncFlat, w.sync)
+
+	if me == leaders[0] {
+		return w.rep.epochEnd(epoch, w.model)
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"socflow/internal/core"
 	"socflow/internal/dataset"
 	"socflow/internal/nn"
 	autoplan "socflow/internal/plan"
@@ -62,6 +63,37 @@ func TestDistributedPipelineParallelism(t *testing.T) {
 	}
 	if rep.Recovery != nil {
 		t.Fatalf("plain pipeline run grew a recovery report: %+v", rep.Recovery)
+	}
+}
+
+// WithCheckpointEvery applies to RunDistributed on every track, plain
+// ones included: the global leader writes the aggregated model at the
+// stride and always at the final epoch.
+func TestDistributedCheckpointEveryOnPlainTracks(t *testing.T) {
+	for _, parallelism := range []string{"data", "pipeline"} {
+		t.Run(parallelism, func(t *testing.T) {
+			cfg := pipeCfg()
+			cfg.Parallelism = parallelism
+			dir := t.TempDir()
+			rep, err := RunDistributed(context.Background(), cfg, WithCheckpointEvery(2, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Recovery != nil {
+				t.Fatalf("checkpointing switched the run onto the elastic track: %+v", rep.Recovery)
+			}
+			store, err := core.NewCheckpointStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp, err := store.Latest()
+			if err != nil || cp == nil {
+				t.Fatalf("no auto-checkpoint persisted: %v", err)
+			}
+			if cp.Epoch != cfg.Epochs {
+				t.Fatalf("latest auto-checkpoint epoch = %d, want %d", cp.Epoch, cfg.Epochs)
+			}
+		})
 	}
 }
 

@@ -26,8 +26,15 @@ make server-smoke
 make serve-smoke
 # Elastic-recovery chaos gate: seeded randomized fault schedules
 # (crash windows, rejoins, stragglers, link drops) must converge or
-# tear down cleanly under the race detector.
-make chaos
+# tear down cleanly under the race detector — at two scheduler widths,
+# because the recovery races are interleaving-dependent.
+GOMAXPROCS=2 make chaos
+GOMAXPROCS=4 make chaos
+# The tidal-shrink reclaim used to hang intermittently (a written-out
+# node parked on a live peer was never woken); hammer it.
+go test -run 'TestElasticPipelineTidalShrink' -count 30 ./internal/runtime
+# The repo benchmark must build and run before the driver finds out.
+make bench-smoke
 # Benchmark-regression gate: hot-path benchmarks must stay within 10%
 # of the committed allocs/op baseline (at parallelism 1 AND 4) and
 # within 35% of the committed parallelism=1 ns/op baseline (emits
