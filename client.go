@@ -337,9 +337,10 @@ func (h *DistributedJobHandle) Wait(ctx context.Context) (*DistributedReport, er
 // immediately with a handle. The job is bound to ctx: canceling it
 // cancels the job (which is how Run, a submit-and-wait wrapper, keeps
 // its cancellation contract). Configuration errors surface here, not
-// at Wait. SoCFlow-strategy jobs are preemptible: a higher-priority
-// submission can park them at an epoch boundary via checkpoint and
-// they resume from CheckpointStore.Latest() when capacity returns.
+// at Wait. Training jobs of every strategy are preemptible: a
+// higher-priority submission can park them at an epoch boundary via
+// checkpoint and they resume from CheckpointStore.Latest() when
+// capacity returns.
 func (c *Client) Submit(ctx context.Context, cfg Config, opts ...Option) (*JobHandle, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -557,7 +558,7 @@ func buildTrainSpec(submitCtx context.Context, cfg Config, o runOptions, h *jobR
 		Priority:    o.priority,
 		SoCs:        cfg.NumSoCs,
 		Epochs:      cfg.Epochs,
-		Preemptible: cfg.Strategy == "socflow",
+		Preemptible: true,
 		Run:         run,
 		OnTerminal:  onTerminal,
 	}, nil

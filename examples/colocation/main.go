@@ -42,8 +42,8 @@ func run(w io.Writer) (summary, error) {
 	defer srv.Close()
 	cl := srv.Client()
 
-	// The training tenant claims most of the cluster. SoCFlow-strategy
-	// jobs are preemptible: the scheduler may park them at an epoch
+	// The training tenant claims most of the cluster. Training jobs are
+	// preemptible: the scheduler may park them at an epoch
 	// boundary (checkpointing weights and BN state) and resume later.
 	th, err := cl.Submit(ctx, socflow.Config{
 		JobSpec: socflow.JobSpec{

@@ -71,6 +71,13 @@ func (s *CheckpointStore) Save(cp *Checkpoint) error {
 	return nil
 }
 
+// CheckpointDue is the auto-checkpoint stride both tracks follow: the
+// aggregated model is saved after every `every`-th epoch (<=1: every
+// epoch) and always after the last of `epochs`. epoch is 0-based.
+func CheckpointDue(every, epoch, epochs int) bool {
+	return (epoch+1)%max(every, 1) == 0 || epoch == epochs-1
+}
+
 // syncDir fsyncs a directory so a just-renamed entry is durable.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)

@@ -189,8 +189,8 @@ type Result struct {
 	// experiments).
 	Preemptions int
 	// FinalWeights and FinalState are deep copies of the trained
-	// model's tensors (populated by SoCFlow.Run), so callers — notably
-	// the multi-night Campaign — can checkpoint and warm-start.
+	// model's tensors, so callers — the multi-night Campaign, the
+	// control plane's park path — can checkpoint and warm-start.
 	FinalWeights, FinalState []*tensor.Tensor
 	// EpochRetries counts epoch re-runs taken from start-of-epoch
 	// snapshots after detected failures (Job.MaxEpochRetries budget).
@@ -258,9 +258,11 @@ type Strategy interface {
 	Run(ctx context.Context, job *Job, clu *cluster.Cluster) (*Result, error)
 }
 
-// evalAccuracy computes validation accuracy of a model in eval mode,
-// batching to bound peak memory.
-func evalAccuracy(model *nn.Sequential, val *dataset.Dataset) float64 {
+// EvalAccuracy computes the accuracy of a model on a dataset in eval
+// mode, batching to bound peak memory. Both clocks' tracks report
+// epochs through it: the simulated strategies' driver and the mesh
+// runtime's leader.
+func EvalAccuracy(model *nn.Sequential, val *dataset.Dataset) float64 {
 	const bs = 64
 	correct, total := 0, 0
 	var idx []int
@@ -300,11 +302,3 @@ func evalAccuracy(model *nn.Sequential, val *dataset.Dataset) float64 {
 // ship while shallow layers still compute, so only the first layers'
 // worth of transfer serializes.
 const overlapFraction = 0.75
-
-// updateTimePerStep models the optimizer's parameter update: reading
-// and writing weights, gradients, and momentum over LPDDR5 at an
-// effective ~20 GB/s.
-func updateTimePerStep(spec *nn.Spec) float64 {
-	const bytesPerParam = 12 // w + g + momentum, read-modify-write
-	return float64(spec.Params) * bytesPerParam / 20e9
-}

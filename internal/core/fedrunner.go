@@ -8,6 +8,7 @@ import (
 	"socflow/internal/dataset"
 	"socflow/internal/nn"
 	"socflow/internal/parallel"
+	autoplan "socflow/internal/plan"
 	"socflow/internal/tensor"
 )
 
@@ -42,9 +43,12 @@ func (s *FedSGD) Name() string { return s.StrategyName }
 
 // Run implements Strategy.
 func (s *FedSGD) Run(ctx context.Context, job *Job, clu *cluster.Cluster) (*Result, error) {
-	if err := job.Validate(); err != nil {
-		return nil, err
-	}
+	return runEpochs(ctx, s.Name(), job, clu, s.build)
+}
+
+// build creates one replica per client on its fixed shard; an epoch
+// attempt is one federated round.
+func (s *FedSGD) build(job *Job, clu *cluster.Cluster, res *Result, meter *cluster.EnergyMeter) ([]*replica, epochAttempt, error) {
 	m := clu.Config.NumSoCs
 	clients := s.Clients
 	if clients <= 0 || clients > m {
@@ -63,13 +67,14 @@ func (s *FedSGD) Run(ctx context.Context, job *Job, clu *cluster.Cluster) (*Resu
 	} else {
 		shards = job.Train.ShardIID(clients, job.Seed+1)
 	}
-	models := make([]*nn.Sequential, clients)
-	opts := make([]*nn.SGD, clients)
+	reps := make([]*replica, clients)
+	sets := make([][]*tensor.Tensor, clients)
+	states := make([][]*tensor.Tensor, clients)
 	weights := make([]float64, clients)
-	for c := 0; c < clients; c++ {
-		models[c] = job.BuildModel(root.Split(uint64(c) + 5))
-		models[c].CopyWeightsFrom(ref)
-		opts[c] = nn.NewSGD(job.LR, job.Momentum, 0)
+	for c := range reps {
+		reps[c] = newReplica(job, root.Split(uint64(c)+5), ref)
+		sets[c] = reps[c].weights()
+		states[c] = reps[c].state()
 		weights[c] = float64(shards[c].Len())
 	}
 
@@ -77,8 +82,6 @@ func (s *FedSGD) Run(ctx context.Context, job *Job, clu *cluster.Cluster) (*Resu
 	// shard. We reuse the job's global batch as the local batch, the
 	// configuration the paper's IID FedAvg baseline uses.
 	clientBatch := job.GlobalBatch
-	res := &Result{Strategy: s.Name()}
-	meter := cluster.NewEnergyMeter(m)
 
 	// Pricing: clients train in parallel; a round costs the slowest
 	// client's local epochs plus one aggregation.
@@ -90,38 +93,30 @@ func (s *FedSGD) Run(ctx context.Context, job *Job, clu *cluster.Cluster) (*Resu
 	localIters := (paperShard + pricingBatch - 1) / pricingBatch * localEpochs
 	computeT := clu.StepTime(0, job.Spec, pricingBatch, cluster.CPU)
 	aggT := s.AggTime(clu, job.Spec)
-	upd := updateTimePerStep(job.Spec)
+	upd := autoplan.UpdateSeconds(job.Spec)
 	roundT := float64(localIters)*(computeT+upd) + aggT
 
-	for round := 0; round < job.Epochs; round++ {
-		lr := job.EpochLR(round)
+	return reps, func(ctx context.Context, round int) (float64, int) {
 		// Federated clients are independent within a round — each owns
 		// its model, optimizer, and shard — exactly as they run in
-		// parallel on the real fleet. Aggregation below stays in fixed
+		// parallel on the real fleet. Every round's batch order is seeded
+		// from (round, client) alone. Aggregation below stays in fixed
 		// client order, so results are identical at any parallelism.
 		parallel.Do(clients, func(c int) {
-			opts[c].LR = lr
 			it := dataset.NewBatchIterator(shards[c], min(clientBatch, shards[c].Len()), job.Seed+uint64(1000*round+c))
 			steps := it.BatchesPerEpoch() * localEpochs
 			for i := 0; i < steps; i++ {
 				if ctx.Err() != nil {
 					return
 				}
-				x, labels := it.Next()
-				plainStep(models[c], opts[c], x, labels)
+				reps[c].step(it.Next())
 			}
 		})
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if ctx.Err() != nil {
+			return 0, 0
 		}
 
 		// Server-side weighted model averaging (FedAvg).
-		sets := make([][]*tensor.Tensor, clients)
-		states := make([][]*tensor.Tensor, clients)
-		for c := range models {
-			sets[c] = models[c].Weights()
-			states[c] = models[c].StateTensors()
-		}
 		collective.WeightedAverageInPlace(sets, weights)
 		collective.AverageInPlace(states)
 
@@ -132,16 +127,6 @@ func (s *FedSGD) Run(ctx context.Context, job *Job, clu *cluster.Cluster) (*Resu
 		res.Breakdown.Compute += float64(localIters) * computeT * float64(m)
 		res.Breakdown.Sync += aggT * float64(m)
 		res.Breakdown.Update += float64(localIters) * upd * float64(m)
-
-		acc := evalAccuracy(models[0], job.Val)
-		res.observe(acc, roundT, job.TargetAccuracy)
-		job.epochEnd(round, acc, roundT)
-		if res.done(job.TargetAccuracy) {
-			break
-		}
-	}
-	res.EnergyJ = meter.Total()
-	meter.Publish(job.Metrics)
-	publishResult(job.Metrics, res)
-	return res, nil
+		return roundT, 0
+	}, nil
 }

@@ -177,7 +177,7 @@ func TestMixedLearnsSeparableTask(t *testing.T) {
 			mp.Step(x, labels)
 		}
 	}
-	acc := evalAccuracy(mp.FP32, train)
+	acc := EvalAccuracy(mp.FP32, train)
 	if acc < 0.85 {
 		t.Fatalf("mixed training reached only %v accuracy", acc)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"socflow/internal/cluster"
-	"socflow/internal/collective"
 	"socflow/internal/dataset"
 	"socflow/internal/nn"
 	"socflow/internal/parallel"
@@ -39,69 +38,38 @@ func (s *Pipeline) Name() string { return "Pipeline" }
 
 // Run implements Strategy.
 func (s *Pipeline) Run(ctx context.Context, job *Job, clu *cluster.Cluster) (*Result, error) {
-	if err := job.Validate(); err != nil {
-		return nil, err
-	}
+	return runEpochs(ctx, s.Name(), job, clu, s.build)
+}
+
+// build validates the plan against the cluster, builds one full-model
+// replica per group — the stage cut moves simulated time around, never
+// the math — and returns the pipeline's epoch attempt.
+func (s *Pipeline) build(job *Job, clu *cluster.Cluster, res *Result, meter *cluster.EnergyMeter) ([]*replica, epochAttempt, error) {
 	p := s.Plan
 	if p == nil {
-		return nil, fmt.Errorf("core: Pipeline needs a plan (run plan.Search or pass one)")
+		return nil, nil, fmt.Errorf("core: Pipeline needs a plan (run plan.Search or pass one)")
 	}
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if p.Mode != autoplan.ModePipeline {
-		return nil, fmt.Errorf("core: Pipeline got a %q plan; use SyncSGD/SoCFlow for data-parallel plans", p.Mode)
+		return nil, nil, fmt.Errorf("core: Pipeline got a %q plan; use SyncSGD/SoCFlow for data-parallel plans", p.Mode)
 	}
-	m := clu.Config.NumSoCs
-	if p.NumSoCs != m {
-		return nil, fmt.Errorf("core: plan searched for %d SoCs, cluster has %d", p.NumSoCs, m)
+	if m := clu.Config.NumSoCs; p.NumSoCs != m {
+		return nil, nil, fmt.Errorf("core: plan searched for %d SoCs, cluster has %d", p.NumSoCs, m)
 	}
 	n := p.Groups()
 	d := p.Depth()
 
-	// Functional state: one full-model replica per group. The stage cut
-	// moves simulated time around, never the math.
 	root := tensor.NewRNG(job.Seed)
 	ref := job.BuildModel(root)
-	shards := job.Train.ShardIID(n, job.Seed+1)
-	type groupState struct {
-		model *nn.Sequential
-		opt   *nn.SGD
-		it    *dataset.BatchIterator
-		shard *dataset.Dataset
+	groups := make([]*replica, n)
+	for g := range groups {
+		groups[g] = newReplica(job, root.Split(uint64(g)+10), ref)
 	}
-	groups := make([]*groupState, n)
-	iterSeeds := make([]uint64, n)
-	for g := 0; g < n; g++ {
-		rng := root.Split(uint64(g) + 10)
-		gs := &groupState{shard: shards[g]}
-		gs.model = job.BuildModel(rng)
-		gs.model.CopyWeightsFrom(ref)
-		gs.opt = nn.NewSGD(job.LR, job.Momentum, 0)
-		iterSeeds[g] = job.Seed + 100 + uint64(g)
-		gs.it = dataset.NewBatchIterator(gs.shard, job.GlobalBatch, iterSeeds[g])
-		groups[g] = gs
-	}
-
-	// Resuming a parked job: restore and replay the reshuffle sequence
-	// so data order matches a run that was never parked.
-	if job.Resume != nil {
-		for _, gs := range groups {
-			job.Resume.Restore(gs.model.Weights(), gs.model.StateTensors())
-		}
-		for past := 0; past < job.StartEpoch; past++ {
-			all := make([]*dataset.Dataset, n)
-			for g := range groups {
-				all[g] = groups[g].shard
-			}
-			fresh := dataset.Reshuffle(all, job.Seed+1000+uint64(past))
-			for g := range groups {
-				groups[g].shard = fresh[g]
-				iterSeeds[g] = job.Seed + 2000 + uint64(past)*uint64(n) + uint64(g)
-				groups[g].it = dataset.NewBatchIterator(fresh[g], job.GlobalBatch, iterSeeds[g])
-			}
-		}
-	}
+	// Same data schedule as SoCFlow, so plans with equal group counts
+	// see equal data.
+	sched := &dataset.Schedule{Train: job.Train, Batch: job.GlobalBatch, Seed: job.Seed}
 
 	// Performance track: the planner's own pricer, reused every epoch.
 	pricer := autoplan.NewPricer(clu, job.Spec)
@@ -111,47 +79,35 @@ func (s *Pipeline) Run(ctx context.Context, job *Job, clu *cluster.Cluster) (*Re
 	if mb < 1 {
 		mb = 1
 	}
-
-	res := &Result{Strategy: s.Name()}
-	meter := cluster.NewEnergyMeter(m)
 	reg := job.Metrics
 	var simNow float64
 
-	for epoch := job.StartEpoch; epoch < job.Epochs; epoch++ {
-		lr := job.EpochLR(epoch)
-		for _, gs := range groups {
-			gs.opt.LR = lr
-		}
-
+	return groups, func(ctx context.Context, epoch int) (float64, int) {
 		// Functional training: every group walks its shard once with
 		// GPipe accumulation. Groups interact only at epoch-end
 		// averaging, so they run concurrently; per-group math is
 		// unchanged by the parallelism, so results stay bit-identical.
-		steps := groups[0].it.BatchesPerEpoch()
+		its := make([]*dataset.BatchIterator, n)
+		for g := range its {
+			its[g] = sched.Iterator(n, g, epoch)
+		}
+		steps := its[0].BatchesPerEpoch()
 		parallel.Do(n, func(g int) {
-			gs := groups[g]
 			for i := 0; i < steps; i++ {
 				if ctx.Err() != nil {
 					return
 				}
-				x, labels := gs.it.Next()
-				gpipeStep(gs.model, gs.opt, x, labels, p.MicroBatches)
+				x, labels := its[g].Next()
+				gpipeStep(groups[g].model, groups[g].opt, x, labels, p.MicroBatches)
 			}
 		})
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if ctx.Err() != nil {
+			return 0, 0
 		}
 
 		// Delayed aggregation across groups, once per epoch.
 		if n > 1 {
-			sets := make([][]*tensor.Tensor, 0, n)
-			states := make([][]*tensor.Tensor, 0, n)
-			for _, gs := range groups {
-				sets = append(sets, gs.model.Weights())
-				states = append(states, gs.model.StateTensors())
-			}
-			collective.AverageInPlace(sets)
-			collective.AverageInPlace(states)
+			averageReplicas(groups)
 		}
 
 		// Performance track: groups run in parallel, so the epoch spans
@@ -216,60 +172,8 @@ func (s *Pipeline) Run(ctx context.Context, job *Job, clu *cluster.Cluster) (*Re
 			reg.Counter("sim.net.bytes").Add(int64(simBytes))
 		}
 		simNow += span
-
-		// Periodic auto-checkpointing of the aggregated weights.
-		if job.Checkpoints != nil {
-			every := job.CheckpointEvery
-			if every <= 0 {
-				every = 1
-			}
-			if (epoch+1)%every == 0 || epoch == job.Epochs-1 {
-				cp := &Checkpoint{Epoch: epoch + 1, Weights: groups[0].model.Weights(), State: groups[0].model.StateTensors()}
-				if err := job.Checkpoints.Save(cp); err != nil {
-					return nil, fmt.Errorf("core: auto-checkpoint at epoch %d: %w", epoch, err)
-				}
-				job.Metrics.Counter("core.checkpoints.saved").Inc()
-			}
-		}
-
-		// Cross-group data reshuffle (§3.1), same seed discipline as
-		// SoCFlow so plans with equal group counts see equal data.
-		all := make([]*dataset.Dataset, n)
-		for g := range groups {
-			all[g] = groups[g].shard
-		}
-		fresh := dataset.Reshuffle(all, job.Seed+1000+uint64(epoch))
-		for g := range groups {
-			groups[g].shard = fresh[g]
-			iterSeeds[g] = job.Seed + 2000 + uint64(epoch)*uint64(n) + uint64(g)
-			groups[g].it = dataset.NewBatchIterator(fresh[g], job.GlobalBatch, iterSeeds[g])
-		}
-
-		acc := evalAccuracy(groups[0].model, job.Val)
-		res.observe(acc, span, job.TargetAccuracy)
-		job.epochEnd(epoch, acc, span)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if res.done(job.TargetAccuracy) {
-			break
-		}
-		if epoch+1 < job.Epochs && job.ShouldPark != nil && job.ShouldPark() {
-			res.Parked = true
-			break
-		}
-	}
-
-	res.EnergyJ = meter.Total()
-	meter.Publish(job.Metrics)
-	publishResult(job.Metrics, res)
-	for _, w := range groups[0].model.Weights() {
-		res.FinalWeights = append(res.FinalWeights, w.Clone())
-	}
-	for _, st := range groups[0].model.StateTensors() {
-		res.FinalState = append(res.FinalState, st.Clone())
-	}
-	return res, nil
+		return span, 0
+	}, nil
 }
 
 // gpipeStep runs one GPipe mini-batch: gradients are zeroed once,

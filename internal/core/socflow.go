@@ -4,14 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"socflow/internal/cluster"
 	"socflow/internal/collective"
 	"socflow/internal/dataset"
-	"socflow/internal/metrics"
 	"socflow/internal/nn"
 	"socflow/internal/parallel"
+	autoplan "socflow/internal/plan"
 	"socflow/internal/quant"
 	"socflow/internal/tensor"
 )
@@ -104,72 +103,23 @@ type SoCFlow struct {
 // Name implements Strategy.
 func (s *SoCFlow) Name() string { return "SoCFlow" }
 
-// groupTrainer is the functional state of one logical group. Because
-// every SoC in a group runs SSGD with per-batch ring synchronization,
-// the group is mathematically a single model trained with the group's
-// global batch (TestSSGDGroupLiftEquivalence verifies this exactly);
-// the mixed-precision CPU/NPU pair is therefore lifted to one
-// FP32+INT8 replica pair per group. The only approximation is
-// batch-norm statistics, which the lift estimates from the combined
-// batch instead of per-member shards — strictly *more* stable than the
-// real system.
-type groupTrainer struct {
-	mp    *MixedPrecision // nil when plain FP32
-	model *nn.Sequential  // plain FP32 path
-	opt   *nn.SGD
-	it    *dataset.BatchIterator
-	shard *dataset.Dataset
-}
-
-func (g *groupTrainer) weights() []*tensor.Tensor {
-	if g.mp != nil {
-		return g.mp.Weights()
-	}
-	return g.model.Weights()
-}
-
-func (g *groupTrainer) state() []*tensor.Tensor {
-	if g.mp != nil {
-		return g.mp.FP32.StateTensors()
-	}
-	return g.model.StateTensors()
-}
-
-func (g *groupTrainer) evalModel() *nn.Sequential {
-	if g.mp != nil {
-		return g.mp.FP32
-	}
-	return g.model
-}
-
-// retryState is the full state an epoch retry must roll back:
-// batch-norm running statistics plus the optimizer's live momentum
-// buffers. Without the velocities, a replayed epoch would restart SGD
-// momentum from zero and diverge from the attempt a clean run would
-// have made.
-func (g *groupTrainer) retryState() []*tensor.Tensor {
-	st := append([]*tensor.Tensor{}, g.state()...)
-	if g.mp != nil {
-		return append(st, g.mp.cpuOpt.VelocityTensors(g.mp.FP32.Params())...)
-	}
-	return append(st, g.opt.VelocityTensors(g.model.Params())...)
-}
-
 // Run implements Strategy.
 func (s *SoCFlow) Run(ctx context.Context, job *Job, clu *cluster.Cluster) (*Result, error) {
-	if err := job.Validate(); err != nil {
-		return nil, err
-	}
+	return runEpochs(ctx, s.Name(), job, clu, s.build)
+}
+
+// build groups, maps and plans the cluster (§3.1 steps 1-3), builds one
+// replica per logical group and returns SoCFlow's epoch attempt.
+func (s *SoCFlow) build(job *Job, clu *cluster.Cluster, res *Result, meter *cluster.EnergyMeter) ([]*replica, epochAttempt, error) {
 	m := clu.Config.NumSoCs
 	n := s.NumGroups
 	if n <= 0 {
-		return nil, fmt.Errorf("core: SoCFlow needs NumGroups >= 1 (use SelectGroupCount to size it)")
+		return nil, nil, fmt.Errorf("core: SoCFlow needs NumGroups >= 1 (use SelectGroupCount to size it)")
 	}
 	if n > m {
-		return nil, fmt.Errorf("core: %d groups for %d SoCs", n, m)
+		return nil, nil, fmt.Errorf("core: %d groups for %d SoCs", n, m)
 	}
 
-	// §3.1 steps 1-3: group, map, plan.
 	var mapping *Mapping
 	if s.DisableMapping {
 		mapping = stridedMap(m, n, clu.Config.SoCsPerPCB)
@@ -192,86 +142,39 @@ func (s *SoCFlow) Run(ctx context.Context, job *Job, clu *cluster.Cluster) (*Res
 		probeBatch = 32
 	}
 
-	// Functional state per group.
 	root := tensor.NewRNG(job.Seed)
 	ref := job.BuildModel(root)
 	if s.WarmStart != nil {
 		ref.CopyWeightsFrom(s.WarmStart)
 	}
-	groups := make([]*groupTrainer, n)
-	var shards []*dataset.Dataset
-	if s.DirichletAlpha > 0 {
-		shards = job.Train.ShardDirichlet(n, s.DirichletAlpha, job.Seed+1)
-	} else {
-		shards = job.Train.ShardIID(n, job.Seed+1)
-	}
+	groups := make([]*replica, n)
 	beta := clu.ComputeRatio(mapping.Groups[0][0], job.Spec, job.PricingBatch())
 	for g := 0; g < n; g++ {
 		rng := root.Split(uint64(g) + 10)
-		gt := &groupTrainer{shard: shards[g]}
 		if s.Mixed == MixedOff {
-			gt.model = job.BuildModel(rng)
-			gt.model.CopyWeightsFrom(ref)
-			gt.opt = nn.NewSGD(job.LR, job.Momentum, 0)
-		} else {
-			build := func() *nn.Sequential { return job.BuildModel(rng.Split(1)) }
-			gt.mp = NewMixedPrecision(ref, build, job.LR, job.Momentum, beta, rng)
-			gt.mp.Int8Mul = s.Int8Mul
-			switch s.Mixed {
-			case MixedINT8Only:
-				gt.mp.ForceCPUShare = 0
-			case MixedHalf:
-				gt.mp.ForceCPUShare = 0.5
-			}
-			if s.ForceShare > 0 {
-				gt.mp.ForceCPUShare = s.ForceShare
-			}
+			groups[g] = newReplica(job, rng, ref)
+			continue
 		}
-		gt.it = dataset.NewBatchIterator(gt.shard, job.GlobalBatch, job.Seed+100+uint64(g))
-		groups[g] = gt
-	}
-	// Batch-order seed each group's iterator was built with, entering
-	// the current epoch; a retry rebuilds the iterator from it so the
-	// re-run replays the identical batches.
-	iterSeeds := make([]uint64, n)
-	for g := range iterSeeds {
-		iterSeeds[g] = job.Seed + 100 + uint64(g)
-	}
-
-	// Resuming a parked job: restore the checkpointed weights and layer
-	// state into every replica, requantizing the INT8 side from the
-	// restored FP32 weights. Momentum restarts, as on a real resume.
-	// Replaying the reshuffle sequence up to StartEpoch keeps the data
-	// order identical to a run that was never parked.
-	if job.Resume != nil {
-		for _, gt := range groups {
-			job.Resume.Restore(gt.weights(), gt.state())
-			if gt.mp != nil {
-				gt.mp.AdoptMerged()
-			}
+		build := func() *nn.Sequential { return job.BuildModel(rng.Split(1)) }
+		mp := NewMixedPrecision(ref, build, job.LR, job.Momentum, beta, rng)
+		mp.Int8Mul = s.Int8Mul
+		switch s.Mixed {
+		case MixedINT8Only:
+			mp.ForceCPUShare = 0
+		case MixedHalf:
+			mp.ForceCPUShare = 0.5
 		}
-		if !s.DisableReshuffle {
-			for past := 0; past < job.StartEpoch; past++ {
-				all := make([]*dataset.Dataset, n)
-				for g := range groups {
-					all[g] = groups[g].shard
-				}
-				fresh := dataset.Reshuffle(all, job.Seed+1000+uint64(past))
-				for g := range groups {
-					groups[g].shard = fresh[g]
-					iterSeeds[g] = job.Seed + 2000 + uint64(past)*uint64(n) + uint64(g)
-					groups[g].it = dataset.NewBatchIterator(fresh[g], job.GlobalBatch, iterSeeds[g])
-				}
-			}
+		if s.ForceShare > 0 {
+			mp.ForceCPUShare = s.ForceShare
 		}
+		groups[g] = &replica{mp: mp, model: mp.FP32, opt: mp.cpuOpt}
 	}
+	sched := &dataset.Schedule{Train: job.Train, Batch: job.GlobalBatch, Seed: job.Seed,
+		DirichletAlpha: s.DirichletAlpha, Pinned: s.DisableReshuffle}
+	tl := &timeline{job: job, clu: clu, mapping: mapping, plan: plan, s: s, res: res, meter: meter}
 
-	res := &Result{Strategy: s.Name()}
-	meter := cluster.NewEnergyMeter(m)
-	tl := newTimeline(s, job, clu, mapping, plan)
-
-	for epoch := job.StartEpoch; epoch < job.Epochs; epoch++ {
-		active := s.activeGroups(n, epoch, res)
+	return groups, func(ctx context.Context, epoch int) (float64, int) {
+		active := s.activeGroups(n, epoch)
 
 		// Apply this epoch's DVFS throttle trace (if any).
 		if epoch < len(s.Thermal) {
@@ -282,179 +185,63 @@ func (s *SoCFlow) Run(ctx context.Context, job *Job, clu *cluster.Cluster) (*Res
 			}
 		}
 
-		// Per-epoch learning-rate schedule.
-		lr := job.EpochLR(epoch)
-		for _, g := range active {
-			if groups[g].mp != nil {
-				groups[g].mp.SetLR(lr)
-			} else {
-				groups[g].opt.LR = lr
+		// Functional training: each active group walks its shard once.
+		// Groups only interact at epoch-end aggregation — each owns its
+		// model, optimizer, iterator, and RNG — so whole per-group epochs
+		// run concurrently, mirroring the real cluster where logical
+		// groups train simultaneously on disjoint SoCs. Per-group math is
+		// unchanged from the sequential interleaved order, so seeded
+		// results are bit-identical at every parallelism level.
+		act := make([]*replica, len(active))
+		its := make([]*dataset.BatchIterator, len(active))
+		for ai, g := range active {
+			act[ai] = groups[g]
+			its[ai] = sched.Iterator(n, g, epoch)
+		}
+		iters := its[0].BatchesPerEpoch()
+		parallel.Do(len(active), func(ai int) {
+			for i := 0; i < iters; i++ {
+				if ctx.Err() != nil {
+					return
+				}
+				act[ai].step(its[ai].Next())
+			}
+		})
+		if ctx.Err() != nil {
+			return 0, 0
+		}
+
+		// Performance track first: the epoch must be priced with the α
+		// that governed its data split, before EndEpoch refreshes it.
+		epochTime := tl.epochTime(groups, active)
+
+		// End of the intra-group epoch: refresh α from the replicas'
+		// divergence and merge them per Eq. 5 (§3.2).
+		for _, r := range act {
+			if r.mp != nil {
+				r.mp.EndEpoch(job.Val, probeBatch)
 			}
 		}
 
-		// Start-of-epoch snapshots back the bounded retry: if the epoch
-		// fails (injected fault or non-finite weights), every group
-		// rolls back and replays the identical batches.
-		var snaps []*Checkpoint
-		if job.MaxEpochRetries > 0 {
-			snaps = make([]*Checkpoint, n)
-			for g := range groups {
-				snaps[g] = TakeCheckpoint(epoch, groups[g].weights(), groups[g].retryState())
-			}
-		}
-
-		var epochTime float64
-		for attempt := 0; ; attempt++ {
-			// Functional training: each active group walks its shard once.
-			// Groups only interact at epoch-end aggregation — each owns its
-			// model, optimizer, iterator, and RNG — so whole per-group epochs
-			// run concurrently, mirroring the real cluster where logical
-			// groups train simultaneously on disjoint SoCs. Per-group math is
-			// unchanged from the sequential interleaved order, so seeded
-			// results are bit-identical at every parallelism level.
-			iters := groups[active[0]].it.BatchesPerEpoch()
-			parallel.Do(len(active), func(ai int) {
-				gt := groups[active[ai]]
-				for i := 0; i < iters; i++ {
-					if ctx.Err() != nil {
-						return
-					}
-					x, labels := gt.it.Next()
-					if gt.mp != nil {
-						gt.mp.Step(x, labels)
-					} else {
-						plainStep(gt.model, gt.opt, x, labels)
-					}
-				}
-			})
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-
-			// Performance track first: the epoch must be priced with the α
-			// that governed its data split, before EndEpoch refreshes it.
-			// Failed attempts accumulate too — retried work costs real
-			// simulated time and energy.
-			epochTime += tl.epochTime(groups, active, meter)
-
-			// End of the intra-group epoch: refresh α from the replicas'
-			// divergence and merge them per Eq. 5 (§3.2).
-			for _, g := range active {
-				if groups[g].mp != nil {
-					groups[g].mp.EndEpoch(job.Val, probeBatch)
-				}
-			}
-
-			// Delayed aggregation across groups (per epoch): average the
-			// merged weights, then requantize the INT8 replicas.
-			if len(active) > 1 {
-				sets := make([][]*tensor.Tensor, 0, len(active))
-				states := make([][]*tensor.Tensor, 0, len(active))
-				for _, g := range active {
-					sets = append(sets, groups[g].weights())
-					states = append(states, groups[g].state())
-				}
-				collective.AverageInPlace(sets)
-				collective.AverageInPlace(states)
-				for _, g := range active {
-					if groups[g].mp != nil {
-						groups[g].mp.AdoptMerged()
-					}
-				}
-			}
-
-			failure := epochFailure(job, groups, active, epoch, attempt)
-			if failure == nil {
-				break
-			}
-			if attempt >= job.MaxEpochRetries {
-				return nil, fmt.Errorf("core: epoch %d failed after %d attempts: %w", epoch, attempt+1, failure)
-			}
-			res.EpochRetries++
-			job.Metrics.Counter("core.epoch.retries").Inc()
-			job.Metrics.Emit(metrics.Event{Kind: metrics.KindRetry, Epoch: epoch, Iter: attempt + 1, Detail: failure.Error()})
-			for g := range groups {
-				snaps[g].Restore(groups[g].weights(), groups[g].retryState())
-				if groups[g].mp != nil {
-					// Requantize the INT8 replica from the restored FP32
-					// weights; the integer side carries no momentum.
-					groups[g].mp.AdoptMerged()
-				}
-				groups[g].it = dataset.NewBatchIterator(groups[g].shard, job.GlobalBatch, iterSeeds[g])
-			}
-			if job.RetryBackoff > 0 {
-				select {
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				case <-time.After(time.Duration(attempt+1) * job.RetryBackoff):
+		// Delayed aggregation across groups (per epoch): average the
+		// merged weights, then requantize the INT8 replicas.
+		if len(act) > 1 {
+			averageReplicas(act)
+			for _, r := range act {
+				if r.mp != nil {
+					r.mp.AdoptMerged()
 				}
 			}
 		}
-
-		// Periodic auto-checkpointing: the aggregated weights land in
-		// the store on the configured stride, atomically and (with
-		// KeepLast) with bounded retention.
-		if job.Checkpoints != nil {
-			every := job.CheckpointEvery
-			if every <= 0 {
-				every = 1
-			}
-			if (epoch+1)%every == 0 || epoch == job.Epochs-1 {
-				cp := &Checkpoint{Epoch: epoch + 1, Weights: groups[active[0]].weights(), State: groups[active[0]].state()}
-				if err := job.Checkpoints.Save(cp); err != nil {
-					return nil, fmt.Errorf("core: auto-checkpoint at epoch %d: %w", epoch, err)
-				}
-				job.Metrics.Counter("core.checkpoints.saved").Inc()
-			}
-		}
-
-		// Cross-group data reshuffle (unlike FL; §3.1).
-		if !s.DisableReshuffle {
-			all := make([]*dataset.Dataset, n)
-			for g := range groups {
-				all[g] = groups[g].shard
-			}
-			fresh := dataset.Reshuffle(all, job.Seed+1000+uint64(epoch))
-			for g := range groups {
-				groups[g].shard = fresh[g]
-				iterSeeds[g] = job.Seed + 2000 + uint64(epoch)*uint64(n) + uint64(g)
-				groups[g].it = dataset.NewBatchIterator(fresh[g], job.GlobalBatch, iterSeeds[g])
-			}
-		}
-
-		acc := evalAccuracy(groups[active[0]].evalModel(), job.Val)
-		res.observe(acc, epochTime, job.TargetAccuracy)
-		job.epochEnd(epoch, acc, epochTime)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if res.done(job.TargetAccuracy) {
-			break
-		}
-		if epoch+1 < job.Epochs && job.ShouldPark != nil && job.ShouldPark() {
-			res.Parked = true
-			break
-		}
-	}
-	res.EnergyJ = meter.Total()
-	res.Breakdown = tl.breakdown
-	res.Preemptions = tl.preemptions
-	meter.Publish(job.Metrics)
-	publishResult(job.Metrics, res)
-	for _, w := range groups[0].weights() {
-		res.FinalWeights = append(res.FinalWeights, w.Clone())
-	}
-	for _, st := range groups[0].state() {
-		res.FinalState = append(res.FinalState, st.Clone())
-	}
-	return res, nil
+		return epochTime, active[0]
+	}, nil
 }
 
 // activeGroups returns the logical groups training this epoch,
 // honouring the preemption plan (a preempted group checkpoints and
 // sits the epoch out; §3: "SoCFlow only needs to terminate a logical
 // group of SoCs").
-func (s *SoCFlow) activeGroups(n, epoch int, res *Result) []int {
+func (s *SoCFlow) activeGroups(n, epoch int) []int {
 	var out []int
 	for g := 0; g < n; g++ {
 		if s.Preempt != nil && s.Preempt.preempted(g, epoch) {
@@ -467,44 +254,6 @@ func (s *SoCFlow) activeGroups(n, epoch int, res *Result) []int {
 		out = append(out, 0)
 	}
 	return out
-}
-
-// epochFailure decides whether an epoch attempt failed: the injected
-// fault hook fires first, then a cheap non-finite sweep over the active
-// groups' weights catches numerically exploded attempts. The sweep only
-// runs when the retry machinery is in use, so the default path pays
-// nothing.
-func epochFailure(job *Job, groups []*groupTrainer, active []int, epoch, attempt int) error {
-	if job.EpochFault != nil {
-		if err := job.EpochFault(epoch, attempt); err != nil {
-			return err
-		}
-	}
-	if job.MaxEpochRetries <= 0 {
-		return nil
-	}
-	for _, g := range active {
-		var sum float64
-		for _, w := range groups[g].weights() {
-			for _, v := range w.Data {
-				sum += float64(v)
-			}
-		}
-		if math.IsNaN(sum) || math.IsInf(sum, 0) {
-			return fmt.Errorf("core: group %d weights non-finite after epoch %d", g, epoch)
-		}
-	}
-	return nil
-}
-
-// plainStep runs a standard FP32 SGD step.
-func plainStep(model *nn.Sequential, opt *nn.SGD, x *tensor.Tensor, labels []int) float32 {
-	model.ZeroGrad()
-	logits := model.Forward(x, true)
-	loss, g := nn.SoftmaxCrossEntropy(logits, labels)
-	model.Backward(g)
-	opt.Step(model.Params())
-	return loss
 }
 
 // stridedMap places group members round-robin across PCBs — the
@@ -529,20 +278,16 @@ type timeline struct {
 	mapping *Mapping
 	plan    *Plan
 	s       *SoCFlow
+	res     *Result // receives the breakdown attribution and preemption count
+	meter   *cluster.EnergyMeter
 
-	breakdown   Breakdown
-	preemptions int
-	simNow      float64 // simulated clock position, for span placement
-}
-
-func newTimeline(s *SoCFlow, job *Job, clu *cluster.Cluster, mapping *Mapping, plan *Plan) *timeline {
-	return &timeline{job: job, clu: clu, mapping: mapping, plan: plan, s: s}
+	simNow float64 // simulated clock position, for span placement
 }
 
 // epochTime advances the simulated clock by one epoch under the Fig. 7
 // interleaved schedule and charges the energy meter.
-func (tl *timeline) epochTime(groups []*groupTrainer, active []int, meter *cluster.EnergyMeter) float64 {
-	job, clu := tl.job, tl.clu
+func (tl *timeline) epochTime(groups []*replica, active []int) float64 {
+	job, clu, meter := tl.job, tl.clu, tl.meter
 	nAll := len(tl.mapping.Groups)
 	payload := float64(job.Spec.GradBytes())
 
@@ -551,7 +296,7 @@ func (tl *timeline) epochTime(groups []*groupTrainer, active []int, meter *clust
 	if iters < 1 {
 		iters = 1
 	}
-	upd := updateTimePerStep(job.Spec)
+	upd := autoplan.UpdateSeconds(job.Spec)
 
 	// Per-group compute time for one iteration.
 	compute := make([]float64, nAll)
@@ -700,9 +445,9 @@ func (tl *timeline) epochTime(groups []*groupTrainer, active []int, meter *clust
 				meter.AddIdle(soc, idle)
 			}
 		}
-		tl.breakdown.Compute += fIters * compute[g] * float64(len(members))
-		tl.breakdown.Sync += commT * float64(len(members))
-		tl.breakdown.Update += fIters * upd * float64(len(members))
+		tl.res.Breakdown.Compute += fIters * compute[g] * float64(len(members))
+		tl.res.Breakdown.Sync += commT * float64(len(members))
+		tl.res.Breakdown.Update += fIters * upd * float64(len(members))
 		if reg != nil {
 			// Simulated-clock spans, one compute+sync pair per group per
 			// epoch. The real schedule interleaves CG windows; the spans
@@ -734,7 +479,7 @@ func (tl *timeline) epochTime(groups []*groupTrainer, active []int, meter *clust
 	}
 	tl.simNow += span
 	if tl.s.Preempt != nil {
-		tl.preemptions += len(tl.mapping.Groups) - len(active)
+		tl.res.Preemptions += len(tl.mapping.Groups) - len(active)
 	}
 	return span
 }

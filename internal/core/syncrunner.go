@@ -8,6 +8,7 @@ import (
 	"socflow/internal/collective"
 	"socflow/internal/dataset"
 	"socflow/internal/nn"
+	autoplan "socflow/internal/plan"
 	"socflow/internal/tensor"
 )
 
@@ -42,17 +43,31 @@ func (s *SyncSGD) Name() string { return s.StrategyName }
 // sequential at the batch level; host parallelism comes from the tensor
 // kernels inside each forward/backward pass.
 func (s *SyncSGD) Run(ctx context.Context, job *Job, clu *cluster.Cluster) (*Result, error) {
-	if err := job.Validate(); err != nil {
-		return nil, err
-	}
+	return runEpochs(ctx, s.Name(), job, clu, s.build)
+}
+
+func (s *SyncSGD) build(job *Job, clu *cluster.Cluster, res *Result, meter *cluster.EnergyMeter) ([]*replica, epochAttempt, error) {
 	m := clu.Config.NumSoCs
 	root := tensor.NewRNG(job.Seed)
-	model := job.BuildModel(root)
-	opt := nn.NewSGD(job.LR, job.Momentum, 0)
-	it := dataset.NewBatchIterator(job.Train, job.GlobalBatch, job.Seed+100)
+	rep := &replica{model: job.BuildModel(root), opt: nn.NewSGD(job.LR, job.Momentum, 0)}
+	params := rep.model.Params()
+	if s.Compressor != nil && job.MaxEpochRetries > 0 {
+		// Error-feedback residuals are optimizer state a retry must roll
+		// back. They are created on first use; compressing a zero
+		// gradient creates the same zero residual now, so the snapshot
+		// can hold it.
+		for pi, p := range params {
+			if s.Compressor.Residual(pi) == nil {
+				s.Compressor.Compress(pi, tensor.New(p.Grad.Shape...))
+			}
+			rep.extra = append(rep.extra, s.Compressor.Residual(pi))
+		}
+	}
 
-	res := &Result{Strategy: s.Name()}
-	meter := cluster.NewEnergyMeter(m)
+	// One iterator walks the whole training set and is kept across
+	// epochs; it stands at the start of `at`.
+	var it *dataset.BatchIterator
+	at := -1
 
 	// Per-iteration pricing is constant across the run.
 	perSoCBatch := job.PricingBatch() / m
@@ -67,7 +82,7 @@ func (s *SyncSGD) Run(ctx context.Context, job *Job, clu *cluster.Cluster) (*Res
 	}
 	computeT += s.ComputeOverhead
 	syncT := s.SyncTime(clu, job.Spec)
-	upd := updateTimePerStep(job.Spec)
+	upd := autoplan.UpdateSeconds(job.Spec)
 	// Layer-wise overlap (§4.1, applied to every baseline "if
 	// applicable"): the gradient transfer hides behind the backward
 	// pass that produces it.
@@ -78,50 +93,41 @@ func (s *SyncSGD) Run(ctx context.Context, job *Job, clu *cluster.Cluster) (*Res
 	}
 	epochT := float64(paperIters) * iterT
 
-	for epoch := 0; epoch < job.Epochs; epoch++ {
-		opt.LR = job.EpochLR(epoch)
+	return []*replica{rep}, func(ctx context.Context, epoch int) (float64, int) {
+		if at != epoch {
+			// A resumed or retried epoch: rebuild the stream and replay
+			// it up to this epoch's first batch.
+			it = dataset.NewBatchIterator(job.Train, job.GlobalBatch, job.Seed+100)
+			for skip := epoch * it.BatchesPerEpoch(); skip > 0; skip-- {
+				it.Next()
+			}
+		}
+		at = epoch + 1
 		iters := it.BatchesPerEpoch()
 		for i := 0; i < iters; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+			if ctx.Err() != nil {
+				return 0, 0
 			}
 			x, labels := it.Next()
-			model.ZeroGrad()
-			logits := model.Forward(x, true)
-			_, g := nn.SoftmaxCrossEntropy(logits, labels)
-			model.Backward(g)
+			lossBackward(rep.model, x, labels)
 			if s.Compressor != nil {
-				for pi, p := range model.Params() {
+				for pi, p := range params {
 					sg := s.Compressor.Compress(pi, p.Grad)
 					sg.DenseInto(p.Grad)
 				}
 			}
-			opt.Step(model.Params())
+			rep.opt.Step(params)
 		}
 
 		for soc := 0; soc < m; soc++ {
 			meter.AddCompute(soc, float64(paperIters)*computeT, cluster.CPU)
 			meter.AddComm(soc, float64(paperIters)*syncT)
 		}
-
 		res.Breakdown.Compute += float64(paperIters) * computeT * float64(m)
 		res.Breakdown.Sync += float64(paperIters) * syncT * float64(m)
 		res.Breakdown.Update += float64(paperIters) * upd * float64(m)
-
-		acc := evalAccuracy(model, job.Val)
-		res.observe(acc, epochT, job.TargetAccuracy)
-		job.epochEnd(epoch, acc, epochT)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if res.done(job.TargetAccuracy) {
-			break
-		}
-	}
-	res.EnergyJ = meter.Total()
-	meter.Publish(job.Metrics)
-	publishResult(job.Metrics, res)
-	return res, nil
+		return epochT, 0
+	}, nil
 }
 
 // AllSoCs returns [0, 1, ..., n-1], the member list for fleet-wide

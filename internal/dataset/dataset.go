@@ -207,6 +207,13 @@ func NewBatchIterator(d *Dataset, batchSize int, seed uint64) *BatchIterator {
 // callers must finish with a batch before requesting the next one —
 // the contract every training loop in this repository already follows.
 func (it *BatchIterator) Next() (*tensor.Tensor, []int) {
+	it.x, it.labels = it.d.BatchInto(it.x, it.labels, it.nextIndices())
+	return it.x, it.labels
+}
+
+// nextIndices advances the cursor one batch and returns its sample
+// indices, drawing a fresh permutation at each epoch wrap.
+func (it *BatchIterator) nextIndices() []int {
 	if it.pos >= len(it.perm) {
 		it.epoch++
 		it.perm = it.r.Perm(it.d.Len())
@@ -218,8 +225,7 @@ func (it *BatchIterator) Next() (*tensor.Tensor, []int) {
 	}
 	idx := it.perm[it.pos:hi]
 	it.pos = hi
-	it.x, it.labels = it.d.BatchInto(it.x, it.labels, idx)
-	return it.x, it.labels
+	return idx
 }
 
 // BatchesPerEpoch returns the number of Next calls per epoch.
@@ -229,6 +235,73 @@ func (it *BatchIterator) BatchesPerEpoch() int {
 
 // Epoch returns the number of completed epochs.
 func (it *BatchIterator) Epoch() int { return it.epoch }
+
+// Schedule is the one statement of SoCFlow's data order (§3.1): which
+// samples each logical group holds, and in which batch order it walks
+// them, at the start of any epoch — a pure function of (Train, n, Seed,
+// epoch). Epoch 0 folds Train into n shards under Seed+1; every epoch
+// boundary k re-shards the union across groups under Seed+1000+k; group
+// g's batch order is seeded Seed+100+g in epoch 0 and Seed+2000+(e-1)·n+g
+// in epoch e. Every track that must agree on data — the simulated
+// strategies, the mesh workers, a resumed job, a retried epoch, a
+// rolled-back or re-planned mesh round — asks the same question here.
+//
+// The zero cursor is ready to use. Walking epochs forward reshuffles
+// incrementally; asking for an earlier epoch or another n recomputes
+// from the fold. A Schedule is not safe for concurrent use.
+type Schedule struct {
+	// Train is the full training set being folded.
+	Train *Dataset
+	// Batch is the per-group batch size of the iterators handed out.
+	Batch int
+	// Seed roots every shuffle.
+	Seed uint64
+	// DirichletAlpha, when positive, makes the epoch-0 fold non-IID
+	// (ShardDirichlet); the reshuffles that follow are IID regardless.
+	DirichletAlpha float64
+	// Pinned turns the cross-group reshuffle off: groups keep their
+	// epoch-0 shard and one batch stream for the whole run, advancing in
+	// lockstep by group 0's batches per epoch.
+	Pinned bool
+
+	shards []*Dataset
+	epoch  int
+}
+
+// Shards returns the n groups' shards as of the start of epoch.
+func (s *Schedule) Shards(n, epoch int) []*Dataset {
+	if s.Pinned {
+		epoch = 0
+	}
+	if len(s.shards) != n || s.epoch > epoch {
+		if s.DirichletAlpha > 0 {
+			s.shards = s.Train.ShardDirichlet(n, s.DirichletAlpha, s.Seed+1)
+		} else {
+			s.shards = s.Train.ShardIID(n, s.Seed+1)
+		}
+		s.epoch = 0
+	}
+	for ; s.epoch < epoch; s.epoch++ {
+		s.shards = Reshuffle(s.shards, s.Seed+1000+uint64(s.epoch))
+	}
+	return s.shards
+}
+
+// Iterator returns group g's batch iterator positioned at the start of
+// epoch, over its shard of that epoch.
+func (s *Schedule) Iterator(n, g, epoch int) *BatchIterator {
+	shards := s.Shards(n, epoch)
+	if !s.Pinned && epoch > 0 {
+		return NewBatchIterator(shards[g], s.Batch, s.Seed+2000+uint64(epoch-1)*uint64(n)+uint64(g))
+	}
+	it := NewBatchIterator(shards[g], s.Batch, s.Seed+100+uint64(g))
+	// Pinned: replay the stream's indices (no pixels move) up to epoch.
+	lockstep := (shards[0].Len() + s.Batch - 1) / s.Batch // group 0's batches per epoch
+	for skip := epoch * lockstep; skip > 0; skip-- {
+		it.nextIndices()
+	}
+	return it
+}
 
 // ShardDirichlet splits the dataset into n shards whose per-class
 // proportions are drawn from a Dirichlet(alpha) distribution — the

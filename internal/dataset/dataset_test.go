@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -356,6 +357,68 @@ func TestShardDirichletDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i].Len() != b[i].Len() {
 			t.Fatal("same seed must reproduce shard sizes")
+		}
+	}
+}
+
+// scheduleView is what a track sees of the schedule at one epoch: every
+// group's shard pixels and labels plus the first batch it would train on.
+func scheduleView(s *Schedule, n, epoch int) [][]float32 {
+	var view [][]float32
+	for g, shard := range s.Shards(n, epoch) {
+		x, labels := s.Iterator(n, g, epoch).Next()
+		row := append([]float32{}, shard.X.Data...)
+		for _, y := range append(append([]int{}, shard.Labels...), labels...) {
+			row = append(row, float32(y))
+		}
+		view = append(view, append(row, x.Data...))
+	}
+	return view
+}
+
+// The schedule is a pure function of (train, n, seed, epoch): walking
+// the epochs in order, jumping straight to one, and rewinding all see
+// the same shards and the same first batches — which is what makes a
+// resume, a retry and a mesh rollback the same call.
+func TestScheduleIsAFunctionOfEpoch(t *testing.T) {
+	train := gen(t, "fmnist", 90)
+	for _, pinned := range []bool{false, true} {
+		for _, n := range []int{1, 3, 4} {
+			mk := func() *Schedule { return &Schedule{Train: train, Batch: 8, Seed: 5, Pinned: pinned} }
+			walk := mk()
+			var want [][][]float32
+			for e := 0; e <= 5; e++ {
+				want = append(want, scheduleView(walk, n, e))
+			}
+			if !pinned && n > 1 && reflect.DeepEqual(want[0], want[1]) {
+				t.Fatalf("n=%d: the epoch boundary did not reshuffle", n)
+			}
+			if got := scheduleView(mk(), n, 5); !reflect.DeepEqual(got, want[5]) {
+				t.Fatalf("pinned=%v n=%d: jumping to epoch 5 differs from walking there", pinned, n)
+			}
+			for _, e := range []int{2, 5} { // walk stands at 5: rewind, then forward again
+				if got := scheduleView(walk, n, e); !reflect.DeepEqual(got, want[e]) {
+					t.Fatalf("pinned=%v n=%d: rewinding 5→2→5 changed epoch %d", pinned, n, e)
+				}
+			}
+		}
+	}
+}
+
+// A pinned schedule hands out the continuation of one batch stream: the
+// iterator for epoch e resumes exactly where epoch e-1's stopped.
+func TestSchedulePinnedContinuesOneStream(t *testing.T) {
+	s := &Schedule{Train: gen(t, "fmnist", 90), Batch: 8, Seed: 5, Pinned: true}
+	kept := s.Iterator(3, 1, 0)
+	steps := s.Iterator(3, 0, 0).BatchesPerEpoch() // lockstep: group 0's count
+	for e := 0; e < 3; e++ {
+		fresh := s.Iterator(3, 1, e)
+		for i := 0; i < steps; i++ {
+			kx, kl := kept.Next()
+			fx, fl := fresh.Next()
+			if !reflect.DeepEqual(kx.Data, fx.Data) || !reflect.DeepEqual(kl, fl) {
+				t.Fatalf("epoch %d step %d: the epoch-%d iterator is not the kept stream's continuation", e, i, e)
+			}
 		}
 	}
 }

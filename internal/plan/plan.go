@@ -59,10 +59,11 @@ const DefaultActivationScale = 16
 // must stay in lockstep with core/engine.go.
 const overlapFraction = 0.75
 
-// updateSeconds mirrors core's updateTimePerStep (core/engine.go):
-// the optimizer touches each parameter ~3 times (grad read, velocity
-// update, weight write) at LPDDR5-bound effective throughput.
-func updateSeconds(spec *nn.Spec) float64 { return float64(spec.Params) * 12 / 20e9 }
+// UpdateSeconds prices one optimizer step, for the planner and for
+// every executed strategy in internal/core alike: each parameter is
+// touched ~3 times (grad read, velocity update, weight write — 12
+// bytes) at an LPDDR5-bound effective 20 GB/s.
+func UpdateSeconds(spec *nn.Spec) float64 { return float64(spec.Params) * 12 / 20e9 }
 
 // Plan is one point in the parallelization space, priced and ready to
 // execute.
@@ -275,7 +276,7 @@ func (pr *Pricer) GroupTiming(p *Plan, g int) Timing {
 		overhead := cluster.CPUBatchOverhead / pr.Clu.SoCs[soc].Throttle
 		full := pr.Clu.StepTime(soc, pr.Spec, mb, cluster.CPU)
 		t.StageSeconds[i] = (full-overhead)*st.TrainingWeight()/wTotal + overhead
-		if frac := float64(st.Params) / float64(pTotal) * updateSeconds(pr.Spec); frac > t.UpdateSeconds {
+		if frac := float64(st.Params) / float64(pTotal) * UpdateSeconds(pr.Spec); frac > t.UpdateSeconds {
 			t.UpdateSeconds = frac
 		}
 	}
@@ -361,7 +362,7 @@ func (pr *Pricer) dataEpochSeconds(p *Plan, iters int) float64 {
 			}
 		}
 	}
-	upd := updateSeconds(pr.Spec)
+	upd := UpdateSeconds(pr.Spec)
 	payload := float64(pr.Spec.GradBytes())
 
 	iterT := compute + upd

@@ -4,7 +4,7 @@
 // logical group as a mathematically equivalent single model (the
 // "lift"), this package executes the actual distributed protocol —
 // chunked Ring-AllReduce inside groups, a leader ring across groups,
-// parameter-server rounds for the baselines — and is used to validate
+// activation relays between pipeline stages — and is used to validate
 // the lift and to demonstrate the system end to end.
 package runtime
 
@@ -116,73 +116,6 @@ func RingAllReduceAverage(node transport.Node, members []int, data []float32) er
 	return nil
 }
 
-// PSRound runs one synchronous parameter-server round: every member
-// sends its vector to the server, which averages them (including its
-// own contribution if it is a member) and sends the result back. All
-// participants return the averaged vector in place.
-func PSRound(node transport.Node, members []int, server int, data []float32) error {
-	if node.ID() == server {
-		acc := make([]float64, len(data))
-		contributions := 0
-		if rankOf(server, members) >= 0 {
-			for i, v := range data {
-				acc[i] += float64(v)
-			}
-			contributions++
-		}
-		for _, m := range members {
-			if m == server {
-				continue
-			}
-			msg, err := node.Recv(m)
-			if err != nil {
-				return err
-			}
-			v, err := transport.DecodeVector(msg)
-			if err != nil {
-				return err
-			}
-			if len(v) != len(data) {
-				return fmt.Errorf("runtime: PS push length %d, want %d", len(v), len(data))
-			}
-			for i := range v {
-				acc[i] += float64(v[i])
-			}
-			contributions++
-		}
-		inv := 1 / float64(contributions)
-		for i := range data {
-			data[i] = float32(acc[i] * inv)
-		}
-		out := transport.EncodeVector(data)
-		for _, m := range members {
-			if m == server {
-				continue
-			}
-			if err := node.Send(m, out); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := node.Send(server, transport.EncodeVector(data)); err != nil {
-		return err
-	}
-	msg, err := node.Recv(server)
-	if err != nil {
-		return err
-	}
-	v, err := transport.DecodeVector(msg)
-	if err != nil {
-		return err
-	}
-	if len(v) != len(data) {
-		return fmt.Errorf("runtime: PS pull length %d, want %d", len(v), len(data))
-	}
-	copy(data, v)
-	return nil
-}
-
 // Broadcast sends root's vector to every other member; non-roots
 // overwrite their vector with the received one.
 func Broadcast(node transport.Node, members []int, root int, data []float32) error {
@@ -211,11 +144,6 @@ func Broadcast(node transport.Node, members []int, root int, data []float32) err
 	}
 	copy(data, v)
 	return nil
-}
-
-// flatten copies a tensor set into one vector.
-func flatten(ts []*tensor.Tensor) []float32 {
-	return flattenInto(nil, ts)
 }
 
 // flattenInto copies a tensor set into dst, reusing dst's storage when

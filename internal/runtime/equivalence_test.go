@@ -89,8 +89,8 @@ func TestDistributedMatchesSerialLift(t *testing.T) {
 		t.Fatalf("distributed and serial lift diverged: max weight diff %v", maxDiff)
 	}
 
-	distAcc := accuracyOn(dist.Final, val)
-	refAcc := accuracyOn(ref, val)
+	distAcc := core.EvalAccuracy(dist.Final, val)
+	refAcc := core.EvalAccuracy(ref, val)
 	if math.Abs(distAcc-refAcc) > 0.05 {
 		t.Fatalf("accuracy mismatch: distributed %v vs serial %v", distAcc, refAcc)
 	}

@@ -129,13 +129,11 @@ func stageGroups(p *autoplan.Plan) [][]int {
 
 // pipeWorker is one placed stage's execution state, shared between the
 // plain and elastic pipeline tracks: the full seed-built replica, the
-// current plan position's stage views and optimizer, and the
-// deterministic data cursor. The elastic track reconfigures it in
-// place when a re-plan moves the stage boundary or the node's
-// position.
+// current plan position's stage views and optimizer, and the shared
+// data schedule. The elastic track reconfigures it in place when a
+// re-plan moves the stage boundary or the node's position.
 type pipeWorker struct {
 	node  transport.Node
-	train *dataset.Dataset
 	cfg   *DistConfig
 	rep   *reporter
 	clock faultClock
@@ -160,8 +158,7 @@ type pipeWorker struct {
 	// every node because leadership migrates on the elastic track.
 	stageSync [][]*tensor.Tensor
 
-	cursor shardCursor
-	it     *dataset.BatchIterator
+	sched dataset.Schedule
 
 	syncFlat []float32
 	// elastic switches on the epoch-end leader-served full-model sync
@@ -175,7 +172,8 @@ type pipeWorker struct {
 }
 
 func newPipeWorker(node transport.Node, spec *nn.Spec, train *dataset.Dataset, cfg *DistConfig, rep *reporter) *pipeWorker {
-	w := &pipeWorker{node: node, train: train, cfg: cfg, rep: rep}
+	w := &pipeWorker{node: node, cfg: cfg, rep: rep}
+	w.sched = dataset.Schedule{Train: train, Batch: cfg.GlobalBatch, Seed: cfg.Seed}
 	w.clock = newFaultClock(node, cfg.Metrics)
 	w.model = spec.BuildMicro(tensor.NewRNG(cfg.Seed), train.Channels(), train.ImageSize(), train.Classes)
 	w.weights = w.model.Weights()
@@ -223,32 +221,18 @@ func (w *pipeWorker) sameStage(p *autoplan.Plan, i int) bool {
 	return true
 }
 
-// alignData positions the deterministic data cursor at the start of an
-// epoch under the current plan's group count: the IID shard fold, the
-// reshuffle history, and the epoch's batch iterator — the same seed
-// discipline as the core Pipeline strategy, recomputed from scratch
-// whenever a retry or a re-plan moves the cursor off the incremental
-// path.
-func (w *pipeWorker) alignData(epoch int) {
-	n := w.p.Groups()
-	shards := w.cursor.at(w.train, n, w.cfg.Seed, epoch)
-	seed := w.cfg.Seed + uint64(100+w.g)
-	if epoch > 0 {
-		seed = w.cfg.Seed + uint64(2000+(epoch-1)*n+w.g)
-	}
-	w.it = dataset.NewBatchIterator(shards[w.g], w.cfg.GlobalBatch, seed)
-}
-
 // runEpoch is one epoch at the worker's current position: the
 // micro-batch relay with its neighbours every iteration, the optimizer
 // step on its own parameters, and the per-epoch cross-group ring plus
 // leader gather. The position comes from configure, not from the
 // round. Returns errSelfCrash at the worker's own preemption point.
 func (w *pipeWorker) runEpoch(epoch int, _ *round) error {
-	w.alignData(epoch)
 	p := w.p
 	cfg := w.cfg
 	n := p.Groups()
+	// The same question core.Pipeline asks, under the current plan's
+	// group count: a retry or a re-plan just asks it again.
+	it := w.sched.Iterator(n, w.g, epoch)
 	d := p.Depth()
 	g, i := w.g, w.i
 	me := w.node.ID()
@@ -291,12 +275,12 @@ func (w *pipeWorker) runEpoch(epoch int, _ *round) error {
 
 	epochSpan := reg.BeginSpan("epoch", "stage", me)
 	defer epochSpan.End()
-	steps := w.it.BatchesPerEpoch()
+	steps := it.BatchesPerEpoch()
 	for s := 0; s < steps; s++ {
 		if w.clock.crashedAt(epoch, s) {
 			return errSelfCrash
 		}
-		x, labels := w.it.Next()
+		x, labels := it.Next()
 		bs := x.Shape[0]
 		micro := p.MicroBatches
 		if micro > bs {

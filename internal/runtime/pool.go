@@ -85,7 +85,7 @@ func newReporter(cfg *DistConfig, val *dataset.Dataset) *reporter {
 // simulated clock, so epochs land on the wall clock only.
 func (r *reporter) epochEnd(epoch int, model *nn.Sequential) error {
 	cfg := r.cfg
-	acc := accuracyOn(model, r.val)
+	acc := core.EvalAccuracy(model, r.val)
 	last := epoch == cfg.Epochs-1
 	r.mu.Lock()
 	r.res.EpochAccuracies[epoch] = acc
@@ -97,8 +97,7 @@ func (r *reporter) epochEnd(epoch int, model *nn.Sequential) error {
 	if cfg.EpochEnd != nil {
 		cfg.EpochEnd(epoch, acc)
 	}
-	every := max(cfg.CheckpointEvery, 1)
-	if cfg.Checkpoints == nil || ((epoch+1)%every != 0 && !last) {
+	if cfg.Checkpoints == nil || !core.CheckpointDue(cfg.CheckpointEvery, epoch, cfg.Epochs) {
 		return nil
 	}
 	cp := &core.Checkpoint{Epoch: epoch + 1, Weights: model.Weights(), State: model.StateTensors()}

@@ -173,24 +173,6 @@ func TestRingAllReduceProperty(t *testing.T) {
 	}
 }
 
-func TestPSRoundAverages(t *testing.T) {
-	for name, mesh := range meshes(t, 4) {
-		name, mesh := name, mesh
-		t.Run(name, func(t *testing.T) {
-			vals := [][]float32{{0}, {4}, {8}, {12}}
-			members := []int{0, 1, 2, 3}
-			runOnMesh(t, mesh, func(node transport.Node) error {
-				return PSRound(node, members, 0, vals[node.ID()])
-			})
-			for i := range vals {
-				if vals[i][0] != 6 {
-					t.Fatalf("node %d got %v, want 6", i, vals[i][0])
-				}
-			}
-		})
-	}
-}
-
 func TestBroadcastDelivers(t *testing.T) {
 	for name, mesh := range meshes(t, 3) {
 		name, mesh := name, mesh

@@ -222,7 +222,6 @@ func RunDistributed(ctx context.Context, mesh transport.Mesh, spec *nn.Spec, tra
 // epoch boundaries.
 type dpWorker struct {
 	node  transport.Node
-	train *dataset.Dataset
 	cfg   *DistConfig
 	group int
 	rep   *reporter
@@ -236,7 +235,7 @@ type dpWorker struct {
 	sync    []*tensor.Tensor // weights ++ state, the epoch-end sync set
 	vel     []*tensor.Tensor
 
-	cursor shardCursor
+	sched dataset.Schedule
 
 	// Flat exchange buffers, reused across iterations and epochs.
 	gradFlat, syncFlat []float32
@@ -247,7 +246,8 @@ type dpWorker struct {
 }
 
 func newDPWorker(node transport.Node, spec *nn.Spec, train *dataset.Dataset, cfg *DistConfig, group int, rep *reporter) *dpWorker {
-	w := &dpWorker{node: node, train: train, cfg: cfg, group: group, rep: rep}
+	w := &dpWorker{node: node, cfg: cfg, group: group, rep: rep}
+	w.sched = dataset.Schedule{Train: train, Batch: cfg.GlobalBatch, Seed: cfg.Seed}
 	w.clock = newFaultClock(node, cfg.Metrics)
 	// Identical init everywhere: same seed, same stream. A rejoiner
 	// rebuilds the same shell and then overwrites it with the
@@ -262,27 +262,6 @@ func newDPWorker(node transport.Node, spec *nn.Spec, train *dataset.Dataset, cfg
 	w.cGradBytes = cfg.Metrics.Counter("runtime.gradsync.bytes")
 	w.cIters = cfg.Metrics.Counter("runtime.iterations")
 	return w
-}
-
-// shardCursor is the deterministic shard schedule every node derives
-// alike: the IID fold over n groups plus the cross-group reshuffle
-// history (§3.1) up to an epoch. It advances incrementally and
-// recomputes from scratch when a retry moves the cursor backwards or a
-// re-plan changes the group count.
-type shardCursor struct {
-	shards   []*dataset.Dataset
-	n, epoch int
-}
-
-// at returns the shards as of the start of epoch.
-func (c *shardCursor) at(train *dataset.Dataset, n int, seed uint64, epoch int) []*dataset.Dataset {
-	if c.shards == nil || c.n != n || c.epoch > epoch {
-		c.shards, c.n, c.epoch = train.ShardIID(n, seed+1), n, 0
-	}
-	for ; c.epoch < epoch; c.epoch++ {
-		c.shards = dataset.Reshuffle(c.shards, seed+uint64(1000+c.epoch))
-	}
-	return c.shards
 }
 
 // runEpoch is one data-parallel epoch. Membership comes from the
@@ -302,10 +281,11 @@ func (w *dpWorker) runEpoch(epoch int, r *round) error {
 	}
 	epochSpan := reg.BeginSpan("epoch", "worker", me)
 	defer epochSpan.End()
-	shards := w.cursor.at(w.train, len(cfg.Groups), cfg.Seed, epoch)
+	shards := w.sched.Shards(len(cfg.Groups), epoch)
 	// The iterator consumes the full configured global batch; the
 	// proportional split below spreads any remainder over members
-	// instead of silently truncating the batch.
+	// instead of silently truncating the batch. Its seed is this track's
+	// own (one per epoch, shared by all groups), not the schedule's.
 	it := dataset.NewBatchIterator(shards[w.group], cfg.GlobalBatch, cfg.Seed+uint64(100+epoch))
 	iters := it.BatchesPerEpoch()
 	for i := 0; i < iters; i++ {
@@ -382,16 +362,6 @@ func (w *dpWorker) runEpoch(epoch int, r *round) error {
 		return w.rep.epochEnd(epoch, w.model)
 	}
 	return nil
-}
-
-// accuracyOn evaluates a model on a dataset in eval mode.
-func accuracyOn(model *nn.Sequential, d *dataset.Dataset) float64 {
-	idx := make([]int, d.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	x, labels := d.Batch(idx)
-	return nn.Accuracy(model.Forward(x, false), labels)
 }
 
 // GroupsFromMapping adapts a core.Mapping to the runtime's group

@@ -11,7 +11,7 @@ go build ./...
 go test ./...
 go test -race ./ ./internal/parallel ./internal/tensor ./internal/nn \
     ./internal/core ./internal/runtime ./internal/transport ./internal/metrics \
-    ./internal/serve ./internal/server ./internal/plan
+    ./internal/serve ./internal/server ./internal/plan ./internal/dataset
 go test -race -run 'Fault|Crash|Degrade|Straggle|LinkDrop|Deadline|Close' \
     ./internal/runtime ./internal/transport
 # The metrics registry is written to from every worker goroutine at
@@ -37,12 +37,17 @@ go test -run 'TestElasticPipelineTidalShrink' -count 30 ./internal/runtime
 make bench-smoke
 # Benchmark-regression gate: hot-path benchmarks must stay within 10%
 # of the committed allocs/op baseline (at parallelism 1 AND 4) and
-# within 35% of the committed parallelism=1 ns/op baseline (emits
-# BENCH_pr7.json).
-./scripts/bench_compare.sh
+# within 35% of the committed parallelism=1 ns/op baseline. Its report
+# and the re-planning gate's go to a scratch directory: CI must leave
+# the tree as it found it.
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+BENCH_OUT="$out/BENCH_pr7.json" ./scripts/bench_compare.sh
 # Elastic re-planning gate: the pipeline track recovers from a stage
 # crash and a tidal shrink via planner-driven re-planning; the harness
 # asserts fault-free bit-identity to the plain pipeline and
-# predicted == executed epoch seconds on every adopted plan (emits
-# BENCH_pr10.json).
-make bench-replan
+# predicted == executed epoch seconds on every adopted plan (make
+# bench-replan, with its report redirected).
+go run ./cmd/socflow-bench --exp replan --samples 300 --epochs 5 \
+    --metrics-out "$out/BENCH_pr10.json"
+git diff --exit-code

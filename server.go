@@ -38,9 +38,9 @@ type ServerConfig struct {
 
 // Server is a long-lived multi-tenant control plane over the simulated
 // SoC-Cluster: jobs submitted through its Client (or its HTTP Handler)
-// are queued, quota-checked, priority-scheduled, and — for
-// SoCFlow-strategy jobs — checkpoint-preempted and resumed as
-// capacity ebbs and flows.
+// are queued, quota-checked, priority-scheduled, and — for training
+// jobs on the simulated track, whatever their strategy —
+// checkpoint-preempted and resumed as capacity ebbs and flows.
 type Server struct {
 	srv *server.Server
 }

@@ -3,6 +3,7 @@ package socflow
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -293,31 +294,48 @@ func TestRunDistributedElasticPreemptWindow(t *testing.T) {
 	}
 }
 
-// WithCheckpointEvery and WithRecovery arm the simulated track's
-// auto-checkpointing and epoch-retry machinery.
+// WithCheckpointEvery and WithRecovery are honoured by every strategy,
+// not silently dropped: stride 2 over 3 epochs persists epochs 2 and 3
+// (the last is always saved), and installing the options leaves the
+// report bit-identical.
 func TestRunCheckpointAndRecoveryOptions(t *testing.T) {
-	dir := t.TempDir()
-	rep, err := Run(context.Background(), Config{
-		JobSpec: JobSpec{Epochs: 4, TrainSamples: 240, ValSamples: 48},
-		NumSoCs: 8,
-		Groups:  2,
-	}, WithCheckpointEvery(2, dir), WithRecovery(2, time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
+	rows := map[string]Config{}
+	for _, s := range Strategies() {
+		cfg := fastCfg(s)
+		cfg.Epochs = 3
+		rows[s] = cfg
 	}
-	if len(rep.EpochAccuracies) != 4 {
-		t.Fatalf("run incomplete: %+v", rep)
-	}
-	store, err := core.NewCheckpointStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := store.Latest()
-	if err != nil || cp == nil {
-		t.Fatalf("no auto-checkpoint persisted: %v", err)
-	}
-	if cp.Epoch != 4 {
-		t.Fatalf("latest auto-checkpoint epoch = %d, want 4", cp.Epoch)
+	pipe := autoparConfig()
+	pipe.Parallelism = "pipeline"
+	pipe.Epochs = 3
+	rows["socflow/pipeline"] = pipe
+
+	for name, cfg := range rows {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			rep, err := Run(context.Background(), cfg, WithCheckpointEvery(2, dir), WithRecovery(2, time.Millisecond))
+			if err != nil {
+				t.Fatal(err)
+			}
+			store, err := core.NewCheckpointStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp, err := store.Latest()
+			if err != nil || cp == nil {
+				t.Fatalf("no auto-checkpoint persisted: %v", err)
+			}
+			if cp.Epoch != cfg.Epochs {
+				t.Fatalf("latest auto-checkpoint epoch = %d, want %d", cp.Epoch, cfg.Epochs)
+			}
+			plain, err := Run(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(rep, plain) {
+				t.Fatalf("options changed the report:\nwith    %+v\nwithout %+v", rep, plain)
+			}
+		})
 	}
 }
 
