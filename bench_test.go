@@ -13,14 +13,9 @@ package socflow
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 	"testing"
 
 	"socflow/internal/exp"
-	"socflow/internal/nn"
-	"socflow/internal/parallel"
-	"socflow/internal/tensor"
 )
 
 // benchOpts keeps the functional side small enough for iterated
@@ -214,65 +209,5 @@ func BenchmarkQuickstartRun(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// benchWorkerCounts is the parallelism sweep for the host-parallelism
-// benchmarks: sequential, two and four workers (four is the
-// allocation-gate configuration for parallel kernels even on smaller
-// hosts), and the full machine when it is larger.
-func benchWorkerCounts() []int {
-	counts := []int{1, 2, 4}
-	if n := runtime.NumCPU(); n > 4 {
-		counts = append(counts, n)
-	}
-	return counts
-}
-
-// BenchmarkConv2DForward measures one convolution-heavy forward pass
-// (the dominant kernel of the functional track) across worker counts.
-func BenchmarkConv2DForward(b *testing.B) {
-	for _, w := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("parallelism=%d", w), func(b *testing.B) {
-			prev := parallel.Set(w)
-			defer parallel.Set(prev)
-			rng := tensor.NewRNG(1)
-			spec := nn.MustSpec("vgg11")
-			model := spec.BuildMicro(rng, 3, 16, 10)
-			x := tensor.RandNormal(rng, 0, 1, 32, 3, 16, 16)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				model.Forward(x, false)
-			}
-		})
-	}
-}
-
-// BenchmarkGroupEpoch measures one SoCFlow run (8 groups training
-// concurrently within each epoch) across worker counts. Accuracy and
-// simulated time are identical at every parallelism level; only
-// wall-clock time changes.
-func BenchmarkGroupEpoch(b *testing.B) {
-	for _, w := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("parallelism=%d", w), func(b *testing.B) {
-			cfg := Config{
-				JobSpec: JobSpec{
-					Model:        "lenet5",
-					Dataset:      "fmnist",
-					GlobalBatch:  16,
-					Epochs:       2,
-					TrainSamples: 480,
-					ValSamples:   60,
-				},
-				NumSoCs: 32,
-				Groups:  8,
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(context.Background(), cfg, WithParallelism(w)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

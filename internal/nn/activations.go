@@ -7,30 +7,31 @@ import (
 	"socflow/internal/tensor"
 )
 
-// elemCutoff mirrors the tensor package's elementwise threshold: below
-// it the fan-out overhead outweighs the loop itself.
+// Layers are persistent and own their buffers, so a layer is its own
+// operand carrier for the worker pool: each dispatching pass is a named
+// type over the layer (type reluForward ReLU) whose RunRange is the
+// loop body, the pass's input stashed in a field of the layer. Handing
+// parallel.ForKernel that pointer allocates nothing at any parallelism.
+
+// elemCutoff is the element count below which an elementwise pass stays
+// on the calling goroutine: the fan-out overhead outweighs the loop.
 const elemCutoff = 1 << 14
 
-func forElems(n int, fn func(lo, hi int)) {
+// runElems runs k over elements [0, n), through the worker pool when
+// there are enough of them to pay for it.
+func runElems(n int, k parallel.Kernel) {
 	if n < elemCutoff {
-		fn(0, n)
+		k.RunRange(0, n)
 		return
 	}
-	parallel.For(n, fn)
-}
-
-// serialElems reports whether an elementwise pass over n values should
-// run sequentially. Hot layers branch on this and call a named range
-// function directly so the parallel closure — which escapes to the
-// heap at construction — is never built on the serial path.
-func serialElems(n int) bool {
-	return n < elemCutoff || parallel.Workers() == 1
+	parallel.ForKernel(n, k)
 }
 
 // ReLU applies max(0, x) elementwise.
 type ReLU struct {
 	mask    []bool
 	out, dx *tensor.Tensor // persistent buffers
+	in      []float32      // input (forward) or gradient (backward) of the pass in flight
 }
 
 // NewReLU returns a ReLU layer.
@@ -43,19 +44,15 @@ func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	}
 	r.mask = r.mask[:len(x.Data)]
 	r.out = ensureBuf(r.out, x.Shape...)
-	out := r.out
-	n := len(x.Data)
-	if serialElems(n) {
-		reluRange(out.Data, r.mask, x.Data, 0, n)
-		return out
-	}
-	parallel.For(n, func(lo, hi int) {
-		reluRange(out.Data, r.mask, x.Data, lo, hi)
-	})
-	return out
+	r.in = x.Data
+	runElems(len(x.Data), (*reluForward)(r))
+	return r.out
 }
 
-func reluRange(out []float32, mask []bool, x []float32, lo, hi int) {
+type reluForward ReLU
+
+func (r *reluForward) RunRange(lo, hi int) {
+	out, mask, x := r.out.Data, r.mask, r.in
 	for i := lo; i < hi; i++ {
 		if v := x[i]; v > 0 {
 			out[i] = v
@@ -70,19 +67,15 @@ func reluRange(out []float32, mask []bool, x []float32, lo, hi int) {
 // Backward implements Layer.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	r.dx = ensureBuf(r.dx, grad.Shape...)
-	out := r.dx
-	n := len(grad.Data)
-	if serialElems(n) {
-		reluBackwardRange(out.Data, r.mask, grad.Data, 0, n)
-		return out
-	}
-	parallel.For(n, func(lo, hi int) {
-		reluBackwardRange(out.Data, r.mask, grad.Data, lo, hi)
-	})
-	return out
+	r.in = grad.Data
+	runElems(len(grad.Data), (*reluBackward)(r))
+	return r.dx
 }
 
-func reluBackwardRange(out []float32, mask []bool, grad []float32, lo, hi int) {
+type reluBackward ReLU
+
+func (r *reluBackward) RunRange(lo, hi int) {
+	out, mask, grad := r.dx.Data, r.mask, r.in
 	for i := lo; i < hi; i++ {
 		if mask[i] {
 			out[i] = grad[i]
@@ -100,6 +93,7 @@ func (r *ReLU) Params() []*Param { return nil }
 type Tanh struct {
 	y  *tensor.Tensor // persistent output, cached for backward
 	dx *tensor.Tensor
+	in []float32 // input (forward) or gradient (backward) of the pass in flight
 }
 
 // NewTanh returns a Tanh layer.
@@ -108,19 +102,15 @@ func NewTanh() *Tanh { return &Tanh{} }
 // Forward implements Layer.
 func (t *Tanh) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	t.y = ensureBuf(t.y, x.Shape...)
-	out := t.y
-	n := len(x.Data)
-	if serialElems(n) {
-		tanhRange(out.Data, x.Data, 0, n)
-		return out
-	}
-	parallel.For(n, func(lo, hi int) {
-		tanhRange(out.Data, x.Data, lo, hi)
-	})
-	return out
+	t.in = x.Data
+	runElems(len(x.Data), (*tanhForward)(t))
+	return t.y
 }
 
-func tanhRange(out, x []float32, lo, hi int) {
+type tanhForward Tanh
+
+func (t *tanhForward) RunRange(lo, hi int) {
+	out, x := t.y.Data, t.in
 	for i := lo; i < hi; i++ {
 		out[i] = float32(math.Tanh(float64(x[i])))
 	}
@@ -129,19 +119,15 @@ func tanhRange(out, x []float32, lo, hi int) {
 // Backward implements Layer.
 func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	t.dx = ensureBuf(t.dx, grad.Shape...)
-	out := t.dx
-	n := len(grad.Data)
-	if serialElems(n) {
-		tanhBackwardRange(out.Data, grad.Data, t.y.Data, 0, n)
-		return out
-	}
-	parallel.For(n, func(lo, hi int) {
-		tanhBackwardRange(out.Data, grad.Data, t.y.Data, lo, hi)
-	})
-	return out
+	t.in = grad.Data
+	runElems(len(grad.Data), (*tanhBackward)(t))
+	return t.dx
 }
 
-func tanhBackwardRange(out, grad, y []float32, lo, hi int) {
+type tanhBackward Tanh
+
+func (t *tanhBackward) RunRange(lo, hi int) {
+	out, grad, y := t.dx.Data, t.in, t.y.Data
 	for i := lo; i < hi; i++ {
 		out[i] = grad[i] * (1 - y[i]*y[i])
 	}
@@ -228,6 +214,7 @@ func (a *AvgPool2D) Params() []*Param { return nil }
 type GlobalAvgPool struct {
 	inShape []int
 	out, dx *tensor.Tensor // persistent buffers
+	in      []float32      // input (forward) or gradient (backward) of the pass in flight
 }
 
 // NewGlobalAvgPool returns a GlobalAvgPool layer.
@@ -237,39 +224,48 @@ func NewGlobalAvgPool() *GlobalAvgPool { return &GlobalAvgPool{} }
 func (g *GlobalAvgPool) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	checkDims("GlobalAvgPool", x, 4)
 	g.inShape = append(g.inShape[:0], x.Shape...)
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	g.out = ensureBuf(g.out, n, c)
-	out := g.out
-	inv := 1 / float32(h*w)
-	parallel.Do(n, func(img int) {
-		for ch := 0; ch < c; ch++ {
-			plane := x.Data[(img*c+ch)*h*w : (img*c+ch+1)*h*w]
-			var s float32
-			for _, v := range plane {
-				s += v
-			}
-			out.Data[img*c+ch] = s * inv
+	g.out = ensureBuf(g.out, x.Shape[0], x.Shape[1])
+	g.in = x.Data
+	parallel.ForKernel(x.Shape[0], (*gapForward)(g))
+	return g.out
+}
+
+type gapForward GlobalAvgPool
+
+// RunRange averages the planes of images [lo, hi).
+func (g *gapForward) RunRange(lo, hi int) {
+	c, hw := g.inShape[1], g.inShape[2]*g.inShape[3]
+	inv := 1 / float32(hw)
+	for i := lo * c; i < hi*c; i++ {
+		var s float32
+		for _, v := range g.in[i*hw : (i+1)*hw] {
+			s += v
 		}
-	})
-	return out
+		g.out.Data[i] = s * inv
+	}
 }
 
 // Backward implements Layer.
 func (g *GlobalAvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	n, c, h, w := g.inShape[0], g.inShape[1], g.inShape[2], g.inShape[3]
 	g.dx = ensureBuf(g.dx, g.inShape...)
-	dx := g.dx
-	inv := 1 / float32(h*w)
-	parallel.Do(n, func(img int) {
-		for ch := 0; ch < c; ch++ {
-			gv := grad.Data[img*c+ch] * inv
-			plane := dx.Data[(img*c+ch)*h*w : (img*c+ch+1)*h*w]
-			for i := range plane {
-				plane[i] = gv
-			}
+	g.in = grad.Data
+	parallel.ForKernel(g.inShape[0], (*gapBackward)(g))
+	return g.dx
+}
+
+type gapBackward GlobalAvgPool
+
+// RunRange spreads each plane's gradient over images [lo, hi).
+func (g *gapBackward) RunRange(lo, hi int) {
+	c, hw := g.inShape[1], g.inShape[2]*g.inShape[3]
+	inv := 1 / float32(hw)
+	for i := lo * c; i < hi*c; i++ {
+		gv := g.in[i] * inv
+		plane := g.dx.Data[i*hw : (i+1)*hw]
+		for j := range plane {
+			plane[j] = gv
 		}
-	})
-	return dx
+	}
 }
 
 // Params implements Layer.

@@ -30,6 +30,11 @@ type BatchNorm2D struct {
 	shape  []int
 
 	out, dx *tensor.Tensor // persistent buffers
+
+	// Operands of the pass in flight: its input (forward) or gradient
+	// (backward), and whether the forward is a training one.
+	in    []float32
+	train bool
 }
 
 // NewBatchNorm2D creates a batch-norm layer for c channels.
@@ -48,25 +53,34 @@ func NewBatchNorm2D(c int) *BatchNorm2D {
 // Forward implements Layer.
 func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkDims("BatchNorm2D", x, 4)
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	c := x.Shape[1]
 	b.shape = append(b.shape[:0], x.Shape...)
 	b.out = ensureBuf(b.out, x.Shape...)
-	out := b.out
 	if cap(b.invStd) < c {
 		b.invStd = make([]float32, c)
 	}
 	b.invStd = b.invStd[:c]
 	b.xhat = ensureBuf(b.xhat, x.Shape...)
-	cnt := float32(n * h * w)
+	b.in, b.train = x.Data, train
+	parallel.ForKernel(c, (*bnForward)(b))
+	return b.out
+}
 
-	// Every channel's statistics, running-stat cells, xhat plane, and
-	// output plane are disjoint, so channels normalize independently.
-	parallel.Do(c, func(ch int) {
+type bnForward BatchNorm2D
+
+// RunRange normalizes channels [lo, hi). Every channel's statistics,
+// running-stat cells, xhat plane, and output plane are disjoint, so
+// channels normalize independently.
+func (b *bnForward) RunRange(lo, hi int) {
+	n, c, hw := b.shape[0], b.shape[1], b.shape[2]*b.shape[3]
+	x, xhat, out := b.in, b.xhat.Data, b.out.Data
+	cnt := float32(n * hw)
+	for ch := lo; ch < hi; ch++ {
 		var mean, variance float32
-		if train {
+		if b.train {
 			var s float64
 			for img := 0; img < n; img++ {
-				plane := x.Data[(img*c+ch)*h*w : (img*c+ch+1)*h*w]
+				plane := x[(img*c+ch)*hw : (img*c+ch+1)*hw]
 				for _, v := range plane {
 					s += float64(v)
 				}
@@ -74,7 +88,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			mean = float32(s) / cnt
 			var sq float64
 			for img := 0; img < n; img++ {
-				plane := x.Data[(img*c+ch)*h*w : (img*c+ch+1)*h*w]
+				plane := x[(img*c+ch)*hw : (img*c+ch+1)*hw]
 				for _, v := range plane {
 					d := v - mean
 					sq += float64(d) * float64(d)
@@ -91,15 +105,14 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		b.invStd[ch] = inv
 		g, bt := b.Gamma.W.Data[ch], b.Beta.W.Data[ch]
 		for img := 0; img < n; img++ {
-			off := (img*c + ch) * h * w
-			for i := 0; i < h*w; i++ {
-				xh := (x.Data[off+i] - mean) * inv
-				b.xhat.Data[off+i] = xh
-				out.Data[off+i] = g*xh + bt
+			off := (img*c + ch) * hw
+			for i := 0; i < hw; i++ {
+				xh := (x[off+i] - mean) * inv
+				xhat[off+i] = xh
+				out[off+i] = g*xh + bt
 			}
 		}
-	})
-	return out
+	}
 }
 
 // Backward implements Layer. Standard batch-norm gradient:
@@ -107,19 +120,29 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 //	dxhat = dy * gamma
 //	dx = invStd/m * (m*dxhat - Σdxhat - xhat*Σ(dxhat*xhat))
 func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	n, c, h, w := b.shape[0], b.shape[1], b.shape[2], b.shape[3]
 	b.dx = ensureBuf(b.dx, b.shape...)
-	dx := b.dx
-	m := float32(n * h * w)
-	parallel.Do(c, func(ch int) {
+	b.in = grad.Data
+	parallel.ForKernel(b.shape[1], (*bnBackward)(b))
+	return b.dx
+}
+
+type bnBackward BatchNorm2D
+
+// RunRange back-propagates channels [lo, hi), each of which owns its
+// gamma/beta gradient cells and dx plane.
+func (b *bnBackward) RunRange(lo, hi int) {
+	n, c, hw := b.shape[0], b.shape[1], b.shape[2]*b.shape[3]
+	grad, xhat, dx := b.in, b.xhat.Data, b.dx.Data
+	m := float32(n * hw)
+	for ch := lo; ch < hi; ch++ {
 		g := b.Gamma.W.Data[ch]
 		var sumDy, sumDyXhat float64
 		for img := 0; img < n; img++ {
-			off := (img*c + ch) * h * w
-			for i := 0; i < h*w; i++ {
-				dy := grad.Data[off+i]
+			off := (img*c + ch) * hw
+			for i := 0; i < hw; i++ {
+				dy := grad[off+i]
 				sumDy += float64(dy)
-				sumDyXhat += float64(dy) * float64(b.xhat.Data[off+i])
+				sumDyXhat += float64(dy) * float64(xhat[off+i])
 			}
 		}
 		b.Beta.Grad.Data[ch] += float32(sumDy)
@@ -128,14 +151,13 @@ func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		k1 := float32(sumDy) / m
 		k2 := float32(sumDyXhat) / m
 		for img := 0; img < n; img++ {
-			off := (img*c + ch) * h * w
-			for i := 0; i < h*w; i++ {
-				dxhat := grad.Data[off+i] * g
-				dx.Data[off+i] = inv * (dxhat - g*k1 - b.xhat.Data[off+i]*g*k2)
+			off := (img*c + ch) * hw
+			for i := 0; i < hw; i++ {
+				dxhat := grad[off+i] * g
+				dx[off+i] = inv * (dxhat - g*k1 - xhat[off+i]*g*k2)
 			}
 		}
-	})
-	return dx
+	}
 }
 
 // Params implements Layer.

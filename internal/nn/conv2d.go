@@ -27,6 +27,8 @@ type Conv2D struct {
 	// per-output-channel quantized weights.
 	qcols, qw []int8
 	wScales   []float32
+
+	grad []float32 // output gradient of the backward pass in flight
 }
 
 // NewConv2D creates a conv layer with a square kernel, He init.
@@ -55,9 +57,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	c.y = ensureBuf(c.y, n*c.oh*c.ow, c.OutC)
 	tensor.MatMulT2BiasInto(c.y, c.cols, c.Weight.W, c.Bias.W)
 	// Rearrange [N, OH, OW, OutC] -> [N, OutC, OH, OW].
-	c.out = ensureBuf(c.out, n, c.OutC, c.oh, c.ow)
-	nhwcToNCHWInto(c.out, c.y, n, c.oh, c.ow, c.OutC)
-	return c.out
+	return c.toNCHW()
 }
 
 // Backward implements Layer.
@@ -67,7 +67,8 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n := grad.Shape[0]
 	// Back to [N*OH*OW, OutC] layout to mirror the forward pass.
 	c.g2 = ensureBuf(c.g2, n*c.oh*c.ow, c.OutC)
-	nchwToNHWCInto(c.g2, grad, n, c.OutC, c.oh, c.ow)
+	c.grad = grad.Data
+	parallel.ForKernel(n, (*convToNHWC)(c))
 	// dW = g2ᵀ · cols ; db = Σ_rows g2 ; dcols = g2 · W
 	// Gradients go through scratch then AddInPlace so the accumulation
 	// rounding order matches the allocating path exactly.
@@ -87,57 +88,42 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param { return []*Param{c.Weight, c.Bias} }
 
-// nhwcToNCHW converts a [N*H*W, C] row matrix into an NCHW tensor.
-// Images transpose independently into disjoint output blocks.
-func nhwcToNCHW(y *tensor.Tensor, n, h, w, ch int) *tensor.Tensor {
-	out := tensor.New(n, ch, h, w)
-	nhwcToNCHWInto(out, y, n, h, w, ch)
-	return out
+// toNCHW rearranges the GEMM output y [N*OH*OW, OutC] into the layer's
+// NCHW output buffer. Images transpose independently into disjoint
+// output blocks.
+func (c *Conv2D) toNCHW() *tensor.Tensor {
+	n := c.inShape[0]
+	c.out = ensureBuf(c.out, n, c.OutC, c.oh, c.ow)
+	parallel.ForKernel(n, (*convToNCHW)(c))
+	return c.out
 }
 
-// nhwcToNCHWInto converts into an existing NCHW tensor, overwriting it.
-func nhwcToNCHWInto(out, y *tensor.Tensor, n, h, w, ch int) {
-	hw := h * w
-	if parallel.Workers() == 1 {
-		for img := 0; img < n; img++ {
-			nhwcImage(out.Data, y.Data, hw, ch, img)
-		}
-		return
-	}
-	parallel.Do(n, func(img int) {
-		nhwcImage(out.Data, y.Data, hw, ch, img)
-	})
-}
+type convToNCHW Conv2D
 
-func nhwcImage(out, y []float32, hw, ch, img int) {
-	for pos := 0; pos < hw; pos++ {
-		row := y[(img*hw+pos)*ch : (img*hw+pos+1)*ch]
-		for cc, v := range row {
-			out[(img*ch+cc)*hw+pos] = v
+func (c *convToNCHW) RunRange(lo, hi int) {
+	out, y, hw, ch := c.out.Data, c.y.Data, c.oh*c.ow, c.OutC
+	for img := lo; img < hi; img++ {
+		for pos := 0; pos < hw; pos++ {
+			row := y[(img*hw+pos)*ch : (img*hw+pos+1)*ch]
+			for cc, v := range row {
+				out[(img*ch+cc)*hw+pos] = v
+			}
 		}
 	}
 }
 
-// nchwToNHWCInto converts an NCHW tensor into an existing [N*H*W, C]
-// row matrix, overwriting it.
-func nchwToNHWCInto(out, x *tensor.Tensor, n, ch, h, w int) {
-	hw := h * w
-	if parallel.Workers() == 1 {
-		for img := 0; img < n; img++ {
-			nchwImage(out.Data, x.Data, hw, ch, img)
-		}
-		return
-	}
-	parallel.Do(n, func(img int) {
-		nchwImage(out.Data, x.Data, hw, ch, img)
-	})
-}
+// convToNHWC is the reverse: the NCHW output gradient of images
+// [lo, hi) into the [N*OH*OW, OutC] row matrix g2.
+type convToNHWC Conv2D
 
-func nchwImage(out, x []float32, hw, ch, img int) {
-	for cc := 0; cc < ch; cc++ {
-		plane := x[(img*ch+cc)*hw : (img*ch+cc+1)*hw]
-		for pos, v := range plane {
-			out[(img*hw+pos)*ch+cc] = v
+func (c *convToNHWC) RunRange(lo, hi int) {
+	out, x, hw, ch := c.g2.Data, c.grad, c.oh*c.ow, c.OutC
+	for img := lo; img < hi; img++ {
+		for cc := 0; cc < ch; cc++ {
+			plane := x[(img*ch+cc)*hw : (img*ch+cc+1)*hw]
+			for pos, v := range plane {
+				out[(img*hw+pos)*ch+cc] = v
+			}
 		}
 	}
 }
@@ -154,6 +140,7 @@ type DepthwiseConv2D struct {
 	x       *tensor.Tensor
 	oh, ow  int
 	out, dx *tensor.Tensor // persistent buffers
+	grad    []float32      // output gradient of the backward pass in flight
 }
 
 // NewDepthwiseConv2D creates a depthwise conv layer.
@@ -171,12 +158,20 @@ func (d *DepthwiseConv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	checkDims("DepthwiseConv2D", x, 4)
 	d.x = x
 	d.inShape = append(d.inShape[:0], x.Shape...)
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	d.oh, d.ow = d.P.OutSize(h, w)
-	d.out = ensureBuf(d.out, n, c, d.oh, d.ow)
-	out := d.out
+	d.oh, d.ow = d.P.OutSize(x.Shape[2], x.Shape[3])
+	d.out = ensureBuf(d.out, x.Shape[0], x.Shape[1], d.oh, d.ow)
+	parallel.ForKernel(x.Shape[0], (*dwForward)(d))
+	return d.out
+}
+
+type dwForward DepthwiseConv2D
+
+// RunRange convolves images [lo, hi).
+func (d *dwForward) RunRange(lo, hi int) {
+	c, h, w := d.inShape[1], d.inShape[2], d.inShape[3]
+	x, out := d.x, d.out
 	k2 := d.P.KH * d.P.KW
-	parallel.Do(n, func(img int) {
+	for img := lo; img < hi; img++ {
 		oi := img * c * d.oh * d.ow
 		for ch := 0; ch < c; ch++ {
 			cbase := (img*c + ch) * h * w
@@ -201,22 +196,30 @@ func (d *DepthwiseConv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 				}
 			}
 		}
-	})
-	return out
+	}
 }
 
 // Backward implements Layer.
 func (d *DepthwiseConv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	n, c, h, w := d.inShape[0], d.inShape[1], d.inShape[2], d.inShape[3]
 	d.dx = ensureBuf(d.dx, d.inShape...)
-	dx := d.dx
-	dx.Zero() // the scatter below accumulates
+	d.dx.Zero() // the scatter below accumulates
+	d.grad = grad.Data
+	parallel.ForKernel(d.inShape[1], (*dwBackward)(d))
+	return d.dx
+}
+
+type dwBackward DepthwiseConv2D
+
+// RunRange back-propagates channels [lo, hi). Channel-outer so each
+// task owns its filter gradient gw, bias gradient cell, and every
+// image's dx plane for that channel. The per-weight accumulation order
+// (ascending image, then window position) matches the sequential
+// image-outer loop exactly.
+func (d *dwBackward) RunRange(lo, hi int) {
+	n, c, h, w := d.inShape[0], d.inShape[1], d.inShape[2], d.inShape[3]
+	grad, dx := d.grad, d.dx
 	k2 := d.P.KH * d.P.KW
-	// Channel-outer so each task owns its filter gradient gw, bias
-	// gradient cell, and every image's dx plane for that channel. The
-	// per-weight accumulation order (ascending image, then window
-	// position) matches the sequential image-outer loop exactly.
-	parallel.Do(c, func(ch int) {
+	for ch := lo; ch < hi; ch++ {
 		kw := d.Weight.W.Data[ch*k2 : (ch+1)*k2]
 		gw := d.Weight.Grad.Data[ch*k2 : (ch+1)*k2]
 		for img := 0; img < n; img++ {
@@ -224,7 +227,7 @@ func (d *DepthwiseConv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			gi := (img*c + ch) * d.oh * d.ow
 			for oy := 0; oy < d.oh; oy++ {
 				for ox := 0; ox < d.ow; ox++ {
-					g := grad.Data[gi]
+					g := grad[gi]
 					gi++
 					d.Bias.Grad.Data[ch] += g
 					ki := 0
@@ -242,8 +245,7 @@ func (d *DepthwiseConv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 				}
 			}
 		}
-	})
-	return dx
+	}
 }
 
 // Params implements Layer.

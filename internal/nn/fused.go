@@ -31,6 +31,12 @@ type fusedConv struct {
 	bn   *BatchNorm2D // nil for a Conv+ReLU block
 	relu *ReLU        // nil for a Conv+BN block
 	span int          // layers consumed from the Sequential (2 or 3)
+
+	// Operands of the bnEpilogue in flight: the block's NCHW output, the
+	// ReLU mask (nil for Conv+BN), and the forward's train flag.
+	out   []float32
+	mask  []bool
+	train bool
 }
 
 // planStep is one unit of a Sequential's execution plan: a fused conv
@@ -100,7 +106,7 @@ func (f *fusedConv) forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // reluEpilogue handles Conv+ReLU: one pass over the GEMM output applies
 // the activation while transposing NHWC→NCHW, writing the ReLU output
 // and mask directly. Images land in disjoint output blocks, so they
-// transpose independently like nhwcToNCHWInto.
+// transpose independently like Conv2D.toNCHW.
 func (f *fusedConv) reluEpilogue(n int) *tensor.Tensor {
 	c, r := f.conv, f.relu
 	hw := c.oh * c.ow
@@ -110,32 +116,29 @@ func (f *fusedConv) reluEpilogue(n int) *tensor.Tensor {
 	}
 	r.mask = r.mask[:total]
 	r.out = ensureBuf(r.out, n, c.OutC, c.oh, c.ow)
-	out, mask, y := r.out.Data, r.mask, c.y.Data
-	ch := c.OutC
-	if parallel.Workers() == 1 {
-		for img := 0; img < n; img++ {
-			fusedReLUImage(out, mask, y, hw, ch, img)
-		}
-		return r.out
-	}
-	parallel.Do(n, func(img int) {
-		fusedReLUImage(out, mask, y, hw, ch, img)
-	})
+	parallel.ForKernel(n, (*fusedReLU)(f))
 	return r.out
 }
 
-func fusedReLUImage(out []float32, mask []bool, y []float32, hw, ch, img int) {
-	for pos := 0; pos < hw; pos++ {
-		row := y[(img*hw+pos)*ch : (img*hw+pos+1)*ch]
-		base := img*ch*hw + pos
-		for cc, v := range row {
-			di := base + cc*hw
-			if v > 0 {
-				out[di] = v
-				mask[di] = true
-			} else {
-				out[di] = 0
-				mask[di] = false
+type fusedReLU fusedConv
+
+// RunRange activates and transposes images [lo, hi).
+func (f *fusedReLU) RunRange(lo, hi int) {
+	out, mask, y := f.relu.out.Data, f.relu.mask, f.conv.y.Data
+	hw, ch := f.conv.oh*f.conv.ow, f.conv.OutC
+	for img := lo; img < hi; img++ {
+		for pos := 0; pos < hw; pos++ {
+			row := y[(img*hw+pos)*ch : (img*hw+pos+1)*ch]
+			base := img*ch*hw + pos
+			for cc, v := range row {
+				di := base + cc*hw
+				if v > 0 {
+					out[di] = v
+					mask[di] = true
+				} else {
+					out[di] = 0
+					mask[di] = false
+				}
 			}
 		}
 	}
@@ -171,13 +174,22 @@ func (f *fusedConv) bnEpilogue(n int, train bool) *tensor.Tensor {
 		b.out = ensureBuf(b.out, n, ch, c.oh, c.ow)
 		out = b.out
 	}
-	y := c.y.Data
-	xhat := b.xhat.Data
-	o := out.Data
+	f.out, f.mask, f.train = out.Data, mask, train
+	parallel.ForKernel(ch, (*fusedBN)(f))
+	return out
+}
+
+type fusedBN fusedConv
+
+// RunRange normalizes (and, with a mask, activates) channels [lo, hi).
+func (f *fusedBN) RunRange(lo, hi int) {
+	b := f.bn
+	n, ch, hw := b.shape[0], b.shape[1], b.shape[2]*b.shape[3]
+	y, xhat, o, mask := f.conv.y.Data, b.xhat.Data, f.out, f.mask
 	cnt := float32(n * hw)
-	parallel.Do(ch, func(cc int) {
+	for cc := lo; cc < hi; cc++ {
 		var mean, variance float32
-		if train {
+		if f.train {
 			var s float64
 			for img := 0; img < n; img++ {
 				for pos := 0; pos < hw; pos++ {
@@ -221,6 +233,5 @@ func (f *fusedConv) bnEpilogue(n int, train bool) *tensor.Tensor {
 				}
 			}
 		}
-	})
-	return out
+	}
 }

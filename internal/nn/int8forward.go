@@ -41,9 +41,7 @@ func (c *Conv2D) ForwardVia(x *tensor.Tensor, mul quant.Multiplier) *tensor.Tens
 	quant.Int8MatMulT2(c.y.Data, c.qcols, sa, c.qw, c.wScales, c.Bias.W.Data,
 		n*c.oh*c.ow, k, c.OutC, mul)
 
-	c.out = ensureBuf(c.out, n, c.OutC, c.oh, c.ow)
-	nhwcToNCHWInto(c.out, c.y, n, c.oh, c.ow, c.OutC)
-	return c.out
+	return c.toNCHW()
 }
 
 // ForwardVia runs the dense forward on the INT8 datapath with

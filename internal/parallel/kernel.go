@@ -7,9 +7,9 @@ import (
 
 // Kernel is a range task that ForKernel can fan out without building a
 // closure: implementations carry their operands as struct fields, so a
-// caller that pools its kernel structs runs the parallel branch without
+// caller that owns or pools its kernel structs dispatches without
 // touching the allocator. RunRange must only write state owned by its
-// [lo, hi) range — the same determinism contract as For.
+// [lo, hi) range — the package's determinism contract.
 type Kernel interface {
 	RunRange(lo, hi int)
 }
@@ -40,7 +40,7 @@ var startWorkersOnce sync.Once
 
 // startWorkers lazily spawns the persistent worker goroutines on the
 // first parallel ForKernel call. Workers live for the process and park
-// on the channel when idle, so repeated GEMMs reuse them instead of
+// on the channel when idle, so repeated kernels reuse them instead of
 // spawning (and allocating) a goroutine per chunk.
 func startWorkers() {
 	startWorkersOnce.Do(func() {
@@ -67,9 +67,10 @@ func (it workItem) run() {
 }
 
 // ForKernel splits [0, n) into at most Workers() contiguous chunks and
-// runs k.RunRange on each, like For, but through the persistent worker
-// pool so the call allocates nothing. Chunks are admitted under the
-// same global token semaphore as For; saturation (e.g. nested calls)
+// runs k.RunRange on each — helper chunks on the persistent worker
+// pool, the final one on the calling goroutine — and returns when every
+// chunk has finished. The call allocates nothing. Chunks are admitted
+// under Set's global token semaphore; saturation (e.g. nested calls)
 // degrades to inline execution.
 //
 // Waiting is deadlock-free under nesting: before parking, the caller

@@ -21,28 +21,24 @@ func (k *incKernel) RunRange(lo, hi int) {
 
 func TestForKernelCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
+		withWorkers(t, workers)
 		for _, n := range []int{1, 2, 3, 7, 64, 1000, 1023} {
-			func() {
-				Set(workers)
-				defer Set(1)
-				k := &incKernel{hits: make([]int32, n)}
-				ForKernel(n, k)
-				for i, h := range k.hits {
-					if h != 1 {
-						t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, h)
-					}
+			k := &incKernel{hits: make([]int32, n)}
+			ForKernel(n, k)
+			for i, h := range k.hits {
+				if h != 1 {
+					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, h)
 				}
-				if got := k.total.Load(); got != int64(n) {
-					t.Fatalf("workers=%d n=%d: %d total visits", workers, n, got)
-				}
-			}()
+			}
+			if got := k.total.Load(); got != int64(n) {
+				t.Fatalf("workers=%d n=%d: %d total visits", workers, n, got)
+			}
 		}
 	}
 }
 
 func TestForKernelZeroAndNegative(t *testing.T) {
-	Set(4)
-	defer Set(1)
+	withWorkers(t, 4)
 	k := &incKernel{hits: make([]int32, 1)}
 	ForKernel(0, k)
 	ForKernel(-3, k)
@@ -66,8 +62,7 @@ func (k *nestedKernel) RunRange(lo, hi int) {
 }
 
 func TestForKernelNestedDoesNotDeadlock(t *testing.T) {
-	Set(4)
-	defer Set(1)
+	withWorkers(t, 4)
 	outer := &nestedKernel{}
 	for i := 0; i < 32; i++ {
 		outer.inner = append(outer.inner, &incKernel{hits: make([]int32, 257)})
@@ -99,10 +94,9 @@ func TestForKernelMatchesSerial(t *testing.T) {
 	want := make([]int, n)
 	(&sumKernel{dst: want}).RunRange(0, n)
 	for _, workers := range []int{2, 3, 8} {
-		Set(workers)
+		withWorkers(t, workers)
 		got := make([]int, n)
 		ForKernel(n, &sumKernel{dst: got})
-		Set(1)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: index %d = %d, want %d", workers, i, got[i], want[i])
@@ -112,8 +106,7 @@ func TestForKernelMatchesSerial(t *testing.T) {
 }
 
 func TestForKernelDoesNotAllocate(t *testing.T) {
-	Set(4)
-	defer Set(1)
+	withWorkers(t, 4)
 	k := &sumKernel{dst: make([]int, 4096)}
 	// Warm the worker pool and the job pool.
 	for i := 0; i < 8; i++ {

@@ -1,34 +1,33 @@
 // Package parallel provides the host-side worker pool behind the
 // functional training track. Every hot loop in tensor, nn, and core
-// fans out through For/Do, so one knob — Set, surfaced publicly as
-// socflow.WithParallelism — governs how many OS threads the whole
-// stack uses.
+// fans out through ForKernel (For and Do are closure adapters over it),
+// so one knob — Set, surfaced publicly as socflow.WithParallelism —
+// governs how many OS threads the whole stack uses.
 //
-// Determinism contract: For and Do never reorder work results. Callers
-// must write to disjoint output ranges (For) or disjoint per-index
-// state (Do) and perform any floating-point reduction themselves in a
-// fixed order afterwards. Under that contract a run is bit-identical
-// at every parallelism level, including 1 — the property the seeded
-// simulation depends on (host parallelism must never change
+// Determinism contract: a dispatch never reorders work results. Callers
+// must write to disjoint output ranges (ForKernel, For) or disjoint
+// per-index state (Do) and perform any floating-point reduction
+// themselves in a fixed order afterwards. Under that contract a run is
+// bit-identical at every parallelism level, including 1 — the property
+// the seeded simulation depends on (host parallelism must never change
 // EpochAccuracies or SimSeconds).
 //
-// Nesting is safe: helper goroutines are bounded by a global token
-// semaphore, and a caller that cannot obtain tokens simply runs its
-// chunks inline on its own goroutine, so recursive For/Do calls (e.g.
-// a parallel GEMM inside a concurrently trained logical group) can
-// never deadlock, only degrade to sequential execution.
+// Nesting is safe: chunks handed to the persistent workers are bounded
+// by a global token semaphore, and a caller that cannot obtain tokens
+// simply runs its chunks inline on its own goroutine, so recursive
+// calls (e.g. a parallel GEMM inside a concurrently trained logical
+// group) can never deadlock, only degrade to sequential execution.
 package parallel
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
 // limiter is one immutable parallelism regime: a target worker count
-// and the token semaphore bounding extra goroutines. Set swaps the
-// whole limiter atomically so in-flight For calls keep the tokens they
-// acquired and release them back to the channel they came from.
+// and the token semaphore bounding chunks handed to the workers. Set
+// swaps the whole limiter atomically so in-flight calls keep the tokens
+// they acquired and release them back to the channel they came from.
 type limiter struct {
 	workers int
 	sem     chan struct{} // nil when workers == 1
@@ -38,7 +37,7 @@ var cur atomic.Pointer[limiter]
 
 func init() { Set(runtime.GOMAXPROCS(0)) }
 
-// Set fixes the target parallelism for subsequent For/Do calls.
+// Set fixes the target parallelism for subsequent dispatches.
 // Values below 1 are clamped to 1 (fully sequential). It returns the
 // previous setting so callers can restore it.
 func Set(n int) (prev int) {
@@ -60,64 +59,24 @@ func Set(n int) (prev int) {
 // Workers returns the current target parallelism.
 func Workers() int { return cur.Load().workers }
 
-// For splits [0, n) into at most Workers() contiguous chunks and runs
-// fn(lo, hi) on each, using helper goroutines when pool tokens are
-// available and the calling goroutine otherwise. fn must only write
-// state owned by its [lo, hi) range. For returns when every chunk has
-// finished.
-func For(n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	l := cur.Load()
-	w := l.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if hi < n { // the final chunk always runs inline: free backpressure
-			select {
-			case l.sem <- struct{}{}:
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer func() {
-						<-l.sem
-						wg.Done()
-					}()
-					fn(lo, hi)
-				}(lo, hi)
-				continue
-			default:
-				// Pool saturated (e.g. nested call): run inline.
-			}
-		}
-		fn(lo, hi)
-	}
-	wg.Wait()
-}
+// rangeFunc adapts a closure to Kernel. A func value is pointer-shaped,
+// so converting it to the interface does not allocate: a closure caller
+// pays for its closure and nothing else.
+type rangeFunc func(lo, hi int)
+
+func (f rangeFunc) RunRange(lo, hi int) { f(lo, hi) }
+
+// For is ForKernel for a closure: it splits [0, n) into at most
+// Workers() contiguous chunks and runs fn(lo, hi) on each. fn must only
+// write state owned by its [lo, hi) range. A closure that reaches the
+// pool is heap-allocated where it is built, so For is for cold,
+// per-epoch fan-out; hot loops hand ForKernel a struct.
+func For(n int, fn func(lo, hi int)) { ForKernel(n, rangeFunc(fn)) }
 
 // Do runs fn(i) for every i in [0, n), fanning out like For. Each
 // index must own its state; results must be combined by the caller in
-// a fixed order. The sequential regime skips the chunking wrapper
-// entirely so a Do-based kernel costs no more than its caller's
-// closure.
+// a fixed order.
 func Do(n int, fn func(i int)) {
-	if cur.Load().workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
 	For(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fn(i)

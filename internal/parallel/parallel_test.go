@@ -81,3 +81,27 @@ func TestDefaultIsGOMAXPROCS(t *testing.T) {
 		t.Fatalf("workers %d", Workers())
 	}
 }
+
+// For is a closure adapter over the kernel pool: converting the func
+// value to a Kernel is free, so a caller pays for the closure it built
+// (one object, because it reaches the pool and so escapes) and nothing
+// else — no goroutine, WaitGroup or per-chunk wrapper.
+func TestForClosureCostsOneAllocation(t *testing.T) {
+	withWorkers(t, 4)
+	out := make([]int, 4096)
+	call := func() {
+		For(len(out), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				out[i] = i
+			}
+		})
+	}
+	// Warm the workers and the job pool at this width: AllocsPerRun
+	// measures under GOMAXPROCS(1).
+	for i := 0; i < 8; i++ {
+		call()
+	}
+	if avg := testing.AllocsPerRun(50, call); avg > 1 {
+		t.Fatalf("For with a capturing closure allocates %.1f objects/call, want <= 1", avg)
+	}
+}

@@ -121,8 +121,8 @@ func TestChosenPlanRepricesIdentically(t *testing.T) {
 
 func TestSearchValidatesOptions(t *testing.T) {
 	cases := []Options{
-		{},                                       // no spec
-		{Spec: nn.MustSpec("lenet5")},            // no SoCs
+		{},                            // no spec
+		{Spec: nn.MustSpec("lenet5")}, // no SoCs
 		{Spec: nn.MustSpec("lenet5"), NumSoCs: 4, GlobalBatch: 0, Samples: 100}, // no batch
 		{Spec: nn.MustSpec("lenet5"), NumSoCs: 4, GlobalBatch: 8},               // no samples
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"socflow/internal/dataset"
 	"socflow/internal/metrics"
 	"socflow/internal/nn"
+	"socflow/internal/parallel"
 	"socflow/internal/tensor"
 )
 
@@ -128,14 +130,23 @@ func TestEngineTimingModel(t *testing.T) {
 
 // The serving forward is the zero-alloc steady state: after warmup,
 // Predict reuses the model's persistent layer buffers, the fused plan,
-// and the argmax buffer.
+// and the argmax buffer — at one pool worker and at four, whatever the
+// host has.
 func TestEnginePredictZeroAlloc(t *testing.T) {
-	e, ds := testEngine(t, 2, 8)
-	x, _ := ds.Batch([]int{0, 1, 2, 3})
-	e.Predict(x) // warmup builds every persistent buffer
-	allocs := testing.AllocsPerRun(10, func() { e.Predict(x) })
-	if allocs > 0 {
-		t.Fatalf("Predict steady state allocates %v times per call, want 0", allocs)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			prev := parallel.Set(workers)
+			defer parallel.Set(prev)
+			e, ds := testEngine(t, 2, 8)
+			x, _ := ds.Batch([]int{0, 1, 2, 3})
+			// Warmup builds every persistent buffer and, at this width,
+			// the pool's workers: AllocsPerRun measures under GOMAXPROCS(1).
+			e.Predict(x)
+			allocs := testing.AllocsPerRun(10, func() { e.Predict(x) })
+			if allocs > 0 {
+				t.Fatalf("Predict steady state allocates %v times per call, want 0", allocs)
+			}
+		})
 	}
 }
 

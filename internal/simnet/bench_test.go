@@ -22,8 +22,8 @@ func benchFlows() []*Flow {
 // BenchmarkSimnetSimulate pins the zero-alloc steady state of the
 // pooled Simulate path: the planner calls this thousands of times in
 // its inner search loop, so per-event scratch must be reused, not
-// reallocated. Tracked by scripts/bench_compare.sh against
-// scripts/bench_baseline.txt.
+// reallocated. Gated by TestSimulateSteadyStateAllocs below; the repo
+// benchmark tracks the same figure as simnet.allocs_per_call.
 func BenchmarkSimnetSimulate(b *testing.B) {
 	flows := benchFlows()
 	Simulate(flows) // warm the pool and the link-state scratch

@@ -6,60 +6,60 @@ import (
 
 // TestIntoKernelsDoNotAllocate pins the arena contract at the kernel
 // layer: once destination buffers exist, the *Into kernels run without
-// touching the allocator. Measured at one worker — with more, the pool
-// itself may allocate goroutine bookkeeping, which is outside the
-// kernels' contract.
+// touching the allocator — at one worker, and at four, where the
+// per-image kernels fan their two images out through the pool.
 func TestIntoKernelsDoNotAllocate(t *testing.T) {
-	atWorkers(t, 1, func() {
-		rng := NewRNG(3)
-		a := RandNormal(rng, 0, 1, 8, 16)
-		b := RandNormal(rng, 0, 1, 16, 12)
-		bt := RandNormal(rng, 0, 1, 12, 16)
-		at := RandNormal(rng, 0, 1, 16, 8)
-		dst := New(8, 12)
-		dstT1 := New(8, 12)
-		dstT2 := New(8, 12)
-		rowSum := New(16)
-		soft := New(8, 12)
+	rng := NewRNG(3)
+	a := RandNormal(rng, 0, 1, 8, 16)
+	b := RandNormal(rng, 0, 1, 16, 12)
+	bt := RandNormal(rng, 0, 1, 12, 16)
+	at := RandNormal(rng, 0, 1, 16, 8)
+	dst := New(8, 12)
+	dstT1 := New(8, 12)
+	dstT2 := New(8, 12)
+	rowSum := New(16)
+	soft := New(8, 12)
 
-		x := RandNormal(rng, 0, 1, 2, 3, 8, 8)
-		p := ConvParams{KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1}
-		oh, ow := p.OutSize(8, 8)
-		cols := New(2*oh*ow, 3*3*3)
-		img := New(2, 3, 8, 8)
-		pool := ConvParams{KH: 2, KW: 2, SH: 2, SW: 2}
-		ph, pw := pool.OutSize(8, 8)
-		pooled := New(2, 3, ph, pw)
-		arg := make([]int, 2*3*ph*pw)
-		dx := New(2, 3, 8, 8)
+	x := RandNormal(rng, 0, 1, 2, 3, 8, 8)
+	p := ConvParams{KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1}
+	oh, ow := p.OutSize(8, 8)
+	cols := New(2*oh*ow, 3*3*3)
+	img := New(2, 3, 8, 8)
+	pool := ConvParams{KH: 2, KW: 2, SH: 2, SW: 2}
+	ph, pw := pool.OutSize(8, 8)
+	pooled := New(2, 3, ph, pw)
+	arg := make([]int, 2*3*ph*pw)
+	dx := New(2, 3, 8, 8)
 
-		// Every hot kernel runs its sequential regime through a named
-		// range function, so none may touch the allocator — closures are
-		// constructed only on the parallel branch.
-		checks := []struct {
-			name string
-			fn   func()
-		}{
-			{"MatMulInto", func() { MatMulInto(dst, a, b) }},
-			{"MatMulT1Into", func() { MatMulT1Into(dstT1, at, b) }},
-			{"MatMulT2Into", func() { MatMulT2Into(dstT2, a, bt) }},
-			{"SumRowsInto", func() { SumRowsInto(rowSum, a) }},
-			{"SoftmaxInto", func() { SoftmaxInto(soft, dst) }},
-			{"AddInto", func() { AddInto(dst, dst, dst) }},
-			{"Im2ColInto", func() { Im2ColInto(cols, x, p) }},
-			{"Col2ImInto", func() { Col2ImInto(img, cols, p) }},
-			{"MaxPoolInto", func() { MaxPoolInto(pooled, arg, x, pool) }},
-			{"MaxPoolBackwardInto", func() { MaxPoolBackwardInto(dx, pooled, arg) }},
-			{"AvgPoolInto", func() { AvgPoolInto(pooled, x, pool) }},
-			{"AvgPoolBackwardInto", func() { AvgPoolBackwardInto(dx, pooled, pool) }},
-		}
-		for _, c := range checks {
-			c.fn() // warm any lazy state
-			if allocs := testing.AllocsPerRun(10, c.fn); allocs > 0 {
-				t.Errorf("%s allocates %v objects per call, want 0", c.name, allocs)
+	checks := []struct {
+		name string
+		fn   func()
+	}{
+		{"MatMulInto", func() { MatMulInto(dst, a, b) }},
+		{"MatMulT1Into", func() { MatMulT1Into(dstT1, at, b) }},
+		{"MatMulT2Into", func() { MatMulT2Into(dstT2, a, bt) }},
+		{"SumRowsInto", func() { SumRowsInto(rowSum, a) }},
+		{"SoftmaxInto", func() { SoftmaxInto(soft, dst) }},
+		{"AddInto", func() { AddInto(dst, dst, dst) }},
+		{"Im2ColInto", func() { Im2ColInto(cols, x, p) }},
+		{"Col2ImInto", func() { Col2ImInto(img, cols, p) }},
+		{"MaxPoolInto", func() { MaxPoolInto(pooled, arg, x, pool) }},
+		{"MaxPoolBackwardInto", func() { MaxPoolBackwardInto(dx, pooled, arg) }},
+		{"AvgPoolInto", func() { AvgPoolInto(pooled, x, pool) }},
+		{"AvgPoolBackwardInto", func() { AvgPoolBackwardInto(dx, pooled, pool) }},
+	}
+	for _, workers := range []int{1, 4} {
+		atWorkers(t, workers, func() {
+			for _, c := range checks {
+				// Warm the task pool and, at this width, the workers:
+				// AllocsPerRun measures under GOMAXPROCS(1).
+				c.fn()
+				if allocs := testing.AllocsPerRun(10, c.fn); allocs > 0 {
+					t.Errorf("workers=%d: %s allocates %v objects per call, want 0", workers, c.name, allocs)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // TestArenaReusesBuffers checks the arena round-trip: a released buffer

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"sync"
 
 	"socflow/internal/parallel"
 )
@@ -22,6 +23,61 @@ func (p ConvParams) OutSize(h, w int) (oh, ow int) {
 		panic(fmt.Sprintf("tensor: conv window %+v does not fit input %dx%d", p, h, w))
 	}
 	return oh, ow
+}
+
+// imageTask carries the operands of one per-image kernel (unfold, fold,
+// pool) through parallel.ForKernel. Every image reads and writes its
+// own block of src and dst, so images run independently and the result
+// is bit-identical at every parallelism level. Tasks are pooled like
+// gemmTask.
+type imageTask struct {
+	op                    int // opIm2Col ... opAvgPoolBackward
+	dst, src              []float32
+	arg                   []int   // max-pool argmax positions
+	inv                   float32 // avg-pool 1/window
+	c, h, w, oh, ow, colW int
+	p                     ConvParams
+}
+
+const (
+	opIm2Col = iota
+	opCol2Im
+	opMaxPool
+	opMaxPoolBackward
+	opAvgPool
+	opAvgPoolBackward
+)
+
+// RunRange implements parallel.Kernel over images [lo, hi).
+func (t *imageTask) RunRange(lo, hi int) {
+	for img := lo; img < hi; img++ {
+		switch t.op {
+		case opIm2Col:
+			im2colImage(t.dst, t.src, t.colW, t.c, t.h, t.w, t.oh, t.ow, t.p, img)
+		case opCol2Im:
+			col2imImage(t.dst, t.src, t.colW, t.c, t.h, t.w, t.oh, t.ow, t.p, img)
+		case opMaxPool:
+			maxPoolImage(t.dst, t.arg, t.src, t.c, t.h, t.w, t.oh, t.ow, t.p, img)
+		case opMaxPoolBackward:
+			maxPoolBackwardImage(t.dst, t.src, t.arg, t.c*t.oh*t.ow, t.c*t.h*t.w, img)
+		case opAvgPool:
+			avgPoolImage(t.dst, t.src, t.inv, t.c, t.h, t.w, t.oh, t.ow, t.p, img)
+		case opAvgPoolBackward:
+			avgPoolBackwardImage(t.dst, t.src, t.inv, t.c, t.h, t.w, t.oh, t.ow, t.p, img)
+		}
+	}
+}
+
+var imageTaskPool = sync.Pool{New: func() any { return new(imageTask) }}
+
+// runImages fans t out over n images through the persistent worker
+// pool, recycling the task struct afterwards.
+func runImages(n int, t imageTask) {
+	pt := imageTaskPool.Get().(*imageTask)
+	*pt = t
+	parallel.ForKernel(n, pt)
+	*pt = imageTask{}
+	imageTaskPool.Put(pt)
 }
 
 // Im2Col unfolds input x[N,C,H,W] into a matrix [N*OH*OW, C*KH*KW] so a
@@ -52,17 +108,9 @@ func Im2ColInto(cols, x *Tensor, p ConvParams) {
 	}
 	kstatIm2ColOps.Add(1)
 	// Each image owns rows [img*oh*ow, (img+1)*oh*ow) of the column
-	// matrix, so images unfold independently. The sequential regime
-	// loops over a named function — no closure, no allocation.
-	if parallel.Workers() == 1 {
-		for img := 0; img < n; img++ {
-			im2colImage(cols.Data, x.Data, cols.Shape[1], c, h, w, oh, ow, p, img)
-		}
-		return
-	}
-	parallel.Do(n, func(img int) {
-		im2colImage(cols.Data, x.Data, cols.Shape[1], c, h, w, oh, ow, p, img)
-	})
+	// matrix, so images unfold independently.
+	runImages(n, imageTask{op: opIm2Col, dst: cols.Data, src: x.Data,
+		colW: cols.Shape[1], c: c, h: h, w: w, oh: oh, ow: ow, p: p})
 }
 
 // im2colImage unfolds one image's windows into its rows of the column
@@ -146,15 +194,8 @@ func Col2ImInto(img, cols *Tensor, p ConvParams) {
 	// All of image in's accumulations land in its own c*h*w block and
 	// keep their serial (oy, ox, ch, ky, kx) order, so folding images in
 	// parallel is race-free and bit-identical.
-	if parallel.Workers() == 1 {
-		for in := 0; in < n; in++ {
-			col2imImage(img.Data, cols.Data, cols.Shape[1], c, h, w, oh, ow, p, in)
-		}
-		return
-	}
-	parallel.Do(n, func(in int) {
-		col2imImage(img.Data, cols.Data, cols.Shape[1], c, h, w, oh, ow, p, in)
-	})
+	runImages(n, imageTask{op: opCol2Im, dst: img.Data, src: cols.Data,
+		colW: cols.Shape[1], c: c, h: h, w: w, oh: oh, ow: ow, p: p})
 }
 
 // col2imImage folds one image's column rows back into its NCHW block,
@@ -225,15 +266,8 @@ func MaxPoolInto(out *Tensor, arg []int, x *Tensor, p ConvParams) {
 	if out.Size() != n*c*oh*ow || len(arg) != out.Size() {
 		panic(fmt.Sprintf("tensor: MaxPoolInto out %v/arg %d, want %d elements", out.Shape, len(arg), n*c*oh*ow))
 	}
-	if parallel.Workers() == 1 {
-		for img := 0; img < n; img++ {
-			maxPoolImage(out.Data, arg, x.Data, c, h, w, oh, ow, p, img)
-		}
-		return
-	}
-	parallel.Do(n, func(img int) {
-		maxPoolImage(out.Data, arg, x.Data, c, h, w, oh, ow, p, img)
-	})
+	runImages(n, imageTask{op: opMaxPool, dst: out.Data, src: x.Data, arg: arg,
+		c: c, h: h, w: w, oh: oh, ow: ow, p: p})
 }
 
 // maxPoolImage pools one image, recording argmax positions. Windows
@@ -328,18 +362,12 @@ func MaxPoolBackwardInto(dx, grad *Tensor, arg []int) {
 		return
 	}
 	// Argmax positions recorded for image img always point inside that
-	// image's own block of dx, so images scatter independently.
-	per := grad.Size() / n
-	dper := dx.Size() / n
-	if parallel.Workers() == 1 {
-		for img := 0; img < n; img++ {
-			maxPoolBackwardImage(dx.Data, grad.Data, arg, per, dper, img)
-		}
-		return
-	}
-	parallel.Do(n, func(img int) {
-		maxPoolBackwardImage(dx.Data, grad.Data, arg, per, dper, img)
-	})
+	// image's own block of dx, so images scatter independently. Only the
+	// per-image sizes matter here, so each image is described as one
+	// flat channel: grad.Size()/n outputs scattered into dx.Size()/n
+	// inputs.
+	runImages(n, imageTask{op: opMaxPoolBackward, dst: dx.Data, src: grad.Data, arg: arg,
+		c: 1, h: dx.Size() / n, w: 1, oh: grad.Size() / n, ow: 1})
 }
 
 // maxPoolBackwardImage zeroes one image's input-gradient block and
@@ -375,16 +403,8 @@ func AvgPoolInto(out, x *Tensor, p ConvParams) {
 	if out.Size() != n*c*oh*ow {
 		panic(fmt.Sprintf("tensor: AvgPoolInto out %v, want %d elements", out.Shape, n*c*oh*ow))
 	}
-	inv := 1 / float32(p.KH*p.KW)
-	if parallel.Workers() == 1 {
-		for img := 0; img < n; img++ {
-			avgPoolImage(out.Data, x.Data, inv, c, h, w, oh, ow, p, img)
-		}
-		return
-	}
-	parallel.Do(n, func(img int) {
-		avgPoolImage(out.Data, x.Data, inv, c, h, w, oh, ow, p, img)
-	})
+	runImages(n, imageTask{op: opAvgPool, dst: out.Data, src: x.Data,
+		inv: 1 / float32(p.KH*p.KW), c: c, h: h, w: w, oh: oh, ow: ow, p: p})
 }
 
 // avgPoolImage average-pools one image with count_include_pad.
@@ -431,16 +451,8 @@ func AvgPoolBackwardInto(dx, grad *Tensor, p ConvParams) {
 	}
 	n, c, h, w := dx.Shape[0], dx.Shape[1], dx.Shape[2], dx.Shape[3]
 	oh, ow := p.OutSize(h, w)
-	inv := 1 / float32(p.KH*p.KW)
-	if parallel.Workers() == 1 {
-		for img := 0; img < n; img++ {
-			avgPoolBackwardImage(dx.Data, grad.Data, inv, c, h, w, oh, ow, p, img)
-		}
-		return
-	}
-	parallel.Do(n, func(img int) {
-		avgPoolBackwardImage(dx.Data, grad.Data, inv, c, h, w, oh, ow, p, img)
-	})
+	runImages(n, imageTask{op: opAvgPoolBackward, dst: dx.Data, src: grad.Data,
+		inv: 1 / float32(p.KH*p.KW), c: c, h: h, w: w, oh: oh, ow: ow, p: p})
 }
 
 // avgPoolBackwardImage zeroes one image's input-gradient block and

@@ -29,15 +29,13 @@ const gemmCutoff = 1 << 15
 const gemmNB = 256
 
 // serialRows reports whether a GEMM of the given multiply-add count
-// should run on the calling goroutine; smaller products finish before a
-// fan-out pays off.
+// should skip the pool and run on the calling goroutine.
 func serialRows(flops int) bool {
-	return flops < gemmCutoff || parallel.Workers() == 1
+	return flops < gemmCutoff
 }
 
 // gemmTask carries one GEMM's operands through parallel.ForKernel.
-// Tasks are pooled so the parallel branch, like the serial one, never
-// touches the allocator.
+// Tasks are pooled so the dispatch never touches the allocator.
 type gemmTask struct {
 	op        int // opMatMul, opMatMulT1, opMatMulT2
 	dst, a, b []float32

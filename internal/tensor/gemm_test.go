@@ -93,7 +93,7 @@ var gemmShapes = []struct{ m, k, n int }{
 
 func TestBlockedGEMMMatchesNaive(t *testing.T) {
 	for _, p := range []int{1, 8} {
-		parallel.Set(p)
+		prev := parallel.Set(p)
 		r := NewRNG(42)
 		for _, s := range gemmShapes {
 			a := randTensor(r, s.m, s.k)
@@ -110,7 +110,7 @@ func TestBlockedGEMMMatchesNaive(t *testing.T) {
 			MatMulT2Into(got, a, bt)
 			sameBits(t, "MatMulT2", got, naiveMatMulT2(a, bt))
 		}
-		parallel.Set(1)
+		parallel.Set(prev)
 	}
 }
 
@@ -166,8 +166,8 @@ func TestBlockedGEMMPropagatesNaN(t *testing.T) {
 // to the parallel branch: shapes above gemmCutoff at parallelism 4 must
 // fan out through the pooled kernel path without touching the allocator.
 func TestParallelGEMMDoesNotAllocate(t *testing.T) {
-	parallel.Set(4)
-	defer parallel.Set(1)
+	prev := parallel.Set(4)
+	defer parallel.Set(prev)
 	r := NewRNG(3)
 	// 64*64*64 = 262144 multiply-adds, far above gemmCutoff (1<<15).
 	a := randTensor(r, 64, 64)

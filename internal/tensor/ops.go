@@ -3,26 +3,12 @@ package tensor
 import (
 	"fmt"
 	"math"
-
-	"socflow/internal/parallel"
 )
 
-// elementwiseCutoff is the tensor size below which elementwise ops stay
-// on the calling goroutine: goroutine fan-out costs more than the loop
-// for the small parameter tensors of the micro models.
-const elementwiseCutoff = 1 << 14
-
-// forElems runs fn over [0, n) index ranges, fanning out through the
-// worker pool for tensors large enough to pay for it. fn must touch
-// only indices in [lo, hi), which keeps the result bit-identical at
-// every parallelism level.
-func forElems(n int, fn func(lo, hi int)) {
-	if n < elementwiseCutoff {
-		fn(0, n)
-		return
-	}
-	parallel.For(n, fn)
-}
+// The elementwise ops below are plain loops on the calling goroutine:
+// the micro models' parameter and activation tensors almost never reach
+// the size at which a fan-out would pay for itself (DESIGN.md §8 has
+// the counts).
 
 // Add returns a + b elementwise as a new tensor.
 func Add(a, b *Tensor) *Tensor {
@@ -32,42 +18,24 @@ func Add(a, b *Tensor) *Tensor {
 }
 
 // AddInto computes dst = a + b elementwise into an existing tensor.
-// dst may alias a or b. The serial regime calls a named range function
-// rather than building a closure, so the hot path stays allocation-free
-// (a func literal that may reach a goroutine always heap-allocates).
+// dst may alias a or b.
 func AddInto(dst, a, b *Tensor) {
 	checkSame("AddInto", a, b)
 	checkSame("AddInto", dst, a)
-	n := len(a.Data)
-	if serialElems(n) {
-		addRange(dst.Data, a.Data, b.Data, 0, n)
-		return
+	d, y := dst.Data, b.Data
+	for i, v := range a.Data {
+		d[i] = v + y[i]
 	}
-	parallel.For(n, func(lo, hi int) { addRange(dst.Data, a.Data, b.Data, lo, hi) })
-}
-
-func addRange(dst, a, b []float32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst[i] = a[i] + b[i]
-	}
-}
-
-// serialElems reports whether an elementwise op over n items should run
-// on the calling goroutine: too small to pay for fan-out, or the pool
-// is sequential anyway.
-func serialElems(n int) bool {
-	return n < elementwiseCutoff || parallel.Workers() == 1
 }
 
 // Sub returns a - b elementwise as a new tensor.
 func Sub(a, b *Tensor) *Tensor {
 	checkSame("Sub", a, b)
 	out := New(a.Shape...)
-	forElems(len(a.Data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.Data[i] = a.Data[i] - b.Data[i]
-		}
-	})
+	d, y := out.Data, b.Data
+	for i, v := range a.Data {
+		d[i] = v - y[i]
+	}
 	return out
 }
 
@@ -75,45 +43,28 @@ func Sub(a, b *Tensor) *Tensor {
 func Mul(a, b *Tensor) *Tensor {
 	checkSame("Mul", a, b)
 	out := New(a.Shape...)
-	forElems(len(a.Data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.Data[i] = a.Data[i] * b.Data[i]
-		}
-	})
+	d, y := out.Data, b.Data
+	for i, v := range a.Data {
+		d[i] = v * y[i]
+	}
 	return out
 }
 
 // AddInPlace accumulates b into a (a += b).
 func AddInPlace(a, b *Tensor) {
 	checkSame("AddInPlace", a, b)
-	n := len(a.Data)
-	if serialElems(n) {
-		addInPlaceRange(a.Data, b.Data, 0, n)
-		return
-	}
-	parallel.For(n, func(lo, hi int) { addInPlaceRange(a.Data, b.Data, lo, hi) })
-}
-
-func addInPlaceRange(a, b []float32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		a[i] += b[i]
+	d := a.Data
+	for i, v := range b.Data {
+		d[i] += v
 	}
 }
 
 // SubInPlace subtracts b from a (a -= b).
 func SubInPlace(a, b *Tensor) {
 	checkSame("SubInPlace", a, b)
-	n := len(a.Data)
-	if serialElems(n) {
-		subInPlaceRange(a.Data, b.Data, 0, n)
-		return
-	}
-	parallel.For(n, func(lo, hi int) { subInPlaceRange(a.Data, b.Data, lo, hi) })
-}
-
-func subInPlaceRange(a, b []float32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		a[i] -= b[i]
+	d := a.Data
+	for i, v := range b.Data {
+		d[i] -= v
 	}
 }
 
@@ -121,64 +72,38 @@ func subInPlaceRange(a, b []float32, lo, hi int) {
 // aggregation.
 func Axpy(alpha float32, b, a *Tensor) {
 	checkSame("Axpy", a, b)
-	n := len(a.Data)
-	if serialElems(n) {
-		axpyRange(alpha, b.Data, a.Data, 0, n)
-		return
-	}
-	parallel.For(n, func(lo, hi int) { axpyRange(alpha, b.Data, a.Data, lo, hi) })
-}
-
-func axpyRange(alpha float32, b, a []float32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		a[i] += alpha * b[i]
+	d := a.Data
+	for i, v := range b.Data {
+		d[i] += alpha * v
 	}
 }
 
 // Scale multiplies every element of t by alpha in place.
 func Scale(alpha float32, t *Tensor) {
-	n := len(t.Data)
-	if serialElems(n) {
-		scaleRange(alpha, t.Data, 0, n)
-		return
-	}
-	parallel.For(n, func(lo, hi int) { scaleRange(alpha, t.Data, lo, hi) })
-}
-
-func scaleRange(alpha float32, t []float32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		t[i] *= alpha
+	d := t.Data
+	for i := range d {
+		d[i] *= alpha
 	}
 }
 
 // Scaled returns alpha*t as a new tensor.
 func Scaled(alpha float32, t *Tensor) *Tensor {
 	out := New(t.Shape...)
-	forElems(len(t.Data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.Data[i] = alpha * t.Data[i]
-		}
-	})
+	d := out.Data
+	for i, v := range t.Data {
+		d[i] = alpha * v
+	}
 	return out
 }
 
 // Lerp overwrites dst with (1-w)*a + w*b, used by SoCFlow's Eq. 5
-// mixed-precision weight merge. It runs once per parameter per epoch,
-// so it takes the allocation-free serial path like the other hot ops.
+// mixed-precision weight merge.
 func Lerp(dst, a, b *Tensor, w float32) {
 	checkSame("Lerp", a, b)
 	checkSame("Lerp", dst, a)
-	n := len(dst.Data)
-	if serialElems(n) {
-		lerpRange(dst.Data, a.Data, b.Data, w, 0, n)
-		return
-	}
-	parallel.For(n, func(lo, hi int) { lerpRange(dst.Data, a.Data, b.Data, w, lo, hi) })
-}
-
-func lerpRange(dst, a, b []float32, w float32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst[i] = (1-w)*a[i] + w*b[i]
+	d, y := dst.Data, b.Data
+	for i, v := range a.Data {
+		d[i] = (1-w)*v + w*y[i]
 	}
 }
 
