@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race chaos bench bench-smoke bench-report bench-elastic server-smoke serve-smoke bench-colocation bench-autopar bench-replan ci
+.PHONY: all build vet test race chaos bench bench-smoke bench-report bench-elastic server-smoke serve-smoke bench-colocation ci
 
 all: ci
 
@@ -73,24 +73,6 @@ bench-elastic:
 bench-colocation:
 	$(GO) run ./cmd/socflow-bench --exp colocation --samples 480 \
 		--metrics-out BENCH_pr8.json
-
-# Auto-parallelization experiment: the planner searches group count ×
-# pipeline depth × placement over the simnet cost model and the table
-# shows the searched hybrid beating pure and grouped data parallelism
-# on ResNet-34 at 8/16/32 SoCs, with predicted epoch time equal to the
-# executed one; emits BENCH_pr9.json.
-bench-autopar:
-	$(GO) run ./cmd/socflow-bench --exp autopar --samples 480 --epochs 6 \
-		--metrics-out BENCH_pr9.json
-
-# Elastic re-planning experiment: the pipeline track under a permanent
-# stage crash and a tidal shrink, with planner-driven recovery. The
-# harness asserts the fault-free elastic run bit-identical to the
-# plain pipeline and every adopted re-plan's predicted epoch seconds
-# equal to the executed ones; emits BENCH_pr10.json.
-bench-replan:
-	$(GO) run ./cmd/socflow-bench --exp replan --samples 300 --epochs 5 \
-		--metrics-out BENCH_pr10.json
 
 bench-report:
 	$(GO) run ./cmd/socflow-bench --exp scalability --samples 480 --epochs 6 \

@@ -81,31 +81,48 @@ func TestWithPlanReproducible(t *testing.T) {
 	}
 }
 
-// A data-mode plan maps onto the paper's grouped protocol at the
-// plan's group count.
-func TestWithPlanDataModeRunsSoCFlow(t *testing.T) {
-	cfg := Config{
+// dataPlanConfig is a small compute-bound configuration the planner
+// must answer with a data plan: lenet5's sub-megabyte gradients sync
+// for almost nothing, and a pipeline pays dispatch overhead per stage.
+func dataPlanConfig() Config {
+	return Config{
 		JobSpec: JobSpec{
 			Model: "lenet5", Dataset: "fmnist", Epochs: 1, GlobalBatch: 16,
 			LR: 0.02, Momentum: 0.9, Seed: 3, TrainSamples: 128, ValSamples: 64,
 		},
 		NumSoCs:    4,
 		Groups:     2,
+		Mixed:      "fp32",
 		PaperBatch: 64,
 	}
-	p, err := PlanParallelism(cfg)
+}
+
+func dataPlan(t *testing.T) *ParallelPlan {
+	t.Helper()
+	p, err := PlanParallelism(dataPlanConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Mode != "data" {
-		t.Skipf("planner chose %q for lenet5; the data-mode mapping test needs a data plan", p.Mode)
+		t.Fatalf("planner chose %v for lenet5, the data-plan tests need a data plan", p)
 	}
-	rep, err := Run(context.Background(), cfg, WithPlan(p))
+	return p
+}
+
+// A data-mode plan maps onto the paper's grouped protocol at the
+// plan's group count, and — in FP32, the precision the planner prices
+// — the executed epoch is the predicted one, bit for bit.
+func TestWithPlanDataModeRunsSoCFlow(t *testing.T) {
+	p := dataPlan(t)
+	rep, err := Run(context.Background(), dataPlanConfig(), WithPlan(p))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Strategy != "SoCFlow" {
 		t.Fatalf("data plan ran strategy %q, want SoCFlow", rep.Strategy)
+	}
+	if rep.MeanEpochSeconds != p.EpochSeconds {
+		t.Fatalf("executed epoch %.6fs, planner predicted %.6fs", rep.MeanEpochSeconds, p.EpochSeconds)
 	}
 }
 
@@ -139,5 +156,19 @@ func TestParallelismValidation(t *testing.T) {
 	cfg.Parallelism = ""
 	if _, err := Run(context.Background(), cfg, WithPlan(&bad)); !errors.Is(err, ErrBadPlan) {
 		t.Fatalf("invalid plan: got %v, want ErrBadPlan", err)
+	}
+
+	// A data plan runs as SoCFlow at its group count: one that prices
+	// another placement or batch must not get as far as the scheduler.
+	dp := dataPlan(t)
+	moved := *dp
+	moved.Placement = [][]int{{0, 2}, {1, 3}}
+	if _, err := defaultClient().Submit(context.Background(), dataPlanConfig(), WithPlan(&moved)); !errors.Is(err, ErrBadPlan) {
+		t.Fatalf("data plan off the integrity-greedy mapping: Submit returned %v, want ErrBadPlan", err)
+	}
+	cfg = dataPlanConfig()
+	cfg.PaperBatch = 32 // plan was priced at 64
+	if _, err := defaultClient().Submit(context.Background(), cfg, WithPlan(dp)); !errors.Is(err, ErrBadPlan) {
+		t.Fatalf("data plan priced at another batch: Submit returned %v, want ErrBadPlan", err)
 	}
 }

@@ -425,6 +425,11 @@ func buildTrainSpec(submitCtx context.Context, cfg Config, o runOptions, h *jobR
 	if err != nil {
 		return server.JobSpec{}, err
 	}
+	if o.plan != nil {
+		if _, err := strategyFromPlan(cfg, o.plan); err != nil {
+			return server.JobSpec{}, err
+		}
+	}
 	store, err := o.checkpointStore()
 	if err != nil {
 		return server.JobSpec{}, err

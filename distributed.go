@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"socflow/internal/cluster"
 	"socflow/internal/core"
 	"socflow/internal/dataset"
 	"socflow/internal/metrics"
@@ -257,7 +258,7 @@ func buildDistributedSpec(submitCtx context.Context, cfg DistributedConfig, o ru
 			}
 		}
 
-		mapping := core.IntegrityGreedyMap(cfg.NumSoCs, cfg.Groups, 5)
+		mapping := autoplan.IntegrityGreedyMap(autoplan.AllNodes(cfg.NumSoCs), cfg.Groups, cluster.SoCsPerPCBDefault)
 
 		var mesh transport.Mesh
 		if cfg.InProcess {
@@ -295,7 +296,7 @@ func buildDistributedSpec(submitCtx context.Context, cfg DistributedConfig, o ru
 		if o.logger != nil {
 			o.logger.Printf("distributed run: %s on %s, %d SoCs in %d groups", cfg.Model, cfg.Dataset, cfg.NumSoCs, cfg.Groups)
 		}
-		dcfg.Groups = runtime.GroupsFromMapping(mapping)
+		dcfg.Groups = mapping.Groups
 		dcfg.DegradeOnFault = cfg.DegradeOnFault
 		if o.recovery || len(cfg.PreemptWindows) > 0 {
 			dcfg.Faults, dcfg.Recovery = recoveryPlan(cfg, o, dcfg.Faults)

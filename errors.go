@@ -35,7 +35,8 @@ var (
 	// ErrUnknownParallelism reports a Config.Parallelism value outside
 	// ""/data/auto/pipeline, or one combined with a baseline strategy.
 	ErrUnknownParallelism = errors.New("socflow: unknown parallelism")
-	// ErrBadPlan reports a WithPlan plan that fails validation or does
-	// not match the configured cluster.
+	// ErrBadPlan reports a WithPlan plan that fails validation, does
+	// not match the configured cluster, or — a data plan — prices a
+	// placement or batch other than the one the run executes.
 	ErrBadPlan = errors.New("socflow: invalid parallelization plan")
 )

@@ -10,9 +10,11 @@ import (
 	"log"
 	"time"
 
+	"socflow/internal/cluster"
 	"socflow/internal/core"
 	"socflow/internal/dataset"
 	"socflow/internal/nn"
+	"socflow/internal/plan"
 	"socflow/internal/runtime"
 	"socflow/internal/transport"
 )
@@ -23,7 +25,7 @@ func main() {
 		groups  = 2
 	)
 	// Plan the topology the way the global scheduler would.
-	mapping := core.IntegrityGreedyMap(numSoCs, groups, 5)
+	mapping := plan.IntegrityGreedyMap(plan.AllNodes(numSoCs), groups, cluster.SoCsPerPCBDefault)
 	fmt.Printf("topology: %d SoCs in %d logical groups: %v\n", numSoCs, groups, mapping.Groups)
 
 	// A real TCP mesh on loopback: one connection per SoC pair.
@@ -40,7 +42,7 @@ func main() {
 	start := time.Now()
 	res, err := runtime.RunDistributed(context.Background(), mesh, nn.MustSpec("lenet5"), train, val, runtime.DistConfig{
 		JobSpec: core.JobSpec{Epochs: 8, GlobalBatch: 20, LR: 0.03, Momentum: 0.9, Seed: 8},
-		Groups:  runtime.GroupsFromMapping(mapping),
+		Groups:  mapping.Groups,
 	})
 	if err != nil {
 		log.Fatal(err)

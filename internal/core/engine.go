@@ -295,10 +295,3 @@ func EvalAccuracy(model *nn.Sequential, val *dataset.Dataset) float64 {
 	}
 	return float64(correct) / float64(total)
 }
-
-// overlapFraction is the share of a gradient transfer that layer-wise
-// computing-communication overlap (§4.1 optimization 1) hides behind
-// the backward pass that produces the gradients: deep-layer gradients
-// ship while shallow layers still compute, so only the first layers'
-// worth of transfer serializes.
-const overlapFraction = 0.75

@@ -5,12 +5,14 @@ import (
 
 	"bytes"
 	"io"
+	"math"
 	"testing"
 
 	"socflow/internal/cluster"
 	"socflow/internal/collective"
 	"socflow/internal/dataset"
 	"socflow/internal/nn"
+	autoplan "socflow/internal/plan"
 	"socflow/internal/tensor"
 )
 
@@ -254,28 +256,35 @@ func TestFedSGDRunsAndIsSlowerToConverge(t *testing.T) {
 	}
 }
 
+// The member-batch rule SoCFlow's timeline and the planner share
+// (Pricer.MemberBatches): underclocking-aware rebalancing gives a
+// throttled member a smaller slice, and the group's SSGD step beats
+// the even split.
 func TestGlobalSchedulerRebalance(t *testing.T) {
 	clu := cluster.New(cluster.Config{NumSoCs: 8})
-	m := IntegrityGreedyMap(8, 2, 5)
-	gs := NewGlobalScheduler(clu, m)
-	even := gs.RebalanceShares(0)
-	for _, s := range even {
-		if s != 0.25 {
-			t.Fatalf("even shares = %v", even)
+	spec := nn.MustSpec("vgg11")
+	members := IntegrityGreedyMap(8, 2, 5).Groups[0]
+	pr := autoplan.NewPricer(clu, spec)
+	for _, b := range pr.MemberBatches(members, 64, true) {
+		if b != 16 {
+			t.Fatalf("unthrottled shares of 64 over 4 members = %d, want 16", b)
 		}
 	}
 	// Throttle one member to half speed: its share must drop, and the
 	// rebalanced step must beat the naive even split.
-	victim := m.Groups[0][0]
-	clu.SetThrottle(victim, 0.5)
-	shares := gs.RebalanceShares(0)
-	if shares[0] >= 0.25 {
-		t.Fatalf("throttled member kept share %v", shares[0])
+	clu.SetThrottle(members[0], 0.5)
+	groupStep := func(rebalance bool) (first int, step float64) {
+		batches := pr.MemberBatches(members, 64, rebalance)
+		for i, b := range batches {
+			step = math.Max(step, clu.StepTime(members[i], spec, b, cluster.CPU))
+		}
+		return batches[0], step
 	}
-	spec := nn.MustSpec("vgg11")
-	balanced := gs.GroupStepTime(0, spec, 64, shares)
-	naive := gs.GroupStepTime(0, spec, 64, even)
-	if balanced >= naive {
+	first, balanced := groupStep(true)
+	if first >= 16 {
+		t.Fatalf("throttled member kept %d of 64 samples", first)
+	}
+	if _, naive := groupStep(false); balanced >= naive {
 		t.Fatalf("rebalancing (%v) should beat even split (%v) under throttling", balanced, naive)
 	}
 }

@@ -5,45 +5,7 @@ import (
 	"fmt"
 
 	"socflow/internal/cluster"
-	"socflow/internal/collective"
-	"socflow/internal/nn"
 )
-
-// EpochTimeModel evaluates Eq. 1 of the paper: the per-epoch wall time
-// for m SoCs divided into n logical groups, each group training with
-// global batch size bsG:
-//
-//	T_epoch = NUM_sample / (N·BS_g) · (T_train^{BS_g} · N/M + T_sync)
-//
-// where T_train is the compute time of one group batch on a single SoC
-// (so T_train·N/M spreads it over the group's M/N members) and T_sync
-// is one intra-group synchronization. The delayed inter-group
-// aggregation adds one leader all-reduce per epoch.
-func EpochTimeModel(clu *cluster.Cluster, spec *nn.Spec, samples, m, n, bsG int) float64 {
-	if n <= 0 || m <= 0 || n > m || bsG <= 0 {
-		panic(fmt.Sprintf("core: EpochTimeModel m=%d n=%d bs=%d", m, n, bsG))
-	}
-	iters := float64(samples) / float64(n*bsG)
-	groupSize := m / n
-	perSoCBatch := (bsG + groupSize - 1) / groupSize
-	tTrain := clu.StepTime(0, spec, perSoCBatch, cluster.CPU)
-
-	mapping := IntegrityGreedyMap(m, n, clu.Config.SoCsPerPCB)
-	tSync := 0.0
-	if groupSize > 1 {
-		tSync = collective.RingAllReduceTime(clu, mapping.Groups[0], float64(spec.GradBytes()))
-	}
-	epoch := iters * (tTrain + tSync)
-	// Delayed aggregation: one leader ring per epoch.
-	if n > 1 {
-		leaders := make([]int, n)
-		for g := range leaders {
-			leaders[g] = mapping.Groups[g][0]
-		}
-		epoch += collective.RingAllReduceTime(clu, leaders, float64(spec.GradBytes()))
-	}
-	return epoch
-}
 
 // GroupSizeProbe reports the first-epoch training accuracy when the
 // job is run with the given number of logical groups. The engine

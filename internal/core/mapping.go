@@ -1,188 +1,18 @@
 // Package core implements SoCFlow itself: group-wise parallelism with
-// delayed aggregation (§3.1 — group sizing, integrity-greedy
-// logical-to-physical mapping, communication-group planning) and
-// data-parallel mixed-precision training (§3.2 — the α/β controller),
-// plus the distributed training engine and global scheduler that tie
-// them to the cluster model.
+// delayed aggregation (§3.1 — group sizing; the integrity-greedy
+// logical-to-physical mapping, communication-group planning and the
+// Fig. 7 schedule are internal/plan's, shared with the planner's
+// search) and data-parallel mixed-precision training (§3.2 — the α/β
+// controller), plus the distributed training engine that ties them to
+// the cluster model.
 package core
 
-import (
-	"fmt"
-)
+import autoplan "socflow/internal/plan"
 
-// Mapping is the assignment of logical groups (LGs) to physical SoCs.
-type Mapping struct {
-	// Groups[g] lists the SoC IDs of logical group g, in placement
-	// order.
-	Groups [][]int
-	// SoCsPerPCB is the physical group size the mapping was built for.
-	SoCsPerPCB int
-}
-
-// IntegrityGreedyMap implements the paper's integrity-greedy mapping:
-// first place as many whole logical groups as possible inside single
-// PCBs (no NIC crossing), then squeeze the remaining groups into the
-// leftover slots in 1-D order, so each remaining group occupies a
-// contiguous run of slots and can only touch its 1-D neighbours.
-//
-// m SoCs are divided into n logical groups; groups get ⌈m/n⌉ or ⌊m/n⌋
-// members (the paper assumes divisibility; we distribute remainders).
-func IntegrityGreedyMap(m, n, socsPerPCB int) *Mapping {
-	if n <= 0 || m <= 0 || n > m {
-		panic(fmt.Sprintf("core: cannot map %d SoCs into %d groups", m, n))
-	}
-	if socsPerPCB <= 0 {
-		panic("core: SoCsPerPCB must be positive")
-	}
-	// Group sizes: first (m mod n) groups get one extra member.
-	sizes := make([]int, n)
-	base, extra := m/n, m%n
-	for i := range sizes {
-		sizes[i] = base
-		if i < extra {
-			sizes[i]++
-		}
-	}
-
-	numPCBs := (m + socsPerPCB - 1) / socsPerPCB
-	// free[p] lists the unassigned SoC IDs of PCB p, ascending.
-	free := make([][]int, numPCBs)
-	for s := 0; s < m; s++ {
-		p := s / socsPerPCB
-		free[p] = append(free[p], s)
-	}
-
-	groups := make([][]int, n)
-	assigned := make([]bool, n)
-
-	// Step 1: whole-group placement. Walk PCBs; while a PCB has room
-	// for the next unassigned group in full, place it there.
-	for p := 0; p < numPCBs; p++ {
-		for {
-			g := nextUnassignedFitting(sizes, assigned, len(free[p]))
-			if g < 0 {
-				break
-			}
-			groups[g] = append([]int(nil), free[p][:sizes[g]]...)
-			free[p] = free[p][sizes[g]:]
-			assigned[g] = true
-		}
-	}
-
-	// Step 2: squeeze the rest in 1-D order over the remaining slots.
-	var slots []int
-	for p := 0; p < numPCBs; p++ {
-		slots = append(slots, free[p]...)
-	}
-	for g := 0; g < n; g++ {
-		if assigned[g] {
-			continue
-		}
-		groups[g] = append([]int(nil), slots[:sizes[g]]...)
-		slots = slots[sizes[g]:]
-		assigned[g] = true
-	}
-	return &Mapping{Groups: groups, SoCsPerPCB: socsPerPCB}
-}
-
-// nextUnassignedFitting returns the lowest-index unassigned group whose
-// size fits in room, or -1.
-func nextUnassignedFitting(sizes []int, assigned []bool, room int) int {
-	for g, sz := range sizes {
-		if !assigned[g] && sz <= room {
-			return g
-		}
-	}
-	return -1
-}
-
-// pcbOf returns the PCB hosting a SoC under this mapping's geometry.
-func (m *Mapping) pcbOf(soc int) int { return soc / m.SoCsPerPCB }
-
-// PCBsOf returns the distinct PCBs group g touches, ascending.
-func (m *Mapping) PCBsOf(g int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, s := range m.Groups[g] {
-		p := m.pcbOf(s)
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// Split reports whether group g crosses a PCB boundary (and therefore
-// sends intra-group traffic through PCB NICs).
-func (m *Mapping) Split(g int) bool { return len(m.PCBsOf(g)) > 1 }
-
-// ConflictCount returns C (Eq. 3): the maximum, over PCBs, of the
-// number of split logical groups present on that PCB — the worst-case
-// NIC contention the schedule has to absorb.
-func (m *Mapping) ConflictCount() int {
-	perPCB := map[int]int{}
-	for g := range m.Groups {
-		if !m.Split(g) {
-			continue
-		}
-		for _, p := range m.PCBsOf(g) {
-			perPCB[p]++
-		}
-	}
-	c := 0
-	for _, n := range perPCB {
-		if n > c {
-			c = n
-		}
-	}
-	return c
-}
-
-// ConflictGraph returns, for each group, the set of other groups it
-// contends with for a PCB NIC: two groups conflict when both are split
-// across PCBs and they share one — only split groups route intra-group
-// traffic through a PCB uplink, so a fully contained group conflicts
-// with nobody ("LG1–3 have no inter-PCB communication and can be placed
-// anywhere").
-func (m *Mapping) ConflictGraph() [][]int {
-	n := len(m.Groups)
-	adj := make([][]int, n)
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			if !m.Split(a) || !m.Split(b) {
-				continue
-			}
-			if sharesPCB(m.PCBsOf(a), m.PCBsOf(b)) {
-				adj[a] = append(adj[a], b)
-				adj[b] = append(adj[b], a)
-			}
-		}
-	}
-	return adj
-}
-
-func sharesPCB(a, b []int) bool {
-	set := map[int]bool{}
-	for _, p := range a {
-		set[p] = true
-	}
-	for _, p := range b {
-		if set[p] {
-			return true
-		}
-	}
-	return false
-}
-
-// MaxDegree returns the maximum conflict degree — Theorem 2 guarantees
-// this is at most 2 for integrity-greedy mappings.
-func (m *Mapping) MaxDegree() int {
-	d := 0
-	for _, nbrs := range m.ConflictGraph() {
-		if len(nbrs) > d {
-			d = len(nbrs)
-		}
-	}
-	return d
+// IntegrityGreedyMap maps SoCs 0..m-1 into n logical groups with
+// plan.IntegrityGreedyMap. It exists only because benchmark/, which
+// BENCHMARK.json freezes, times the mapper under this name
+// (core.map_us); everything else calls internal/plan.
+func IntegrityGreedyMap(m, n, socsPerPCB int) *autoplan.Mapping {
+	return autoplan.IntegrityGreedyMap(autoplan.AllNodes(m), n, socsPerPCB)
 }

@@ -96,6 +96,52 @@ func TestPipelineEpochMatchesPlannerPrediction(t *testing.T) {
 	}
 }
 
+// The same contract for data plans: the search prices a data candidate
+// with the Fig. 7 kernel, the integrity-greedy mapping, the coloring
+// and the member-batch rule SoCFlow executes, so the predicted epoch is
+// the FP32 SoCFlow epoch at the plan's group count, bit for bit.
+func TestDataPlanEpochMatchesPlannerPrediction(t *testing.T) {
+	full := dataset.MustProfile("cifar10").Generate(dataset.GenOptions{Samples: 80, Seed: 7})
+	train, val := full.Split(0.8)
+	for _, model := range []string{"lenet5", "vgg11", "resnet34"} {
+		for _, socs := range []int{8, 16, 32} {
+			for _, batch := range []int{8, 64} {
+				for _, maxGroups := range []int{1, 2, 4, 8} {
+					o := autoplan.Options{Spec: nn.MustSpec(model), NumSoCs: socs, MaxGroups: maxGroups,
+						GlobalBatch: batch, Samples: 50_000, Only: autoplan.ModeData}
+					p, err := autoplan.Search(o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					job := &Job{Spec: o.Spec, Train: train, Val: val, PaperSamples: o.Samples,
+						GlobalBatch: 8, PaperBatch: batch, LR: 0.02, Momentum: 0.9, Epochs: 1, Seed: 42}
+					res, err := (&SoCFlow{NumGroups: p.Groups(), Mixed: MixedOff}).Run(context.Background(), job, cluN(socs))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.EpochSimSeconds[0] != p.EpochSeconds {
+						t.Errorf("%s, %d SoCs, batch %d, <= %d groups: %v predicted %.6fs, SoCFlow executed %.6fs",
+							model, socs, batch, maxGroups, p, p.EpochSeconds, res.EpochSimSeconds[0])
+					}
+				}
+			}
+		}
+	}
+
+	// A survivor subset has no SoCFlow run to compare with (the strategy
+	// maps the whole cluster); its price must still be a function of the
+	// plan alone, reproduced by a fresh pricer.
+	o := autoplan.Options{Spec: nn.MustSpec("vgg11"), NumSoCs: 16, Nodes: []int{0, 1, 2, 4, 5, 7, 9, 10, 11, 12, 14, 15},
+		MaxGroups: 4, GlobalBatch: 64, Samples: 50_000, Only: autoplan.ModeData}
+	p, err := autoplan.Search(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.EpochSecondsOn(cluN(16), o.Spec, o.Samples); got != p.EpochSeconds {
+		t.Errorf("survivor-subset plan %v re-priced %.6fs, search recorded %.6fs", p, got, p.EpochSeconds)
+	}
+}
+
 // Pipeline training is bit-reproducible: equal seeds give identical
 // epoch accuracy trajectories and identical final weights.
 func TestPipelineBitReproducible(t *testing.T) {

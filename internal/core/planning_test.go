@@ -7,19 +7,41 @@ import (
 
 	"socflow/internal/cluster"
 	"socflow/internal/nn"
+	autoplan "socflow/internal/plan"
 	"socflow/internal/tensor"
 )
+
+// validCGs reports whether the communication groups are conflict-free:
+// no two groups in the same CG are adjacent in the mapping's conflict
+// graph.
+func validCGs(m *autoplan.Mapping, cgs [][]int) bool {
+	adj := m.ConflictGraph()
+	for _, cg := range cgs {
+		in := map[int]bool{}
+		for _, g := range cg {
+			in[g] = true
+		}
+		for _, g := range cg {
+			for _, nb := range adj[g] {
+				if in[nb] {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
 
 func TestPlanPaperExample(t *testing.T) {
 	// Fig. 5(c)/§3.1: LG1-4 form one CG, LG5 another — the two split
 	// groups (LG4, LG5) share PCB2 and must separate; whole groups join
 	// the first CG.
 	m := IntegrityGreedyMap(15, 5, 5)
-	p := PlanCommunication(m)
-	if p.NumCGs() != 2 {
-		t.Fatalf("got %d CGs, want 2", p.NumCGs())
+	cgs := m.CommunicationGroups()
+	if len(cgs) != 2 {
+		t.Fatalf("got %d CGs, want 2", len(cgs))
 	}
-	if !p.Valid(m) {
+	if !validCGs(m, cgs) {
 		t.Fatal("plan has intra-CG conflicts")
 	}
 	// The two split groups must be in different CGs.
@@ -32,22 +54,20 @@ func TestPlanPaperExample(t *testing.T) {
 	if len(split) != 2 {
 		t.Fatalf("expected 2 split groups, got %v", split)
 	}
-	if p.CGOf(split[0]) == p.CGOf(split[1]) {
+	if cgOf(cgs, split[0]) == cgOf(cgs, split[1]) {
 		t.Fatal("conflicting split groups share a CG")
 	}
 }
 
 func TestPlanConflictFreeMappingSingleCG(t *testing.T) {
 	m := IntegrityGreedyMap(20, 4, 5)
-	p := PlanCommunication(m)
-	if p.NumCGs() != 1 {
-		t.Fatalf("conflict-free mapping should need 1 CG, got %d", p.NumCGs())
+	if cgs := m.CommunicationGroups(); len(cgs) != 1 {
+		t.Fatalf("conflict-free mapping should need 1 CG, got %d", len(cgs))
 	}
 }
 
 func TestCGOfUnknownGroup(t *testing.T) {
-	p := &Plan{CGs: [][]int{{0, 1}}}
-	if p.CGOf(7) != -1 {
+	if cgOf([][]int{{0, 1}}, 7) != -1 {
 		t.Fatal("unknown group should map to -1")
 	}
 }
@@ -62,8 +82,8 @@ func TestPlanAtMostTwoCGsProperty(t *testing.T) {
 		n := 1 + r.Intn(m)
 		pcb := 2 + r.Intn(7)
 		mp := IntegrityGreedyMap(m, n, pcb)
-		p := PlanCommunication(mp)
-		return p.Valid(mp) && p.NumCGs() <= 2
+		cgs := mp.CommunicationGroups()
+		return validCGs(mp, cgs) && len(cgs) <= 2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -78,9 +98,8 @@ func TestPlanPartitionProperty(t *testing.T) {
 		m := 4 + r.Intn(40)
 		n := 1 + r.Intn(m)
 		mp := IntegrityGreedyMap(m, n, 5)
-		p := PlanCommunication(mp)
 		seen := map[int]int{}
-		for _, cg := range p.CGs {
+		for _, cg := range mp.CommunicationGroups() {
 			for _, g := range cg {
 				seen[g]++
 			}
@@ -100,45 +119,60 @@ func TestPlanPartitionProperty(t *testing.T) {
 	}
 }
 
+// The paper's hiding condition ("communication can be totally hidden as
+// long as the computing is slower than the communication", with ≤ 2
+// CGs), on the one Fig. 7 kernel SoCFlow executes and the planner
+// prices with.
 func TestPipelineIterationTimeHiding(t *testing.T) {
-	// Compute slower than the other CG's sync: sync fully hidden, the
-	// period is compute + own sync.
-	got := PipelineIterationTime(1.0, []float64{0.3, 0.4})
-	if math.Abs(got-1.4) > 1e-9 {
-		t.Fatalf("hidden case = %v, want 1.4", got)
+	// Fig. 5(c): two CGs, each holding one of the two split groups.
+	m := IntegrityGreedyMap(15, 5, 5)
+	cgs := m.CommunicationGroups()
+	clu := cluster.New(cluster.Config{NumSoCs: 15})
+	const iters = 20
+	timing := func(model string, compute float64) (autoplan.DataTiming, float64) {
+		spec := nn.MustSpec(model)
+		c := make([]float64, len(m.Groups))
+		for g := range c {
+			c[g] = compute
+		}
+		dt := autoplan.NewPricer(clu, spec).DataTiming(m.Groups, cgs, nil, c, iters)
+		if len(dt.CGSync) != 2 || dt.CGSync[0] <= 0 || dt.CGSync[1] <= 0 {
+			t.Fatalf("%s: want two non-empty CG windows, got %v", model, dt.CGSync)
+		}
+		return dt, autoplan.UpdateSeconds(spec)
 	}
-	// NIC-bound: syncs exceed compute; the NIC serializes.
-	got = PipelineIterationTime(0.1, []float64{0.5, 0.6})
-	if math.Abs(got-1.1) > 1e-9 {
-		t.Fatalf("NIC-bound case = %v, want 1.1", got)
+
+	// Compute-bound: both windows fit behind the compute they overlap,
+	// so the span is the compute and update alone.
+	dt, upd := timing("lenet5", 10)
+	want := 0.0
+	for i := 0; i < iters; i++ {
+		want = want + 10 + upd
 	}
-	// Single CG: plain compute + sync.
-	got = PipelineIterationTime(0.5, []float64{0.2})
-	if math.Abs(got-0.7) > 1e-9 {
-		t.Fatalf("single CG = %v, want 0.7", got)
+	if dt.Span != want {
+		t.Fatalf("hidden case: span %v, want iters x (compute+update) = %v (windows %v)", dt.Span, want, dt.CGSync)
+	}
+
+	// NIC-bound: the windows exceed the compute, and the NIC serializes
+	// them — the span grows with their sum, not their maximum.
+	dt, upd = timing("vgg11", 0)
+	nic := iters * (dt.CGSync[0] + dt.CGSync[1])
+	if want := (1-autoplan.OverlapFraction)*upd + nic; math.Abs(dt.Span-want) > 1e-9*want {
+		t.Fatalf("NIC-bound case: span %v, want first gradients + iters x (sum of windows) = %v", dt.Span, want)
 	}
 }
 
 func TestEpochTimeModelDecreasesWithGroups(t *testing.T) {
 	// Eq. 1: T_epoch is negatively correlated with N (§3.1).
-	clu := cluster.New(cluster.Config{NumSoCs: 32})
-	spec := nn.MustSpec("vgg11")
-	t1 := EpochTimeModel(clu, spec, 50000, 32, 1, 64)
-	t4 := EpochTimeModel(clu, spec, 50000, 32, 4, 64)
-	t8 := EpochTimeModel(clu, spec, 50000, 32, 8, 64)
+	pr := autoplan.NewPricer(clu32(), nn.MustSpec("vgg11"))
+	price := func(n int) float64 {
+		return pr.EpochSeconds(&autoplan.Plan{NumSoCs: 32, Mode: autoplan.ModeData,
+			Placement: IntegrityGreedyMap(32, n, 5).Groups, Batch: 64}, 50000)
+	}
+	t1, t4, t8 := price(1), price(4), price(8)
 	if !(t8 < t4 && t4 < t1) {
 		t.Fatalf("epoch time must fall with more groups: N=1 %v, N=4 %v, N=8 %v", t1, t4, t8)
 	}
-}
-
-func TestEpochTimeModelValidates(t *testing.T) {
-	clu := cluster.New(cluster.Config{NumSoCs: 8})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad args must panic")
-		}
-	}()
-	EpochTimeModel(clu, nn.MustSpec("vgg11"), 1000, 8, 0, 64)
 }
 
 func TestSelectGroupCountStopsAtKnee(t *testing.T) {

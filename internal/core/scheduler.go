@@ -1,8 +1,7 @@
 package core
 
 import (
-	"socflow/internal/cluster"
-	"socflow/internal/nn"
+	autoplan "socflow/internal/plan"
 	"socflow/internal/tensor"
 )
 
@@ -35,7 +34,7 @@ func (p *PreemptionPlan) preempted(g, epoch int) bool {
 // in each training epoch (mapped onto the given hours of day), a
 // logical group is preempted when most of its SoCs are busy with user
 // workloads.
-func PlanFromTrace(m *Mapping, sched [][]bool, startHour int, epochs int) *PreemptionPlan {
+func PlanFromTrace(m *autoplan.Mapping, sched [][]bool, startHour int, epochs int) *PreemptionPlan {
 	plan := &PreemptionPlan{ByEpoch: make(map[int][]int)}
 	for e := 0; e < epochs; e++ {
 		hour := (startHour + e) % 24
@@ -52,56 +51,6 @@ func PlanFromTrace(m *Mapping, sched [][]bool, startHour int, epochs int) *Preem
 		}
 	}
 	return plan
-}
-
-// GlobalScheduler is the control-board component (§3, Fig. 5(a)): it
-// sizes groups, owns the mapping and plan, watches for underclocking,
-// and rebalances per-SoC batch shares when a chip throttles.
-type GlobalScheduler struct {
-	Cluster *cluster.Cluster
-	Mapping *Mapping
-	Plan    *Plan
-}
-
-// NewGlobalScheduler wires a scheduler for a mapped cluster.
-func NewGlobalScheduler(clu *cluster.Cluster, m *Mapping) *GlobalScheduler {
-	return &GlobalScheduler{Cluster: clu, Mapping: m, Plan: PlanCommunication(m)}
-}
-
-// RebalanceShares returns per-member batch fractions for a logical
-// group, proportional to each SoC's current effective speed (its DVFS
-// throttle). With SSGD the group's step finishes when its slowest
-// member does, so the underclocking-aware rebalance (§4.1 optimization
-// 2) equalizes member step times instead of member batch sizes.
-func (gs *GlobalScheduler) RebalanceShares(group int) []float64 {
-	members := gs.Mapping.Groups[group]
-	shares := make([]float64, len(members))
-	var total float64
-	for i, soc := range members {
-		shares[i] = gs.Cluster.SoCs[soc].Throttle
-		total += shares[i]
-	}
-	for i := range shares {
-		shares[i] /= total
-	}
-	return shares
-}
-
-// GroupStepTime returns the group's SSGD step time for a per-group
-// batch under the given shares (slowest member dominates).
-func (gs *GlobalScheduler) GroupStepTime(group int, spec *nn.Spec, batch int, shares []float64) float64 {
-	members := gs.Mapping.Groups[group]
-	worst := 0.0
-	for i, soc := range members {
-		b := int(shares[i]*float64(batch) + 0.5)
-		if b < 1 {
-			b = 1
-		}
-		if t := gs.Cluster.StepTime(soc, spec, b, cluster.CPU); t > worst {
-			worst = t
-		}
-	}
-	return worst
 }
 
 // Checkpoint is a serializable snapshot of a group's training state,

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"socflow/internal/cluster"
-	"socflow/internal/collective"
 	"socflow/internal/dataset"
 	"socflow/internal/nn"
 	"socflow/internal/parallel"
@@ -120,21 +119,18 @@ func (s *SoCFlow) build(job *Job, clu *cluster.Cluster, res *Result, meter *clus
 		return nil, nil, fmt.Errorf("core: %d groups for %d SoCs", n, m)
 	}
 
-	var mapping *Mapping
+	nodes := autoplan.AllNodes(m)
+	mapping := autoplan.IntegrityGreedyMap(nodes, n, clu.Config.SoCsPerPCB)
 	if s.DisableMapping {
-		mapping = stridedMap(m, n, clu.Config.SoCsPerPCB)
-	} else {
-		mapping = IntegrityGreedyMap(m, n, clu.Config.SoCsPerPCB)
+		mapping = autoplan.StridedMap(nodes, n, clu.Config.SoCsPerPCB)
 	}
-	var plan *Plan
+	cgs := mapping.CommunicationGroups()
 	if s.DisablePlanning {
 		all := make([]int, n)
 		for i := range all {
 			all[i] = i
 		}
-		plan = &Plan{CGs: [][]int{all}}
-	} else {
-		plan = PlanCommunication(mapping)
+		cgs = [][]int{all}
 	}
 
 	probeBatch := s.AlphaProbeBatch
@@ -171,7 +167,8 @@ func (s *SoCFlow) build(job *Job, clu *cluster.Cluster, res *Result, meter *clus
 	}
 	sched := &dataset.Schedule{Train: job.Train, Batch: job.GlobalBatch, Seed: job.Seed,
 		DirichletAlpha: s.DirichletAlpha, Pinned: s.DisableReshuffle}
-	tl := &timeline{job: job, clu: clu, mapping: mapping, plan: plan, s: s, res: res, meter: meter}
+	tl := &timeline{job: job, clu: clu, mapping: mapping, cgs: cgs, s: s, res: res, meter: meter,
+		pricer: autoplan.NewPricer(clu, job.Spec)}
 
 	return groups, func(ctx context.Context, epoch int) (float64, int) {
 		active := s.activeGroups(n, epoch)
@@ -256,32 +253,34 @@ func (s *SoCFlow) activeGroups(n, epoch int) []int {
 	return out
 }
 
-// stridedMap places group members round-robin across PCBs — the
-// worst-case mapping the Fig. 13 ablation compares integrity-greedy
-// against (every group crosses every PCB).
-func stridedMap(m, n, socsPerPCB int) *Mapping {
-	groups := make([][]int, n)
-	for s := 0; s < m; s++ {
-		g := s % n
-		groups[g] = append(groups[g], s)
-	}
-	// Spread members: member k of group g = g + k*n (round robin), so
-	// consecutive members land on different PCBs whenever n and
-	// socsPerPCB are not aligned.
-	return &Mapping{Groups: groups, SoCsPerPCB: socsPerPCB}
-}
-
-// timeline prices SoCFlow epochs on the simulated cluster.
+// timeline prices SoCFlow epochs on the simulated cluster: what is
+// SoCFlow's own — the mixed-precision compute split, the active set,
+// attribution, energy and spans — around the planner's Fig. 7 kernel
+// (Pricer.DataTiming), which the search prices data plans with.
 type timeline struct {
 	job     *Job
 	clu     *cluster.Cluster
-	mapping *Mapping
-	plan    *Plan
+	mapping *autoplan.Mapping
+	cgs     [][]int // communication groups, in schedule order
+	pricer  *autoplan.Pricer
 	s       *SoCFlow
 	res     *Result // receives the breakdown attribution and preemption count
 	meter   *cluster.EnergyMeter
 
 	simNow float64 // simulated clock position, for span placement
+}
+
+// cgOf returns the index of the communication group holding logical
+// group g, or -1.
+func cgOf(cgs [][]int, g int) int {
+	for i, cg := range cgs {
+		for _, lg := range cg {
+			if lg == g {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 // epochTime advances the simulated clock by one epoch under the Fig. 7
@@ -302,37 +301,12 @@ func (tl *timeline) epochTime(groups []*replica, active []int) float64 {
 	compute := make([]float64, nAll)
 	cpuSec := make([]float64, nAll)
 	npuSec := make([]float64, nAll)
-	activeSet := map[int]bool{}
+	on := make([]bool, nAll)
 	for _, g := range active {
-		activeSet[g] = true
-	}
-	for _, g := range active {
+		on[g] = true
 		members := tl.mapping.Groups[g]
-		// Underclocking-aware rebalancing (§4.1 optimization 2): member
-		// batch shares follow each SoC's DVFS throttle so the SSGD step
-		// finishes together; disabled, every member gets an equal share
-		// and the slowest (most throttled) SoC sets the pace.
-		shares := make([]float64, len(members))
-		if tl.s.DisableRebalance {
-			for i := range shares {
-				shares[i] = 1 / float64(len(members))
-			}
-		} else {
-			var total float64
-			for i, soc := range members {
-				shares[i] = clu.SoCs[soc].Throttle
-				total += shares[i]
-			}
-			for i := range shares {
-				shares[i] /= total
-			}
-		}
-		batchTotal := job.PricingBatch()
-		for i, soc := range members {
-			perSoC := int(shares[i]*float64(batchTotal) + 0.5)
-			if perSoC < 1 {
-				perSoC = 1
-			}
+		for i, perSoC := range tl.pricer.MemberBatches(members, job.PricingBatch(), !tl.s.DisableRebalance) {
+			soc := members[i]
 			var ct, cs, ns float64
 			if mp := groups[g].mp; mp != nil {
 				share := mp.CPUShare()
@@ -358,75 +332,11 @@ func (tl *timeline) epochTime(groups []*replica, active []int) float64 {
 		}
 	}
 
-	// Per-CG concurrent sync time (only active groups communicate).
-	cgSync := make([]float64, len(tl.plan.CGs))
-	for i, cg := range tl.plan.CGs {
-		var memberSets [][]int
-		for _, g := range cg {
-			if activeSet[g] && len(tl.mapping.Groups[g]) > 1 {
-				memberSets = append(memberSets, tl.mapping.Groups[g])
-			}
-		}
-		cgSync[i] = collective.ConcurrentRingTime(clu, memberSets, payload)
-	}
-
-	// Event-driven interleaved schedule (Fig. 7): CG windows serialize
-	// on the shared NICs; compute of the next iteration overlaps other
-	// CGs' windows; and layer-wise gradient aggregation (§4.1
-	// optimization 1) lets a group's own sync start while its backward
-	// pass is still producing gradients, hiding an overlapFraction of
-	// the compute behind the transfer.
-	ready := make([]float64, len(tl.plan.CGs))
-	nicFree := 0.0
-	var syncBusy float64
-	for it := 0; it < iters; it++ {
-		for i, cg := range tl.plan.CGs {
-			maxCompute := 0.0
-			for _, g := range cg {
-				if !activeSet[g] {
-					continue
-				}
-				if c := compute[g]; c > maxCompute {
-					maxCompute = c
-				}
-			}
-			// Sync may begin once the first gradients emerge from the
-			// backward pass; the group itself is ready again when both
-			// its compute and its CG's sync window have finished.
-			syncReady := ready[i] + (1-overlapFraction)*(maxCompute+upd)
-			start := math.Max(syncReady, nicFree)
-			end := start + cgSync[i]
-			nicFree = end
-			ready[i] = math.Max(end, ready[i]+maxCompute+upd)
-			syncBusy += cgSync[i]
-		}
-	}
-	span := 0.0
-	for _, r := range ready {
-		if r > span {
-			span = r
-		}
-	}
-
-	// Delayed inter-group aggregation: leader ring + intra-group
-	// broadcast of fresh weights.
-	var interSync float64
-	if len(active) > 1 {
-		leaders := make([]int, 0, len(active))
-		for _, g := range active {
-			leaders = append(leaders, tl.mapping.Groups[g][0])
-		}
-		interSync = collective.RingAllReduceTime(clu, leaders, payload)
-		var bMax float64
-		for _, g := range active {
-			members := tl.mapping.Groups[g]
-			if b := collective.BroadcastTime(clu, members[0], members, payload); b > bMax {
-				bMax = b
-			}
-		}
-		interSync += bMax
-	}
-	span += interSync
+	// The Fig. 7 interleaved schedule and the delayed aggregation: the
+	// kernel the planner prices data plans with.
+	t := tl.pricer.DataTiming(tl.mapping.Groups, tl.cgs, on, compute, iters)
+	cgSync, interSync := t.CGSync, t.AggSeconds
+	span := t.Span + interSync
 
 	// Attribution and energy. Compute/update charge per iteration; sync
 	// charges the group's CG window; the rest of the span is idle.
@@ -435,7 +345,7 @@ func (tl *timeline) epochTime(groups []*replica, active []int) float64 {
 	fIters := float64(iters)
 	for _, g := range active {
 		members := tl.mapping.Groups[g]
-		cgi := tl.plan.CGOf(g)
+		cgi := cgOf(tl.cgs, g)
 		commT := fIters*cgSync[cgi] + interSync
 		for _, soc := range members {
 			meter.AddMixedCompute(soc, fIters*cpuSec[g], fIters*npuSec[g])

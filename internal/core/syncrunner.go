@@ -86,7 +86,7 @@ func (s *SyncSGD) build(job *Job, clu *cluster.Cluster, res *Result, meter *clus
 	// Layer-wise overlap (§4.1, applied to every baseline "if
 	// applicable"): the gradient transfer hides behind the backward
 	// pass that produces it.
-	iterT := math.Max(computeT+upd, (1-overlapFraction)*computeT+syncT)
+	iterT := math.Max(computeT+upd, (1-autoplan.OverlapFraction)*computeT+syncT)
 	paperIters := job.PaperSamples / job.PricingBatch()
 	if paperIters < 1 {
 		paperIters = 1
@@ -132,10 +132,4 @@ func (s *SyncSGD) build(job *Job, clu *cluster.Cluster, res *Result, meter *clus
 
 // AllSoCs returns [0, 1, ..., n-1], the member list for fleet-wide
 // collectives.
-func AllSoCs(clu *cluster.Cluster) []int {
-	out := make([]int, clu.Config.NumSoCs)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
+func AllSoCs(clu *cluster.Cluster) []int { return autoplan.AllNodes(clu.Config.NumSoCs) }

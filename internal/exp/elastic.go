@@ -11,6 +11,7 @@ import (
 	"socflow/internal/core"
 	"socflow/internal/dataset"
 	"socflow/internal/nn"
+	"socflow/internal/plan"
 	"socflow/internal/runtime"
 	"socflow/internal/transport"
 )
@@ -43,7 +44,7 @@ func ExpElastic(o Options) (*Table, error) {
 	pool := prof.Generate(dataset.GenOptions{Samples: o.TrainSamples + o.ValSamples, Seed: o.Seed})
 	train, val := pool.Split(float64(o.TrainSamples) / float64(pool.Len()))
 	spec := nn.MustSpec("lenet5")
-	grps := runtime.GroupsFromMapping(core.IntegrityGreedyMap(socs, groups, 5))
+	grps := plan.IntegrityGreedyMap(plan.AllNodes(socs), groups, cluster.SoCsPerPCBDefault).Groups
 
 	// Derive the preemption episode from the tidal trace: an evening
 	// session walks out of the afternoon shoulder into the nightly

@@ -648,3 +648,28 @@ func TestExpAutoparHybridBeatsDataParallel(t *testing.T) {
 		}
 	}
 }
+
+// ExpReplan asserts its own invariants and fails on a violation: the
+// fault-free elastic pipeline bit-identical to the plain one, and every
+// adopted re-plan's predicted epoch seconds equal to the executed ones.
+func TestExpReplanHoldsItsInvariants(t *testing.T) {
+	o := fastOpts()
+	o.Epochs = 5
+	o.TrainSamples = 300
+	o.ValSamples = 60
+	tb, err := ExpReplan(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tb.Rows) != 3 {
+		t.Fatalf("rows: %d, want fault-free, stage crash, tidal shrink", len(tb.Rows))
+	}
+	if n := cellFloat(t, tb.Rows[0][5]); n != 0 {
+		t.Fatalf("fault-free campaign recorded %v replan episodes", n)
+	}
+	for _, row := range tb.Rows[1:] {
+		if n := cellFloat(t, row[5]); n < 1 {
+			t.Fatalf("%s: %v replan episodes, want at least one", row[0], n)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"socflow/internal/baselines"
 	"socflow/internal/cluster"
 	"socflow/internal/core"
+	autoplan "socflow/internal/plan"
 )
 
 // The experiments in this file go beyond the paper's evaluation; they
@@ -160,7 +161,7 @@ func ExpPreemption(o Options) (*Table, error) {
 	trace := cluster.DefaultTidalTrace()
 	start, _ := trace.IdleWindow(0.35)
 	sched := trace.BusySchedule(o.NumSoCs, o.Seed+9)
-	mapping := core.IntegrityGreedyMap(o.NumSoCs, o.Groups, clu.Config.SoCsPerPCB)
+	mapping := autoplan.IntegrityGreedyMap(autoplan.AllNodes(o.NumSoCs), o.Groups, clu.Config.SoCsPerPCB)
 	plan := core.PlanFromTrace(mapping, sched, int(start), job.Epochs)
 
 	// Group-level preemption (SoCFlow's policy).

@@ -9,6 +9,7 @@ import (
 	"socflow/internal/core"
 	"socflow/internal/dataset"
 	"socflow/internal/nn"
+	"socflow/internal/plan"
 	"socflow/internal/runtime"
 	"socflow/internal/transport"
 )
@@ -36,7 +37,7 @@ func ExpFaults(o Options) (*Table, error) {
 	pool := prof.Generate(dataset.GenOptions{Samples: o.TrainSamples + o.ValSamples, Seed: o.Seed})
 	train, val := pool.Split(float64(o.TrainSamples) / float64(pool.Len()))
 	spec := nn.MustSpec("lenet5")
-	grps := runtime.GroupsFromMapping(core.IntegrityGreedyMap(socs, groups, 5))
+	grps := plan.IntegrityGreedyMap(plan.AllNodes(socs), groups, cluster.SoCsPerPCBDefault).Groups
 
 	t := &Table{
 		Title:  fmt.Sprintf("Faults — LeNet5/FMNIST on %d SoCs (%d groups), degradation on", socs, groups),

@@ -4,9 +4,17 @@
 // candidate on the same calibrated models the runtime executes against
 // (cluster.StepTime for compute, internal/simnet for activation
 // transfers, internal/collective for gradient rings). The returned
-// Plan is executed verbatim by the runtime: core's Pipeline strategy
-// prices its epochs with the same Pricer the search used, so the
-// planner's prediction and the executed timeline are one formula.
+// Plan is executed verbatim by the runtime, and both executing
+// strategies in internal/core price their epochs through this
+// package's Pricer — Pipeline through GroupTiming and
+// CrossGroupSyncSeconds, SoCFlow through MemberBatches and DataTiming —
+// so the planner's prediction and the executed timeline are one
+// formula in either mode.
+//
+// What that formula depends on lives here too, once, for the search
+// and internal/core alike: the integrity-greedy and strided mappers,
+// the conflict graph and its communication-group coloring
+// (mapping.go), UpdateSeconds and OverlapFraction.
 //
 // The search generalizes the serving plane's partitioner to training:
 // stages are balanced under serve.TrainingWeight (3× forward FLOPs +
@@ -52,12 +60,14 @@ const (
 // serving engine's default.
 const DefaultActivationScale = 16
 
-// overlapFraction is the layer-wise gradient/compute overlap the
-// executed SyncSGD schedule hides communication behind (§4.1
-// optimization 1). It mirrors internal/core's constant of the same
-// name; core imports this package, so the value is duplicated here and
-// must stay in lockstep with core/engine.go.
-const overlapFraction = 0.75
+// OverlapFraction is the share of a gradient transfer that layer-wise
+// computing-communication overlap (§4.1 optimization 1) hides behind
+// the backward pass that produces the gradients: deep-layer gradients
+// ship while shallow layers still compute, so only the first layers'
+// worth of transfer serializes. Every schedule that overlaps — the
+// Fig. 7 kernel below and core's SyncSGD baselines — reads this one
+// constant.
+const OverlapFraction = 0.75
 
 // UpdateSeconds prices one optimizer step, for the planner and for
 // every executed strategy in internal/core alike: each parameter is
@@ -75,6 +85,8 @@ type Plan struct {
 	// Placement[g] lists group g's member SoC IDs. In pipeline mode,
 	// member i of each group runs stage i; members beyond the pipeline
 	// depth idle (the search only keeps such plans when they still win).
+	// In data mode the search places groups by IntegrityGreedyMap, the
+	// mapping core.SoCFlow executes.
 	Placement [][]int
 	// Stages is the balanced layer partition (pipeline mode only).
 	Stages []serve.Stage
@@ -225,7 +237,8 @@ type Pricer struct {
 	sim      *simnet.Simulator
 	fwd, bwd simnet.Flow
 	flows    [2]*simnet.Flow
-	members  []int // cross-group ring scratch
+	members  []int // ring-leader scratch
+	batches  []int // MemberBatches scratch
 }
 
 // NewPricer builds a pricer around a reusable simulator.
@@ -235,7 +248,11 @@ func NewPricer(clu *cluster.Cluster, spec *nn.Spec) *Pricer {
 	return pr
 }
 
-// EpochSeconds prices one epoch of the plan at paper scale.
+// EpochSeconds prices one epoch of the plan at paper scale: a pipeline
+// plan as core.Pipeline executes it, a data plan as core.SoCFlow
+// executes it in FP32 on the plan's placement — member batches from
+// MemberBatches, communication groups from the placement's conflict
+// coloring, the schedule from DataTiming.
 func (pr *Pricer) EpochSeconds(p *Plan, samples int) float64 {
 	iters := p.IterationsPerEpoch(samples)
 	if p.Mode == ModePipeline {
@@ -247,7 +264,17 @@ func (pr *Pricer) EpochSeconds(p *Plan, samples int) float64 {
 		}
 		return float64(iters)*worst + pr.CrossGroupSyncSeconds(p)
 	}
-	return pr.dataEpochSeconds(p, iters)
+	compute := make([]float64, len(p.Placement))
+	for g, members := range p.Placement {
+		for i, b := range pr.MemberBatches(members, p.Batch, true) {
+			if t := pr.Clu.StepTime(members[i], pr.Spec, b, cluster.CPU); t > compute[g] {
+				compute[g] = t
+			}
+		}
+	}
+	m := Mapping{Groups: p.Placement, SoCsPerPCB: pr.Clu.Config.SoCsPerPCB}
+	t := pr.DataTiming(p.Placement, m.CommunicationGroups(), nil, compute, iters)
+	return t.Span + t.AggSeconds
 }
 
 // GroupTiming prices group g's pipeline steady state. Stage compute is
@@ -339,70 +366,120 @@ func (pr *Pricer) CrossGroupSyncSeconds(p *Plan) float64 {
 	return sum
 }
 
-// dataEpochSeconds prices a data-parallel candidate the way the
-// executed schedule behaves: per-iteration compute is set by the
-// slowest group member at its ceil(batch/k) share, intra-group rings
-// run in the interleaved two-CG schedule (even/odd groups — the
-// 2-coloring integrity-greedy mappings admit), layer-wise aggregation
-// hides overlapFraction of compute behind the transfer, and the epoch
-// ends with the delayed leader-ring + broadcast aggregation. This is
-// the steady-state closed form of core's event-driven timeline.
-func (pr *Pricer) dataEpochSeconds(p *Plan, iters int) float64 {
-	n := len(p.Placement)
-	k := len(p.Placement[0])
-	perSoC := (p.Batch + k - 1) / k
-	if perSoC < 1 {
-		perSoC = 1
+// MemberBatches splits a logical group's mini-batch across its members
+// — the one member-batch rule of the executed SoCFlow timeline and of
+// the planner's data candidates. With rebalance (§4.1 optimization 2,
+// underclocking-aware) each share follows the SoC's DVFS throttle so
+// the SSGD step finishes together; without it every member gets an
+// equal share and the most throttled SoC sets the pace. Nobody gets
+// less than one sample. The returned slice is scratch, valid until the
+// next call.
+func (pr *Pricer) MemberBatches(members []int, batch int, rebalance bool) []int {
+	var total float64
+	for _, soc := range members {
+		total += pr.Clu.SoCs[soc].Throttle
 	}
-	var compute float64
-	for _, members := range p.Placement {
-		for _, soc := range members {
-			if t := pr.Clu.StepTime(soc, pr.Spec, perSoC, cluster.CPU); t > compute {
-				compute = t
-			}
+	pr.batches = pr.batches[:0]
+	for _, soc := range members {
+		share := 1 / float64(len(members))
+		if rebalance {
+			share = pr.Clu.SoCs[soc].Throttle / total
 		}
+		pr.batches = append(pr.batches, max(int(share*float64(batch)+0.5), 1))
 	}
-	upd := UpdateSeconds(pr.Spec)
+	return pr.batches
+}
+
+// DataTiming is the priced schedule of one grouped data-parallel epoch.
+type DataTiming struct {
+	// CGSync[i] is communication group i's window: its active groups'
+	// ring all-reduces running concurrently, for one iteration.
+	CGSync []float64
+	// Span is the makespan of the epoch's interleaved iterations.
+	Span float64
+	// AggSeconds is the epoch-end delayed aggregation: the leader ring
+	// plus the slowest intra-group broadcast of the fresh weights.
+	AggSeconds float64
+}
+
+// DataTiming prices one epoch of group-wise data parallelism with
+// delayed aggregation (§3.1) — the schedule core.SoCFlow executes and
+// the planner's data candidates are priced with. groups[g] lists
+// logical group g's SoCs, cgs partitions the group indices into
+// communication groups in schedule order, compute[g] is group g's
+// per-iteration step time, and active masks the groups training this
+// epoch (nil: all of them). A preempted group neither computes nor
+// communicates, but its CG keeps its turn in the schedule.
+func (pr *Pricer) DataTiming(groups, cgs [][]int, active []bool, compute []float64, iters int) DataTiming {
+	on := func(g int) bool { return active == nil || active[g] }
 	payload := float64(pr.Spec.GradBytes())
+	upd := UpdateSeconds(pr.Spec)
 
-	iterT := compute + upd
-	if k > 1 {
-		// Two interleaved CG windows (even / odd groups).
-		var cgSync [2]float64
-		for j := 0; j < 2 && j < n; j++ {
-			var sets [][]int
-			for g := j; g < n; g += 2 {
-				sets = append(sets, p.Placement[g])
+	// Per-CG concurrent sync time (only active groups communicate).
+	t := DataTiming{CGSync: make([]float64, len(cgs))}
+	for i, cg := range cgs {
+		var memberSets [][]int
+		for _, g := range cg {
+			if on(g) && len(groups[g]) > 1 {
+				memberSets = append(memberSets, groups[g])
 			}
-			cgSync[j] = collective.ConcurrentRingTime(pr.Clu, sets, payload)
 		}
-		own := math.Max(cgSync[0], cgSync[1])
-		nic := cgSync[0] + cgSync[1]
-		iterT = math.Max(iterT, (1-overlapFraction)*(compute+upd)+own)
-		iterT = math.Max(iterT, nic)
+		t.CGSync[i] = collective.ConcurrentRingTime(pr.Clu, memberSets, payload)
 	}
-	epoch := float64(iters) * iterT
 
-	if n > 1 {
-		// Delayed aggregation: leader ring + intra-group broadcast.
-		if cap(pr.members) < n {
-			pr.members = make([]int, n)
+	// Event-driven interleaved schedule (Fig. 7): CG windows serialize
+	// on the shared NICs; compute of the next iteration overlaps other
+	// CGs' windows; and layer-wise gradient aggregation (§4.1
+	// optimization 1) lets a group's own sync start while its backward
+	// pass is still producing gradients, hiding an OverlapFraction of
+	// the compute behind the transfer.
+	ready := make([]float64, len(cgs))
+	nicFree := 0.0
+	for it := 0; it < iters; it++ {
+		for i, cg := range cgs {
+			maxCompute := 0.0
+			for _, g := range cg {
+				if on(g) && compute[g] > maxCompute {
+					maxCompute = compute[g]
+				}
+			}
+			// Sync may begin once the first gradients emerge from the
+			// backward pass; the group itself is ready again when both
+			// its compute and its CG's sync window have finished.
+			syncReady := ready[i] + (1-OverlapFraction)*(maxCompute+upd)
+			start := math.Max(syncReady, nicFree)
+			end := start + t.CGSync[i]
+			nicFree = end
+			ready[i] = math.Max(end, ready[i]+maxCompute+upd)
 		}
-		leaders := pr.members[:n]
-		for g, members := range p.Placement {
-			leaders[g] = members[0]
+	}
+	for _, r := range ready {
+		if r > t.Span {
+			t.Span = r
 		}
-		epoch += collective.RingAllReduceTime(pr.Clu, leaders, payload)
+	}
+
+	// Delayed inter-group aggregation: leader ring + intra-group
+	// broadcast of fresh weights.
+	leaders := pr.members[:0]
+	for g, members := range groups {
+		if on(g) {
+			leaders = append(leaders, members[0])
+		}
+	}
+	pr.members = leaders
+	if len(leaders) > 1 {
+		t.AggSeconds = collective.RingAllReduceTime(pr.Clu, leaders, payload)
 		var bMax float64
-		for _, members := range p.Placement {
-			if len(members) < 2 {
+		for g, members := range groups {
+			if !on(g) {
 				continue
 			}
 			if b := collective.BroadcastTime(pr.Clu, members[0], members, payload); b > bMax {
 				bMax = b
 			}
 		}
-		epoch += bMax
+		t.AggSeconds += bMax
 	}
-	return epoch
+	return t
 }

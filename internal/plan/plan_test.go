@@ -176,12 +176,8 @@ func TestContiguousPipelineNoWorseThanStrided(t *testing.T) {
 	if base.Mode != ModePipeline {
 		t.Skipf("planner chose %v; strided comparison needs a pipeline plan", base.Mode)
 	}
-	allNodes := make([]int, 16)
-	for i := range allNodes {
-		allNodes[i] = i
-	}
 	strided := *base
-	strided.Placement = stridedPlacement(allNodes, base.Groups())
+	strided.Placement = StridedMap(AllNodes(16), base.Groups(), clu.Config.SoCsPerPCB).Groups
 	if pr.EpochSeconds(base, 50_000) > pr.EpochSeconds(&strided, 50_000) {
 		t.Fatalf("contiguous pipeline (%.1fs) priced worse than strided (%.1fs)",
 			pr.EpochSeconds(base, 50_000), pr.EpochSeconds(&strided, 50_000))

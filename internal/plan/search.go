@@ -78,18 +78,19 @@ func (o Options) withDefaults() Options {
 }
 
 // Search enumerates the parallelization space and returns the plan
-// with the smallest predicted epoch makespan. The space is the cross
-// product of
+// with the smallest predicted epoch makespan. Per group count n —
+// every divisor of the node count within MaxGroups, so groups are
+// symmetric — it prices
 //
-//   - group count n: every divisor of NumSoCs within MaxGroups, so
-//     groups are symmetric;
-//   - placement: contiguous (integrity-greedy-style, groups packed
-//     onto consecutive SoCs and therefore minimal PCB crossings) and
-//     strided (round-robin across PCBs) — the two extremes the Fig. 13
-//     mapping ablation compares;
-//   - within-group mode: data-parallel SSGD, or a pipeline of depth
-//     min(k, L) with GPipe micro-batch counts M dividing the batch
-//     subject to the MinMicroBatch floor.
+//   - one data-parallel SSGD candidate, placed by IntegrityGreedyMap:
+//     the mapping core.SoCFlow executes, so the price is the executed
+//     epoch (the strided mapping is the Fig. 13 ablation's deliberately
+//     worst case and never a data candidate);
+//   - pipelines of depth min(k, L) with GPipe micro-batch counts M
+//     dividing the batch subject to the MinMicroBatch floor, on two
+//     placements — stage order is placement there: contiguous (groups
+//     packed onto consecutive SoCs, minimal PCB crossings) and strided
+//     (round-robin across PCBs).
 //
 // Enumeration order is fixed and improvement is strict, so equal
 // inputs always return the identical plan (the determinism test gates
@@ -161,28 +162,28 @@ func Search(o Options) (*Plan, error) {
 			continue
 		}
 		k := m / n
+		consider(&Plan{
+			NumSoCs:   o.NumSoCs,
+			Mode:      ModeData,
+			Placement: IntegrityGreedyMap(nodes, n, clu.Config.SoCsPerPCB).Groups,
+			Batch:     o.GlobalBatch,
+		})
+		if k < 2 || len(costs) < 2 || o.Only == ModeData {
+			continue
+		}
+		d := k
+		if d > len(costs) {
+			d = len(costs)
+		}
+		stages, err := serve.PartitionBy(costs, d, serve.TrainingWeight)
+		if err != nil {
+			return nil, err
+		}
 		placements := [][][]int{contiguousPlacement(nodes, n)}
-		if n > 1 && k > 1 {
-			placements = append(placements, stridedPlacement(nodes, n))
+		if n > 1 {
+			placements = append(placements, StridedMap(nodes, n, clu.Config.SoCsPerPCB).Groups)
 		}
 		for _, placement := range placements {
-			consider(&Plan{
-				NumSoCs:   o.NumSoCs,
-				Mode:      ModeData,
-				Placement: placement,
-				Batch:     o.GlobalBatch,
-			})
-			if k < 2 || len(costs) < 2 || o.Only == ModeData {
-				continue
-			}
-			d := k
-			if d > len(costs) {
-				d = len(costs)
-			}
-			stages, err := serve.PartitionBy(costs, d, serve.TrainingWeight)
-			if err != nil {
-				return nil, err
-			}
 			for mcount := 1; mcount <= o.GlobalBatch; mcount++ {
 				if o.GlobalBatch%mcount != 0 {
 					continue
@@ -214,11 +215,7 @@ func Search(o Options) (*Plan, error) {
 // mutated). Nil means the whole cluster.
 func normalizeNodes(in []int, numSoCs int) ([]int, error) {
 	if in == nil {
-		nodes := make([]int, numSoCs)
-		for i := range nodes {
-			nodes[i] = i
-		}
-		return nodes, nil
+		return AllNodes(numSoCs), nil
 	}
 	if len(in) == 0 {
 		return nil, fmt.Errorf("plan: Nodes is empty (nil means all %d SoCs)", numSoCs)
@@ -252,8 +249,7 @@ func PricerFor(o Options) *Pricer {
 }
 
 // contiguousPlacement packs group g onto the sorted node set's slots
-// [g·k, (g+1)·k) — the integrity-greedy shape: minimal PCB crossings
-// per group.
+// [g·k, (g+1)·k): consecutive pipeline stages on consecutive SoCs.
 func contiguousPlacement(nodes []int, n int) [][]int {
 	k := len(nodes) / n
 	placement := make([][]int, n)
@@ -261,22 +257,6 @@ func contiguousPlacement(nodes []int, n int) [][]int {
 		members := make([]int, k)
 		for i := range members {
 			members[i] = nodes[g*k+i]
-		}
-		placement[g] = members
-	}
-	return placement
-}
-
-// stridedPlacement round-robins the node set across groups: member i
-// of group g is the (g + i·n)-th surviving SoC, so every group spans
-// as many PCBs as possible.
-func stridedPlacement(nodes []int, n int) [][]int {
-	k := len(nodes) / n
-	placement := make([][]int, n)
-	for g := 0; g < n; g++ {
-		members := make([]int, k)
-		for i := range members {
-			members[i] = nodes[g+i*n]
 		}
 		placement[g] = members
 	}

@@ -9,6 +9,7 @@ import (
 	"socflow/internal/core"
 	"socflow/internal/dataset"
 	"socflow/internal/nn"
+	autoplan "socflow/internal/plan"
 	"socflow/internal/tensor"
 	"socflow/internal/transport"
 )
@@ -227,11 +228,11 @@ func TestRunDistributedTrains(t *testing.T) {
 	train, val := pool.Split(0.8)
 	spec := nn.MustSpec("lenet5")
 
-	mapping := core.IntegrityGreedyMap(8, 2, 5)
+	mapping := autoplan.IntegrityGreedyMap(autoplan.AllNodes(8), 2, 5)
 	mesh := transport.NewChanMesh(8)
 	res, err := RunDistributed(context.Background(), mesh, spec, train, val, DistConfig{
 		JobSpec: core.JobSpec{Epochs: 6, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
-		Groups:  GroupsFromMapping(mapping),
+		Groups:  mapping.Groups,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ import (
 type DistConfig struct {
 	core.JobSpec
 	// Groups maps each logical group to its member node IDs (e.g. from
-	// core.IntegrityGreedyMap).
+	// plan.IntegrityGreedyMap).
 	Groups [][]int
 	// EpochEnd, when non-nil, is called by the global leader after each
 	// epoch with the 0-based epoch and validation accuracy.
@@ -362,14 +362,4 @@ func (w *dpWorker) runEpoch(epoch int, r *round) error {
 		return w.rep.epochEnd(epoch, w.model)
 	}
 	return nil
-}
-
-// GroupsFromMapping adapts a core.Mapping to the runtime's group
-// layout.
-func GroupsFromMapping(m *core.Mapping) [][]int {
-	out := make([][]int, len(m.Groups))
-	for g := range m.Groups {
-		out[g] = append([]int(nil), m.Groups[g]...)
-	}
-	return out
 }

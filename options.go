@@ -151,7 +151,10 @@ type ParallelPlan = plan.Plan
 // overriding Config.Parallelism and (for data plans) Config.Groups.
 // This is the escape hatch for searching once and reusing the plan
 // across submissions, or for running a hand-built plan the planner
-// would not choose.
+// would not choose. A plan the run could not execute as priced — wrong
+// cluster size, or a data plan whose placement is not the
+// integrity-greedy mapping or whose batch is not Config.PaperBatch —
+// fails the submission with ErrBadPlan.
 //
 // Unlike every other option, WithPlan changes what the run computes:
 // the plan decides pipeline-vs-data execution and the group count, so

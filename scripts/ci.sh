@@ -46,14 +46,5 @@ GOMAXPROCS=4 make chaos
 go test -run 'TestElasticPipelineTidalShrink' -count 30 ./internal/runtime
 # The repo benchmark must build and run before the driver finds out.
 make bench-smoke
-# Elastic re-planning gate: the pipeline track recovers from a stage
-# crash and a tidal shrink via planner-driven re-planning; the harness
-# asserts fault-free bit-identity to the plain pipeline and
-# predicted == executed epoch seconds on every adopted plan (make
-# bench-replan, with its report redirected to a scratch directory: CI
-# must leave the tree as it found it).
-out=$(mktemp -d)
-trap 'rm -rf "$out"' EXIT
-go run ./cmd/socflow-bench --exp replan --samples 300 --epochs 5 \
-    --metrics-out "$out/BENCH_pr10.json"
+# CI must leave the tree as it found it.
 git diff --exit-code

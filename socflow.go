@@ -29,6 +29,7 @@ package socflow
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"socflow/internal/baselines"
 	"socflow/internal/cluster"
@@ -274,7 +275,10 @@ func PlanParallelism(cfg Config) (*ParallelPlan, error) {
 
 // strategyFromPlan maps a parallelization plan onto an executor: the
 // Pipeline strategy for pipeline plans, the paper's grouped protocol
-// at the plan's group count for data plans.
+// at the plan's group count for data plans. A pipeline plan is priced
+// from its own fields and executed as placed; a data plan runs as
+// core.SoCFlow, which maps integrity-greedy and prices at
+// cfg.PaperBatch, so a data plan that prices anything else is rejected.
 func strategyFromPlan(cfg Config, p *ParallelPlan) (core.Strategy, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadPlan, err)
@@ -284,6 +288,13 @@ func strategyFromPlan(cfg Config, p *ParallelPlan) (core.Strategy, error) {
 	}
 	if p.Mode == plan.ModePipeline {
 		return &core.Pipeline{Plan: p}, nil
+	}
+	if p.Batch != cfg.PaperBatch {
+		return nil, fmt.Errorf("%w: data plan is priced at batch %d, the run prices at PaperBatch %d", ErrBadPlan, p.Batch, cfg.PaperBatch)
+	}
+	mapped := plan.IntegrityGreedyMap(plan.AllNodes(cfg.NumSoCs), p.Groups(), cluster.SoCsPerPCBDefault).Groups
+	if !slices.EqualFunc(p.Placement, mapped, slices.Equal[[]int]) {
+		return nil, fmt.Errorf("%w: data plan places its groups at %v, the run executes the integrity-greedy mapping %v", ErrBadPlan, p.Placement, mapped)
 	}
 	mode, err := mixedMode(cfg.Mixed)
 	if err != nil {

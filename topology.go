@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"socflow/internal/cluster"
-	"socflow/internal/core"
+	"socflow/internal/plan"
 )
 
 // TopologyReport describes how SoCFlow would organize a fleet: the
@@ -35,15 +35,14 @@ func PlanTopology(numSoCs, numGroups, socsPerPCB int) (*TopologyReport, error) {
 	if numSoCs <= 0 || numGroups <= 0 || numGroups > numSoCs || socsPerPCB <= 0 {
 		return nil, fmt.Errorf("%w: cannot plan %d SoCs / %d groups / %d per PCB", ErrBadTopology, numSoCs, numGroups, socsPerPCB)
 	}
-	m := core.IntegrityGreedyMap(numSoCs, numGroups, socsPerPCB)
-	p := core.PlanCommunication(m)
+	m := plan.IntegrityGreedyMap(plan.AllNodes(numSoCs), numGroups, socsPerPCB)
 	rep := &TopologyReport{
 		NumSoCs:             numSoCs,
 		NumGroups:           numGroups,
 		SoCsPerPCB:          socsPerPCB,
 		Groups:              m.Groups,
 		ConflictCount:       m.ConflictCount(),
-		CommunicationGroups: p.CGs,
+		CommunicationGroups: m.CommunicationGroups(),
 	}
 	for g := range m.Groups {
 		if m.Split(g) {
