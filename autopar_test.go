@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -170,5 +171,47 @@ func TestParallelismValidation(t *testing.T) {
 	cfg.PaperBatch = 32 // plan was priced at 64
 	if _, err := defaultClient().Submit(context.Background(), cfg, WithPlan(dp)); !errors.Is(err, ErrBadPlan) {
 		t.Fatalf("data plan priced at another batch: Submit returned %v, want ErrBadPlan", err)
+	}
+}
+
+// Planning reads the catalogs and the cluster, never the training set:
+// it must not generate one (the parent built TrainSamples + ValSamples
+// synthetic images per call and dropped them), and it fails on unknown
+// names exactly as a run does.
+func TestPlanParallelismGeneratesNoDataset(t *testing.T) {
+	want, err := PlanParallelism(autoparConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 1<<17 samples would be ~100 MB of images if generated — enough to
+	// fail the bound twelve times over without endangering a shared host.
+	huge := autoparConfig()
+	huge.TrainSamples = 1 << 17
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := PlanParallelism(huge)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 8<<20 {
+		t.Errorf("planning with TrainSamples = 1<<17 allocated %d MB, want < 8", alloc>>20)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("TrainSamples changed the plan:\n  %+v\n  %+v", got, want)
+	}
+	for _, c := range []struct {
+		mutate func(*Config)
+		want   error
+	}{
+		{func(c *Config) { c.Model = "alexnet" }, ErrUnknownModel},
+		{func(c *Config) { c.Dataset = "imagenet" }, ErrUnknownDataset},
+		{func(c *Config) { c.Generation = "sd999" }, ErrUnknownGeneration},
+	} {
+		cfg := autoparConfig()
+		c.mutate(&cfg)
+		if _, err := PlanParallelism(cfg); !errors.Is(err, c.want) {
+			t.Errorf("PlanParallelism returned %v, want %v", err, c.want)
+		}
 	}
 }

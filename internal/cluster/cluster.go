@@ -86,19 +86,25 @@ func (c *Cluster) SamePCB(a, b int) bool { return c.PCBOf(a) == c.PCBOf(b) }
 // traffic additionally crosses both PCB uplinks and the switch fabric —
 // this is the paper's central bottleneck (§2.3, Observation #2).
 func (c *Cluster) Path(src, dst int) []*simnet.Link {
+	return c.AppendPath(nil, src, dst)
+}
+
+// AppendPath appends Path(src, dst) to buf, so a collective can lay all
+// its flows' paths out in one allocation.
+func (c *Cluster) AppendPath(buf []*simnet.Link, src, dst int) []*simnet.Link {
 	if src == dst {
-		return nil // on-chip
+		return buf // on-chip
 	}
 	if c.SamePCB(src, dst) {
-		return []*simnet.Link{c.socUp[src], c.socDown[dst]}
+		return append(buf, c.socUp[src], c.socDown[dst])
 	}
-	return []*simnet.Link{
+	return append(buf,
 		c.socUp[src],
 		c.pcbUp[c.PCBOf(src)],
 		c.fabric,
 		c.pcbDown[c.PCBOf(dst)],
 		c.socDown[dst],
-	}
+	)
 }
 
 // Flow builds a simnet flow for a src->dst transfer of the given size

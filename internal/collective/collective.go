@@ -17,7 +17,8 @@
 package collective
 
 import (
-	"fmt"
+	"encoding/binary"
+	"math"
 
 	"socflow/internal/cluster"
 	"socflow/internal/simnet"
@@ -42,10 +43,14 @@ func RingFlows(c *cluster.Cluster, members []int, bytes float64, startAt float64
 		return nil
 	}
 	payload := 2 * float64(n-1) / float64(n) * bytes
-	flows := make([]*simnet.Flow, 0, n)
+	// One allocation each for the pointers, the flows and their paths
+	// (at most five links a flow), whatever the ring's size.
+	flows, ring, links := make([]*simnet.Flow, n), make([]simnet.Flow, n), make([]*simnet.Link, 0, 5*n)
 	for i, src := range members {
-		dst := members[(i+1)%n]
-		flows = append(flows, c.Flow(fmt.Sprintf("ring[%d->%d]", src, dst), src, dst, payload, startAt))
+		lo := len(links)
+		links = c.AppendPath(links, src, members[(i+1)%n])
+		ring[i] = simnet.Flow{Name: "ring", Path: links[lo:len(links):len(links)], Bytes: payload, StartAt: startAt}
+		flows[i] = &ring[i]
 	}
 	return flows
 }
@@ -93,14 +98,103 @@ func spansPCBs(c *cluster.Cluster, members []int) bool {
 	return false
 }
 
+// Memo remembers the simulated time of every ring and broadcast window
+// it has priced. The time of a window is a pure function of its payload
+// and of its member lists' canonical shape — SoCs and PCBs relabelled by
+// order of first appearance. Two windows with equal shapes generate
+// flow sets that differ only by a renaming of links which preserves
+// flow order, path order, capacity and latency (every SoC link is
+// alike, every PCB link is alike, there is one fabric), so simnet
+// performs the same float operations in the same order on both and the
+// remembered time is bit-identical to a fresh simulation.
+//
+// A Memo belongs to one cluster and lives exactly as long as its owner
+// (one plan.Pricer: one search, one strategy run); nothing is shared
+// across owners. A nil *Memo remembers nothing and prices every window
+// from scratch — the package-level functions, which tests use as the
+// oracle. Not safe for concurrent use.
+type Memo struct {
+	times  map[string]float64
+	key    []byte
+	labels []label // per SoC, then per PCB: its label under the key being built
+	gen    uint32
+}
+
+type label struct {
+	gen uint32
+	id  uint64
+}
+
+// NewMemo returns an empty memo.
+func NewMemo() *Memo { return &Memo{times: make(map[string]float64)} }
+
+// shape builds the memo key of a window: its kind, payload and the
+// canonical shape of lists. Valid until the next call.
+func (m *Memo) shape(c *cluster.Cluster, kind byte, bytes float64, lists [][]int) []byte {
+	nSoCs := len(c.SoCs)
+	if len(m.labels) < nSoCs+c.NumPCBs {
+		m.labels = make([]label, nSoCs+c.NumPCBs)
+	}
+	m.gen++
+	var next [2]uint64 // labels handed out so far: SoCs, PCBs
+	relabel := func(i int, class int) uint64 {
+		l := &m.labels[i]
+		if l.gen != m.gen {
+			l.gen, l.id = m.gen, next[class]
+			next[class]++
+		}
+		return l.id
+	}
+	key := binary.LittleEndian.AppendUint64(append(m.key[:0], kind), math.Float64bits(bytes))
+	for _, members := range lists {
+		key = binary.AppendUvarint(key, uint64(len(members)))
+		for _, soc := range members {
+			key = binary.AppendUvarint(key, relabel(soc, 0))
+			key = binary.AppendUvarint(key, relabel(nSoCs+c.PCBOf(soc), 1))
+		}
+	}
+	m.key = key
+	return key
+}
+
+// window returns the simulated time of the flows build makes, which
+// must be a function of kind, bytes and the shape of lists alone.
+func (m *Memo) window(c *cluster.Cluster, kind byte, bytes float64, lists [][]int, build func() []*simnet.Flow) float64 {
+	if m == nil {
+		return simnet.Simulate(build())
+	}
+	key := m.shape(c, kind, bytes, lists)
+	t, ok := m.times[string(key)]
+	if !ok {
+		t = simnet.Simulate(build())
+		m.times[string(key)] = t
+	}
+	return t
+}
+
+// ringWindow returns the simulated network time of the groups' ring
+// all-reduces running concurrently, without their fixed overheads.
+func (m *Memo) ringWindow(c *cluster.Cluster, bytes float64, groups ...[]int) float64 {
+	return m.window(c, 'r', bytes, groups, func() (flows []*simnet.Flow) {
+		for _, members := range groups {
+			flows = append(flows, RingFlows(c, members, bytes, 0)...)
+		}
+		return flows
+	})
+}
+
 // RingAllReduceTime returns the simulated wall time of one ring
 // all-reduce of `bytes` among members.
 func RingAllReduceTime(c *cluster.Cluster, members []int, bytes float64) float64 {
-	flows := RingFlows(c, members, bytes, 0)
-	if len(flows) == 0 {
+	return (*Memo)(nil).RingAllReduceTime(c, members, bytes)
+}
+
+// RingAllReduceTime is the package-level function, remembered.
+func (m *Memo) RingAllReduceTime(c *cluster.Cluster, members []int, bytes float64) float64 {
+	if len(members) < 2 {
 		return 0
 	}
-	return simnet.Simulate(flows) + ringOverhead(c, members, bytes)
+	return m.ringWindow(c, bytes, members) + ringOverhead(c, members, bytes)
 }
 
 // PSTime returns the simulated wall time of a parameter-server round:
@@ -173,17 +267,19 @@ func TreeAggregateTime(c *cluster.Cluster, members []int, root int, bytes float6
 // every destination concurrently (model/data dispatch by the global
 // scheduler).
 func BroadcastTime(c *cluster.Cluster, src int, dsts []int, bytes float64) float64 {
-	var flows []*simnet.Flow
-	for _, d := range dsts {
-		if d == src {
-			continue
+	return (*Memo)(nil).BroadcastTime(c, src, dsts, bytes)
+}
+
+// BroadcastTime is the package-level function, remembered.
+func (m *Memo) BroadcastTime(c *cluster.Cluster, src int, dsts []int, bytes float64) float64 {
+	return m.window(c, 'b', bytes, [][]int{{src}, dsts}, func() (flows []*simnet.Flow) {
+		for _, d := range dsts {
+			if d != src {
+				flows = append(flows, c.Flow("bcast", src, d, bytes, 0))
+			}
 		}
-		flows = append(flows, c.Flow("bcast", src, d, bytes, 0))
-	}
-	if len(flows) == 0 {
-		return 0
-	}
-	return simnet.Simulate(flows)
+		return flows
+	})
 }
 
 // --- Math half -------------------------------------------------------
@@ -265,22 +361,20 @@ const contentionPenalty = 1.8
 // disabled). If the groups do contend — flows from two collectives
 // share a link — the contended portion pays contentionPenalty.
 func ConcurrentRingTime(c *cluster.Cluster, groups [][]int, bytes float64) float64 {
-	var flows []*simnet.Flow
-	var overhead float64
-	solo := 0.0
+	return (*Memo)(nil).ConcurrentRingTime(c, groups, bytes)
+}
+
+// ConcurrentRingTime is the package-level function, remembered: the
+// solo rings cost one simulation per distinct group shape, the combined
+// window one per distinct shape of the whole group list.
+func (m *Memo) ConcurrentRingTime(c *cluster.Cluster, groups [][]int, bytes float64) float64 {
+	var overhead, solo float64
 	for _, members := range groups {
-		flows = append(flows, RingFlows(c, members, bytes, 0)...)
-		if o := ringOverhead(c, members, bytes); o > overhead {
-			overhead = o
-		}
-		if t := RingAllReduceTime(c, members, bytes); t > solo {
-			solo = t
-		}
+		o := ringOverhead(c, members, bytes)
+		overhead = max(overhead, o)
+		solo = max(solo, m.ringWindow(c, bytes, members)+o)
 	}
-	if len(flows) == 0 {
-		return 0
-	}
-	combined := simnet.Simulate(flows) + overhead
+	combined := m.ringWindow(c, bytes, groups...) + overhead
 	// Contention detected: the combined makespan exceeds the slowest
 	// solo collective, meaning some link is shared across groups. The
 	// fluid result is the lower bound; real incast pushes it up.

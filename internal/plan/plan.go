@@ -30,6 +30,7 @@ package plan
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"socflow/internal/cluster"
 	"socflow/internal/collective"
@@ -223,10 +224,18 @@ type Timing struct {
 	IterSeconds float64
 }
 
-// Pricer prices plans for one cluster + model pair. It owns a reusable
-// simnet Simulator and flow scratch so the search hot loop — thousands
-// of boundary transfers across candidates — re-simulates without
-// rebuilding simulator state. Not safe for concurrent use.
+// Pricer prices plans for one cluster + model pair. Not safe for
+// concurrent use.
+//
+// A price has two kinds of terms. The network terms — ring, broadcast
+// and stage-boundary windows — are pure functions of topology and
+// payload, so the Pricer remembers each distinct one for as long as it
+// lives (one Search, one strategy run) and simulates it once: rings and
+// broadcasts by canonical member shape in a collective.Memo, boundary
+// transfers by (same PCB?, bytes). The compute terms (Clu.StepTime,
+// MemberBatches) read the SoCs' live DVFS throttle and are recomputed
+// on every call: core's strategies hold one Pricer across epochs while
+// the throttles move.
 type Pricer struct {
 	Clu  *cluster.Cluster
 	Spec *nn.Spec
@@ -234,18 +243,30 @@ type Pricer struct {
 	// (default DefaultActivationScale).
 	ActScale float64
 
-	sim      *simnet.Simulator
-	fwd, bwd simnet.Flow
-	flows    [2]*simnet.Flow
-	members  []int // ring-leader scratch
-	batches  []int // MemberBatches scratch
+	net  *collective.Memo
+	xfer map[boundary]float64
+
+	// Scratch, reused across calls.
+	members []int     // ring leaders, stage-ring members
+	batches []int     // MemberBatches
+	rings   [][]int   // one CG's active groups
+	compute []float64 // EpochSeconds' per-group step times
+	ready   []float64 // DataTiming's per-CG clocks
+	timing  Timing    // EpochSeconds' per-group pipeline timing
 }
 
-// NewPricer builds a pricer around a reusable simulator.
+// boundary identifies a stage-boundary transfer up to link renaming.
+type boundary struct {
+	samePCB bool
+	bytes   float64
+}
+
+// NewPricer builds a pricer that has priced nothing yet.
 func NewPricer(clu *cluster.Cluster, spec *nn.Spec) *Pricer {
-	pr := &Pricer{Clu: clu, Spec: spec, ActScale: DefaultActivationScale, sim: simnet.NewSimulator()}
-	pr.flows = [2]*simnet.Flow{&pr.fwd, &pr.bwd}
-	return pr
+	return &Pricer{
+		Clu: clu, Spec: spec, ActScale: DefaultActivationScale,
+		net: collective.NewMemo(), xfer: make(map[boundary]float64),
+	}
 }
 
 // EpochSeconds prices one epoch of the plan at paper scale: a pipeline
@@ -257,19 +278,18 @@ func (pr *Pricer) EpochSeconds(p *Plan, samples int) float64 {
 	iters := p.IterationsPerEpoch(samples)
 	if p.Mode == ModePipeline {
 		worst := 0.0
+		wTotal, pTotal := stageTotals(p.Stages)
 		for g := range p.Placement {
-			if t := pr.GroupTiming(p, g).IterSeconds; t > worst {
-				worst = t
-			}
+			pr.groupTiming(p, g, wTotal, pTotal, &pr.timing)
+			worst = max(worst, pr.timing.IterSeconds)
 		}
 		return float64(iters)*worst + pr.CrossGroupSyncSeconds(p)
 	}
-	compute := make([]float64, len(p.Placement))
+	compute := append(pr.compute[:0], make([]float64, len(p.Placement))...)
+	pr.compute = compute
 	for g, members := range p.Placement {
 		for i, b := range pr.MemberBatches(members, p.Batch, true) {
-			if t := pr.Clu.StepTime(members[i], pr.Spec, b, cluster.CPU); t > compute[g] {
-				compute[g] = t
-			}
+			compute[g] = max(compute[g], pr.Clu.StepTime(members[i], pr.Spec, b, cluster.CPU))
 		}
 	}
 	m := Mapping{Groups: p.Placement, SoCsPerPCB: pr.Clu.Config.SoCsPerPCB}
@@ -283,20 +303,32 @@ func (pr *Pricer) EpochSeconds(p *Plan, samples int) float64 {
 // micro-batch — splitting a model does not split the runtime's launch
 // cost, which is exactly what makes over-deep pipelines lose).
 func (pr *Pricer) GroupTiming(p *Plan, g int) Timing {
+	var t Timing
+	wTotal, pTotal := stageTotals(p.Stages)
+	pr.groupTiming(p, g, wTotal, pTotal, &t)
+	return t
+}
+
+// stageTotals sums the stages' training weights and parameter counts.
+func stageTotals(stages []serve.Stage) (weight float64, params int64) {
+	for _, st := range stages {
+		weight += st.TrainingWeight()
+		params += st.Params
+	}
+	return weight, params
+}
+
+// groupTiming is GroupTiming into t, reusing t's slices, given the
+// plan's stageTotals.
+func (pr *Pricer) groupTiming(p *Plan, g int, wTotal float64, pTotal int64, t *Timing) {
 	d := len(p.Stages)
 	mb := p.Batch / p.MicroBatches
 	if mb < 1 {
 		mb = 1
 	}
-	var wTotal float64
-	var pTotal int64
-	for _, st := range p.Stages {
-		wTotal += st.TrainingWeight()
-		pTotal += st.Params
-	}
-	t := Timing{
-		StageSeconds: make([]float64, d),
-		XferSeconds:  make([]float64, d-1),
+	*t = Timing{
+		StageSeconds: slices.Grow(t.StageSeconds[:0], d)[:d],
+		XferSeconds:  slices.Grow(t.XferSeconds[:0], d-1)[:d-1],
 	}
 	for i, st := range p.Stages {
 		soc := p.Placement[g][i]
@@ -321,7 +353,6 @@ func (pr *Pricer) GroupTiming(p *Plan, g int) Timing {
 		}
 	}
 	t.IterSeconds = float64(p.MicroBatches+d-1)*t.Bottleneck + t.UpdateSeconds
-	return t
 }
 
 // boundarySeconds prices one micro-batch crossing a stage boundary:
@@ -332,9 +363,16 @@ func (pr *Pricer) boundarySeconds(a, b int, bytes float64) float64 {
 	if a == b {
 		return 0
 	}
-	pr.fwd = simnet.Flow{Name: "act.fwd", Path: pr.Clu.Path(a, b), Bytes: bytes}
-	pr.bwd = simnet.Flow{Name: "act.bwd", Path: pr.Clu.Path(b, a), Bytes: bytes}
-	return pr.sim.Simulate(pr.flows[:])
+	key := boundary{pr.Clu.SamePCB(a, b), bytes}
+	t, ok := pr.xfer[key]
+	if !ok {
+		t = simnet.Simulate([]*simnet.Flow{
+			pr.Clu.Flow("act.fwd", a, b, bytes, 0),
+			pr.Clu.Flow("act.bwd", b, a, bytes, 0),
+		})
+		pr.xfer[key] = t
+	}
+	return t
 }
 
 // CrossGroupSyncSeconds prices the pipeline plan's per-epoch delayed
@@ -347,10 +385,7 @@ func (pr *Pricer) CrossGroupSyncSeconds(p *Plan) float64 {
 	if n < 2 || p.Mode != ModePipeline {
 		return 0
 	}
-	var pTotal int64
-	for _, st := range p.Stages {
-		pTotal += st.Params
-	}
+	_, pTotal := stageTotals(p.Stages)
 	if cap(pr.members) < n {
 		pr.members = make([]int, n)
 	}
@@ -361,7 +396,7 @@ func (pr *Pricer) CrossGroupSyncSeconds(p *Plan) float64 {
 			members[g] = p.Placement[g][i]
 		}
 		payload := float64(st.Params) / float64(pTotal) * float64(pr.Spec.GradBytes())
-		sum += collective.RingAllReduceTime(pr.Clu, members, payload)
+		sum += pr.net.RingAllReduceTime(pr.Clu, members, payload)
 	}
 	return sum
 }
@@ -418,13 +453,14 @@ func (pr *Pricer) DataTiming(groups, cgs [][]int, active []bool, compute []float
 	// Per-CG concurrent sync time (only active groups communicate).
 	t := DataTiming{CGSync: make([]float64, len(cgs))}
 	for i, cg := range cgs {
-		var memberSets [][]int
+		rings := pr.rings[:0]
 		for _, g := range cg {
 			if on(g) && len(groups[g]) > 1 {
-				memberSets = append(memberSets, groups[g])
+				rings = append(rings, groups[g])
 			}
 		}
-		t.CGSync[i] = collective.ConcurrentRingTime(pr.Clu, memberSets, payload)
+		pr.rings = rings
+		t.CGSync[i] = pr.net.ConcurrentRingTime(pr.Clu, rings, payload)
 	}
 
 	// Event-driven interleaved schedule (Fig. 7): CG windows serialize
@@ -433,7 +469,8 @@ func (pr *Pricer) DataTiming(groups, cgs [][]int, active []bool, compute []float
 	// optimization 1) lets a group's own sync start while its backward
 	// pass is still producing gradients, hiding an OverlapFraction of
 	// the compute behind the transfer.
-	ready := make([]float64, len(cgs))
+	ready := append(pr.ready[:0], make([]float64, len(cgs))...)
+	pr.ready = ready
 	nicFree := 0.0
 	for it := 0; it < iters; it++ {
 		for i, cg := range cgs {
@@ -469,13 +506,13 @@ func (pr *Pricer) DataTiming(groups, cgs [][]int, active []bool, compute []float
 	}
 	pr.members = leaders
 	if len(leaders) > 1 {
-		t.AggSeconds = collective.RingAllReduceTime(pr.Clu, leaders, payload)
+		t.AggSeconds = pr.net.RingAllReduceTime(pr.Clu, leaders, payload)
 		var bMax float64
 		for g, members := range groups {
 			if !on(g) {
 				continue
 			}
-			if b := collective.BroadcastTime(pr.Clu, members[0], members, payload); b > bMax {
+			if b := pr.net.BroadcastTime(pr.Clu, members[0], members, payload); b > bMax {
 				bMax = b
 			}
 		}

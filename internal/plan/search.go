@@ -95,7 +95,11 @@ func (o Options) withDefaults() Options {
 // Enumeration order is fixed and improvement is strict, so equal
 // inputs always return the identical plan (the determinism test gates
 // tier-1 on this).
-func Search(o Options) (*Plan, error) {
+func Search(o Options) (*Plan, error) { return search(o, nil) }
+
+// search is Search; each, when non-nil, sees every candidate and its
+// price as the search prices it.
+func search(o Options, each func(p *Plan, epochSeconds float64)) (*Plan, error) {
 	o = o.withDefaults()
 	if o.Spec == nil {
 		return nil, fmt.Errorf("plan: Options.Spec is required")
@@ -141,6 +145,9 @@ func Search(o Options) (*Plan, error) {
 	consider := func(p *Plan) {
 		t := pr.EpochSeconds(p, o.Samples)
 		cands++
+		if each != nil {
+			each(p, t)
+		}
 		if p.Mode == ModeData && t < bestDataT {
 			bestDataT = t
 		}

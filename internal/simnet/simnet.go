@@ -57,6 +57,7 @@ type Flow struct {
 
 	remaining float64
 	rate      float64
+	lo, hi    int32 // this flow's slots in the running Simulator's paths
 	started   bool
 	done      bool
 	frozen    bool
@@ -71,39 +72,68 @@ func (f *Flow) latency() float64 {
 	return l
 }
 
-// linkState is per-link water-filling scratch, owned by a Simulator and
-// reused across fair-share rounds via generation stamping.
+// linkState is one link's water-filling scratch: a slot in the
+// Simulator's flat state table, reset lazily per fair-share round via
+// generation stamping.
 type linkState struct {
-	gen   uint64
-	cap   float64
-	flows []*Flow
+	gen      uint64
+	bw       float64 // Link.Bandwidth as of the Simulate call that resolved the slot
+	cap      float64
+	unfrozen int // path crossings by flows not yet frozen this round
+	flows    []*Flow
 }
 
 // Simulator runs flow simulations while reusing all per-event scratch
-// (link states, the active-flow list, the touched-link list) across
-// events and across Simulate calls. A planner sweeping thousands of
-// candidate placements holds one Simulator and pays zero steady-state
-// allocations per call; the package-level Simulate draws from a pool
-// and has the same property.
+// (link states, resolved paths, the active-flow list, the touched-link
+// list) across events and across Simulate calls. A planner sweeping
+// thousands of candidate placements holds one Simulator and pays zero
+// steady-state allocations per call; the package-level Simulate draws
+// from a pool and has the same property.
 //
 // A Simulator is not safe for concurrent use; use one per goroutine or
 // the package-level functions (which are).
 type Simulator struct {
-	states map[*Link]*linkState
-	links  []*Link // links touched in the current fair-share round
+	slots  map[*Link]int32 // link -> index into states; touched once per path hop per call
+	states []linkState
+	paths  []int32 // every flow's Path as slots; flow f owns paths[f.lo:f.hi]
+	links  []int32 // slots touched in the current fair-share round
 	active []*Flow
 	gen    uint64
 }
 
 // NewSimulator returns an empty reusable simulator.
 func NewSimulator() *Simulator {
-	return &Simulator{states: make(map[*Link]*linkState)}
+	return &Simulator{slots: make(map[*Link]int32)}
 }
 
-// maxRetainedLinks bounds the scratch map so a long-lived pooled
+// maxRetainedLinks bounds the slot table so a long-lived pooled
 // Simulator cannot pin link objects from arbitrarily many dead
 // topologies.
 const maxRetainedLinks = 4096
+
+// resolve maps every flow's Path to link-state slots, once per Simulate
+// call, so the event loop and fairShare index slices instead of hashing
+// a *Link per hop per water-filling round.
+func (s *Simulator) resolve(flows []*Flow) {
+	if len(s.slots) > maxRetainedLinks {
+		s.slots, s.states = make(map[*Link]int32), nil
+	}
+	s.paths = s.paths[:0]
+	for _, f := range flows {
+		f.lo = int32(len(s.paths))
+		for _, l := range f.Path {
+			slot, ok := s.slots[l]
+			if !ok {
+				slot = int32(len(s.states))
+				s.slots[l] = slot
+				s.states = append(s.states, linkState{})
+			}
+			s.states[slot].bw = l.Bandwidth
+			s.paths = append(s.paths, slot)
+		}
+		f.hi = int32(len(s.paths))
+	}
+}
 
 // Simulate runs progressive filling over the given flows and returns
 // the makespan (time at which the last flow completes). Each flow's
@@ -115,9 +145,7 @@ const maxRetainedLinks = 4096
 // the next flow start or finish. Complexity is O(E · (F·L)) for E
 // events, fine for the fleet sizes here (hundreds of flows).
 func (s *Simulator) Simulate(flows []*Flow) float64 {
-	if len(s.states) > maxRetainedLinks {
-		s.states = make(map[*Link]*linkState)
-	}
+	s.resolve(flows)
 	for _, f := range flows {
 		f.remaining = f.Bytes
 		f.started = false
@@ -207,62 +235,50 @@ func (s *Simulator) Simulate(flows []*Flow) float64 {
 // fairShare computes the max-min fair rate for each active flow via
 // water-filling: repeatedly find the most-constrained link (smallest
 // per-flow share), freeze its flows at that share, remove their demand,
-// and continue. Scratch is generation-stamped: a link's state is reset
-// lazily the first time the current round touches it, so nothing is
-// reallocated between events.
+// and continue. Every active flow has a non-empty path (Simulate
+// retires loopbacks first). Scratch is generation-stamped: a link's
+// state is reset lazily the first time the current round touches it, so
+// nothing is reallocated between events.
 func (s *Simulator) fairShare(active []*Flow) {
 	s.gen++
 	s.links = s.links[:0]
-	nFrozen := 0
 	for _, f := range active {
 		f.rate = 0
 		f.frozen = false
-		if len(f.Path) == 0 {
-			// Loopback: unconstrained; give it effectively infinite rate.
-			f.rate = math.Inf(1)
-			f.frozen = true
-			nFrozen++
-			continue
-		}
-		for _, l := range f.Path {
-			st := s.states[l]
-			if st == nil {
-				st = &linkState{}
-				s.states[l] = st
-			}
+		for _, slot := range s.paths[f.lo:f.hi] {
+			st := &s.states[slot]
 			if st.gen != s.gen {
 				st.gen = s.gen
-				st.cap = l.Bandwidth
+				st.cap = st.bw
+				st.unfrozen = 0
 				st.flows = st.flows[:0]
-				s.links = append(s.links, l)
+				s.links = append(s.links, slot)
 			}
+			st.unfrozen++
 			st.flows = append(st.flows, f)
 		}
 	}
 
-	for nFrozen < len(active) {
-		// Find bottleneck link: min cap/unfrozen-count. Iterating the
-		// touched-link slice (insertion order) rather than the map keeps
-		// tie-breaking deterministic on top of avoiding map-range cost.
+	for nFrozen := 0; nFrozen < len(active); {
+		// Find bottleneck link: min cap/unfrozen-count. Scanning the
+		// touched slots in first-touch order with a strict < keeps
+		// tie-breaking deterministic; links whose flows are all frozen
+		// are dropped from the scan in passing, order preserved.
 		var bottleneck *linkState
 		best := math.Inf(1)
-		for _, l := range s.links {
-			st := s.states[l]
-			n := 0
-			for _, f := range st.flows {
-				if !f.frozen {
-					n++
-				}
-			}
-			if n == 0 {
+		live := s.links[:0]
+		for _, slot := range s.links {
+			st := &s.states[slot]
+			if st.unfrozen == 0 {
 				continue
 			}
-			share := st.cap / float64(n)
-			if share < best {
+			live = append(live, slot)
+			if share := st.cap / float64(st.unfrozen); share < best {
 				best = share
 				bottleneck = st
 			}
 		}
+		s.links = live
 		if bottleneck == nil {
 			break
 		}
@@ -275,8 +291,9 @@ func (s *Simulator) fairShare(active []*Flow) {
 			f.rate = best
 			f.frozen = true
 			nFrozen++
-			for _, l := range f.Path {
-				st := s.states[l]
+			for _, slot := range s.paths[f.lo:f.hi] {
+				st := &s.states[slot]
+				st.unfrozen--
 				st.cap -= best
 				if st.cap < 0 {
 					st.cap = 0

@@ -13,10 +13,13 @@ go test ./...
 # Width matrix: the zero-allocation bounds, golden losses, fused≡unfused
 # and parallelism-invariance tests must hold at every pool width, not
 # just this host's. internal/parallel sizes its pool from GOMAXPROCS at
-# init, so the variable is the whole switch.
+# init, so the variable is the whole switch. The planner's packages ride
+# along for their allocation and simulated-flow bounds and their pinned
+# prices.
 for w in 1 2 4 8; do
     GOMAXPROCS=$w go test -count=1 . ./internal/parallel ./internal/tensor \
-        ./internal/nn ./internal/serve ./internal/quant ./internal/core
+        ./internal/nn ./internal/serve ./internal/quant ./internal/core \
+        ./internal/plan ./internal/simnet ./internal/collective
 done
 # Every -race invocation, here and in the Makefile, passes -skip Alloc:
 # sync.Pool drops a quarter of its Puts under the race detector, so an

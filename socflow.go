@@ -203,14 +203,16 @@ func Run(ctx context.Context, cfg Config, opts ...Option) (*Report, error) {
 	return h.Wait(ctx)
 }
 
-func buildJob(cfg Config) (*core.Job, *cluster.Cluster, error) {
+// resolve looks cfg's names up in their catalogs and builds the modeled
+// cluster: everything a job needs short of its training data.
+func resolve(cfg Config) (*nn.Spec, *dataset.Profile, *cluster.Cluster, error) {
 	spec, err := nn.GetSpec(cfg.Model)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %q (have %v)", ErrUnknownModel, cfg.Model, Models())
+		return nil, nil, nil, fmt.Errorf("%w: %q (have %v)", ErrUnknownModel, cfg.Model, Models())
 	}
 	prof, err := dataset.GetProfile(cfg.Dataset)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %q (have %v)", ErrUnknownDataset, cfg.Dataset, Datasets())
+		return nil, nil, nil, fmt.Errorf("%w: %q (have %v)", ErrUnknownDataset, cfg.Dataset, Datasets())
 	}
 	var gen cluster.SoCGeneration
 	switch cfg.Generation {
@@ -219,9 +221,16 @@ func buildJob(cfg Config) (*core.Job, *cluster.Cluster, error) {
 	case "sd8gen1":
 		gen = cluster.Gen8Gen1
 	default:
-		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownGeneration, cfg.Generation)
+		return nil, nil, nil, fmt.Errorf("%w: %q", ErrUnknownGeneration, cfg.Generation)
 	}
-	clu := cluster.New(cluster.Config{NumSoCs: cfg.NumSoCs, Generation: gen})
+	return spec, prof, cluster.New(cluster.Config{NumSoCs: cfg.NumSoCs, Generation: gen}), nil
+}
+
+func buildJob(cfg Config) (*core.Job, *cluster.Cluster, error) {
+	spec, prof, clu, err := resolve(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
 	// Train and validation must come from one generation pass so they
 	// share class prototypes.
 	pool := prof.Generate(dataset.GenOptions{Samples: cfg.TrainSamples + cfg.ValSamples, Seed: cfg.Seed})
@@ -250,15 +259,15 @@ func buildJob(cfg Config) (*core.Job, *cluster.Cluster, error) {
 // configs return the identical plan.
 func PlanParallelism(cfg Config) (*ParallelPlan, error) {
 	cfg = cfg.withDefaults()
-	job, clu, err := buildJob(cfg)
+	spec, prof, clu, err := resolve(cfg)
 	if err != nil {
 		return nil, err
 	}
 	opts := plan.Options{
-		Spec:        job.Spec,
+		Spec:        spec,
 		Cluster:     clu,
 		GlobalBatch: cfg.PaperBatch,
-		Samples:     job.PaperSamples,
+		Samples:     prof.PaperTrainN,
 	}
 	if cfg.Groups > 0 {
 		opts.MaxGroups = cfg.Groups
