@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race chaos bench bench-smoke bench-report bench-elastic server-smoke serve-smoke bench-colocation ci
+.PHONY: all build vet test race chaos bench bench-smoke server-smoke serve-smoke ci
 
 all: ci
 
@@ -55,28 +55,6 @@ bench-smoke:
 # the benchmark's own bounds, then a traced one (benchmark/README.md).
 bench:
 	./benchmark/run.sh
-
-# Elastic-recovery experiment: tidal-trace preemption + return against
-# the heartbeat/retry/rejoin machinery, with the degrade→rejoin curve
-# and recovery counters in the emitted report.
-bench-elastic:
-	$(GO) run ./cmd/socflow-bench --exp elastic --samples 480 --epochs 8 \
-		--metrics-out BENCH_pr5.json
-
-# Scalability experiment with the observability subsystem on: emits the
-# structured run report (tables + metrics snapshot) and a Perfetto-
-# loadable Chrome trace.
-# Co-location experiment: the SLO-batched serving plane resizes with
-# the diurnal tide on one control plane while preemptible training
-# parks and resumes underneath it; emits the hourly sweep, serving
-# quantiles, SLO attainment, and training throughput as BENCH_pr8.json.
-bench-colocation:
-	$(GO) run ./cmd/socflow-bench --exp colocation --samples 480 \
-		--metrics-out BENCH_pr8.json
-
-bench-report:
-	$(GO) run ./cmd/socflow-bench --exp scalability --samples 480 --epochs 6 \
-		--metrics-out BENCH_pr3.json --trace-out BENCH_pr3.trace.json
 
 # One gate list: scripts/ci.sh is the single definition of CI.
 ci:

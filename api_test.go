@@ -7,6 +7,7 @@ import (
 	"log"
 	"strings"
 	"testing"
+	"time"
 )
 
 // The options tune execution, never results: the same seeded job must
@@ -96,9 +97,10 @@ func TestRunDistributedCancellation(t *testing.T) {
 	}
 }
 
-// Injected crashes without degradation must fail fast (first-error
-// teardown, not a deadlock) and name the failed worker; with
-// degradation the same job completes on the survivors.
+// Injected crashes without recovery must fail fast (first-error
+// teardown, not a deadlock) and name the failed worker; with recovery
+// the heartbeat detector notices the crash and the same job completes
+// on the survivors.
 func TestRunDistributedFaultInjection(t *testing.T) {
 	cfg := DistributedConfig{
 		JobSpec:       JobSpec{Epochs: 3, TrainSamples: 240, ValSamples: 60},
@@ -108,18 +110,56 @@ func TestRunDistributedFaultInjection(t *testing.T) {
 		InjectCrashes: 1,
 	}
 	if _, err := RunDistributed(context.Background(), cfg); err == nil {
-		t.Fatal("injected crash without degradation must fail the run")
+		t.Fatal("injected crash without recovery must fail the run")
 	} else if !strings.Contains(err.Error(), "worker") {
 		t.Fatalf("error must name the failed worker: %v", err)
 	}
 
-	cfg.DegradeOnFault = true
-	rep, err := RunDistributed(context.Background(), cfg)
+	rep, err := RunDistributed(context.Background(), cfg,
+		WithRecovery(3, 5*time.Millisecond), WithHeartbeat(5*time.Millisecond, 250*time.Millisecond))
 	if err != nil {
-		t.Fatalf("degraded run failed: %v", err)
+		t.Fatalf("recovered run failed: %v", err)
 	}
 	if len(rep.EpochAccuracies) != 3 || rep.BestAccuracy <= 0 {
-		t.Fatalf("degraded run incomplete: %+v", rep)
+		t.Fatalf("recovered run incomplete: %+v", rep)
+	}
+	if rep.Recovery == nil || rep.Recovery.Detections < 1 {
+		t.Fatalf("the crash must be detected, not read from the plan: %+v", rep.Recovery)
+	}
+}
+
+// A crash count that leaves no survivor (or is negative) is knowable
+// at submit: it must fail there, wrapping ErrBadOption, whether or not
+// recovery is on — never train a few epochs and then run out of workers.
+func TestRunDistributedRejectsUnsurvivableCrashes(t *testing.T) {
+	recovery := []Option{WithRecovery(3, 5*time.Millisecond)}
+	for _, tc := range []struct {
+		name    string
+		crashes int
+		opts    []Option
+	}{
+		{"negative", -1, nil},
+		{"every SoC", 4, nil},
+		{"every SoC, recovery on", 4, recovery},
+		{"more than the fleet, recovery on", 9, recovery},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DistributedConfig{
+				JobSpec:       JobSpec{Epochs: 3, TrainSamples: 240, ValSamples: 60},
+				NumSoCs:       4,
+				Groups:        2,
+				InProcess:     true,
+				InjectCrashes: tc.crashes,
+			}
+			h, err := defaultClient().SubmitDistributed(context.Background(), cfg, tc.opts...)
+			if err == nil {
+				h.Cancel(context.Background())
+				t.Fatalf("InjectCrashes %d on 4 SoCs accepted at submit", tc.crashes)
+			}
+			if !errors.Is(err, ErrBadOption) || !strings.Contains(err.Error(), "InjectCrashes") {
+				t.Fatalf("want errors.Is(ErrBadOption) naming InjectCrashes, got %v", err)
+			}
+		})
 	}
 }
 

@@ -122,7 +122,7 @@ func catalog() []experiment {
 		{"ext4", "extension: co-location via group-level preemption", func(o exp.Options, _ bool) ([]*exp.Table, error) {
 			return one(exp.ExpPreemption(o))
 		}},
-		{"faults", "extension: accuracy under injected SoC crashes (0/1/2 + tidal) with group degradation", func(o exp.Options, _ bool) ([]*exp.Table, error) {
+		{"faults", "extension: accuracy under injected SoC crashes (0/1/2 + tidal leave/return), each detected by heartbeat and retried on the survivors", func(o exp.Options, _ bool) ([]*exp.Table, error) {
 			return one(exp.ExpFaults(o))
 		}},
 		{"elastic", "extension: elastic recovery under the tidal trace (heartbeat detection, epoch retry, rejoin + state transfer)", func(o exp.Options, _ bool) ([]*exp.Table, error) {

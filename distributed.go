@@ -51,14 +51,13 @@ type DistributedConfig struct {
 	// channels — faster and fully deterministic, same protocol.
 	InProcess bool
 	// InjectCrashes injects this many deterministic, seed-derived
-	// worker crashes (a transport.FaultPlan built from Seed) — the
-	// SoC-preemption scenario of a shared cluster. Without
-	// DegradeOnFault the run fails fast with the joined worker errors.
+	// permanent worker crashes (a transport.FaultPlan built from Seed) —
+	// the SoC-preemption scenario of a shared cluster. Without
+	// WithRecovery or WithHeartbeat the run fails fast with the joined
+	// worker errors; with either, peers detect each crash by heartbeat
+	// and the run completes on the survivors. It must lie in
+	// [0, NumSoCs): Submit rejects a count that leaves no survivor.
 	InjectCrashes int
-	// DegradeOnFault lets a crashed member's group shrink to the
-	// survivors, which re-split the batch and re-normalize the
-	// gradient average, so the run completes instead of aborting.
-	DegradeOnFault bool
 	// PreemptWindows scripts tidal preemption episodes: SoC leaves at
 	// the start of epoch Epoch and (when Return >= 0) is handed back at
 	// the start of epoch Return. Setting any window enables the elastic
@@ -87,8 +86,8 @@ type DistributedConfig struct {
 	// barrier-delimited epoch rounds with in-memory start-of-epoch
 	// snapshots, and planner-driven re-planning onto the surviving
 	// fleet (DESIGN.md §17). The pipeline track recovers from those
-	// snapshots, not the checkpoint store, and DegradeOnFault is
-	// data-parallel-only.
+	// snapshots, not the checkpoint store; without recovery a crash is
+	// fatal on either track.
 	Parallelism string
 	// ResizeSchedule scripts tidal capacity targets for the elastic
 	// pipeline track: at the boundary before epoch Epoch the usable
@@ -208,6 +207,10 @@ func buildDistributedSpec(submitCtx context.Context, cfg DistributedConfig, o ru
 	default:
 		return server.JobSpec{}, fmt.Errorf("%w: %q (have \"\", data, pipeline, auto)", ErrUnknownParallelism, cfg.Parallelism)
 	}
+	if cfg.InjectCrashes < 0 || cfg.InjectCrashes >= cfg.NumSoCs {
+		return server.JobSpec{}, fmt.Errorf("%w: InjectCrashes %d: want 0..NumSoCs-1 (%d), so a survivor is left to finish the run",
+			ErrBadOption, cfg.InjectCrashes, cfg.NumSoCs-1)
+	}
 	for _, ev := range cfg.ResizeSchedule {
 		if ev.Epoch < 1 || ev.SoCs < 1 {
 			return server.JobSpec{}, fmt.Errorf("socflow: ResizeSchedule entry {Epoch: %d, SoCs: %d}: Epoch must be >= 1 and SoCs positive", ev.Epoch, ev.SoCs)
@@ -297,7 +300,6 @@ func buildDistributedSpec(submitCtx context.Context, cfg DistributedConfig, o ru
 			o.logger.Printf("distributed run: %s on %s, %d SoCs in %d groups", cfg.Model, cfg.Dataset, cfg.NumSoCs, cfg.Groups)
 		}
 		dcfg.Groups = mapping.Groups
-		dcfg.DegradeOnFault = cfg.DegradeOnFault
 		if o.recovery || len(cfg.PreemptWindows) > 0 {
 			dcfg.Faults, dcfg.Recovery = recoveryPlan(cfg, o, dcfg.Faults)
 		}

@@ -29,22 +29,11 @@ import (
 func ExpElastic(o Options) (*Table, error) {
 	o = o.withDefaults()
 	const socs, groups = 6, 2
-	epochs := o.Epochs
-	if epochs > 8 {
-		epochs = 8
-	}
-	if epochs < 5 {
-		epochs = 5
-	}
-
-	prof, err := dataset.GetProfile("fmnist")
+	epochs := min(max(o.Epochs, 5), 8)
+	job, err := newMeshJob(o, socs, groups, epochs)
 	if err != nil {
 		return nil, err
 	}
-	pool := prof.Generate(dataset.GenOptions{Samples: o.TrainSamples + o.ValSamples, Seed: o.Seed})
-	train, val := pool.Split(float64(o.TrainSamples) / float64(pool.Len()))
-	spec := nn.MustSpec("lenet5")
-	grps := plan.IntegrityGreedyMap(plan.AllNodes(socs), groups, cluster.SoCsPerPCBDefault).Groups
 
 	// Derive the preemption episode from the tidal trace: an evening
 	// session walks out of the afternoon shoulder into the nightly
@@ -59,37 +48,7 @@ func ExpElastic(o Options) (*Table, error) {
 		}
 	}
 
-	type run struct {
-		res  *runtime.DistResult
-		wall []float64
-	}
-	do := func(plan *transport.FaultPlan, rejoins []runtime.Rejoin) (*run, error) {
-		r := &run{wall: make([]float64, epochs)}
-		var mu sync.Mutex
-		prev := time.Now()
-		cfg := runtime.DistConfig{
-			JobSpec: core.JobSpec{Epochs: epochs, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: o.Seed},
-			Groups:  grps,
-			Faults:  plan,
-			Metrics: o.Metrics,
-			EpochEnd: func(epoch int, _ float64) {
-				mu.Lock()
-				now := time.Now()
-				r.wall[epoch] = now.Sub(prev).Seconds()
-				prev = now
-				mu.Unlock()
-			},
-			Recovery: &runtime.RecoveryConfig{Rejoins: rejoins},
-		}
-		res, err := runtime.RunDistributed(context.Background(), transport.NewChanMesh(socs), spec, train, val, cfg)
-		if err != nil {
-			return nil, err
-		}
-		r.res = res
-		return r, nil
-	}
-
-	clean, err := do(nil, nil)
+	clean, err := job.run(nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("exp elastic baseline: %w", err)
 	}
@@ -98,7 +57,7 @@ func ExpElastic(o Options) (*Table, error) {
 		Epoch: window.Epoch, Iter: 1, // mid-epoch: survivors are already in the ring
 		UntilEpoch: window.Return,
 	}}}
-	elastic, err := do(plan, []runtime.Rejoin{{Node: window.SoC, Epoch: window.Return}})
+	elastic, err := job.run(plan, []runtime.Rejoin{{Node: window.SoC, Epoch: window.Return}})
 	if err != nil {
 		return nil, fmt.Errorf("exp elastic preempt+rejoin: %w", err)
 	}
@@ -150,4 +109,64 @@ func ExpElastic(o Options) (*Table, error) {
 		t.Notes = append(t.Notes, "WARNING: accuracy delta exceeds the 2-point acceptance bound")
 	}
 	return t, nil
+}
+
+// meshJob is the job ExpFaults and ExpElastic replay fault schedules
+// against: LeNet-5/FMNIST data parallelism over an in-process mesh of
+// socs SoCs in integrity-greedy groups, on the elastic track, so every
+// crash is detected by heartbeat and survived by epoch retry.
+type meshJob struct {
+	socs       int
+	spec       *nn.Spec
+	train, val *dataset.Dataset
+	cfg        runtime.DistConfig
+}
+
+func newMeshJob(o Options, socs, groups, epochs int) (*meshJob, error) {
+	prof, err := dataset.GetProfile("fmnist")
+	if err != nil {
+		return nil, err
+	}
+	pool := prof.Generate(dataset.GenOptions{Samples: o.TrainSamples + o.ValSamples, Seed: o.Seed})
+	train, val := pool.Split(float64(o.TrainSamples) / float64(pool.Len()))
+	return &meshJob{
+		socs:  socs,
+		spec:  nn.MustSpec("lenet5"),
+		train: train, val: val,
+		cfg: runtime.DistConfig{
+			JobSpec: core.JobSpec{Epochs: epochs, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: o.Seed},
+			Groups:  plan.IntegrityGreedyMap(plan.AllNodes(socs), groups, cluster.SoCsPerPCBDefault).Groups,
+			Metrics: o.Metrics,
+		},
+	}, nil
+}
+
+// meshRun is one run's result and the wall seconds of each epoch.
+type meshRun struct {
+	res  *runtime.DistResult
+	wall []float64
+}
+
+// run trains the job once under faults, re-admitting each rejoin at
+// its epoch boundary.
+func (j *meshJob) run(faults *transport.FaultPlan, rejoins []runtime.Rejoin) (*meshRun, error) {
+	r := &meshRun{wall: make([]float64, j.cfg.Epochs)}
+	var mu sync.Mutex // leadership, and so the EpochEnd caller, migrates
+	prev := time.Now()
+	cfg := j.cfg
+	cfg.Faults = faults
+	cfg.Recovery = &runtime.RecoveryConfig{Rejoins: rejoins}
+	cfg.EpochEnd = func(epoch int, _ float64) {
+		mu.Lock()
+		now := time.Now()
+		r.wall[epoch] = now.Sub(prev).Seconds()
+		prev = now
+		mu.Unlock()
+	}
+	res, err := runtime.RunDistributed(context.Background(), transport.NewChanMesh(j.socs), j.spec, j.train, j.val, cfg)
+	if err != nil {
+		return nil, err
+	}
+	r.res = res
+	return r, nil
 }

@@ -563,15 +563,23 @@ func TestExpFaultsDegradesGracefully(t *testing.T) {
 	if c := cellFloat(t, two[1]); c != 2 {
 		t.Fatalf("2-crash row reports %v crashes", c)
 	}
-	// Degradation keeps the runs alive and close to the clean accuracy.
+	// Recovery keeps the runs alive and close to the clean accuracy.
 	for _, label := range []string{"1 crash", "2 crashes"} {
 		row := tb.FindRow(label)
 		if row == nil {
 			t.Fatalf("missing row %q", label)
 		}
-		delta := cellFloat(t, row[5])
+		delta := cellFloat(t, row[7])
 		if delta < -2 || delta > 2 {
 			t.Fatalf("%s: best-accuracy delta %v points, want within 2", label, delta)
+		}
+	}
+	// Every crash was survived because the heartbeat detector saw it,
+	// not because a worker read the plan.
+	for _, label := range []string{"1 crash", "2 crashes", "tidal"} {
+		row := tb.FindRow(label)
+		if crashes, seen := cellFloat(t, row[1]), cellFloat(t, row[3]); seen < crashes {
+			t.Fatalf("%s: %v crashes but %v detections", label, crashes, seen)
 		}
 	}
 }

@@ -59,7 +59,7 @@ func TestRunDistributedWorkerCrashTearsDownMesh(t *testing.T) {
 		Faults:  plan,
 	})
 	if err == nil {
-		t.Fatal("a crashed worker must fail the run when degradation is off")
+		t.Fatal("a crashed worker must fail the run when recovery is off")
 	}
 	if !errors.Is(err, transport.ErrInjectedCrash) {
 		t.Fatalf("error must carry the injected-crash cause: %v", err)
@@ -110,10 +110,11 @@ func TestRunDistributedLinkDropTearsDown(t *testing.T) {
 	}
 }
 
-// With degradation on, crashes shrink groups instead of aborting: the
-// run finishes and per-epoch accuracies stay within 2 points of the
-// fault-free run (the survivors re-split the batch, so the group
-// gradient is the same full-batch mean up to reduction order).
+// With recovery on, crashes shrink groups instead of aborting: peers
+// detect each crash by heartbeat, the broken epoch retries from its
+// snapshot on the survivors, and per-epoch accuracies stay within 2
+// points of the fault-free run (the survivors re-split the batch, so
+// the group gradient is the same full-batch mean up to reduction order).
 func TestRunDistributedDegradesWithinTwoPoints(t *testing.T) {
 	spec, train, val := faultFixture(t, 360)
 	cfg := DistConfig{
@@ -138,13 +139,16 @@ func TestRunDistributedDegradesWithinTwoPoints(t *testing.T) {
 	} {
 		faulted := cfg
 		faulted.Faults = plan
-		faulted.DegradeOnFault = true
+		faulted.Recovery = fastRecovery()
 		res, err := runDistWithDeadline(t, transport.NewChanMesh(8), spec, train, val, faulted)
 		if err != nil {
 			t.Fatalf("%s: degraded run failed: %v", name, err)
 		}
 		if res.Final == nil || len(res.EpochAccuracies) != cfg.Epochs {
 			t.Fatalf("%s: incomplete degraded result: %+v", name, res)
+		}
+		if s := res.Recovery; s == nil || s.Detections < plan.Crashes() {
+			t.Fatalf("%s: %d crashes, but the detector saw %+v", name, plan.Crashes(), s)
 		}
 		for e := range res.EpochAccuracies {
 			diff := math.Abs(res.EpochAccuracies[e] - clean.EpochAccuracies[e])
@@ -156,8 +160,8 @@ func TestRunDistributedDegradesWithinTwoPoints(t *testing.T) {
 	}
 }
 
-// Degradation must survive a whole group dying: the leader ring
-// shrinks to the surviving groups and the run still completes.
+// Recovery must survive a whole group dying: the leader ring shrinks
+// to the surviving groups and the run still completes.
 func TestRunDistributedDegradesWholeGroupLoss(t *testing.T) {
 	spec, train, val := faultFixture(t, 200)
 	plan := &transport.FaultPlan{Events: []transport.FaultEvent{
@@ -165,10 +169,10 @@ func TestRunDistributedDegradesWholeGroupLoss(t *testing.T) {
 		{Kind: transport.FaultCrash, Node: 3, Epoch: 2, Iter: 0},
 	}}
 	res, err := runDistWithDeadline(t, transport.NewChanMesh(4), spec, train, val, DistConfig{
-		JobSpec:        core.JobSpec{Epochs: 4, GlobalBatch: 12, LR: 0.03, Momentum: 0.9, Seed: 4},
-		Groups:         [][]int{{0, 1}, {2, 3}},
-		Faults:         plan,
-		DegradeOnFault: true,
+		JobSpec:  core.JobSpec{Epochs: 4, GlobalBatch: 12, LR: 0.03, Momentum: 0.9, Seed: 4},
+		Groups:   [][]int{{0, 1}, {2, 3}},
+		Faults:   plan,
+		Recovery: fastRecovery(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,29 +180,49 @@ func TestRunDistributedDegradesWholeGroupLoss(t *testing.T) {
 	if res.Final == nil {
 		t.Fatal("survivor group must still produce a final model")
 	}
-}
-
-// A plan that kills every worker cannot degrade its way to a result;
-// it must be rejected up front instead of hanging or returning nil.
-func TestRunDistributedDegradeNeedsSurvivor(t *testing.T) {
-	spec, train, val := faultFixture(t, 80)
-	plan := &transport.FaultPlan{Events: []transport.FaultEvent{
-		{Kind: transport.FaultCrash, Node: 0, Epoch: 0, Iter: 0},
-		{Kind: transport.FaultCrash, Node: 1, Epoch: 1, Iter: 0},
-	}}
-	_, err := RunDistributed(context.Background(), transport.NewChanMesh(2), spec, train, val, DistConfig{
-		JobSpec:        core.JobSpec{Epochs: 2, GlobalBatch: 8, LR: 0.03, Seed: 4},
-		Groups:         [][]int{{0, 1}},
-		Faults:         plan,
-		DegradeOnFault: true,
-	})
-	if err == nil {
-		t.Fatal("an all-crash plan must be rejected")
+	if s := res.Recovery; s == nil || s.Detections < 2 {
+		t.Fatalf("both crashes must be detected, got %+v", s)
 	}
 }
 
-// A transient straggler must delay but never derail the run, on either
-// teardown policy.
+// A plan that leaves no worker standing at some epoch's end cannot
+// recover its way to a result; it must be rejected before any worker
+// launches instead of training until the manager runs dry.
+func TestRunDistributedDegradeNeedsSurvivor(t *testing.T) {
+	spec, train, val := faultFixture(t, 80)
+	for name, tc := range map[string]struct {
+		epochs int
+		events []transport.FaultEvent
+	}{
+		"all gone by the final epoch": {2, []transport.FaultEvent{
+			{Kind: transport.FaultCrash, Node: 0, Epoch: 0, Iter: 0},
+			{Kind: transport.FaultCrash, Node: 1, Epoch: 1, Iter: 0},
+		}},
+		// Both come back, but nobody is left to finish epoch 1.
+		"all out at once mid-run": {3, []transport.FaultEvent{
+			{Kind: transport.FaultCrash, Node: 0, Epoch: 1, Iter: 0, UntilEpoch: 2},
+			{Kind: transport.FaultCrash, Node: 1, Epoch: 1, Iter: 2, UntilEpoch: 2},
+		}},
+	} {
+		rc := fastRecovery()
+		rc.Rejoins = []Rejoin{{Node: 0, Epoch: 2}, {Node: 1, Epoch: 2}}
+		_, err := RunDistributed(context.Background(), transport.NewChanMesh(2), spec, train, val, DistConfig{
+			JobSpec:  core.JobSpec{Epochs: tc.epochs, GlobalBatch: 8, LR: 0.03, Seed: 4},
+			Groups:   [][]int{{0, 1}},
+			Faults:   &transport.FaultPlan{Events: tc.events},
+			Recovery: rc,
+			EpochEnd: func(epoch int, _ float64) {
+				t.Errorf("%s: epoch %d trained under a plan with no survivor", name, epoch)
+			},
+		})
+		if err == nil || !strings.Contains(err.Error(), "no survivor") {
+			t.Fatalf("%s: got %v, want the no-survivor rejection", name, err)
+		}
+	}
+}
+
+// A transient straggler must delay but never derail the run, even on
+// the plain track, where any failure is fatal.
 func TestRunDistributedToleratesStraggler(t *testing.T) {
 	spec, train, val := faultFixture(t, 120)
 	plan := &transport.FaultPlan{Events: []transport.FaultEvent{

@@ -17,9 +17,8 @@ import (
 // DistConfig supplies everything the tracks share — the JobSpec
 // hyperparameters, EpochEnd, Metrics, Faults (without Recovery a crash
 // is fatal: the failing stage tears the mesh down exactly like the
-// data-parallel track), Recovery and Checkpoints; its Groups and
-// DegradeOnFault must stay unset, because the plan's placement is the
-// group layout and pipeline groups shrink only through Recovery. The
+// data-parallel track), Recovery and Checkpoints; its Groups must stay
+// unset, because the plan's placement is the group layout. The
 // schedule (sharding, batch order, reshuffles) follows the core
 // Pipeline strategy's seed discipline exactly, so a mesh run and the
 // in-process strategy are bit-comparable.
@@ -76,8 +75,8 @@ func RunPipeline(ctx context.Context, mesh transport.Mesh, spec *nn.Spec, train,
 	if cfg.Epochs <= 0 || cfg.GlobalBatch <= 0 {
 		return nil, fmt.Errorf("runtime: epochs=%d batch=%d", cfg.Epochs, cfg.GlobalBatch)
 	}
-	if cfg.Groups != nil || cfg.DegradeOnFault {
-		return nil, fmt.Errorf("runtime: RunPipeline takes its groups from the plan and shrinks them only through Recovery; Groups and DegradeOnFault must be unset")
+	if cfg.Groups != nil {
+		return nil, fmt.Errorf("runtime: RunPipeline takes its groups from the plan; Groups must be unset")
 	}
 	rep := newReporter(&cfg.DistConfig, val)
 	if cfg.Recovery != nil {

@@ -141,13 +141,8 @@ func TestRunPipelineRejectsBadConfigs(t *testing.T) {
 	if _, err := RunPipeline(context.Background(), transport.NewChanMesh(8), spec, train, val, PipelineConfig{DistConfig: DistConfig{JobSpec: js}, Plan: p}); err == nil {
 		t.Fatal("16-SoC plan accepted on an 8-node mesh")
 	}
-	for name, dc := range map[string]DistConfig{
-		"Groups":         {JobSpec: js, Groups: p.Placement},
-		"DegradeOnFault": {JobSpec: js, DegradeOnFault: true},
-	} {
-		if _, err := RunPipeline(context.Background(), transport.NewChanMesh(16), spec, train, val, PipelineConfig{DistConfig: dc, Plan: p}); err == nil {
-			t.Fatalf("%s accepted on the pipeline track, which takes its groups from the plan", name)
-		}
+	if _, err := RunPipeline(context.Background(), transport.NewChanMesh(16), spec, train, val, PipelineConfig{DistConfig: DistConfig{JobSpec: js, Groups: p.Placement}, Plan: p}); err == nil {
+		t.Fatal("Groups accepted on the pipeline track, which takes its groups from the plan")
 	}
 	dataPlan, err := autoplan.Search(autoplan.Options{
 		Spec: nn.MustSpec("lenet5"), NumSoCs: 8, MaxGroups: 1, GlobalBatch: 64, Samples: 50_000,

@@ -68,8 +68,7 @@ func (p *pool) wait(ctx context.Context) error {
 
 // reporter is the global leader's epoch-end duty on every track:
 // evaluate, record, observe, notify, checkpoint. Leadership migrates
-// under degradation and recovery, so every worker holds the run's one
-// reporter.
+// under recovery, so every worker holds the run's one reporter.
 type reporter struct {
 	cfg *DistConfig
 	val *dataset.Dataset
@@ -109,10 +108,12 @@ func (r *reporter) epochEnd(epoch int, model *nn.Sequential) error {
 }
 
 // faultClock is a worker's view of the scripted fault plan: it moves
-// the node's fault clock to each trigger point and, when plan is set,
-// recognizes the worker's own preemption there. That is self-knowledge
-// (the scheduler told this SoC to yield), not plan-peeking — on the
-// elastic tracks peers still learn of it only through lost heartbeats.
+// the node's fault clock to each trigger point and, on the elastic
+// tracks (plan set), recognizes the worker's own preemption there. That
+// is self-knowledge (the scheduler told this SoC to yield), not
+// plan-peeking — peers still learn of it only through lost heartbeats.
+// On the plain tracks plan stays nil and a crash surfaces as a
+// transport error that tears the run down.
 type faultClock struct {
 	node   transport.Node
 	ticker transport.FaultTicker

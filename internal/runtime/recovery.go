@@ -11,11 +11,11 @@ import (
 	"socflow/internal/transport"
 )
 
-// Elastic recovery: where the plan-driven degradation path (PR 2)
-// shrinks groups by consulting shared configuration, the elastic path
-// *observes* failures. Workers train in barrier-delimited rounds (one
-// epoch per round) under one roundManager; a heartbeat failure detector
-// declares silent members dead; a failed round is retried from the last
+// Elastic recovery: the one way a mesh run survives a crash. Peers
+// *observe* failures; nobody consults the fault plan to learn who is
+// alive. Workers train in barrier-delimited rounds (one epoch per round)
+// under one roundManager; a heartbeat failure detector declares silent
+// members dead; a failed round is retried from the last
 // good in-memory snapshot under a bounded budget; and when the cluster
 // trace or the tide hands a SoC back, the manager re-admits it with a
 // state transfer at the next epoch boundary. What differs between the
@@ -132,7 +132,7 @@ func (r *round) receivers(sender int) []int {
 // leaders returns the first member of every group that still has one;
 // the first entry is the global leader, which evaluates and reports.
 func (r *round) leaders() []int {
-	var out []int
+	out := make([]int, 0, len(r.groups))
 	for _, members := range r.groups {
 		if len(members) > 0 {
 			out = append(out, members[0])

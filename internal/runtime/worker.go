@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"socflow/internal/core"
 	"socflow/internal/dataset"
@@ -37,15 +38,14 @@ type DistConfig struct {
 	// accuracy through ObserveEpoch (with simulated time 0 — the
 	// distributed track runs on real time only).
 	Metrics *metrics.Registry
-	// Recovery, when non-nil, switches the run onto the elastic track:
-	// the mesh is stacked with transport.WithHeartbeat so failure is
-	// *detected* by missed-beat timeout rather than derived from the
-	// shared plan, a recovery manager supervises the workers in
-	// barrier-delimited rounds, failed epochs retry from in-memory
-	// snapshots under a bounded budget, and nodes listed in
-	// Recovery.Rejoins are re-admitted with a leader-served state
-	// transfer. DegradeOnFault is ignored on this track — degradation
-	// emerges from detection, not plan consultation.
+	// Recovery, when non-nil, switches the run onto the elastic track,
+	// the only one on which an injected crash is survivable: the mesh is
+	// stacked with transport.WithHeartbeat so peers *detect* a crash by
+	// missed-beat timeout, a recovery manager supervises the workers in
+	// barrier-delimited rounds, a failed epoch retries from in-memory
+	// snapshots on the surviving membership under a bounded budget, and
+	// nodes listed in Recovery.Rejoins are re-admitted with a
+	// leader-served state transfer. Without it a crash is fatal.
 	Recovery *RecoveryConfig
 	// Checkpoints, when non-nil, receives periodic automatic
 	// checkpoints of the aggregated model, written by the global leader
@@ -55,49 +55,14 @@ type DistConfig struct {
 	// checkpoints; <=1 checkpoints every epoch. The final epoch is
 	// always checkpointed.
 	CheckpointEvery int
-	// DegradeOnFault selects what an injected crash does to the run.
-	// False (default): the crash is fatal — the first failing worker
-	// tears the mesh down, every peer unwinds, and RunDistributed
-	// returns the joined worker errors. True: the crashed member's
-	// group shrinks to the survivors, which re-split the group batch
-	// and re-normalize the gradient average; leadership moves to the
-	// first surviving member. Because the plan is shared configuration,
-	// every node derives the same membership timeline without any extra
-	// coordination — the paper's group-preemption story (§6.2).
-	DegradeOnFault bool
-}
-
-// degraded reports whether the run is in shrink-and-continue mode.
-func (cfg *DistConfig) degraded() bool { return cfg.DegradeOnFault && cfg.Faults != nil }
-
-// live returns the members of a group still alive at (epoch, iter):
-// the full list unless degradation is on.
-func (cfg *DistConfig) live(members []int, epoch, iter int) []int {
-	if !cfg.degraded() {
-		return members
-	}
-	return cfg.Faults.Live(members, epoch, iter)
-}
-
-// epochLeaders returns the leader ring at the end of an epoch — the
-// first live member of every group that still has survivors. The first
-// entry is the global leader, which evaluates and reports.
-func (cfg *DistConfig) epochLeaders(epoch int) (leaders []int) {
-	for _, members := range cfg.Groups {
-		lv := cfg.live(members, epoch, transport.IterEpochEnd)
-		if len(lv) > 0 {
-			leaders = append(leaders, lv[0])
-		}
-	}
-	return leaders
 }
 
 // DistResult is what RunDistributed reports.
 type DistResult struct {
 	// EpochAccuracies is validation accuracy after each epoch,
 	// evaluated by the global leader (all groups agree after the
-	// inter-group aggregation). Indexed by epoch; under degradation the
-	// reporting node may change when leaders crash.
+	// inter-group aggregation). Indexed by epoch; on the elastic track
+	// the reporting node may change when leaders crash.
 	EpochAccuracies []float64
 	// Final is the fully aggregated model after the last epoch.
 	Final *nn.Sequential
@@ -123,8 +88,8 @@ type DistResult struct {
 // instead of deadlocking; all worker errors are joined into the
 // returned error. Cancelling ctx closes the mesh the same way and
 // RunDistributed returns ctx.Err(). With cfg.Faults set, scripted
-// faults are injected; with cfg.DegradeOnFault, crashes shrink groups
-// instead of aborting the run.
+// faults are injected; with cfg.Recovery also set, a crash is detected
+// by heartbeat and the run continues on the survivors (elastic.go).
 func RunDistributed(ctx context.Context, mesh transport.Mesh, spec *nn.Spec, train, val *dataset.Dataset, cfg DistConfig) (*DistResult, error) {
 	numNodes := mesh.Size()
 	if len(cfg.Groups) == 0 {
@@ -159,9 +124,16 @@ func RunDistributed(ctx context.Context, mesh transport.Mesh, spec *nn.Spec, tra
 	}
 	rep := newReporter(&cfg, val)
 	if cfg.Recovery != nil {
-		// Elastic track: no survivor precheck — liveness is discovered
-		// at runtime by the failure detector, and preempted nodes may
-		// come back.
+		// Elastic track: liveness is discovered at runtime by the
+		// failure detector, and preempted nodes may come back — but a
+		// plan that leaves no worker standing at an epoch's end would
+		// only fail once the manager runs out of workers, so refuse it
+		// before any worker launches.
+		for epoch := 0; epoch < cfg.Epochs; epoch++ {
+			if !slices.ContainsFunc(workers, func(x int) bool { return !cfg.Faults.CrashedAt(x, epoch, transport.IterEpochEnd) }) {
+				return nil, fmt.Errorf("runtime: fault plan crashes every worker by the end of epoch %d; no survivor can finish the run", epoch)
+			}
+		}
 		err := runElastic(ctx, mesh, &cfg, rep.res, "worker", workers, &dpPolicy{groups: cfg.Groups}, nil,
 			func(m *roundManager, node transport.Node) error {
 				w := newDPWorker(node, spec, train, &cfg, nodeGroup[node.ID()], rep)
@@ -174,11 +146,6 @@ func RunDistributed(ctx context.Context, mesh transport.Mesh, spec *nn.Spec, tra
 		}
 		return rep.res, nil
 	}
-	if cfg.degraded() {
-		if len(cfg.epochLeaders(cfg.Epochs-1)) == 0 {
-			return nil, fmt.Errorf("runtime: fault plan leaves no survivor to finish the run")
-		}
-	}
 	// Metering sits inside the fault decorator: injected failures move
 	// no bytes and stay uncounted, while straggler-delayed traffic still
 	// meters once it flows.
@@ -188,20 +155,13 @@ func RunDistributed(ctx context.Context, mesh transport.Mesh, spec *nn.Spec, tra
 	if cfg.Faults != nil {
 		mesh = transport.WithFaults(mesh, cfg.Faults)
 	}
+	// The plain track's membership never changes: one static round,
+	// read by every worker, stands for the whole run.
+	r := &round{groups: cfg.Groups}
 	p := newPool(cfg.Metrics, "worker", func() { mesh.Close() }, func(id int) error {
 		w := newDPWorker(mesh.Node(id), spec, train, &cfg, nodeGroup[id], rep)
-		if cfg.degraded() {
-			w.clock.plan = cfg.Faults
-		}
 		for epoch := 0; epoch < cfg.Epochs; epoch++ {
-			if err := w.runEpoch(epoch, nil); err != nil {
-				if err == errSelfCrash {
-					// Injected preemption in degraded mode: a clean exit,
-					// and the survivors' membership views — all derived
-					// from the shared plan — exclude this worker from the
-					// same point on.
-					return nil
-				}
+			if err := w.runEpoch(epoch, r); err != nil {
 				return err
 			}
 		}
@@ -264,20 +224,19 @@ func newDPWorker(node transport.Node, spec *nn.Spec, train *dataset.Dataset, cfg
 	return w
 }
 
-// runEpoch is one data-parallel epoch. Membership comes from the
-// round's frozen view on the elastic track (r != nil) — a re-admitted
-// node re-expands the split at exactly that boundary — and from the
-// shared fault plan, re-derived per iteration, on the plain one.
-// Returns errSelfCrash at the worker's own preemption point.
+// runEpoch is one data-parallel epoch over round r's frozen membership:
+// the plain track's one static round, or the elastic manager's view of
+// the survivors, in which a re-admitted node re-expands the split at
+// exactly that boundary. Returns errSelfCrash at the worker's own
+// preemption point.
 func (w *dpWorker) runEpoch(epoch int, r *round) error {
 	cfg := w.cfg
 	me := w.node.ID()
 	reg := cfg.Metrics
-	live := func(iter int) []int {
-		if r != nil {
-			return r.groups[w.group]
-		}
-		return cfg.live(cfg.Groups[w.group], epoch, iter)
+	lv := r.groups[w.group]
+	rank := rankOf(me, lv)
+	if rank < 0 {
+		return fmt.Errorf("runtime: worker %d missing from its group membership", me)
 	}
 	epochSpan := reg.BeginSpan("epoch", "worker", me)
 	defer epochSpan.End()
@@ -293,11 +252,6 @@ func (w *dpWorker) runEpoch(epoch int, r *round) error {
 			return errSelfCrash
 		}
 		iterSpan := reg.BeginSpan("iter", "worker", me)
-		lv := live(i)
-		rank := rankOf(me, lv)
-		if rank < 0 {
-			return fmt.Errorf("runtime: worker %d missing from its group membership", me)
-		}
 		x, labels := it.Next()
 		// This member's slice of the group batch; slice bounds are
 		// proportional, so ragged batches split without loss.
@@ -338,11 +292,7 @@ func (w *dpWorker) runEpoch(epoch int, r *round) error {
 	if w.clock.crashedAt(epoch, transport.IterEpochEnd) {
 		return errSelfCrash
 	}
-	lv := live(transport.IterEpochEnd)
-	leaders := cfg.epochLeaders(epoch)
-	if r != nil {
-		leaders = r.leaders()
-	}
+	leaders := r.leaders()
 
 	// Delayed aggregation: leaders average weights across groups,
 	// then each leader broadcasts within its group. Batch-norm

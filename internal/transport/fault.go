@@ -14,10 +14,11 @@ import (
 // points, and WithFaults applies the plan to any Mesh. The SoC-Cluster
 // premise is that training shares chips with live user traffic (§2.2):
 // SoCs get preempted mid-round, links stall, thermal governors turn
-// chips into stragglers. The plan is part of the job configuration, so
-// — like the batch schedule — every node can re-derive the same fault
-// timeline from it; that is what makes degraded-mode membership
-// decisions coordination-free.
+// chips into stragglers. The plan is the experiment's script, not a
+// membership oracle: it decides when a fault fires, and a node may ask
+// it only about itself (CrashedAt — "was I told to yield?"). Peers learn
+// of a crash the way they would on real hardware, through failed
+// transfers or, on the elastic tracks, missed heartbeats.
 
 // ErrInjectedCrash marks transport errors caused by an injected worker
 // crash, so tests and the runtime can tell scripted faults from real
@@ -132,24 +133,6 @@ func RandomCrashPlan(seed uint64, n, epochs, crashes int) *FaultPlan {
 // point totally orders (epoch, iter) pairs.
 func point(epoch, iter int) uint64 { return uint64(epoch)<<32 | uint64(uint32(iter)) }
 
-// CrashPoint returns the earliest crash trigger for a node.
-func (p *FaultPlan) CrashPoint(node int) (epoch, iter int, ok bool) {
-	if p == nil {
-		return 0, 0, false
-	}
-	best := uint64(0)
-	for _, ev := range p.Events {
-		if ev.Kind != FaultCrash || ev.Node != node {
-			continue
-		}
-		pt := point(ev.Epoch, ev.Iter)
-		if !ok || pt < best {
-			best, epoch, iter, ok = pt, ev.Epoch, ev.Iter, true
-		}
-	}
-	return epoch, iter, ok
-}
-
 // CrashedAt reports whether the node is down at (epoch, iter): some
 // crash event's window covers the point. Permanent crashes (no until
 // point) cover everything from their trigger on.
@@ -165,41 +148,6 @@ func (p *FaultPlan) CrashedAt(node, epoch, iter int) bool {
 		}
 	}
 	return false
-}
-
-// CrashWindow returns the earliest crash event for a node, with its
-// until point (ok=false for nodes the plan never crashes; until ok
-// only for bounded, recoverable crashes).
-func (p *FaultPlan) CrashWindow(node int) (ev FaultEvent, ok bool) {
-	if p == nil {
-		return FaultEvent{}, false
-	}
-	best := uint64(0)
-	for _, e := range p.Events {
-		if e.Kind != FaultCrash || e.Node != node {
-			continue
-		}
-		pt := point(e.Epoch, e.Iter)
-		if !ok || pt < best {
-			best, ev, ok = pt, e, true
-		}
-	}
-	return ev, ok
-}
-
-// Live filters members down to the nodes not crashed at (epoch, iter),
-// preserving order. With a nil plan it returns members unchanged.
-func (p *FaultPlan) Live(members []int, epoch, iter int) []int {
-	if p == nil {
-		return members
-	}
-	out := make([]int, 0, len(members))
-	for _, m := range members {
-		if !p.CrashedAt(m, epoch, iter) {
-			out = append(out, m)
-		}
-	}
-	return out
 }
 
 // Crashes returns how many distinct nodes the plan ever crashes.

@@ -9,40 +9,29 @@ import (
 func TestFaultPlanCrashTimeline(t *testing.T) {
 	p := &FaultPlan{Events: []FaultEvent{
 		{Kind: FaultCrash, Node: 2, Epoch: 1, Iter: 3},
-		{Kind: FaultCrash, Node: 2, Epoch: 2, Iter: 0}, // later duplicate: earliest wins
+		{Kind: FaultCrash, Node: 2, Epoch: 2, Iter: 0}, // later duplicate: the earliest trigger wins
 		{Kind: FaultCrash, Node: 5, Epoch: 0, Iter: 0},
+		{Kind: FaultCrash, Node: 6, Epoch: 1, Iter: 0, UntilEpoch: 2, UntilIter: 0}, // a preemption window
 	}}
-	if e, i, ok := p.CrashPoint(2); !ok || e != 1 || i != 3 {
-		t.Fatalf("crash point = (%d,%d,%v), want (1,3,true)", e, i, ok)
-	}
-	if _, _, ok := p.CrashPoint(0); ok {
-		t.Fatal("node 0 has no crash point")
-	}
 	for _, tc := range []struct {
-		epoch, iter int
-		want        bool
+		node, epoch, iter int
+		want              bool
 	}{
-		{0, 99, false}, {1, 2, false}, {1, 3, true}, {1, IterEpochEnd, true}, {2, 0, true},
+		{2, 0, 99, false}, {2, 1, 2, false}, {2, 1, 3, true}, {2, 1, IterEpochEnd, true}, {2, 2, 0, true},
+		{5, 0, 0, true}, {5, 7, IterEpochEnd, true},
+		{6, 0, IterEpochEnd, false}, {6, 1, 0, true}, {6, 1, IterEpochEnd, true}, {6, 2, 0, false},
+		{0, 7, IterEpochEnd, false}, {7, 0, 5, false},
 	} {
-		if got := p.CrashedAt(2, tc.epoch, tc.iter); got != tc.want {
-			t.Fatalf("CrashedAt(2,%d,%d) = %v, want %v", tc.epoch, tc.iter, got, tc.want)
+		if got := p.CrashedAt(tc.node, tc.epoch, tc.iter); got != tc.want {
+			t.Fatalf("CrashedAt(%d,%d,%d) = %v, want %v", tc.node, tc.epoch, tc.iter, got, tc.want)
 		}
 	}
-	if got := p.Live([]int{0, 2, 5, 7}, 0, 5); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 7 {
-		t.Fatalf("Live(epoch 0) = %v, want [0 2 7]", got)
-	}
-	if got := p.Live([]int{0, 2, 5, 7}, 1, 3); len(got) != 2 || got[0] != 0 || got[1] != 7 {
-		t.Fatalf("Live(1,3) = %v, want [0 7]", got)
-	}
-	if p.Crashes() != 2 {
-		t.Fatalf("Crashes = %d, want 2 distinct nodes", p.Crashes())
+	if p.Crashes() != 3 {
+		t.Fatalf("Crashes = %d, want 3 distinct nodes", p.Crashes())
 	}
 	var nilPlan *FaultPlan
 	if nilPlan.CrashedAt(0, 0, 0) || nilPlan.Crashes() != 0 {
 		t.Fatal("nil plan must inject nothing")
-	}
-	if got := nilPlan.Live([]int{1, 2}, 0, 0); len(got) != 2 {
-		t.Fatalf("nil plan Live = %v", got)
 	}
 }
 
