@@ -19,9 +19,6 @@ var (
 	// ErrUnknownGeneration reports a Generation value outside
 	// sd865/sd8gen1.
 	ErrUnknownGeneration = errors.New("socflow: unknown SoC generation")
-	// ErrUnknownInt8Kernels reports an Int8Kernels value outside
-	// ""/exact/mitchell.
-	ErrUnknownInt8Kernels = errors.New("socflow: unknown INT8 kernel multiplier")
 	// ErrBadTopology reports inconsistent PlanTopology arguments.
 	ErrBadTopology = errors.New("socflow: invalid topology")
 	// ErrBadOption reports an invalid option combination — a heartbeat

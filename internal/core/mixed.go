@@ -35,12 +35,6 @@ type MixedPrecision struct {
 	// the default -1 keeps the controller active.
 	ForceCPUShare float64
 
-	// Int8Mul, when non-nil, routes conv and dense forwards of the NPU
-	// replica through the true-INT8 kernels (int8×int8→int32 through
-	// this multiplier, one rescale per output) instead of the
-	// fake-quantized float GEMMs. nil keeps the simulated datapath.
-	Int8Mul quant.Multiplier
-
 	// qbufs holds the persistent fake-quantized activation buffers of
 	// quantForward, one per quantization point, reused every step. They
 	// must be distinct from the layers' own output buffers: downstream
@@ -297,22 +291,7 @@ func (mp *MixedPrecision) quantForward(x *tensor.Tensor, train bool) *tensor.Ten
 	model := mp.INT8
 	x = mp.fakeQuant(0, x)
 	for i, l := range model.Layers {
-		if mp.Int8Mul != nil {
-			// True-INT8 kernels: conv and dense run int8×int8→int32
-			// through the configured multiplier. Other layer types
-			// (pooling, batch-norm, activations) stay in float32, as
-			// they do on real NPUs' vector units.
-			switch v := l.(type) {
-			case *nn.Conv2D:
-				x = v.ForwardVia(x, mp.Int8Mul)
-			case *nn.Dense:
-				x = v.ForwardVia(x, mp.Int8Mul)
-			default:
-				x = l.Forward(x, train)
-			}
-		} else {
-			x = l.Forward(x, train)
-		}
+		x = l.Forward(x, train)
 		if i < len(model.Layers)-1 {
 			x = mp.fakeQuant(i+1, x)
 		}

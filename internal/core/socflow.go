@@ -10,7 +10,6 @@ import (
 	"socflow/internal/nn"
 	"socflow/internal/parallel"
 	autoplan "socflow/internal/plan"
-	"socflow/internal/quant"
 	"socflow/internal/tensor"
 )
 
@@ -72,10 +71,6 @@ type SoCFlow struct {
 	// ForceShare fixes the CPU share to a constant in (0,1] instead of
 	// the α/β controller (0 keeps the controller; used by ablations).
 	ForceShare float64
-	// Int8Mul, when non-nil, runs the NPU replicas' conv and dense
-	// forwards through the true-INT8 kernels with this multiplier
-	// (see MixedPrecision.Int8Mul). nil keeps the simulated datapath.
-	Int8Mul quant.Multiplier
 	// Preempt optionally injects user-workload arrivals (co-location);
 	// see scheduler.go.
 	Preempt *PreemptionPlan
@@ -153,7 +148,6 @@ func (s *SoCFlow) build(job *Job, clu *cluster.Cluster, res *Result, meter *clus
 		}
 		build := func() *nn.Sequential { return job.BuildModel(rng.Split(1)) }
 		mp := NewMixedPrecision(ref, build, job.LR, job.Momentum, beta, rng)
-		mp.Int8Mul = s.Int8Mul
 		switch s.Mixed {
 		case MixedINT8Only:
 			mp.ForceCPUShare = 0

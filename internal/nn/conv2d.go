@@ -23,11 +23,6 @@ type Conv2D struct {
 	g2, dcols, dx *tensor.Tensor // backward: NHWC grad, column grad, input grad
 	dwScr, dbScr  *tensor.Tensor // weight/bias gradient scratch
 
-	// INT8 datapath buffers (ForwardVia): quantized im2col matrix and
-	// per-output-channel quantized weights.
-	qcols, qw []int8
-	wScales   []float32
-
 	grad []float32 // output gradient of the backward pass in flight
 }
 

@@ -13,9 +13,6 @@ type Dense struct {
 	// Persistent buffers, sized on first batch and reused by capacity.
 	y, dx        *tensor.Tensor
 	dwScr, dbScr *tensor.Tensor
-
-	// INT8 datapath buffers (ForwardVia): quantized input and weights.
-	qx, qw []int8
 }
 
 // NewDense creates a dense layer with He initialization (suited to the

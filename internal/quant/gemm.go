@@ -3,19 +3,18 @@ package quant
 import (
 	"fmt"
 	"math"
-	"math/bits"
 )
 
-// True-INT8 GEMM: int8×int8 products accumulate in int32 and each
-// output element is rescaled to float32 exactly once, the arithmetic a
-// real NPU (or an approximate-multiplier accelerator) performs. The
-// 8-bit product itself is a pluggable seam — ApproxTrain-style — so
-// the same kernels run with the exact hardware multiplier, a lookup
-// table synthesized from an approximate circuit, or Mitchell's
-// logarithmic multiplier.
+// INT8 GEMM: int8×int8 products accumulate in int32 and each output
+// element is rescaled to float32 exactly once, the arithmetic a real
+// NPU performs. The training path does not run it: the NPU replica
+// reproduces INT8 training with fake-quantized float32 GEMMs (the
+// rounding onto INT8 grids is what costs accuracy; speed comes from the
+// cost model). This kernel is the integer rung of the benchmark ladder:
+// what a direct int8 datapath costs on the host that runs it.
 
-// Multiplier is the 8-bit product seam: how two int8 operands multiply
-// into the int32 accumulator.
+// Multiplier is the 8-bit product: how two int8 operands multiply into
+// the int32 accumulator.
 type Multiplier interface {
 	Mul(a, b int8) int32
 }
@@ -25,90 +24,6 @@ type Exact struct{}
 
 // Mul implements Multiplier.
 func (Exact) Mul(a, b int8) int32 { return int32(a) * int32(b) }
-
-// LUT is a multiplier tabulated over all 256×256 operand pairs, the
-// form approximate-circuit products ship in (and the fastest way to
-// run any custom multiplier: one load instead of a recomputation).
-type LUT struct {
-	table [1 << 16]int32
-}
-
-// NewLUT tabulates f over every int8 operand pair.
-func NewLUT(f func(a, b int8) int32) *LUT {
-	l := &LUT{}
-	for a := -128; a <= 127; a++ {
-		for b := -128; b <= 127; b++ {
-			l.table[lutIndex(int8(a), int8(b))] = f(int8(a), int8(b))
-		}
-	}
-	return l
-}
-
-func lutIndex(a, b int8) uint32 {
-	return uint32(uint8(a))<<8 | uint32(uint8(b))
-}
-
-// Mul implements Multiplier.
-func (l *LUT) Mul(a, b int8) int32 { return l.table[lutIndex(a, b)] }
-
-// Mitchell is Mitchell's logarithmic approximate multiplier:
-// log2 of each operand is approximated as k + x/2^k (characteristic
-// plus linear mantissa), the logs are added, and the antilog is
-// approximated linearly again. Exact on powers of two, underestimates
-// everything else by up to ≈11% — the classic area/energy-saving
-// multiplier studied for approximate DNN accelerators.
-type Mitchell struct{}
-
-// Mul implements Multiplier with q16 fixed-point mantissas.
-func (Mitchell) Mul(a, b int8) int32 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	neg := (a < 0) != (b < 0)
-	ua := uint32(a)
-	if a < 0 {
-		ua = uint32(-int32(a))
-	}
-	ub := uint32(b)
-	if b < 0 {
-		ub = uint32(-int32(b))
-	}
-	k1 := uint(bits.Len32(ua) - 1)
-	k2 := uint(bits.Len32(ub) - 1)
-	f1 := ((ua - 1<<k1) << 16) >> k1 // q16 mantissa of log2(ua)
-	f2 := ((ub - 1<<k2) << 16) >> k2
-	s := uint64(f1 + f2)
-	var p uint64
-	if s < 1<<16 {
-		// Fraction sum below 1: antilog ≈ 2^(k1+k2) · (1 + f1 + f2).
-		p = ((1<<16 + s) << (k1 + k2)) >> 16
-	} else {
-		// Carry into the characteristic: 2^(k1+k2+1) · (f1 + f2 − 1)
-		// scaled back up, i.e. 2^(k1+k2+1) · (1 + (s − 1)) with s−1 the
-		// new fraction — which collapses to s · 2^(k1+k2+1) in q16.
-		p = (s << (k1 + k2 + 1)) >> 16
-	}
-	if neg {
-		return -int32(p)
-	}
-	return int32(p)
-}
-
-// MultiplierByName resolves a configuration string: "" (or "off")
-// disables the true-INT8 kernels, "exact" is the precise integer
-// multiplier, "mitchell" is the logarithmic approximate multiplier
-// (tabulated, so it costs the same per product as any other LUT).
-func MultiplierByName(name string) (Multiplier, error) {
-	switch name {
-	case "", "off":
-		return nil, nil
-	case "exact":
-		return Exact{}, nil
-	case "mitchell":
-		return NewLUT(Mitchell{}.Mul), nil
-	}
-	return nil, fmt.Errorf("unknown INT8 multiplier %q (have exact, mitchell)", name)
-}
 
 // QuantizeSlice fills codes with the symmetric INT8 codes of src and
 // returns the grid scale, the per-tensor activation quantization the
@@ -144,116 +59,26 @@ func QuantizeSlice(codes []int8, src []float32) float32 {
 	return s
 }
 
-// QuantizeRows quantizes each of the rows of src onto its own
-// symmetric INT8 grid — the per-output-channel weight quantization
-// mobile INT8 stacks use — writing codes and per-row scales.
-func QuantizeRows(codes []int8, scales []float32, src []float32, rows int) {
-	stride := len(src) / rows
-	for r := 0; r < rows; r++ {
-		scales[r] = QuantizeSlice(codes[r*stride:(r+1)*stride], src[r*stride:(r+1)*stride])
-	}
-}
-
-// Int8MatMulT2 computes dst[m,n] ≈ deq(a)·deq(b)ᵀ (+ bias): a is [m,k]
-// with per-tensor scale sa, b is [n,k] with per-row scales sb (one per
-// output channel — the conv/im2col weight layout). Accumulation is
-// pure int32 through mul; each output element is rescaled exactly once
-// by sa·sb[j], then the float32 bias is added. bias may be nil.
-func Int8MatMulT2(dst []float32, a []int8, sa float32, b []int8, sb []float32, bias []float32, m, k, n int, mul Multiplier) {
-	checkInt8GEMM(len(dst), len(a), len(b), m*k, n*k, m*n, len(sb), n)
-	switch v := mul.(type) {
-	case Exact:
-		int8T2Exact(dst, a, sa, b, sb, bias, m, k, n)
-	case *LUT:
-		int8T2LUT(dst, a, sa, b, sb, bias, m, k, n, &v.table)
-	default:
-		int8T2Generic(dst, a, sa, b, sb, bias, m, k, n, mul)
-	}
-}
-
 // Int8MatMul computes dst[m,n] ≈ deq(a)·deq(b) (+ bias): a is [m,k]
 // with per-tensor scale sa, b is [k,n] with per-tensor scale sb (the
 // dense-layer layout, where output columns cross every axis-0 channel
 // so a single scale is the only one that factors out of the sum).
+// Accumulation is pure int32 through mul; bias may be nil.
 func Int8MatMul(dst []float32, a []int8, sa float32, b []int8, sb float32, bias []float32, m, k, n int, mul Multiplier) {
-	checkInt8GEMM(len(dst), len(a), len(b), m*k, k*n, m*n, 0, 0)
-	switch v := mul.(type) {
-	case Exact:
+	if len(a) != m*k || len(b) != k*n || len(dst) != m*n {
+		panic(fmt.Sprintf("quant: int8 GEMM size mismatch a=%d(%d) b=%d(%d) dst=%d(%d)",
+			len(a), m*k, len(b), k*n, len(dst), m*n))
+	}
+	if _, ok := mul.(Exact); ok {
 		int8MMExact(dst, a, sa, b, sb, bias, m, k, n)
-	case *LUT:
-		int8MMLUT(dst, a, sa, b, sb, bias, m, k, n, &v.table)
-	default:
-		int8MMGeneric(dst, a, sa, b, sb, bias, m, k, n, mul)
+		return
 	}
+	int8MMGeneric(dst, a, sa, b, sb, bias, m, k, n, mul)
 }
 
-func checkInt8GEMM(nd, na, nb, wantA, wantB, wantD, nsb, wantSb int) {
-	if na != wantA || nb != wantB || nd != wantD || nsb != wantSb {
-		panic(fmt.Sprintf("quant: int8 GEMM size mismatch a=%d(%d) b=%d(%d) dst=%d(%d) sb=%d(%d)",
-			na, wantA, nb, wantB, nd, wantD, nsb, wantSb))
-	}
-}
-
-// The three kernel bodies per form are structurally identical; the
-// multiply is kept monomorphic in the exact and LUT paths because an
-// interface call per 8-bit product would cost more than the product.
-
-func int8T2Exact(dst []float32, a []int8, sa float32, b []int8, sb []float32, bias []float32, m, k, n int) {
-	for i := 0; i < m; i++ {
-		ar := a[i*k : (i+1)*k]
-		out := dst[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			br := b[j*k : (j+1)*k]
-			var acc int32
-			for p, av := range ar {
-				acc += int32(av) * int32(br[p])
-			}
-			v := float32(acc) * (sa * sb[j])
-			if bias != nil {
-				v += bias[j]
-			}
-			out[j] = v
-		}
-	}
-}
-
-func int8T2LUT(dst []float32, a []int8, sa float32, b []int8, sb []float32, bias []float32, m, k, n int, table *[1 << 16]int32) {
-	for i := 0; i < m; i++ {
-		ar := a[i*k : (i+1)*k]
-		out := dst[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			br := b[j*k : (j+1)*k]
-			var acc int32
-			for p, av := range ar {
-				acc += table[lutIndex(av, br[p])]
-			}
-			v := float32(acc) * (sa * sb[j])
-			if bias != nil {
-				v += bias[j]
-			}
-			out[j] = v
-		}
-	}
-}
-
-func int8T2Generic(dst []float32, a []int8, sa float32, b []int8, sb []float32, bias []float32, m, k, n int, mul Multiplier) {
-	for i := 0; i < m; i++ {
-		ar := a[i*k : (i+1)*k]
-		out := dst[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			br := b[j*k : (j+1)*k]
-			var acc int32
-			for p, av := range ar {
-				acc += mul.Mul(av, br[p])
-			}
-			v := float32(acc) * (sa * sb[j])
-			if bias != nil {
-				v += bias[j]
-			}
-			out[j] = v
-		}
-	}
-}
+// The two kernel bodies are structurally identical; the multiply is
+// kept monomorphic in the exact path because an interface call per
+// 8-bit product would cost more than the product.
 
 func int8MMExact(dst []float32, a []int8, sa float32, b []int8, sb float32, bias []float32, m, k, n int) {
 	scale := sa * sb
@@ -264,25 +89,6 @@ func int8MMExact(dst []float32, a []int8, sa float32, b []int8, sb float32, bias
 			var acc int32
 			for p, av := range ar {
 				acc += int32(av) * int32(b[p*n+j])
-			}
-			v := float32(acc) * scale
-			if bias != nil {
-				v += bias[j]
-			}
-			out[j] = v
-		}
-	}
-}
-
-func int8MMLUT(dst []float32, a []int8, sa float32, b []int8, sb float32, bias []float32, m, k, n int, table *[1 << 16]int32) {
-	scale := sa * sb
-	for i := 0; i < m; i++ {
-		ar := a[i*k : (i+1)*k]
-		out := dst[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			var acc int32
-			for p, av := range ar {
-				acc += table[lutIndex(av, b[p*n+j])]
 			}
 			v := float32(acc) * scale
 			if bias != nil {

@@ -2,28 +2,11 @@ package quant
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"socflow/internal/tensor"
 )
-
-func refInt8T2(a []int8, sa float32, b []int8, sb []float32, bias []float32, m, k, n int, mul Multiplier) []float32 {
-	dst := make([]float32, m*n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var acc int32
-			for p := 0; p < k; p++ {
-				acc += mul.Mul(a[i*k+p], b[j*k+p])
-			}
-			v := float32(acc) * (sa * sb[j])
-			if bias != nil {
-				v += bias[j]
-			}
-			dst[i*n+j] = v
-		}
-	}
-	return dst
-}
 
 func randCodes(r *tensor.RNG, n int) []int8 {
 	out := make([]int8, n)
@@ -33,34 +16,20 @@ func randCodes(r *tensor.RNG, n int) []int8 {
 	return out
 }
 
-func TestInt8MatMulT2MatchesReference(t *testing.T) {
-	r := tensor.NewRNG(21)
-	const m, k, n = 7, 13, 5
-	a := randCodes(r, m*k)
-	b := randCodes(r, n*k)
-	sb := make([]float32, n)
-	for j := range sb {
-		sb[j] = 0.01 * float32(j+1)
-	}
-	bias := []float32{0.5, -0.25, 0, 1, -1}
-	for _, mul := range []Multiplier{Exact{}, NewLUT(Exact{}.Mul), NewLUT(Mitchell{}.Mul)} {
-		want := refInt8T2(a, 0.02, b, sb, bias, m, k, n, mul)
-		got := make([]float32, m*n)
-		Int8MatMulT2(got, a, 0.02, b, sb, bias, m, k, n, mul)
-		for i := range want {
-			if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
-				t.Fatalf("mul %T: dst[%d] = %v, want %v", mul, i, got[i], want[i])
-			}
-		}
-	}
-}
+// halfMul is a non-Exact Multiplier, so Int8MatMul must take its
+// generic kernel; halving every product makes a silent fall-through to
+// the exact kernel visible.
+type halfMul struct{}
+
+func (halfMul) Mul(a, b int8) int32 { return int32(a) * int32(b) / 2 }
 
 func TestInt8MatMulMatchesReference(t *testing.T) {
 	r := tensor.NewRNG(22)
 	const m, k, n = 4, 9, 6
 	a := randCodes(r, m*k)
 	b := randCodes(r, k*n)
-	for _, mul := range []Multiplier{Exact{}, NewLUT(Mitchell{}.Mul)} {
+	var outs [][]float32
+	for _, mul := range []Multiplier{Exact{}, halfMul{}} {
 		want := make([]float32, m*n)
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
@@ -78,82 +47,10 @@ func TestInt8MatMulMatchesReference(t *testing.T) {
 				t.Fatalf("mul %T: dst[%d] = %v, want %v", mul, i, got[i], want[i])
 			}
 		}
+		outs = append(outs, got)
 	}
-}
-
-// TestLUTTabulatesExactly pins that a LUT built from a function returns
-// that function's value for every operand pair, including the corners.
-func TestLUTTabulatesExactly(t *testing.T) {
-	l := NewLUT(Exact{}.Mul)
-	for a := -128; a <= 127; a++ {
-		for b := -128; b <= 127; b++ {
-			if got, want := l.Mul(int8(a), int8(b)), int32(a)*int32(b); got != want {
-				t.Fatalf("LUT(%d,%d) = %d, want %d", a, b, got, want)
-			}
-		}
-	}
-}
-
-// TestMitchellProperties checks the known behaviour of Mitchell's
-// logarithmic multiplier: exact on powers of two and zero, correct
-// sign, never overestimating, and within the classic ≈11.1% error
-// bound everywhere.
-func TestMitchellProperties(t *testing.T) {
-	var mul Mitchell
-	for a := -128; a <= 127; a++ {
-		for b := -128; b <= 127; b++ {
-			got := mul.Mul(int8(a), int8(b))
-			exact := int32(a) * int32(b)
-			if exact == 0 {
-				if got != 0 {
-					t.Fatalf("Mitchell(%d,%d) = %d, want 0", a, b, got)
-				}
-				continue
-			}
-			if (got < 0) != (exact < 0) {
-				t.Fatalf("Mitchell(%d,%d) = %d: wrong sign (exact %d)", a, b, got, exact)
-			}
-			ag, ae := got, exact
-			if ag < 0 {
-				ag, ae = -ag, -ae
-			}
-			if ag > ae {
-				t.Fatalf("Mitchell(%d,%d) = %d overestimates exact %d", a, b, got, exact)
-			}
-			// Max underestimate of the log-linear approximation is
-			// (1+f1)(1+f2)/(1+f1+f2) ≤ 9/8 at f1=f2=1/2, i.e. ≈11.1%,
-			// plus one ulp of q16 truncation.
-			if float64(ag) < float64(ae)*(8.0/9.0)-1 {
-				t.Fatalf("Mitchell(%d,%d) = %d: error beyond 11.1%% bound (exact %d)", a, b, got, exact)
-			}
-		}
-	}
-	// Powers of two multiply exactly.
-	for _, a := range []int8{1, 2, 4, 8, 16, 32, 64, -64, -2} {
-		for _, b := range []int8{1, 2, 4, 8, 16, 32, -8} {
-			if got, want := mul.Mul(a, b), int32(a)*int32(b); got != want {
-				t.Fatalf("Mitchell(%d,%d) = %d, want exact %d", a, b, got, want)
-			}
-		}
-	}
-}
-
-func TestMultiplierByName(t *testing.T) {
-	if m, err := MultiplierByName(""); err != nil || m != nil {
-		t.Fatalf("empty name: got %v, %v", m, err)
-	}
-	if m, err := MultiplierByName("exact"); err != nil || m == nil {
-		t.Fatalf("exact: got %v, %v", m, err)
-	} else if m.Mul(-7, 9) != -63 {
-		t.Fatalf("exact multiplier is wrong")
-	}
-	if m, err := MultiplierByName("mitchell"); err != nil || m == nil {
-		t.Fatalf("mitchell: got %v, %v", m, err)
-	} else if m.Mul(4, 8) != 32 {
-		t.Fatalf("mitchell multiplier wrong on power of two")
-	}
-	if _, err := MultiplierByName("bogus"); err == nil {
-		t.Fatalf("bogus name accepted")
+	if slices.Equal(outs[0], outs[1]) {
+		t.Fatal("generic multiplier produced the exact kernel's output: the generic branch did not run")
 	}
 }
 
@@ -180,21 +77,35 @@ func TestQuantizeSlicePoisonsOnNaN(t *testing.T) {
 	}
 	// The NaN scale poisons every GEMM output through the rescale.
 	dst := make([]float32, 1)
-	Int8MatMulT2(dst, []int8{1, 1, 1}, nan32(), []int8{1, 1, 1}, []float32{1}, nil, 1, 3, 1, Exact{})
+	Int8MatMul(dst, []int8{1, 1, 1}, nan32(), []int8{1, 1, 1}, 1, nil, 1, 3, 1, Exact{})
 	if !isNaN32(dst[0]) {
 		t.Fatalf("NaN activation scale did not poison the GEMM output: %v", dst[0])
 	}
 }
 
+// TestQuantizeRowsPerChannelScales checks per-output-channel weight
+// quantization: each row of a weight tensor lands on its own symmetric
+// grid (step absmax/127 of that row), with the row's absmax at code 127.
+// The absmaxes are picked so the steps (1 and 4) are exact in float32.
 func TestQuantizeRowsPerChannelScales(t *testing.T) {
-	src := []float32{1, -1, 0.5, 0, 100, -50, 25, 10}
-	codes := make([]int8, len(src))
-	scales := make([]float32, 2)
-	QuantizeRows(codes, scales, src, 2)
-	if scales[0] == scales[1] {
-		t.Fatalf("rows with different ranges got the same scale %v", scales[0])
+	w := tensor.FromSlice([]float32{127, -63.5, 10.25, 0, 508, -254, 100, 3}, 2, 4)
+	QuantizeStochasticPerChannelInPlace(w, tensor.NewRNG(5))
+	steps := []float32{1, 4}
+	for c, step := range steps {
+		row := w.Data[c*4 : (c+1)*4]
+		if row[0] != 127*step {
+			t.Fatalf("row %d: absmax dequantizes to %v, want %v", c, row[0], 127*step)
+		}
+		for i, v := range row {
+			code := v / step
+			if code != float32(math.Round(float64(code))) || code > 127 || code < -127 {
+				t.Fatalf("row %d[%d] = %v is off its grid (step %v)", c, i, v, step)
+			}
+		}
 	}
-	if codes[0] != 127 || codes[4] != 127 {
-		t.Fatalf("each row's absmax must map to ±127: got %d, %d", codes[0], codes[4])
+	// Row 0 keeps a resolution row 1's coarser grid cannot hold: 10.25
+	// rounds to 10 or 11 on step 1, where step 4 would give 8 or 12.
+	if v := w.Data[2]; v != 10 && v != 11 {
+		t.Fatalf("row 0 lost its own grid: 10.25 became %v", v)
 	}
 }

@@ -53,5 +53,8 @@ GOMAXPROCS=4 make chaos
 go test -run 'TestElasticPipelineTidalShrink' -count 30 ./internal/runtime
 # The repo benchmark must build and run before the driver finds out.
 make bench-smoke
+# The non-test code line count (scripts/loc.sh has the per-package
+# breakdown), the figure a simplicity change moves.
+scripts/loc.sh | tail -n 1
 # CI must leave the tree as it found it.
 git diff --exit-code

@@ -1,6 +1,7 @@
 package socflow
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -74,20 +75,20 @@ func (s *Server) Handler() http.Handler {
 		switch req.Kind {
 		case "", "train":
 			var cfg Config
-			if err := json.Unmarshal(req.Config, &cfg); err != nil {
-				return server.JobSpec{}, fmt.Errorf("socflow: decoding train config: %w", err)
+			if err := decodeConfig(req.Config, "train", &cfg); err != nil {
+				return server.JobSpec{}, err
 			}
 			return buildTrainSpec(context.Background(), cfg.withDefaults(), o, nil)
 		case "distributed":
 			var cfg DistributedConfig
-			if err := json.Unmarshal(req.Config, &cfg); err != nil {
-				return server.JobSpec{}, fmt.Errorf("socflow: decoding distributed config: %w", err)
+			if err := decodeConfig(req.Config, "distributed", &cfg); err != nil {
+				return server.JobSpec{}, err
 			}
 			return buildDistributedSpec(context.Background(), cfg.withDefaults(), o, nil)
 		case "serve":
 			var cfg ServeConfig
-			if err := json.Unmarshal(req.Config, &cfg); err != nil {
-				return server.JobSpec{}, fmt.Errorf("socflow: decoding serve config: %w", err)
+			if err := decodeConfig(req.Config, "serve", &cfg); err != nil {
+				return server.JobSpec{}, err
 			}
 			cfg = cfg.withDefaults()
 			if err := cfg.validate(); err != nil {
@@ -98,6 +99,18 @@ func (s *Server) Handler() http.Handler {
 			return server.JobSpec{}, fmt.Errorf("socflow: unknown job kind %q (want \"train\", \"distributed\", or \"serve\")", req.Kind)
 		}
 	})
+}
+
+// decodeConfig decodes a submitted job config, rejecting keys the
+// config type does not have: a misspelled or retired field must fail
+// the submission, not run a different job than the one asked for.
+func decodeConfig(raw json.RawMessage, kind string, cfg any) error {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(cfg); err != nil {
+		return fmt.Errorf("socflow: decoding %s config: %w", kind, err)
+	}
+	return nil
 }
 
 // SetHour advances the simulated clock; with Tidal the scheduler

@@ -1,11 +1,17 @@
 package socflow
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+
+	"socflow/internal/server"
 )
 
 // TestServerSmokeHTTP is the `make server-smoke` gate: a daemon (the
@@ -88,5 +94,61 @@ func TestServerSmokeHTTP(t *testing.T) {
 	// The daemon's status listing covers every submitted job.
 	if got := len(srv.List()); got != 4 {
 		t.Fatalf("job listing has %d entries, want 4", got)
+	}
+}
+
+// TestServerRejectsUnknownConfigFields posts, for every job kind, a
+// config as this tree's client marshals it plus one key the config type
+// does not have. The daemon must answer 400 naming the key and queue
+// nothing — not drop the key and run a different job than the one
+// asked for.
+func TestServerRejectsUnknownConfigFields(t *testing.T) {
+	srv := NewServer(ServerConfig{TotalSoCs: 8})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	dist := DistributedConfig{JobSpec: ctlCfg(4, 1).JobSpec, NumSoCs: 4, Groups: 2, InProcess: true}
+	cases := []struct {
+		kind  string
+		cfg   any
+		extra string
+	}{
+		{"train", ctlCfg(4, 1), "Epochz"},
+		{"train", ctlCfg(4, 1), "Int8Kernels"},
+		{"distributed", dist, "Workers"},
+		{"serve", smokeServeConfig(), "replicas"},
+	}
+	for _, c := range cases {
+		raw, err := json.Marshal(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]any
+		if err := json.Unmarshal(raw, &fields); err != nil {
+			t.Fatal(err)
+		}
+		fields[c.extra] = 3
+		cfg, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(server.SubmitRequest{Tenant: "t", Kind: c.kind, Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), c.extra) {
+			t.Fatalf("%s config with unknown key %q: got %s %q, want 400 naming the key",
+				c.kind, c.extra, resp.Status, bytes.TrimSpace(msg))
+		}
+	}
+	if got := len(srv.List()); got != 0 {
+		t.Fatalf("rejected submissions queued %d jobs", got)
 	}
 }

@@ -38,7 +38,6 @@ import (
 	"socflow/internal/metrics"
 	"socflow/internal/nn"
 	"socflow/internal/plan"
-	"socflow/internal/quant"
 )
 
 // JobSpec holds the fields shared by every entry point: model,
@@ -96,12 +95,6 @@ type Config struct {
 	// the run computes: pipeline plans see micro-batch batch-norm
 	// statistics and per-epoch (not per-iteration) group averaging.
 	Parallelism string
-	// Int8Kernels selects the NPU replica's GEMM datapath: "" (default)
-	// simulates integer execution with fake-quantized float32 GEMMs;
-	// "exact" runs true int8×int8→int32 kernels with the precise
-	// multiplier; "mitchell" uses Mitchell's logarithmic approximate
-	// multiplier, modeling approximate-computing accelerators.
-	Int8Kernels string
 	// PaperBatch is the batch size the performance track prices
 	// (default 64, the paper's BS_g; 256 for MobileNet).
 	PaperBatch int
@@ -309,11 +302,7 @@ func strategyFromPlan(cfg Config, p *ParallelPlan) (core.Strategy, error) {
 	if err != nil {
 		return nil, err
 	}
-	mul, err := quant.MultiplierByName(cfg.Int8Kernels)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %q (have \"\", exact, mitchell)", ErrUnknownInt8Kernels, cfg.Int8Kernels)
-	}
-	return &core.SoCFlow{NumGroups: p.Groups(), Mixed: mode, Int8Mul: mul}, nil
+	return &core.SoCFlow{NumGroups: p.Groups(), Mixed: mode}, nil
 }
 
 func buildStrategy(ctx context.Context, cfg Config, o runOptions) (core.Strategy, error) {
@@ -342,10 +331,6 @@ func buildStrategy(ctx context.Context, cfg Config, o runOptions) (core.Strategy
 		if err != nil {
 			return nil, err
 		}
-		mul, err := quant.MultiplierByName(cfg.Int8Kernels)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %q (have \"\", exact, mitchell)", ErrUnknownInt8Kernels, cfg.Int8Kernels)
-		}
 		groups := cfg.Groups
 		if groups < 0 {
 			job, clu, err := buildJob(cfg)
@@ -357,7 +342,7 @@ func buildStrategy(ctx context.Context, cfg Config, o runOptions) (core.Strategy
 				return nil, fmt.Errorf("socflow: group-size heuristic: %w", err)
 			}
 		}
-		return &core.SoCFlow{NumGroups: groups, Mixed: mode, Int8Mul: mul}, nil
+		return &core.SoCFlow{NumGroups: groups, Mixed: mode}, nil
 	case "ps":
 		return baselines.NewParameterServer(), nil
 	case "ring":

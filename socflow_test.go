@@ -74,22 +74,19 @@ func TestRunMixedModes(t *testing.T) {
 	}
 }
 
-// TestRunInt8Kernels drives the NPU replicas through the true-INT8
-// GEMM datapath (int8×int8→int32 with a pluggable multiplier) instead
-// of the simulated fake-quantized float path, with both the exact and
-// the Mitchell logarithmic multiplier.
+// TestRunInt8Kernels trains on the NPU datapath alone ("Ours-INT8":
+// every sample through the fake-quantized replica and integer SGD) and
+// checks it still learns. It learns slower than FP32 — chance level for
+// the first four epochs at this scale — so it gets the full six.
 func TestRunInt8Kernels(t *testing.T) {
-	for _, k := range []string{"exact", "mitchell"} {
-		cfg := fastCfg("socflow")
-		cfg.Epochs = 2
-		cfg.Int8Kernels = k
-		rep, err := Run(context.Background(), cfg)
-		if err != nil {
-			t.Fatalf("Int8Kernels %q: %v", k, err)
-		}
-		if !(rep.BestAccuracy > 0.1) {
-			t.Fatalf("Int8Kernels %q: did not learn: %v", k, rep.BestAccuracy)
-		}
+	cfg := fastCfg("socflow")
+	cfg.Mixed = "int8"
+	rep, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(rep.BestAccuracy > 0.1) {
+		t.Fatalf("INT8-only training did not learn: %v", rep.BestAccuracy)
 	}
 }
 
@@ -103,7 +100,6 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{Config{Strategy: "magic"}, ErrUnknownStrategy},
 		{Config{Mixed: "fp64"}, ErrUnknownMixedMode},
 		{Config{Generation: "sd999"}, ErrUnknownGeneration},
-		{Config{Int8Kernels: "booth"}, ErrUnknownInt8Kernels},
 	}
 	for _, c := range cases {
 		_, err := Run(context.Background(), c.cfg)
