@@ -77,27 +77,26 @@ type DistributedConfig struct {
 	//     resident on their SoC, GPipe micro-batching, per-epoch
 	//     cross-group aggregation;
 	//   - "auto": the planner prices pipeline against data parallelism
-	//     and the job runs whichever wins (a data-mode winner falls
-	//     back to the default track with the plan's group count).
+	//     and the job runs whichever wins.
 	//
 	// Groups caps the planner's group count. With WithRecovery,
-	// WithHeartbeat, or any PreemptWindows/ResizeSchedule entry the
-	// pipeline track runs elastically: heartbeat death detection,
-	// barrier-delimited epoch rounds with in-memory start-of-epoch
-	// snapshots, and planner-driven re-planning onto the surviving
-	// fleet (DESIGN.md §17). The pipeline track recovers from those
-	// snapshots, not the checkpoint store; without recovery a crash is
-	// fatal on either track.
+	// WithHeartbeat, or any PreemptWindows/ResizeSchedule entry either
+	// mode runs elastically: heartbeat death detection and
+	// barrier-delimited epoch rounds that retry from in-memory
+	// start-of-epoch snapshots, not the checkpoint store; a pipeline
+	// also re-plans onto the surviving fleet (DESIGN.md §17). Without
+	// recovery a crash is fatal in either mode.
 	Parallelism string
 	// ResizeSchedule scripts tidal capacity targets for the elastic
-	// pipeline track: at the boundary before epoch Epoch the usable
-	// fleet is clamped to SoCs total (shrinks reclaim the
-	// highest-numbered SoCs, grows hand them back), and the manager
-	// re-plans onto what is left. Each applied target is also reported
-	// through the job's Controller.Resize so the control plane sees
-	// the new footprint. Epoch must be >= 1 — there is no boundary
-	// before epoch 0. Setting any entry enables the elastic track,
-	// like PreemptWindows.
+	// track, in either Parallelism mode: at the boundary before epoch
+	// Epoch the usable fleet is clamped to SoCs total (shrinks reclaim
+	// the highest-numbered SoCs, grows hand them back by state
+	// transfer); data-parallel groups train on their remaining members,
+	// and a pipeline re-plans onto what is left. Each applied target is
+	// also reported through the job's Controller.Resize so the control
+	// plane sees the new footprint. Epoch must be >= 1 — there is no
+	// boundary before epoch 0. Setting any entry enables the elastic
+	// track, like PreemptWindows.
 	ResizeSchedule []ResizeEvent
 }
 
@@ -125,7 +124,9 @@ type DistributedReport struct {
 	EpochAccuracies []float64
 	// BestAccuracy is the maximum over epochs.
 	BestAccuracy float64
-	// Topology echoes the integrity-greedy mapping used.
+	// Topology echoes the executed plan's placement: the
+	// integrity-greedy groups of a data plan, a pipeline's stage
+	// placement.
 	Topology [][]int
 	// Metrics is a snapshot of the run's observability registry —
 	// per-worker wall spans, transport byte/retry counters, fault
@@ -244,24 +245,10 @@ func buildDistributedSpec(submitCtx context.Context, cfg DistributedConfig, o ru
 		pool := prof.Generate(dataset.GenOptions{Samples: cfg.TrainSamples + cfg.ValSamples, Seed: cfg.Seed})
 		train, val := pool.Split(float64(cfg.TrainSamples) / float64(pool.Len()))
 
-		var pplan *autoplan.Plan
-		var popts autoplan.Options
-		if cfg.Parallelism == "pipeline" || cfg.Parallelism == "auto" {
-			popts = pipelinePlanOptions(cfg, spec, train.Len())
-			p, err := autoplan.Search(popts)
-			if err != nil {
-				return nil, fmt.Errorf("socflow: planner: %w", err)
-			}
-			if p.Mode == autoplan.ModePipeline {
-				pplan = p
-			} else {
-				// "auto" priced data parallelism faster: fall through
-				// to the default track with the plan's group count.
-				cfg.Groups = p.Groups()
-			}
+		p, popts, err := distributedPlan(cfg, spec, train.Len())
+		if err != nil {
+			return nil, err
 		}
-
-		mapping := autoplan.IntegrityGreedyMap(autoplan.AllNodes(cfg.NumSoCs), cfg.Groups, cluster.SoCsPerPCBDefault)
 
 		var mesh transport.Mesh
 		if cfg.InProcess {
@@ -276,32 +263,41 @@ func buildDistributedSpec(submitCtx context.Context, cfg DistributedConfig, o ru
 			mesh = tcp
 		}
 
-		// What both tracks share; the pipeline track takes its groups
-		// from the plan instead.
+		if o.logger != nil {
+			o.logger.Printf("distributed run: %s on %s, %d SoCs, plan %s", cfg.Model, cfg.Dataset, cfg.NumSoCs, p)
+		}
+		resizes := make(chan int, len(cfg.ResizeSchedule))
 		dcfg := runtime.DistConfig{
-			JobSpec:  cfg.JobSpec,
-			Metrics:  reg,
-			EpochEnd: func(epoch int, acc float64) { ctl.ObserveEpoch(epoch) },
+			JobSpec: cfg.JobSpec,
+			Plan:    p,
+			Planner: &popts,
+			Resizes: resizes,
+			Metrics: reg,
+			// The leader's epoch-end hook also drives the ResizeSchedule:
+			// each target goes to the elastic manager and is mirrored to the
+			// control plane, so the scheduler's view of the job footprint
+			// tracks the tide.
+			EpochEnd: func(epoch int, _ float64) {
+				ctl.ObserveEpoch(epoch)
+				for _, ev := range cfg.ResizeSchedule {
+					if ev.Epoch == epoch+1 {
+						resizes <- ev.SoCs
+						ctl.Resize(ev.SoCs)
+					}
+				}
+			},
 		}
 		if cfg.InjectCrashes > 0 {
 			dcfg.Faults = transport.RandomCrashPlan(cfg.Seed+7, cfg.NumSoCs, cfg.Epochs, cfg.InjectCrashes)
+		}
+		if o.recovery || len(cfg.PreemptWindows) > 0 || len(cfg.ResizeSchedule) > 0 {
+			dcfg.Faults, dcfg.Recovery = recoveryPlan(cfg, o, dcfg.Faults)
 		}
 		if store, err := o.checkpointStore(); err != nil {
 			return nil, err
 		} else if store != nil {
 			dcfg.Checkpoints = store
 			dcfg.CheckpointEvery = o.checkpointEvery
-		}
-		if pplan != nil {
-			return runPipelineTrack(ctx, cfg, o, mesh, spec, train, val, pplan, popts, dcfg, userReg, ctl)
-		}
-
-		if o.logger != nil {
-			o.logger.Printf("distributed run: %s on %s, %d SoCs in %d groups", cfg.Model, cfg.Dataset, cfg.NumSoCs, cfg.Groups)
-		}
-		dcfg.Groups = mapping.Groups
-		if o.recovery || len(cfg.PreemptWindows) > 0 {
-			dcfg.Faults, dcfg.Recovery = recoveryPlan(cfg, o, dcfg.Faults)
 		}
 		finish := core.BeginKernelHarvest(userReg)
 		span := reg.BeginSpan("run", "facade", 0)
@@ -311,7 +307,7 @@ func buildDistributedSpec(submitCtx context.Context, cfg DistributedConfig, o ru
 		if err != nil {
 			return nil, err
 		}
-		return distributedReport(res, mapping.Groups, userReg), nil
+		return distributedReport(res, p.Placement, userReg), nil
 	}
 
 	return server.JobSpec{
@@ -324,29 +320,35 @@ func buildDistributedSpec(submitCtx context.Context, cfg DistributedConfig, o ru
 	}, nil
 }
 
-// pipelinePlanOptions derives the auto-parallelization search options
-// the distributed pipeline track plans — and, under recovery,
-// re-plans — with. Kept as its own function so tests and the bench
-// harness can reproduce the exact plan a run will execute.
-func pipelinePlanOptions(cfg DistributedConfig, spec *nn.Spec, samples int) autoplan.Options {
-	opts := autoplan.Options{
-		Spec:        spec,
-		NumSoCs:     cfg.NumSoCs,
-		GlobalBatch: cfg.GlobalBatch,
-		Samples:     samples,
+// distributedPlan returns the plan a DistributedConfig's run executes
+// and the search options that find it — and, under recovery, re-plan
+// it. Parallelism "" and "data" map Groups integrity-greedily without a
+// search; "pipeline" and "auto" run plan.Search, whose data candidate is
+// that same mapping.
+func distributedPlan(cfg DistributedConfig, spec *nn.Spec, samples int) (*autoplan.Plan, autoplan.Options, error) {
+	o := runtime.PlannerOptions(autoplan.Options{MaxGroups: cfg.Groups}, spec, cfg.NumSoCs, cfg.GlobalBatch, samples)
+	switch cfg.Parallelism {
+	case "pipeline":
+		o.Only = autoplan.ModePipeline
+		fallthrough
+	case "auto":
+		p, err := autoplan.Search(o)
+		if err != nil {
+			return nil, o, fmt.Errorf("socflow: planner: %w", err)
+		}
+		return p, o, nil
 	}
-	if cfg.Groups > 0 {
-		opts.MaxGroups = cfg.Groups
-	}
-	if cfg.Parallelism == "pipeline" {
-		opts.Only = autoplan.ModePipeline
-	}
-	return opts
+	return &autoplan.Plan{
+		NumSoCs:   cfg.NumSoCs,
+		Mode:      autoplan.ModeData,
+		Placement: autoplan.IntegrityGreedyMap(autoplan.AllNodes(cfg.NumSoCs), cfg.Groups, cluster.SoCsPerPCBDefault).Groups,
+		Batch:     cfg.GlobalBatch,
+	}, o, nil
 }
 
 // recoveryPlan maps the facade's recovery options and scripted
 // preemption windows onto the runtime's fault plan and recovery
-// config. Shared by the data-parallel and pipeline tracks.
+// config.
 func recoveryPlan(cfg DistributedConfig, o runOptions, faults *transport.FaultPlan) (*transport.FaultPlan, *runtime.RecoveryConfig) {
 	rc := &runtime.RecoveryConfig{
 		HeartbeatInterval: o.hbInterval,
@@ -369,46 +371,6 @@ func recoveryPlan(cfg DistributedConfig, o runOptions, faults *transport.FaultPl
 		faults = nil
 	}
 	return faults, rc
-}
-
-// runPipelineTrack executes a searched pipeline plan over the mesh —
-// elastically when recovery is enabled — and shapes the result into
-// the facade report. The scripted ResizeSchedule is driven from the
-// leader's epoch-end hook: each target is pushed to the elastic
-// manager and mirrored to the control plane via Controller.Resize so
-// the scheduler's view of the job footprint tracks the tide.
-func runPipelineTrack(ctx context.Context, cfg DistributedConfig, o runOptions, mesh transport.Mesh, spec *nn.Spec, train, val *dataset.Dataset, p *autoplan.Plan, popts autoplan.Options, dcfg runtime.DistConfig, userReg *metrics.Registry, ctl *server.Controller) (*DistributedReport, error) {
-	if o.logger != nil {
-		o.logger.Printf("distributed pipeline run: %s on %s, plan %s", cfg.Model, cfg.Dataset, p.String())
-	}
-	pcfg := runtime.PipelineConfig{DistConfig: dcfg, Plan: p}
-	if o.recovery || len(cfg.PreemptWindows) > 0 || len(cfg.ResizeSchedule) > 0 {
-		pcfg.Faults, pcfg.Recovery = recoveryPlan(cfg, o, pcfg.Faults)
-		pcfg.Planner = &popts
-		if len(cfg.ResizeSchedule) > 0 {
-			resizes := make(chan int, len(cfg.ResizeSchedule))
-			pcfg.Resizes = resizes
-			schedule := append([]ResizeEvent(nil), cfg.ResizeSchedule...)
-			pcfg.EpochEnd = func(epoch int, acc float64) {
-				ctl.ObserveEpoch(epoch)
-				for _, ev := range schedule {
-					if ev.Epoch == epoch+1 {
-						resizes <- ev.SoCs
-						ctl.Resize(ev.SoCs)
-					}
-				}
-			}
-		}
-	}
-	finish := core.BeginKernelHarvest(userReg)
-	span := dcfg.Metrics.BeginSpan("run", "facade", 0)
-	res, err := runtime.RunPipeline(ctx, mesh, spec, train, val, pcfg)
-	span.End()
-	finish()
-	if err != nil {
-		return nil, err
-	}
-	return distributedReport(res, p.Placement, userReg), nil
 }
 
 // distributedReport shapes a runtime result into the facade report.

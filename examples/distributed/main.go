@@ -23,6 +23,7 @@ func main() {
 	const (
 		numSoCs = 10
 		groups  = 2
+		batch   = 20
 	)
 	// Plan the topology the way the global scheduler would.
 	mapping := plan.IntegrityGreedyMap(plan.AllNodes(numSoCs), groups, cluster.SoCsPerPCBDefault)
@@ -41,8 +42,8 @@ func main() {
 
 	start := time.Now()
 	res, err := runtime.RunDistributed(context.Background(), mesh, nn.MustSpec("lenet5"), train, val, runtime.DistConfig{
-		JobSpec: core.JobSpec{Epochs: 8, GlobalBatch: 20, LR: 0.03, Momentum: 0.9, Seed: 8},
-		Groups:  mapping.Groups,
+		JobSpec: core.JobSpec{Epochs: 8, GlobalBatch: batch, LR: 0.03, Momentum: 0.9, Seed: 8},
+		Plan:    &plan.Plan{NumSoCs: numSoCs, Mode: plan.ModeData, Placement: mapping.Groups, Batch: batch},
 	})
 	if err != nil {
 		log.Fatal(err)

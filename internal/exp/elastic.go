@@ -135,7 +135,12 @@ func newMeshJob(o Options, socs, groups, epochs int) (*meshJob, error) {
 		train: train, val: val,
 		cfg: runtime.DistConfig{
 			JobSpec: core.JobSpec{Epochs: epochs, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: o.Seed},
-			Groups:  plan.IntegrityGreedyMap(plan.AllNodes(socs), groups, cluster.SoCsPerPCBDefault).Groups,
+			Plan: &plan.Plan{
+				NumSoCs:   socs,
+				Mode:      plan.ModeData,
+				Placement: plan.IntegrityGreedyMap(plan.AllNodes(socs), groups, cluster.SoCsPerPCBDefault).Groups,
+				Batch:     16,
+			},
 			Metrics: o.Metrics,
 		},
 	}, nil

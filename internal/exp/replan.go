@@ -60,18 +60,19 @@ func ExpReplan(o Options) (*Table, error) {
 
 	js := core.JobSpec{Epochs: epochs, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: o.Seed}
 	rc := &runtime.RecoveryConfig{}
-	do := func(cfg runtime.PipelineConfig) (*runtime.DistResult, error) {
+	do := func(cfg runtime.DistConfig) (*runtime.DistResult, error) {
 		cfg.JobSpec = js
 		cfg.Plan = p
+		cfg.Planner = &popts
 		cfg.Metrics = o.Metrics
-		return runtime.RunPipeline(context.Background(), transport.NewChanMesh(socs), spec, train, val, cfg)
+		return runtime.RunDistributed(context.Background(), transport.NewChanMesh(socs), spec, train, val, cfg)
 	}
 
-	plain, err := do(runtime.PipelineConfig{})
+	plain, err := do(runtime.DistConfig{})
 	if err != nil {
 		return nil, fmt.Errorf("exp replan plain baseline: %w", err)
 	}
-	clean, err := do(runtime.PipelineConfig{DistConfig: runtime.DistConfig{Recovery: rc}, Planner: &popts})
+	clean, err := do(runtime.DistConfig{Recovery: rc})
 	if err != nil {
 		return nil, fmt.Errorf("exp replan fault-free elastic: %w", err)
 	}
@@ -92,14 +93,11 @@ func ExpReplan(o Options) (*Table, error) {
 	// A permanent crash of a placed stage SoC at mid-campaign.
 	victim := p.Placement[p.Groups()-1][0]
 	crashEpoch := epochs / 2
-	crashed, err := do(runtime.PipelineConfig{
-		DistConfig: runtime.DistConfig{
-			Recovery: rc,
-			Faults: &transport.FaultPlan{Events: []transport.FaultEvent{
-				{Kind: transport.FaultCrash, Node: victim, Epoch: crashEpoch, Iter: 1},
-			}},
-		},
-		Planner: &popts,
+	crashed, err := do(runtime.DistConfig{
+		Recovery: rc,
+		Faults: &transport.FaultPlan{Events: []transport.FaultEvent{
+			{Kind: transport.FaultCrash, Node: victim, Epoch: crashEpoch, Iter: 1},
+		}},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("exp replan crash campaign: %w", err)
@@ -107,16 +105,14 @@ func ExpReplan(o Options) (*Table, error) {
 
 	// A tidal shrink: two SoCs reclaimed at the same boundary.
 	resizes := make(chan int, 1)
-	shrunk, err := do(runtime.PipelineConfig{
-		DistConfig: runtime.DistConfig{
-			Recovery: rc,
-			EpochEnd: func(epoch int, _ float64) {
-				if epoch == crashEpoch-1 {
-					resizes <- socs - 2
-				}
-			},
+	shrunk, err := do(runtime.DistConfig{
+		Recovery: rc,
+		Resizes:  resizes,
+		EpochEnd: func(epoch int, _ float64) {
+			if epoch == crashEpoch-1 {
+				resizes <- socs - 2
+			}
 		},
-		Planner: &popts, Resizes: resizes,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("exp replan tidal shrink campaign: %w", err)

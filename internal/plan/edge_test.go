@@ -61,6 +61,17 @@ func TestPlanValidateEdgeCases(t *testing.T) {
 	check("empty placement", func(p *Plan) {
 		p.Placement = nil
 	})
+	check("empty data group", func(p *Plan) {
+		p.Mode, p.Stages, p.MicroBatches = ModeData, nil, 0
+		p.Placement = [][]int{{0, 1, 2, 3}, {}}
+	})
+
+	// The integrity-greedy mapping of 3 groups on 8 SoCs is ragged, and
+	// both the mesh and core.SoCFlow train it.
+	ragged := Plan{NumSoCs: 8, Mode: ModeData, Batch: 16, Placement: IntegrityGreedyMap(AllNodes(8), 3, 5).Groups}
+	if err := ragged.Validate(); err != nil {
+		t.Fatalf("unequal data groups %v rejected: %v", ragged.Placement, err)
+	}
 }
 
 // The search must clamp pipeline depth to the model's layer count: a

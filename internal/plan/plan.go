@@ -135,7 +135,9 @@ func (p *Plan) String() string {
 }
 
 // Validate checks the plan is internally consistent and executable on
-// a NumSoCs-wide cluster.
+// a NumSoCs-wide cluster. A data plan's groups may differ in size — the
+// integrity-greedy mapping of a group count that does not divide the
+// cluster — while a pipeline's groups all hold the same stage count.
 func (p *Plan) Validate() error {
 	if p == nil {
 		return fmt.Errorf("plan: nil plan")
@@ -149,7 +151,10 @@ func (p *Plan) Validate() error {
 	seen := make(map[int]bool)
 	k := len(p.Placement[0])
 	for g, members := range p.Placement {
-		if len(members) != k {
+		if len(members) == 0 {
+			return fmt.Errorf("plan: group %d is empty", g)
+		}
+		if len(members) != k && p.Mode != ModeData {
 			return fmt.Errorf("plan: group %d has %d members, group 0 has %d", g, len(members), k)
 		}
 		for _, soc := range members {

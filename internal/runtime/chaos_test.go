@@ -74,7 +74,7 @@ func TestChaosElasticSchedules(t *testing.T) {
 		rc.Rejoins = rejoins
 		cfg := DistConfig{
 			JobSpec:  core.JobSpec{Epochs: epochs, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
-			Groups:   [][]int{{0, 1, 2}, {3, 4, 5}},
+			Plan:     dataPlan(socs, 16, [][]int{{0, 1, 2}, {3, 4, 5}}),
 			Faults:   plan,
 			Recovery: rc,
 		}
@@ -118,14 +118,12 @@ func TestChaosPipelineSchedules(t *testing.T) {
 		plan, rejoins := chaosSchedule(r, socs, epochs)
 		rc := fastRecovery()
 		rc.Rejoins = rejoins
-		cfg := PipelineConfig{
-			DistConfig: DistConfig{
-				JobSpec:  core.JobSpec{Epochs: epochs, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
-				Faults:   plan,
-				Recovery: rc,
-			},
-			Plan:    p,
-			Planner: popts,
+		cfg := DistConfig{
+			JobSpec:  core.JobSpec{Epochs: epochs, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
+			Plan:     p,
+			Planner:  popts,
+			Faults:   plan,
+			Recovery: rc,
 		}
 		type outcome struct {
 			res *DistResult
@@ -133,7 +131,7 @@ func TestChaosPipelineSchedules(t *testing.T) {
 		}
 		done := make(chan outcome, 1)
 		go func() {
-			res, err := RunPipeline(context.Background(), transport.NewChanMesh(socs), spec, train, val, cfg)
+			res, err := RunDistributed(context.Background(), transport.NewChanMesh(socs), spec, train, val, cfg)
 			done <- outcome{res, err}
 		}()
 		select {

@@ -2,79 +2,31 @@ package runtime
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 
 	"socflow/internal/core"
+	autoplan "socflow/internal/plan"
 	"socflow/internal/tensor"
 	"socflow/internal/transport"
 )
-
-// runElastic is the recovery-enabled worker pool of both tracks: the
-// mesh is stacked WithMetrics(WithHeartbeat(WithFaults(base))) so the
-// fault plan *causes* crashes innermost, the heartbeat layer turns the
-// resulting silence into detection evidence, and the outer meter keeps
-// counting pure data-plane payloads. One worker goroutine runs per
-// listed node under a roundManager driven by the track's policy; work
-// is a node's whole elastic life. On success res carries the recovery
-// counters.
-func runElastic(ctx context.Context, base transport.Mesh, cfg *DistConfig, res *DistResult, prefix string,
-	workers []int, policy roundPolicy, resizes <-chan int, work func(m *roundManager, node transport.Node) error) error {
-
-	rc := cfg.Recovery.withDefaults()
-	inner := base
-	if cfg.Faults != nil {
-		inner = transport.WithFaults(inner, cfg.Faults)
-	}
-	hb := transport.WithHeartbeat(inner, rc.HeartbeatInterval, rc.HeartbeatTimeout, cfg.Metrics)
-	var top transport.Mesh = hb
-	if cfg.Metrics != nil {
-		top = transport.WithMetrics(top, cfg.Metrics)
-	}
-	m := newRoundManager(cfg.Epochs, rc, hb, cfg.Metrics, workers, policy)
-	// Manager first so supervision stops before the dying mesh turns
-	// every silence into a spurious detection; mesh second to unblock
-	// workers stuck in collectives.
-	p := newPool(cfg.Metrics, prefix, func() { m.close(); top.Close() },
-		func(id int) error { return work(m, top.Node(id)) })
-	m.spawnFn = p.launch
-	m.start(resizes)
-	for _, id := range workers {
-		p.launch(id)
-	}
-	err := p.wait(ctx)
-	p.teardown()
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	done, stats := m.done, m.stats
-	m.mu.Unlock()
-	if !done {
-		return fmt.Errorf("runtime: elastic run ended before completing %d epochs (all workers gone)", cfg.Epochs)
-	}
-	res.Recovery = &stats
-	return nil
-}
 
 // dpPolicy is the data-parallel round policy: every live worker trains
 // every round in its configured group, and a rejoiner's state comes
 // from a donor holding the boundary state.
 type dpPolicy struct {
-	groups [][]int
+	plan *autoplan.Plan
 }
 
 func (p *dpPolicy) changed(int, string, bool) {}
 func (p *dpPolicy) commit(*round)             {}
 
 func (p *dpPolicy) build(m *roundManager, r *round) error {
-	r.groups = make([][]int, len(p.groups))
-	for g, members := range p.groups {
+	r.plan = p.plan
+	r.groups = make([][]int, len(p.plan.Placement))
+	for g, members := range p.plan.Placement {
 		for _, x := range members {
-			// A joiner due later than this round's epoch stays parked at
-			// the barrier: it has no state to retry an earlier epoch with.
-			if due, joining := m.joining[x]; !m.dead[x] && !(joining && due > r.epoch) {
+			if m.ready(x, r.epoch) {
 				r.groups[g] = append(r.groups[g], x)
 			}
 		}

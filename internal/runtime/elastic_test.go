@@ -43,7 +43,7 @@ func TestElasticFaultFreeMatchesPlain(t *testing.T) {
 	spec, train, val := elasticFixture(t, 240)
 	base := DistConfig{
 		JobSpec: core.JobSpec{Epochs: 3, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
-		Groups:  [][]int{{0, 1}, {2, 3}},
+		Plan:    dataPlan(4, 16, [][]int{{0, 1}, {2, 3}}),
 	}
 
 	plain, err := RunDistributed(context.Background(), transport.NewChanMesh(4), spec, train, val, base)
@@ -77,7 +77,7 @@ func TestElasticDetectsCrashAndRetries(t *testing.T) {
 	spec, train, val := elasticFixture(t, 300)
 	cfg := DistConfig{
 		JobSpec: core.JobSpec{Epochs: 5, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
-		Groups:  [][]int{{0, 1, 2}, {3, 4, 5}},
+		Plan:    dataPlan(6, 16, [][]int{{0, 1, 2}, {3, 4, 5}}),
 		Faults: &transport.FaultPlan{Events: []transport.FaultEvent{
 			{Kind: transport.FaultCrash, Node: 4, Epoch: 1, Iter: 1},
 		}},
@@ -116,7 +116,7 @@ func TestElasticRejoinRestoresMembership(t *testing.T) {
 	spec, train, val := elasticFixture(t, 300)
 	base := DistConfig{
 		JobSpec: core.JobSpec{Epochs: 5, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
-		Groups:  [][]int{{0, 1, 2}, {3, 4, 5}},
+		Plan:    dataPlan(6, 16, [][]int{{0, 1, 2}, {3, 4, 5}}),
 	}
 
 	clean := base
@@ -164,7 +164,7 @@ func TestElasticRetryBudgetExhausted(t *testing.T) {
 	rc.MaxRetries = 1
 	cfg := DistConfig{
 		JobSpec: core.JobSpec{Epochs: 4, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
-		Groups:  [][]int{{0, 1, 2, 3}},
+		Plan:    dataPlan(4, 16, [][]int{{0, 1, 2, 3}}),
 		Faults: &transport.FaultPlan{Events: []transport.FaultEvent{
 			// Node 1 kills attempt 0 at the first iteration; its
 			// groupmates block in the ring, so node 2 only reaches its
@@ -193,7 +193,7 @@ func TestElasticContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cfg := DistConfig{
 		JobSpec:  core.JobSpec{Epochs: 500, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
-		Groups:   [][]int{{0, 1}, {2, 3}},
+		Plan:     dataPlan(4, 16, [][]int{{0, 1}, {2, 3}}),
 		Recovery: fastRecovery(),
 	}
 	done := make(chan error, 1)

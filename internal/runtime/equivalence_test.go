@@ -20,7 +20,7 @@ import (
 // collectives are correct, its final model must match this reference
 // to floating-point tolerance.
 func serialReference(spec *nn.Spec, train, val *dataset.Dataset, cfg DistConfig) *nn.Sequential {
-	numGroups := len(cfg.Groups)
+	numGroups := cfg.Plan.Groups()
 	models := make([]*nn.Sequential, numGroups)
 	opts := make([]*nn.SGD, numGroups)
 	for g := range models {
@@ -61,7 +61,7 @@ func TestDistributedMatchesSerialLift(t *testing.T) {
 	spec := nn.MustSpec("vgg11")
 	cfg := DistConfig{
 		JobSpec: core.JobSpec{Epochs: 3, GlobalBatch: 16, LR: 0.02, Momentum: 0.9, Seed: 12},
-		Groups:  [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}},
+		Plan:    dataPlan(8, 16, [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}),
 	}
 
 	dist, err := RunDistributed(context.Background(), transport.NewChanMesh(8), spec, train, val, cfg)
@@ -108,7 +108,7 @@ func TestDistributedRaggedGroupMatchesSerialLift(t *testing.T) {
 	spec := nn.MustSpec("lenet5")
 	cfg := DistConfig{
 		JobSpec: core.JobSpec{Epochs: 2, GlobalBatch: 16, LR: 0.02, Momentum: 0.9, Seed: 8},
-		Groups:  [][]int{{0, 1, 2, 3, 4}, {5, 6, 7}},
+		Plan:    dataPlan(8, 16, [][]int{{0, 1, 2, 3, 4}, {5, 6, 7}}),
 	}
 
 	dist, err := RunDistributed(context.Background(), transport.NewChanMesh(8), spec, train, val, cfg)

@@ -11,6 +11,7 @@ import (
 	"socflow/internal/core"
 	"socflow/internal/dataset"
 	"socflow/internal/nn"
+	autoplan "socflow/internal/plan"
 	"socflow/internal/transport"
 )
 
@@ -55,7 +56,7 @@ func TestRunDistributedWorkerCrashTearsDownMesh(t *testing.T) {
 	}}
 	_, err := runDistWithDeadline(t, transport.NewChanMesh(8), spec, train, val, DistConfig{
 		JobSpec: core.JobSpec{Epochs: 3, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
-		Groups:  [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}},
+		Plan:    dataPlan(8, 16, [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}),
 		Faults:  plan,
 	})
 	if err == nil {
@@ -83,7 +84,7 @@ func TestRunDistributedWorkerCrashTearsDownTCP(t *testing.T) {
 	}}
 	_, err = runDistWithDeadline(t, mesh, spec, train, val, DistConfig{
 		JobSpec: core.JobSpec{Epochs: 2, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
-		Groups:  [][]int{{0, 1}, {2, 3}},
+		Plan:    dataPlan(4, 16, [][]int{{0, 1}, {2, 3}}),
 		Faults:  plan,
 	})
 	if err == nil || !errors.Is(err, transport.ErrInjectedCrash) {
@@ -102,7 +103,7 @@ func TestRunDistributedLinkDropTearsDown(t *testing.T) {
 	}}
 	_, err := runDistWithDeadline(t, transport.NewChanMesh(4), spec, train, val, DistConfig{
 		JobSpec: core.JobSpec{Epochs: 2, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
-		Groups:  [][]int{{0, 1, 2, 3}},
+		Plan:    dataPlan(4, 16, [][]int{{0, 1, 2, 3}}),
 		Faults:  plan,
 	})
 	if err == nil || !errors.Is(err, transport.ErrInjectedLinkDrop) {
@@ -119,7 +120,7 @@ func TestRunDistributedDegradesWithinTwoPoints(t *testing.T) {
 	spec, train, val := faultFixture(t, 360)
 	cfg := DistConfig{
 		JobSpec: core.JobSpec{Epochs: 6, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
-		Groups:  [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}},
+		Plan:    dataPlan(8, 16, [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}),
 	}
 	clean, err := runDistWithDeadline(t, transport.NewChanMesh(8), spec, train, val, cfg)
 	if err != nil {
@@ -170,7 +171,7 @@ func TestRunDistributedDegradesWholeGroupLoss(t *testing.T) {
 	}}
 	res, err := runDistWithDeadline(t, transport.NewChanMesh(4), spec, train, val, DistConfig{
 		JobSpec:  core.JobSpec{Epochs: 4, GlobalBatch: 12, LR: 0.03, Momentum: 0.9, Seed: 4},
-		Groups:   [][]int{{0, 1}, {2, 3}},
+		Plan:     dataPlan(4, 12, [][]int{{0, 1}, {2, 3}}),
 		Faults:   plan,
 		Recovery: fastRecovery(),
 	})
@@ -190,25 +191,34 @@ func TestRunDistributedDegradesWholeGroupLoss(t *testing.T) {
 // launches instead of training until the manager runs dry.
 func TestRunDistributedDegradeNeedsSurvivor(t *testing.T) {
 	spec, train, val := faultFixture(t, 80)
+	pipe, err := autoplan.Search(autoplan.Options{
+		Spec: spec, NumSoCs: 2, MaxGroups: 1, GlobalBatch: 8, Samples: train.Len(), Only: autoplan.ModePipeline,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allGone := []transport.FaultEvent{
+		{Kind: transport.FaultCrash, Node: 0, Epoch: 0, Iter: 0},
+		{Kind: transport.FaultCrash, Node: 1, Epoch: 1, Iter: 0},
+	}
 	for name, tc := range map[string]struct {
+		plan   *autoplan.Plan
 		epochs int
 		events []transport.FaultEvent
 	}{
-		"all gone by the final epoch": {2, []transport.FaultEvent{
-			{Kind: transport.FaultCrash, Node: 0, Epoch: 0, Iter: 0},
-			{Kind: transport.FaultCrash, Node: 1, Epoch: 1, Iter: 0},
-		}},
+		"all gone by the final epoch": {dataPlan(2, 8, [][]int{{0, 1}}), 2, allGone},
 		// Both come back, but nobody is left to finish epoch 1.
-		"all out at once mid-run": {3, []transport.FaultEvent{
+		"all out at once mid-run": {dataPlan(2, 8, [][]int{{0, 1}}), 3, []transport.FaultEvent{
 			{Kind: transport.FaultCrash, Node: 0, Epoch: 1, Iter: 0, UntilEpoch: 2},
 			{Kind: transport.FaultCrash, Node: 1, Epoch: 1, Iter: 2, UntilEpoch: 2},
 		}},
+		"pipeline: all gone by the final epoch": {pipe, 2, allGone},
 	} {
 		rc := fastRecovery()
 		rc.Rejoins = []Rejoin{{Node: 0, Epoch: 2}, {Node: 1, Epoch: 2}}
 		_, err := RunDistributed(context.Background(), transport.NewChanMesh(2), spec, train, val, DistConfig{
 			JobSpec:  core.JobSpec{Epochs: tc.epochs, GlobalBatch: 8, LR: 0.03, Seed: 4},
-			Groups:   [][]int{{0, 1}},
+			Plan:     tc.plan,
 			Faults:   &transport.FaultPlan{Events: tc.events},
 			Recovery: rc,
 			EpochEnd: func(epoch int, _ float64) {
@@ -230,7 +240,7 @@ func TestRunDistributedToleratesStraggler(t *testing.T) {
 	}}
 	res, err := runDistWithDeadline(t, transport.NewChanMesh(4), spec, train, val, DistConfig{
 		JobSpec: core.JobSpec{Epochs: 2, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
-		Groups:  [][]int{{0, 1, 2, 3}},
+		Plan:    dataPlan(4, 16, [][]int{{0, 1, 2, 3}}),
 		Faults:  plan,
 	})
 	if err != nil {

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"context"
 	"fmt"
 
 	"socflow/internal/dataset"
@@ -12,113 +11,13 @@ import (
 	"socflow/internal/transport"
 )
 
-// PipelineConfig describes a distributed pipeline-parallel training
-// run executing an auto-parallelization plan over a mesh. The embedded
-// DistConfig supplies everything the tracks share — the JobSpec
-// hyperparameters, EpochEnd, Metrics, Faults (without Recovery a crash
-// is fatal: the failing stage tears the mesh down exactly like the
-// data-parallel track), Recovery and Checkpoints; its Groups must stay
-// unset, because the plan's placement is the group layout. The
-// schedule (sharding, batch order, reshuffles) follows the core
-// Pipeline strategy's seed discipline exactly, so a mesh run and the
-// in-process strategy are bit-comparable.
-type PipelineConfig struct {
-	DistConfig
-	// Plan is the searched pipeline plan (plan.Search). Mode must be
-	// ModePipeline; Placement maps stage i of group g to mesh node
-	// Placement[g][i].
-	Plan *autoplan.Plan
-	// Planner, when non-nil on the elastic track (Recovery set),
-	// re-invokes plan.Search on membership changes restricted to the
-	// surviving SoC set (plan.Options.Nodes) and adopts the re-plan when
-	// it prices below degrade-in-place. Nil means degrade-only recovery.
-	Planner *autoplan.Options
-	// Resizes, when non-nil on the elastic track, delivers tidal
-	// capacity targets (total usable SoCs) from the control plane's
-	// Resize path; shrinks reclaim the highest-numbered usable SoCs
-	// and grows hand them back.
-	Resizes <-chan int
-}
-
-// RunPipeline executes a pipeline plan for real: one goroutine per
-// placed stage, activations and input-gradients crossing the mesh at
-// every stage boundary. Within a group, micro-batches of the GPipe
-// schedule flow one at a time — the micro model's layers hold a single
-// activation set, so a stage cannot keep two micro-batches in flight;
-// the overlapped schedule's *timing* is priced by the core strategy's
-// performance track, while this path validates the protocol and the
-// math. Stage parameters live and update where they are placed:
-// gradients never cross the wire inside an iteration. Across groups,
-// the nodes holding the same stage position ring-all-reduce their
-// stage's weights and batch-norm state once per epoch (delayed
-// aggregation), and group 0's stages ship their slices to the global
-// leader, which assembles the full model and evaluates.
-//
-// Failure domain matches RunDistributed: the first failing worker
-// closes the mesh so every peer unwinds, and cancelling ctx does the
-// same. With cfg.Recovery set the run instead detects deaths by
-// heartbeat and recovers (see pipeline_elastic.go).
-func RunPipeline(ctx context.Context, mesh transport.Mesh, spec *nn.Spec, train, val *dataset.Dataset, cfg PipelineConfig) (*DistResult, error) {
-	p := cfg.Plan
-	if p == nil {
-		return nil, fmt.Errorf("runtime: RunPipeline needs a plan (run plan.Search or pass one)")
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if p.Mode != autoplan.ModePipeline {
-		return nil, fmt.Errorf("runtime: RunPipeline got a %q plan; use RunDistributed for data parallelism", p.Mode)
-	}
-	if mesh.Size() != p.NumSoCs {
-		return nil, fmt.Errorf("runtime: plan places %d SoCs, mesh has %d nodes", p.NumSoCs, mesh.Size())
-	}
-	if cfg.Epochs <= 0 || cfg.GlobalBatch <= 0 {
-		return nil, fmt.Errorf("runtime: epochs=%d batch=%d", cfg.Epochs, cfg.GlobalBatch)
-	}
-	if cfg.Groups != nil {
-		return nil, fmt.Errorf("runtime: RunPipeline takes its groups from the plan; Groups must be unset")
-	}
-	rep := newReporter(&cfg.DistConfig, val)
-	if cfg.Recovery != nil {
-		if err := runElasticPipeline(ctx, mesh, spec, train, &cfg, rep); err != nil {
-			return nil, err
-		}
-		return rep.res, nil
-	}
-	// Metering sits inside the fault decorator, matching the
-	// data-parallel track: injected failures move no bytes.
-	if cfg.Metrics != nil {
-		mesh = transport.WithMetrics(mesh, cfg.Metrics)
-	}
-	if cfg.Faults != nil {
-		mesh = transport.WithFaults(mesh, cfg.Faults)
-	}
-	stages := stageGroups(p)
-	pl := newPool(cfg.Metrics, "stage worker", func() { mesh.Close() }, func(id int) error {
-		w := newPipeWorker(mesh.Node(id), spec, train, &cfg.DistConfig, rep)
-		g, i, _ := positionIn(stages, id)
-		w.configure(p, g, i)
-		for epoch := 0; epoch < cfg.Epochs; epoch++ {
-			if err := w.runEpoch(epoch, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	for _, members := range stages {
-		for _, id := range members {
-			pl.launch(id)
-		}
-	}
-	if err := pl.wait(ctx); err != nil {
-		return nil, err
-	}
-	return rep.res, nil
-}
-
-// stageGroups returns a plan's placed nodes, per group in stage order.
-// Members beyond the pipeline depth hold no stage and host no worker.
+// stageGroups returns the nodes a plan trains on, per group: every
+// member of a data plan, a pipeline's stage nodes in stage order.
+// Pipeline members beyond the depth hold no stage and host no worker.
 func stageGroups(p *autoplan.Plan) [][]int {
+	if p.Mode == autoplan.ModeData {
+		return p.Placement
+	}
 	out := make([][]int, len(p.Placement))
 	for g, members := range p.Placement {
 		out[g] = members[:p.Depth()]

@@ -1,16 +1,14 @@
 package runtime
 
 import (
-	"context"
 	"fmt"
+	"slices"
 	"time"
 
-	"socflow/internal/dataset"
 	"socflow/internal/metrics"
 	"socflow/internal/nn"
 	autoplan "socflow/internal/plan"
 	"socflow/internal/tensor"
-	"socflow/internal/transport"
 )
 
 // Elastic pipeline recovery. The pipeline track's failure domain is
@@ -63,75 +61,57 @@ type ReplanEpisode struct {
 	DetectToResumeSeconds float64 `json:"detect_to_resume_seconds"`
 }
 
-// runElasticPipeline is the recovery-enabled pipeline pool: one worker
-// goroutine per mesh node — unplaced nodes park at the barrier as warm
-// spares the heartbeat layer keeps observable — under a roundManager
-// whose policy re-plans on membership changes.
-func runElasticPipeline(ctx context.Context, base transport.Mesh, spec *nn.Spec, train *dataset.Dataset,
-	cfg *PipelineConfig, rep *reporter) error {
-
-	popts, err := pipePlannerOptions(cfg, spec, base.Size(), train)
-	if err != nil {
-		return err
-	}
-	policy := &pipePolicy{popts: popts, pricer: autoplan.PricerFor(popts), replanOK: cfg.Planner != nil, plan: cfg.Plan}
-	workers := make([]int, base.Size())
-	for id := range workers {
-		workers[id] = id
-	}
-	err = runElastic(ctx, base, &cfg.DistConfig, rep.res, "stage worker", workers, policy, cfg.Resizes,
-		func(m *roundManager, node transport.Node) error {
-			w := newPipeWorker(node, spec, train, &cfg.DistConfig, rep)
-			w.elastic = true
-			w.clock.plan = cfg.Faults
-			return (&elasticState{mgr: m, node: node, clock: &w.clock, weights: w.weights, state: w.state}).run(w)
-		})
-	rep.res.Replans = policy.replans
-	return err
-}
-
-// pipePlannerOptions derives the search options the re-planner and its
-// pricer share: cfg.Planner's, completed from the run's own spec, mesh
-// size, batch, and sample count. The pricer built from these options
-// prices degrade candidates and re-prices committed plans, so every
-// number in a ReplanEpisode comes from one formula.
-func pipePlannerOptions(cfg *PipelineConfig, spec *nn.Spec, numNodes int, train *dataset.Dataset) (autoplan.Options, error) {
-	var o autoplan.Options
-	if cfg.Planner != nil {
-		o = *cfg.Planner
-	}
+// PlannerOptions completes search options from the run they plan: each
+// zero field of o — Spec, NumSoCs (unless a Cluster sizes the search),
+// GlobalBatch and Samples — comes from the model, the mesh size, the
+// group batch and the training-set size. The facade searches a run's
+// plan with it and the elastic pipeline track re-plans with it, so both
+// price every candidate from one set of options.
+func PlannerOptions(o autoplan.Options, spec *nn.Spec, numSoCs, batch, samples int) autoplan.Options {
 	if o.Spec == nil {
 		o.Spec = spec
 	}
 	if o.Cluster == nil && o.NumSoCs == 0 {
-		o.NumSoCs = numNodes
-	}
-	eff := o.NumSoCs
-	if o.Cluster != nil && eff == 0 {
-		eff = o.Cluster.Config.NumSoCs
-	}
-	if eff != numNodes {
-		return o, fmt.Errorf("runtime: Planner options target %d SoCs, mesh has %d nodes", eff, numNodes)
+		o.NumSoCs = numSoCs
 	}
 	if o.GlobalBatch == 0 {
-		o.GlobalBatch = cfg.GlobalBatch
+		o.GlobalBatch = batch
 	}
 	if o.Samples == 0 {
-		o.Samples = train.Len()
+		o.Samples = samples
 	}
-	o.Only = autoplan.ModePipeline
-	o.Nodes = nil
-	return o, nil
+	return o
+}
+
+// newPipePolicy builds the elastic pipeline track's policy around
+// cfg.Plan. The re-planner and its pricer share cfg.Planner completed
+// from the run and restricted to pipelines: the pricer prices degrade
+// candidates and re-prices committed plans, so every number in a
+// ReplanEpisode comes from one formula.
+func newPipePolicy(cfg *DistConfig, spec *nn.Spec, numNodes, samples int) (*pipePolicy, error) {
+	var o autoplan.Options
+	if cfg.Planner != nil {
+		o = *cfg.Planner
+	}
+	o = PlannerOptions(o, spec, numNodes, cfg.GlobalBatch, samples)
+	o.Only, o.Nodes = autoplan.ModePipeline, nil
+	eff := o.NumSoCs
+	if eff == 0 {
+		eff = o.Cluster.Config.NumSoCs // PlannerOptions sets NumSoCs unless a Cluster is given
+	}
+	if eff != numNodes {
+		return nil, fmt.Errorf("runtime: Planner options target %d SoCs, mesh has %d nodes", eff, numNodes)
+	}
+	return &pipePolicy{popts: o, pricer: autoplan.PricerFor(o), plan: cfg.Plan}, nil
 }
 
 // pipePolicy is the pipeline round policy: the incumbent plan, the
 // replan-vs-degrade decision at every membership change, and the single
 // state source that seeds newcomers.
 type pipePolicy struct {
-	popts    autoplan.Options
-	pricer   *autoplan.Pricer
-	replanOK bool
-	plan     *autoplan.Plan // the incumbent
+	popts  autoplan.Options
+	pricer *autoplan.Pricer
+	plan   *autoplan.Plan // the incumbent
 	// dirty re-opens the plan decision at the next release; trigger and
 	// detectedAt describe the first membership change since the last one.
 	dirty      bool
@@ -192,7 +172,9 @@ func (p *pipePolicy) build(m *roundManager, r *round) error {
 				Detail: fmt.Sprintf("%s %s: %s -> %s", p.trigger, decision, p.plan, chosen)})
 		}
 		p.plan = chosen
-		p.dirty = false
+		// A returner not yet due sat this decision out; keep it open so
+		// the round of its epoch can place it.
+		p.dirty = slices.ContainsFunc(m.workers, func(x int) bool { return !m.dead[x] && !m.ready(x, r.epoch) })
 	}
 	r.plan = p.plan
 	r.groups = stageGroups(p.plan)
@@ -232,7 +214,7 @@ func (p *pipePolicy) build(m *roundManager, r *round) error {
 func (p *pipePolicy) decide(m *roundManager, epoch int) (*autoplan.Plan, string, error) {
 	var usable []int
 	for _, x := range m.workers {
-		if !m.dead[x] {
+		if m.ready(x, epoch) {
 			usable = append(usable, x)
 		}
 	}
@@ -241,7 +223,7 @@ func (p *pipePolicy) decide(m *roundManager, epoch int) (*autoplan.Plan, string,
 	for _, members := range p.plan.Placement {
 		intact := true
 		for _, x := range members[:p.plan.Depth()] {
-			intact = intact && !m.dead[x]
+			intact = intact && m.ready(x, epoch)
 		}
 		if intact {
 			keep = append(keep, members)
@@ -253,14 +235,9 @@ func (p *pipePolicy) decide(m *roundManager, epoch int) (*autoplan.Plan, string,
 		dp.EpochSeconds = p.pricer.EpochSeconds(&dp, p.popts.Samples)
 		degrade = &dp
 	}
-	var replan *autoplan.Plan
-	if p.replanOK {
-		o := p.popts
-		o.Nodes = usable
-		if found, err := autoplan.Search(o); err == nil {
-			replan = found
-		}
-	}
+	o := p.popts
+	o.Nodes = usable
+	replan, _ := autoplan.Search(o) // nil when no pipeline fits the survivors
 	switch {
 	case degrade == nil && replan == nil:
 		return nil, "", fmt.Errorf("runtime: no viable pipeline plan at epoch %d on %d surviving SoCs", epoch, len(usable))

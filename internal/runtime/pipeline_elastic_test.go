@@ -43,14 +43,14 @@ func TestElasticPipelineFaultFreeBitIdentical(t *testing.T) {
 	p, _ := elasticPipePlan(t, 4, 1, 16, train.Len())
 	js := core.JobSpec{Epochs: 3, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4}
 
-	plain, err := RunPipeline(context.Background(), transport.NewChanMesh(4), spec, train, val, PipelineConfig{
-		DistConfig: DistConfig{JobSpec: js}, Plan: p,
+	plain, err := RunDistributed(context.Background(), transport.NewChanMesh(4), spec, train, val, DistConfig{
+		JobSpec: js, Plan: p,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	elastic, err := RunPipeline(context.Background(), transport.NewChanMesh(4), spec, train, val, PipelineConfig{
-		DistConfig: DistConfig{JobSpec: js, Recovery: fastRecovery()}, Plan: p,
+	elastic, err := RunDistributed(context.Background(), transport.NewChanMesh(4), spec, train, val, DistConfig{
+		JobSpec: js, Plan: p, Recovery: fastRecovery(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -92,8 +92,8 @@ func TestElasticPipelineCrashReplansAndCompletes(t *testing.T) {
 	p, popts := elasticPipePlan(t, 6, 2, 16, train.Len())
 	js := core.JobSpec{Epochs: 5, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4}
 
-	clean, err := RunPipeline(context.Background(), transport.NewChanMesh(6), spec, train, val, PipelineConfig{
-		DistConfig: DistConfig{JobSpec: js, Recovery: fastRecovery()}, Plan: p, Planner: popts,
+	clean, err := RunDistributed(context.Background(), transport.NewChanMesh(6), spec, train, val, DistConfig{
+		JobSpec: js, Plan: p, Planner: popts, Recovery: fastRecovery(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,14 +101,11 @@ func TestElasticPipelineCrashReplansAndCompletes(t *testing.T) {
 
 	// Kill a placed stage of the last group, permanently, mid-epoch.
 	victim := p.Placement[p.Groups()-1][0]
-	res, err := RunPipeline(context.Background(), transport.NewChanMesh(6), spec, train, val, PipelineConfig{
-		DistConfig: DistConfig{
-			JobSpec: js, Recovery: fastRecovery(),
-			Faults: &transport.FaultPlan{Events: []transport.FaultEvent{
-				{Kind: transport.FaultCrash, Node: victim, Epoch: 1, Iter: 1},
-			}},
-		},
-		Plan: p, Planner: popts,
+	res, err := RunDistributed(context.Background(), transport.NewChanMesh(6), spec, train, val, DistConfig{
+		JobSpec: js, Plan: p, Planner: popts, Recovery: fastRecovery(),
+		Faults: &transport.FaultPlan{Events: []transport.FaultEvent{
+			{Kind: transport.FaultCrash, Node: victim, Epoch: 1, Iter: 1},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,21 +149,19 @@ func TestElasticPipelineTidalShrink(t *testing.T) {
 	spec, train, val := elasticFixture(t, 300)
 	p, popts := elasticPipePlan(t, 6, 2, 16, train.Len())
 	resizes := make(chan int, 1)
-	cfg := PipelineConfig{
-		DistConfig: DistConfig{
-			JobSpec:  core.JobSpec{Epochs: 5, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
-			Recovery: fastRecovery(),
-			EpochEnd: func(epoch int, _ float64) {
-				if epoch == 1 {
-					resizes <- 4
-				}
-			},
+	cfg := DistConfig{
+		JobSpec:  core.JobSpec{Epochs: 5, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
+		Plan:     p,
+		Planner:  popts,
+		Resizes:  resizes,
+		Recovery: fastRecovery(),
+		EpochEnd: func(epoch int, _ float64) {
+			if epoch == 1 {
+				resizes <- 4
+			}
 		},
-		Plan:    p,
-		Planner: popts,
-		Resizes: resizes,
 	}
-	res, err := RunPipeline(context.Background(), transport.NewChanMesh(6), spec, train, val, cfg)
+	res, err := RunDistributed(context.Background(), transport.NewChanMesh(6), spec, train, val, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,19 +233,17 @@ func TestElasticPipelineReclaimWakesParkedVictim(t *testing.T) {
 	}
 	mesh := &lossyMesh{Mesh: transport.NewChanMesh(6), from: p.Placement[0][0], to: victim}
 	resizes := make(chan int, 1)
-	cfg := PipelineConfig{
-		DistConfig: DistConfig{
-			JobSpec:  core.JobSpec{Epochs: 4, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
-			Recovery: fastRecovery(),
-			EpochEnd: func(epoch int, _ float64) {
-				if epoch == 1 && !mesh.armed.Swap(true) {
-					resizes <- 4
-				}
-			},
+	cfg := DistConfig{
+		JobSpec:  core.JobSpec{Epochs: 4, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
+		Plan:     p,
+		Planner:  popts,
+		Resizes:  resizes,
+		Recovery: fastRecovery(),
+		EpochEnd: func(epoch int, _ float64) {
+			if epoch == 1 && !mesh.armed.Swap(true) {
+				resizes <- 4
+			}
 		},
-		Plan:    p,
-		Planner: popts,
-		Resizes: resizes,
 	}
 	type outcome struct {
 		res *DistResult
@@ -258,7 +251,7 @@ func TestElasticPipelineReclaimWakesParkedVictim(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := RunPipeline(context.Background(), mesh, spec, train, val, cfg)
+		res, err := RunDistributed(context.Background(), mesh, spec, train, val, cfg)
 		done <- outcome{res, err}
 	}()
 	select {
@@ -274,33 +267,32 @@ func TestElasticPipelineReclaimWakesParkedVictim(t *testing.T) {
 	}
 }
 
-// Without a Planner the elastic pipeline still recovers by degrading in
-// place: the broken group is dropped and the survivors carry the
-// campaign.
+// When dropping the broken group prices no worse than any re-plan of
+// the survivors, the elastic pipeline recovers by degrading in place:
+// the survivors carry the campaign on the incumbent's cuts. Without a
+// Planner the re-planner plans for the run as it is.
 func TestElasticPipelineDegradeOnlyRecovery(t *testing.T) {
 	spec, train, val := elasticFixture(t, 300)
 	p, _ := elasticPipePlan(t, 6, 2, 16, train.Len())
 	if p.Groups() < 2 {
-		t.Skipf("search chose %d group(s); degrade-only test needs 2", p.Groups())
+		t.Skipf("search chose %d group(s); the degrade test needs 2", p.Groups())
 	}
 	victim := p.Placement[p.Groups()-1][0]
-	res, err := RunPipeline(context.Background(), transport.NewChanMesh(6), spec, train, val, PipelineConfig{
-		DistConfig: DistConfig{
-			JobSpec:  core.JobSpec{Epochs: 4, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
-			Recovery: fastRecovery(),
-			Faults: &transport.FaultPlan{Events: []transport.FaultEvent{
-				{Kind: transport.FaultCrash, Node: victim, Epoch: 1, Iter: 0},
-			}},
-		},
-		Plan: p,
+	res, err := RunDistributed(context.Background(), transport.NewChanMesh(6), spec, train, val, DistConfig{
+		JobSpec:  core.JobSpec{Epochs: 4, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
+		Plan:     p,
+		Recovery: fastRecovery(),
+		Faults: &transport.FaultPlan{Events: []transport.FaultEvent{
+			{Kind: transport.FaultCrash, Node: victim, Epoch: 1, Iter: 0},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Replans) < 1 {
-		t.Fatal("degrade-only recovery must still record its decision")
+		t.Fatal("recovery must record its decision")
 	}
 	if d := res.Replans[0].Decision; d != "degrade" {
-		t.Fatalf("decision %q without a Planner, want degrade", d)
+		t.Fatalf("decision %q (%s -> %s), want degrade", d, res.Replans[0].OldPlan, res.Replans[0].NewPlan)
 	}
 }

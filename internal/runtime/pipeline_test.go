@@ -63,9 +63,9 @@ func TestRunPipelineMatchesCoreStrategyBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dist, err := RunPipeline(context.Background(), transport.NewChanMesh(16), spec, train, val, PipelineConfig{
-		DistConfig: DistConfig{JobSpec: core.JobSpec{Epochs: 2, GlobalBatch: 8, LR: 0.02, Momentum: 0.9, Seed: 42}},
-		Plan:       p,
+	dist, err := RunDistributed(context.Background(), transport.NewChanMesh(16), spec, train, val, DistConfig{
+		JobSpec: core.JobSpec{Epochs: 2, GlobalBatch: 8, LR: 0.02, Momentum: 0.9, Seed: 42},
+		Plan:    p,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,14 +110,12 @@ func TestRunPipelineTicksFaultPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := p.Placement[0][1]
-	_, err = RunPipeline(context.Background(), transport.NewChanMesh(4), spec, train, val, PipelineConfig{
-		DistConfig: DistConfig{
-			JobSpec: core.JobSpec{Epochs: 2, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
-			Faults: &transport.FaultPlan{Events: []transport.FaultEvent{
-				{Kind: transport.FaultCrash, Node: victim, Epoch: 0, Iter: 1},
-			}},
-		},
-		Plan: p,
+	_, err = RunDistributed(context.Background(), transport.NewChanMesh(4), spec, train, val, DistConfig{
+		JobSpec: core.JobSpec{Epochs: 2, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
+		Plan:    p,
+		Faults: &transport.FaultPlan{Events: []transport.FaultEvent{
+			{Kind: transport.FaultCrash, Node: victim, Epoch: 0, Iter: 1},
+		}},
 	})
 	if err == nil {
 		t.Fatal("scripted crash never fired: the pipeline is not ticking the fault plan")
@@ -134,25 +132,23 @@ func TestRunPipelineRejectsBadConfigs(t *testing.T) {
 	spec := nn.MustSpec("resnet34")
 	js := core.JobSpec{Epochs: 1, GlobalBatch: 8, LR: 0.02, Momentum: 0.9, Seed: 1}
 
-	if _, err := RunPipeline(context.Background(), transport.NewChanMesh(8), spec, train, val, PipelineConfig{DistConfig: DistConfig{JobSpec: js}}); err == nil {
+	run := func(mesh int, cfg DistConfig) error {
+		_, err := RunDistributed(context.Background(), transport.NewChanMesh(mesh), spec, train, val, cfg)
+		return err
+	}
+	if run(8, DistConfig{JobSpec: js}) == nil {
 		t.Fatal("nil plan accepted")
 	}
 	p := pipelinePlan(t, 16, 2)
-	if _, err := RunPipeline(context.Background(), transport.NewChanMesh(8), spec, train, val, PipelineConfig{DistConfig: DistConfig{JobSpec: js}, Plan: p}); err == nil {
+	if run(8, DistConfig{JobSpec: js, Plan: p}) == nil {
 		t.Fatal("16-SoC plan accepted on an 8-node mesh")
 	}
-	if _, err := RunPipeline(context.Background(), transport.NewChanMesh(16), spec, train, val, PipelineConfig{DistConfig: DistConfig{JobSpec: js, Groups: p.Placement}, Plan: p}); err == nil {
-		t.Fatal("Groups accepted on the pipeline track, which takes its groups from the plan")
+	ragged := *p
+	ragged.Placement = [][]int{p.Placement[0], p.Placement[1][:len(p.Placement[1])-1]}
+	if run(16, DistConfig{JobSpec: js, Plan: &ragged}) == nil {
+		t.Fatal("pipeline groups of unequal depth accepted")
 	}
-	dataPlan, err := autoplan.Search(autoplan.Options{
-		Spec: nn.MustSpec("lenet5"), NumSoCs: 8, MaxGroups: 1, GlobalBatch: 64, Samples: 50_000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dataPlan.Mode == autoplan.ModeData {
-		if _, err := RunPipeline(context.Background(), transport.NewChanMesh(8), spec, train, val, PipelineConfig{DistConfig: DistConfig{JobSpec: js}, Plan: dataPlan}); err == nil {
-			t.Fatal("data-parallel plan accepted by the pipeline runtime")
-		}
+	if run(16, DistConfig{JobSpec: core.JobSpec{Epochs: 0, GlobalBatch: 8}, Plan: p}) == nil {
+		t.Fatal("zero epochs accepted")
 	}
 }

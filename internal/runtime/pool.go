@@ -112,7 +112,7 @@ func (r *reporter) epochEnd(epoch int, model *nn.Sequential) error {
 // tracks (plan set), recognizes the worker's own preemption there. That
 // is self-knowledge (the scheduler told this SoC to yield), not
 // plan-peeking — peers still learn of it only through lost heartbeats.
-// On the plain tracks plan stays nil and a crash surfaces as a
+// On the plain track plan stays nil and a crash surfaces as a
 // transport error that tears the run down.
 type faultClock struct {
 	node   transport.Node

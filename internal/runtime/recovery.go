@@ -22,8 +22,8 @@ import (
 // data-parallel and pipeline tracks is only the roundPolicy that turns
 // "membership + last round's outcome" into the next round.
 
-// RecoveryConfig switches RunDistributed and RunPipeline to the elastic
-// path and tunes it. The zero value of each field picks a default suited to
+// RecoveryConfig switches RunDistributed to the elastic path and tunes
+// it. The zero value of each field picks a default suited to
 // in-process meshes; raise the heartbeat knobs for real networks.
 type RecoveryConfig struct {
 	// HeartbeatInterval is how often every node beats every peer.
@@ -102,8 +102,9 @@ type round struct {
 	// for the round: collectives use it instead of re-deriving
 	// membership per iteration.
 	groups [][]int
-	// plan is the pipeline plan the round executes; nil on the
-	// data-parallel track.
+	// plan is the plan the round executes: the run's own on the
+	// data-parallel track, the incumbent after any re-plan on the
+	// pipeline track.
 	plan *autoplan.Plan
 	// transfer maps each participant without boundary state to the node
 	// that serves it at round start. A sender that trains nowhere takes
@@ -177,11 +178,11 @@ type roundManager struct {
 	reclaimed map[int]bool
 	// joining maps an admitted returner to the epoch it is due. The
 	// supervisor gives it grace until a round includes it — it was just
-	// revived and its first beats are still in flight — and the
-	// data-parallel policy keeps it parked at the barrier until a round
-	// of that epoch (or later) releases: a failure elsewhere may
-	// retroactively turn the next release into a retry of an *earlier*
-	// epoch, which the joiner must sit out.
+	// revived and its first beats are still in flight — and both policies
+	// keep it parked at the barrier until a round of that epoch (or
+	// later) releases: a failure elsewhere may retroactively turn the next
+	// release into a retry of an *earlier* epoch, which the joiner must
+	// sit out.
 	joining map[int]int
 	// stateful is the set of nodes holding the last committed epoch
 	// boundary's aggregated model (initially all: epoch 0 state is the
@@ -331,6 +332,15 @@ func (m *roundManager) next(me int, last *round, lastErr error) (*round, error) 
 		}
 		m.cond.Wait()
 	}
+}
+
+// ready reports whether node x may train a round of epoch: alive, and
+// not a returner due later — one that stays parked at the barrier, as it
+// has no state to retry an earlier epoch with (and the crash window that
+// took it down may still cover that epoch).
+func (m *roundManager) ready(x, epoch int) bool {
+	due, joining := m.joining[x]
+	return !m.dead[x] && !(joining && due > epoch)
 }
 
 // writeOutLocked removes node x from the membership — declared dead by

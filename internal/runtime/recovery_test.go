@@ -33,14 +33,14 @@ type barrier struct {
 
 // barrierPolicies builds both round policies over the same 2x2 layout:
 // data-parallel groups {0,1},{2,3} and the searched pipeline plan that
-// places the same nodes as two depth-2 groups (degrade-only recovery).
+// places the same nodes as two depth-2 groups.
 func barrierPolicies(t *testing.T) map[string]func() roundPolicy {
 	p, o := elasticPipePlan(t, 4, 2, 16, 192)
 	if p.Groups() != 2 || p.Depth() != 2 {
 		t.Fatalf("search chose %s; the barrier tests need 2 groups of depth 2", p)
 	}
 	return map[string]func() roundPolicy{
-		"data":     func() roundPolicy { return &dpPolicy{groups: [][]int{{0, 1}, {2, 3}}} },
+		"data":     func() roundPolicy { return &dpPolicy{plan: dataPlan(4, 16, [][]int{{0, 1}, {2, 3}})} },
 		"pipeline": func() roundPolicy { return &pipePolicy{popts: *o, pricer: autoplan.PricerFor(*o), plan: p} },
 	}
 }
@@ -204,11 +204,12 @@ func TestRoundBarrierClose(t *testing.T) {
 // A scheduled returner is admitted the moment the first worker reaches
 // the boundary of its due epoch; when a slower peer then fails that
 // same round, the next release is a retry of the *earlier* epoch, which
-// the joiner must sit out at the barrier. The data-parallel policy
-// brings it in, by state transfer from a groupmate, at the epoch it is
-// due; the degrade-only pipeline policy has no placement for it.
+// the joiner must sit out at the barrier. Both policies bring it in at
+// the epoch it is due, by state transfer: the data-parallel policy from
+// a groupmate, the pipeline policy — re-planning onto the whole fleet
+// again — from the lowest stateful survivor it places.
 func TestRoundBarrierJoinerSitsOutEarlierRetry(t *testing.T) {
-	joinsAt := map[string]bool{"data": true, "pipeline": false}
+	source := map[string]int{"data": 2, "pipeline": 0}
 	for name, policy := range barrierPolicies(t) {
 		t.Run(name, func(t *testing.T) {
 			b := newBarrier(t, policy(), 4, RecoveryConfig{MaxRetries: 3, Rejoins: []Rejoin{{Node: 3, Epoch: 2}}})
@@ -258,11 +259,11 @@ func TestRoundBarrierJoinerSitsOutEarlierRetry(t *testing.T) {
 			if r5.epoch != 2 || r5.attempt != 0 {
 				t.Fatalf("round after the retries = %+v", r5)
 			}
-			if r5.has(3) != joinsAt[name] {
-				t.Fatalf("joiner in epoch-2 round = %v, want %v: %+v", r5.has(3), joinsAt[name], r5)
+			if !r5.has(3) {
+				t.Fatalf("joiner missing from the round of the epoch it is due: %+v", r5)
 			}
-			if joinsAt[name] && r5.transfer[3] != 2 {
-				t.Fatalf("joiner's state must come from its stateful groupmate 2, got transfer %v", r5.transfer)
+			if from, ok := r5.transfer[3]; !ok || from != source[name] {
+				t.Fatalf("joiner's state must come from node %d, got transfer %v", source[name], r5.transfer)
 			}
 		})
 	}

@@ -222,6 +222,12 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// dataPlan is a hand-built data-mode plan: groups over a socs-node mesh
+// at a group batch of batch.
+func dataPlan(socs, batch int, groups [][]int) *autoplan.Plan {
+	return &autoplan.Plan{NumSoCs: socs, Mode: autoplan.ModeData, Placement: groups, Batch: batch}
+}
+
 func TestRunDistributedTrains(t *testing.T) {
 	prof := dataset.MustProfile("celeba")
 	pool := prof.Generate(dataset.GenOptions{Samples: 360, Seed: 9})
@@ -232,7 +238,7 @@ func TestRunDistributedTrains(t *testing.T) {
 	mesh := transport.NewChanMesh(8)
 	res, err := RunDistributed(context.Background(), mesh, spec, train, val, DistConfig{
 		JobSpec: core.JobSpec{Epochs: 6, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
-		Groups:  mapping.Groups,
+		Plan:    dataPlan(8, 16, mapping.Groups),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +270,7 @@ func TestRunDistributedOverTCP(t *testing.T) {
 	defer mesh.Close()
 	res, err := RunDistributed(context.Background(), mesh, spec, train, val, DistConfig{
 		JobSpec: core.JobSpec{Epochs: 4, GlobalBatch: 16, LR: 0.03, Momentum: 0.9, Seed: 4},
-		Groups:  [][]int{{0, 1}, {2, 3}},
+		Plan:    dataPlan(4, 16, [][]int{{0, 1}, {2, 3}}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +295,7 @@ func TestRunDistributedTransportAgnostic(t *testing.T) {
 	spec := nn.MustSpec("lenet5")
 	cfg := DistConfig{
 		JobSpec: core.JobSpec{Epochs: 3, GlobalBatch: 12, LR: 0.03, Momentum: 0.9, Seed: 6},
-		Groups:  [][]int{{0, 1, 2}},
+		Plan:    dataPlan(3, 12, [][]int{{0, 1, 2}}),
 	}
 
 	chanRes, err := RunDistributed(context.Background(), transport.NewChanMesh(3), spec, train, val, cfg)
@@ -320,10 +326,11 @@ func TestRunDistributedValidation(t *testing.T) {
 	mesh := transport.NewChanMesh(4)
 	bad := []DistConfig{
 		{},
-		{JobSpec: core.JobSpec{Epochs: 0, GlobalBatch: 8}, Groups: [][]int{{0, 1}}},
-		{JobSpec: core.JobSpec{Epochs: 1, GlobalBatch: 8}, Groups: [][]int{{0, 9}}},
-		{JobSpec: core.JobSpec{Epochs: 1, GlobalBatch: 8}, Groups: [][]int{{0, 1}, {1, 2}}},
-		{JobSpec: core.JobSpec{Epochs: 1, GlobalBatch: 8}, Groups: [][]int{{}}},
+		{JobSpec: core.JobSpec{Epochs: 0, GlobalBatch: 8}, Plan: dataPlan(4, 8, [][]int{{0, 1}})},
+		{JobSpec: core.JobSpec{Epochs: 1, GlobalBatch: 8}, Plan: dataPlan(4, 8, [][]int{{0, 9}})},
+		{JobSpec: core.JobSpec{Epochs: 1, GlobalBatch: 8}, Plan: dataPlan(4, 8, [][]int{{0, 1}, {1, 2}})},
+		{JobSpec: core.JobSpec{Epochs: 1, GlobalBatch: 8}, Plan: dataPlan(4, 8, [][]int{{}})},
+		{JobSpec: core.JobSpec{Epochs: 1, GlobalBatch: 8}, Plan: dataPlan(8, 8, [][]int{{0, 1}})},
 	}
 	for i, cfg := range bad {
 		cfg.LR = 0.01

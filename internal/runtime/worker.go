@@ -9,20 +9,36 @@ import (
 	"socflow/internal/dataset"
 	"socflow/internal/metrics"
 	"socflow/internal/nn"
+	autoplan "socflow/internal/plan"
 	"socflow/internal/tensor"
 	"socflow/internal/transport"
 )
 
-// DistConfig describes a distributed SoCFlow training run on a mesh.
+// DistConfig describes a distributed training run on a mesh.
 // The embedded JobSpec supplies the shared hyperparameters: GlobalBatch
-// is BS_g, split across a group's members each iteration, and Seed
-// drives model init, sharding, and batch order — every node derives
-// the identical schedule from it.
+// is BS_g, the per-group batch each iteration, and Seed drives model
+// init, sharding, and batch order — every node derives the identical
+// schedule from it.
 type DistConfig struct {
 	core.JobSpec
-	// Groups maps each logical group to its member node IDs (e.g. from
-	// plan.IntegrityGreedyMap).
-	Groups [][]int
+	// Plan is what the mesh executes; its NumSoCs must be the mesh size.
+	// A ModeData plan's Placement is the group layout (e.g. from
+	// plan.IntegrityGreedyMap): each group's members split its batch and
+	// ring-all-reduce gradients every iteration. A ModePipeline plan (from
+	// plan.Search) runs stage i of group g on Placement[g][i]. Nodes the
+	// plan leaves unplaced host no worker, except as warm spares on the
+	// elastic pipeline track.
+	Plan *autoplan.Plan
+	// Planner holds the search options the elastic pipeline track
+	// re-plans with on membership changes, restricted to the surviving
+	// SoCs; every zero field is filled from the run (PlannerOptions), so
+	// nil means "plan for this run as it is".
+	Planner *autoplan.Options
+	// Resizes, when non-nil on the elastic track, delivers tidal capacity
+	// targets (total usable SoCs) from the control plane's Resize path;
+	// shrinks reclaim the highest-numbered usable SoCs and grows hand them
+	// back.
+	Resizes <-chan int
 	// EpochEnd, when non-nil, is called by the global leader after each
 	// epoch with the 0-based epoch and validation accuracy.
 	EpochEnd func(epoch int, acc float64)
@@ -74,14 +90,28 @@ type DistResult struct {
 	Replans []ReplanEpisode
 }
 
-// RunDistributed executes SoCFlow's group-wise protocol for real: one
-// goroutine per SoC over the mesh. Within a group, every member
-// computes gradients on its slice of the group batch and the group
-// ring-all-reduces them each iteration (SSGD); across groups, leaders
-// ring-all-reduce the weights once per epoch and broadcast them back
-// to their members (delayed aggregation); shards reshuffle across
-// groups between epochs. The protocol, message layout, and schedule
-// are what the paper's prototype runs over TCP.
+// RunDistributed executes a plan for real: one goroutine per placed SoC
+// over the mesh, speaking the protocol of the plan's mode.
+//
+// A data plan runs SoCFlow's group-wise protocol. Within a group, every
+// member computes gradients on its slice of the group batch and the
+// group ring-all-reduces them each iteration (SSGD); across groups,
+// leaders ring-all-reduce the weights once per epoch and broadcast them
+// back to their members (delayed aggregation); shards reshuffle across
+// groups between epochs. The protocol, message layout, and schedule are
+// what the paper's prototype runs over TCP.
+//
+// A pipeline plan runs each stage where it is placed: activations and
+// input-gradients cross the mesh at every stage boundary, one GPipe
+// micro-batch at a time — the micro model's layers hold a single
+// activation set, so the overlapped schedule's *timing* is priced by the
+// core strategy's performance track, while this path validates the
+// protocol and the math. Gradients never cross the wire inside an
+// iteration. Across groups, the nodes holding the same stage position
+// ring-all-reduce their stage's weights and batch-norm state once per
+// epoch, and group 0's stages ship their slices to the global leader,
+// which assembles the full model and evaluates. The schedule follows
+// core.Pipeline's seed discipline, so the two are bit-comparable.
 //
 // Failure domain: the first worker to fail closes the mesh, which
 // errors out every peer blocked in a collective, so the run unwinds
@@ -89,91 +119,135 @@ type DistResult struct {
 // returned error. Cancelling ctx closes the mesh the same way and
 // RunDistributed returns ctx.Err(). With cfg.Faults set, scripted
 // faults are injected; with cfg.Recovery also set, a crash is detected
-// by heartbeat and the run continues on the survivors (elastic.go).
+// by heartbeat and the run continues on the survivors (recovery.go).
 func RunDistributed(ctx context.Context, mesh transport.Mesh, spec *nn.Spec, train, val *dataset.Dataset, cfg DistConfig) (*DistResult, error) {
-	numNodes := mesh.Size()
-	if len(cfg.Groups) == 0 {
-		return nil, fmt.Errorf("runtime: no groups")
+	p := cfg.Plan
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("runtime: %w", err)
 	}
-	nodeGroup := make([]int, numNodes)
-	for i := range nodeGroup {
-		nodeGroup[i] = -1
-	}
-	for g, members := range cfg.Groups {
-		if len(members) == 0 {
-			return nil, fmt.Errorf("runtime: empty group %d", g)
-		}
-		for _, m := range members {
-			if m < 0 || m >= numNodes {
-				return nil, fmt.Errorf("runtime: member %d outside mesh of %d", m, numNodes)
-			}
-			if nodeGroup[m] != -1 {
-				return nil, fmt.Errorf("runtime: node %d in two groups", m)
-			}
-			nodeGroup[m] = g
-		}
+	if p.NumSoCs != mesh.Size() {
+		return nil, fmt.Errorf("runtime: plan places %d SoCs, mesh has %d nodes", p.NumSoCs, mesh.Size())
 	}
 	if cfg.Epochs <= 0 || cfg.GlobalBatch <= 0 {
 		return nil, fmt.Errorf("runtime: epochs=%d batch=%d", cfg.Epochs, cfg.GlobalBatch)
 	}
-	var workers []int
-	for id, g := range nodeGroup {
-		if g >= 0 { // other nodes host no worker (e.g. spare SoCs)
-			workers = append(workers, id)
-		}
+	pipe := p.Mode == autoplan.ModePipeline
+	prefix := "worker"
+	if pipe {
+		prefix = "stage worker"
 	}
-	rep := newReporter(&cfg, val)
+	// Every node the plan trains on hosts a worker and the others idle —
+	// except on the elastic pipeline track, where they park at the barrier
+	// as warm spares a re-plan can place.
+	workers := slices.Concat(stageGroups(p)...)
+	slices.Sort(workers)
+	var policy roundPolicy = &dpPolicy{plan: p}
 	if cfg.Recovery != nil {
-		// Elastic track: liveness is discovered at runtime by the
-		// failure detector, and preempted nodes may come back — but a
-		// plan that leaves no worker standing at an epoch's end would
-		// only fail once the manager runs out of workers, so refuse it
-		// before any worker launches.
+		if pipe {
+			workers = autoplan.AllNodes(mesh.Size())
+			pp, err := newPipePolicy(&cfg, spec, mesh.Size(), train.Len())
+			if err != nil {
+				return nil, err
+			}
+			policy = pp
+		}
+		// Liveness is discovered at runtime by the failure detector, and
+		// preempted nodes may come back — but a fault plan that leaves no
+		// worker standing at an epoch's end would only fail once the
+		// manager runs out of workers, so refuse it before any launches.
 		for epoch := 0; epoch < cfg.Epochs; epoch++ {
 			if !slices.ContainsFunc(workers, func(x int) bool { return !cfg.Faults.CrashedAt(x, epoch, transport.IterEpochEnd) }) {
 				return nil, fmt.Errorf("runtime: fault plan crashes every worker by the end of epoch %d; no survivor can finish the run", epoch)
 			}
 		}
-		err := runElastic(ctx, mesh, &cfg, rep.res, "worker", workers, &dpPolicy{groups: cfg.Groups}, nil,
-			func(m *roundManager, node transport.Node) error {
-				w := newDPWorker(node, spec, train, &cfg, nodeGroup[node.ID()], rep)
-				w.clock.plan = cfg.Faults
-				e := &elasticState{mgr: m, node: node, clock: &w.clock, weights: w.weights, state: w.state, shipVel: true}
-				return e.run(w)
-			})
-		if err != nil {
-			return nil, err
-		}
-		return rep.res, nil
 	}
-	// Metering sits inside the fault decorator: injected failures move
-	// no bytes and stay uncounted, while straggler-delayed traffic still
-	// meters once it flows.
-	if cfg.Metrics != nil {
-		mesh = transport.WithMetrics(mesh, cfg.Metrics)
-	}
+
+	// One stack for both tracks: the fault plan causes failures
+	// innermost; on the elastic track the heartbeat layer turns the
+	// resulting silence into detection evidence; the outer meter counts
+	// only transfers that succeed — injected failures move no bytes — and
+	// never sees a beat.
 	if cfg.Faults != nil {
 		mesh = transport.WithFaults(mesh, cfg.Faults)
 	}
-	// The plain track's membership never changes: one static round,
-	// read by every worker, stands for the whole run.
-	r := &round{groups: cfg.Groups}
-	p := newPool(cfg.Metrics, "worker", func() { mesh.Close() }, func(id int) error {
-		w := newDPWorker(mesh.Node(id), spec, train, &cfg, nodeGroup[id], rep)
+	var m *roundManager // the elastic track's supervisor
+	if cfg.Recovery != nil {
+		rc := cfg.Recovery.withDefaults()
+		hb := transport.WithHeartbeat(mesh, rc.HeartbeatInterval, rc.HeartbeatTimeout, cfg.Metrics)
+		m = newRoundManager(cfg.Epochs, rc, hb, cfg.Metrics, workers, policy)
+		mesh = hb
+	}
+	mesh = transport.WithMetrics(mesh, cfg.Metrics)
+
+	rep := newReporter(&cfg, val)
+	// The plain track's membership never changes: one static round, read
+	// by every worker, stands for the whole run. The elastic track's
+	// manager releases a round per epoch attempt instead.
+	static := &round{groups: stageGroups(p), plan: p}
+	// Teardown stops the manager first, so supervision ends before the
+	// dying mesh turns every silence into a spurious detection, then
+	// closes the mesh to unblock workers stuck in collectives.
+	pl := newPool(cfg.Metrics, prefix, func() {
+		if m != nil {
+			m.close()
+		}
+		mesh.Close()
+	}, func(id int) error {
+		t, e := newWorker(mesh.Node(id), spec, train, &cfg, rep)
+		if m != nil {
+			e.mgr, e.clock.plan = m, cfg.Faults
+			return e.run(t)
+		}
+		if _, _, err := t.enter(e, static, false); err != nil {
+			return err
+		}
 		for epoch := 0; epoch < cfg.Epochs; epoch++ {
-			if err := w.runEpoch(epoch, r); err != nil {
+			if err := t.runEpoch(epoch, static); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-	for _, id := range workers {
-		p.launch(id)
+	if m != nil {
+		m.spawnFn = pl.launch
+		m.start(cfg.Resizes)
 	}
-	if err := p.wait(ctx); err != nil {
+	for _, id := range workers {
+		pl.launch(id)
+	}
+	err := pl.wait(ctx)
+	pl.teardown()
+	if err != nil {
 		return nil, err
 	}
+	if m == nil {
+		return rep.res, nil
+	}
+	m.mu.Lock()
+	done, stats := m.done, m.stats
+	m.mu.Unlock()
+	if !done {
+		return nil, fmt.Errorf("runtime: elastic run ended before completing %d epochs (all workers gone)", cfg.Epochs)
+	}
+	rep.res.Recovery = &stats
+	if pp, ok := policy.(*pipePolicy); ok {
+		rep.res.Replans = pp.replans
+	}
 	return rep.res, nil
+}
+
+// newWorker builds node's worker for the plan's mode — a data-parallel
+// replica or a pipeline stage — and the track-independent half the
+// elastic track snapshots and transfers.
+func newWorker(node transport.Node, spec *nn.Spec, train *dataset.Dataset, cfg *DistConfig, rep *reporter) (roundTrainer, *elasticState) {
+	if cfg.Plan.Mode == autoplan.ModeData {
+		g, _, _ := positionIn(cfg.Plan.Placement, node.ID())
+		w := newDPWorker(node, spec, train, cfg, g, rep)
+		return w, &elasticState{node: node, clock: &w.clock, weights: w.weights, state: w.state, shipVel: true}
+	}
+	w := newPipeWorker(node, spec, train, cfg, rep)
+	w.elastic = cfg.Recovery != nil
+	return w, &elasticState{node: node, clock: &w.clock, weights: w.weights, state: w.state}
 }
 
 // dpWorker is one SoC's data-parallel execution state, shared between
@@ -240,7 +314,7 @@ func (w *dpWorker) runEpoch(epoch int, r *round) error {
 	}
 	epochSpan := reg.BeginSpan("epoch", "worker", me)
 	defer epochSpan.End()
-	shards := w.sched.Shards(len(cfg.Groups), epoch)
+	shards := w.sched.Shards(cfg.Plan.Groups(), epoch)
 	// The iterator consumes the full configured global batch; the
 	// proportional split below spreads any remainder over members
 	// instead of silently truncating the batch. Its seed is this track's

@@ -9,11 +9,10 @@ import (
 // WithMetrics wraps a mesh so every successful Send/Recv counts its
 // payload bytes and message into reg's transport.* counters. The
 // counters are resolved once at wrap time — the per-message cost is
-// two atomic adds. Compose with WithFaults as
-// WithFaults(WithMetrics(mesh, reg), plan) so injected failures (which
-// move no bytes) stay uncounted while straggler-delayed traffic still
-// meters; metered nodes forward TickFault to the inner node, so either
-// nesting order keeps fault clocks ticking.
+// two atomic adds. In either nesting with WithFaults, injected failures
+// (which move no bytes) stay uncounted while straggler-delayed traffic
+// still meters; metered nodes forward TickFault to the inner node, so
+// either order also keeps fault clocks ticking.
 //
 // Control-plane vs. data-plane accounting: the heartbeat layer tags
 // its own traffic into the transport.control.sent/recv.{bytes,msgs}

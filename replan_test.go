@@ -3,6 +3,7 @@ package socflow
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -36,7 +37,7 @@ func pipeCfgPlan(t *testing.T, cfg DistributedConfig) *autoplan.Plan {
 	prof := dataset.MustProfile(cfg.Dataset)
 	pool := prof.Generate(dataset.GenOptions{Samples: cfg.TrainSamples + cfg.ValSamples, Seed: cfg.Seed})
 	train, _ := pool.Split(float64(cfg.TrainSamples) / float64(pool.Len()))
-	p, err := autoplan.Search(pipelinePlanOptions(cfg, nn.MustSpec(cfg.Model), train.Len()))
+	p, _, err := distributedPlan(cfg, nn.MustSpec(cfg.Model), train.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +151,29 @@ func TestDistributedPipelineResizeSchedule(t *testing.T) {
 	}
 	if tr := rep.Recovery.Replans[0].Trigger; tr != "resize" {
 		t.Fatalf("episode trigger %q, want resize", tr)
+	}
+}
+
+// A ResizeSchedule applies on the data-parallel track too: the shrink
+// writes out the two highest-numbered SoCs at the epoch-2 boundary and
+// the survivors finish every epoch.
+func TestDistributedDataResizeSchedule(t *testing.T) {
+	cfg := DistributedConfig{
+		JobSpec:        JobSpec{Epochs: 4, TrainSamples: 256},
+		NumSoCs:        6,
+		Groups:         2,
+		InProcess:      true,
+		ResizeSchedule: []ResizeEvent{{Epoch: 2, SoCs: 4}},
+	}
+	rep, err := RunDistributed(context.Background(), cfg, WithHeartbeat(5*time.Millisecond, 250*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Recovery == nil || rep.Recovery.MembershipEpoch < 2 {
+		t.Fatalf("shrink 6→4 must write out two SoCs: %+v", rep.Recovery)
+	}
+	if len(rep.EpochAccuracies) != cfg.Epochs || slices.Contains(rep.EpochAccuracies, 0) {
+		t.Fatalf("every epoch must report an accuracy: %v", rep.EpochAccuracies)
 	}
 }
 

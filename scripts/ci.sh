@@ -27,11 +27,11 @@ done
 # allocation count is not a property the race build can check. The
 # width matrix above owns those tests.
 make race
-# The fault suite. TestExpFig4cINT8Degrades matches "Degrade" but
-# measures INT8 accuracy, not a fault, and is by far the slowest test
-# of its package under the race detector.
-go test -race -skip 'Alloc|Fig4c' -run 'Fault|Crash|Degrade|Straggle|LinkDrop|Deadline|Close' \
-    ./internal/runtime ./internal/transport ./internal/exp
+# The fault suite, tidal resizes included. TestExpFig4cINT8Degrades
+# matches "Degrade" but measures INT8 accuracy, not a fault, and is by
+# far the slowest test of its package under the race detector.
+go test -race -skip 'Alloc|Fig4c' -run 'Fault|Crash|Degrade|Straggle|LinkDrop|Deadline|Close|Resize' \
+    . ./internal/runtime ./internal/transport ./internal/exp
 # The metrics registry is written to from every worker goroutine at
 # once; run its whole suite under the race detector.
 go test -race -skip Alloc -count 2 ./internal/metrics
