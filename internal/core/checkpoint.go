@@ -25,10 +25,10 @@ const (
 
 // WriteTo serializes the checkpoint. The format is:
 //
-//	magic u32 | version u32 | epoch i64 |
-//	nWeights u32 | tensors... | nState u32 | tensors...
+//	magic u32 | version u32 | epoch i64 | weights | state
 //
-// where each tensor is: rank u32 | dims u32... | data f32...
+// where weights and state are each a tensor set in tensor.WriteSet's
+// framing: count u32, then per tensor rank u32 | dims u32... | data f32...
 //
 // It implements io.WriterTo: the returned count is the total number of
 // bytes written (across however many Write calls the destination took),
@@ -49,29 +49,10 @@ func (cp *Checkpoint) WriteTo(w io.Writer) (int64, error) {
 	if err := write(int64(cp.Epoch)); err != nil {
 		return cw.n, err
 	}
-	writeSet := func(set []*tensor.Tensor) error {
-		if err := write(uint32(len(set))); err != nil {
-			return err
-		}
-		for _, t := range set {
-			if err := write(uint32(len(t.Shape))); err != nil {
-				return err
-			}
-			for _, d := range t.Shape {
-				if err := write(uint32(d)); err != nil {
-					return err
-				}
-			}
-			if err := write(t.Data); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := writeSet(cp.Weights); err != nil {
+	if err := tensor.WriteSet(cw, cp.Weights); err != nil {
 		return cw.n, err
 	}
-	if err := writeSet(cp.State); err != nil {
+	if err := tensor.WriteSet(cw, cp.State); err != nil {
 		return cw.n, err
 	}
 	return cw.n, nil
@@ -113,50 +94,12 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if err := binary.Read(r, binary.LittleEndian, &epoch); err != nil {
 		return nil, err
 	}
-	readSet := func() ([]*tensor.Tensor, error) {
-		var n uint32
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-			return nil, err
-		}
-		if n > 1<<20 {
-			return nil, fmt.Errorf("core: implausible tensor count %d", n)
-		}
-		set := make([]*tensor.Tensor, n)
-		for i := range set {
-			var rank uint32
-			if err := binary.Read(r, binary.LittleEndian, &rank); err != nil {
-				return nil, err
-			}
-			if rank > 8 {
-				return nil, fmt.Errorf("core: implausible tensor rank %d", rank)
-			}
-			shape := make([]int, rank)
-			size := 1
-			for d := range shape {
-				var dim uint32
-				if err := binary.Read(r, binary.LittleEndian, &dim); err != nil {
-					return nil, err
-				}
-				shape[d] = int(dim)
-				size *= int(dim)
-			}
-			if size > 1<<28 {
-				return nil, fmt.Errorf("core: implausible tensor size %d", size)
-			}
-			t := tensor.New(shape...)
-			if err := binary.Read(r, binary.LittleEndian, t.Data); err != nil {
-				return nil, err
-			}
-			set[i] = t
-		}
-		return set, nil
-	}
 	cp := &Checkpoint{Epoch: int(epoch)}
 	var err error
-	if cp.Weights, err = readSet(); err != nil {
+	if cp.Weights, err = tensor.ReadSet(r, 1<<28); err != nil {
 		return nil, fmt.Errorf("core: reading checkpoint weights: %w", err)
 	}
-	if cp.State, err = readSet(); err != nil {
+	if cp.State, err = tensor.ReadSet(r, 1<<28); err != nil {
 		return nil, fmt.Errorf("core: reading checkpoint state: %w", err)
 	}
 	return cp, nil

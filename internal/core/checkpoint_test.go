@@ -45,6 +45,35 @@ func TestCheckpointTruncationNeverPanics(t *testing.T) {
 	}
 }
 
+// overflowingCheckpoint is a checkpoint header whose one weight tensor
+// has dims 0xFFFFFFFF × 0xFFFFFFFF: their product used to wrap negative,
+// pass the size cap and panic in makeslice. Rejoin state transfer hands
+// ReadCheckpoint a peer's bytes, so this must be an error.
+var overflowingCheckpoint = []byte{
+	0x57, 0x4c, 0x46, 0x53, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // magic, version, epoch
+	1, 0, 0, 0, 2, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // count, rank, dims
+}
+
+func TestReadCheckpointRejectsOverflowingShape(t *testing.T) {
+	if cp, err := ReadCheckpoint(bytes.NewReader(overflowingCheckpoint)); err == nil {
+		t.Fatalf("accepted %+v", cp)
+	}
+}
+
+// FuzzReadCheckpoint: any bytes either fail to parse or the checkpoint
+// re-serializes to the bytes the reader consumed; no input panics.
+func FuzzReadCheckpoint(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cp, err := ReadCheckpoint(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if !bytes.HasPrefix(data, cp.Bytes()) {
+			t.Fatalf("%x parsed to a checkpoint that re-serializes differently", data)
+		}
+	})
+}
+
 // failAfterWriter errors once limit bytes have been accepted — a
 // stand-in for a disk filling up mid-checkpoint.
 type failAfterWriter struct {

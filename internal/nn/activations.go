@@ -112,9 +112,66 @@ type tanhForward Tanh
 func (t *tanhForward) RunRange(lo, hi int) {
 	out, x := t.y.Data, t.in
 	for i := lo; i < hi; i++ {
-		out[i] = float32(math.Tanh(float64(x[i])))
+		out[i] = tanh32(x[i])
 	}
 }
+
+// tanh32 returns float32(math.Tanh(float64(x))) for every float32 x, in
+// about a third of the time (DESIGN.md §14). For |x| ≥ 0.625 math.Tanh
+// evaluates 1 − 2/(exp(2|x|)+1) in float64; tanh32 evaluates the same
+// formula with a cheaper exp whose result lies within a few float64 ulps
+// of math.Exp's. Rounding to float32 drops 29 mantissa bits, so the two
+// float64 values round to the same float32 unless they straddle a
+// rounding midpoint; wherever the fast value lies within 2^12 float64
+// ulps of one, tanh32 asks math.Tanh instead. TestTanhMatchesMathTanhExhaustive
+// checks every float32 input the fast path can see.
+func tanh32(x float32) float32 {
+	a := math.Abs(float64(x))
+	if !(a >= 0.625) { // math.Tanh's own rational branch, and NaN
+		return float32(math.Tanh(float64(x)))
+	}
+	if a >= 9.011 {
+		// Past 13·ln2 ≈ 9.01091, 2/(exp(2a)+1) is below 2^-25, half a
+		// float32 ulp under 1, so math.Tanh rounds to ±1.
+		return float32(math.Copysign(1, float64(x)))
+	}
+	// exp(2a) = 2^(k/32) · exp(r) with k = round(2a·32/ln2) < 2^10 and
+	// |r| ≤ ln2/64. Adding 1.5·2^52 rounds 2a·32/ln2 to k and leaves k
+	// in the low mantissa bits of kf; ln2by32Hi has 21 trailing zero bits, so
+	// kf·ln2by32Hi and the subtraction from 2a are exact. exp(r) is its
+	// degree-5 Taylor polynomial (error ≤ r^6/720 < 2^-48), evaluated by
+	// Estrin's scheme for a shorter dependency chain.
+	const round = 0x1.8p52
+	kf := a*(64/math.Ln2) + round
+	k := math.Float64bits(kf) & (1<<10 - 1)
+	kf -= round
+	r := (2*a - kf*ln2by32Hi) - kf*ln2by32Lo
+	r2 := r * r
+	p := (1 + r) + r2*((1.0/2+r*(1.0/6))+r2*(1.0/24+r*(1.0/120)))
+	s := math.Float64frombits(math.Float64bits(exp2by32[k&31])+k>>5<<52) * p
+	y := 1 - 2/(s+1)
+	// y ∈ [0.55, 1): the float32 rounding midpoint sits at 2^28 in the
+	// low 29 bits of its mantissa.
+	if math.Float64bits(y)&(1<<29-1)-(1<<28-1<<12) < 1<<13 {
+		return float32(math.Tanh(float64(x)))
+	}
+	return float32(math.Copysign(y, float64(x)))
+}
+
+// ln2/32 split so that its high half times any integer below 2^21 is
+// exact (math.Exp's own Ln2Hi/Ln2Lo, scaled).
+const (
+	ln2by32Hi = 6.93147180369123816490e-01 / 32
+	ln2by32Lo = 1.90821492927058770002e-10 / 32
+)
+
+// exp2by32[j] = 2^(j/32).
+var exp2by32 = func() (t [32]float64) {
+	for j := range t {
+		t[j] = math.Exp2(float64(j) / 32)
+	}
+	return t
+}()
 
 // Backward implements Layer.
 func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {

@@ -25,7 +25,7 @@ func DecodeVector(b []byte) ([]float32, error) {
 		return nil, fmt.Errorf("transport: vector frame too short")
 	}
 	n := binary.LittleEndian.Uint32(b)
-	if uint32(len(b)-4) != 4*n {
+	if int64(len(b)-4) != 4*int64(n) { // in 64 bits: 4*n must not wrap
 		return nil, fmt.Errorf("transport: vector frame length %d for %d elements", len(b), n)
 	}
 	v := make([]float32, n)
@@ -36,57 +36,19 @@ func DecodeVector(b []byte) ([]float32, error) {
 }
 
 // EncodeTensors serializes a tensor set (shapes + data) for model and
-// gradient exchange.
+// gradient exchange, in tensor.WriteSet's framing.
 func EncodeTensors(ts []*tensor.Tensor) []byte {
 	var buf bytes.Buffer
-	binary.Write(&buf, binary.LittleEndian, uint32(len(ts)))
-	for _, t := range ts {
-		binary.Write(&buf, binary.LittleEndian, uint32(len(t.Shape)))
-		for _, d := range t.Shape {
-			binary.Write(&buf, binary.LittleEndian, uint32(d))
-		}
-		binary.Write(&buf, binary.LittleEndian, t.Data)
-	}
+	tensor.WriteSet(&buf, ts) // bytes.Buffer writes cannot fail
 	return buf.Bytes()
 }
 
-// DecodeTensors reverses EncodeTensors.
+// DecodeTensors reverses EncodeTensors. A tensor may hold at most 1<<27
+// elements.
 func DecodeTensors(b []byte) ([]*tensor.Tensor, error) {
-	r := bytes.NewReader(b)
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if n > 1<<20 {
-		return nil, fmt.Errorf("transport: implausible tensor count %d", n)
-	}
-	ts := make([]*tensor.Tensor, n)
-	for i := range ts {
-		var rank uint32
-		if err := binary.Read(r, binary.LittleEndian, &rank); err != nil {
-			return nil, err
-		}
-		if rank > 8 {
-			return nil, fmt.Errorf("transport: implausible rank %d", rank)
-		}
-		shape := make([]int, rank)
-		size := 1
-		for d := range shape {
-			var dim uint32
-			if err := binary.Read(r, binary.LittleEndian, &dim); err != nil {
-				return nil, err
-			}
-			shape[d] = int(dim)
-			size *= int(dim)
-		}
-		if size > 1<<27 {
-			return nil, fmt.Errorf("transport: implausible tensor size %d", size)
-		}
-		t := tensor.New(shape...)
-		if err := binary.Read(r, binary.LittleEndian, t.Data); err != nil {
-			return nil, err
-		}
-		ts[i] = t
+	ts, err := tensor.ReadSet(bytes.NewReader(b), 1<<27)
+	if err != nil {
+		return nil, fmt.Errorf("transport: decoding tensors: %w", err)
 	}
 	return ts, nil
 }

@@ -22,19 +22,26 @@ for w in 1 2 4 8; do
         ./internal/nn ./internal/serve ./internal/quant ./internal/core \
         ./internal/plan ./internal/simnet ./internal/collective
 done
-# Every -race invocation, here and in the Makefile, passes -skip Alloc:
-# sync.Pool drops a quarter of its Puts under the race detector, so an
-# allocation count is not a property the race build can check. The
-# width matrix above owns those tests.
+# Every -race invocation, here and in the Makefile, passes -skip
+# 'Alloc|Exhaustive': sync.Pool drops a quarter of its Puts under the
+# race detector, so an allocation count is not a property the race build
+# can check, and an exhaustive float32 sweep is pure arithmetic that the
+# detector would slow to minutes. The width matrix above owns those tests.
 make race
 # The fault suite, tidal resizes included. TestExpFig4cINT8Degrades
 # matches "Degrade" but measures INT8 accuracy, not a fault, and is by
 # far the slowest test of its package under the race detector.
-go test -race -skip 'Alloc|Fig4c' -run 'Fault|Crash|Degrade|Straggle|LinkDrop|Deadline|Close|Resize' \
+go test -race -skip 'Alloc|Fig4c|Exhaustive' -run 'Fault|Crash|Degrade|Straggle|LinkDrop|Deadline|Close|Resize' \
     . ./internal/runtime ./internal/transport ./internal/exp
 # The metrics registry is written to from every worker goroutine at
 # once; run its whole suite under the race detector.
-go test -race -skip Alloc -count 2 ./internal/metrics
+go test -race -skip 'Alloc|Exhaustive' -count 2 ./internal/metrics
+# The decoders a peer's bytes reach (mesh vectors and tensor sets, and
+# checkpoints via rejoin state transfer): every input must decode to
+# something that re-encodes to it, or fail with an error, never panic.
+go test -run '^$' -fuzz '^FuzzDecodeVector$' -fuzztime 10s ./internal/transport
+go test -run '^$' -fuzz '^FuzzDecodeTensors$' -fuzztime 10s ./internal/transport
+go test -run '^$' -fuzz '^FuzzReadCheckpoint$' -fuzztime 10s ./internal/core
 # Control-plane smoke gate: daemon + two tenants' jobs over HTTP with
 # quota enforcement, under the race detector.
 make server-smoke

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 )
 
@@ -135,5 +136,33 @@ func TestServeOverHTTP(t *testing.T) {
 	}
 	if rep.Model != "lenet5" || len(rep.Hourly) != 1 {
 		t.Fatalf("report did not survive the round trip: %+v", rep)
+	}
+}
+
+// The repo benchmark's serve-replay workload hashes these eight report
+// fields into its result_digest; they are pinned here at the
+// benchmark's --smoke window and seed 1.
+func TestServeReplayIsPinned(t *testing.T) {
+	srv := NewServer(ServerConfig{})
+	defer srv.Close()
+	ctx := context.Background()
+	h, err := srv.Client().Serve(ctx, ServeConfig{
+		Model: "vgg11", Dataset: "cifar10", Stages: 2, MaxBatch: 8,
+		PeakRPS: 20, StartHour: 14, Hours: 0.025, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := h.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := []float64{
+		float64(rep.Requests), float64(rep.Served), float64(rep.Shed), float64(rep.Batches),
+		rep.Attainment, rep.P50Seconds, rep.P99Seconds, rep.MeanSeconds,
+	}
+	want := []float64{1841, 1841, 0, 922, 1, 0x1.25696781c152p-04, 0x1.978630094a3d9p-04, 0x1.2bffa54c4b18bp-04}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("requests, served, shed, batches, attainment, p50, p99, mean = %x, want %x", got, want)
 	}
 }

@@ -344,3 +344,48 @@ func TestRunDistributedFacadeRejectsBadModel(t *testing.T) {
 		t.Fatalf("want ErrUnknownModel, got %v", err)
 	}
 }
+
+// The repo benchmark's train-conv and train-small workloads hash each
+// run's accuracies, simulated seconds and energy into their
+// result_digest. Pinning them here, at the benchmark's --smoke size and
+// seed 1, makes a moved training result a tier-1 failure rather than a
+// benchmark surprise (TestMeshTracksArePinned does the same for the
+// mesh workloads).
+func TestTrainTracksArePinned(t *testing.T) {
+	for _, want := range []struct {
+		name        string
+		cfg         Config
+		acc         []float64
+		sim, energy float64
+	}{
+		{
+			name: "train-conv",
+			cfg: Config{
+				JobSpec: JobSpec{Model: "vgg11", Dataset: "cifar10", Seed: 1, Epochs: 2, TrainSamples: 256},
+				NumSoCs: 32, Groups: 8, Mixed: "auto",
+			},
+			acc:    []float64{0x1.2p-04, 0x1.1p-03},
+			sim:    0x1.3c10fc504816ep+07,
+			energy: 0x1.33d75ef7065c3p+03,
+		},
+		{
+			name: "train-small",
+			cfg: Config{
+				JobSpec: JobSpec{Model: "lenet5", Dataset: "fmnist", GlobalBatch: 16, Seed: 1, Epochs: 2, TrainSamples: 480},
+				NumSoCs: 32, Groups: 8,
+			},
+			acc:    []float64{0x1.8p-04, 0x1.cp-04},
+			sim:    0x1.e4b898e66273cp+03,
+			energy: 0x1.6c4d14ede57d7p-01,
+		},
+	} {
+		rep, err := Run(context.Background(), want.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", want.name, err)
+		}
+		if !reflect.DeepEqual(rep.EpochAccuracies, want.acc) || rep.SimSeconds != want.sim || rep.EnergyKJ != want.energy {
+			t.Errorf("%s: accuracies %x sim %x energy %x, want %x %x %x",
+				want.name, rep.EpochAccuracies, rep.SimSeconds, rep.EnergyKJ, want.acc, want.sim, want.energy)
+		}
+	}
+}
