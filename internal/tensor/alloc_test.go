@@ -17,6 +17,7 @@ func TestIntoKernelsDoNotAllocate(t *testing.T) {
 	dst := New(8, 12)
 	dstT1 := New(8, 12)
 	dstT2 := New(8, 12)
+	bias := RandNormal(rng, 0, 1, 12)
 	rowSum := New(16)
 	soft := New(8, 12)
 
@@ -38,6 +39,8 @@ func TestIntoKernelsDoNotAllocate(t *testing.T) {
 		{"MatMulInto", func() { MatMulInto(dst, a, b) }},
 		{"MatMulT1Into", func() { MatMulT1Into(dstT1, at, b) }},
 		{"MatMulT2Into", func() { MatMulT2Into(dstT2, a, bt) }},
+		{"MatMulBiasInto", func() { MatMulBiasInto(dst, a, b, bias) }},
+		{"MatMulT2BiasInto", func() { MatMulT2BiasInto(dstT2, a, bt, bias) }},
 		{"SumRowsInto", func() { SumRowsInto(rowSum, a) }},
 		{"SoftmaxInto", func() { SoftmaxInto(soft, dst) }},
 		{"AddInto", func() { AddInto(dst, dst, dst) }},

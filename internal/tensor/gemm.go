@@ -7,26 +7,58 @@ import (
 	"socflow/internal/parallel"
 )
 
-// The GEMM kernels are cache-blocked and register-tiled. Tile shapes
-// were measured on the repo's reference host (a narrow in-order-ish
-// core where a 4x4 tile's 16 accumulators spill): C = A·B and C = Aᵀ·B
-// use a 2-row x 4-column micro-kernel (8 accumulator chains, every
-// loaded A and B value feeds multiple multiply-adds), while C = A·Bᵀ
-// uses 4 simultaneous dot products against 4 rows of B. Tiling happens
-// over the OUTPUT only — each output element keeps a single accumulator
-// that sums over p in ascending order, so results are bit-identical to
-// the naive (i,k,j) triple loop at every parallelism level (the
-// determinism contract in internal/parallel, pinned by the golden
-// hex-loss test). There is deliberately no zero-operand skip anywhere:
-// 0*NaN must stay NaN so exploding-gradient corruption is never masked.
+// Every GEMM entry point lowers to one kernel contract over output rows
+// [lo, hi):
+//
+//	dst[i·n+j] = Σ_{p<k} a[i·ai + p·ap] · b[p·n+j]  (+ bias[j])
+//
+// with one float32 accumulator per element, p ascending, the product
+// rounded before the sum, and no zero-operand skip (0·NaN must stay NaN
+// so exploding-gradient corruption is never masked). MatMul is
+// (ai, ap) = (k, 1), MatMulT1 reads A[k,m] as (1, m), and MatMulT2
+// transposes B[n,k] once per call, before any fan-out, into scratch
+// from a free list and then runs as MatMul. Tiling happens over the OUTPUT only,
+// so every result is bit-identical to the naive (i,j,p) triple loop at
+// every parallelism level (the determinism contract in
+// internal/parallel, pinned by the golden hex-loss test).
+//
+// Two kernels implement it. On amd64 hosts with AVX2 (a CPUID/XGETBV
+// check at init; nothing else selects the path) gemm_amd64.s runs a 4×16
+// tile in eight YMM accumulators, then an 8-column block, then a
+// VMASKMOVPS-masked tail, with 1-row variants for the last m mod 4 rows
+// and the bias folded into the store. Each lane multiplies, then adds
+// (never FMA, whose single rounding would move every digest), in the
+// scalar loop's p order. gemmRangeGo is the portable 2×4 kernel every
+// other host runs; the tests hold both to the naive loops.
 
 // gemmCutoff is the multiply-add count below which a GEMM runs on the
-// calling goroutine; smaller products finish before a fan-out pays off.
-const gemmCutoff = 1 << 15
-
-// gemmNB is the output-column tile width: the B panel feeding one tile
-// stays cache-resident while a row band of C streams through it.
-const gemmNB = 256
+// calling goroutine. A fan-out costs ~0.5–1 µs of dispatch, and the
+// vector kernel finishes most workload GEMMs in less. Median of three
+// `go test -bench GEMMCutoff -cpu 2` runs on the 2-core AVX2 reference
+// host (Intel Xeon, 2 vCPUs), at GEMM shapes the benchmark workloads
+// run, µs per call (MM = MatMul, T1 = MatMulT1, T2 = MatMulT2
+// after its transpose):
+//
+//	op  m×k×n        MACs    serial   P=2
+//	T2  8×72×16      9.2K    0.35     1.28
+//	T2  8×144×16     18K     0.63     1.38
+//	T1  16×8×144     18K     0.64     1.65
+//	T2  64×54×12     41K     3.65     3.33
+//	T1  12×64×54     41K     1.43     2.69
+//	T2  32×144×16    74K     3.63     4.98
+//	T1  12×192×54    124K    5.96     10.7
+//	T2  64×144×16    147K    7.42     9.79
+//	MM  64×16×144    147K    6.66     7.95
+//	T2  160×144×16   369K    17.2     20.3
+//	T1  16×160×144   369K    18.4     16.2
+//	MM  160×16×144   369K    15.1     18.8
+//	T2  512×144×16   1.18M   49.0     53.3
+//	T2  1024×144×16  2.36M   96.2     99.1
+//	T2  4096×72×8    2.36M   148.8    117.2
+//
+// The old cutoff, 1<<15, fanned out everything from 41K up and lost at
+// almost every row; two workers first pay at ~2M multiply-adds.
+const gemmCutoff = 1 << 21
 
 // serialRows reports whether a GEMM of the given multiply-add count
 // should skip the pool and run on the calling goroutine.
@@ -34,51 +66,192 @@ func serialRows(flops int) bool {
 	return flops < gemmCutoff
 }
 
+// gemmRange is the kernel contract above, run over rows [lo, hi): the
+// AVX2 kernel where the CPU has it, gemmRangeGo everywhere else.
+var gemmRange = gemmRangeGo
+
 // gemmTask carries one GEMM's operands through parallel.ForKernel.
 // Tasks are pooled so the dispatch never touches the allocator.
 type gemmTask struct {
-	op        int // opMatMul, opMatMulT1, opMatMulT2
-	dst, a, b []float32
-	bias      []float32 // nil: no bias epilogue
-	m, k, n   int
+	dst, a, b, bias []float32
+	ai, ap, k, n    int
 }
-
-const (
-	opMatMul = iota
-	opMatMulT1
-	opMatMulT2
-)
 
 // RunRange implements parallel.Kernel over output rows [lo, hi).
 func (t *gemmTask) RunRange(lo, hi int) {
-	switch t.op {
-	case opMatMul:
-		matmulRange(t.dst, t.a, t.b, t.bias, t.k, t.n, lo, hi)
-	case opMatMulT1:
-		matmulT1Range(t.dst, t.a, t.b, t.m, t.k, t.n, lo, hi)
-	case opMatMulT2:
-		matmulT2Range(t.dst, t.a, t.b, t.bias, t.k, t.n, lo, hi)
-	}
+	gemmRange(t.dst, t.a, t.b, t.bias, t.ai, t.ap, t.k, t.n, lo, hi)
 }
 
 var gemmTaskPool = sync.Pool{New: func() any { return new(gemmTask) }}
 
-// runGEMM fans a GEMM out over output rows through the persistent
-// worker pool, recycling the task struct afterwards.
-func runGEMM(op int, dst, a, b, bias []float32, m, k, n int) {
+// transposeFree is MatMulT2's free list of Bᵀ scratch, reused by
+// capacity. A GC empties a sync.Pool but not a channel, so a steady
+// workload allocates one buffer per concurrent caller once, where a
+// pool would reallocate after GCs. The channel's buffer bounds how many
+// idle buffers are kept: 16 is twice the most goroutines any benchmark
+// workload trains on at once (8 groups, or 8 mesh workers).
+var transposeFree = make(chan []float32, 16)
+
+// gemmShape validates a GEMM's operands before any kernel trusts them:
+// A and B 2-D, inner dimensions equal, and dst (unless nil) [m,n]. ta
+// says A is stored [k,m], tb that B is stored [n,k].
+func gemmShape(name string, dst, a, b *Tensor, ta, tb bool) (m, k, n int) {
+	if a.Dims() != 2 || b.Dims() != 2 {
+		panic(fmt.Sprintf("tensor: %s needs 2-D operands, got %v x %v", name, a.Shape, b.Shape))
+	}
+	m, k = a.Shape[0], a.Shape[1]
+	if ta {
+		m, k = k, m
+	}
+	k2, n := b.Shape[0], b.Shape[1]
+	if tb {
+		k2, n = n, k2
+	}
+	if k != k2 {
+		panic(fmt.Sprintf("tensor: %s inner dimension mismatch %v x %v", name, a.Shape, b.Shape))
+	}
+	if dst != nil && (dst.Dims() != 2 || dst.Shape[0] != m || dst.Shape[1] != n) {
+		panic(fmt.Sprintf("tensor: %s dst %v, want [%d %d]", name, dst.Shape, m, n))
+	}
+	return m, k, n
+}
+
+// gemmInto validates, then computes dst = op(A)·op(B) (+ bias). A nil
+// bias means no bias epilogue.
+func gemmInto(name string, dst, a, b, bias *Tensor, ta, tb bool) {
+	m, k, n := gemmShape(name, dst, a, b, ta, tb)
+	var bv []float32
+	if bias != nil {
+		if bias.Dims() != 1 || bias.Shape[0] != n {
+			panic(fmt.Sprintf("tensor: %s bias %v, want [%d]", name, bias.Shape, n))
+		}
+		bv = bias.Data
+	}
+	t0 := countGEMM(m, k, n)
+	defer gemmDone(t0)
+	ai, ap := k, 1
+	if ta {
+		ai, ap = 1, m
+	}
+	bd := b.Data
+	if tb {
+		bd = takeScratch(k * n)
+		defer giveScratch(bd)
+		transposeInto(bd, b.Data, n, k)
+	}
+	if serialRows(m * k * n) {
+		gemmRange(dst.Data, a.Data, bd, bv, ai, ap, k, n, 0, m)
+		return
+	}
 	t := gemmTaskPool.Get().(*gemmTask)
-	t.op, t.dst, t.a, t.b, t.bias, t.m, t.k, t.n = op, dst, a, b, bias, m, k, n
+	*t = gemmTask{dst: dst.Data, a: a.Data, b: bd, bias: bv, ai: ai, ap: ap, k: k, n: n}
 	parallel.ForKernel(m, t)
-	t.dst, t.a, t.b, t.bias = nil, nil, nil, nil
+	*t = gemmTask{}
 	gemmTaskPool.Put(t)
+}
+
+// takeScratch returns a buffer of the given length from transposeFree,
+// or a new one.
+func takeScratch(size int) []float32 {
+	select {
+	case s := <-transposeFree:
+		if cap(s) >= size {
+			return s[:size]
+		}
+	default:
+	}
+	return make([]float32, size)
+}
+
+// giveScratch hands s back to transposeFree, or drops it when the list
+// is full.
+func giveScratch(s []float32) {
+	select {
+	case transposeFree <- s:
+	default:
+	}
+}
+
+// transposeInto writes src[rows,cols]ᵀ into dst[cols,rows].
+func transposeInto(dst, src []float32, rows, cols int) {
+	for r := 0; r < rows; r++ {
+		for c, v := range src[r*cols : (r+1)*cols] {
+			dst[c*rows+r] = v
+		}
+	}
+}
+
+// gemmRangeGo is the portable kernel: 2×4 register tiles (eight
+// independent accumulator chains; every loaded A and B value feeds
+// several multiply-adds), with gemmDot for the edge elements.
+func gemmRangeGo(dst, a, b, bias []float32, ai, ap, k, n, lo, hi int) {
+	i := lo
+	for ; i+2 <= hi; i += 2 {
+		a0, a1 := i*ai, (i+1)*ai
+		c0 := dst[i*n : (i+1)*n]
+		c1 := dst[(i+1)*n : (i+2)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			var s00, s01, s02, s03 float32
+			var s10, s11, s12, s13 float32
+			for p, x0, x1, y := 0, a0, a1, j; p < k; p, x0, x1, y = p+1, x0+ap, x1+ap, y+n {
+				bp := b[y : y+4 : y+4]
+				b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
+				av := a[x0]
+				s00 += av * b0
+				s01 += av * b1
+				s02 += av * b2
+				s03 += av * b3
+				av = a[x1]
+				s10 += av * b0
+				s11 += av * b1
+				s12 += av * b2
+				s13 += av * b3
+			}
+			if bias != nil {
+				b0, b1, b2, b3 := bias[j], bias[j+1], bias[j+2], bias[j+3]
+				s00 += b0
+				s01 += b1
+				s02 += b2
+				s03 += b3
+				s10 += b0
+				s11 += b1
+				s12 += b2
+				s13 += b3
+			}
+			c0[j], c0[j+1], c0[j+2], c0[j+3] = s00, s01, s02, s03
+			c1[j], c1[j+1], c1[j+2], c1[j+3] = s10, s11, s12, s13
+		}
+		for ; j < n; j++ {
+			c0[j] = gemmDot(a, b, bias, a0, ap, k, n, j)
+			c1[j] = gemmDot(a, b, bias, a1, ap, k, n, j)
+		}
+	}
+	if i < hi {
+		c := dst[i*n : (i+1)*n]
+		for j := range c {
+			c[j] = gemmDot(a, b, bias, i*ai, ap, k, n, j)
+		}
+	}
+}
+
+// gemmDot is one element of the contract: the A row starting at a0
+// against column j of B.
+func gemmDot(a, b, bias []float32, a0, ap, k, n, j int) float32 {
+	var s float32
+	for p := 0; p < k; p++ {
+		s += a[a0+p*ap] * b[p*n+j]
+	}
+	if bias != nil {
+		s += bias[j]
+	}
+	return s
 }
 
 // MatMul computes C = A x B for 2-D tensors A[m,k] and B[k,n].
 func MatMul(a, b *Tensor) *Tensor {
-	if a.Dims() != 2 || b.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: MatMul needs 2-D operands, got %v x %v", a.Shape, b.Shape))
-	}
-	out := New(a.Shape[0], b.Shape[1])
+	m, _, n := gemmShape("MatMul", nil, a, b, false, false)
+	out := New(m, n)
 	MatMulInto(out, a, b)
 	return out
 }
@@ -87,7 +260,7 @@ func MatMul(a, b *Tensor) *Tensor {
 // overwriting its contents. It is the scratch-buffer variant of MatMul
 // and produces bit-identical results.
 func MatMulInto(dst, a, b *Tensor) {
-	matmulBias(dst, a, b, nil)
+	gemmInto("MatMulInto", dst, a, b, nil, false, false)
 }
 
 // MatMulBiasInto computes dst = A x B, then adds bias[n] to every row
@@ -95,130 +268,7 @@ func MatMulInto(dst, a, b *Tensor) {
 // followed by AddRowVector — each element is fl(fl(Σ) + bias) — while
 // saving one full pass over dst.
 func MatMulBiasInto(dst, a, b, bias *Tensor) {
-	if bias.Dims() != 1 || bias.Shape[0] != b.Shape[1] {
-		panic(fmt.Sprintf("tensor: MatMulBiasInto bias %v, want [%d]", bias.Shape, b.Shape[1]))
-	}
-	matmulBias(dst, a, b, bias.Data)
-}
-
-func matmulBias(dst, a, b *Tensor, bias []float32) {
-	if a.Dims() != 2 || b.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulInto needs 2-D operands, got %v x %v", a.Shape, b.Shape))
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulInto inner dimension mismatch %v x %v", a.Shape, b.Shape))
-	}
-	if dst.Dims() != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulInto dst %v, want [%d %d]", dst.Shape, m, n))
-	}
-	t0 := countGEMM(m, k, n)
-	defer gemmDone(t0)
-	if serialRows(m * k * n) {
-		matmulRange(dst.Data, a.Data, b.Data, bias, k, n, 0, m)
-		return
-	}
-	runGEMM(opMatMul, dst.Data, a.Data, b.Data, bias, m, k, n)
-}
-
-// matmulRange computes C = A·B output rows [lo, hi) with a 2x4
-// micro-kernel: two A rows stream against a four-column B panel, so
-// every B load feeds two multiply-adds and the eight accumulators keep
-// independent dependency chains.
-func matmulRange(dst, a, b, bias []float32, k, n, lo, hi int) {
-	for jb := 0; jb < n; jb += gemmNB {
-		je := jb + gemmNB
-		if je > n {
-			je = n
-		}
-		i := lo
-		for ; i+2 <= hi; i += 2 {
-			a0 := a[i*k : (i+1)*k]
-			a1 := a[(i+1)*k : (i+2)*k]
-			c0 := dst[i*n : (i+1)*n]
-			c1 := dst[(i+1)*n : (i+2)*n]
-			j := jb
-			for ; j+4 <= je; j += 4 {
-				var s00, s01, s02, s03 float32
-				var s10, s11, s12, s13 float32
-				for p := 0; p < k; p++ {
-					bp := b[p*n+j : p*n+j+4 : p*n+j+4]
-					b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
-					av := a0[p]
-					s00 += av * b0
-					s01 += av * b1
-					s02 += av * b2
-					s03 += av * b3
-					av = a1[p]
-					s10 += av * b0
-					s11 += av * b1
-					s12 += av * b2
-					s13 += av * b3
-				}
-				if bias != nil {
-					b0, b1, b2, b3 := bias[j], bias[j+1], bias[j+2], bias[j+3]
-					s00 += b0
-					s01 += b1
-					s02 += b2
-					s03 += b3
-					s10 += b0
-					s11 += b1
-					s12 += b2
-					s13 += b3
-				}
-				c0[j], c0[j+1], c0[j+2], c0[j+3] = s00, s01, s02, s03
-				c1[j], c1[j+1], c1[j+2], c1[j+3] = s10, s11, s12, s13
-			}
-			for ; j < je; j++ {
-				var s0, s1 float32
-				for p := 0; p < k; p++ {
-					bv := b[p*n+j]
-					s0 += a0[p] * bv
-					s1 += a1[p] * bv
-				}
-				if bias != nil {
-					bv := bias[j]
-					s0 += bv
-					s1 += bv
-				}
-				c0[j], c1[j] = s0, s1
-			}
-		}
-		for ; i < hi; i++ {
-			arow := a[i*k : (i+1)*k]
-			crow := dst[i*n : (i+1)*n]
-			j := jb
-			for ; j+4 <= je; j += 4 {
-				var s0, s1, s2, s3 float32
-				for p := 0; p < k; p++ {
-					av := arow[p]
-					bp := b[p*n+j : p*n+j+4 : p*n+j+4]
-					s0 += av * bp[0]
-					s1 += av * bp[1]
-					s2 += av * bp[2]
-					s3 += av * bp[3]
-				}
-				if bias != nil {
-					s0 += bias[j]
-					s1 += bias[j+1]
-					s2 += bias[j+2]
-					s3 += bias[j+3]
-				}
-				crow[j], crow[j+1], crow[j+2], crow[j+3] = s0, s1, s2, s3
-			}
-			for ; j < je; j++ {
-				var s float32
-				for p := 0; p < k; p++ {
-					s += arow[p] * b[p*n+j]
-				}
-				if bias != nil {
-					s += bias[j]
-				}
-				crow[j] = s
-			}
-		}
-	}
+	gemmInto("MatMulBiasInto", dst, a, b, bias, false, false)
 }
 
 // MatMulT1 computes C = Aᵀ x B for A[k,m], B[k,n] -> C[m,n], used in
@@ -226,7 +276,8 @@ func matmulRange(dst, a, b, bias []float32, k, n, lo, hi int) {
 // element still accumulates over p in ascending order, so the result
 // is identical to the sequential kernel.
 func MatMulT1(a, b *Tensor) *Tensor {
-	out := New(a.Shape[1], b.Shape[1])
+	m, _, n := gemmShape("MatMulT1", nil, a, b, true, false)
+	out := New(m, n)
 	MatMulT1Into(out, a, b)
 	return out
 }
@@ -235,98 +286,14 @@ func MatMulT1(a, b *Tensor) *Tensor {
 // overwriting its contents. Like MatMulInto it never skips zero
 // operands, so NaN/Inf in either factor always propagates.
 func MatMulT1Into(dst, a, b *Tensor) {
-	k, m := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulT1Into dimension mismatch %v x %v", a.Shape, b.Shape))
-	}
-	if dst.Dims() != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulT1Into dst %v, want [%d %d]", dst.Shape, m, n))
-	}
-	t0 := countGEMM(m, k, n)
-	defer gemmDone(t0)
-	if serialRows(m * k * n) {
-		matmulT1Range(dst.Data, a.Data, b.Data, m, k, n, 0, m)
-		return
-	}
-	runGEMM(opMatMulT1, dst.Data, a.Data, b.Data, nil, m, k, n)
-}
-
-// matmulT1Range computes C = Aᵀ·B output rows [lo, hi) with the same
-// 2x4 micro-kernel as matmulRange; the two A values per step are
-// adjacent (a[p*m+i], a[p*m+i+1]), so both operands stream forward.
-func matmulT1Range(dst, a, b []float32, m, k, n, lo, hi int) {
-	for jb := 0; jb < n; jb += gemmNB {
-		je := jb + gemmNB
-		if je > n {
-			je = n
-		}
-		i := lo
-		for ; i+2 <= hi; i += 2 {
-			c0 := dst[i*n : (i+1)*n]
-			c1 := dst[(i+1)*n : (i+2)*n]
-			j := jb
-			for ; j+4 <= je; j += 4 {
-				var s00, s01, s02, s03 float32
-				var s10, s11, s12, s13 float32
-				for p := 0; p < k; p++ {
-					ap := a[p*m+i : p*m+i+2 : p*m+i+2]
-					bp := b[p*n+j : p*n+j+4 : p*n+j+4]
-					b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
-					av := ap[0]
-					s00 += av * b0
-					s01 += av * b1
-					s02 += av * b2
-					s03 += av * b3
-					av = ap[1]
-					s10 += av * b0
-					s11 += av * b1
-					s12 += av * b2
-					s13 += av * b3
-				}
-				c0[j], c0[j+1], c0[j+2], c0[j+3] = s00, s01, s02, s03
-				c1[j], c1[j+1], c1[j+2], c1[j+3] = s10, s11, s12, s13
-			}
-			for ; j < je; j++ {
-				var s0, s1 float32
-				for p := 0; p < k; p++ {
-					bv := b[p*n+j]
-					s0 += a[p*m+i] * bv
-					s1 += a[p*m+i+1] * bv
-				}
-				c0[j], c1[j] = s0, s1
-			}
-		}
-		for ; i < hi; i++ {
-			crow := dst[i*n : (i+1)*n]
-			j := jb
-			for ; j+4 <= je; j += 4 {
-				var s0, s1, s2, s3 float32
-				for p := 0; p < k; p++ {
-					av := a[p*m+i]
-					bp := b[p*n+j : p*n+j+4 : p*n+j+4]
-					s0 += av * bp[0]
-					s1 += av * bp[1]
-					s2 += av * bp[2]
-					s3 += av * bp[3]
-				}
-				crow[j], crow[j+1], crow[j+2], crow[j+3] = s0, s1, s2, s3
-			}
-			for ; j < je; j++ {
-				var s float32
-				for p := 0; p < k; p++ {
-					s += a[p*m+i] * b[p*n+j]
-				}
-				crow[j] = s
-			}
-		}
-	}
+	gemmInto("MatMulT1Into", dst, a, b, nil, true, false)
 }
 
 // MatMulT2 computes C = A x Bᵀ for A[m,k], B[n,k] -> C[m,n], used in
 // dense-layer input gradients and the im2col convolution forward.
 func MatMulT2(a, b *Tensor) *Tensor {
-	out := New(a.Shape[0], b.Shape[0])
+	m, _, n := gemmShape("MatMulT2", nil, a, b, false, true)
+	out := New(m, n)
 	MatMulT2Into(out, a, b)
 	return out
 }
@@ -334,7 +301,7 @@ func MatMulT2(a, b *Tensor) *Tensor {
 // MatMulT2Into computes dst = A x Bᵀ into an existing [m,n] tensor,
 // overwriting its contents.
 func MatMulT2Into(dst, a, b *Tensor) {
-	matmulT2Bias(dst, a, b, nil)
+	gemmInto("MatMulT2Into", dst, a, b, nil, false, true)
 }
 
 // MatMulT2BiasInto computes dst = A x Bᵀ, then adds bias[n] to every
@@ -342,83 +309,5 @@ func MatMulT2Into(dst, a, b *Tensor) {
 // AddRowVector, one pass over dst cheaper. It is the convolution
 // forward kernel: y = cols · Wᵀ + bias.
 func MatMulT2BiasInto(dst, a, b, bias *Tensor) {
-	if bias.Dims() != 1 || bias.Shape[0] != b.Shape[0] {
-		panic(fmt.Sprintf("tensor: MatMulT2BiasInto bias %v, want [%d]", bias.Shape, b.Shape[0]))
-	}
-	matmulT2Bias(dst, a, b, bias.Data)
-}
-
-func matmulT2Bias(dst, a, b *Tensor, bias []float32) {
-	m, k := a.Shape[0], a.Shape[1]
-	n, k2 := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulT2Into dimension mismatch %v x %v", a.Shape, b.Shape))
-	}
-	if dst.Dims() != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulT2Into dst %v, want [%d %d]", dst.Shape, m, n))
-	}
-	t0 := countGEMM(m, k, n)
-	defer gemmDone(t0)
-	if serialRows(m * k * n) {
-		matmulT2Range(dst.Data, a.Data, b.Data, bias, k, n, 0, m)
-		return
-	}
-	runGEMM(opMatMulT2, dst.Data, a.Data, b.Data, bias, m, k, n)
-}
-
-// matmulT2Range computes C = A·Bᵀ output rows [lo, hi) as four
-// simultaneous dot products: one A row against four contiguous B rows,
-// which breaks the serial dependency chain of the plain dot-product
-// form while both operands stream forward over p.
-func matmulT2Range(dst, a, b, bias []float32, k, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a[i*k : (i+1)*k]
-		crow := dst[i*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			br0 := b[j*k : (j+1)*k]
-			br1 := b[(j+1)*k : (j+2)*k]
-			br2 := b[(j+2)*k : (j+3)*k]
-			br3 := b[(j+3)*k : (j+4)*k]
-			var s0, s1, s2, s3 float32
-			for p, av := range arow {
-				s0 += av * br0[p]
-				s1 += av * br1[p]
-				s2 += av * br2[p]
-				s3 += av * br3[p]
-			}
-			if bias != nil {
-				s0 += bias[j]
-				s1 += bias[j+1]
-				s2 += bias[j+2]
-				s3 += bias[j+3]
-			}
-			crow[j], crow[j+1], crow[j+2], crow[j+3] = s0, s1, s2, s3
-		}
-		for ; j+2 <= n; j += 2 {
-			br0 := b[j*k : (j+1)*k]
-			br1 := b[(j+1)*k : (j+2)*k]
-			var s0, s1 float32
-			for p, av := range arow {
-				s0 += av * br0[p]
-				s1 += av * br1[p]
-			}
-			if bias != nil {
-				s0 += bias[j]
-				s1 += bias[j+1]
-			}
-			crow[j], crow[j+1] = s0, s1
-		}
-		for ; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
-			var s float32
-			for p, av := range arow {
-				s += av * brow[p]
-			}
-			if bias != nil {
-				s += bias[j]
-			}
-			crow[j] = s
-		}
-	}
+	gemmInto("MatMulT2BiasInto", dst, a, b, bias, false, true)
 }

@@ -31,10 +31,11 @@ func bitEqual(t *testing.T, name string, a, b *Tensor) {
 // at parallelism 1 and 8.
 func TestKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 	rng := NewRNG(7)
-	a := RandNormal(rng, 0, 1, 64, 48)
-	b := RandNormal(rng, 0, 1, 48, 80)
-	bt := RandNormal(rng, 0, 1, 80, 48)
-	at1 := RandNormal(rng, 0, 1, 48, 64)
+	// 144·128·120 multiply-adds: above gemmCutoff, so the GEMMs fan out.
+	a := RandNormal(rng, 0, 1, 144, 128)
+	b := RandNormal(rng, 0, 1, 128, 120)
+	bt := RandNormal(rng, 0, 1, 120, 128)
+	at1 := RandNormal(rng, 0, 1, 128, 144)
 	x := RandNormal(rng, 0, 1, 4, 3, 14, 14)
 	p := ConvParams{KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1}
 	big1 := RandNormal(rng, 0, 1, 1<<15)

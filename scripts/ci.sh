@@ -11,6 +11,13 @@ go vet ./...
 test -z "$(gofmt -l .)"
 go build ./...
 go test ./...
+# The portable GEMM path against the same oracles. An AVX2 amd64 host
+# runs the GEMM in assembly; a 386 build runs the Go kernel, which must
+# reproduce the golden losses and fused/unfused bit-identity too. The
+# arm64 vet keeps the build without assembly compiling.
+GOARCH=386 go test -count=1 ./internal/tensor
+GOARCH=386 go test -count=1 -run 'Golden|Fused|BitIdentical' ./internal/nn ./internal/core
+GOARCH=arm64 go vet ./...
 # Width matrix: the zero-allocation bounds, golden losses, fused≡unfused
 # and parallelism-invariance tests must hold at every pool width, not
 # just this host's. internal/parallel sizes its pool from GOMAXPROCS at
@@ -42,6 +49,9 @@ go test -race -skip 'Alloc|Exhaustive' -count 2 ./internal/metrics
 go test -run '^$' -fuzz '^FuzzDecodeVector$' -fuzztime 10s ./internal/transport
 go test -run '^$' -fuzz '^FuzzDecodeTensors$' -fuzztime 10s ./internal/transport
 go test -run '^$' -fuzz '^FuzzReadCheckpoint$' -fuzztime 10s ./internal/core
+# Both GEMM kernels against the naive loops, with NaN/Inf/-0 injected:
+# every result bit-equal.
+go test -run '^$' -fuzz '^FuzzGEMMMatchesNaive$' -fuzztime 10s ./internal/tensor
 # Control-plane smoke gate: daemon + two tenants' jobs over HTTP with
 # quota enforcement, under the race detector.
 make server-smoke
