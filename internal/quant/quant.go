@@ -144,6 +144,11 @@ func FakeQuantizeInPlace(t *tensor.Tensor) {
 // a NaN element under a finite scale stays NaN instead of passing
 // through the int8 conversion, so exploding-gradient evidence survives
 // quantization exactly as it survives the GEMM kernels.
+//
+// Each element is gridCode(v·inv)·s: float32(clampInt8(math.Round(
+// float64(v·inv))))·s bit for bit. The one input gridCode does not
+// model is the NaN that 0·inv makes when 1/s overflows (s < 2^-128);
+// that grid keeps the reference expression.
 func fakeQuantRange(dst, src []float32, s float32) {
 	if isNaN32(s) {
 		for i := range dst {
@@ -152,13 +157,44 @@ func fakeQuantRange(dst, src []float32, s float32) {
 		return
 	}
 	inv := 1 / s
-	for i, v := range src {
-		if isNaN32(v) {
-			dst[i] = v
-			continue
+	if inv > math.MaxFloat32 {
+		for i, v := range src {
+			if isNaN32(v) {
+				dst[i] = v
+				continue
+			}
+			dst[i] = float32(clampInt8(math.Round(float64(v*inv)))) * s
 		}
-		dst[i] = float32(clampInt8(math.Round(float64(v*inv)))) * s
+		return
 	}
+	dst = dst[:len(src)]
+	for i, v := range src {
+		q := gridCode(v*inv) * s
+		if isNaN32(v) {
+			q = v
+		}
+		dst[i] = q
+	}
+}
+
+// gridCode rounds y half away from zero onto the symmetric grid
+// [−127, 127] without a data-dependent branch, and returns the code as
+// a float32. It equals float32(clampInt8(math.Round(float64(y)))) for
+// every non-NaN y (TestGridCodeMatchesRoundExhaustive), because:
+//   - rounding half away from zero is sign(y)·⌊|y| + 0.5⌋;
+//   - clamping |y| to 127 first changes nothing: the bound is an
+//     integer and rounding is monotone;
+//   - then |y| + 0.5 is exact in float64 whenever |y| >= 2^-22 (24
+//     significant bits under a 2^7 ceiling), and below that it stays
+//     under 1, so truncation floors it either way;
+//   - the sign goes back on the integer, so a code of 0 is +0 as
+//     float32(int8(0)) is.
+func gridCode(y float32) float32 {
+	bits := math.Float32bits(y)
+	a := min(math.Float32frombits(bits&^(1<<31)), 127)
+	r := int32(float64(a) + 0.5)
+	neg := int32(bits) >> 31 // 0 or −1
+	return float32((r ^ neg) - neg)
 }
 
 // QuantError returns the relative L2 quantization error

@@ -6,8 +6,7 @@ import (
 
 // TestIntoKernelsDoNotAllocate pins the arena contract at the kernel
 // layer: once destination buffers exist, the *Into kernels run without
-// touching the allocator — at one worker, and at four, where the
-// per-image kernels fan their two images out through the pool.
+// touching the allocator, at one worker and at four.
 func TestIntoKernelsDoNotAllocate(t *testing.T) {
 	rng := NewRNG(3)
 	a := RandNormal(rng, 0, 1, 8, 16)

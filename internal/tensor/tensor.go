@@ -246,61 +246,34 @@ func (t *Tensor) Min() float32 {
 	return m
 }
 
-// AbsMax returns max(|x|) over all elements (0 for empty tensors).
-// The four-lane unroll gives the branch predictor independent chains;
-// max-reduction is exact and order-free, so the result is bit-identical
-// to a sequential scan (NaN compares false either way and is skipped,
-// matching the original loop).
+// AbsMax returns max(|x|) over all elements (0 for empty tensors),
+// skipping NaN. |x| clears the sign bit, so no branch depends on the
+// sign, the one branch a predictor cannot learn on signed data; four
+// lanes give it independent chains. Max-reduction is exact and
+// order-free, so the result is bit-identical to a sequential scan.
 func (t *Tensor) AbsMax() float32 {
 	d := t.Data
 	var m0, m1, m2, m3 float32
 	i := 0
 	for ; i+4 <= len(d); i += 4 {
-		a0, a1, a2, a3 := d[i], d[i+1], d[i+2], d[i+3]
-		if a0 < 0 {
-			a0 = -a0
-		}
-		if a1 < 0 {
-			a1 = -a1
-		}
-		if a2 < 0 {
-			a2 = -a2
-		}
-		if a3 < 0 {
-			a3 = -a3
-		}
-		if a0 > m0 {
-			m0 = a0
-		}
-		if a1 > m1 {
-			m1 = a1
-		}
-		if a2 > m2 {
-			m2 = a2
-		}
-		if a3 > m3 {
-			m3 = a3
-		}
+		m0 = maxAbs(m0, d[i])
+		m1 = maxAbs(m1, d[i+1])
+		m2 = maxAbs(m2, d[i+2])
+		m3 = maxAbs(m3, d[i+3])
 	}
 	for ; i < len(d); i++ {
-		a := d[i]
-		if a < 0 {
-			a = -a
-		}
-		if a > m0 {
-			m0 = a
-		}
+		m0 = maxAbs(m0, d[i])
 	}
-	if m1 > m0 {
-		m0 = m1
+	return maxAbs(maxAbs(m0, m1), maxAbs(m2, m3))
+}
+
+// maxAbs returns max(m, |v|) for m >= 0, or m when v is NaN (the
+// comparison is false).
+func maxAbs(m, v float32) float32 {
+	if a := math.Float32frombits(math.Float32bits(v) &^ (1 << 31)); a > m {
+		return a
 	}
-	if m2 > m0 {
-		m0 = m2
-	}
-	if m3 > m0 {
-		m0 = m3
-	}
-	return m0
+	return m
 }
 
 // Argmax returns the flat index of the maximum element.

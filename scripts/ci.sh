@@ -13,9 +13,10 @@ go build ./...
 go test ./...
 # The portable GEMM path against the same oracles. An AVX2 amd64 host
 # runs the GEMM in assembly; a 386 build runs the Go kernel, which must
-# reproduce the golden losses and fused/unfused bit-identity too. The
-# arm64 vet keeps the build without assembly compiling.
-GOARCH=386 go test -count=1 ./internal/tensor
+# reproduce the golden losses and fused/unfused bit-identity too, and
+# quant's branch-free rounding its reference on a second float→int
+# conversion. The arm64 vet keeps the build without assembly compiling.
+GOARCH=386 go test -count=1 ./internal/tensor ./internal/quant
 GOARCH=386 go test -count=1 -run 'Golden|Fused|BitIdentical' ./internal/nn ./internal/core
 GOARCH=arm64 go vet ./...
 # Width matrix: the zero-allocation bounds, golden losses, fused≡unfused
@@ -52,6 +53,10 @@ go test -run '^$' -fuzz '^FuzzReadCheckpoint$' -fuzztime 10s ./internal/core
 # Both GEMM kernels against the naive loops, with NaN/Inf/-0 injected:
 # every result bit-equal.
 go test -run '^$' -fuzz '^FuzzGEMMMatchesNaive$' -fuzztime 10s ./internal/tensor
+# The row-wise im2col/col2im against the per-element loops, any window
+# geometry, with NaN/Inf/-0 planted: every result bit-equal, no write
+# outside an operand.
+go test -run '^$' -fuzz '^FuzzIm2ColMatchesNaive$' -fuzztime 10s ./internal/tensor
 # Control-plane smoke gate: daemon + two tenants' jobs over HTTP with
 # quota enforcement, under the race detector.
 make server-smoke
