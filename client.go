@@ -511,11 +511,11 @@ func buildTrainSpec(submitCtx context.Context, cfg Config, o runOptions, h *jobR
 		}
 		segStarted = true
 
-		finish := core.BeginKernelHarvest(userReg)
+		job.Kernels = core.BeginKernelHarvest(userReg)
 		span := reg.BeginSpan("run", "facade", 0)
 		res, err := strat.Run(ctx, job, clu)
 		span.End()
-		finish()
+		job.Kernels.Finish()
 		if err != nil {
 			return nil, err
 		}

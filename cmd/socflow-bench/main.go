@@ -207,7 +207,7 @@ func main() {
 	// recorded in the report and turn the exit status non-zero at the
 	// end.
 	rep := &exp.Report{}
-	finish := core.BeginKernelHarvest(reg)
+	o.Kernels = core.BeginKernelHarvest(reg)
 	for _, id := range run {
 		span := reg.BeginSpan(id, "experiment", 0)
 		tables, err := ids[id].run(o, *full)
@@ -219,7 +219,7 @@ func main() {
 		}
 		rep.Add(id, tables)
 	}
-	finish()
+	o.Kernels.Finish()
 	for _, e := range rep.Experiments {
 		for _, t := range e.Tables {
 			fmt.Println(t)

@@ -299,11 +299,11 @@ func buildDistributedSpec(submitCtx context.Context, cfg DistributedConfig, o ru
 			dcfg.Checkpoints = store
 			dcfg.CheckpointEvery = o.checkpointEvery
 		}
-		finish := core.BeginKernelHarvest(userReg)
+		dcfg.Kernels = core.BeginKernelHarvest(userReg)
 		span := reg.BeginSpan("run", "facade", 0)
 		res, err := runtime.RunDistributed(ctx, mesh, spec, train, val, dcfg)
 		span.End()
-		finish()
+		dcfg.Kernels.Finish()
 		if err != nil {
 			return nil, err
 		}

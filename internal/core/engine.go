@@ -53,6 +53,9 @@ type Job struct {
 	// sim.* counters and gauges. Nil disables instrumentation at zero
 	// cost (every metrics method is a no-op on nil receivers).
 	Metrics *metrics.Registry
+	// Kernels, when non-nil, tracks every model the job builds, so the
+	// run's registry receives this run's kernel counts alone.
+	Kernels *KernelHarvest
 	// Checkpoints, when non-nil, receives periodic automatic
 	// checkpoints from the strategy at epoch boundaries; pair it with
 	// the store's KeepLast retention so long campaigns cannot fill the
@@ -124,9 +127,10 @@ func (j *Job) EpochLR(epoch int) float32 {
 	return j.LR
 }
 
-// BuildModel constructs a fresh micro model replica for this job.
+// BuildModel constructs a fresh micro model replica for this job and
+// tracks it in the job's kernel harvest.
 func (j *Job) BuildModel(r *tensor.RNG) *nn.Sequential {
-	return j.Spec.BuildMicro(r, j.Train.Channels(), j.Train.ImageSize(), j.Train.Classes)
+	return j.Kernels.Track(j.Spec.BuildMicro(r, j.Train.Channels(), j.Train.ImageSize(), j.Train.Classes))
 }
 
 // Validate checks the job for obvious misconfiguration.

@@ -49,6 +49,7 @@ func ExpAutopar(o Options) (*Table, error) {
 			Epochs:       o.Epochs,
 			Seed:         o.Seed,
 			Metrics:      o.Metrics,
+			Kernels:      o.Kernels,
 		}
 	}
 

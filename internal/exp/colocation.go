@@ -146,7 +146,7 @@ func ExpColocation(o Options) (*Table, error) {
 			defer close(ticks)
 			sclu := cluster.New(cluster.Config{NumSoCs: o.NumSoCs})
 			ds := dataset.MustProfile(sc.Dataset).Generate(dataset.GenOptions{Samples: 128, Seed: o.Seed + 11})
-			model := nn.MustSpec(sc.Model).BuildMicro(tensor.NewRNG(o.Seed+11), ds.Channels(), ds.ImageSize(), ds.Classes)
+			model := o.Kernels.Track(nn.MustSpec(sc.Model).BuildMicro(tensor.NewRNG(o.Seed+11), ds.Channels(), ds.ImageSize(), ds.Classes))
 			eng, err := serve.NewEngine(serve.EngineConfig{
 				Spec: nn.MustSpec(sc.Model), Model: model, Cluster: sclu,
 				Stages: stages, InC: ds.Channels(), ImgSize: ds.ImageSize(),

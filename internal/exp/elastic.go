@@ -142,6 +142,7 @@ func newMeshJob(o Options, socs, groups, epochs int) (*meshJob, error) {
 				Batch:     16,
 			},
 			Metrics: o.Metrics,
+			Kernels: o.Kernels,
 		},
 	}, nil
 }

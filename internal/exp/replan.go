@@ -65,6 +65,7 @@ func ExpReplan(o Options) (*Table, error) {
 		cfg.Plan = p
 		cfg.Planner = &popts
 		cfg.Metrics = o.Metrics
+		cfg.Kernels = o.Kernels
 		return runtime.RunDistributed(context.Background(), transport.NewChanMesh(socs), spec, train, val, cfg)
 	}
 

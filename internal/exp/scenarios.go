@@ -71,6 +71,9 @@ type Options struct {
 	// (sim.* counters/gauges, dual-clock epoch spans). Shared across the
 	// experiment's whole strategy grid, so totals are grid totals.
 	Metrics *metrics.Registry
+	// Kernels, when non-nil, tracks every model the experiments build,
+	// so Metrics receives their kernel counts.
+	Kernels *core.KernelHarvest
 }
 
 func (o Options) withDefaults() Options {
@@ -143,6 +146,7 @@ func jobFor(sc Scenario, o Options) *core.Job {
 		Epochs:       epochs,
 		Seed:         o.Seed,
 		Metrics:      o.Metrics,
+		Kernels:      o.Kernels,
 	}
 }
 

@@ -3,35 +3,12 @@ package nn
 import (
 	"math"
 
-	"socflow/internal/parallel"
 	"socflow/internal/tensor"
 )
 
-// Layers are persistent and own their buffers, so a layer is its own
-// operand carrier for the worker pool: each dispatching pass is a named
-// type over the layer (type reluForward ReLU) whose RunRange is the
-// loop body, the pass's input stashed in a field of the layer. Handing
-// parallel.ForKernel that pointer allocates nothing at any parallelism.
-
-// elemCutoff is the element count below which an elementwise pass stays
-// on the calling goroutine: the fan-out overhead outweighs the loop.
-const elemCutoff = 1 << 14
-
-// runElems runs k over elements [0, n), through the worker pool when
-// there are enough of them to pay for it.
-func runElems(n int, k parallel.Kernel) {
-	if n < elemCutoff {
-		k.RunRange(0, n)
-		return
-	}
-	parallel.ForKernel(n, k)
-}
-
 // ReLU applies max(0, x) elementwise.
 type ReLU struct {
-	mask    []bool
-	out, dx *tensor.Tensor // persistent buffers
-	in      []float32      // input (forward) or gradient (backward) of the pass in flight
+	out, dx *tensor.Tensor // persistent buffers; out is cached for backward
 }
 
 // NewReLU returns a ReLU layer.
@@ -39,50 +16,32 @@ func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	if cap(r.mask) < len(x.Data) {
-		r.mask = make([]bool, len(x.Data))
-	}
-	r.mask = r.mask[:len(x.Data)]
 	r.out = ensureBuf(r.out, x.Shape...)
-	r.in = x.Data
-	runElems(len(x.Data), (*reluForward)(r))
+	out := r.out.Data
+	for i, v := range x.Data {
+		if v > 0 {
+			out[i] = v
+		} else {
+			out[i] = 0
+		}
+	}
 	return r.out
 }
 
-type reluForward ReLU
-
-func (r *reluForward) RunRange(lo, hi int) {
-	out, mask, x := r.out.Data, r.mask, r.in
-	for i := lo; i < hi; i++ {
-		if v := x[i]; v > 0 {
-			out[i] = v
-			mask[i] = true
-		} else {
-			out[i] = 0
-			mask[i] = false
-		}
-	}
-}
-
-// Backward implements Layer.
+// Backward implements Layer. The gradient passes where the output is
+// positive: out is x or 0, so out > 0 exactly when x > 0, NaN and −0
+// included.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	r.dx = ensureBuf(r.dx, grad.Shape...)
-	r.in = grad.Data
-	runElems(len(grad.Data), (*reluBackward)(r))
-	return r.dx
-}
-
-type reluBackward ReLU
-
-func (r *reluBackward) RunRange(lo, hi int) {
-	out, mask, grad := r.dx.Data, r.mask, r.in
-	for i := lo; i < hi; i++ {
-		if mask[i] {
-			out[i] = grad[i]
+	dx, out := r.dx.Data, r.out.Data
+	for i, g := range grad.Data {
+		if out[i] > 0 {
+			dx[i] = g
 		} else {
-			out[i] = 0
+			dx[i] = 0
 		}
 	}
+	return r.dx
 }
 
 // Params implements Layer.
@@ -93,7 +52,6 @@ func (r *ReLU) Params() []*Param { return nil }
 type Tanh struct {
 	y  *tensor.Tensor // persistent output, cached for backward
 	dx *tensor.Tensor
-	in []float32 // input (forward) or gradient (backward) of the pass in flight
 }
 
 // NewTanh returns a Tanh layer.
@@ -102,18 +60,11 @@ func NewTanh() *Tanh { return &Tanh{} }
 // Forward implements Layer.
 func (t *Tanh) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	t.y = ensureBuf(t.y, x.Shape...)
-	t.in = x.Data
-	runElems(len(x.Data), (*tanhForward)(t))
-	return t.y
-}
-
-type tanhForward Tanh
-
-func (t *tanhForward) RunRange(lo, hi int) {
-	out, x := t.y.Data, t.in
-	for i := lo; i < hi; i++ {
-		out[i] = tanh32(x[i])
+	out := t.y.Data
+	for i, v := range x.Data {
+		out[i] = tanh32(v)
 	}
+	return t.y
 }
 
 // tanh32 returns float32(math.Tanh(float64(x))) for every float32 x, in
@@ -176,18 +127,11 @@ var exp2by32 = func() (t [32]float64) {
 // Backward implements Layer.
 func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	t.dx = ensureBuf(t.dx, grad.Shape...)
-	t.in = grad.Data
-	runElems(len(grad.Data), (*tanhBackward)(t))
-	return t.dx
-}
-
-type tanhBackward Tanh
-
-func (t *tanhBackward) RunRange(lo, hi int) {
-	out, grad, y := t.dx.Data, t.in, t.y.Data
-	for i := lo; i < hi; i++ {
-		out[i] = grad[i] * (1 - y[i]*y[i])
+	out, y := t.dx.Data, t.y.Data
+	for i, g := range grad.Data {
+		out[i] = g * (1 - y[i]*y[i])
 	}
+	return t.dx
 }
 
 // Params implements Layer.
@@ -271,7 +215,6 @@ func (a *AvgPool2D) Params() []*Param { return nil }
 type GlobalAvgPool struct {
 	inShape []int
 	out, dx *tensor.Tensor // persistent buffers
-	in      []float32      // input (forward) or gradient (backward) of the pass in flight
 }
 
 // NewGlobalAvgPool returns a GlobalAvgPool layer.
@@ -282,47 +225,32 @@ func (g *GlobalAvgPool) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	checkDims("GlobalAvgPool", x, 4)
 	g.inShape = append(g.inShape[:0], x.Shape...)
 	g.out = ensureBuf(g.out, x.Shape[0], x.Shape[1])
-	g.in = x.Data
-	parallel.ForKernel(x.Shape[0], (*gapForward)(g))
-	return g.out
-}
-
-type gapForward GlobalAvgPool
-
-// RunRange averages the planes of images [lo, hi).
-func (g *gapForward) RunRange(lo, hi int) {
-	c, hw := g.inShape[1], g.inShape[2]*g.inShape[3]
+	hw := x.Shape[2] * x.Shape[3]
 	inv := 1 / float32(hw)
-	for i := lo * c; i < hi*c; i++ {
+	for i := range g.out.Data {
 		var s float32
-		for _, v := range g.in[i*hw : (i+1)*hw] {
+		for _, v := range x.Data[i*hw : (i+1)*hw] {
 			s += v
 		}
 		g.out.Data[i] = s * inv
 	}
+	return g.out
 }
 
-// Backward implements Layer.
+// Backward implements Layer: each plane's gradient spreads evenly over
+// the plane.
 func (g *GlobalAvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	g.dx = ensureBuf(g.dx, g.inShape...)
-	g.in = grad.Data
-	parallel.ForKernel(g.inShape[0], (*gapBackward)(g))
-	return g.dx
-}
-
-type gapBackward GlobalAvgPool
-
-// RunRange spreads each plane's gradient over images [lo, hi).
-func (g *gapBackward) RunRange(lo, hi int) {
-	c, hw := g.inShape[1], g.inShape[2]*g.inShape[3]
+	hw := g.inShape[2] * g.inShape[3]
 	inv := 1 / float32(hw)
-	for i := lo * c; i < hi*c; i++ {
-		gv := g.in[i] * inv
+	for i, gi := range grad.Data[:g.inShape[0]*g.inShape[1]] {
+		gv := gi * inv
 		plane := g.dx.Data[i*hw : (i+1)*hw]
 		for j := range plane {
 			plane[j] = gv
 		}
 	}
+	return g.dx
 }
 
 // Params implements Layer.

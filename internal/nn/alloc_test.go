@@ -10,14 +10,14 @@ import (
 
 // TestLeNetTrainStepSteadyStateAllocations measures a full training
 // step (ZeroGrad, forward, loss, backward, optimizer step) on the
-// micro LeNet after warmup. With persistent layer buffers, the *Into
-// kernel layer and kernel-struct dispatch, every layer's forward and
-// backward is exactly allocation-free at any pool width; the only
-// per-step allocations left are the three objects behind the loss
-// gradient tensor SoftmaxCrossEntropy hands to the caller (struct,
-// shape, data). The bound is exact so a buffer-reuse regression
-// anywhere in the layer stack fails loudly. The widths are named, not
-// inherited from the host: 4 fans every per-image kernel out.
+// micro LeNet after warmup. With persistent layer buffers and the *Into
+// kernel layer, every layer's forward and backward is exactly
+// allocation-free; the only per-step allocations left are the three
+// objects behind the loss gradient tensor SoftmaxCrossEntropy hands to
+// the caller (struct, shape, data). The bound is exact so a
+// buffer-reuse regression anywhere in the layer stack fails loudly. The
+// pool widths are named, not inherited from the host: kernels run on
+// their caller, so the width must not matter.
 func TestLeNetTrainStepSteadyStateAllocations(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -38,9 +38,8 @@ func TestLeNetTrainStepSteadyStateAllocations(t *testing.T) {
 				model.Backward(grad)
 				opt.Step(params)
 			}
-			// Warm up at this width so every layer's persistent buffers,
-			// the optimizer's velocity tensors and the pool's workers
-			// exist: AllocsPerRun measures under GOMAXPROCS(1).
+			// Warm up so every layer's persistent buffers and the
+			// optimizer's velocity tensors exist.
 			for i := 0; i < 3; i++ {
 				step()
 			}

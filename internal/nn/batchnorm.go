@@ -3,7 +3,6 @@ package nn
 import (
 	"math"
 
-	"socflow/internal/parallel"
 	"socflow/internal/tensor"
 )
 
@@ -30,11 +29,6 @@ type BatchNorm2D struct {
 	shape  []int
 
 	out, dx *tensor.Tensor // persistent buffers
-
-	// Operands of the pass in flight: its input (forward) or gradient
-	// (backward), and whether the forward is a training one.
-	in    []float32
-	train bool
 }
 
 // NewBatchNorm2D creates a batch-norm layer for c channels.
@@ -61,35 +55,24 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	b.invStd = b.invStd[:c]
 	b.xhat = ensureBuf(b.xhat, x.Shape...)
-	b.in, b.train = x.Data, train
-	parallel.ForKernel(c, (*bnForward)(b))
-	return b.out
-}
-
-type bnForward BatchNorm2D
-
-// RunRange normalizes channels [lo, hi). Every channel's statistics,
-// running-stat cells, xhat plane, and output plane are disjoint, so
-// channels normalize independently.
-func (b *bnForward) RunRange(lo, hi int) {
-	n, c, hw := b.shape[0], b.shape[1], b.shape[2]*b.shape[3]
-	x, xhat, out := b.in, b.xhat.Data, b.out.Data
+	// Channels normalize independently, each over its planes in
+	// ascending image order.
+	n, hw := x.Shape[0], x.Shape[2]*x.Shape[3]
+	xd, xhat, out := x.Data, b.xhat.Data, b.out.Data
 	cnt := float32(n * hw)
-	for ch := lo; ch < hi; ch++ {
+	for ch := 0; ch < c; ch++ {
 		var mean, variance float32
-		if b.train {
+		if train {
 			var s float64
 			for img := 0; img < n; img++ {
-				plane := x[(img*c+ch)*hw : (img*c+ch+1)*hw]
-				for _, v := range plane {
+				for _, v := range xd[(img*c+ch)*hw : (img*c+ch+1)*hw] {
 					s += float64(v)
 				}
 			}
 			mean = float32(s) / cnt
 			var sq float64
 			for img := 0; img < n; img++ {
-				plane := x[(img*c+ch)*hw : (img*c+ch+1)*hw]
-				for _, v := range plane {
+				for _, v := range xd[(img*c+ch)*hw : (img*c+ch+1)*hw] {
 					d := v - mean
 					sq += float64(d) * float64(d)
 				}
@@ -107,12 +90,13 @@ func (b *bnForward) RunRange(lo, hi int) {
 		for img := 0; img < n; img++ {
 			off := (img*c + ch) * hw
 			for i := 0; i < hw; i++ {
-				xh := (x[off+i] - mean) * inv
+				xh := (xd[off+i] - mean) * inv
 				xhat[off+i] = xh
 				out[off+i] = g*xh + bt
 			}
 		}
 	}
+	return b.out
 }
 
 // Backward implements Layer. Standard batch-norm gradient:
@@ -121,26 +105,16 @@ func (b *bnForward) RunRange(lo, hi int) {
 //	dx = invStd/m * (m*dxhat - Σdxhat - xhat*Σ(dxhat*xhat))
 func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	b.dx = ensureBuf(b.dx, b.shape...)
-	b.in = grad.Data
-	parallel.ForKernel(b.shape[1], (*bnBackward)(b))
-	return b.dx
-}
-
-type bnBackward BatchNorm2D
-
-// RunRange back-propagates channels [lo, hi), each of which owns its
-// gamma/beta gradient cells and dx plane.
-func (b *bnBackward) RunRange(lo, hi int) {
 	n, c, hw := b.shape[0], b.shape[1], b.shape[2]*b.shape[3]
-	grad, xhat, dx := b.in, b.xhat.Data, b.dx.Data
+	gd, xhat, dx := grad.Data, b.xhat.Data, b.dx.Data
 	m := float32(n * hw)
-	for ch := lo; ch < hi; ch++ {
+	for ch := 0; ch < c; ch++ {
 		g := b.Gamma.W.Data[ch]
 		var sumDy, sumDyXhat float64
 		for img := 0; img < n; img++ {
 			off := (img*c + ch) * hw
 			for i := 0; i < hw; i++ {
-				dy := grad[off+i]
+				dy := gd[off+i]
 				sumDy += float64(dy)
 				sumDyXhat += float64(dy) * float64(xhat[off+i])
 			}
@@ -153,11 +127,12 @@ func (b *bnBackward) RunRange(lo, hi int) {
 		for img := 0; img < n; img++ {
 			off := (img*c + ch) * hw
 			for i := 0; i < hw; i++ {
-				dxhat := grad[off+i] * g
+				dxhat := gd[off+i] * g
 				dx[off+i] = inv * (dxhat - g*k1 - xhat[off+i]*g*k2)
 			}
 		}
 	}
+	return b.dx
 }
 
 // Params implements Layer.

@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"socflow/internal/parallel"
-	"socflow/internal/tensor"
-)
+import "socflow/internal/tensor"
 
 // Conv2D is a standard 2-D convolution over NCHW input, lowered to
 // matrix multiplication via im2col exactly as the paper's MNN backend
@@ -23,7 +20,7 @@ type Conv2D struct {
 	g2, dcols, dx *tensor.Tensor // backward: NHWC grad, column grad, input grad
 	dwScr, dbScr  *tensor.Tensor // weight/bias gradient scratch
 
-	grad []float32 // output gradient of the backward pass in flight
+	kc kernelCounter
 }
 
 // NewConv2D creates a conv layer with a square kernel, He init.
@@ -41,63 +38,12 @@ func NewConv2D(r *tensor.RNG, inC, outC, k, stride, pad int) *Conv2D {
 
 // Forward implements Layer.
 func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	checkDims("Conv2D", x, 4)
-	lstatConvFwd.Add(1)
-	n := x.Shape[0]
-	c.inShape = append(c.inShape[:0], x.Shape...)
-	c.oh, c.ow = c.P.OutSize(x.Shape[2], x.Shape[3])
-	c.cols = ensureBuf(c.cols, n*c.oh*c.ow, c.InC*c.P.KH*c.P.KW)
-	tensor.Im2ColInto(c.cols, x, c.P) // [N*OH*OW, InC*K*K]
-	// y = cols · Wᵀ  -> [N*OH*OW, OutC]
-	c.y = ensureBuf(c.y, n*c.oh*c.ow, c.OutC)
-	tensor.MatMulT2BiasInto(c.y, c.cols, c.Weight.W, c.Bias.W)
+	c.gemmForward(x)
 	// Rearrange [N, OH, OW, OutC] -> [N, OutC, OH, OW].
-	return c.toNCHW()
-}
-
-// Backward implements Layer.
-func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	checkDims("Conv2D", grad, 4)
-	lstatConvBwd.Add(1)
-	n := grad.Shape[0]
-	// Back to [N*OH*OW, OutC] layout to mirror the forward pass.
-	c.g2 = ensureBuf(c.g2, n*c.oh*c.ow, c.OutC)
-	c.grad = grad.Data
-	parallel.ForKernel(n, (*convToNHWC)(c))
-	// dW = g2ᵀ · cols ; db = Σ_rows g2 ; dcols = g2 · W
-	// Gradients go through scratch then AddInPlace so the accumulation
-	// rounding order matches the allocating path exactly.
-	c.dwScr = ensureBuf(c.dwScr, c.Weight.W.Shape...)
-	tensor.MatMulT1Into(c.dwScr, c.g2, c.cols)
-	tensor.AddInPlace(c.Weight.Grad, c.dwScr)
-	c.dbScr = ensureBuf(c.dbScr, c.OutC)
-	tensor.SumRowsInto(c.dbScr, c.g2)
-	tensor.AddInPlace(c.Bias.Grad, c.dbScr)
-	c.dcols = ensureBuf(c.dcols, n*c.oh*c.ow, c.InC*c.P.KH*c.P.KW)
-	tensor.MatMulInto(c.dcols, c.g2, c.Weight.W)
-	c.dx = ensureBuf(c.dx, c.inShape...)
-	tensor.Col2ImInto(c.dx, c.dcols, c.P)
-	return c.dx
-}
-
-// Params implements Layer.
-func (c *Conv2D) Params() []*Param { return []*Param{c.Weight, c.Bias} }
-
-// toNCHW rearranges the GEMM output y [N*OH*OW, OutC] into the layer's
-// NCHW output buffer. Images transpose independently into disjoint
-// output blocks.
-func (c *Conv2D) toNCHW() *tensor.Tensor {
-	n := c.inShape[0]
-	c.out = ensureBuf(c.out, n, c.OutC, c.oh, c.ow)
-	parallel.ForKernel(n, (*convToNCHW)(c))
-	return c.out
-}
-
-type convToNCHW Conv2D
-
-func (c *convToNCHW) RunRange(lo, hi int) {
-	out, y, hw, ch := c.out.Data, c.y.Data, c.oh*c.ow, c.OutC
-	for img := lo; img < hi; img++ {
+	n, hw, ch := x.Shape[0], c.oh*c.ow, c.OutC
+	c.out = ensureBuf(c.out, n, ch, c.oh, c.ow)
+	out, y := c.out.Data, c.y.Data
+	for img := 0; img < n; img++ {
 		for pos := 0; pos < hw; pos++ {
 			row := y[(img*hw+pos)*ch : (img*hw+pos+1)*ch]
 			for cc, v := range row {
@@ -105,23 +51,67 @@ func (c *convToNCHW) RunRange(lo, hi int) {
 			}
 		}
 	}
+	return c.out
 }
 
-// convToNHWC is the reverse: the NCHW output gradient of images
-// [lo, hi) into the [N*OH*OW, OutC] row matrix g2.
-type convToNHWC Conv2D
+// gemmForward lowers x with im2col and runs the GEMM, leaving the
+// NHWC row matrix y = cols · Wᵀ + bias, [N*OH*OW, OutC], in c.y. The
+// fused blocks share it.
+func (c *Conv2D) gemmForward(x *tensor.Tensor) {
+	checkDims("Conv2D", x, 4)
+	c.kc.ConvForward++
+	c.kc.Im2ColOps++
+	n := x.Shape[0]
+	c.inShape = append(c.inShape[:0], x.Shape...)
+	c.oh, c.ow = c.P.OutSize(x.Shape[2], x.Shape[3])
+	rows, k := n*c.oh*c.ow, c.InC*c.P.KH*c.P.KW
+	c.cols = ensureBuf(c.cols, rows, k)
+	tensor.Im2ColInto(c.cols, x, c.P)
+	c.y = ensureBuf(c.y, rows, c.OutC)
+	t0 := c.kc.beginGEMM(rows, k, c.OutC)
+	tensor.MatMulT2BiasInto(c.y, c.cols, c.Weight.W, c.Bias.W)
+	c.kc.endGEMM(t0)
+}
 
-func (c *convToNHWC) RunRange(lo, hi int) {
-	out, x, hw, ch := c.g2.Data, c.grad, c.oh*c.ow, c.OutC
-	for img := lo; img < hi; img++ {
+// Backward implements Layer.
+func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	checkDims("Conv2D", grad, 4)
+	c.kc.ConvBackward++
+	n, hw, ch := grad.Shape[0], c.oh*c.ow, c.OutC
+	rows, k := n*hw, c.InC*c.P.KH*c.P.KW
+	// Back to the [N*OH*OW, OutC] row layout of the forward pass.
+	c.g2 = ensureBuf(c.g2, rows, ch)
+	g2 := c.g2.Data
+	for img := 0; img < n; img++ {
 		for cc := 0; cc < ch; cc++ {
-			plane := x[(img*ch+cc)*hw : (img*ch+cc+1)*hw]
+			plane := grad.Data[(img*ch+cc)*hw : (img*ch+cc+1)*hw]
 			for pos, v := range plane {
-				out[(img*hw+pos)*ch+cc] = v
+				g2[(img*hw+pos)*ch+cc] = v
 			}
 		}
 	}
+	// dW = g2ᵀ · cols ; db = Σ_rows g2 ; dcols = g2 · W
+	// Gradients go through scratch then AddInPlace so the accumulation
+	// rounding order matches the allocating path exactly.
+	c.dwScr = ensureBuf(c.dwScr, c.Weight.W.Shape...)
+	t0 := c.kc.beginGEMM(ch, rows, k)
+	tensor.MatMulT1Into(c.dwScr, c.g2, c.cols)
+	c.kc.endGEMM(t0)
+	tensor.AddInPlace(c.Weight.Grad, c.dwScr)
+	c.dbScr = ensureBuf(c.dbScr, ch)
+	tensor.SumRowsInto(c.dbScr, c.g2)
+	tensor.AddInPlace(c.Bias.Grad, c.dbScr)
+	c.dcols = ensureBuf(c.dcols, rows, k)
+	t0 = c.kc.beginGEMM(rows, ch, k)
+	tensor.MatMulInto(c.dcols, c.g2, c.Weight.W)
+	c.kc.endGEMM(t0)
+	c.dx = ensureBuf(c.dx, c.inShape...)
+	tensor.Col2ImInto(c.dx, c.dcols, c.P)
+	return c.dx
 }
+
+// Params implements Layer.
+func (c *Conv2D) Params() []*Param { return []*Param{c.Weight, c.Bias} }
 
 // DepthwiseConv2D applies one kxk filter per input channel (groups ==
 // channels), the building block of MobileNet-V1.
@@ -135,7 +125,6 @@ type DepthwiseConv2D struct {
 	x       *tensor.Tensor
 	oh, ow  int
 	out, dx *tensor.Tensor // persistent buffers
-	grad    []float32      // output gradient of the backward pass in flight
 }
 
 // NewDepthwiseConv2D creates a depthwise conv layer.
@@ -155,19 +144,11 @@ func (d *DepthwiseConv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	d.inShape = append(d.inShape[:0], x.Shape...)
 	d.oh, d.ow = d.P.OutSize(x.Shape[2], x.Shape[3])
 	d.out = ensureBuf(d.out, x.Shape[0], x.Shape[1], d.oh, d.ow)
-	parallel.ForKernel(x.Shape[0], (*dwForward)(d))
-	return d.out
-}
-
-type dwForward DepthwiseConv2D
-
-// RunRange convolves images [lo, hi).
-func (d *dwForward) RunRange(lo, hi int) {
-	c, h, w := d.inShape[1], d.inShape[2], d.inShape[3]
-	x, out := d.x, d.out
+	c, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
+	out := d.out.Data
 	k2 := d.P.KH * d.P.KW
-	for img := lo; img < hi; img++ {
-		oi := img * c * d.oh * d.ow
+	oi := 0
+	for img := 0; img < x.Shape[0]; img++ {
 		for ch := 0; ch < c; ch++ {
 			cbase := (img*c + ch) * h * w
 			kw := d.Weight.W.Data[ch*k2 : (ch+1)*k2]
@@ -186,35 +167,25 @@ func (d *dwForward) RunRange(lo, hi int) {
 							ki++
 						}
 					}
-					out.Data[oi] = s
+					out[oi] = s
 					oi++
 				}
 			}
 		}
 	}
+	return d.out
 }
 
 // Backward implements Layer.
 func (d *DepthwiseConv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	d.dx = ensureBuf(d.dx, d.inShape...)
 	d.dx.Zero() // the scatter below accumulates
-	d.grad = grad.Data
-	parallel.ForKernel(d.inShape[1], (*dwBackward)(d))
-	return d.dx
-}
-
-type dwBackward DepthwiseConv2D
-
-// RunRange back-propagates channels [lo, hi). Channel-outer so each
-// task owns its filter gradient gw, bias gradient cell, and every
-// image's dx plane for that channel. The per-weight accumulation order
-// (ascending image, then window position) matches the sequential
-// image-outer loop exactly.
-func (d *dwBackward) RunRange(lo, hi int) {
 	n, c, h, w := d.inShape[0], d.inShape[1], d.inShape[2], d.inShape[3]
-	grad, dx := d.grad, d.dx
+	dx := d.dx.Data
 	k2 := d.P.KH * d.P.KW
-	for ch := lo; ch < hi; ch++ {
+	// Channel-outer: each weight accumulates in ascending image, then
+	// window-position order.
+	for ch := 0; ch < c; ch++ {
 		kw := d.Weight.W.Data[ch*k2 : (ch+1)*k2]
 		gw := d.Weight.Grad.Data[ch*k2 : (ch+1)*k2]
 		for img := 0; img < n; img++ {
@@ -222,7 +193,7 @@ func (d *dwBackward) RunRange(lo, hi int) {
 			gi := (img*c + ch) * d.oh * d.ow
 			for oy := 0; oy < d.oh; oy++ {
 				for ox := 0; ox < d.ow; ox++ {
-					g := grad[gi]
+					g := grad.Data[gi]
 					gi++
 					d.Bias.Grad.Data[ch] += g
 					ki := 0
@@ -232,7 +203,7 @@ func (d *dwBackward) RunRange(lo, hi int) {
 							ix := ox*d.P.SW - d.P.PW + kx
 							if iy >= 0 && iy < h && ix >= 0 && ix < w {
 								gw[ki] += g * d.x.Data[cbase+iy*w+ix]
-								dx.Data[cbase+iy*w+ix] += g * kw[ki]
+								dx[cbase+iy*w+ix] += g * kw[ki]
 							}
 							ki++
 						}
@@ -241,6 +212,7 @@ func (d *dwBackward) RunRange(lo, hi int) {
 			}
 		}
 	}
+	return d.dx
 }
 
 // Params implements Layer.

@@ -3,7 +3,6 @@ package nn
 import (
 	"math"
 
-	"socflow/internal/parallel"
 	"socflow/internal/tensor"
 )
 
@@ -22,21 +21,15 @@ import (
 // same buffers; the epilogue reads identical values in the identical
 // per-channel (image, position) order batch-norm uses for its float64
 // statistics, so every mean, variance, running statistic, xhat, and
-// activation is bit-identical to the unfused sequence at every
-// parallelism level (fused_test.go pins this). Backward is untouched:
-// the fused forward populates exactly the caches each layer's Backward
-// reads (conv.cols/inShape/oh/ow, bn.xhat/invStd/shape, relu.mask).
+// activation is bit-identical to the unfused sequence (fused_test.go
+// pins this). Backward is untouched: the fused forward populates
+// exactly the caches each layer's Backward reads
+// (conv.cols/inShape/oh/ow, bn.xhat/invStd/shape, relu.out).
 type fusedConv struct {
 	conv *Conv2D
 	bn   *BatchNorm2D // nil for a Conv+ReLU block
 	relu *ReLU        // nil for a Conv+BN block
 	span int          // layers consumed from the Sequential (2 or 3)
-
-	// Operands of the bnEpilogue in flight: the block's NCHW output, the
-	// ReLU mask (nil for Conv+BN), and the forward's train flag.
-	out   []float32
-	mask  []bool
-	train bool
 }
 
 // planStep is one unit of a Sequential's execution plan: a fused conv
@@ -87,73 +80,44 @@ func (s *Sequential) buildPlan() {
 // would, then a single epilogue in place of the transpose/BN/ReLU
 // chain.
 func (f *fusedConv) forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	c := f.conv
-	checkDims("Conv2D", x, 4)
-	lstatConvFwd.Add(1)
-	n := x.Shape[0]
-	c.inShape = append(c.inShape[:0], x.Shape...)
-	c.oh, c.ow = c.P.OutSize(x.Shape[2], x.Shape[3])
-	c.cols = ensureBuf(c.cols, n*c.oh*c.ow, c.InC*c.P.KH*c.P.KW)
-	tensor.Im2ColInto(c.cols, x, c.P)
-	c.y = ensureBuf(c.y, n*c.oh*c.ow, c.OutC)
-	tensor.MatMulT2BiasInto(c.y, c.cols, c.Weight.W, c.Bias.W)
+	f.conv.gemmForward(x)
 	if f.bn == nil {
-		return f.reluEpilogue(n)
+		return f.reluEpilogue()
 	}
-	return f.bnEpilogue(n, train)
+	return f.bnEpilogue(train)
 }
 
 // reluEpilogue handles Conv+ReLU: one pass over the GEMM output applies
 // the activation while transposing NHWC→NCHW, writing the ReLU output
-// and mask directly. Images land in disjoint output blocks, so they
-// transpose independently like Conv2D.toNCHW.
-func (f *fusedConv) reluEpilogue(n int) *tensor.Tensor {
+// directly.
+func (f *fusedConv) reluEpilogue() *tensor.Tensor {
 	c, r := f.conv, f.relu
-	hw := c.oh * c.ow
-	total := n * c.OutC * hw
-	if cap(r.mask) < total {
-		r.mask = make([]bool, total)
-	}
-	r.mask = r.mask[:total]
-	r.out = ensureBuf(r.out, n, c.OutC, c.oh, c.ow)
-	parallel.ForKernel(n, (*fusedReLU)(f))
-	return r.out
-}
-
-type fusedReLU fusedConv
-
-// RunRange activates and transposes images [lo, hi).
-func (f *fusedReLU) RunRange(lo, hi int) {
-	out, mask, y := f.relu.out.Data, f.relu.mask, f.conv.y.Data
-	hw, ch := f.conv.oh*f.conv.ow, f.conv.OutC
-	for img := lo; img < hi; img++ {
+	n, hw, ch := c.inShape[0], c.oh*c.ow, c.OutC
+	r.out = ensureBuf(r.out, n, ch, c.oh, c.ow)
+	out, y := r.out.Data, c.y.Data
+	for img := 0; img < n; img++ {
 		for pos := 0; pos < hw; pos++ {
 			row := y[(img*hw+pos)*ch : (img*hw+pos+1)*ch]
 			base := img*ch*hw + pos
 			for cc, v := range row {
-				di := base + cc*hw
 				if v > 0 {
-					out[di] = v
-					mask[di] = true
+					out[base+cc*hw] = v
 				} else {
-					out[di] = 0
-					mask[di] = false
+					out[base+cc*hw] = 0
 				}
 			}
 		}
 	}
+	return r.out
 }
 
 // bnEpilogue handles Conv+BN and Conv+BN+ReLU: per-channel statistics
 // read the GEMM output in the identical (image, position) order
 // BatchNorm2D.Forward sums its NCHW input, so the float64 accumulation
 // — and therefore every downstream bit — matches the unfused sequence.
-// Channels own disjoint statistic cells, xhat planes, and output
-// planes, so they run in parallel exactly as in BatchNorm2D.
-func (f *fusedConv) bnEpilogue(n int, train bool) *tensor.Tensor {
+func (f *fusedConv) bnEpilogue(train bool) *tensor.Tensor {
 	c, b := f.conv, f.bn
-	ch := c.OutC
-	hw := c.oh * c.ow
+	n, ch, hw := c.inShape[0], c.OutC, c.oh*c.ow
 	b.shape = append(b.shape[:0], n, ch, c.oh, c.ow)
 	if cap(b.invStd) < ch {
 		b.invStd = make([]float32, ch)
@@ -161,35 +125,18 @@ func (f *fusedConv) bnEpilogue(n int, train bool) *tensor.Tensor {
 	b.invStd = b.invStd[:ch]
 	b.xhat = ensureBuf(b.xhat, n, ch, c.oh, c.ow)
 	var out *tensor.Tensor
-	var mask []bool
 	if f.relu != nil {
-		total := n * ch * hw
-		if cap(f.relu.mask) < total {
-			f.relu.mask = make([]bool, total)
-		}
-		f.relu.mask = f.relu.mask[:total]
 		f.relu.out = ensureBuf(f.relu.out, n, ch, c.oh, c.ow)
-		out, mask = f.relu.out, f.relu.mask
+		out = f.relu.out
 	} else {
 		b.out = ensureBuf(b.out, n, ch, c.oh, c.ow)
 		out = b.out
 	}
-	f.out, f.mask, f.train = out.Data, mask, train
-	parallel.ForKernel(ch, (*fusedBN)(f))
-	return out
-}
-
-type fusedBN fusedConv
-
-// RunRange normalizes (and, with a mask, activates) channels [lo, hi).
-func (f *fusedBN) RunRange(lo, hi int) {
-	b := f.bn
-	n, ch, hw := b.shape[0], b.shape[1], b.shape[2]*b.shape[3]
-	y, xhat, o, mask := f.conv.y.Data, b.xhat.Data, f.out, f.mask
+	y, xhat, o := c.y.Data, b.xhat.Data, out.Data
 	cnt := float32(n * hw)
-	for cc := lo; cc < hi; cc++ {
+	for cc := 0; cc < ch; cc++ {
 		var mean, variance float32
-		if f.train {
+		if train {
 			var s float64
 			for img := 0; img < n; img++ {
 				for pos := 0; pos < hw; pos++ {
@@ -220,18 +167,12 @@ func (f *fusedBN) RunRange(lo, hi int) {
 				xh := (y[(img*hw+pos)*ch+cc] - mean) * inv
 				xhat[off+pos] = xh
 				v := g*xh + bt
-				if mask != nil {
-					if v > 0 {
-						o[off+pos] = v
-						mask[off+pos] = true
-					} else {
-						o[off+pos] = 0
-						mask[off+pos] = false
-					}
-				} else {
-					o[off+pos] = v
+				if f.relu != nil && !(v > 0) {
+					v = 0
 				}
+				o[off+pos] = v
 			}
 		}
 	}
+	return out
 }

@@ -10,8 +10,9 @@ import (
 
 // The fused conv-block forward (fused.go) must be bit-identical to the
 // unfused layer sequence — outputs, backward caches, running
-// statistics, and gradients — at every parallelism level. These tests
-// run the same model through both paths and compare every bit.
+// statistics, and gradients — including when training groups run it
+// concurrently. These tests run the same model through both paths and
+// compare every bit.
 
 // fusedStack builds a model that exercises all three fusable patterns
 // (Conv+BN+ReLU, Conv+ReLU, Conv+BN) plus unfusable interleaving.
@@ -46,22 +47,23 @@ func cloneBits(t *tensor.Tensor) []uint32 {
 	return out
 }
 
+// requireSameBits reports the first bit that differs. It uses Errorf,
+// so concurrent checks may call it off the test goroutine.
 func requireSameBits(t *testing.T, name string, want []uint32, got *tensor.Tensor) {
 	t.Helper()
 	if len(want) != len(got.Data) {
-		t.Fatalf("%s: size %d vs %d", name, len(want), len(got.Data))
+		t.Errorf("%s: size %d vs %d", name, len(want), len(got.Data))
+		return
 	}
 	for i, w := range want {
 		if g := math.Float32bits(got.Data[i]); g != w {
-			t.Fatalf("%s: bit mismatch at %d: %08x vs %08x", name, i, w, g)
+			t.Errorf("%s: bit mismatch at %d: %08x vs %08x", name, i, w, g)
+			return
 		}
 	}
 }
 
-func testFusedMatchesUnfused(t *testing.T, workers int) {
-	prev := parallel.Set(workers)
-	defer parallel.Set(prev)
-
+func testFusedMatchesUnfused(t *testing.T) {
 	m := fusedStack()
 	r := tensor.NewRNG(17)
 	x := tensor.RandNormal(r, 0, 1, 4, 3, 10, 10)
@@ -114,8 +116,16 @@ func testFusedMatchesUnfused(t *testing.T, workers int) {
 	requireSameBits(t, "eval output", evalUBits, evalF)
 }
 
-func TestFusedMatchesUnfusedSerial(t *testing.T)   { testFusedMatchesUnfused(t, 1) }
-func TestFusedMatchesUnfusedParallel(t *testing.T) { testFusedMatchesUnfused(t, 8) }
+func TestFusedMatchesUnfusedSerial(t *testing.T) { testFusedMatchesUnfused(t) }
+
+// TestFusedMatchesUnfusedParallel runs the check in eight concurrent
+// groups, each on its own model, the way training groups fan out.
+func TestFusedMatchesUnfusedParallel(t *testing.T) {
+	const groups = 8
+	prev := parallel.Set(groups)
+	defer parallel.Set(prev)
+	parallel.Do(groups, func(int) { testFusedMatchesUnfused(t) })
+}
 
 // TestFusionPlanInvalidatedByAdd pins that Add rebuilds the plan: a
 // trailing ReLU added after the first forward must fuse with the conv

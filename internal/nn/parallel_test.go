@@ -9,12 +9,11 @@ import (
 )
 
 // TestLayersBitIdenticalAcrossWorkers checks the determinism contract
-// layer by layer: every layer that dispatches through the worker pool
-// must produce byte-for-byte the same output, input gradient, parameter
-// gradients and running statistics at pool widths 1, 3 and 8. The
-// batch (5) and channel (7) counts divide by neither width, so chunks
-// are uneven, and the input is large enough (5·7·22·22 > elemCutoff)
-// that the elementwise layers fan out too.
+// layer by layer where host parallelism lives: P copies of a layer,
+// each built from the same seed and run concurrently the way training
+// groups run, must each produce byte-for-byte the output, input
+// gradient, parameter gradients and running statistics of a lone
+// serial run, at P = 3 and 8.
 func TestLayersBitIdenticalAcrossWorkers(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -33,9 +32,7 @@ func TestLayersBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 	// run builds the layer from a fixed seed and returns every tensor
 	// one forward+backward pass produces or updates.
-	run := func(build func(*tensor.RNG) Layer, train bool, workers int) map[string]*tensor.Tensor {
-		prev := parallel.Set(workers)
-		defer parallel.Set(prev)
+	run := func(build func(*tensor.RNG) Layer, train bool) map[string]*tensor.Tensor {
 		r := tensor.NewRNG(23)
 		l := build(r)
 		x := tensor.RandNormal(r, 0, 1, 5, 7, 22, 22)
@@ -54,11 +51,16 @@ func TestLayersBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			want := run(c.build, c.train, 1)
+			want := run(c.build, c.train)
 			for _, workers := range []int{3, 8} {
-				got := run(c.build, c.train, workers)
-				for name, w := range want {
-					requireSameBits(t, fmt.Sprintf("workers=%d %s", workers, name), cloneBits(w), got[name])
+				prev := parallel.Set(workers)
+				got := make([]map[string]*tensor.Tensor, workers)
+				parallel.Do(workers, func(i int) { got[i] = run(c.build, c.train) })
+				parallel.Set(prev)
+				for i := range got {
+					for name, w := range want {
+						requireSameBits(t, fmt.Sprintf("workers=%d copy %d %s", workers, i, name), cloneBits(w), got[i][name])
+					}
 				}
 			}
 		})

@@ -121,25 +121,30 @@ func (s *Sequential) StateTensors() []*tensor.Tensor {
 		return s.state
 	}
 	out := []*tensor.Tensor{}
-	var walk func(l Layer)
-	walk = func(l Layer) {
-		switch v := l.(type) {
-		case *BatchNorm2D:
-			out = append(out, v.State()...)
-		case *Sequential:
-			for _, inner := range v.Layers {
-				walk(inner)
-			}
-		case *Residual:
-			walk(v.Body)
-			if v.Shortcut != nil {
-				walk(v.Shortcut)
-			}
+	walkLayers(s, func(l Layer) {
+		if bn, ok := l.(*BatchNorm2D); ok {
+			out = append(out, bn.State()...)
 		}
-	}
-	walk(s)
+	})
 	s.state = out
 	return out
+}
+
+// walkLayers calls fn on l and, depth first in declaration order, on
+// every layer nested in it through Sequentials and residual blocks.
+func walkLayers(l Layer, fn func(Layer)) {
+	fn(l)
+	switch v := l.(type) {
+	case *Sequential:
+		for _, inner := range v.Layers {
+			walkLayers(inner, fn)
+		}
+	case *Residual:
+		walkLayers(v.Body, fn)
+		if v.Shortcut != nil {
+			walkLayers(v.Shortcut, fn)
+		}
+	}
 }
 
 // CopyWeightsFrom copies all weights and state from src into s. The two

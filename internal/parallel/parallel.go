@@ -1,8 +1,10 @@
 // Package parallel provides the host-side worker pool behind the
-// functional training track. Every hot loop in tensor, nn, and core
-// fans out through ForKernel (For and Do are closure adapters over it),
-// so one knob — Set, surfaced publicly as socflow.WithParallelism —
-// governs how many OS threads the whole stack uses.
+// functional training track. The stack has one level of host
+// parallelism: core's strategies fan their logical groups and federated
+// clients out through Do, while tensor and nn kernels run as plain loops
+// on whichever goroutine calls them. Set, surfaced publicly as
+// socflow.WithParallelism, caps that group fan-out. ForKernel and For
+// (Do is a closure adapter over them) stay general range dispatchers.
 //
 // Determinism contract: a dispatch never reorders work results. Callers
 // must write to disjoint output ranges (ForKernel, For) or disjoint
@@ -15,8 +17,7 @@
 // Nesting is safe: chunks handed to the persistent workers are bounded
 // by a global token semaphore, and a caller that cannot obtain tokens
 // simply runs its chunks inline on its own goroutine, so recursive
-// calls (e.g. a parallel GEMM inside a concurrently trained logical
-// group) can never deadlock, only degrade to sequential execution.
+// calls can never deadlock, only degrade to sequential execution.
 package parallel
 
 import (

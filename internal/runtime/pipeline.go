@@ -73,7 +73,7 @@ func newPipeWorker(node transport.Node, spec *nn.Spec, train *dataset.Dataset, c
 	w := &pipeWorker{node: node, cfg: cfg, rep: rep}
 	w.sched = dataset.Schedule{Train: train, Batch: cfg.GlobalBatch, Seed: cfg.Seed}
 	w.clock = newFaultClock(node, cfg.Metrics)
-	w.model = spec.BuildMicro(tensor.NewRNG(cfg.Seed), train.Channels(), train.ImageSize(), train.Classes)
+	w.model = cfg.Kernels.Track(spec.BuildMicro(tensor.NewRNG(cfg.Seed), train.Channels(), train.ImageSize(), train.Classes))
 	w.weights = w.model.Weights()
 	w.state = w.model.StateTensors()
 	w.full = append(append([]*tensor.Tensor{}, w.weights...), w.state...)

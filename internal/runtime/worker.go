@@ -54,6 +54,9 @@ type DistConfig struct {
 	// accuracy through ObserveEpoch (with simulated time 0 — the
 	// distributed track runs on real time only).
 	Metrics *metrics.Registry
+	// Kernels, when non-nil, tracks every worker's model, so the run's
+	// registry receives this run's kernel counts alone.
+	Kernels *core.KernelHarvest
 	// Recovery, when non-nil, switches the run onto the elastic track,
 	// the only one on which an injected crash is survivable: the mesh is
 	// stacked with transport.WithHeartbeat so peers *detect* a crash by
@@ -286,7 +289,7 @@ func newDPWorker(node transport.Node, spec *nn.Spec, train *dataset.Dataset, cfg
 	// Identical init everywhere: same seed, same stream. A rejoiner
 	// rebuilds the same shell and then overwrites it with the
 	// transferred state.
-	w.model = spec.BuildMicro(tensor.NewRNG(cfg.Seed), train.Channels(), train.ImageSize(), train.Classes)
+	w.model = cfg.Kernels.Track(spec.BuildMicro(tensor.NewRNG(cfg.Seed), train.Channels(), train.ImageSize(), train.Classes))
 	w.opt = nn.NewSGD(cfg.LR, cfg.Momentum, 0)
 	w.params = w.model.Params()
 	w.weights = w.model.Weights()

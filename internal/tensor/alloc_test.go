@@ -6,7 +6,7 @@ import (
 
 // TestIntoKernelsDoNotAllocate pins the arena contract at the kernel
 // layer: once destination buffers exist, the *Into kernels run without
-// touching the allocator, at one worker and at four.
+// touching the allocator.
 func TestIntoKernelsDoNotAllocate(t *testing.T) {
 	rng := NewRNG(3)
 	a := RandNormal(rng, 0, 1, 8, 16)
@@ -50,17 +50,11 @@ func TestIntoKernelsDoNotAllocate(t *testing.T) {
 		{"AvgPoolInto", func() { AvgPoolInto(pooled, x, pool) }},
 		{"AvgPoolBackwardInto", func() { AvgPoolBackwardInto(dx, pooled, pool) }},
 	}
-	for _, workers := range []int{1, 4} {
-		atWorkers(t, workers, func() {
-			for _, c := range checks {
-				// Warm the task pool and, at this width, the workers:
-				// AllocsPerRun measures under GOMAXPROCS(1).
-				c.fn()
-				if allocs := testing.AllocsPerRun(10, c.fn); allocs > 0 {
-					t.Errorf("workers=%d: %s allocates %v objects per call, want 0", workers, c.name, allocs)
-				}
-			}
-		})
+	for _, c := range checks {
+		c.fn() // warm MatMulT2's scratch list
+		if allocs := testing.AllocsPerRun(10, c.fn); allocs > 0 {
+			t.Errorf("%s allocates %v objects per call, want 0", c.name, allocs)
+		}
 	}
 }
 

@@ -56,7 +56,6 @@ func Im2ColInto(cols, x *Tensor, p ConvParams) {
 	n, c, h, w := nchw("Im2ColInto", x)
 	oh, ow := p.OutSize(h, w)
 	colShape("Im2ColInto", cols, n*oh*ow, c*p.KH*p.KW)
-	kstatIm2ColOps.Add(1)
 	for img := 0; img < n; img++ {
 		im2colImage(cols.Data, x.Data, cols.Shape[1], c, h, w, oh, ow, p, img)
 	}

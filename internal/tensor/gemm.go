@@ -1,11 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"sync"
-
-	"socflow/internal/parallel"
-)
+import "fmt"
 
 // Every GEMM entry point lowers to one kernel contract over output rows
 // [lo, hi):
@@ -16,11 +11,12 @@ import (
 // rounded before the sum, and no zero-operand skip (0·NaN must stay NaN
 // so exploding-gradient corruption is never masked). MatMul is
 // (ai, ap) = (k, 1), MatMulT1 reads A[k,m] as (1, m), and MatMulT2
-// transposes B[n,k] once per call, before any fan-out, into scratch
-// from a free list and then runs as MatMul. Tiling happens over the OUTPUT only,
-// so every result is bit-identical to the naive (i,j,p) triple loop at
-// every parallelism level (the determinism contract in
-// internal/parallel, pinned by the golden hex-loss test).
+// transposes B[n,k] once per call into scratch from a free list and
+// then runs as MatMul. Tiling happens over the OUTPUT only, so every
+// result is bit-identical to the naive (i,j,p) triple loop (pinned by
+// the golden hex-loss test). A GEMM runs on its calling goroutine:
+// host parallelism lives one level up, where training groups, pipeline
+// stages and mesh workers are the concurrent callers (DESIGN.md §8).
 //
 // Two kernels implement it. On amd64 hosts with AVX2 (a CPUID/XGETBV
 // check at init; nothing else selects the path) gemm_amd64.s runs a 4×16
@@ -31,58 +27,9 @@ import (
 // scalar loop's p order. gemmRangeGo is the portable 2×4 kernel every
 // other host runs; the tests hold both to the naive loops.
 
-// gemmCutoff is the multiply-add count below which a GEMM runs on the
-// calling goroutine. A fan-out costs ~0.5–1 µs of dispatch, and the
-// vector kernel finishes most workload GEMMs in less. Median of three
-// `go test -bench GEMMCutoff -cpu 2` runs on the 2-core AVX2 reference
-// host (Intel Xeon, 2 vCPUs), at GEMM shapes the benchmark workloads
-// run, µs per call (MM = MatMul, T1 = MatMulT1, T2 = MatMulT2
-// after its transpose):
-//
-//	op  m×k×n        MACs    serial   P=2
-//	T2  8×72×16      9.2K    0.35     1.28
-//	T2  8×144×16     18K     0.63     1.38
-//	T1  16×8×144     18K     0.64     1.65
-//	T2  64×54×12     41K     3.65     3.33
-//	T1  12×64×54     41K     1.43     2.69
-//	T2  32×144×16    74K     3.63     4.98
-//	T1  12×192×54    124K    5.96     10.7
-//	T2  64×144×16    147K    7.42     9.79
-//	MM  64×16×144    147K    6.66     7.95
-//	T2  160×144×16   369K    17.2     20.3
-//	T1  16×160×144   369K    18.4     16.2
-//	MM  160×16×144   369K    15.1     18.8
-//	T2  512×144×16   1.18M   49.0     53.3
-//	T2  1024×144×16  2.36M   96.2     99.1
-//	T2  4096×72×8    2.36M   148.8    117.2
-//
-// The old cutoff, 1<<15, fanned out everything from 41K up and lost at
-// almost every row; two workers first pay at ~2M multiply-adds.
-const gemmCutoff = 1 << 21
-
-// serialRows reports whether a GEMM of the given multiply-add count
-// should skip the pool and run on the calling goroutine.
-func serialRows(flops int) bool {
-	return flops < gemmCutoff
-}
-
 // gemmRange is the kernel contract above, run over rows [lo, hi): the
 // AVX2 kernel where the CPU has it, gemmRangeGo everywhere else.
 var gemmRange = gemmRangeGo
-
-// gemmTask carries one GEMM's operands through parallel.ForKernel.
-// Tasks are pooled so the dispatch never touches the allocator.
-type gemmTask struct {
-	dst, a, b, bias []float32
-	ai, ap, k, n    int
-}
-
-// RunRange implements parallel.Kernel over output rows [lo, hi).
-func (t *gemmTask) RunRange(lo, hi int) {
-	gemmRange(t.dst, t.a, t.b, t.bias, t.ai, t.ap, t.k, t.n, lo, hi)
-}
-
-var gemmTaskPool = sync.Pool{New: func() any { return new(gemmTask) }}
 
 // transposeFree is MatMulT2's free list of Bᵀ scratch, reused by
 // capacity. A GC empties a sync.Pool but not a channel, so a steady
@@ -127,8 +74,6 @@ func gemmInto(name string, dst, a, b, bias *Tensor, ta, tb bool) {
 		}
 		bv = bias.Data
 	}
-	t0 := countGEMM(m, k, n)
-	defer gemmDone(t0)
 	ai, ap := k, 1
 	if ta {
 		ai, ap = 1, m
@@ -139,15 +84,7 @@ func gemmInto(name string, dst, a, b, bias *Tensor, ta, tb bool) {
 		defer giveScratch(bd)
 		transposeInto(bd, b.Data, n, k)
 	}
-	if serialRows(m * k * n) {
-		gemmRange(dst.Data, a.Data, bd, bv, ai, ap, k, n, 0, m)
-		return
-	}
-	t := gemmTaskPool.Get().(*gemmTask)
-	*t = gemmTask{dst: dst.Data, a: a.Data, b: bd, bias: bv, ai: ai, ap: ap, k: k, n: n}
-	parallel.ForKernel(m, t)
-	*t = gemmTask{}
-	gemmTaskPool.Put(t)
+	gemmRange(dst.Data, a.Data, bd, bv, ai, ap, k, n, 0, m)
 }
 
 // takeScratch returns a buffer of the given length from transposeFree,
@@ -272,9 +209,7 @@ func MatMulBiasInto(dst, a, b, bias *Tensor) {
 }
 
 // MatMulT1 computes C = Aᵀ x B for A[k,m], B[k,n] -> C[m,n], used in
-// dense-layer weight gradients. Work splits across output rows; each
-// element still accumulates over p in ascending order, so the result
-// is identical to the sequential kernel.
+// dense-layer weight gradients.
 func MatMulT1(a, b *Tensor) *Tensor {
 	m, _, n := gemmShape("MatMulT1", nil, a, b, true, false)
 	out := New(m, n)

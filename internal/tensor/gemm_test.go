@@ -85,7 +85,7 @@ var gemmShapes = func() []struct{ m, k, n int } {
 		{100, 3, 2},
 		{2, 3, 300},
 		{33, 47, 259},
-		{133, 127, 131}, // above gemmCutoff: fans out, chunk edges off the 4-row bands
+		{133, 127, 131}, // m off the 4-row tiles, n off the 16-column tiles
 	}
 	for _, m := range []int{1, 2, 3, 4, 5, 8, 9} {
 		for _, k := range []int{0, 1, 6} {
@@ -119,25 +119,21 @@ func withKernel(k gemmKernel, body func()) {
 }
 
 func TestBlockedGEMMMatchesNaive(t *testing.T) {
-	for _, p := range []int{1, 8} {
-		prev := parallel.Set(p)
-		r := NewRNG(42)
-		for _, s := range gemmShapes {
-			a := randTensor(r, s.m, s.k)
-			b := randTensor(r, s.k, s.n)
-			got := New(s.m, s.n)
-			MatMulInto(got, a, b)
-			sameBits(t, "MatMul", got, naiveMatMul(a, b))
+	r := NewRNG(42)
+	for _, s := range gemmShapes {
+		a := randTensor(r, s.m, s.k)
+		b := randTensor(r, s.k, s.n)
+		got := New(s.m, s.n)
+		MatMulInto(got, a, b)
+		sameBits(t, "MatMul", got, naiveMatMul(a, b))
 
-			at := randTensor(r, s.k, s.m)
-			MatMulT1Into(got, at, b)
-			sameBits(t, "MatMulT1", got, naiveMatMulT1(at, b))
+		at := randTensor(r, s.k, s.m)
+		MatMulT1Into(got, at, b)
+		sameBits(t, "MatMulT1", got, naiveMatMulT1(at, b))
 
-			bt := randTensor(r, s.n, s.k)
-			MatMulT2Into(got, a, bt)
-			sameBits(t, "MatMulT2", got, naiveMatMulT2(a, bt))
-		}
-		parallel.Set(prev)
+		bt := randTensor(r, s.n, s.k)
+		MatMulT2Into(got, a, bt)
+		sameBits(t, "MatMulT2", got, naiveMatMulT2(a, bt))
 	}
 }
 
@@ -193,35 +189,45 @@ func TestBlockedGEMMPropagatesNaN(t *testing.T) {
 	}
 }
 
+// gemmCaller is one concurrent GEMM caller per index: a training group
+// or mesh worker with its own output buffer, sharing read-only operands
+// and MatMulT2's transposeFree scratch list with the others.
+type gemmCaller struct {
+	a, b, at, bias *Tensor
+	dst            []*Tensor
+}
+
+func (g *gemmCaller) RunRange(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		dst := g.dst[i]
+		MatMulInto(dst, g.a, g.b)
+		MatMulT1Into(dst, g.at, g.b)
+		MatMulT2Into(dst, g.a, g.b)
+		MatMulBiasInto(dst, g.a, g.b, g.bias)
+		MatMulT2BiasInto(dst, g.a, g.b, g.bias)
+	}
+}
+
 // TestParallelGEMMDoesNotAllocate extends the zero-alloc guarantee to
-// the parallel branch: shapes above gemmCutoff at parallelism 4 must
-// fan out through the pooled kernel path — MatMulT2's transpose scratch
-// included — without touching the allocator.
+// concurrent callers: four goroutines running every GEMM entry point at
+// once — MatMulT2's transpose scratch, taken from and returned to the
+// shared free list, included — touch the allocator only while warming
+// up.
 func TestParallelGEMMDoesNotAllocate(t *testing.T) {
-	prev := parallel.Set(4)
+	const callers = 4
+	prev := parallel.Set(callers)
 	defer parallel.Set(prev)
 	r := NewRNG(3)
-	// 160*128*128 = 2.6M multiply-adds, above gemmCutoff (1<<21).
-	a := randTensor(r, 160, 128)
-	b := randTensor(r, 128, 128)
-	at := randTensor(r, 128, 160)
-	bias := randTensor(r, 128)
-	dst := New(160, 128)
-	if serialRows(160 * 128 * 128) {
-		t.Fatal("test shape is below gemmCutoff: it no longer exercises the fan-out")
+	g := &gemmCaller{a: randTensor(r, 40, 32), b: randTensor(r, 32, 32), at: randTensor(r, 32, 40), bias: randTensor(r, 32)}
+	for i := 0; i < callers; i++ {
+		g.dst = append(g.dst, New(40, 32))
 	}
-	run := func() {
-		MatMulInto(dst, a, b)
-		MatMulT1Into(dst, at, b)
-		MatMulT2Into(dst, a, b)
-		MatMulBiasInto(dst, a, b, bias)
-		MatMulT2BiasInto(dst, a, b, bias)
-	}
-	for i := 0; i < 8; i++ { // warm worker, job, and task pools
+	run := func() { parallel.ForKernel(callers, g) }
+	for i := 0; i < 8; i++ { // warm the worker pool and the scratch list
 		run()
 	}
 	if avg := testing.AllocsPerRun(20, run); avg != 0 {
-		t.Fatalf("parallel GEMM allocates %.1f allocs/op, want 0", avg)
+		t.Fatalf("%d concurrent GEMM callers allocate %.1f allocs/op, want 0", callers, avg)
 	}
 }
 
@@ -444,40 +450,6 @@ func BenchmarkGEMM(b *testing.B) {
 						rung.fn()
 					}
 				})
-			})
-		}
-	}
-}
-
-// BenchmarkGEMMCutoff times the host kernel serially and fanned out over
-// two workers at GEMM shapes the benchmark workloads run (op 0 MatMul,
-// 1 MatMulT1, 2 MatMulT2 after its transpose), bypassing gemmCutoff: the
-// table gemmCutoff is set from.
-func BenchmarkGEMMCutoff(b *testing.B) {
-	shapes := []struct{ op, m, k, n int }{
-		{2, 8, 72, 16}, {2, 8, 144, 16}, {2, 32, 72, 8}, {0, 8, 16, 144}, {1, 16, 8, 144},
-		{2, 64, 54, 12}, {1, 12, 64, 54}, {0, 64, 12, 54},
-		{2, 32, 144, 16}, {2, 48, 144, 16}, {1, 12, 192, 54}, {0, 192, 12, 54},
-		{2, 64, 144, 16}, {1, 16, 64, 144}, {0, 64, 16, 144}, {2, 256, 72, 8},
-		{2, 160, 144, 16}, {1, 16, 160, 144}, {0, 160, 16, 144},
-		{2, 512, 144, 16}, {2, 1024, 144, 16}, {2, 4096, 72, 8},
-	}
-	r := NewRNG(1)
-	for _, s := range shapes {
-		a, bb, dst := randTensor(r, s.m*s.k), randTensor(r, s.k*s.n), New(s.m*s.n)
-		ai, ap := s.k, 1
-		if s.op == 1 {
-			ai, ap = 1, s.m
-		}
-		task := &gemmTask{dst: dst.Data, a: a.Data, b: bb.Data, ai: ai, ap: ap, k: s.k, n: s.n}
-		for _, p := range []int{1, 2} {
-			name := fmt.Sprintf("op%d/%dx%dx%d/macs=%d/P=%d", s.op, s.m, s.k, s.n, s.m*s.k*s.n, p)
-			b.Run(name, func(b *testing.B) {
-				prev := parallel.Set(p)
-				defer parallel.Set(prev)
-				for i := 0; i < b.N; i++ {
-					parallel.ForKernel(s.m, task)
-				}
 			})
 		}
 	}

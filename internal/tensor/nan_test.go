@@ -8,30 +8,24 @@ import (
 // The GEMM kernels used to skip zero entries of the left operand as a
 // fast path. That optimization is wrong under IEEE 754: 0·NaN and 0·Inf
 // are NaN, so skipping masked a poisoned operand and let a diverged
-// model keep "training" on garbage. These regressions pin the fix, at
-// every worker count (the NaN must survive chunked parallel execution
-// identically).
+// model keep "training" on garbage. These regressions pin the fix.
 
 func nan32() float32 { return float32(math.NaN()) }
 
 func isNaN32(v float32) bool { return v != v }
 
 func TestMatMulPropagatesNaNThroughZero(t *testing.T) {
-	for _, p := range []int{1, 4} {
-		atWorkers(t, p, func() {
-			// a has a zero row where b carries NaN columns: with the
-			// zero-skip, the NaN never reached the output.
-			a := FromSlice([]float32{0, 0, 1, 2}, 2, 2)
-			b := FromSlice([]float32{nan32(), 1, 3, 4}, 2, 2)
-			c := MatMul(a, b)
-			if !isNaN32(c.Data[0]) {
-				t.Fatalf("p=%d: 0·NaN lost: row 0 = %v", p, c.Data[:2])
-			}
-			// The unpoisoned entries stay finite.
-			if isNaN32(c.Data[3]) {
-				t.Fatalf("p=%d: NaN leaked into clean column: %v", p, c.Data)
-			}
-		})
+	// a has a zero row where b carries NaN columns: with the zero-skip,
+	// the NaN never reached the output.
+	a := FromSlice([]float32{0, 0, 1, 2}, 2, 2)
+	b := FromSlice([]float32{nan32(), 1, 3, 4}, 2, 2)
+	c := MatMul(a, b)
+	if !isNaN32(c.Data[0]) {
+		t.Fatalf("0·NaN lost: row 0 = %v", c.Data[:2])
+	}
+	// The unpoisoned entries stay finite.
+	if isNaN32(c.Data[3]) {
+		t.Fatalf("NaN leaked into clean column: %v", c.Data)
 	}
 }
 
@@ -47,17 +41,13 @@ func TestMatMulPropagatesInfThroughZero(t *testing.T) {
 }
 
 func TestMatMulT1PropagatesNaNThroughZero(t *testing.T) {
-	for _, p := range []int{1, 4} {
-		atWorkers(t, p, func() {
-			// MatMulT1(a, b) = aᵀ·b; a zero in aᵀ's row meets a NaN in b.
-			a := FromSlice([]float32{0, 1, nan32(), 2}, 2, 2)
-			b := FromSlice([]float32{nan32(), 1, 1, 1}, 2, 2)
-			c := MatMulT1(a, b)
-			// c[0,0] = a[0,0]·b[0,0] + a[1,0]·b[1,0] = 0·NaN + NaN·1.
-			if !isNaN32(c.Data[0]) {
-				t.Fatalf("p=%d: T1 zero-skip masked NaN: %v", p, c.Data)
-			}
-		})
+	// MatMulT1(a, b) = aᵀ·b; a zero in aᵀ's row meets a NaN in b.
+	a := FromSlice([]float32{0, 1, nan32(), 2}, 2, 2)
+	b := FromSlice([]float32{nan32(), 1, 1, 1}, 2, 2)
+	c := MatMulT1(a, b)
+	// c[0,0] = a[0,0]·b[0,0] + a[1,0]·b[1,0] = 0·NaN + NaN·1.
+	if !isNaN32(c.Data[0]) {
+		t.Fatalf("T1 zero-skip masked NaN: %v", c.Data)
 	}
 }
 

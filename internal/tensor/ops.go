@@ -5,10 +5,8 @@ import (
 	"math"
 )
 
-// The elementwise ops below are plain loops on the calling goroutine:
-// the micro models' parameter and activation tensors almost never reach
-// the size at which a fan-out would pay for itself (DESIGN.md §8 has
-// the counts).
+// The elementwise ops below, like every kernel in this package, are
+// plain loops on the calling goroutine (DESIGN.md §8).
 
 // Add returns a + b elementwise as a new tensor.
 func Add(a, b *Tensor) *Tensor {

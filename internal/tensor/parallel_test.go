@@ -6,14 +6,6 @@ import (
 	"socflow/internal/parallel"
 )
 
-// atWorkers runs fn under a fixed pool size, restoring the old one.
-func atWorkers(t *testing.T, n int, fn func()) {
-	t.Helper()
-	prev := parallel.Set(n)
-	defer parallel.Set(prev)
-	fn()
-}
-
 func bitEqual(t *testing.T, name string, a, b *Tensor) {
 	t.Helper()
 	if len(a.Data) != len(b.Data) {
@@ -26,12 +18,12 @@ func bitEqual(t *testing.T, name string, a, b *Tensor) {
 	}
 }
 
-// TestKernelsBitIdenticalAcrossWorkers checks the determinism contract:
-// every parallelized kernel must produce byte-for-byte the same output
-// at parallelism 1 and 8.
+// TestKernelsBitIdenticalAcrossWorkers checks the determinism contract
+// where host parallelism lives: kernels run on their caller, so P
+// concurrent callers — training groups, each on its own buffers — must
+// each get byte-for-byte what a lone serial caller gets.
 func TestKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 	rng := NewRNG(7)
-	// 144·128·120 multiply-adds: above gemmCutoff, so the GEMMs fan out.
 	a := RandNormal(rng, 0, 1, 144, 128)
 	b := RandNormal(rng, 0, 1, 128, 120)
 	bt := RandNormal(rng, 0, 1, 120, 128)
@@ -62,18 +54,23 @@ func TestKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 		return r
 	}
 
-	var seq, par result
-	atWorkers(t, 1, func() { seq = run() })
-	atWorkers(t, 8, func() { par = run() })
+	seq := run()
+	const workers = 8
+	prev := parallel.Set(workers)
+	defer parallel.Set(prev)
+	par := make([]result, workers)
+	parallel.Do(workers, func(i int) { par[i] = run() })
 
-	bitEqual(t, "MatMul", seq.mm, par.mm)
-	bitEqual(t, "MatMulT1", seq.t1, par.t1)
-	bitEqual(t, "MatMulT2", seq.t2, par.t2)
-	bitEqual(t, "Im2Col", seq.cols, par.cols)
-	bitEqual(t, "Col2Im", seq.img, par.img)
-	bitEqual(t, "MaxPool", seq.mp, par.mp)
-	bitEqual(t, "MaxPoolBackward", seq.mpb, par.mpb)
-	bitEqual(t, "AvgPool", seq.ap, par.ap)
-	bitEqual(t, "AvgPoolBackward", seq.apb, par.apb)
-	bitEqual(t, "Add", seq.add, par.add)
+	for _, r := range par {
+		bitEqual(t, "MatMul", seq.mm, r.mm)
+		bitEqual(t, "MatMulT1", seq.t1, r.t1)
+		bitEqual(t, "MatMulT2", seq.t2, r.t2)
+		bitEqual(t, "Im2Col", seq.cols, r.cols)
+		bitEqual(t, "Col2Im", seq.img, r.img)
+		bitEqual(t, "MaxPool", seq.mp, r.mp)
+		bitEqual(t, "MaxPoolBackward", seq.mpb, r.mpb)
+		bitEqual(t, "AvgPool", seq.ap, r.ap)
+		bitEqual(t, "AvgPoolBackward", seq.apb, r.apb)
+		bitEqual(t, "Add", seq.add, r.add)
+	}
 }

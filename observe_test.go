@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"sync"
 	"testing"
+	"time"
 
 	"socflow/internal/metrics"
 )
@@ -108,5 +110,78 @@ func TestDistributedMetricsReport(t *testing.T) {
 	}
 	if snap.Counters["runtime.iterations"] <= 0 {
 		t.Fatal("iterations not counted")
+	}
+}
+
+// kernelCounters are the per-run kernel and layer counters a registry
+// receives; every one must be the run's own.
+var kernelCounters = []string{
+	"tensor.gemm.ops", "tensor.gemm.flops", "tensor.im2col.ops",
+	"nn.conv.forward", "nn.conv.backward", "nn.dense.forward", "nn.dense.backward",
+}
+
+// Two runs that overlap in time must each publish exactly their own
+// kernel counts — the counts of the same config run alone — and each
+// must time its GEMMs for as long as it runs, whichever finishes first.
+func TestConcurrentRunsKeepTheirOwnKernelStats(t *testing.T) {
+	cfgs := [2]Config{fastCfg("socflow"), fastCfg("socflow")}
+	cfgs[0].Epochs, cfgs[1].Epochs = 2, 3
+	cfgs[1].Seed = 9
+
+	var solo [2]*metrics.RunReport
+	for i, cfg := range cfgs {
+		rep, err := Run(context.Background(), cfg, WithMetrics(metrics.New()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo[i] = rep.Metrics
+	}
+
+	// Both runs wait for each other at their first epoch end, so each
+	// one's kernels run while the other is live.
+	var arrive sync.WaitGroup
+	arrive.Add(2)
+	both := make(chan struct{})
+	go func() { arrive.Wait(); close(both) }()
+	var (
+		wg   sync.WaitGroup
+		reps [2]*metrics.RunReport
+		errs [2]error
+	)
+	for i, cfg := range cfgs {
+		reg := metrics.New()
+		var once sync.Once
+		reg.Subscribe(func(e metrics.Event) {
+			once.Do(func() {
+				arrive.Done()
+				select {
+				case <-both:
+				case <-time.After(10 * time.Second):
+				}
+			})
+		})
+		wg.Add(1)
+		go func(i int, cfg Config) {
+			defer wg.Done()
+			rep, err := Run(context.Background(), cfg, WithMetrics(reg))
+			if err == nil {
+				reps[i] = rep.Metrics
+			}
+			errs[i] = err
+		}(i, cfg)
+	}
+	wg.Wait()
+	for i := range cfgs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		for _, name := range kernelCounters {
+			if got, want := reps[i].Counters[name], solo[i].Counters[name]; got != want || want <= 0 {
+				t.Errorf("run %d: %s = %d concurrently, %d alone", i, name, got, want)
+			}
+		}
+		if s := reps[i].Gauges["tensor.gemm.seconds"]; !(s > 0) {
+			t.Errorf("run %d: tensor.gemm.seconds = %v, want > 0", i, s)
+		}
 	}
 }

@@ -48,9 +48,11 @@ type runOptions struct {
 }
 
 // WithParallelism caps the worker pool at n OS threads for the
-// duration of the run (n < 1 clamps to 1, fully sequential). The
-// default is runtime.GOMAXPROCS. Results are bit-identical at every
-// parallelism level; only wall-clock time changes.
+// duration of the run (n < 1 clamps to 1, fully sequential): at most n
+// logical groups or federated clients train at once, each running its
+// kernels on its own goroutine. The default is runtime.GOMAXPROCS.
+// Results are bit-identical at every parallelism level; only
+// wall-clock time changes.
 func WithParallelism(n int) Option {
 	return func(o *runOptions) { o.parallelism = n }
 }

@@ -22,9 +22,10 @@ GOARCH=arm64 go vet ./...
 # Width matrix: the zero-allocation bounds, golden losses, fused≡unfused
 # and parallelism-invariance tests must hold at every pool width, not
 # just this host's. internal/parallel sizes its pool from GOMAXPROCS at
-# init, so the variable is the whole switch. The planner's packages ride
-# along for their allocation and simulated-flow bounds and their pinned
-# prices.
+# init, and the pool width is how many training groups or federated
+# clients run at once (kernels run on their caller at every width). The
+# planner's packages ride along for their allocation and simulated-flow
+# bounds and their pinned prices.
 for w in 1 2 4 8; do
     GOMAXPROCS=$w go test -count=1 . ./internal/parallel ./internal/tensor \
         ./internal/nn ./internal/serve ./internal/quant ./internal/core \
@@ -66,10 +67,12 @@ make server-smoke
 make serve-smoke
 # Elastic-recovery chaos gate: seeded randomized fault schedules
 # (crash windows, rejoins, stragglers, link drops) must converge or
-# tear down cleanly under the race detector — at two scheduler widths,
+# tear down cleanly under the race detector — at four scheduler widths,
 # because the recovery races are interleaving-dependent.
+GOMAXPROCS=1 make chaos
 GOMAXPROCS=2 make chaos
 GOMAXPROCS=4 make chaos
+GOMAXPROCS=8 make chaos
 # The tidal-shrink reclaim used to hang intermittently (a written-out
 # node parked on a live peer was never woken); hammer it.
 go test -run 'TestElasticPipelineTidalShrink' -count 30 ./internal/runtime
