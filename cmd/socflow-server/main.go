@@ -1,8 +1,10 @@
 // Command socflow-server runs the multi-tenant control plane as a
 // long-lived daemon: clients (socflow-train --server, or socflow.Dial)
-// submit training jobs over HTTP/JSON, and the scheduler admits them
-// against per-tenant quotas, priorities with checkpoint-based
-// preemption, and — with --tidal — the cluster's diurnal idle windows.
+// submit training, distributed and serving jobs over HTTP/JSON, and the
+// scheduler admits them against per-tenant quotas, priorities with
+// checkpoint-based preemption, and — with --tidal — the cluster's
+// diurnal idle windows. GET /metrics exports every job's registry as
+// Prometheus text.
 //
 // Example:
 //
@@ -16,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -80,12 +83,18 @@ func main() {
 		StartHour:    *startHour,
 	})
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// Listen first, so the log names the address actually bound: with
+	// --addr 127.0.0.1:0 the kernel picks the port.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("socflow-server: %v", err)
+	}
+	hs := &http.Server{Handler: srv.Handler()}
 	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
+	go func() { errc <- hs.Serve(ln) }()
 
 	log.Printf("socflow-server: listening on %s (%d SoCs, capacity %d, queue %d, tidal %v)",
-		*addr, *socs, srv.Capacity(), *queue, *tidal)
+		ln.Addr(), *socs, srv.Capacity(), *queue, *tidal)
 	if len(quotas) > 0 {
 		log.Printf("socflow-server: quotas %s", quotas)
 	}

@@ -2,6 +2,7 @@ package socflow
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -117,6 +118,7 @@ func TestControlPlaneAcceptance(t *testing.T) {
 	// low-priority job occupies the cluster; a 16-SoC priority-9
 	// submission forces it to park at its next epoch boundary.
 	lo := submit("team-b", "lo", 24, 5, 0)
+	loEvents := lo.Events()
 	<-gates["lo"].hit // lo finished epoch 1 and is blocked
 
 	hi, err := cl.Submit(ctx, ctlCfg(16, 3), WithTenant("team-a"), WithPriority(9))
@@ -160,6 +162,16 @@ func TestControlPlaneAcceptance(t *testing.T) {
 	}
 	if st.EpochsDone != 5 {
 		t.Fatalf("lo epochs done = %d, want 5", st.EpochsDone)
+	}
+	// Park and resume do not repeat the stream: one event per epoch.
+	var loEpochs []int
+	for e := range loEvents {
+		if e.Kind == metrics.KindEpoch {
+			loEpochs = append(loEpochs, e.Epoch)
+		}
+	}
+	if !slices.Equal(loEpochs, []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("parked job's event stream carried epochs %v, want each of 0..4 once", loEpochs)
 	}
 }
 

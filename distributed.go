@@ -6,7 +6,6 @@ import (
 
 	"socflow/internal/cluster"
 	"socflow/internal/core"
-	"socflow/internal/dataset"
 	"socflow/internal/metrics"
 	"socflow/internal/nn"
 	autoplan "socflow/internal/plan"
@@ -40,12 +39,14 @@ type DistributedConfig struct {
 	// JobSpec carries the shared job fields. Defaults: Model "lenet5",
 	// Dataset "fmnist", Epochs 6, GlobalBatch 16 (the per-group batch,
 	// split across group members), LR 0.03, Momentum 0.9, Seed 1,
-	// TrainSamples 640, ValSamples 128.
+	// TrainSamples 640, ValSamples 128. LR must be positive: Submit
+	// rejects a run that would train by gradient ascent.
 	JobSpec
 	// NumSoCs is the worker count (default 8; each worker is a
 	// goroutine plus its TCP links, so keep this laptop-sized).
 	NumSoCs int
-	// Groups is the logical-group count (default 2).
+	// Groups is the logical-group count (default 2). Data parallelism
+	// needs 1 <= Groups <= NumSoCs; pipeline and auto take it as a cap.
 	Groups int
 	// InProcess swaps the loopback-TCP mesh (default) for in-process
 	// channels — faster and fully deterministic, same protocol.
@@ -191,61 +192,53 @@ func RunDistributed(ctx context.Context, cfg DistributedConfig, opts ...Option) 
 	return h.Wait(ctx)
 }
 
-// buildDistributedSpec compiles a DistributedConfig into the
-// scheduler's JobSpec. Distributed jobs are not preemptible: the
-// concurrent engine absorbs per-SoC departures through its elastic
-// recovery track instead of whole-job parking.
-func buildDistributedSpec(submitCtx context.Context, cfg DistributedConfig, o runOptions, h *jobRef) (server.JobSpec, error) {
-	// Validate eagerly so configuration errors surface at Submit.
-	if _, err := nn.GetSpec(cfg.Model); err != nil {
-		return server.JobSpec{}, fmt.Errorf("%w: %q (have %v)", ErrUnknownModel, cfg.Model, Models())
+// admitDistributed applies DistributedConfig's defaults and runs every
+// distributed check. Groups must fit the fleet in data mode only;
+// pipeline and auto take it as a cap.
+func admitDistributed(cfg DistributedConfig, _ runOptions) (DistributedConfig, catalog, error) {
+	cfg = cfg.withDefaults()
+	cat, err := resolve(cfg.Model, cfg.Dataset, "")
+	if err != nil {
+		return cfg, cat, err
 	}
-	if _, err := dataset.GetProfile(cfg.Dataset); err != nil {
-		return server.JobSpec{}, fmt.Errorf("%w: %q (have %v)", ErrUnknownDataset, cfg.Dataset, Datasets())
+	if err := checkJob(cfg.JobSpec, cfg.NumSoCs); err != nil {
+		return cfg, cat, err
 	}
 	switch cfg.Parallelism {
-	case "", "data", "pipeline", "auto":
+	case "", "data":
+		if cfg.Groups < 1 || cfg.Groups > cfg.NumSoCs {
+			return cfg, cat, fmt.Errorf("%w: Groups %d: data parallelism maps 1..NumSoCs (%d) groups (pipeline and auto take Groups as a cap)",
+				ErrBadOption, cfg.Groups, cfg.NumSoCs)
+		}
+	case "pipeline", "auto":
 	default:
-		return server.JobSpec{}, fmt.Errorf("%w: %q (have \"\", data, pipeline, auto)", ErrUnknownParallelism, cfg.Parallelism)
+		return cfg, cat, fmt.Errorf("%w: %q (have \"\", data, pipeline, auto)", ErrUnknownParallelism, cfg.Parallelism)
 	}
 	if cfg.InjectCrashes < 0 || cfg.InjectCrashes >= cfg.NumSoCs {
-		return server.JobSpec{}, fmt.Errorf("%w: InjectCrashes %d: want 0..NumSoCs-1 (%d), so a survivor is left to finish the run",
+		return cfg, cat, fmt.Errorf("%w: InjectCrashes %d: want 0..NumSoCs-1 (%d), so a survivor is left to finish the run",
 			ErrBadOption, cfg.InjectCrashes, cfg.NumSoCs-1)
 	}
 	for _, ev := range cfg.ResizeSchedule {
 		if ev.Epoch < 1 || ev.SoCs < 1 {
-			return server.JobSpec{}, fmt.Errorf("socflow: ResizeSchedule entry {Epoch: %d, SoCs: %d}: Epoch must be >= 1 and SoCs positive", ev.Epoch, ev.SoCs)
+			return cfg, cat, fmt.Errorf("%w: ResizeSchedule entry {Epoch: %d, SoCs: %d}: Epoch must be >= 1 and SoCs positive",
+				ErrBadOption, ev.Epoch, ev.SoCs)
 		}
 	}
+	return cfg, cat, nil
+}
 
-	userReg := o.registry()
-	o.subscribe(userReg)
-
-	run := func(runCtx context.Context, ctl *server.Controller) (any, error) {
-		defer o.apply()()
-		ctx, cancel := context.WithCancel(submitCtx)
-		defer cancel()
-		stop := context.AfterFunc(runCtx, cancel)
-		defer stop()
-
-		reg := userReg
-		if reg == nil {
-			reg = metrics.New()
-		}
-		h.attachRegistry(reg)
-
-		spec, err := nn.GetSpec(cfg.Model)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %q (have %v)", ErrUnknownModel, cfg.Model, Models())
-		}
-		prof, err := dataset.GetProfile(cfg.Dataset)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %q (have %v)", ErrUnknownDataset, cfg.Dataset, Datasets())
-		}
-		pool := prof.Generate(dataset.GenOptions{Samples: cfg.TrainSamples + cfg.ValSamples, Seed: cfg.Seed})
-		train, val := pool.Split(float64(cfg.TrainSamples) / float64(pool.Len()))
-
-		p, popts, err := distributedPlan(cfg, spec, train.Len())
+// buildDistributed compiles an admitted DistributedConfig into the
+// scheduler's runner. Distributed jobs are not preemptible: the
+// concurrent engine absorbs per-SoC departures through its elastic
+// recovery track instead of whole-job parking.
+func buildDistributed(cfg DistributedConfig, cat catalog, o runOptions) (runner, error) {
+	store, err := o.checkpointStore()
+	if err != nil {
+		return runner{}, err
+	}
+	run := func(ctx context.Context, ctl *server.Controller, obs observed) (any, error) {
+		train, val := cat.split(cfg.JobSpec)
+		p, popts, err := distributedPlan(cfg, cat.spec, train.Len())
 		if err != nil {
 			return nil, err
 		}
@@ -259,20 +252,18 @@ func buildDistributedSpec(submitCtx context.Context, cfg DistributedConfig, o ru
 				return nil, fmt.Errorf("socflow: building TCP mesh: %w", err)
 			}
 			defer tcp.Close()
-			tcp.SetMetrics(reg)
+			tcp.SetMetrics(obs.reg)
 			mesh = tcp
 		}
 
-		if o.logger != nil {
-			o.logger.Printf("distributed run: %s on %s, %d SoCs, plan %s", cfg.Model, cfg.Dataset, cfg.NumSoCs, p)
-		}
+		o.logf("distributed run: %s on %s, %d SoCs, plan %s", cfg.Model, cfg.Dataset, cfg.NumSoCs, p)
 		resizes := make(chan int, len(cfg.ResizeSchedule))
 		dcfg := runtime.DistConfig{
 			JobSpec: cfg.JobSpec,
 			Plan:    p,
 			Planner: &popts,
 			Resizes: resizes,
-			Metrics: reg,
+			Metrics: obs.reg,
 			// The leader's epoch-end hook also drives the ResizeSchedule:
 			// each target goes to the elastic manager and is mirrored to the
 			// control plane, so the scheduler's view of the job footprint
@@ -293,31 +284,21 @@ func buildDistributedSpec(submitCtx context.Context, cfg DistributedConfig, o ru
 		if o.recovery || len(cfg.PreemptWindows) > 0 || len(cfg.ResizeSchedule) > 0 {
 			dcfg.Faults, dcfg.Recovery = recoveryPlan(cfg, o, dcfg.Faults)
 		}
-		if store, err := o.checkpointStore(); err != nil {
-			return nil, err
-		} else if store != nil {
+		if store != nil {
 			dcfg.Checkpoints = store
 			dcfg.CheckpointEvery = o.checkpointEvery
 		}
-		dcfg.Kernels = core.BeginKernelHarvest(userReg)
-		span := reg.BeginSpan("run", "facade", 0)
-		res, err := runtime.RunDistributed(ctx, mesh, spec, train, val, dcfg)
+		dcfg.Kernels = core.BeginKernelHarvest(obs.user)
+		span := obs.reg.BeginSpan("run", "facade", 0)
+		res, err := runtime.RunDistributed(ctx, mesh, cat.spec, train, val, dcfg)
 		span.End()
 		dcfg.Kernels.Finish()
 		if err != nil {
 			return nil, err
 		}
-		return distributedReport(res, p.Placement, userReg), nil
+		return distributedReport(res, p.Placement, obs.user), nil
 	}
-
-	return server.JobSpec{
-		Tenant:     o.tenant,
-		Priority:   o.priority,
-		SoCs:       cfg.NumSoCs,
-		Epochs:     cfg.Epochs,
-		Run:        run,
-		OnTerminal: func() { h.finishEvents() },
-	}, nil
+	return runner{socs: cfg.NumSoCs, epochs: cfg.Epochs, run: run}, nil
 }
 
 // distributedPlan returns the plan a DistributedConfig's run executes

@@ -3,9 +3,11 @@ package socflow
 import "errors"
 
 // Sentinel validation errors. Every configuration error returned by
-// Run, RunDistributed, and PlanTopology wraps one of these, so callers
-// can branch with errors.Is instead of matching message strings; the
-// wrapped message still carries the offending value.
+// Run, RunDistributed, Client.Submit, SubmitDistributed, Serve and
+// PlanTopology wraps one of these, so callers can branch with errors.Is
+// instead of matching message strings; the wrapped message still
+// carries the offending value. A daemon refuses the same submission
+// with 400 and the same message.
 var (
 	// ErrUnknownModel reports a model name outside Models().
 	ErrUnknownModel = errors.New("socflow: unknown model")
@@ -21,11 +23,13 @@ var (
 	ErrUnknownGeneration = errors.New("socflow: unknown SoC generation")
 	// ErrBadTopology reports inconsistent PlanTopology arguments.
 	ErrBadTopology = errors.New("socflow: invalid topology")
-	// ErrBadOption reports an invalid option combination — a heartbeat
+	// ErrBadOption reports a config field out of range — a negative
+	// fleet, epoch budget or learning rate, more data-parallel groups
+	// than SoCs — or an invalid option combination — a heartbeat
 	// timeout not exceeding its interval, a non-positive checkpoint
-	// stride, a negative retry budget. Options are validated before any
-	// work starts, so a run never begins with knobs it would ignore or
-	// misapply.
+	// stride, a negative retry budget. Configs and options are validated
+	// before any work starts, so a run never begins with values it would
+	// panic on, ignore or misapply.
 	ErrBadOption = errors.New("socflow: invalid option")
 	// ErrBadModelSpec reports an invalid RegisterModel specification.
 	ErrBadModelSpec = errors.New("socflow: invalid model spec")

@@ -1,197 +1,178 @@
-package core
+package core_test
 
 import (
+	"bytes"
 	"context"
-	"os"
-	"path/filepath"
+	"errors"
+	"fmt"
+	"log"
+	"sync"
 	"testing"
+	"time"
+
+	"socflow"
+	"socflow/internal/core"
+	"socflow/internal/metrics"
+	"socflow/internal/server"
 )
 
-func TestCheckpointStoreSaveLatestPrune(t *testing.T) {
-	dir := t.TempDir()
-	store, err := NewCheckpointStore(filepath.Join(dir, "ckpts"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp, err := store.Latest(); err != nil || cp != nil {
-		t.Fatalf("empty store Latest = %v, %v", cp, err)
-	}
-	r := tensorRNG(5)
-	model := testJob(t, 60, 1).BuildModel(r)
-	for e := 1; e <= 3; e++ {
-		model.Weights()[0].Fill(float32(e))
-		if err := store.Save(TakeCheckpoint(e, model.Weights(), model.StateTensors())); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cp, err := store.Latest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Epoch != 3 || cp.Weights[0].Data[0] != 3 {
-		t.Fatalf("Latest = epoch %d value %v", cp.Epoch, cp.Weights[0].Data[0])
-	}
-	if err := store.Prune(1); err != nil {
-		t.Fatal(err)
-	}
-	names, err := store.list()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 1 {
-		t.Fatalf("after prune: %v", names)
+// A training campaign that outlives one idle window is the control
+// plane's park/resume: a tidal server parks the job as the daytime
+// peak reclaims its SoCs, and resumes it from the park checkpoint when
+// the night trough returns them. These tests drive that path through
+// the facade, the only one there is.
+
+// Hours of the default tidal trace: at 03:00 a 32-SoC server schedules
+// 30 SoCs, at 15:00 only 4.
+const (
+	troughHour = 3
+	peakHour   = 15
+)
+
+// campaignCfg is a small VGG-11/CIFAR-10 job on 16 SoCs in 8 groups.
+func campaignCfg(epochs int) socflow.Config {
+	return socflow.Config{
+		JobSpec: socflow.JobSpec{
+			Model: "vgg11", Dataset: "cifar10", Epochs: epochs,
+			TrainSamples: 320, ValSamples: 80, GlobalBatch: 12, LR: 0.02, Seed: 42,
+		},
+		NumSoCs: 16,
+		Groups:  8,
+		Mixed:   "fp32",
 	}
 }
 
-// KeepLast turns every Save into a retention pass: the store never
-// holds more than the newest K checkpoints.
-func TestCheckpointStoreKeepLastRetention(t *testing.T) {
-	store, err := NewCheckpointStore(filepath.Join(t.TempDir(), "ckpts"))
+// boundary is a WithTrace writer that holds the job at its first epoch
+// boundary until released: the trace line is written on the job's own
+// goroutine, between epochs.
+type boundary struct {
+	hit, release chan struct{}
+	once         sync.Once
+}
+
+func newBoundary() *boundary {
+	return &boundary{hit: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (b *boundary) Write(p []byte) (int, error) {
+	b.once.Do(func() { close(b.hit) })
+	<-b.release
+	return len(p), nil
+}
+
+// spanNights submits cfg to a tidal server at the trough, walks the
+// clock to the peak while the job sits at its first epoch boundary, and
+// back to the trough once it has parked. It returns the report, the
+// job's final status, the epochs its event stream carried, and the
+// epoch it parked at.
+func spanNights(t *testing.T, cfg socflow.Config, opts ...socflow.Option) (*socflow.Report, socflow.JobStatus, []int, int) {
+	t.Helper()
+	srv := socflow.NewServer(socflow.ServerConfig{TotalSoCs: 32, Tidal: true, StartHour: troughHour})
+	defer srv.Close()
+	ctx := context.Background()
+	b := newBoundary()
+	h, err := srv.Client().Submit(ctx, cfg, append(opts, socflow.WithTrace(b))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.KeepLast = 2
-	model := testJob(t, 60, 1).BuildModel(tensorRNG(5))
-	for e := 1; e <= 5; e++ {
-		if err := store.Save(TakeCheckpoint(e, model.Weights(), model.StateTensors())); err != nil {
-			t.Fatal(err)
+	events := h.Events()
+	<-b.hit
+	srv.SetHour(peakHour)
+	if st, _ := h.Status(ctx); st.State != socflow.JobParking {
+		t.Fatalf("the peak left the job %s, want parking", st.State)
+	}
+	close(b.release)
+	parked := waitState(t, h, socflow.JobParked)
+	srv.SetHour(troughHour)
+	rep, err := h.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := h.Status(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var epochs []int
+	for e := range events {
+		if e.Kind == metrics.KindEpoch {
+			epochs = append(epochs, e.Epoch)
 		}
-		names, err := store.list()
+	}
+	return rep, st, epochs, parked.EpochsDone
+}
+
+// waitState blocks until the job's status reaches want, by polling.
+func waitState(t *testing.T, h *socflow.JobHandle, want socflow.JobState) socflow.JobStatus {
+	t.Helper()
+	for {
+		st, err := h.Status(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := e
-		if want > 2 {
-			want = 2
+		if st.State == want {
+			return st
 		}
-		if len(names) != want {
-			t.Fatalf("after saving epoch %d: %d files %v, want %d", e, len(names), names, want)
+		if st.State.Terminal() {
+			t.Fatalf("job ended %s before reaching %s", st.State, want)
 		}
-	}
-	cp, err := store.Latest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Epoch != 5 {
-		t.Fatalf("retention must keep the newest: Latest epoch = %d", cp.Epoch)
-	}
-}
-
-// A torn or corrupt newest file — the exact artifact of dying
-// mid-write — must not brick resume: Latest falls back to the newest
-// readable checkpoint, and only errors when nothing is readable.
-func TestCheckpointStoreLatestSkipsCorrupt(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "ckpts")
-	store, err := NewCheckpointStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := testJob(t, 60, 1).BuildModel(tensorRNG(5))
-	for e := 1; e <= 2; e++ {
-		model.Weights()[0].Fill(float32(e))
-		if err := store.Save(TakeCheckpoint(e, model.Weights(), model.StateTensors())); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.WriteFile(store.path(2), []byte("not a checkpoint"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := store.Latest()
-	if err != nil {
-		t.Fatalf("corrupt newest must fall back, got error: %v", err)
-	}
-	if cp.Epoch != 1 || cp.Weights[0].Data[0] != 1 {
-		t.Fatalf("fallback loaded epoch %d value %v, want the older good checkpoint", cp.Epoch, cp.Weights[0].Data[0])
-	}
-	if err := os.Truncate(store.path(1), 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.Latest(); err == nil {
-		t.Fatal("all checkpoints corrupt: Latest must error, not return nil")
+		time.Sleep(time.Millisecond)
 	}
 }
 
 func TestCampaignSpansNights(t *testing.T) {
-	job := testJob(t, 320, 8)
-	clu := clu32()
-	camp := &Campaign{
-		Strategy: &SoCFlow{NumGroups: 8, Mixed: MixedOff},
-		// One epoch of this job is ~21 simulated seconds; a window of
-		// 0.012 h (~43 s) fits two epochs per night.
-		WindowHours: 0.012,
-		MaxNights:   10,
+	cfg := campaignCfg(8)
+	rep, st, epochs, _ := spanNights(t, cfg)
+	if st.State != socflow.JobDone || st.Parks != 1 || st.Resumes != 1 {
+		t.Fatalf("the job did not span two nights: %+v", st)
 	}
-	res, err := camp.Run(context.Background(), job, clu)
-	if err != nil {
-		t.Fatal(err)
+	if len(rep.EpochAccuracies) != cfg.Epochs || len(epochs) != cfg.Epochs {
+		t.Fatalf("trained %d epochs (%d epoch events), want all %d", len(rep.EpochAccuracies), len(epochs), cfg.Epochs)
 	}
-	if res.Nights < 2 {
-		t.Fatalf("campaign finished in %d nights; the window should force several", res.Nights)
-	}
-	total := 0
-	for _, e := range res.EpochsPerNight {
-		if e < 1 {
-			t.Fatalf("a night trained %d epochs", e)
-		}
-		total += e
-	}
-	if total != 8 {
-		t.Fatalf("campaign trained %d epochs, want all 8", total)
-	}
-	if res.BestAccuracy < 0.3 {
-		t.Fatalf("campaign failed to learn across nights: %v", res.BestAccuracy)
+	if rep.BestAccuracy < 0.3 {
+		t.Fatalf("the job failed to learn across nights: %v", rep.BestAccuracy)
 	}
 }
 
 func TestCampaignPersistsAndResumes(t *testing.T) {
+	cfg := campaignCfg(4)
 	dir := t.TempDir()
-	store, err := NewCheckpointStore(dir)
-	if err != nil {
-		t.Fatal(err)
+	var logs bytes.Buffer
+	rep, _, epochs, parkedAt := spanNights(t, cfg,
+		socflow.WithCheckpointEvery(1, dir), socflow.WithLogger(log.New(&logs, "", 0)))
+	if parkedAt < 1 {
+		t.Fatalf("parked after %d epochs; the boundary holds it after the first", parkedAt)
 	}
-	job := testJob(t, 240, 4)
-	clu := clu32()
-	mk := func() *Campaign {
-		return &Campaign{
-			Strategy:    &SoCFlow{NumGroups: 4, Mixed: MixedOff},
-			Store:       store,
-			WindowHours: 0.01,
-			MaxNights:   1, // one night per process "restart"
+	if want := fmt.Sprintf("from epoch %d", parkedAt); !bytes.Contains(logs.Bytes(), []byte(want)) {
+		t.Fatalf("the resumed segment did not start at the parked epoch (%q):\n%s", want, logs.String())
+	}
+	if len(rep.EpochAccuracies) != cfg.Epochs {
+		t.Fatalf("report covers %d epochs, want %d", len(rep.EpochAccuracies), cfg.Epochs)
+	}
+	for e, got := range epochs {
+		if got != e {
+			t.Fatalf("epoch events %v, want 0..%d once each", epochs, cfg.Epochs-1)
 		}
 	}
-	first, err := mk().Run(context.Background(), job, clu)
+	store, err := core.NewCheckpointStore(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if first.Nights != 1 {
-		t.Fatalf("first run nights = %d", first.Nights)
 	}
 	cp, err := store.Latest()
-	if err != nil || cp == nil {
-		t.Fatalf("no checkpoint persisted: %v", err)
+	if err != nil || cp == nil || cp.Epoch != cfg.Epochs {
+		t.Fatalf("persisted checkpoint %v (err %v), want the final epoch %d", cp, err, cfg.Epochs)
 	}
-	doneSoFar := cp.Epoch
-
-	second, err := mk().Run(context.Background(), job, clu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp2, err := store.Latest()
-	if err != nil || cp2 == nil {
-		t.Fatal("no checkpoint after resume")
-	}
-	if cp2.Epoch <= doneSoFar {
-		t.Fatalf("resume did not advance: %d -> %d", doneSoFar, cp2.Epoch)
-	}
-	_ = second
 }
 
 func TestCampaignValidation(t *testing.T) {
-	job := testJob(t, 60, 1)
-	if _, err := (&Campaign{WindowHours: 1}).Run(context.Background(), job, clu32()); err == nil {
-		t.Fatal("missing strategy must error")
+	srv := socflow.NewServer(socflow.ServerConfig{TotalSoCs: 8})
+	defer srv.Close()
+	cl := srv.Client()
+	if _, err := cl.Submit(context.Background(), campaignCfg(1)); !errors.Is(err, server.ErrQuotaExceeded) {
+		t.Fatalf("16 SoCs on an 8-SoC cluster: got %v, want ErrQuotaExceeded", err)
 	}
-	if _, err := (&Campaign{Strategy: &SoCFlow{NumGroups: 2}}).Run(context.Background(), job, clu32()); err == nil {
-		t.Fatal("zero window must error")
+	cfg := campaignCfg(-1)
+	cfg.NumSoCs = 8
+	if _, err := cl.Submit(context.Background(), cfg); !errors.Is(err, socflow.ErrBadOption) {
+		t.Fatalf("negative epoch budget: got %v, want ErrBadOption", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"socflow/internal/dataset"
 	"socflow/internal/metrics"
 	"socflow/internal/nn"
+	"socflow/internal/parallel"
 	"socflow/internal/tensor"
 )
 
@@ -56,6 +57,11 @@ type Job struct {
 	// Kernels, when non-nil, tracks every model the job builds, so the
 	// run's registry receives this run's kernel counts alone.
 	Kernels *KernelHarvest
+	// Width caps how many logical groups or federated clients train at
+	// once (0: the process pool's width). It is the run's own value, so
+	// concurrent runs at different widths never see each other's; seeded
+	// results are bit-identical at every width.
+	Width int
 	// Checkpoints, when non-nil, receives periodic automatic
 	// checkpoints from the strategy at epoch boundaries; pair it with
 	// the store's KeepLast retention so long campaigns cannot fill the
@@ -86,7 +92,7 @@ type Job struct {
 	// Resume, when non-nil, seeds every replica from a parked
 	// checkpoint (weights plus layer state) before training starts.
 	// Pair it with StartEpoch = Resume.Epoch; momentum restarts, as it
-	// would on a real on-SoC resume (see Campaign).
+	// would on a real on-SoC resume.
 	Resume *Checkpoint
 	// ShouldPark, when non-nil, is polled at each epoch boundary. When
 	// it returns true the strategy stops cleanly: the result is marked
@@ -107,6 +113,17 @@ func (j *Job) epochEnd(epoch int, acc, simSeconds float64) {
 	if j.EpochEnd != nil {
 		j.EpochEnd(epoch, acc, simSeconds)
 	}
+}
+
+// fanOut runs fn for each of n groups or clients, at most Width at a
+// time, and records that width as the run's parallel.width gauge.
+func (j *Job) fanOut(n int, fn func(i int)) {
+	w := j.Width
+	if w < 1 {
+		w = parallel.Workers()
+	}
+	j.Metrics.Gauge("parallel.width").Set(float64(w))
+	parallel.DoWidth(j.Width, n, fn)
 }
 
 // PricingBatch returns the batch size the performance track prices
@@ -193,8 +210,8 @@ type Result struct {
 	// experiments).
 	Preemptions int
 	// FinalWeights and FinalState are deep copies of the trained
-	// model's tensors, so callers — the multi-night Campaign, the
-	// control plane's park path — can checkpoint and warm-start.
+	// model's tensors, so callers — the control plane's park path
+	// among them — can checkpoint and warm-start.
 	FinalWeights, FinalState []*tensor.Tensor
 	// EpochRetries counts epoch re-runs taken from start-of-epoch
 	// snapshots after detected failures (Job.MaxEpochRetries budget).

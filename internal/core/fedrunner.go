@@ -7,7 +7,6 @@ import (
 	"socflow/internal/collective"
 	"socflow/internal/dataset"
 	"socflow/internal/nn"
-	"socflow/internal/parallel"
 	autoplan "socflow/internal/plan"
 	"socflow/internal/tensor"
 )
@@ -102,7 +101,7 @@ func (s *FedSGD) build(job *Job, clu *cluster.Cluster, res *Result, meter *clust
 		// parallel on the real fleet. Every round's batch order is seeded
 		// from (round, client) alone. Aggregation below stays in fixed
 		// client order, so results are identical at any parallelism.
-		parallel.Do(clients, func(c int) {
+		job.fanOut(clients, func(c int) {
 			it := dataset.NewBatchIterator(shards[c], min(clientBatch, shards[c].Len()), job.Seed+uint64(1000*round+c))
 			steps := it.BatchesPerEpoch() * localEpochs
 			for i := 0; i < steps; i++ {

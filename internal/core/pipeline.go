@@ -7,7 +7,6 @@ import (
 	"socflow/internal/cluster"
 	"socflow/internal/dataset"
 	"socflow/internal/nn"
-	"socflow/internal/parallel"
 	autoplan "socflow/internal/plan"
 	"socflow/internal/tensor"
 )
@@ -92,7 +91,7 @@ func (s *Pipeline) build(job *Job, clu *cluster.Cluster, res *Result, meter *clu
 			its[g] = sched.Iterator(n, g, epoch)
 		}
 		steps := its[0].BatchesPerEpoch()
-		parallel.Do(n, func(g int) {
+		job.fanOut(n, func(g int) {
 			for i := 0; i < steps; i++ {
 				if ctx.Err() != nil {
 					return

@@ -8,7 +8,6 @@ import (
 	"socflow/internal/cluster"
 	"socflow/internal/dataset"
 	"socflow/internal/nn"
-	"socflow/internal/parallel"
 	autoplan "socflow/internal/plan"
 	"socflow/internal/tensor"
 )
@@ -190,7 +189,7 @@ func (s *SoCFlow) build(job *Job, clu *cluster.Cluster, res *Result, meter *clus
 			its[ai] = sched.Iterator(n, g, epoch)
 		}
 		iters := its[0].BatchesPerEpoch()
-		parallel.Do(len(active), func(ai int) {
+		job.fanOut(len(active), func(ai int) {
 			for i := 0; i < iters; i++ {
 				if ctx.Err() != nil {
 					return

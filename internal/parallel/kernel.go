@@ -77,11 +77,13 @@ func (it workItem) run() {
 // helps drain the shared queue, so a worker blocked in a nested
 // ForKernel always finds its chunks executed — by itself, another
 // worker, or another waiter.
-func ForKernel(n int, k Kernel) {
+func ForKernel(n int, k Kernel) { forKernel(cur.Load(), n, k) }
+
+// forKernel is ForKernel under the given limiter.
+func forKernel(l *limiter, n int, k Kernel) {
 	if n <= 0 {
 		return
 	}
-	l := cur.Load()
 	w := l.workers
 	if w > n {
 		w = n

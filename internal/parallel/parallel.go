@@ -1,10 +1,11 @@
 // Package parallel provides the host-side worker pool behind the
 // functional training track. The stack has one level of host
 // parallelism: core's strategies fan their logical groups and federated
-// clients out through Do, while tensor and nn kernels run as plain loops
-// on whichever goroutine calls them. Set, surfaced publicly as
-// socflow.WithParallelism, caps that group fan-out. ForKernel and For
-// (Do is a closure adapter over them) stay general range dispatchers.
+// clients out through DoWidth at their run's width (socflow.WithParallelism),
+// while tensor and nn kernels run as plain loops on whichever goroutine
+// calls them. Set fixes the process default a run without a width uses.
+// ForKernel and For (Do is a closure adapter over them) stay general
+// range dispatchers.
 //
 // Determinism contract: a dispatch never reorders work results. Callers
 // must write to disjoint output ranges (ForKernel, For) or disjoint
@@ -38,7 +39,8 @@ var cur atomic.Pointer[limiter]
 
 func init() { Set(runtime.GOMAXPROCS(0)) }
 
-// Set fixes the target parallelism for subsequent dispatches.
+// Set fixes the process's default parallelism for subsequent
+// dispatches (a run's own width goes to DoWidth instead).
 // Values below 1 are clamped to 1 (fully sequential). It returns the
 // previous setting so callers can restore it.
 func Set(n int) (prev int) {
@@ -77,10 +79,24 @@ func For(n int, fn func(lo, hi int)) { ForKernel(n, rangeFunc(fn)) }
 // Do runs fn(i) for every i in [0, n), fanning out like For. Each
 // index must own its state; results must be combined by the caller in
 // a fixed order.
-func Do(n int, fn func(i int)) {
-	For(n, func(lo, hi int) {
+func Do(n int, fn func(i int)) { DoWidth(0, n, fn) }
+
+// DoWidth is Do at a caller's own width instead of the process's: at
+// most width chunks, admitted under a semaphore of this call's alone,
+// so concurrent callers at different widths never see each other's.
+// This is how a run's WithParallelism travels with the run. width < 1
+// means Workers(), under the shared semaphore.
+func DoWidth(width, n int, fn func(i int)) {
+	l := cur.Load()
+	if width >= 1 {
+		l = &limiter{workers: width}
+		if width > 1 {
+			l.sem = make(chan struct{}, width-1)
+		}
+	}
+	forKernel(l, n, rangeFunc(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fn(i)
 		}
-	})
+	}))
 }

@@ -43,6 +43,35 @@ func TestDoRunsEveryIndex(t *testing.T) {
 	}
 }
 
+// DoWidth visits every index once, never runs more than width of them
+// at a time, and leaves the process width alone, at widths below and
+// above it.
+func TestDoWidthIsTheCallersOwn(t *testing.T) {
+	withWorkers(t, 2)
+	for _, width := range []int{1, 3, 5} {
+		var live, peak atomic.Int32
+		hits := make([]int32, 40)
+		DoWidth(width, len(hits), func(i int) {
+			n := live.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			atomic.AddInt32(&hits[i], 1)
+			live.Add(-1)
+		})
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("width %d: index %d visited %d times", width, i, h)
+			}
+		}
+		if p := peak.Load(); p > int32(width) {
+			t.Fatalf("width %d: %d indices ran at once", width, p)
+		}
+		if Workers() != 2 {
+			t.Fatalf("DoWidth(%d) changed the process width to %d", width, Workers())
+		}
+	}
+}
+
 func TestNestedForDoesNotDeadlock(t *testing.T) {
 	withWorkers(t, 4)
 	var total atomic.Int64

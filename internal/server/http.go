@@ -12,7 +12,8 @@ import (
 type SubmitRequest struct {
 	Tenant   string `json:"tenant"`
 	Priority int    `json:"priority"`
-	// Kind selects the job family: "train" (default) or "distributed".
+	// Kind selects the job family: "train" (default), "distributed" or
+	// "serve".
 	Kind   string          `json:"kind,omitempty"`
 	Config json.RawMessage `json:"config"`
 }
@@ -36,6 +37,7 @@ type Factory func(req SubmitRequest) (JobSpec, error)
 // NewHandler exposes the server over local HTTP/JSON:
 //
 //	GET    /healthz          liveness
+//	GET    /metrics          every job's registry, Prometheus text 0.0.4
 //	POST   /v1/jobs          submit (SubmitRequest -> SubmitResponse)
 //	GET    /v1/jobs          list statuses
 //	GET    /v1/jobs/{id}     one status (+ report once done)
@@ -46,6 +48,11 @@ func NewHandler(s *Server, f Factory) http.Handler {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Write([]byte("ok\n"))
+	})
+
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		writeMetrics(w, s.jobMetrics())
 	})
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"socflow/internal/cluster"
+	"socflow/internal/metrics"
 )
 
 // State is a job's position in the control-plane lifecycle.
@@ -89,6 +90,9 @@ type JobSpec struct {
 	Epochs      int // advisory; surfaced in Status
 	Preemptible bool
 	Run         RunFunc
+	// Metrics is the job's registry, exported by GET /metrics under the
+	// job's labels (nil exports nothing).
+	Metrics *metrics.Registry
 	// OnTerminal, if set, runs once after the job reaches a terminal
 	// state (outside the server lock). The facade uses it to release
 	// per-job resources such as event streams and park directories.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"socflow/internal/metrics"
+	"socflow/internal/parallel"
 )
 
 // WithMetrics must fill Report.Metrics with the run's dual-clock
@@ -183,5 +184,75 @@ func TestConcurrentRunsKeepTheirOwnKernelStats(t *testing.T) {
 		if s := reps[i].Gauges["tensor.gemm.seconds"]; !(s > 0) {
 			t.Errorf("run %d: tensor.gemm.seconds = %v, want > 0", i, s)
 		}
+	}
+}
+
+// Two overlapping runs at different WithParallelism widths must each
+// fan their groups out at their own width for as long as they run —
+// A starts, B starts, A ends, B ends — and leave the process default
+// as they found it.
+func TestConcurrentRunsKeepTheirOwnParallelism(t *testing.T) {
+	d := parallel.Workers()
+	widths := [2]int{d + 1, d + 2}
+	cfgs := [2]Config{fastCfg("socflow"), fastCfg("socflow")}
+	cfgs[0].Epochs, cfgs[1].Epochs = 2, 3
+
+	wait := func(ch chan struct{}) {
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Error("runs never overlapped")
+		}
+	}
+	aStarted, bStarted, aEnded := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var (
+		wg   sync.WaitGroup
+		seen [2][]float64 // the run's parallel.width gauge at each epoch end
+		errs [2]error
+	)
+	for i, cfg := range cfgs {
+		reg := metrics.New()
+		reg.Subscribe(func(e metrics.Event) {
+			if e.Kind != metrics.KindEpoch {
+				return
+			}
+			seen[i] = append(seen[i], reg.Gauge("parallel.width").Value())
+			switch {
+			case i == 0 && e.Epoch == 0:
+				close(aStarted)
+				wait(bStarted)
+			case i == 1 && e.Epoch == 0:
+				close(bStarted)
+				wait(aEnded)
+			}
+		})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i == 1 {
+				wait(aStarted)
+			}
+			_, errs[i] = Run(context.Background(), cfg, WithParallelism(widths[i]), WithMetrics(reg))
+			if i == 0 {
+				close(aEnded)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range cfgs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if len(seen[i]) != cfgs[i].Epochs {
+			t.Fatalf("run %d: %d epoch events, want %d", i, len(seen[i]), cfgs[i].Epochs)
+		}
+		for e, w := range seen[i] {
+			if w != float64(widths[i]) {
+				t.Errorf("run %d epoch %d trained at width %v, want %d", i, e, w, widths[i])
+			}
+		}
+	}
+	if got := parallel.Workers(); got != d {
+		t.Errorf("process default width is %d after both runs, want %d as before", got, d)
 	}
 }

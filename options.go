@@ -8,7 +8,6 @@ import (
 
 	"socflow/internal/core"
 	"socflow/internal/metrics"
-	"socflow/internal/parallel"
 	"socflow/internal/plan"
 )
 
@@ -47,12 +46,13 @@ type runOptions struct {
 	checkpointSet         bool
 }
 
-// WithParallelism caps the worker pool at n OS threads for the
-// duration of the run (n < 1 clamps to 1, fully sequential): at most n
+// WithParallelism caps the run's host parallelism at n: at most n
 // logical groups or federated clients train at once, each running its
-// kernels on its own goroutine. The default is runtime.GOMAXPROCS.
-// Results are bit-identical at every parallelism level; only
-// wall-clock time changes.
+// kernels on its own goroutine. The width belongs to this run alone —
+// concurrent runs keep their own, and the process default is never
+// touched. n <= 0 keeps the default, runtime.GOMAXPROCS. Results are
+// bit-identical at every parallelism level; only wall-clock time
+// changes.
 func WithParallelism(n int) Option {
 	return func(o *runOptions) { o.parallelism = n }
 }
@@ -208,14 +208,11 @@ func gatherOptions(opts []Option) (runOptions, error) {
 	return o, nil
 }
 
-// apply installs the parallelism setting and returns a restore
-// function for the caller to defer.
-func (o *runOptions) apply() (restore func()) {
-	if o.parallelism > 0 {
-		prev := parallel.Set(o.parallelism)
-		return func() { parallel.Set(prev) }
+// logf writes a run-level progress message to the WithLogger logger.
+func (o *runOptions) logf(format string, args ...any) {
+	if o.logger != nil {
+		o.logger.Printf(format, args...)
 	}
-	return func() {}
 }
 
 // checkpointStore opens the auto-checkpoint store requested by

@@ -61,6 +61,11 @@ go test -run '^$' -fuzz '^FuzzIm2ColMatchesNaive$' -fuzztime 10s ./internal/tens
 # Control-plane smoke gate: daemon + two tenants' jobs over HTTP with
 # quota enforcement, under the race detector.
 make server-smoke
+# The binaries end to end: a socflow-server on a port the kernel picks
+# takes a training job from socflow-train and a serving window from
+# socflow-serve, refuses at submit a config it could never run (naming
+# the sentinel), and stops cleanly on SIGINT.
+timeout 300 scripts/binaries.sh
 # Serving smoke gate: a low-tide serving window through the facade
 # (and over HTTP) must hold >= 99% SLO attainment with deterministic
 # reports, under the race detector.

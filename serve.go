@@ -2,7 +2,6 @@ package socflow
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -10,7 +9,6 @@ import (
 	"socflow/internal/core"
 	"socflow/internal/dataset"
 	"socflow/internal/metrics"
-	"socflow/internal/nn"
 	"socflow/internal/serve"
 	"socflow/internal/server"
 	"socflow/internal/tensor"
@@ -189,25 +187,7 @@ type ServeReport struct {
 
 // ServeHandle tracks a serving job submitted with Client.Serve.
 type ServeHandle struct {
-	jobRef
-}
-
-// Wait blocks until the serving window closes and returns its report;
-// see JobHandle.Wait for the ctx contract.
-func (h *ServeHandle) Wait(ctx context.Context) (*ServeReport, error) {
-	if h.c.srv != nil {
-		res, err := h.c.srv.Wait(ctx, h.id)
-		if err != nil {
-			return nil, err
-		}
-		rep, _ := res.(*ServeReport)
-		return rep, nil
-	}
-	var rep ServeReport
-	if err := h.remoteResult(ctx, &rep); err != nil {
-		return nil, err
-	}
-	return &rep, nil
+	handle[ServeReport]
 }
 
 // Serve submits an inference serving job: the model is partitioned
@@ -219,107 +199,56 @@ func (h *ServeHandle) Wait(ctx context.Context) (*ServeReport, error) {
 // idle-window premise, run from the serving side. Configuration errors
 // surface here (wrapping ErrBadOption), not at Wait.
 func (c *Client) Serve(ctx context.Context, cfg ServeConfig, opts ...Option) (*ServeHandle, error) {
-	if err := ctx.Err(); err != nil {
+	h := new(ServeHandle)
+	if err := submit(ctx, c, serveKind, cfg, opts, &h.jobRef); err != nil {
 		return nil, err
 	}
-	o, err := gatherOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if c.srv == nil {
-		raw, err := json.Marshal(cfg)
-		if err != nil {
-			return nil, err
-		}
-		id, err := c.postJob(ctx, server.SubmitRequest{
-			Tenant: o.tenant, Priority: o.priority, Kind: "serve", Config: raw,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &ServeHandle{jobRef{c: c, id: id}}, nil
-	}
-	h := &ServeHandle{jobRef{c: c}}
-	spec, err := buildServeSpec(ctx, cfg, o, &h.jobRef)
-	if err != nil {
-		return nil, err
-	}
-	id, err := c.srv.Submit(spec)
-	if err != nil {
-		return nil, err
-	}
-	h.id = id
 	return h, nil
 }
 
-// buildServeSpec compiles a ServeConfig into the scheduler's JobSpec.
-// The runner walks the window hour by hour: resize to the tide's
-// footprint, generate that hour's arrivals, replay them through the
-// pipelined engine, accumulate. Serving jobs are not preemptible — the
-// whole point of co-location is that training yields, not serving.
-func buildServeSpec(submitCtx context.Context, cfg ServeConfig, o runOptions, h *jobRef) (server.JobSpec, error) {
-	// Resolve everything eagerly so configuration errors surface at
-	// Submit.
-	spec, err := nn.GetSpec(cfg.Model)
-	if err != nil {
-		return server.JobSpec{}, fmt.Errorf("%w: %q (have %v)", ErrUnknownModel, cfg.Model, Models())
+// admitServe applies ServeConfig's defaults and runs every serving
+// check.
+func admitServe(cfg ServeConfig, _ runOptions) (ServeConfig, catalog, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return cfg, catalog{}, err
 	}
-	prof, err := dataset.GetProfile(cfg.Dataset)
-	if err != nil {
-		return server.JobSpec{}, fmt.Errorf("%w: %q (have %v)", ErrUnknownDataset, cfg.Dataset, Datasets())
-	}
-	var gen cluster.SoCGeneration
-	switch cfg.Generation {
-	case "sd865":
-		gen = cluster.Gen865
-	case "sd8gen1":
-		gen = cluster.Gen8Gen1
-	default:
-		return server.JobSpec{}, fmt.Errorf("%w: %q", ErrUnknownGeneration, cfg.Generation)
-	}
+	cat, err := resolve(cfg.Model, cfg.Dataset, cfg.Generation)
+	return cfg, cat, err
+}
+
+// buildServe compiles an admitted ServeConfig into the scheduler's
+// runner. The runner walks the window hour by hour: resize to the
+// tide's footprint, generate that hour's arrivals, replay them through
+// the pipelined engine, accumulate. Serving jobs are not preemptible —
+// the whole point of co-location is that training yields, not serving.
+func buildServe(cfg ServeConfig, cat catalog, _ runOptions) (runner, error) {
 	var startCP *core.Checkpoint
 	if cfg.CheckpointDir != "" {
 		store, err := core.NewCheckpointStore(cfg.CheckpointDir)
 		if err != nil {
-			return server.JobSpec{}, err
+			return runner{}, err
 		}
 		startCP, err = store.Latest()
 		if err != nil {
-			return server.JobSpec{}, fmt.Errorf("socflow: loading serving checkpoint: %w", err)
+			return runner{}, fmt.Errorf("socflow: loading serving checkpoint: %w", err)
 		}
 	}
 
-	userReg := o.registry()
-	o.subscribe(userReg)
 	trace := cluster.DefaultTidalTrace()
 	startSoCs, _ := serve.Footprint(cfg.NumSoCs, cfg.Stages, trace.BusyFraction(cfg.StartHour))
 
-	run := func(runCtx context.Context, ctl *server.Controller) (any, error) {
-		defer o.apply()()
-		ctx, cancel := context.WithCancel(submitCtx)
-		defer cancel()
-		stop := context.AfterFunc(runCtx, cancel)
-		defer stop()
-
-		reg := userReg
-		if reg == nil {
-			reg = metrics.New()
-		}
-		h.attachRegistry(reg)
-
-		clu := cluster.New(cluster.Config{NumSoCs: cfg.NumSoCs, Generation: gen})
-		ds := prof.Generate(dataset.GenOptions{Samples: cfg.Samples, Seed: cfg.Seed})
-		model := spec.BuildMicro(tensor.NewRNG(cfg.Seed), ds.Channels(), ds.ImageSize(), ds.Classes)
+	run := func(ctx context.Context, ctl *server.Controller, obs observed) (any, error) {
+		reg := obs.reg
+		clu := cat.cluster(cfg.NumSoCs)
+		ds := cat.prof.Generate(dataset.GenOptions{Samples: cfg.Samples, Seed: cfg.Seed})
+		model := cat.spec.BuildMicro(tensor.NewRNG(cfg.Seed), ds.Channels(), ds.ImageSize(), ds.Classes)
 		if startCP != nil {
 			startCP.Restore(model.Weights(), model.StateTensors())
 		}
-		scale := float64(prof.PaperSize*prof.PaperSize) / float64(ds.ImageSize()*ds.ImageSize())
+		scale := float64(cat.prof.PaperSize*cat.prof.PaperSize) / float64(ds.ImageSize()*ds.ImageSize())
 		engine, err := serve.NewEngine(serve.EngineConfig{
-			Spec: spec, Model: model, Cluster: clu, Stages: cfg.Stages,
+			Spec: cat.spec, Model: model, Cluster: clu, Stages: cfg.Stages,
 			InC: ds.Channels(), ImgSize: ds.ImageSize(), ActivationScale: scale,
 		})
 		if err != nil {
@@ -395,16 +324,8 @@ func buildServeSpec(submitCtx context.Context, cfg ServeConfig, o runOptions, h 
 				rep.MeanSeconds = lat.Sum / float64(lat.Count)
 			}
 		}
-		rep.Metrics = userReg.Snapshot()
+		rep.Metrics = obs.user.Snapshot()
 		return rep, nil
 	}
-
-	return server.JobSpec{
-		Tenant:     o.tenant,
-		Priority:   o.priority,
-		SoCs:       startSoCs,
-		Epochs:     int(math.Ceil(cfg.Hours)),
-		Run:        run,
-		OnTerminal: h.finishEvents,
-	}, nil
+	return runner{socs: startSoCs, epochs: int(math.Ceil(cfg.Hours)), run: run}, nil
 }

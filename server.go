@@ -1,9 +1,7 @@
 package socflow
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -68,49 +66,17 @@ func (s *Server) Client() *Client { return &Client{srv: s.srv} }
 // Handler exposes the server over HTTP/JSON — the same API
 // socflow-server serves and `socflow-train --server` consumes: POST
 // /v1/jobs, GET /v1/jobs, GET /v1/jobs/{id}, DELETE /v1/jobs/{id},
-// GET /healthz.
+// GET /metrics (every job's registry as Prometheus text), GET /healthz.
+// A submission is admitted by its kind's own code, the code an
+// in-process Client runs, so a bad config is a 400 and never a job.
 func (s *Server) Handler() http.Handler {
 	return server.NewHandler(s.srv, func(req server.SubmitRequest) (server.JobSpec, error) {
-		o := runOptions{tenant: req.Tenant, priority: req.Priority}
-		switch req.Kind {
-		case "", "train":
-			var cfg Config
-			if err := decodeConfig(req.Config, "train", &cfg); err != nil {
-				return server.JobSpec{}, err
-			}
-			return buildTrainSpec(context.Background(), cfg.withDefaults(), o, nil)
-		case "distributed":
-			var cfg DistributedConfig
-			if err := decodeConfig(req.Config, "distributed", &cfg); err != nil {
-				return server.JobSpec{}, err
-			}
-			return buildDistributedSpec(context.Background(), cfg.withDefaults(), o, nil)
-		case "serve":
-			var cfg ServeConfig
-			if err := decodeConfig(req.Config, "serve", &cfg); err != nil {
-				return server.JobSpec{}, err
-			}
-			cfg = cfg.withDefaults()
-			if err := cfg.validate(); err != nil {
-				return server.JobSpec{}, err
-			}
-			return buildServeSpec(context.Background(), cfg, o, nil)
-		default:
+		k, ok := kinds[req.Kind]
+		if !ok {
 			return server.JobSpec{}, fmt.Errorf("socflow: unknown job kind %q (want \"train\", \"distributed\", or \"serve\")", req.Kind)
 		}
+		return k.fromWire(req.Config, runOptions{tenant: req.Tenant, priority: req.Priority})
 	})
-}
-
-// decodeConfig decodes a submitted job config, rejecting keys the
-// config type does not have: a misspelled or retired field must fail
-// the submission, not run a different job than the one asked for.
-func decodeConfig(raw json.RawMessage, kind string, cfg any) error {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(cfg); err != nil {
-		return fmt.Errorf("socflow: decoding %s config: %w", kind, err)
-	}
-	return nil
 }
 
 // SetHour advances the simulated clock; with Tidal the scheduler

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -92,8 +93,24 @@ func TestServerSmokeHTTP(t *testing.T) {
 	}
 
 	// The daemon's status listing covers every submitted job.
-	if got := len(srv.List()); got != 4 {
+	jobs := srv.List()
+	if got := len(jobs); got != 4 {
 		t.Fatalf("job listing has %d entries, want 4", got)
+	}
+
+	// A scrape after the jobs ended finds each one's simulated run
+	// under its own labels.
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, st := range jobs {
+		sample := fmt.Sprintf("socflow_sim_runs{job=%q,tenant=%q} 1\n", st.ID, st.Tenant)
+		if !strings.Contains(string(scrape), sample) {
+			t.Fatalf("GET /metrics lacks %q:\n%s", sample, scrape)
+		}
 	}
 }
 

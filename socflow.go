@@ -29,6 +29,7 @@ package socflow
 import (
 	"context"
 	"fmt"
+	"os"
 	"slices"
 
 	"socflow/internal/baselines"
@@ -38,6 +39,7 @@ import (
 	"socflow/internal/metrics"
 	"socflow/internal/nn"
 	"socflow/internal/plan"
+	"socflow/internal/server"
 )
 
 // JobSpec holds the fields shared by every entry point: model,
@@ -74,7 +76,8 @@ type Config struct {
 	NumSoCs int
 	// Groups is SoCFlow's logical-group count N (default 8; ignored by
 	// baselines). Set to -1 to let the warm-up heuristic pick N
-	// (§3.1's first-epoch-accuracy knee rule).
+	// (§3.1's first-epoch-accuracy knee rule). Data parallelism needs
+	// Groups <= NumSoCs; auto and pipeline take it as a cap.
 	Groups int
 	// Mixed selects SoCFlow's processor mode: "auto" (default),
 	// "fp32", "int8", "half".
@@ -196,43 +199,172 @@ func Run(ctx context.Context, cfg Config, opts ...Option) (*Report, error) {
 	return h.Wait(ctx)
 }
 
-// resolve looks cfg's names up in their catalogs and builds the modeled
-// cluster: everything a job needs short of its training data.
-func resolve(cfg Config) (*nn.Spec, *dataset.Profile, *cluster.Cluster, error) {
-	spec, err := nn.GetSpec(cfg.Model)
+// admitTrain applies Config's defaults and runs every training check.
+// A field is checked where the run reads it: baselines ignore Mixed and
+// Groups; pipeline plans ignore Mixed; pipeline and auto take Groups as
+// a cap; and WithPlan overrides Strategy, Parallelism and Groups.
+func admitTrain(cfg Config, o runOptions) (Config, catalog, error) {
+	cfg = cfg.withDefaults()
+	cat, err := resolve(cfg.Model, cfg.Dataset, cfg.Generation)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: %q (have %v)", ErrUnknownModel, cfg.Model, Models())
+		return cfg, cat, err
 	}
-	prof, err := dataset.GetProfile(cfg.Dataset)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: %q (have %v)", ErrUnknownDataset, cfg.Dataset, Datasets())
+	if err := checkJob(cfg.JobSpec, cfg.NumSoCs); err != nil {
+		return cfg, cat, err
 	}
-	var gen cluster.SoCGeneration
-	switch cfg.Generation {
-	case "sd865":
-		gen = cluster.Gen865
-	case "sd8gen1":
-		gen = cluster.Gen8Gen1
+	if o.plan != nil {
+		_, err := strategyFromPlan(cfg, o.plan)
+		return cfg, cat, err
+	}
+	if !slices.Contains(Strategies(), cfg.Strategy) {
+		return cfg, cat, fmt.Errorf("%w: %q (have %v)", ErrUnknownStrategy, cfg.Strategy, Strategies())
+	}
+	switch cfg.Parallelism {
+	case "", "data":
+	case "auto", "pipeline":
+		if cfg.Strategy != "socflow" {
+			return cfg, cat, fmt.Errorf("%w: Parallelism %q requires strategy \"socflow\", got %q",
+				ErrUnknownParallelism, cfg.Parallelism, cfg.Strategy)
+		}
 	default:
-		return nil, nil, nil, fmt.Errorf("%w: %q", ErrUnknownGeneration, cfg.Generation)
+		return cfg, cat, fmt.Errorf("%w: %q (have \"\", data, auto, pipeline)", ErrUnknownParallelism, cfg.Parallelism)
 	}
-	return spec, prof, cluster.New(cluster.Config{NumSoCs: cfg.NumSoCs, Generation: gen}), nil
+	if cfg.Strategy != "socflow" {
+		return cfg, cat, nil
+	}
+	if cfg.Parallelism != "pipeline" {
+		if _, err := mixedMode(cfg.Mixed); err != nil {
+			return cfg, cat, err
+		}
+	}
+	if cfg.Parallelism != "auto" && cfg.Parallelism != "pipeline" && cfg.Groups > cfg.NumSoCs {
+		return cfg, cat, fmt.Errorf("%w: Groups %d: data-parallel groups need a SoC each, and there are %d (pipeline and auto take Groups as a cap)",
+			ErrBadOption, cfg.Groups, cfg.NumSoCs)
+	}
+	return cfg, cat, nil
 }
 
-func buildJob(cfg Config) (*core.Job, *cluster.Cluster, error) {
-	spec, prof, clu, err := resolve(cfg)
+// buildTrain compiles an admitted Config into the scheduler's runner.
+// The dataset is generated once, here; the strategy (with any plan
+// search or group-count warm-up) is chosen once, by the first segment.
+// An uninterrupted job runs exactly the pre-control-plane Run sequence,
+// so it is bit-identical to the old direct path; across park/resume
+// segments it accumulates one merged report.
+func buildTrain(cfg Config, cat catalog, o runOptions) (runner, error) {
+	job := trainJob(cfg, cat)
+	job.Width = o.parallelism
+	probe := *job // the warm-up trains copies of the job without its hooks
+	clu := cat.cluster(cfg.NumSoCs)
+	store, err := o.checkpointStore()
 	if err != nil {
-		return nil, nil, err
+		return runner{}, err
 	}
-	// Train and validation must come from one generation pass so they
-	// share class prototypes.
-	pool := prof.Generate(dataset.GenOptions{Samples: cfg.TrainSamples + cfg.ValSamples, Seed: cfg.Seed})
-	train, val := pool.Split(float64(cfg.TrainSamples) / float64(pool.Len()))
-	job := &core.Job{
-		Spec:           spec,
+	if store != nil {
+		job.Checkpoints = store
+		job.CheckpointEvery = o.checkpointEvery
+	}
+	if o.recovery {
+		job.MaxEpochRetries = o.maxRetries
+		job.RetryBackoff = o.retryBackoff
+	}
+
+	// State carried across park/resume segments.
+	var (
+		strat     core.Strategy
+		acc       accumulatedRun
+		parkDir   string
+		parkStore *core.CheckpointStore
+	)
+
+	run := func(ctx context.Context, ctl *server.Controller, obs observed) (any, error) {
+		job.Metrics = obs.reg
+		job.EpochEnd = func(epoch int, _, _ float64) { ctl.ObserveEpoch(epoch) }
+		job.StartEpoch = 0
+		job.Resume = nil
+		if ctl.StartEpoch() > 0 && parkStore != nil {
+			cp, err := parkStore.Latest()
+			if err != nil {
+				return nil, fmt.Errorf("socflow: loading park checkpoint: %w", err)
+			}
+			if cp != nil {
+				job.Resume = cp
+				job.StartEpoch = cp.Epoch
+			}
+		}
+		job.ShouldPark = ctl.ParkRequested
+
+		if strat == nil {
+			s, err := trainStrategy(ctx, cfg, cat, o, &probe)
+			if err != nil {
+				return nil, err
+			}
+			strat = s
+			o.logf("run: %s on %s/%s, %d SoCs", strat.Name(), cfg.Model, cfg.Dataset, cfg.NumSoCs)
+		} else {
+			o.logf("resume: %s on %s/%s from epoch %d", strat.Name(), cfg.Model, cfg.Dataset, job.StartEpoch)
+		}
+
+		job.Kernels = core.BeginKernelHarvest(obs.user)
+		span := obs.reg.BeginSpan("run", "facade", 0)
+		res, err := strat.Run(ctx, job, clu)
+		span.End()
+		job.Kernels.Finish()
+		if err != nil {
+			return nil, err
+		}
+		acc.add(job.StartEpoch, res)
+
+		if res.Parked {
+			if parkStore == nil {
+				if parkDir == "" {
+					parkDir, err = os.MkdirTemp("", "socflow-park-*")
+					if err != nil {
+						return nil, fmt.Errorf("socflow: park directory: %w", err)
+					}
+				}
+				parkStore, err = core.NewCheckpointStore(parkDir)
+				if err != nil {
+					return nil, err
+				}
+				parkStore.KeepLast = 2
+			}
+			cp := &core.Checkpoint{
+				Epoch:   job.StartEpoch + len(res.EpochAccuracies),
+				Weights: res.FinalWeights,
+				State:   res.FinalState,
+			}
+			if err := parkStore.Save(cp); err != nil {
+				return nil, fmt.Errorf("socflow: saving park checkpoint: %w", err)
+			}
+			return nil, server.ErrParked
+		}
+
+		rep := acc.report(cfg, job)
+		rep.Metrics = obs.user.Snapshot()
+		return rep, nil
+	}
+
+	return runner{
+		socs:        cfg.NumSoCs,
+		epochs:      cfg.Epochs,
+		preemptible: true,
+		run:         run,
+		cleanup: func() {
+			if parkDir != "" {
+				os.RemoveAll(parkDir)
+			}
+		},
+	}, nil
+}
+
+// trainJob builds the core job of an admitted Config.
+func trainJob(cfg Config, cat catalog) *core.Job {
+	train, val := cat.split(cfg.JobSpec)
+	return &core.Job{
+		Spec:           cat.spec,
 		Train:          train,
 		Val:            val,
-		PaperSamples:   prof.PaperTrainN,
+		PaperSamples:   cat.prof.PaperTrainN,
 		GlobalBatch:    cfg.GlobalBatch,
 		PaperBatch:     cfg.PaperBatch,
 		LR:             cfg.LR,
@@ -241,7 +373,6 @@ func buildJob(cfg Config) (*core.Job, *cluster.Cluster, error) {
 		TargetAccuracy: cfg.TargetAccuracy,
 		Seed:           cfg.Seed,
 	}
-	return job, clu, nil
 }
 
 // PlanParallelism runs the auto-parallelization planner for cfg and
@@ -252,15 +383,19 @@ func buildJob(cfg Config) (*core.Job, *cluster.Cluster, error) {
 // configs return the identical plan.
 func PlanParallelism(cfg Config) (*ParallelPlan, error) {
 	cfg = cfg.withDefaults()
-	spec, prof, clu, err := resolve(cfg)
+	cat, err := resolve(cfg.Model, cfg.Dataset, cfg.Generation)
 	if err != nil {
 		return nil, err
 	}
+	return searchPlan(cfg, cat)
+}
+
+func searchPlan(cfg Config, cat catalog) (*ParallelPlan, error) {
 	opts := plan.Options{
-		Spec:        spec,
-		Cluster:     clu,
+		Spec:        cat.spec,
+		Cluster:     cat.cluster(cfg.NumSoCs),
 		GlobalBatch: cfg.PaperBatch,
-		Samples:     prof.PaperTrainN,
+		Samples:     cat.prof.PaperTrainN,
 	}
 	if cfg.Groups > 0 {
 		opts.MaxGroups = cfg.Groups
@@ -305,59 +440,42 @@ func strategyFromPlan(cfg Config, p *ParallelPlan) (core.Strategy, error) {
 	return &core.SoCFlow{NumGroups: p.Groups(), Mixed: mode}, nil
 }
 
-func buildStrategy(ctx context.Context, cfg Config, o runOptions) (core.Strategy, error) {
-	if o.plan != nil {
+// baselineStrategies builds the six baselines of §4.1 by name.
+var baselineStrategies = map[string]func() core.Strategy{
+	"ps":      baselines.NewParameterServer,
+	"ring":    baselines.NewRing,
+	"hipress": baselines.NewHiPress,
+	"2dparal": baselines.NewTwoDParallel,
+	"fedavg":  baselines.NewFedAvg,
+	"tfedavg": baselines.NewTreeFedAvg,
+}
+
+// trainStrategy builds an admitted Config's executor. A Groups of -1
+// runs the warm-up heuristic on probe, a copy of the job without its
+// hooks, and a cluster of its own.
+func trainStrategy(ctx context.Context, cfg Config, cat catalog, o runOptions, probe *core.Job) (core.Strategy, error) {
+	switch {
+	case o.plan != nil:
 		return strategyFromPlan(cfg, o.plan)
-	}
-	switch cfg.Parallelism {
-	case "", "data":
-		// The paper's data-parallel protocol — the strategy switch below.
-	case "auto", "pipeline":
-		if cfg.Strategy != "socflow" {
-			return nil, fmt.Errorf("%w: Parallelism %q requires strategy \"socflow\", got %q",
-				ErrUnknownParallelism, cfg.Parallelism, cfg.Strategy)
-		}
-		p, err := PlanParallelism(cfg)
+	case cfg.Parallelism == "auto" || cfg.Parallelism == "pipeline":
+		p, err := searchPlan(cfg, cat)
 		if err != nil {
 			return nil, err
 		}
 		return strategyFromPlan(cfg, p)
-	default:
-		return nil, fmt.Errorf("%w: %q (have \"\", data, auto, pipeline)", ErrUnknownParallelism, cfg.Parallelism)
+	case cfg.Strategy != "socflow":
+		return baselineStrategies[cfg.Strategy](), nil
 	}
-	switch cfg.Strategy {
-	case "socflow":
-		mode, err := mixedMode(cfg.Mixed)
+	mode, _ := mixedMode(cfg.Mixed) // admitted
+	groups := cfg.Groups
+	if groups < 0 {
+		var err error
+		groups, err = core.AutoGroupCount(ctx, probe, cat.cluster(cfg.NumSoCs), cfg.NumSoCs, 0.5)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("socflow: group-size heuristic: %w", err)
 		}
-		groups := cfg.Groups
-		if groups < 0 {
-			job, clu, err := buildJob(cfg)
-			if err != nil {
-				return nil, err
-			}
-			groups, err = core.AutoGroupCount(ctx, job, clu, cfg.NumSoCs, 0.5)
-			if err != nil {
-				return nil, fmt.Errorf("socflow: group-size heuristic: %w", err)
-			}
-		}
-		return &core.SoCFlow{NumGroups: groups, Mixed: mode}, nil
-	case "ps":
-		return baselines.NewParameterServer(), nil
-	case "ring":
-		return baselines.NewRing(), nil
-	case "hipress":
-		return baselines.NewHiPress(), nil
-	case "2dparal":
-		return baselines.NewTwoDParallel(), nil
-	case "fedavg":
-		return baselines.NewFedAvg(), nil
-	case "tfedavg":
-		return baselines.NewTreeFedAvg(), nil
-	default:
-		return nil, fmt.Errorf("%w: %q (have %v)", ErrUnknownStrategy, cfg.Strategy, Strategies())
 	}
+	return &core.SoCFlow{NumGroups: groups, Mixed: mode}, nil
 }
 
 func mixedMode(s string) (core.MixedMode, error) {
@@ -372,5 +490,72 @@ func mixedMode(s string) (core.MixedMode, error) {
 		return core.MixedHalf, nil
 	default:
 		return 0, fmt.Errorf("%w: %q", ErrUnknownMixedMode, s)
+	}
+}
+
+// accumulatedRun merges the per-segment core results of a job that may
+// have been parked and resumed into one run-level view. For the common
+// single-segment job the merge is the identity, preserving bit-exact
+// reports.
+type accumulatedRun struct {
+	strategy        string
+	epochAccuracies []float64
+	epochSims       []float64
+	simSeconds      float64
+	energyJ         float64
+	breakdown       core.Breakdown
+	preemptions     int
+	epochsToTarget  int
+	simToTarget     float64
+}
+
+func (a *accumulatedRun) add(startEpoch int, res *core.Result) {
+	a.strategy = res.Strategy
+	a.epochAccuracies = append(a.epochAccuracies[:min(startEpoch, len(a.epochAccuracies))], res.EpochAccuracies...)
+	a.epochSims = append(a.epochSims[:min(startEpoch, len(a.epochSims))], res.EpochSimSeconds...)
+	simBefore := a.simSeconds
+	a.simSeconds += res.SimSeconds
+	a.energyJ += res.EnergyJ
+	a.breakdown.Compute += res.Breakdown.Compute
+	a.breakdown.Sync += res.Breakdown.Sync
+	a.breakdown.Update += res.Breakdown.Update
+	a.preemptions += res.Preemptions
+	if res.EpochsToTarget > 0 && a.epochsToTarget == 0 {
+		a.epochsToTarget = startEpoch + res.EpochsToTarget
+		a.simToTarget = simBefore + res.SimSecondsToTarget
+	}
+}
+
+func (a *accumulatedRun) report(cfg Config, job *core.Job) *Report {
+	var final, best float64
+	for _, v := range a.epochAccuracies {
+		if v > best {
+			best = v
+		}
+	}
+	if n := len(a.epochAccuracies); n > 0 {
+		final = a.epochAccuracies[n-1]
+	}
+	mean := 0.0
+	if len(a.epochSims) > 0 {
+		mean = a.simSeconds / float64(len(a.epochSims))
+	}
+	return &Report{
+		Strategy:                 a.strategy,
+		Model:                    cfg.Model,
+		Dataset:                  cfg.Dataset,
+		EpochAccuracies:          a.epochAccuracies,
+		FinalAccuracy:            final,
+		BestAccuracy:             best,
+		SimSeconds:               a.simSeconds,
+		MeanEpochSeconds:         mean,
+		EnergyKJ:                 a.energyJ / 1000,
+		ComputeSeconds:           a.breakdown.Compute,
+		SyncSeconds:              a.breakdown.Sync,
+		UpdateSeconds:            a.breakdown.Update,
+		EpochsToTarget:           a.epochsToTarget,
+		SimSecondsToTarget:       a.simToTarget,
+		EstimatedHoursToConverge: mean * float64(job.Spec.EpochsToConverge) / 3600,
+		Preemptions:              a.preemptions,
 	}
 }
