@@ -4,7 +4,8 @@
 // scheduler admits them against per-tenant quotas, priorities with
 // checkpoint-based preemption, and — with --tidal — the cluster's
 // diurnal idle windows. GET /metrics exports every job's registry as
-// Prometheus text.
+// Prometheus text; with --pprof, /debug/pprof/ serves the daemon's Go
+// runtime profiles beside the API.
 //
 // Example:
 //
@@ -20,6 +21,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
@@ -72,6 +74,7 @@ func main() {
 	defSoCs := flag.Int("default-max-socs", 0, "default per-tenant SoC limit (0 = unlimited)")
 	quotas := quotaFlags{}
 	flag.Var(quotas, "quota", "per-tenant quota as tenant=jobs:socs (repeatable; 0 = unlimited)")
+	withPprof := flag.Bool("pprof", false, "serve Go runtime profiles at /debug/pprof/ beside the API")
 	flag.Parse()
 
 	srv := socflow.NewServer(socflow.ServerConfig{
@@ -89,12 +92,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("socflow-server: %v", err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: handler(srv, *withPprof)}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
-	log.Printf("socflow-server: listening on %s (%d SoCs, capacity %d, queue %d, tidal %v)",
-		ln.Addr(), *socs, srv.Capacity(), *queue, *tidal)
+	log.Printf("socflow-server: listening on %s (%d SoCs, capacity %d, queue %d, tidal %v, pprof %v)",
+		ln.Addr(), *socs, srv.Capacity(), *queue, *tidal, *withPprof)
 	if len(quotas) > 0 {
 		log.Printf("socflow-server: quotas %s", quotas)
 	}
@@ -119,4 +122,21 @@ func main() {
 	if parked := srv.Drain(shCtx); parked > 0 {
 		log.Printf("socflow-server: parked %d preemptible job(s) for the next generation", parked)
 	}
+}
+
+// handler is the daemon's API, with net/http/pprof's endpoints mounted
+// beside it when withPprof is set. They are off by default: a profile
+// exposes the process's internals to anyone who can reach the port.
+func handler(srv *socflow.Server, withPprof bool) http.Handler {
+	if !withPprof {
+		return srv.Handler()
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/", srv.Handler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

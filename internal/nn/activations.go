@@ -19,13 +19,27 @@ func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	r.out = ensureBuf(r.out, x.Shape...)
 	out := r.out.Data
 	for i, v := range x.Data {
-		if v > 0 {
-			out[i] = v
-		} else {
-			out[i] = 0
-		}
+		out[i] = relu(v)
 	}
 	return r.out
+}
+
+// relu returns v when v > 0 and +0 otherwise (NaN, −0 and every
+// negative included).
+func relu(v float32) float32 { return passIfPositive(v, v) }
+
+// passIfPositive returns g when key > 0 and +0 otherwise, selected on
+// key's bits: key > 0 holds exactly when bits−1 < 0x7f800000, the
+// positive finite floats and +Inf. Both operands' bits are taken before
+// the test, so the compiler emits a conditional move (CMOVLCC) where
+// the float compare compiled to a jump on the data, which about half of
+// all ReLU inputs took each way (DESIGN.md §14).
+func passIfPositive(key, g float32) float32 {
+	k, r := math.Float32bits(key), math.Float32bits(g)
+	if k-1 >= 0x7f800000 {
+		r = 0
+	}
+	return math.Float32frombits(r)
 }
 
 // Backward implements Layer. The gradient passes where the output is
@@ -35,11 +49,7 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	r.dx = ensureBuf(r.dx, grad.Shape...)
 	dx, out := r.dx.Data, r.out.Data
 	for i, g := range grad.Data {
-		if out[i] > 0 {
-			dx[i] = g
-		} else {
-			dx[i] = 0
-		}
+		dx[i] = passIfPositive(out[i], g)
 	}
 	return r.dx
 }
@@ -142,7 +152,8 @@ type MaxPool2D struct {
 	P tensor.ConvParams
 
 	inShape []int
-	arg     []int
+	arg     []int          // argmax positions of the last train forward
+	eval    bool           // the last forward was an eval one and kept no arg
 	out, dx *tensor.Tensor // persistent buffers
 }
 
@@ -151,23 +162,31 @@ func NewMaxPool2D(k, stride int) *MaxPool2D {
 	return &MaxPool2D{P: tensor.ConvParams{KH: k, KW: k, SH: stride, SW: stride}}
 }
 
-// Forward implements Layer.
-func (m *MaxPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+// Forward implements Layer. Only a train forward records the argmax
+// positions Backward scatters to.
+func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkDims("MaxPool2D", x, 4)
 	m.inShape = append(m.inShape[:0], x.Shape...)
 	n, c := x.Shape[0], x.Shape[1]
 	oh, ow := m.P.OutSize(x.Shape[2], x.Shape[3])
 	m.out = ensureBuf(m.out, n, c, oh, ow)
-	if cap(m.arg) < m.out.Size() {
-		m.arg = make([]int, m.out.Size())
+	m.eval = !train
+	var arg []int
+	if train {
+		if cap(m.arg) < m.out.Size() {
+			m.arg = make([]int, m.out.Size())
+		}
+		m.arg = m.arg[:m.out.Size()]
+		arg = m.arg
 	}
-	m.arg = m.arg[:m.out.Size()]
-	tensor.MaxPoolInto(m.out, m.arg, x, m.P)
+	tensor.MaxPoolInto(m.out, arg, x, m.P)
 	return m.out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. It panics after an eval forward, which
+// records no argmax.
 func (m *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	mustFollowTrain("MaxPool2D", m.eval)
 	m.dx = ensureBuf(m.dx, m.inShape...)
 	tensor.MaxPoolBackwardInto(m.dx, grad, m.arg)
 	return m.dx

@@ -23,10 +23,12 @@ type BatchNorm2D struct {
 	RunningMean *tensor.Tensor
 	RunningVar  *tensor.Tensor
 
-	// Caches for backward.
+	// Caches for backward. A fused Conv+BN block's eval forward skips
+	// xhat and invStd and sets eval (fused.go).
 	xhat   *tensor.Tensor
 	invStd []float32
 	shape  []int
+	eval   bool
 
 	out, dx *tensor.Tensor // persistent buffers
 }
@@ -55,6 +57,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	b.invStd = b.invStd[:c]
 	b.xhat = ensureBuf(b.xhat, x.Shape...)
+	b.eval = false
 	// Channels normalize independently, each over its planes in
 	// ascending image order.
 	n, hw := x.Shape[0], x.Shape[2]*x.Shape[3]
@@ -104,6 +107,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 //	dxhat = dy * gamma
 //	dx = invStd/m * (m*dxhat - Σdxhat - xhat*Σ(dxhat*xhat))
 func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	mustFollowTrain("BatchNorm2D", b.eval)
 	b.dx = ensureBuf(b.dx, b.shape...)
 	n, c, hw := b.shape[0], b.shape[1], b.shape[2]*b.shape[3]
 	gd, xhat, dx := grad.Data, b.xhat.Data, b.dx.Data

@@ -1,6 +1,11 @@
 package nn
 
-import "socflow/internal/tensor"
+import (
+	"bytes"
+	"unsafe"
+
+	"socflow/internal/tensor"
+)
 
 // Conv2D is a standard 2-D convolution over NCHW input, lowered to
 // matrix multiplication via im2col exactly as the paper's MNN backend
@@ -20,6 +25,12 @@ type Conv2D struct {
 	g2, dcols, dx *tensor.Tensor // backward: NHWC grad, column grad, input grad
 	dwScr, dbScr  *tensor.Tensor // weight/bias gradient scratch
 
+	// Weightᵀ for eval forwards and wSrc, the copy of Weight's bits it
+	// was taken from: one backing slice, allocated on the first eval
+	// forward (see weightT).
+	wT   *tensor.Tensor
+	wSrc []float32
+
 	kc kernelCounter
 }
 
@@ -37,8 +48,8 @@ func NewConv2D(r *tensor.RNG, inC, outC, k, stride, pad int) *Conv2D {
 }
 
 // Forward implements Layer.
-func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	c.gemmForward(x)
+func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	c.gemmForward(x, train)
 	// Rearrange [N, OH, OW, OutC] -> [N, OutC, OH, OW].
 	n, hw, ch := x.Shape[0], c.oh*c.ow, c.OutC
 	c.out = ensureBuf(c.out, n, ch, c.oh, c.ow)
@@ -56,8 +67,10 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 
 // gemmForward lowers x with im2col and runs the GEMM, leaving the
 // NHWC row matrix y = cols · Wᵀ + bias, [N*OH*OW, OutC], in c.y. The
-// fused blocks share it.
-func (c *Conv2D) gemmForward(x *tensor.Tensor) {
+// fused blocks share it. A training forward transposes W per call,
+// since every step changes it; an eval forward multiplies by the cached
+// Wᵀ, the same kernel call on the same bits.
+func (c *Conv2D) gemmForward(x *tensor.Tensor, train bool) {
 	checkDims("Conv2D", x, 4)
 	c.kc.ConvForward++
 	c.kc.Im2ColOps++
@@ -69,8 +82,46 @@ func (c *Conv2D) gemmForward(x *tensor.Tensor) {
 	tensor.Im2ColInto(c.cols, x, c.P)
 	c.y = ensureBuf(c.y, rows, c.OutC)
 	t0 := c.kc.beginGEMM(rows, k, c.OutC)
-	tensor.MatMulT2BiasInto(c.y, c.cols, c.Weight.W, c.Bias.W)
+	if train {
+		tensor.MatMulT2BiasInto(c.y, c.cols, c.Weight.W, c.Bias.W)
+	} else {
+		tensor.MatMulBiasInto(c.y, c.cols, c.weightT(), c.Bias.W)
+	}
 	c.kc.endGEMM(t0)
+}
+
+// weightT returns Weightᵀ, [InC·KH·KW, OutC], re-transposing only when
+// Weight's bits differ from wSrc, the copy the cache was taken from.
+// The check is one memequal per eval forward. A version counter would
+// be cheaper, but weights are written in place at many sites in
+// several packages (optimizer steps, INT8 SGD, replica and pipeline
+// syncs, collective averaging, checkpoint and elastic restores,
+// Sequential weight copies), and one missed bump would silently serve
+// stale weights (DESIGN.md §14).
+func (c *Conv2D) weightT() *tensor.Tensor {
+	w := c.Weight.W
+	if size := w.Size(); len(c.wSrc) != size {
+		buf := make([]float32, 2*size)
+		c.wT = tensor.FromSlice(buf[:size], w.Shape[1], w.Shape[0])
+		c.wSrc = buf[size:] // zeros, and so is wT: the pair starts consistent
+	}
+	if !bitsEqual(c.wSrc, w.Data) {
+		copy(c.wSrc, w.Data)
+		tensor.Transpose2DInto(c.wT, w)
+	}
+	return c.wT
+}
+
+// bitsEqual reports whether a and b hold the same bit patterns (not
+// float equality: −0 ≠ +0 and a NaN equals its own bits), compared as
+// bytes in one memequal.
+func bitsEqual(a, b []float32) bool {
+	return bytes.Equal(asBytes(a), asBytes(b))
+}
+
+// asBytes views a float32 slice's memory as bytes.
+func asBytes(s []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), 4*len(s))
 }
 
 // Backward implements Layer.

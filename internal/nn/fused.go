@@ -22,9 +22,9 @@ import (
 // per-channel (image, position) order batch-norm uses for its float64
 // statistics, so every mean, variance, running statistic, xhat, and
 // activation is bit-identical to the unfused sequence (fused_test.go
-// pins this). Backward is untouched: the fused forward populates
-// exactly the caches each layer's Backward reads
-// (conv.cols/inShape/oh/ow, bn.xhat/invStd/shape, relu.out).
+// pins this). Backward is untouched: a train forward populates exactly
+// the caches each layer's Backward reads (conv.cols/inShape/oh/ow,
+// bn.xhat/invStd/shape, relu.out); an eval forward skips bn's.
 type fusedConv struct {
 	conv *Conv2D
 	bn   *BatchNorm2D // nil for a Conv+ReLU block
@@ -80,7 +80,7 @@ func (s *Sequential) buildPlan() {
 // would, then a single epilogue in place of the transpose/BN/ReLU
 // chain.
 func (f *fusedConv) forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	f.conv.gemmForward(x)
+	f.conv.gemmForward(x, train)
 	if f.bn == nil {
 		return f.reluEpilogue()
 	}
@@ -100,11 +100,7 @@ func (f *fusedConv) reluEpilogue() *tensor.Tensor {
 			row := y[(img*hw+pos)*ch : (img*hw+pos+1)*ch]
 			base := img*ch*hw + pos
 			for cc, v := range row {
-				if v > 0 {
-					out[base+cc*hw] = v
-				} else {
-					out[base+cc*hw] = 0
-				}
+				out[base+cc*hw] = relu(v)
 			}
 		}
 	}
@@ -115,15 +111,22 @@ func (f *fusedConv) reluEpilogue() *tensor.Tensor {
 // read the GEMM output in the identical (image, position) order
 // BatchNorm2D.Forward sums its NCHW input, so the float64 accumulation
 // — and therefore every downstream bit — matches the unfused sequence.
+// An eval pass normalizes with the running statistics and writes no
+// xhat or invStd, so the BN's Backward refuses to follow it.
 func (f *fusedConv) bnEpilogue(train bool) *tensor.Tensor {
 	c, b := f.conv, f.bn
 	n, ch, hw := c.inShape[0], c.OutC, c.oh*c.ow
 	b.shape = append(b.shape[:0], n, ch, c.oh, c.ow)
-	if cap(b.invStd) < ch {
-		b.invStd = make([]float32, ch)
+	b.eval = !train
+	var xhat []float32
+	if train {
+		if cap(b.invStd) < ch {
+			b.invStd = make([]float32, ch)
+		}
+		b.invStd = b.invStd[:ch]
+		b.xhat = ensureBuf(b.xhat, n, ch, c.oh, c.ow)
+		xhat = b.xhat.Data
 	}
-	b.invStd = b.invStd[:ch]
-	b.xhat = ensureBuf(b.xhat, n, ch, c.oh, c.ow)
 	var out *tensor.Tensor
 	if f.relu != nil {
 		f.relu.out = ensureBuf(f.relu.out, n, ch, c.oh, c.ow)
@@ -132,7 +135,7 @@ func (f *fusedConv) bnEpilogue(train bool) *tensor.Tensor {
 		b.out = ensureBuf(b.out, n, ch, c.oh, c.ow)
 		out = b.out
 	}
-	y, xhat, o := c.y.Data, b.xhat.Data, out.Data
+	y, o, withReLU := c.y.Data, out.Data, f.relu != nil
 	cnt := float32(n * hw)
 	for cc := 0; cc < ch; cc++ {
 		var mean, variance float32
@@ -159,16 +162,20 @@ func (f *fusedConv) bnEpilogue(train bool) *tensor.Tensor {
 			variance = b.RunningVar.Data[cc]
 		}
 		inv := float32(1 / math.Sqrt(float64(variance)+float64(b.Eps)))
-		b.invStd[cc] = inv
 		g, bt := b.Gamma.W.Data[cc], b.Beta.W.Data[cc]
+		if train {
+			b.invStd[cc] = inv
+		}
 		for img := 0; img < n; img++ {
 			off := (img*ch + cc) * hw
 			for pos := 0; pos < hw; pos++ {
 				xh := (y[(img*hw+pos)*ch+cc] - mean) * inv
-				xhat[off+pos] = xh
+				if train {
+					xhat[off+pos] = xh
+				}
 				v := g*xh + bt
-				if f.relu != nil && !(v > 0) {
-					v = 0
+				if withReLU {
+					v = relu(v)
 				}
 				o[off+pos] = v
 			}

@@ -80,6 +80,15 @@ func ensureBuf(buf *tensor.Tensor, shape ...int) *tensor.Tensor {
 	return tensor.Ensure(buf, shape...)
 }
 
+// mustFollowTrain panics when a layer's Backward follows an eval
+// Forward: an eval forward writes no backward state, so what Backward
+// would read is stale.
+func mustFollowTrain(layer string, eval bool) {
+	if eval {
+		panic(fmt.Sprintf("nn: %s.Backward after an eval Forward, which keeps no backward state", layer))
+	}
+}
+
 // checkDims panics with a descriptive message if x does not have the
 // expected rank.
 func checkDims(layer string, x *tensor.Tensor, want int) {

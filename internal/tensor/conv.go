@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // ConvParams describes a 2-D convolution or pooling window. Tensors use
 // NCHW layout throughout the repository.
@@ -65,18 +68,17 @@ func Im2ColInto(cols, x *Tensor, p ConvParams) {
 // iy = oy·SH−PH+ky for each ky, and every window of that output row
 // takes its KW-wide run from that one image row, at ix0 = ox·SW−PW. So
 // both kernels walk (oy, ch, ky), settle the vertical padding once per
-// image row, and hand the row to a row kernel. The 3×3, stride-1,
-// pad-1 "same" conv — every conv layer of vgg11-micro, lenet5-micro and
-// most of the ResNets — gets its own row kernels, which know where the
-// two padding cells sit and touch each pixel once; every other geometry
-// clips only the edge windows that reach into the padding. The same3
-// pair is what pays: on a 2-vCPU AVX2 Xeon, `go test -bench Im2Col
-// -cpu 1` ran it 2.1–3.1× faster than the generic pair at both
-// benchmark shapes, and `scripts/ab.sh` on train-conv (ten alternating
-// pairs) read ops_per_s ×1.21 over sending that geometry through the
-// generic row kernels and ×1.20 over the per-window loops the row-wise
-// walk replaced, so the generic pair alone is no faster than those
-// loops.
+// image row, and hand the row to a row kernel that clips only the edge
+// windows reaching into the padding. The 3×3, stride-1, pad-1 "same"
+// conv — every conv layer of vgg11-micro and lenet5-micro and the
+// ResNet bodies — gets its own kernels. im2colPatch3 takes all three
+// image rows of an (oy, ch) at once and writes each window's nine values
+// as one run; col2imSame3 folds a 3-wide run per image row and touches
+// each pixel once. On a 2-vCPU AVX2 Xeon, `go test -bench Im2Col -cpu 1`
+// ran the row-wise same3 pair 2.1–3.1× faster than the generic pair at
+// both benchmark shapes; the patch kernel ran 1.6–2.1× ([16,16,4,4])
+// and 1.2–2.0× ([16,3,8,8]) faster than the row-wise same3 im2col it
+// replaced, over three alternating runs.
 
 // interiorCols returns the window range [oxLo, oxHi) whose KW-wide runs
 // lie wholly inside an image row of width w: ox·SW−PW ≥ 0 and
@@ -91,20 +93,28 @@ func interiorCols(w, ow int, p ConvParams) (oxLo, oxHi int) {
 }
 
 // same3 reports whether p is the 3×3-run, stride-1, pad-1 geometry the
-// same3 row kernels handle, whose OW equals W.
+// same3 row kernel handles, whose OW equals W.
 func (p ConvParams) same3() bool { return p.KW == 3 && p.SW == 1 && p.PW == 1 }
+
+// patch3 reports whether p is the full 3×3, stride-1, pad-1 geometry
+// the patch kernel handles, whose output is the image's size.
+func (p ConvParams) patch3() bool { return p.same3() && p.KH == 3 && p.SH == 1 && p.PH == 1 }
 
 // im2colImage unfolds one image's windows into its rows of the column
 // matrix. Column (ch·KH+ky)·KW+kx of row oy·OW+ox holds
 // x[ch, oy·SH−PH+ky, ox·SW−PW+kx], or 0 where that lies in the
 // padding — pure data movement, so any loop order gives the same bits.
 func im2colImage(cols, x []float32, colW, c, h, w, oh, ow int, p ConvParams, img int) {
-	kw, same3 := p.KW, p.same3()
+	kw, patch3 := p.KW, p.patch3()
 	oxLo, oxHi := interiorCols(w, ow, p)
 	for oy := 0; oy < oh; oy++ {
 		rows := cols[(img*oh+oy)*ow*colW : (img*oh+oy+1)*ow*colW]
 		for ch := 0; ch < c; ch++ {
 			plane := x[(img*c+ch)*h*w : (img*c+ch+1)*h*w]
+			if patch3 {
+				im2colPatch3(rows[ch*9:], plane, colW, h, w, oy)
+				continue
+			}
 			for ky := 0; ky < p.KH; ky++ {
 				d := rows[(ch*p.KH+ky)*kw:]
 				switch iy := oy*p.SH - p.PH + ky; {
@@ -116,8 +126,6 @@ func im2colImage(cols, x []float32, colW, c, h, w, oh, ow int, p ConvParams, img
 							d[i] = 0
 						}
 					}
-				case same3:
-					im2colSame3(d, plane[iy*w:(iy+1)*w], colW)
 				default:
 					im2colRow(d, plane[iy*w:(iy+1)*w], colW, ow, oxLo, oxHi, p)
 				}
@@ -126,21 +134,46 @@ func im2colImage(cols, x []float32, colW, c, h, w, oh, ow int, p ConvParams, img
 	}
 }
 
-// im2colSame3 writes one image row's 3-wide runs of a same3 conv:
-// window ox gets xr[ox−1], xr[ox], xr[ox+1], with 0 past either end.
-// The three values slide through registers, so each pixel is loaded
-// once.
-func im2colSame3(d, xr []float32, colW int) {
-	a, b := float32(0), xr[0]
-	ox := 0
-	for ; ox+1 < len(xr); ox++ {
-		c := xr[ox+1]
-		o := d[ox*colW : ox*colW+3 : ox*colW+3]
-		o[0], o[1], o[2] = a, b, c
-		a, b = b, c
+// im2colPatch3 writes output row oy's windows of one h×w channel plane
+// for the patch3 geometry: window ox gets image rows oy−1, oy, oy+1 at
+// columns ox−1, ox, ox+1 as one nine-value run at d[ox·colW], with 0
+// wherever that lies outside the image. Each row's three values slide
+// through registers, so each pixel is loaded once; top and bot are
+// fixed for the call, so their tests are always predicted.
+func im2colPatch3(d, plane []float32, colW, h, w, oy int) {
+	top, bot := oy > 0, oy+1 < h // whether rows oy−1 and oy+1 exist
+	r0 := plane[max(oy-1, 0)*w:][:w]
+	r1 := plane[oy*w:][:w]
+	r2 := plane[min(oy+1, h-1)*w:][:w]
+	var a0, a1, a2 float32 // column ox−1: the padding at ox = 0
+	var b0, b2 float32     // column ox
+	b1 := r1[0]
+	if top {
+		b0 = r0[0]
 	}
-	o := d[ox*colW : ox*colW+3 : ox*colW+3]
-	o[0], o[1], o[2] = a, b, 0
+	if bot {
+		b2 = r2[0]
+	}
+	ox := 0
+	for ; ox+1 < w; ox++ {
+		var c0, c2 float32 // column ox+1
+		c1 := r1[ox+1]
+		if top {
+			c0 = r0[ox+1]
+		}
+		if bot {
+			c2 = r2[ox+1]
+		}
+		o := d[ox*colW : ox*colW+9 : ox*colW+9]
+		o[0], o[1], o[2] = a0, b0, c0
+		o[3], o[4], o[5] = a1, b1, c1
+		o[6], o[7], o[8] = a2, b2, c2
+		a0, a1, a2, b0, b1, b2 = b0, b1, b2, c0, c1, c2
+	}
+	o := d[ox*colW : ox*colW+9 : ox*colW+9]
+	o[0], o[1], o[2] = a0, b0, 0
+	o[3], o[4], o[5] = a1, b1, 0
+	o[6], o[7], o[8] = a2, b2, 0
 }
 
 // im2colRow writes one image row's KW-wide runs for any geometry:
@@ -216,9 +249,10 @@ func col2imImage(img, cols []float32, colW, c, h, w, oh, ow int, p ConvParams, i
 	}
 }
 
-// col2imSame3 is im2colSame3's adjoint: pixel ix gathers window ix−1's
-// kx = 2, window ix's kx = 1 and window ix+1's kx = 0, in that
-// (ascending ox) order, and is loaded and stored once.
+// col2imSame3 folds one image row's 3-wide runs of a same3 conv back:
+// pixel ix gathers window ix−1's kx = 2, window ix's kx = 1 and window
+// ix+1's kx = 0, in that (ascending ox) order, and is loaded and stored
+// once.
 func col2imSame3(xr, d []float32, colW int) {
 	last := len(xr) - 1
 	for ix := range xr {
@@ -268,23 +302,82 @@ func MaxPool(x *Tensor, p ConvParams) (*Tensor, []int) {
 }
 
 // MaxPoolInto applies max pooling into an existing output tensor and
-// argmax slice (len(arg) == out.Size()), overwriting both.
+// argmax slice (len(arg) == out.Size()), overwriting both. A nil arg
+// skips the argmax: an eval forward keeps no backward state.
 func MaxPoolInto(out *Tensor, arg []int, x *Tensor, p ConvParams) {
 	n, c, h, w := nchw("MaxPoolInto", x)
 	oh, ow := p.OutSize(h, w)
-	if out.Size() != n*c*oh*ow || len(arg) != out.Size() {
+	if out.Size() != n*c*oh*ow || (arg != nil && len(arg) != out.Size()) {
 		panic(fmt.Sprintf("tensor: MaxPoolInto out %v/arg %d, want %d elements", out.Shape, len(arg), n*c*oh*ow))
 	}
 	for img := 0; img < n; img++ {
-		maxPoolImage(out.Data, arg, x.Data, c, h, w, oh, ow, p, img)
+		if p.KH == 2 && p.KW == 2 && p.PH == 0 && p.PW == 0 {
+			maxPool2x2Image(out.Data, arg, x.Data, c, h, w, oh, ow, p, img)
+		} else {
+			maxPoolImage(out.Data, arg, x.Data, c, h, w, oh, ow, p, img)
+		}
 	}
 }
 
-// maxPoolImage pools one image, recording argmax positions. Windows
-// that sit fully inside the image (always, when padding is zero and the
-// kernel fits) take a branch-light path seeded from the window's first
-// element; it selects the same maximum and the same first-wins argmax
-// as the general path, which handles clipped edge windows.
+// maxPool2x2Image pools one image with unpadded 2×2 windows, the pool
+// of every model in the zoo; every window lies inside the image. The
+// scan is the general loop's: the window's first cell, then each later
+// v with v > best, row by row, so ties keep the earlier cell and a NaN
+// wins only from the first cell. Carried as a float, each compare
+// compiled to a jump on the data, which real activations take at
+// random. Carried as bits — for the argmax, the cell's offset packed
+// below them in one uint64 — each step is one float compare and one
+// conditional move (DESIGN.md §14).
+func maxPool2x2Image(out []float32, arg []int, x []float32, c, h, w, oh, ow int, p ConvParams, img int) {
+	for ch := 0; ch < c; ch++ {
+		for oy := 0; oy < oh; oy++ {
+			oi := ((img*c+ch)*oh + oy) * ow
+			o := out[oi : oi+ow]
+			r := (img*c+ch)*h*w + oy*p.SH*w // the window row's first cell
+			r0, r1 := x[r:r+w], x[r+w:r+2*w]
+			if arg == nil {
+				for ox := range o {
+					i := ox * p.SW
+					a, b := r0[i:i+2:i+2], r1[i:i+2:i+2]
+					o[ox] = math.Float32frombits(maxStep(maxStep(maxStep(math.Float32bits(a[0]), a[1]), b[0]), b[1]))
+				}
+				continue
+			}
+			ar := arg[oi : oi+ow]
+			for ox := range o {
+				i := ox * p.SW
+				a, b := r0[i:i+2:i+2], r1[i:i+2:i+2]
+				s := uint64(math.Float32bits(a[0])) << 32
+				s = maxStepArg(maxStepArg(maxStepArg(s, a[1], 1), b[0], uint64(w)), b[1], uint64(w+1))
+				o[ox], ar[ox] = math.Float32frombits(uint32(s>>32)), r+i+int(uint32(s))
+			}
+		}
+	}
+}
+
+// maxStep is one step of the scan: v's bits if v > the value m holds,
+// else m.
+func maxStep(m uint32, v float32) uint32 {
+	if vb := math.Float32bits(v); v > math.Float32frombits(m) {
+		m = vb
+	}
+	return m
+}
+
+// maxStepArg is maxStep on a (bits, offset) pair packed as
+// bits<<32 | offset.
+func maxStepArg(s uint64, v float32, off uint64) uint64 {
+	if t := uint64(math.Float32bits(v))<<32 | off; v > math.Float32frombits(uint32(s>>32)) {
+		s = t
+	}
+	return s
+}
+
+// maxPoolImage pools one image for any other window, recording argmax
+// positions unless arg is nil. Windows that sit fully inside the image
+// take a path seeded from the window's first element; it selects the
+// same maximum and the same first-wins argmax as the general path,
+// which handles clipped edge windows.
 func maxPoolImage(out []float32, arg []int, x []float32, c, h, w, oh, ow int, p ConvParams, img int) {
 	oi := img * c * oh * ow
 	for ch := 0; ch < c; ch++ {
@@ -294,28 +387,11 @@ func maxPoolImage(out []float32, arg []int, x []float32, c, h, w, oh, ow int, p 
 			rowInside := iy0 >= 0 && iy0+p.KH <= h
 			for ox := 0; ox < ow; ox++ {
 				ix0 := ox*p.SW - p.PW
+				var best float32
+				bi := -1
 				if rowInside && ix0 >= 0 && ix0+p.KW <= w {
 					wbase := cbase + iy0*w + ix0
-					if p.KH == 2 && p.KW == 2 {
-						// The 2x2 stride-2 window of every pooling
-						// layer in the model zoo: four direct loads,
-						// same first-wins scan order as the loop.
-						best, bi := x[wbase], wbase
-						if v := x[wbase+1]; v > best {
-							best, bi = v, wbase+1
-						}
-						if v := x[wbase+w]; v > best {
-							best, bi = v, wbase+w
-						}
-						if v := x[wbase+w+1]; v > best {
-							best, bi = v, wbase+w+1
-						}
-						out[oi] = best
-						arg[oi] = bi
-						oi++
-						continue
-					}
-					best, bi := x[wbase], wbase
+					best, bi = x[wbase], wbase
 					for ky := 0; ky < p.KH; ky++ {
 						row := x[wbase+ky*w : wbase+ky*w+p.KW]
 						for kx, v := range row {
@@ -324,31 +400,28 @@ func maxPoolImage(out []float32, arg []int, x []float32, c, h, w, oh, ow int, p 
 							}
 						}
 					}
-					out[oi] = best
-					arg[oi] = bi
-					oi++
-					continue
-				}
-				best := float32(0)
-				bi := -1
-				for ky := 0; ky < p.KH; ky++ {
-					iy := iy0 + ky
-					if iy < 0 || iy >= h {
-						continue
-					}
-					for kx := 0; kx < p.KW; kx++ {
-						ix := ix0 + kx
-						if ix < 0 || ix >= w {
+				} else {
+					for ky := 0; ky < p.KH; ky++ {
+						iy := iy0 + ky
+						if iy < 0 || iy >= h {
 							continue
 						}
-						v := x[cbase+iy*w+ix]
-						if bi < 0 || v > best {
-							best, bi = v, cbase+iy*w+ix
+						for kx := 0; kx < p.KW; kx++ {
+							ix := ix0 + kx
+							if ix < 0 || ix >= w {
+								continue
+							}
+							v := x[cbase+iy*w+ix]
+							if bi < 0 || v > best {
+								best, bi = v, cbase+iy*w+ix
+							}
 						}
 					}
 				}
 				out[oi] = best
-				arg[oi] = bi
+				if arg != nil {
+					arg[oi] = bi
+				}
 				oi++
 			}
 		}

@@ -369,8 +369,9 @@ func checkConvMatchesNaive(t *testing.T, r *RNG, n, c, h, w int, p ConvParams, s
 // TestIm2ColCol2ImMatchNaive walks every window geometry the row-wise
 // split distinguishes — kernels 1…5 (the KW = 3 fast path and the
 // generic run), strides 1…3, padding 0…2 (no edge windows, one, two,
-// and windows wholly in the padding), rows narrower than the kernel —
-// with a −0, NaN or ±Inf planted in each input.
+// and windows wholly in the padding), rows narrower than the kernel,
+// and the 3×3/1/1 patch kernel — with a −0, NaN or ±Inf planted in
+// each input.
 func TestIm2ColCol2ImMatchNaive(t *testing.T) {
 	r := NewRNG(31)
 	specials := []float32{float32(math.Copysign(0, -1)), float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
@@ -389,7 +390,19 @@ func TestIm2ColCol2ImMatchNaive(t *testing.T) {
 			}
 		}
 	}
-	if cases < 200 {
+	// The patch kernel's 3×3/1/1, which the table above never forms,
+	// at every image size the model zoo runs and where both neighbour
+	// rows (h = 1) or columns (w = 1) are padding.
+	p := ConvParams{KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1}
+	for _, n := range []int{1, 3} {
+		for _, h := range []int{1, 2, 3, 4, 8} {
+			for _, w := range []int{1, 2, 3, 4, 8} {
+				checkConvMatchesNaive(t, r, n, 1+cases%4, h, w, p, specials[cases%len(specials)])
+				cases++
+			}
+		}
+	}
+	if cases < 250 {
 		t.Fatalf("only %d cases ran", cases)
 	}
 }
@@ -473,5 +486,97 @@ func TestImageKernelsRejectBadOperands(t *testing.T) {
 			}()
 			c.call()
 		}()
+	}
+}
+
+// naiveMaxPool is max pooling as the per-window scan: each window's
+// first in-image cell, then each later cell v with v > best, row by
+// row. It is the oracle for the value and the first-wins argmax.
+func naiveMaxPool(x *Tensor, p ConvParams) (*Tensor, []int) {
+	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	oh, ow := p.OutSize(h, w)
+	out, arg := New(n, c, oh, ow), make([]int, n*c*oh*ow)
+	oi := 0
+	for plane := 0; plane < n*c; plane++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				best, bi := float32(0), -1
+				for ky := 0; ky < p.KH; ky++ {
+					for kx := 0; kx < p.KW; kx++ {
+						iy, ix := oy*p.SH-p.PH+ky, ox*p.SW-p.PW+kx
+						if iy < 0 || iy >= h || ix < 0 || ix >= w {
+							continue
+						}
+						i := (plane*h+iy)*w + ix
+						if v := x.Data[i]; bi < 0 || v > best {
+							best, bi = v, i
+						}
+					}
+				}
+				out.Data[oi], arg[oi] = best, bi
+				oi++
+			}
+		}
+	}
+	return out, arg
+}
+
+// checkMaxPool runs MaxPoolInto with an argmax (train) and without one
+// (eval) and demands the oracle's bits and argmax.
+func checkMaxPool(t *testing.T, x *Tensor, p ConvParams) {
+	t.Helper()
+	want, wantArg := naiveMaxPool(x, p)
+	got, arg := New(want.Shape...), make([]int, want.Size())
+	MaxPoolInto(got, arg, x, p)
+	sameBits(t, fmt.Sprintf("MaxPoolInto train %v %+v", x.Shape, p), got, want)
+	for i := range arg {
+		if arg[i] != wantArg[i] {
+			t.Fatalf("MaxPoolInto %v %+v: arg[%d] = %d, want %d", x.Shape, p, i, arg[i], wantArg[i])
+		}
+	}
+	eval := New(want.Shape...)
+	MaxPoolInto(eval, nil, x, p)
+	sameBits(t, fmt.Sprintf("MaxPoolInto eval %v %+v", x.Shape, p), eval, want)
+}
+
+// TestMaxPool2x2SelectExhaustive runs the 2×2 pool, eval value and
+// train value + argmax, on all 8⁴ windows over NaN, −Inf, −1, −0, +0,
+// the smallest denormal, 1 and +Inf: ties keep the earlier cell, −0 and
+// +0 tie, and a NaN wins only from the first cell. The windows tile two
+// images of two channels, so the argmax offsets cross planes.
+func TestMaxPool2x2SelectExhaustive(t *testing.T) {
+	specials := []float32{
+		float32(math.NaN()), float32(math.Inf(-1)), -1, float32(math.Copysign(0, -1)),
+		0, math.Float32frombits(1), 1, float32(math.Inf(1)),
+	}
+	const windows = 8 * 8 * 8 * 8
+	n, c, h, w := 2, 2, 2, 2*windows/4
+	x := New(n, c, h, w)
+	for k := 0; k < windows; k++ {
+		plane, col := k/(windows/4), 2*(k%(windows/4))
+		base := plane * h * w
+		x.Data[base+col] = specials[k&7]
+		x.Data[base+col+1] = specials[k>>3&7]
+		x.Data[base+w+col] = specials[k>>6&7]
+		x.Data[base+w+col+1] = specials[k>>9&7]
+	}
+	checkMaxPool(t, x, ConvParams{KH: 2, KW: 2, SH: 2, SW: 2})
+}
+
+// TestMaxPoolMatchesNaive walks pool geometries beside the model zoo's
+// 2×2/2 — overlapping 2×2 windows, a stride per axis, padded and
+// clipped 3×3 windows — with one special planted per input.
+func TestMaxPoolMatchesNaive(t *testing.T) {
+	r := NewRNG(41)
+	specials := []float32{float32(math.Copysign(0, -1)), float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	for i, p := range []ConvParams{
+		{KH: 2, KW: 2, SH: 2, SW: 2}, {KH: 2, KW: 2, SH: 1, SW: 1}, {KH: 2, KW: 2, SH: 1, SW: 2},
+		{KH: 3, KW: 3, SH: 2, SW: 2}, {KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1}, {KH: 2, KW: 2, SH: 2, SW: 2, PH: 1, PW: 1},
+	} {
+		for _, hw := range [][2]int{{2, 2}, {5, 4}, {8, 8}, {7, 9}} {
+			x := randTensor(r, 2, 3, hw[0], hw[1])
+			x.Data[r.Intn(len(x.Data))] = specials[i%len(specials)]
+			checkMaxPool(t, x, p)
+		}
 	}
 }

@@ -133,14 +133,18 @@ func Transpose2D(a *Tensor) *Tensor {
 	if a.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: Transpose2D of %v", a.Shape))
 	}
-	m, n := a.Shape[0], a.Shape[1]
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.Data[j*m+i] = a.Data[i*n+j]
-		}
-	}
+	out := New(a.Shape[1], a.Shape[0])
+	Transpose2DInto(out, a)
 	return out
+}
+
+// Transpose2DInto writes the transpose of a 2-D tensor a[m,n] into an
+// existing [n,m] tensor, overwriting its contents.
+func Transpose2DInto(dst, a *Tensor) {
+	if a.Dims() != 2 || dst.Dims() != 2 || dst.Shape[0] != a.Shape[1] || dst.Shape[1] != a.Shape[0] {
+		panic(fmt.Sprintf("tensor: Transpose2DInto dst %v for %v", dst.Shape, a.Shape))
+	}
+	transposeInto(dst.Data, a.Data, a.Shape[0], a.Shape[1])
 }
 
 // SumRows reduces a 2-D tensor [m,n] over rows, producing [n]. Used for

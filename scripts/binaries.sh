@@ -3,35 +3,59 @@
 # ./cmd/... into a temporary directory, starts socflow-server on a port
 # the kernel picks, submits a training job and a serving window to it,
 # checks that a config the daemon can never run is refused at submit with
-# its sentinel named, and stops the daemon with SIGINT. Nothing is
-# written in the checkout.
+# its sentinel named, checks that /debug/pprof/ is served only with
+# --pprof (200 on a second daemon started with it, 404 here), and stops
+# the daemons with SIGINT. Nothing is written in the checkout.
 #
 #   scripts/binaries.sh
 set -eu
 
 bin=$(mktemp -d "${TMPDIR:-/tmp}/socflow-bin.XXXXXX")
-pid=
+pid= ppid=
 cleanup() {
-    if [ -n "$pid" ]; then kill "$pid" 2>/dev/null || true; fi
+    for p in $pid $ppid; do kill "$p" 2>/dev/null || true; done
     rm -rf "$bin"
 }
 trap cleanup EXIT INT TERM
 
 go build -o "$bin" ./cmd/...
 
+# wait_addr LOG: prints the address the daemon logging to LOG bound.
+wait_addr() {
+    for _ in $(seq 100); do
+        a=$(sed -n 's/.*listening on \([^ ]*\) .*/\1/p' "$1")
+        if [ -n "$a" ]; then
+            echo "$a"
+            return
+        fi
+        sleep 0.1
+    done
+    cat "$1" >&2
+    exit 1
+}
+
+# expect_status URL CODE: fails unless GET URL answers CODE.
+expect_status() {
+    got=$(curl -s -o /dev/null -w '%{http_code}' "$1")
+    if [ "$got" != "$2" ]; then
+        echo "GET $1 answered $got, want $2" >&2
+        exit 1
+    fi
+}
+
 "$bin/socflow-server" --addr 127.0.0.1:0 --socs 32 2>"$bin/server.log" &
 pid=$!
-addr=
-for _ in $(seq 100); do
-    addr=$(sed -n 's/.*listening on \([^ ]*\) .*/\1/p' "$bin/server.log")
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    cat "$bin/server.log"
-    exit 1
-fi
-url=http://$addr
+url=http://$(wait_addr "$bin/server.log")
+expect_status "$url/debug/pprof/" 404
+
+"$bin/socflow-server" --addr 127.0.0.1:0 --socs 32 --pprof 2>"$bin/pprof.log" &
+ppid=$!
+purl=http://$(wait_addr "$bin/pprof.log")
+expect_status "$purl/debug/pprof/" 200
+expect_status "$purl/metrics" 200
+kill -INT "$ppid"
+wait "$ppid"
+ppid=
 
 "$bin/socflow-train" --server "$url" --model lenet5 --dataset fmnist \
     --socs 8 --groups 2 --epochs 1 --samples 160
