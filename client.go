@@ -1,6 +1,7 @@
 package socflow
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -48,8 +49,7 @@ type Client struct {
 // Dial returns a Client for a socflow-server daemon at base (e.g.
 // "http://127.0.0.1:7077"). Remote jobs carry the Config and the
 // tenant/priority options; execution options (parallelism, tracing,
-// metrics) apply to the daemon's process and are not transmitted, and
-// Events streams are unavailable remotely.
+// metrics) apply to the daemon's process and are not transmitted.
 func Dial(base string) *Client {
 	return &Client{base: base, hc: &http.Client{}}
 }
@@ -137,8 +137,9 @@ func (h *jobRef) Cancel(ctx context.Context) error {
 // emits (epoch completions first among them) from the moment Events is
 // first called, buffered a few hundred entries deep (slow consumers
 // drop, never block training). The channel closes when the job reaches
-// a terminal state. Remote handles return an already-closed channel —
-// the HTTP surface carries statuses, not streams.
+// a terminal state. A remote handle follows the daemon's
+// GET /v1/jobs/{id}/events stream; Events returns once the daemon has
+// subscribed, and the channel also closes if the daemon goes away.
 func (h *jobRef) Events() <-chan Event {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -146,22 +147,59 @@ func (h *jobRef) Events() <-chan Event {
 		return h.events
 	}
 	h.events = make(chan Event, 256)
-	if h.closed || h.reg == nil {
+	switch {
+	case h.closed:
 		close(h.events)
-		return h.events
+	case h.c.srv == nil:
+		h.followRemoteLocked()
+	default:
+		h.reg.Subscribe(h.deliver)
 	}
-	h.reg.Subscribe(func(e Event) {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		if h.closed {
-			return
-		}
-		select {
-		case h.events <- e:
-		default: // full buffer: drop rather than stall training
-		}
-	})
 	return h.events
+}
+
+// deliver queues e on the stream; a full buffer drops it rather than
+// stall the emitter.
+func (h *jobRef) deliver(e Event) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.closed {
+		return
+	}
+	select {
+	case h.events <- e:
+	default:
+	}
+}
+
+// followRemoteLocked opens the daemon's server-sent event stream for
+// the job, whose headers arrive once the daemon has subscribed, and
+// copies its events into the handle's channel until the stream ends.
+func (h *jobRef) followRemoteLocked() {
+	resp, err := h.c.hc.Get(h.c.base + "/v1/jobs/" + h.id + "/events")
+	if err != nil || resp.StatusCode != http.StatusOK {
+		if err == nil {
+			resp.Body.Close()
+		}
+		h.closed = true
+		close(h.events)
+		return
+	}
+	go func() {
+		defer h.finishEvents()
+		defer resp.Body.Close()
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			data, ok := bytes.CutPrefix(sc.Bytes(), []byte("data: "))
+			if !ok {
+				continue
+			}
+			var e Event
+			if json.Unmarshal(data, &e) == nil {
+				h.deliver(e)
+			}
+		}
+	}()
 }
 
 // finishEvents closes the stream at job termination.

@@ -92,7 +92,15 @@ func main() {
 	if err != nil {
 		log.Fatalf("socflow-server: %v", err)
 	}
-	hs := &http.Server{Handler: handler(srv, *withPprof)}
+	// Requests share a context that shutdown cancels: an open
+	// GET /v1/jobs/{id}/events stream otherwise lasts until its job
+	// ends, and would hold Shutdown (and the drain after it) hostage.
+	reqCtx, endRequests := context.WithCancel(context.Background())
+	hs := &http.Server{
+		Handler:     handler(srv, *withPprof),
+		BaseContext: func(net.Listener) context.Context { return reqCtx },
+	}
+	hs.RegisterOnShutdown(endRequests)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 

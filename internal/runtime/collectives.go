@@ -47,6 +47,10 @@ func chunkBounds(n, count, c int) (lo, hi int) {
 // all-reduce (reduce-scatter then all-gather) over members, averaging
 // `data` in place. Every member must call it with the same member list
 // and an equal-length vector. A single member is a no-op.
+//
+// Every step encodes its chunk into one frame buffer the call owns,
+// sized for the largest chunk; received chunks are added (reduce-
+// scatter) or decoded (all-gather) straight from the frame into data.
 func RingAllReduceAverage(node transport.Node, members []int, data []float32) error {
 	n := len(members)
 	if n <= 1 {
@@ -58,6 +62,7 @@ func RingAllReduceAverage(node transport.Node, members []int, data []float32) er
 	}
 	right := members[(rank+1)%n]
 	left := members[(rank-1+n)%n]
+	frame := make([]byte, 0, 4+4*((len(data)+n-1)/n))
 
 	// Phase 1: reduce-scatter. After step s each rank has accumulated
 	// one more peer's contribution to a rotating chunk; after n-1 steps
@@ -66,23 +71,17 @@ func RingAllReduceAverage(node transport.Node, members []int, data []float32) er
 		sendIdx := (rank - s + n) % n
 		recvIdx := (rank - s - 1 + n) % n
 		lo, hi := chunkBounds(len(data), n, sendIdx)
-		if err := node.Send(right, transport.EncodeVector(data[lo:hi])); err != nil {
+		frame = transport.AppendVector(frame[:0], data[lo:hi])
+		if err := node.Send(right, frame); err != nil {
 			return err
 		}
 		msg, err := node.Recv(left)
 		if err != nil {
 			return err
 		}
-		chunk, err := transport.DecodeVector(msg)
-		if err != nil {
-			return err
-		}
 		rlo, rhi := chunkBounds(len(data), n, recvIdx)
-		if rhi-rlo != len(chunk) {
-			return fmt.Errorf("runtime: reduce-scatter chunk size mismatch %d vs %d", rhi-rlo, len(chunk))
-		}
-		for i := range chunk {
-			data[rlo+i] += chunk[i]
+		if err := transport.AddVector(data[rlo:rhi], msg); err != nil {
+			return fmt.Errorf("runtime: reduce-scatter: %w", err)
 		}
 	}
 
@@ -91,22 +90,18 @@ func RingAllReduceAverage(node transport.Node, members []int, data []float32) er
 		sendIdx := (rank + 1 - s + n) % n
 		recvIdx := (rank - s + n) % n
 		lo, hi := chunkBounds(len(data), n, sendIdx)
-		if err := node.Send(right, transport.EncodeVector(data[lo:hi])); err != nil {
+		frame = transport.AppendVector(frame[:0], data[lo:hi])
+		if err := node.Send(right, frame); err != nil {
 			return err
 		}
 		msg, err := node.Recv(left)
 		if err != nil {
 			return err
 		}
-		chunk, err := transport.DecodeVector(msg)
-		if err != nil {
-			return err
-		}
 		rlo, rhi := chunkBounds(len(data), n, recvIdx)
-		if rhi-rlo != len(chunk) {
-			return fmt.Errorf("runtime: all-gather chunk size mismatch %d vs %d", rhi-rlo, len(chunk))
+		if err := transport.DecodeVectorInto(data[rlo:rhi], msg); err != nil {
+			return fmt.Errorf("runtime: all-gather: %w", err)
 		}
-		copy(data[rlo:rhi], chunk)
 	}
 
 	inv := 1 / float32(n)
@@ -135,14 +130,9 @@ func Broadcast(node transport.Node, members []int, root int, data []float32) err
 	if err != nil {
 		return err
 	}
-	v, err := transport.DecodeVector(msg)
-	if err != nil {
-		return err
+	if err := transport.DecodeVectorInto(data, msg); err != nil {
+		return fmt.Errorf("runtime: broadcast: %w", err)
 	}
-	if len(v) != len(data) {
-		return fmt.Errorf("runtime: broadcast length %d, want %d", len(v), len(data))
-	}
-	copy(data, v)
 	return nil
 }
 

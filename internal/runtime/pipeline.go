@@ -59,6 +59,9 @@ type pipeWorker struct {
 	sched dataset.Schedule
 
 	syncFlat []float32
+	// The stage relay's frame buffers (sendOne, recvOne).
+	relayOut      []byte
+	actIn, gradIn []*tensor.Tensor
 	// elastic switches on the epoch-end leader-served full-model sync
 	// (every placed node ends the epoch holding the aggregated model,
 	// so any survivor can donate state to a re-plan).
@@ -151,26 +154,6 @@ func (w *pipeWorker) runEpoch(epoch int, _ *round) error {
 		next = p.Placement[g][i+1]
 	}
 
-	recvOne := func(from int) (*tensor.Tensor, error) {
-		msg, err := w.node.Recv(from)
-		if err != nil {
-			return nil, err
-		}
-		ts, err := transport.DecodeTensors(msg)
-		if err != nil {
-			return nil, err
-		}
-		if len(ts) != 1 {
-			return nil, fmt.Errorf("runtime: stage boundary frame holds %d tensors, want 1", len(ts))
-		}
-		return ts[0], nil
-	}
-	sendOne := func(to int, t *tensor.Tensor) error {
-		payload := transport.EncodeTensors([]*tensor.Tensor{t})
-		w.cActBytes.Add(int64(len(payload)))
-		return w.node.Send(to, payload)
-	}
-
 	epochSpan := reg.BeginSpan("epoch", "stage", me)
 	defer epochSpan.End()
 	steps := it.BatchesPerEpoch()
@@ -197,7 +180,7 @@ func (w *pipeWorker) runEpoch(epoch int, _ *round) error {
 			if i == 0 {
 				act = w.stage.Forward(tensor.Rows(x, lo, hi), true)
 			} else {
-				in, err := recvOne(prev)
+				in, err := w.recvOne(prev, &w.actIn)
 				if err != nil {
 					return err
 				}
@@ -214,10 +197,10 @@ func (w *pipeWorker) runEpoch(epoch int, _ *round) error {
 				tensor.Scale(float32(hi-lo)/float32(bs), gr)
 				outGrad = gr
 			} else {
-				if err := sendOne(next, act); err != nil {
+				if err := w.sendOne(next, act); err != nil {
 					return err
 				}
-				gr, err := recvOne(next)
+				gr, err := w.recvOne(next, &w.gradIn)
 				if err != nil {
 					return err
 				}
@@ -225,7 +208,7 @@ func (w *pipeWorker) runEpoch(epoch int, _ *round) error {
 			}
 			inGrad := w.stage.Backward(outGrad)
 			if i > 0 {
-				if err := sendOne(prev, inGrad); err != nil {
+				if err := w.sendOne(prev, inGrad); err != nil {
 					return err
 				}
 			}
@@ -290,6 +273,34 @@ func (w *pipeWorker) runEpoch(epoch int, _ *round) error {
 		}
 	}
 	return nil
+}
+
+// recvOne takes one stage-boundary tensor from a neighbour, decoded
+// into *into: the relay keeps one received tensor per direction
+// (activations from prev, gradients from next), and each is consumed
+// before the next frame from its direction arrives.
+func (w *pipeWorker) recvOne(from int, into *[]*tensor.Tensor) (*tensor.Tensor, error) {
+	msg, err := w.node.Recv(from)
+	if err != nil {
+		return nil, err
+	}
+	ts, err := transport.DecodeTensorsInto(*into, msg)
+	if err != nil {
+		return nil, err
+	}
+	*into = ts
+	if len(ts) != 1 {
+		return nil, fmt.Errorf("runtime: stage boundary frame holds %d tensors, want 1", len(ts))
+	}
+	return ts[0], nil
+}
+
+// sendOne ships one stage-boundary tensor to a neighbour, encoded into
+// the relay's one reused frame buffer.
+func (w *pipeWorker) sendOne(to int, t *tensor.Tensor) error {
+	w.relayOut = tensor.AppendSet(w.relayOut[:0], []*tensor.Tensor{t})
+	w.cActBytes.Add(int64(len(w.relayOut)))
+	return w.node.Send(to, w.relayOut)
 }
 
 // syncFullModel ships the leader's assembled model to every other

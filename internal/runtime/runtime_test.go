@@ -339,3 +339,45 @@ func TestRunDistributedValidation(t *testing.T) {
 		}
 	}
 }
+
+// The final model must not depend on the transport: loopback TCP frames
+// every message, ChanMesh hands the bytes over, and both must deliver
+// the same bits. The data plan is mesh-dp's topology (two groups of
+// four: a 4-member gradient ring, a 2-leader weight ring, a broadcast);
+// the pipeline plan relays activations and gradients between stages.
+func TestFinalWeightBitsMatchAcrossTransports(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		model   string
+		samples int
+		plan    *autoplan.Plan
+	}{
+		{"data", "lenet5", 320, dataPlan(8, 16, [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}})},
+		{"pipeline", "resnet34", 80, pipelinePlan(t, 16, 2)},
+	} {
+		prof := dataset.MustProfile(map[string]string{"lenet5": "fmnist", "resnet34": "cifar10"}[tc.model])
+		train, val := prof.Generate(dataset.GenOptions{Samples: tc.samples, Seed: 3}).Split(0.8)
+		spec := nn.MustSpec(tc.model)
+		cfg := DistConfig{
+			JobSpec: core.JobSpec{Epochs: 2, GlobalBatch: tc.plan.Batch, LR: 0.03, Momentum: 0.9, Seed: 5},
+			Plan:    tc.plan,
+		}
+		final := map[string]*nn.Sequential{}
+		for name, mesh := range meshes(t, tc.plan.NumSoCs) {
+			res, err := RunDistributed(context.Background(), mesh, spec, train, val, cfg)
+			if err != nil {
+				t.Fatalf("%s over %s: %v", tc.name, name, err)
+			}
+			final[name] = res.Final
+		}
+		got := append(final["tcp"].Weights(), final["tcp"].StateTensors()...)
+		want := append(final["chan"].Weights(), final["chan"].StateTensors()...)
+		for k := range want {
+			for e, x := range want[k].Data {
+				if y := got[k].Data[e]; math.Float32bits(x) != math.Float32bits(y) {
+					t.Fatalf("%s: tensor %d element %d: tcp %x, chan %x", tc.name, k, e, y, x)
+				}
+			}
+		}
+	}
+}

@@ -276,6 +276,8 @@ type dpWorker struct {
 
 	// Flat exchange buffers, reused across iterations and epochs.
 	gradFlat, syncFlat []float32
+	// The member's batch-slice view and loss gradient, reused likewise.
+	xView, lossGrad *tensor.Tensor
 
 	// Instruments resolve once per worker; on a nil registry they are
 	// nil and every use is a free no-op.
@@ -337,10 +339,11 @@ func (w *dpWorker) runEpoch(epoch int, r *round) error {
 		hi := (rank + 1) * n / len(lv)
 		w.model.ZeroGrad()
 		if hi > lo {
-			xm := tensor.Rows(x, lo, hi)
-			logits := w.model.Forward(xm, true)
-			_, g := nn.SoftmaxCrossEntropy(logits, labels[lo:hi])
-			w.model.Backward(g)
+			w.xView = tensor.RowsInto(w.xView, x, lo, hi)
+			logits := w.model.Forward(w.xView, true)
+			w.lossGrad = tensor.Ensure(w.lossGrad, logits.Shape...)
+			nn.SoftmaxCrossEntropyInto(w.lossGrad, logits, labels[lo:hi])
+			w.model.Backward(w.lossGrad)
 			// Weight by actual slice size so the group average is
 			// the full-batch mean gradient.
 			scale := float32(hi-lo) * float32(len(lv)) / float32(n)

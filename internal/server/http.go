@@ -36,12 +36,13 @@ type Factory func(req SubmitRequest) (JobSpec, error)
 
 // NewHandler exposes the server over local HTTP/JSON:
 //
-//	GET    /healthz          liveness
-//	GET    /metrics          every job's registry, Prometheus text 0.0.4
-//	POST   /v1/jobs          submit (SubmitRequest -> SubmitResponse)
-//	GET    /v1/jobs          list statuses
-//	GET    /v1/jobs/{id}     one status (+ report once done)
-//	DELETE /v1/jobs/{id}     cancel
+//	GET    /healthz              liveness
+//	GET    /metrics              every job's registry, Prometheus text 0.0.4
+//	POST   /v1/jobs              submit (SubmitRequest -> SubmitResponse)
+//	GET    /v1/jobs              list statuses
+//	GET    /v1/jobs/{id}         one status (+ report once done)
+//	GET    /v1/jobs/{id}/events  the job's events, text/event-stream, until it ends
+//	DELETE /v1/jobs/{id}         cancel
 func NewHandler(s *Server, f Factory) http.Handler {
 	mux := http.NewServeMux()
 
@@ -95,6 +96,8 @@ func NewHandler(s *Server, f Factory) http.Handler {
 		}
 		writeJSON(w, resp)
 	})
+
+	mux.HandleFunc("GET /v1/jobs/{id}/events", s.serveEvents)
 
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if err := s.Cancel(r.PathValue("id")); err != nil {

@@ -2,7 +2,11 @@ package transport
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"testing"
+
+	"socflow/internal/tensor"
 )
 
 // An 8-byte frame claiming 0x40000001 elements: 4·n wraps to 4 in 32
@@ -48,15 +52,47 @@ func FuzzDecodeVector(f *testing.F) {
 }
 
 // FuzzDecodeTensors: a peer's bytes either fail to decode or the tensors
-// re-encode to the bytes the decoder consumed; no input panics.
+// re-encode to the bytes the decoder consumed; no input panics. The byte
+// decoder agrees with tensor.ReadSet, the stream decoder checkpoints
+// use, on every input (the same tensors, or an error from both), and
+// decoding again into the tensors it returned gives the same set.
 func FuzzDecodeTensors(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		ts, err := DecodeTensors(b)
+		rs, rerr := tensor.ReadSet(bytes.NewReader(b), maxTensorSize)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("%x: DecodeTensors error %v, ReadSet error %v", b, err, rerr)
+		}
 		if err != nil {
 			return
+		}
+		if !sameTensors(ts, rs) {
+			t.Fatalf("%x: DecodeTensors and ReadSet decode different sets", b)
 		}
 		if !bytes.HasPrefix(b, EncodeTensors(ts)) {
 			t.Fatalf("%x decoded to %d tensors that re-encode differently", b, len(ts))
 		}
+		again, err := DecodeTensorsInto(ts, b)
+		if err != nil || !sameTensors(again, rs) {
+			t.Fatalf("%x: decoding into the last result gave %d tensors, %v", b, len(again), err)
+		}
 	})
+}
+
+// sameTensors compares two sets by shape and data bits.
+func sameTensors(a, b []*tensor.Tensor) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !slices.Equal(a[i].Shape, b[i].Shape) || len(a[i].Data) != len(b[i].Data) {
+			return false
+		}
+		for e, x := range a[i].Data {
+			if math.Float32bits(x) != math.Float32bits(b[i].Data[e]) {
+				return false
+			}
+		}
+	}
+	return true
 }

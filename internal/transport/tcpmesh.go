@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -190,47 +191,53 @@ func (m *TCPMesh) Close() error {
 }
 
 type tcpNode struct {
-	mesh *TCPMesh
-	id   int
-	n    int
+	mesh  *TCPMesh
+	id    int
+	n     int
+	mu    sync.Mutex // orders attach against close
+	links []tcpLink  // indexed by peer
+}
 
-	mu    sync.Mutex
-	conns []net.Conn
-	wmu   []sync.Mutex
-	inbox []chan []byte
-	ready []chan struct{} // closed when conns[peer] is attached
+// tcpLink is a node's end of the connection to one peer.
+type tcpLink struct {
+	ready chan struct{} // closed once conn is attached
+	conn  net.Conn      // set under the node's mu before ready closes
+	inbox chan []byte   // frames the reader goroutine has taken off conn
+
+	wmu sync.Mutex  // serializes Sends to this peer
+	fw  frameWriter // under wmu
+
+	// timer bounds Recv's wait. A peer's frames arrive in order, so one
+	// goroutine at a time receives from it and the timer is reused call
+	// to call.
+	timer *time.Timer
 }
 
 func newTCPNode(m *TCPMesh, id, n int) *tcpNode {
-	nd := &tcpNode{
-		mesh:  m,
-		id:    id,
-		n:     n,
-		conns: make([]net.Conn, n),
-		wmu:   make([]sync.Mutex, n),
-		inbox: make([]chan []byte, n),
-		ready: make([]chan struct{}, n),
-	}
-	for i := range nd.inbox {
-		nd.inbox[i] = make(chan []byte, 64)
-		nd.ready[i] = make(chan struct{})
+	nd := &tcpNode{mesh: m, id: id, n: n, links: make([]tcpLink, n)}
+	for i := range nd.links {
+		nd.links[i].inbox = make(chan []byte, 64)
+		nd.links[i].ready = make(chan struct{})
 	}
 	return nd
 }
 
 func (nd *tcpNode) attach(peer int, conn net.Conn) {
+	l := &nd.links[peer]
 	nd.mu.Lock()
-	nd.conns[peer] = conn
-	close(nd.ready[peer])
+	l.conn = conn
+	close(l.ready)
 	nd.mu.Unlock()
 	go func() {
+		// Buffered: a small frame, header and payload, is one read.
+		r := bufio.NewReader(conn)
 		for {
-			msg, err := readFrame(conn)
+			msg, err := readFrame(r)
 			if err != nil {
-				close(nd.inbox[peer])
+				close(l.inbox)
 				return
 			}
-			nd.inbox[peer] <- msg
+			l.inbox <- msg
 		}
 	}()
 }
@@ -238,8 +245,8 @@ func (nd *tcpNode) attach(peer int, conn net.Conn) {
 func (nd *tcpNode) close() {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	for _, c := range nd.conns {
-		if c != nil {
+	for i := range nd.links {
+		if c := nd.links[i].conn; c != nil {
 			c.Close()
 		}
 	}
@@ -248,34 +255,24 @@ func (nd *tcpNode) close() {
 func (nd *tcpNode) ID() int   { return nd.id }
 func (nd *tcpNode) Size() int { return nd.n }
 
-// countWriter tracks whether any bytes reached the connection, which
-// decides whether a timed-out frame write is retryable: once part of a
-// frame is on the wire, a retry would corrupt the peer's framing.
-type countWriter struct {
-	w io.Writer
-	n int
-}
-
-func (cw *countWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += n
-	return n, err
-}
-
+// Send writes payload as one frame, header and payload in one write.
+// A write that times out is retried only when none of the frame's bytes
+// reached the wire: once part of a frame is out, a retry would corrupt
+// the peer's framing.
 func (nd *tcpNode) Send(to int, payload []byte) error {
 	if to < 0 || to >= nd.n || to == nd.id {
 		return fmt.Errorf("transport: node %d cannot send to %d", nd.id, to)
 	}
+	l := &nd.links[to]
 	// The peer may never attach if the mesh is torn down during
 	// construction; never wait on ready without also watching done.
 	select {
-	case <-nd.ready[to]:
+	case <-l.ready:
 	case <-nd.mesh.done:
 		return fmt.Errorf("%w while %d sends to %d", ErrMeshClosed, nd.id, to)
 	}
-	nd.wmu[to].Lock()
-	defer nd.wmu[to].Unlock()
-	conn := nd.conns[to]
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
 	backoff := 10 * time.Millisecond
 	var err error
 	for attempt := 0; attempt <= nd.mesh.opRetries; attempt++ {
@@ -288,21 +285,20 @@ func (nd *tcpNode) Send(to int, payload []byte) error {
 			}
 			backoff *= 2
 		}
-		conn.SetWriteDeadline(time.Now().Add(nd.mesh.opTimeout))
-		cw := &countWriter{w: conn}
-		err = writeFrame(cw, payload)
+		// Every Send arms its own deadline before writing, so one left
+		// armed after a success never reaches the next frame.
+		l.conn.SetWriteDeadline(time.Now().Add(nd.mesh.opTimeout))
+		var n int64
+		n, err = l.fw.writeFrame(l.conn, payload)
 		if err == nil {
-			conn.SetWriteDeadline(time.Time{})
 			return nil
 		}
-		// Retry only a clean timeout with nothing on the wire; a partial
-		// frame (or any other failure) is fatal for the stream.
 		var ne net.Error
 		if !errors.As(err, &ne) || !ne.Timeout() {
 			break
 		}
 		nd.mesh.cDeadlineHits.Inc()
-		if cw.n != 0 {
+		if n != 0 {
 			break
 		}
 	}
@@ -318,20 +314,30 @@ func (nd *tcpNode) Recv(from int) ([]byte, error) {
 	if from < 0 || from >= nd.n || from == nd.id {
 		return nil, fmt.Errorf("transport: node %d cannot recv from %d", nd.id, from)
 	}
+	l := &nd.links[from]
+	// A frame already queued needs no timer.
+	select {
+	case msg, ok := <-l.inbox:
+		return nd.delivered(msg, ok, from)
+	case <-nd.mesh.done:
+		return nil, fmt.Errorf("%w while %d recvs from %d", ErrMeshClosed, nd.id, from)
+	default:
+	}
 	wait := nd.mesh.opTimeout
 	for attempt := 0; attempt <= nd.mesh.opRetries; attempt++ {
-		timer := time.NewTimer(wait)
+		if l.timer == nil {
+			l.timer = time.NewTimer(wait)
+		} else {
+			l.timer.Reset(wait)
+		}
 		select {
-		case msg, ok := <-nd.inbox[from]:
-			timer.Stop()
-			if !ok {
-				return nil, fmt.Errorf("transport: link %d->%d closed", from, nd.id)
-			}
-			return msg, nil
+		case msg, ok := <-l.inbox:
+			l.stopTimer()
+			return nd.delivered(msg, ok, from)
 		case <-nd.mesh.done:
-			timer.Stop()
+			l.stopTimer()
 			return nil, fmt.Errorf("%w while %d recvs from %d", ErrMeshClosed, nd.id, from)
-		case <-timer.C:
+		case <-l.timer.C:
 			nd.mesh.cDeadlineHits.Inc()
 			if attempt < nd.mesh.opRetries {
 				nd.mesh.cRetries.Inc()
@@ -340,4 +346,24 @@ func (nd *tcpNode) Recv(from int) ([]byte, error) {
 		}
 	}
 	return nil, fmt.Errorf("transport: recv %d<-%d: no frame within %d attempts of %v", nd.id, from, nd.mesh.opRetries+1, nd.mesh.opTimeout)
+}
+
+// stopTimer stops Recv's timer and drains a fire that raced the stop,
+// so the next Reset starts clean.
+func (l *tcpLink) stopTimer() {
+	if !l.timer.Stop() {
+		select {
+		case <-l.timer.C:
+		default:
+		}
+	}
+}
+
+// delivered turns a receive from a link's inbox into Recv's result: the
+// reader goroutine closes the inbox when the connection fails.
+func (nd *tcpNode) delivered(msg []byte, ok bool, from int) ([]byte, error) {
+	if !ok {
+		return nil, fmt.Errorf("transport: link %d->%d closed", from, nd.id)
+	}
+	return msg, nil
 }

@@ -1,20 +1,28 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
+	"net"
+	goruntime "runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"socflow/internal/metrics"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello frames")
-	if err := writeFrame(&buf, payload); err != nil {
+	var fw frameWriter
+	if _, err := fw.writeFrame(&buf, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readFrame(&buf)
+	got, err := readFrame(bufio.NewReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,21 +33,165 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameRejectsOversize(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, make([]byte, maxFrame+1)); err == nil {
+	var fw frameWriter
+	if _, err := fw.writeFrame(&buf, make([]byte, maxFrame+1)); err == nil {
 		t.Fatal("oversize frame must be rejected on write")
 	}
 	// Corrupted length prefix on read.
 	buf.Reset()
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := readFrame(&buf); err == nil {
+	if _, err := readFrame(bufio.NewReader(&buf)); err == nil {
 		t.Fatal("oversize frame must be rejected on read")
 	}
 }
 
 func TestFrameShortRead(t *testing.T) {
 	buf := bytes.NewBuffer([]byte{8, 0, 0, 0, 1, 2}) // announces 8 bytes, has 2
-	if _, err := readFrame(buf); err == nil {
+	if _, err := readFrame(bufio.NewReader(buf)); err == nil {
 		t.Fatal("truncated frame must error")
+	}
+}
+
+// readFrames reads every frame in b through the buffered frame reader,
+// as a connection's reader goroutine does, checking that each frame is
+// exactly the bytes its header announced. It returns how many input
+// bytes the frames covered and the bytes allocated while reading.
+func readFrames(t *testing.T, b []byte) (covered int, allocated uint64) {
+	t.Helper()
+	r := bufio.NewReader(bytes.NewReader(b))
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for {
+		p, err := readFrame(r)
+		if err != nil {
+			break
+		}
+		if !bytes.Equal(p, b[covered+4:covered+4+len(p)]) || binary.LittleEndian.Uint32(b[covered:]) != uint32(len(p)) {
+			t.Fatalf("frame at byte %d is not the %d bytes its header announced", covered, len(p))
+		}
+		covered += 4 + len(p)
+	}
+	goruntime.ReadMemStats(&after)
+	return covered, after.TotalAlloc - before.TotalAlloc
+}
+
+// frameAllocBound is what reading len(b) bytes of frames may allocate:
+// the reader's buffer, one frameChunk ahead of the data, and the
+// doubling growth of a frame larger than that (at most four times its
+// bytes), with slack for the runtime.
+func frameAllocBound(n int) uint64 { return uint64(4*n + frameChunk + 4096 + 64<<10) }
+
+// FuzzReadFrame: arbitrary bytes through the buffered frame reader yield
+// whole frames and then an error, never a panic, and allocate in
+// proportion to the bytes that arrived, not to what a header claims.
+func FuzzReadFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if _, allocated := readFrames(t, b); allocated > frameAllocBound(len(b)) {
+			t.Fatalf("%d input bytes allocated %d bytes", len(b), allocated)
+		}
+	})
+}
+
+// A frame larger than frameChunk grows as its bytes arrive and still
+// reads back whole; a header claiming 64 MiB ahead of 100 KiB costs
+// about what arrived.
+func TestReadFrameGrowsWithArrivingBytes(t *testing.T) {
+	var buf bytes.Buffer
+	var fw frameWriter
+	big := make([]byte, 3*frameChunk+5)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	if _, err := fw.writeFrame(&buf, big); err != nil {
+		t.Fatal(err)
+	}
+	if covered, _ := readFrames(t, buf.Bytes()); covered != buf.Len() {
+		t.Fatalf("read %d of %d bytes as frames", covered, buf.Len())
+	}
+	hostile := make([]byte, 4+100<<10)
+	binary.LittleEndian.PutUint32(hostile, maxFrame)
+	covered, allocated := readFrames(t, hostile)
+	if covered != 0 || allocated > frameAllocBound(len(hostile)) {
+		t.Fatalf("truncated 64 MiB claim: %d bytes read as frames, %d bytes allocated", covered, allocated)
+	}
+}
+
+// meshOver is a two-node TCPMesh whose node 0 reaches node 1 over conn,
+// for tests that control the far end of the link themselves.
+func meshOver(conn net.Conn) *TCPMesh {
+	m := &TCPMesh{n: 2, done: make(chan struct{}), opTimeout: DefaultOpTimeout, opRetries: DefaultOpRetries}
+	m.nodes = []*tcpNode{newTCPNode(m, 0, 2), newTCPNode(m, 1, 2)}
+	m.nodes[0].attach(1, conn)
+	return m
+}
+
+// A steady-state Send of a small frame allocates nothing: the header
+// and payload go out in one write through the link's reused frame
+// writer. The peer end discards the bytes without allocating, so the
+// count sees only Send.
+func TestTCPSendDoesNotAllocate(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		if c, err := l.Accept(); err == nil {
+			io.Copy(io.Discard, c)
+			c.Close()
+		}
+	}()
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := meshOver(conn)
+	defer m.Close()
+	payload := make([]byte, 2400)
+	if a := testing.AllocsPerRun(200, func() {
+		if err := m.nodes[0].Send(1, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Fatalf("Send of a %d-byte frame allocates %v times, want 0", len(payload), a)
+	}
+}
+
+// A Send whose write times out is retried only while none of the
+// frame's bytes reached the wire. Over an in-memory pipe nobody reads,
+// every attempt times out untouched and is retried; once the peer has
+// taken the header, a timeout mid-frame fails at once, because a resend
+// would corrupt the peer's framing.
+func TestTCPSendRetriesOnlyUntouchedFrames(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		peerReads   int           // bytes the peer takes before it stops reading
+		deadline    time.Duration // long enough for the peer's reads under load
+		wantRetries int64
+	}{
+		{"untouched", 0, 20 * time.Millisecond, 2},
+		{"header out", 4, 500 * time.Millisecond, 0},
+	} {
+		near, far := net.Pipe()
+		reg := metrics.New()
+		m := meshOver(near)
+		m.SetMetrics(reg)
+		m.SetOpDeadline(tc.deadline, 2)
+		taken := make(chan struct{})
+		go func() {
+			defer close(taken)
+			io.ReadFull(far, make([]byte, tc.peerReads))
+		}()
+		err := m.nodes[0].Send(1, make([]byte, 64))
+		<-taken
+		if err == nil {
+			t.Fatalf("%s: Send to a peer that stopped reading succeeded", tc.name)
+		}
+		if got := reg.Counter("transport.tcp.retries").Value(); got != tc.wantRetries {
+			t.Errorf("%s: %d retries, want %d (%v)", tc.name, got, tc.wantRetries, err)
+		}
+		m.Close()
+		far.Close()
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 // shared by both sides passes them; pinning the facade's output here
 // makes a moved mesh result a tier-1 failure instead of a benchmark
 // surprise. The configs are the benchmark's --smoke workloads at seed 1,
-// on the in-process mesh (bit-identical to loopback TCP).
+// on the in-process mesh; mesh-dp also runs on loopback TCP, the mesh
+// the benchmark times, and must land on the same bits there.
 func TestMeshTracksArePinned(t *testing.T) {
 	for _, want := range []struct {
 		name     string
@@ -25,6 +26,15 @@ func TestMeshTracksArePinned(t *testing.T) {
 			cfg: DistributedConfig{
 				JobSpec: JobSpec{Model: "lenet5", Dataset: "fmnist", Seed: 1, Epochs: 2, TrainSamples: 640},
 				NumSoCs: 8, Groups: 2, InProcess: true,
+			},
+			acc:      []float64{0x1.9p-02, 0x1.94p-01},
+			topology: [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}},
+		},
+		{
+			name: "mesh-dp over TCP",
+			cfg: DistributedConfig{
+				JobSpec: JobSpec{Model: "lenet5", Dataset: "fmnist", Seed: 1, Epochs: 2, TrainSamples: 640},
+				NumSoCs: 8, Groups: 2,
 			},
 			acc:      []float64{0x1.9p-02, 0x1.94p-01},
 			topology: [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}},

@@ -4,16 +4,17 @@
 # the kernel picks, submits a training job and a serving window to it,
 # checks that a config the daemon can never run is refused at submit with
 # its sentinel named, checks that /debug/pprof/ is served only with
-# --pprof (200 on a second daemon started with it, 404 here), and stops
-# the daemons with SIGINT. Nothing is written in the checkout.
+# --pprof (200 on a second daemon started with it, 404 here), follows a
+# job's events stream, and stops the daemons with SIGINT (promptly, with
+# that stream still open). Nothing is written in the checkout.
 #
 #   scripts/binaries.sh
 set -eu
 
 bin=$(mktemp -d "${TMPDIR:-/tmp}/socflow-bin.XXXXXX")
-pid= ppid=
+pid= ppid= cpid=
 cleanup() {
-    for p in $pid $ppid; do kill "$p" 2>/dev/null || true; done
+    for p in $pid $ppid $cpid; do kill "$p" 2>/dev/null || true; done
     rm -rf "$bin"
 }
 trap cleanup EXIT INT TERM
@@ -69,10 +70,31 @@ if "$bin/socflow-train" --server "$url" --model lenet5 --dataset fmnist \
 fi
 grep -q "socflow: invalid option" "$bin/bad.out" || { cat "$bin/bad.out"; exit 1; }
 
+# A long job with its GET /v1/jobs/{id}/events stream open: SIGINT must
+# still end the stream, park the job and exit well inside the daemon's
+# 10 s shutdown budget.
+id=$(curl -s -X POST "$url/v1/jobs" -d '{"tenant":"t","kind":"train","config":{"Model":"lenet5","Dataset":"fmnist","Epochs":1000,"TrainSamples":160,"NumSoCs":8,"Groups":2}}' |
+    sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
+curl -sN "$url/v1/jobs/$id/events" >"$bin/events.out" &
+cpid=$!
+for _ in $(seq 100); do
+    grep -q '^data: {"kind":"epoch"' "$bin/events.out" && break
+    sleep 0.1
+done
+grep -q '^data: {"kind":"epoch"' "$bin/events.out" || { echo "no epoch event on $id's stream" >&2; exit 1; }
+
+start=$(date +%s)
 kill -INT "$pid"
 status=0
 wait "$pid" || status=$?
 pid=
+wait "$cpid"
+cpid=
 cat "$bin/server.log"
 grep -q "shutting down" "$bin/server.log"
+grep -q "parked 1 preemptible" "$bin/server.log"
+if [ $(($(date +%s) - start)) -ge 8 ]; then
+    echo "the daemon took $(($(date +%s) - start)) s to stop with an events stream open" >&2
+    exit 1
+fi
 exit "$status"

@@ -45,9 +45,13 @@ go test -race -skip 'Alloc|Fig4c|Exhaustive' -run 'Fault|Crash|Degrade|Straggle|
 # The metrics registry is written to from every worker goroutine at
 # once; run its whole suite under the race detector.
 go test -race -skip 'Alloc|Exhaustive' -count 2 ./internal/metrics
-# The decoders a peer's bytes reach (mesh vectors and tensor sets, and
-# checkpoints via rejoin state transfer): every input must decode to
-# something that re-encodes to it, or fail with an error, never panic.
+# The decoders a peer's bytes reach (TCP frames, mesh vectors and tensor
+# sets, and checkpoints via rejoin state transfer): every input must
+# decode to something that re-encodes to it, or fail with an error,
+# never panic. The frame reader must also allocate in proportion to the
+# bytes that arrived, and the byte tensor-set decoder agree with the
+# stream one (tensor.ReadSet) on every input.
+go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 10s ./internal/transport
 go test -run '^$' -fuzz '^FuzzDecodeVector$' -fuzztime 10s ./internal/transport
 go test -run '^$' -fuzz '^FuzzDecodeTensors$' -fuzztime 10s ./internal/transport
 go test -run '^$' -fuzz '^FuzzReadCheckpoint$' -fuzztime 10s ./internal/core

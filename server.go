@@ -65,10 +65,14 @@ func (s *Server) Client() *Client { return &Client{srv: s.srv} }
 
 // Handler exposes the server over HTTP/JSON — the same API
 // socflow-server serves and `socflow-train --server` consumes: POST
-// /v1/jobs, GET /v1/jobs, GET /v1/jobs/{id}, DELETE /v1/jobs/{id},
+// /v1/jobs, GET /v1/jobs, GET /v1/jobs/{id}, GET /v1/jobs/{id}/events
+// (the job's events as server-sent events), DELETE /v1/jobs/{id},
 // GET /metrics (every job's registry as Prometheus text), GET /healthz.
 // A submission is admitted by its kind's own code, the code an
-// in-process Client runs, so a bad config is a 400 and never a job.
+// in-process Client runs, so a bad config is a 400 and never a job. An
+// events stream lasts until its job ends or its request's context is
+// canceled; a server that shuts down with streams open cancels them
+// (socflow-server does so through http.Server's BaseContext).
 func (s *Server) Handler() http.Handler {
 	return server.NewHandler(s.srv, func(req server.SubmitRequest) (server.JobSpec, error) {
 		k, ok := kinds[req.Kind]

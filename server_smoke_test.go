@@ -8,10 +8,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"socflow/internal/metrics"
 	"socflow/internal/server"
 )
 
@@ -167,5 +169,38 @@ func TestServerRejectsUnknownConfigFields(t *testing.T) {
 	}
 	if got := len(srv.List()); got != 0 {
 		t.Fatalf("rejected submissions queued %d jobs", got)
+	}
+}
+
+// TestServerSmokeEventStream: a remote client follows one job's
+// GET /v1/jobs/{id}/events stream from before the job starts to the
+// stream's close and sees every epoch. The job waits for the tide: at
+// the peak hour the daemon has one SoC free, the job wants four.
+func TestServerSmokeEventStream(t *testing.T) {
+	srv := NewServer(ServerConfig{TotalSoCs: 8, Tidal: true, StartHour: 14})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	ctx := context.Background()
+	h, err := Dial(ts.URL).Submit(ctx, ctlCfg(4, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := h.Status(ctx); err != nil || st.State != JobQueued {
+		t.Fatalf("job at the peak: %+v, %v; want it queued", st, err)
+	}
+	events := h.Events() // subscribed once Events returns
+	srv.SetHour(2)
+	var epochs []int
+	for e := range events {
+		if e.Kind == metrics.KindEpoch {
+			epochs = append(epochs, e.Epoch)
+		}
+	}
+	if !reflect.DeepEqual(epochs, []int{0, 1, 2}) {
+		t.Fatalf("stream carried epochs %v, want [0 1 2]", epochs)
+	}
+	if st, err := h.Status(ctx); err != nil || st.State != JobDone {
+		t.Fatalf("stream closed with the job %+v, %v", st, err)
 	}
 }
