@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -175,4 +176,47 @@ func TestRemoteSubmitDistributedRoundTrip(t *testing.T) {
 		t.Fatalf("remote report %v / %v, in-process %v / %v",
 			got.EpochAccuracies, got.Topology, want.EpochAccuracies, want.Topology)
 	}
+}
+
+// FuzzAdmitWire feeds raw bytes to the daemon's admission, the decode
+// and admit half of fromWire, for every kind in the table: it must
+// never panic, and every rejection must wrap one of errors.go's
+// sentinels, which is what lets the daemon answer 400 with a name
+// rather than crash. (The build half allocates the job's data and
+// cluster, so it is not fuzzed.) Seeds: one valid config per kind.
+func FuzzAdmitWire(f *testing.F) {
+	for _, cfg := range []any{
+		admissionTrain(func(*Config) {}),
+		admissionDist(func(*DistributedConfig) {}),
+		ServeConfig{Model: "lenet5", Dataset: "fmnist", NumSoCs: 8, Hours: 1},
+	} {
+		raw, err := json.Marshal(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	sentinels := []error{
+		ErrUnknownModel, ErrUnknownDataset, ErrUnknownStrategy, ErrUnknownMixedMode,
+		ErrUnknownGeneration, ErrBadTopology, ErrBadOption, ErrBadModelSpec,
+		ErrUnknownParallelism, ErrBadPlan,
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		for name, k := range kinds {
+			var err error
+			switch k := k.(type) {
+			case *jobKind[Config]:
+				_, _, err = k.admitWire(raw, runOptions{})
+			case *jobKind[DistributedConfig]:
+				_, _, err = k.admitWire(raw, runOptions{})
+			case *jobKind[ServeConfig]:
+				_, _, err = k.admitWire(raw, runOptions{})
+			default:
+				t.Fatalf("kind %q: %T is not a kind this fuzz target knows", name, k)
+			}
+			if err != nil && !slices.ContainsFunc(sentinels, func(s error) bool { return errors.Is(err, s) }) {
+				t.Fatalf("kind %q rejected %q without a sentinel: %v", name, raw, err)
+			}
+		}
+	})
 }

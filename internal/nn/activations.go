@@ -70,11 +70,28 @@ func NewTanh() *Tanh { return &Tanh{} }
 // Forward implements Layer.
 func (t *Tanh) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	t.y = ensureBuf(t.y, x.Shape...)
-	out := t.y.Data
-	for i, v := range x.Data {
-		out[i] = tanh32(v)
-	}
+	tanhInto(t.y.Data, x.Data)
 	return t.y
+}
+
+// tanhInto sets dst[i] = tanh32(x[i]) and tanhGradInto dst[i] =
+// g[i]·(1 − y[i]²), rounded as written: the loops below, or on AVX2
+// hosts the lane kernels of tanh_amd64.s, which give the same bits.
+var (
+	tanhInto     = tanhIntoGo
+	tanhGradInto = tanhGradIntoGo
+)
+
+func tanhIntoGo(dst, x []float32) {
+	for i, v := range x {
+		dst[i] = tanh32(v)
+	}
+}
+
+func tanhGradIntoGo(dst, g, y []float32) {
+	for i, gi := range g {
+		dst[i] = gi * (1 - y[i]*y[i])
+	}
 }
 
 // tanh32 returns float32(math.Tanh(float64(x))) for every float32 x, in
@@ -137,10 +154,7 @@ var exp2by32 = func() (t [32]float64) {
 // Backward implements Layer.
 func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	t.dx = ensureBuf(t.dx, grad.Shape...)
-	out, y := t.dx.Data, t.y.Data
-	for i, g := range grad.Data {
-		out[i] = g * (1 - y[i]*y[i])
-	}
+	tanhGradInto(t.dx.Data, grad.Data, t.y.Data)
 	return t.dx
 }
 

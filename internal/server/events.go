@@ -84,3 +84,22 @@ func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 }
+
+// serveTrace serves GET /v1/jobs/{id}/trace: the spans the job's
+// registry holds at the time of the request, on both clocks, as a
+// Chrome trace (metrics.RunReport.WriteChromeTrace) that
+// chrome://tracing and Perfetto load. A running job's trace shows where
+// its time has gone so far.
+func (s *Server) serveTrace(w http.ResponseWriter, r *http.Request) {
+	reg, _, err := s.eventSource(r.PathValue("id"))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusNotFound)
+		return
+	}
+	rep := reg.Snapshot()
+	if rep == nil { // a job without a registry has no spans
+		rep = &metrics.RunReport{}
+	}
+	w.Header().Set("Content-Type", "application/json")
+	rep.WriteChromeTrace(w)
+}

@@ -131,3 +131,55 @@ func TestEventsSlowClientNeverBlocksJob(t *testing.T) {
 		t.Fatalf("slow client got %d of %d events, want some dropped", n, emitted)
 	}
 }
+
+// GET /v1/jobs/{id}/trace serves a running job's spans so far as a
+// Chrome trace; an unknown job is a 404.
+func TestTraceServesRunningJobSpans(t *testing.T) {
+	s := New(Config{TotalSoCs: 4})
+	defer s.Close()
+	release, spanned, finish := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	ts, id := submitHeld(t, s, release, func(reg *metrics.Registry) {
+		reg.BeginSpan("step", "test", 0).End()
+		close(spanned)
+		<-finish
+	})
+	defer ts.Close()
+	close(release)
+	<-spanned
+	defer close(finish)
+	if st, err := s.Get(id); err != nil || st.State != JobRunning {
+		t.Fatalf("job %s: %+v, %v; want it running", id, st, err)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "application/json" {
+		t.Fatalf("trace: %s, Content-Type %q", resp.Status, ct)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			PID  int    `json:"pid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&trace); err != nil {
+		t.Fatalf("trace is not JSON: %v", err)
+	}
+	wall := 0
+	for _, e := range trace.TraceEvents {
+		if e.Ph == "X" && e.PID == 1 && e.Name == "step" { // pid 1: the wall clock
+			wall++
+		}
+	}
+	if wall != 1 {
+		t.Fatalf("trace has %d wall-clock step spans, want 1: %+v", wall, trace.TraceEvents)
+	}
+
+	if resp, err := http.Get(ts.URL + "/v1/jobs/job-999999/trace"); err != nil || resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unknown job's trace: %v %v", resp, err)
+	}
+}

@@ -42,6 +42,7 @@ type Factory func(req SubmitRequest) (JobSpec, error)
 //	GET    /v1/jobs              list statuses
 //	GET    /v1/jobs/{id}         one status (+ report once done)
 //	GET    /v1/jobs/{id}/events  the job's events, text/event-stream, until it ends
+//	GET    /v1/jobs/{id}/trace   the job's spans so far, a Chrome trace (JSON)
 //	DELETE /v1/jobs/{id}         cancel
 func NewHandler(s *Server, f Factory) http.Handler {
 	mux := http.NewServeMux()
@@ -98,6 +99,7 @@ func NewHandler(s *Server, f Factory) http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.serveEvents)
+	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.serveTrace)
 
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if err := s.Cancel(r.PathValue("id")); err != nil {

@@ -5,15 +5,17 @@ package tensor
 // has no dependencies.
 
 func init() {
-	if hasAVX2() {
+	if HasAVX2() {
 		gemmRange = gemmRangeAVX2
 	}
 }
 
-// hasAVX2 reports whether both the CPU and the OS support AVX2: CPUID
+// HasAVX2 reports whether both the CPU and the OS support AVX2: CPUID
 // leaf 1 sets OSXSAVE and AVX, XCR0 has the XMM and YMM state bits the
-// OS saves on a context switch, and CPUID leaf 7 sets AVX2.
-func hasAVX2() bool {
+// OS saves on a context switch, and CPUID leaf 7 sets AVX2. It is the
+// one check behind every AVX2 kernel of the module: this package's
+// GEMM and nn's tanh lanes.
+func HasAVX2() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
 	}

@@ -89,19 +89,26 @@ func submit[C any](ctx context.Context, c *Client, k *jobKind[C], cfg C, opts []
 
 // fromWire decodes, admits and builds a daemon submission.
 func (k *jobKind[C]) fromWire(raw json.RawMessage, o runOptions) (server.JobSpec, error) {
+	cfg, cat, err := k.admitWire(raw, o)
+	if err != nil {
+		return server.JobSpec{}, err
+	}
+	return k.spec(context.Background(), cfg, cat, o, nil)
+}
+
+// admitWire decodes and admits a daemon submission's config. Every
+// rejection wraps a sentinel: a body that does not decode into the
+// kind's config is ErrBadOption.
+func (k *jobKind[C]) admitWire(raw json.RawMessage, o runOptions) (C, catalog, error) {
 	var cfg C
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	// A misspelled or retired field must fail the submission, not run a
 	// different job than the one asked for.
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&cfg); err != nil {
-		return server.JobSpec{}, fmt.Errorf("socflow: decoding %s config: %w", k.name, err)
+		return cfg, catalog{}, fmt.Errorf("%w: decoding %s config: %w", ErrBadOption, k.name, err)
 	}
-	cfg, cat, err := k.admit(cfg, o)
-	if err != nil {
-		return server.JobSpec{}, err
-	}
-	return k.spec(context.Background(), cfg, cat, o, nil)
+	return k.admit(cfg, o)
 }
 
 // spec builds an admitted config and wraps its runner in the preamble

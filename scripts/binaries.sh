@@ -5,8 +5,9 @@
 # checks that a config the daemon can never run is refused at submit with
 # its sentinel named, checks that /debug/pprof/ is served only with
 # --pprof (200 on a second daemon started with it, 404 here), follows a
-# job's events stream, and stops the daemons with SIGINT (promptly, with
-# that stream still open). Nothing is written in the checkout.
+# job's events stream and its trace, and stops the daemons with SIGINT
+# (promptly, with that stream still open). Nothing is written in the
+# checkout.
 #
 #   scripts/binaries.sh
 set -eu
@@ -82,6 +83,13 @@ for _ in $(seq 100); do
     sleep 0.1
 done
 grep -q '^data: {"kind":"epoch"' "$bin/events.out" || { echo "no epoch event on $id's stream" >&2; exit 1; }
+
+# The running job's GET /v1/jobs/{id}/trace: a Chrome trace holding its
+# spans so far; an unknown job's trace is a 404.
+curl -sf "$url/v1/jobs/$id/trace" >"$bin/trace.json"
+grep -q '"traceEvents"' "$bin/trace.json" && grep -q '"ph": "X"' "$bin/trace.json" ||
+    { echo "no span in $id's trace:" >&2; head -c 2000 "$bin/trace.json" >&2; exit 1; }
+expect_status "$url/v1/jobs/job-999999/trace" 404
 
 start=$(date +%s)
 kill -INT "$pid"

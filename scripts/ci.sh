@@ -11,13 +11,15 @@ go vet ./...
 test -z "$(gofmt -l .)"
 go build ./...
 go test ./...
-# The portable GEMM path against the same oracles. An AVX2 amd64 host
-# runs the GEMM in assembly; a 386 build runs the Go kernel, which must
-# reproduce the golden losses and fused/unfused bit-identity too, and
-# quant's branch-free rounding its reference on a second float→int
-# conversion. The arm64 vet keeps the build without assembly compiling.
+# The portable GEMM and tanh paths against the same oracles. An AVX2
+# amd64 host runs the GEMM and the Tanh layer in assembly; a 386 build
+# runs the Go kernels, which must reproduce the golden losses,
+# fused/unfused bit-identity and math.Tanh's bits too, and quant's
+# branch-free rounding its reference on a second float→int conversion.
+# go vet's asmdecl checks every .s file against its Go declarations; the
+# arm64 vet keeps the build without assembly compiling.
 GOARCH=386 go test -count=1 ./internal/tensor ./internal/quant
-GOARCH=386 go test -count=1 -run 'Golden|Fused|BitIdentical' ./internal/nn ./internal/core
+GOARCH=386 go test -count=1 -run 'Golden|Fused|BitIdentical|Tanh' ./internal/nn ./internal/core
 GOARCH=arm64 go vet ./...
 # Width matrix: the zero-allocation bounds, golden losses, fused≡unfused
 # and parallelism-invariance tests must hold at every pool width, not
@@ -55,6 +57,10 @@ go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 10s ./internal/transport
 go test -run '^$' -fuzz '^FuzzDecodeVector$' -fuzztime 10s ./internal/transport
 go test -run '^$' -fuzz '^FuzzDecodeTensors$' -fuzztime 10s ./internal/transport
 go test -run '^$' -fuzz '^FuzzReadCheckpoint$' -fuzztime 10s ./internal/core
+# What a daemon submission reaches before a job exists: any body, for
+# every job kind, is admitted or refused with one of errors.go's
+# sentinels (the daemon's 400), never a panic.
+go test -run '^$' -fuzz '^FuzzAdmitWire$' -fuzztime 10s .
 # Both GEMM kernels against the naive loops, with NaN/Inf/-0 injected:
 # every result bit-equal.
 go test -run '^$' -fuzz '^FuzzGEMMMatchesNaive$' -fuzztime 10s ./internal/tensor
