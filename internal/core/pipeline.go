@@ -90,7 +90,7 @@ func (s *Pipeline) build(job *Job, clu *cluster.Cluster, res *Result, meter *clu
 		for g := range its {
 			its[g] = sched.Iterator(n, g, epoch)
 		}
-		steps := its[0].BatchesPerEpoch()
+		steps := sched.Steps(n, epoch)
 		job.fanOut(n, func(g int) {
 			for i := 0; i < steps; i++ {
 				if ctx.Err() != nil {

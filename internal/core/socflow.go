@@ -188,7 +188,7 @@ func (s *SoCFlow) build(job *Job, clu *cluster.Cluster, res *Result, meter *clus
 			act[ai] = groups[g]
 			its[ai] = sched.Iterator(n, g, epoch)
 		}
-		iters := its[0].BatchesPerEpoch()
+		iters := sched.Steps(n, epoch)
 		job.fanOut(len(active), func(ai int) {
 			for i := 0; i < iters; i++ {
 				if ctx.Err() != nil {

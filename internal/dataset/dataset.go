@@ -296,11 +296,18 @@ func (s *Schedule) Iterator(n, g, epoch int) *BatchIterator {
 	}
 	it := NewBatchIterator(shards[g], s.Batch, s.Seed+100+uint64(g))
 	// Pinned: replay the stream's indices (no pixels move) up to epoch.
-	lockstep := (shards[0].Len() + s.Batch - 1) / s.Batch // group 0's batches per epoch
-	for skip := epoch * lockstep; skip > 0; skip-- {
+	for skip := epoch * s.Steps(n, epoch); skip > 0; skip-- {
 		it.nextIndices()
 	}
 	return it
+}
+
+// Steps returns how many batches every group walks in epoch: group 0's
+// batches per epoch over its shard of that epoch. Groups advance in
+// lockstep by this count whatever their own shard's length, so every
+// track that trains the schedule takes the same number of steps.
+func (s *Schedule) Steps(n, epoch int) int {
+	return (s.Shards(n, epoch)[0].Len() + s.Batch - 1) / s.Batch
 }
 
 // ShardDirichlet splits the dataset into n shards whose per-class

@@ -410,7 +410,7 @@ func TestScheduleIsAFunctionOfEpoch(t *testing.T) {
 func TestSchedulePinnedContinuesOneStream(t *testing.T) {
 	s := &Schedule{Train: gen(t, "fmnist", 90), Batch: 8, Seed: 5, Pinned: true}
 	kept := s.Iterator(3, 1, 0)
-	steps := s.Iterator(3, 0, 0).BatchesPerEpoch() // lockstep: group 0's count
+	steps := s.Steps(3, 0)
 	for e := 0; e < 3; e++ {
 		fresh := s.Iterator(3, 1, e)
 		for i := 0; i < steps; i++ {
@@ -418,6 +418,23 @@ func TestSchedulePinnedContinuesOneStream(t *testing.T) {
 			fx, fl := fresh.Next()
 			if !reflect.DeepEqual(kx.Data, fx.Data) || !reflect.DeepEqual(kl, fl) {
 				t.Fatalf("epoch %d step %d: the epoch-%d iterator is not the kept stream's continuation", e, i, e)
+			}
+		}
+	}
+}
+
+// Steps is the lockstep count every track walks: group 0's batches per
+// epoch over its shard of that epoch, pinned or reshuffled.
+func TestScheduleStepsAreGroupZeros(t *testing.T) {
+	train := gen(t, "fmnist", 97)
+	for _, pinned := range []bool{false, true} {
+		for _, n := range []int{1, 2, 3, 4} {
+			s := &Schedule{Train: train, Batch: 8, Seed: 5, Pinned: pinned}
+			for e := 0; e <= 4; e++ {
+				want := s.Iterator(n, 0, e).BatchesPerEpoch()
+				if got := s.Steps(n, e); got != want {
+					t.Fatalf("pinned=%v n=%d epoch %d: Steps = %d, group 0 walks %d batches", pinned, n, e, got, want)
+				}
 			}
 		}
 	}

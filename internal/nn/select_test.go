@@ -145,7 +145,9 @@ func TestConvEvalWeightCacheFollowsBits(t *testing.T) {
 	x := tensor.RandNormal(r, 0, 1, 2, 3, 5, 5)
 	check := func(what string) {
 		t.Helper()
-		requireSameBits(t, what+": cached Wᵀ", cloneBits(tensor.Transpose2D(c.Weight.W)), c.weightT())
+		wt := tensor.New(c.Weight.W.Shape[1], c.Weight.W.Shape[0])
+		tensor.Transpose2DInto(wt, c.Weight.W)
+		requireSameBits(t, what+": cached Wᵀ", cloneBits(wt), c.weightT())
 		want := cloneBits(c.Forward(x, true))
 		requireSameBits(t, what+": eval forward", want, c.Forward(x, false))
 	}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -61,6 +62,23 @@ func TestPlanValidateEdgeCases(t *testing.T) {
 	check("empty placement", func(p *Plan) {
 		p.Placement = nil
 	})
+	// Stages are copied before a mutation so the fixture keeps its own.
+	stages := func(p *Plan) []serve.Stage {
+		p.Stages = append([]serve.Stage(nil), p.Stages...)
+		return p.Stages
+	}
+	check("stage gap", func(p *Plan) { stages(p)[1].From++ })
+	check("stage not from layer 0", func(p *Plan) { stages(p)[0].From = 1 })
+	check("negative stage params", func(p *Plan) { stages(p)[0].Params = -1 })
+	check("NaN stage FLOPs", func(p *Plan) { stages(p)[0].FLOPs = math.NaN() })
+	check("stages hold no parameters", func(p *Plan) {
+		for i := range stages(p) {
+			p.Stages[i].Params = 0
+		}
+	})
+	if err := good.Validate(); err != nil {
+		t.Fatalf("a mutation leaked into the fixture: %v", err)
+	}
 	check("empty data group", func(p *Plan) {
 		p.Mode, p.Stages, p.MicroBatches = ModeData, nil, 0
 		p.Placement = [][]int{{0, 1, 2, 3}, {}}

@@ -186,6 +186,22 @@ func (p *Plan) Validate() error {
 		if p.MicroBatches > p.Batch {
 			return fmt.Errorf("plan: %d micro-batches for batch %d", p.MicroBatches, p.Batch)
 		}
+		// Stages cut the layer sequence into contiguous runs from layer 0
+		// (the runtime slices the model by them), and the pricer shares
+		// the epoch-end sync out by their parameters.
+		var params int64
+		for i, st := range p.Stages {
+			if st.From > st.To || (i == 0 && st.From != 0) || (i > 0 && st.From != p.Stages[i-1].To+1) {
+				return fmt.Errorf("plan: stage %d covers layers [%d, %d], want contiguous stages from layer 0", i, st.From, st.To)
+			}
+			if !(st.FLOPs >= 0) || math.IsInf(st.FLOPs, 1) || st.Params < 0 || st.OutElems < 0 {
+				return fmt.Errorf("plan: stage %d has FLOPs %v, %d params, %d output elements", i, st.FLOPs, st.Params, st.OutElems)
+			}
+			params += st.Params
+		}
+		if params == 0 {
+			return fmt.Errorf("plan: pipeline stages hold no parameters")
+		}
 	default:
 		return fmt.Errorf("plan: unknown mode %q", p.Mode)
 	}
@@ -194,9 +210,11 @@ func (p *Plan) Validate() error {
 
 // IterationsPerEpoch returns how many iterations one epoch runs at
 // paper scale: the groups share the sample budget, exactly as the
-// executed SoCFlow timeline counts (Eq. 1 numerator).
+// executed SoCFlow timeline counts (Eq. 1 numerator). Dividing by the
+// group count and then by the batch floors to the same quotient as
+// dividing by their product, which can overflow.
 func (p *Plan) IterationsPerEpoch(samples int) int {
-	iters := samples / (len(p.Placement) * p.Batch)
+	iters := samples / len(p.Placement) / p.Batch
 	if iters < 1 {
 		iters = 1
 	}

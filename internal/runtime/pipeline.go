@@ -156,7 +156,7 @@ func (w *pipeWorker) runEpoch(epoch int, _ *round) error {
 
 	epochSpan := reg.BeginSpan("epoch", "stage", me)
 	defer epochSpan.End()
-	steps := it.BatchesPerEpoch()
+	steps := w.sched.Steps(n, epoch)
 	for s := 0; s < steps; s++ {
 		if w.clock.crashedAt(epoch, s) {
 			return errSelfCrash

@@ -33,61 +33,73 @@ func pipelinePlan(t *testing.T, socs, maxGroups int) *autoplan.Plan {
 }
 
 // The mesh execution of a pipeline plan must agree with the in-process
-// core strategy bit for bit: both derive the same schedule from the
-// seed, stage execution is bit-identical to the fused full-model walk,
-// activations and gradients cross the wire losslessly, and two-group
-// averaging commutes. Any protocol bug — a misrouted boundary frame, a
-// wrong micro-batch share, a slice mis-assembled at the leader — shows
-// up as a bit difference here.
+// core strategy bit for bit: both ask dataset.Schedule which batches to
+// walk and how many, stage execution is bit-identical to the fused
+// full-model walk, activations and gradients cross the wire losslessly,
+// and two-group averaging commutes. Any protocol bug — a misrouted
+// boundary frame, a wrong micro-batch share, a slice mis-assembled at
+// the leader — shows up as a bit difference here. The uneven row's 321
+// training samples fold into shards of 160 and 161, which take 20 and 21
+// batches of 8: every group walks group 0's 20, on the mesh as in core.
 func TestRunPipelineMatchesCoreStrategyBitwise(t *testing.T) {
-	prof := dataset.MustProfile("cifar10")
-	full := prof.Generate(dataset.GenOptions{Samples: 400, Seed: 7})
-	train, val := full.Split(0.8)
-	spec := nn.MustSpec("resnet34")
-	p := pipelinePlan(t, 16, 2)
+	for _, tc := range []struct {
+		name    string
+		samples int
+	}{{"even", 400}, {"uneven", 402}} {
+		t.Run(tc.name, func(t *testing.T) {
+			prof := dataset.MustProfile("cifar10")
+			full := prof.Generate(dataset.GenOptions{Samples: tc.samples, Seed: 7})
+			train, val := full.Split(0.8)
+			spec := nn.MustSpec("resnet34")
+			p := pipelinePlan(t, 16, 2)
+			if p.Groups() != 2 {
+				t.Fatalf("planner chose %d groups; the uneven row needs 2", p.Groups())
+			}
 
-	job := &core.Job{
-		Spec:         spec,
-		Train:        train,
-		Val:          val,
-		PaperSamples: 50_000,
-		GlobalBatch:  8,
-		PaperBatch:   8,
-		LR:           0.02,
-		Momentum:     0.9,
-		Epochs:       2,
-		Seed:         42,
-	}
-	want, err := (&core.Pipeline{Plan: p}).Run(context.Background(), job, cluster.New(cluster.Config{NumSoCs: 16}))
-	if err != nil {
-		t.Fatal(err)
-	}
+			job := &core.Job{
+				Spec:         spec,
+				Train:        train,
+				Val:          val,
+				PaperSamples: 50_000,
+				GlobalBatch:  8,
+				PaperBatch:   8,
+				LR:           0.02,
+				Momentum:     0.9,
+				Epochs:       2,
+				Seed:         42,
+			}
+			want, err := (&core.Pipeline{Plan: p}).Run(context.Background(), job, cluster.New(cluster.Config{NumSoCs: 16}))
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	dist, err := RunDistributed(context.Background(), transport.NewChanMesh(16), spec, train, val, DistConfig{
-		JobSpec: core.JobSpec{Epochs: 2, GlobalBatch: 8, LR: 0.02, Momentum: 0.9, Seed: 42},
-		Plan:    p,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+			dist, err := RunDistributed(context.Background(), transport.NewChanMesh(16), spec, train, val, DistConfig{
+				JobSpec: core.JobSpec{Epochs: 2, GlobalBatch: 8, LR: 0.02, Momentum: 0.9, Seed: 42},
+				Plan:    p,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	if !reflect.DeepEqual(dist.EpochAccuracies, want.EpochAccuracies) {
-		t.Fatalf("epoch accuracies diverged: mesh %v vs core %v", dist.EpochAccuracies, want.EpochAccuracies)
-	}
-	dw := dist.Final.Weights()
-	if len(dw) != len(want.FinalWeights) {
-		t.Fatalf("weight sets differ: %d vs %d", len(dw), len(want.FinalWeights))
-	}
-	for ti := range dw {
-		if !reflect.DeepEqual(dw[ti].Data, want.FinalWeights[ti].Data) {
-			t.Fatalf("weight tensor %d differs between mesh and core runs", ti)
-		}
-	}
-	ds := dist.Final.StateTensors()
-	for ti := range ds {
-		if !reflect.DeepEqual(ds[ti].Data, want.FinalState[ti].Data) {
-			t.Fatalf("state tensor %d differs between mesh and core runs", ti)
-		}
+			if !reflect.DeepEqual(dist.EpochAccuracies, want.EpochAccuracies) {
+				t.Fatalf("epoch accuracies diverged: mesh %v vs core %v", dist.EpochAccuracies, want.EpochAccuracies)
+			}
+			dw := dist.Final.Weights()
+			if len(dw) != len(want.FinalWeights) {
+				t.Fatalf("weight sets differ: %d vs %d", len(dw), len(want.FinalWeights))
+			}
+			for ti := range dw {
+				if !reflect.DeepEqual(dw[ti].Data, want.FinalWeights[ti].Data) {
+					t.Fatalf("weight tensor %d differs between mesh and core runs", ti)
+				}
+			}
+			ds := dist.Final.StateTensors()
+			for ti := range ds {
+				if !reflect.DeepEqual(ds[ti].Data, want.FinalState[ti].Data) {
+					t.Fatalf("state tensor %d differs between mesh and core runs", ti)
+				}
+			}
+		})
 	}
 }
 

@@ -319,13 +319,11 @@ func (w *dpWorker) runEpoch(epoch int, r *round) error {
 	}
 	epochSpan := reg.BeginSpan("epoch", "worker", me)
 	defer epochSpan.End()
-	shards := w.sched.Shards(cfg.Plan.Groups(), epoch)
-	// The iterator consumes the full configured global batch; the
-	// proportional split below spreads any remainder over members
-	// instead of silently truncating the batch. Its seed is this track's
-	// own (one per epoch, shared by all groups), not the schedule's.
-	it := dataset.NewBatchIterator(shards[w.group], cfg.GlobalBatch, cfg.Seed+uint64(100+epoch))
-	iters := it.BatchesPerEpoch()
+	// The same question core.SoCFlow asks. The iterator consumes the
+	// full configured global batch; the proportional split below spreads
+	// any remainder over members instead of silently truncating it.
+	it := w.sched.Iterator(cfg.Plan.Groups(), w.group, epoch)
+	iters := w.sched.Steps(cfg.Plan.Groups(), epoch)
 	for i := 0; i < iters; i++ {
 		if w.clock.crashedAt(epoch, i) {
 			return errSelfCrash

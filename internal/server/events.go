@@ -9,6 +9,20 @@ import (
 	"socflow/internal/metrics"
 )
 
+// Decisions returns a copy of the job's scheduler decision log, oldest
+// first: its last decisionLogSize admits, queues, parks, resumes and
+// resizes, each with the figure behind it. A rejected submission never
+// becomes a job; its figure is in the error Submit returns.
+func (s *Server) Decisions(id string) ([]Decision, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[id]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownJob, id)
+	}
+	return append([]Decision{}, j.log...), nil
+}
+
 // eventSource returns a job's registry and a channel closed once the
 // job is terminal.
 func (s *Server) eventSource(id string) (*metrics.Registry, <-chan struct{}, error) {

@@ -36,14 +36,15 @@ type Factory func(req SubmitRequest) (JobSpec, error)
 
 // NewHandler exposes the server over local HTTP/JSON:
 //
-//	GET    /healthz              liveness
-//	GET    /metrics              every job's registry, Prometheus text 0.0.4
-//	POST   /v1/jobs              submit (SubmitRequest -> SubmitResponse)
-//	GET    /v1/jobs              list statuses
-//	GET    /v1/jobs/{id}         one status (+ report once done)
-//	GET    /v1/jobs/{id}/events  the job's events, text/event-stream, until it ends
-//	GET    /v1/jobs/{id}/trace   the job's spans so far, a Chrome trace (JSON)
-//	DELETE /v1/jobs/{id}         cancel
+//	GET    /healthz                 liveness
+//	GET    /metrics                 every job's registry, Prometheus text 0.0.4
+//	POST   /v1/jobs                 submit (SubmitRequest -> SubmitResponse)
+//	GET    /v1/jobs                 list statuses
+//	GET    /v1/jobs/{id}            one status (+ report once done)
+//	GET    /v1/jobs/{id}/events     the job's events, text/event-stream, until it ends
+//	GET    /v1/jobs/{id}/trace      the job's spans so far, a Chrome trace (JSON)
+//	GET    /v1/jobs/{id}/decisions  the job's scheduler decision log (JSON)
+//	DELETE /v1/jobs/{id}            cancel
 func NewHandler(s *Server, f Factory) http.Handler {
 	mux := http.NewServeMux()
 
@@ -100,6 +101,14 @@ func NewHandler(s *Server, f Factory) http.Handler {
 
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.serveEvents)
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.serveTrace)
+	mux.HandleFunc("GET /v1/jobs/{id}/decisions", func(w http.ResponseWriter, r *http.Request) {
+		log, err := s.Decisions(r.PathValue("id"))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusNotFound)
+			return
+		}
+		writeJSON(w, log)
+	})
 
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if err := s.Cancel(r.PathValue("id")); err != nil {

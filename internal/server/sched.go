@@ -13,6 +13,7 @@
 package server
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -72,9 +73,20 @@ type schedRunning struct {
 // running jobs to park. A high-priority job whose capacity must come
 // from victims that are still parking appears in neither list — its
 // reservation is re-derived next round, when the victims have exited.
+// Why holds, by job ID, the figure behind each outcome: every started
+// and parked job's, and every pending job's held back this round.
 type decision struct {
 	Start []string
 	Park  []string
+	Why   map[string]string
+}
+
+// why records the figure behind job id's outcome this round.
+func (d *decision) why(id, format string, args ...any) {
+	if d.Why == nil {
+		d.Why = map[string]string{}
+	}
+	d.Why[id] = fmt.Sprintf(format, args...)
 }
 
 // planSchedule decides one round. If the cluster is oversubscribed —
@@ -150,6 +162,7 @@ func planSchedule(pending []schedJob, running []schedRunning, capacity int, quot
 			}
 			parked[v.id] = true
 			d.Park = append(d.Park, v.id)
+			d.why(v.id, "capacity cut: running jobs hold %d SoCs, capacity is %d", used, capacity)
 			parkingPool += v.socs
 			overflow -= v.socs
 		}
@@ -164,14 +177,19 @@ func planSchedule(pending []schedJob, running []schedRunning, capacity int, quot
 	for _, p := range order {
 		q := quota(p.tenant)
 		if q.MaxRunningJobs > 0 && tenantJobs[p.tenant]+1 > q.MaxRunningJobs {
+			d.why(p.id, "quota: tenant %q runs %d jobs, MaxRunningJobs is %d",
+				p.tenant, tenantJobs[p.tenant], q.MaxRunningJobs)
 			continue
 		}
 		if q.MaxSoCs > 0 && tenantSoCs[p.tenant]+p.socs > q.MaxSoCs {
+			d.why(p.id, "quota: tenant %q holds %d SoCs, %d more exceeds MaxSoCs %d",
+				p.tenant, tenantSoCs[p.tenant], p.socs, q.MaxSoCs)
 			continue
 		}
 
 		if p.socs <= avail {
 			d.Start = append(d.Start, p.id)
+			d.why(p.id, "capacity: %d of %d SoCs free, job needs %d", avail, capacity, p.socs)
 			avail -= p.socs
 			tenantJobs[p.tenant]++
 			tenantSoCs[p.tenant] += p.socs
@@ -197,12 +215,18 @@ func planSchedule(pending []schedJob, running []schedRunning, capacity int, quot
 			}
 		}
 		if avail+parkingPool+reclaim < p.socs {
-			continue // cannot be served this round; let others backfill
+			// Cannot be served this round; let others backfill.
+			d.why(p.id, "capacity: %d of %d SoCs free, %d draining, %d preemptible at lower priority; job needs %d",
+				avail, capacity, parkingPool, reclaim, p.socs)
+			continue
 		}
 		for _, id := range chosen {
 			parked[id] = true
 			d.Park = append(d.Park, id)
+			d.why(id, "evicted by %s (priority %d, %d SoCs)", p.id, p.priority, p.socs)
 		}
+		d.why(p.id, "reserved: %d of %d SoCs free, %d draining from parking jobs; job needs %d",
+			avail, capacity, parkingPool+reclaim, p.socs)
 		// Reserve: consume free capacity first, then the draining pool
 		// (which the new parks just enlarged). The job itself starts on
 		// a later round, once its victims have actually exited.

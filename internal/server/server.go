@@ -151,6 +151,21 @@ type Status struct {
 	Error      string `json:"error,omitempty"`
 }
 
+// Decision is one entry of a job's scheduler decision log: what the
+// scheduler did with the job, and the quota, priority or capacity
+// figure that made it do so.
+type Decision struct {
+	Time time.Time `json:"time"`
+	// Hour is the simulated hour of day the decision was made at.
+	Hour float64 `json:"hour"`
+	// Outcome is admit, queue, park, resume or resize.
+	Outcome string `json:"outcome"`
+	Reason  string `json:"reason"`
+}
+
+// decisionLogSize bounds each job's decision log; older entries drop.
+const decisionLogSize = 64
+
 type job struct {
 	id       string
 	spec     JobSpec
@@ -164,7 +179,21 @@ type job struct {
 	done     chan struct{}
 	cancel   context.CancelFunc // set while a segment is in flight
 	ctl      *Controller
-	canceled bool // submitter asked for cancellation
+	canceled bool       // submitter asked for cancellation
+	log      []Decision // the last decisionLogSize decisions, oldest first
+}
+
+// record appends a decision to the job's log, unless it repeats the
+// last entry's outcome and reason: a job held for the same figure
+// round after round is logged once.
+func (j *job) record(hour float64, outcome, reason string) {
+	if n := len(j.log); n > 0 && j.log[n-1].Outcome == outcome && j.log[n-1].Reason == reason {
+		return
+	}
+	if len(j.log) == decisionLogSize {
+		j.log = append(j.log[:0], j.log[1:]...)
+	}
+	j.log = append(j.log, Decision{Time: time.Now(), Hour: hour, Outcome: outcome, Reason: reason})
 }
 
 // Server is the control plane. One instance owns the simulated
@@ -272,7 +301,7 @@ func (s *Server) Submit(spec JobSpec) (string, error) {
 		}
 	}
 	if queued >= s.cfg.QueueLimit {
-		return "", ErrQueueFull
+		return "", fmt.Errorf("server: %d jobs queued, limit %d: %w", queued, s.cfg.QueueLimit, ErrQueueFull)
 	}
 	s.seq++
 	j := &job{
@@ -316,13 +345,24 @@ func (s *Server) rescheduleLocked() {
 		}
 		j.state = JobParking
 		j.ctl.park.Store(true)
+		j.record(s.hour, "park", d.Why[id])
 	}
 	for _, id := range d.Start {
 		j := s.jobs[id]
 		if j == nil || (j.state != JobQueued && j.state != JobParked) {
 			continue
 		}
+		outcome := "admit"
+		if j.state == JobParked {
+			outcome = "resume"
+		}
+		j.record(s.hour, outcome, d.Why[id])
 		s.startLocked(j)
+	}
+	for _, p := range pending {
+		if j := s.jobs[p.id]; j.state == JobQueued || j.state == JobParked {
+			j.record(s.hour, "queue", d.Why[p.id])
+		}
 	}
 }
 
@@ -354,6 +394,7 @@ func (s *Server) startLocked(j *job) {
 		if j.ctl != ctl || (j.state != JobRunning && j.state != JobParking) || socs == j.spec.SoCs {
 			return
 		}
+		j.record(s.hour, "resize", fmt.Sprintf("from %d to %d SoCs", j.spec.SoCs, socs))
 		j.spec.SoCs = socs
 		s.rescheduleLocked()
 	}
@@ -601,6 +642,7 @@ func (s *Server) Drain(ctx context.Context) int {
 				// next epoch boundary and returns ErrParked.
 				j.state = JobParking
 				j.ctl.park.Store(true)
+				j.record(s.hour, "park", "drain: the server is shutting down")
 			} else {
 				j.canceled = true
 				if j.cancel != nil {

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -202,7 +203,9 @@ func TestSubmitRejections(t *testing.T) {
 	if _, err := s.Submit(JobSpec{SoCs: 4, Epochs: 1, Run: fakeRun(1, make(chan *Controller, 1), nil, nil)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(JobSpec{SoCs: 4, Run: fakeRun(1, make(chan *Controller, 1), nil, nil)}); !errors.Is(err, ErrQueueFull) {
+	// A rejection never becomes a job: its figure travels in the error.
+	if _, err := s.Submit(JobSpec{SoCs: 4, Run: fakeRun(1, make(chan *Controller, 1), nil, nil)}); !errors.Is(err, ErrQueueFull) ||
+		!strings.Contains(err.Error(), "1 jobs queued, limit 1") {
 		t.Fatalf("overflow submit: %v", err)
 	}
 	close(step)
@@ -409,6 +412,14 @@ func TestResizeSqueezesTraining(t *testing.T) {
 	}
 	if st, _ := s.Get(trID); st.State != JobParking {
 		t.Fatalf("training state after serving grew = %s, want parking", st.State)
+	}
+	// Both sides log why: the resize with its figures, and the park with
+	// the capacity cut it caused.
+	if d := lastDecision(t, s, srvID); d.Outcome != "resize" || d.Reason != "from 2 to 10 SoCs" {
+		t.Fatalf("serving's last decision: %+v", d)
+	}
+	if d := lastDecision(t, s, trID); d.Outcome != "park" || d.Reason != "capacity cut: running jobs hold 18 SoCs, capacity is 12" {
+		t.Fatalf("training's last decision: %+v", d)
 	}
 	trStep <- struct{}{} // training reaches the epoch-1 boundary and parks
 	<-trAck

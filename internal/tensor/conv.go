@@ -41,20 +41,11 @@ func colShape(name string, cols *Tensor, rows, width int) {
 	}
 }
 
-// Im2Col unfolds input x[N,C,H,W] into a matrix [N*OH*OW, C*KH*KW] so a
-// convolution becomes a single MatMul against the reshaped kernel. This
+// Im2ColInto unfolds input x[N,C,H,W] into an existing column matrix
+// of shape [N*OH*OW, C*KH*KW], overwriting every element, so a
+// convolution becomes a single GEMM against the reshaped kernel. This
 // is the same lowering MNN (the paper's CPU backend) uses for mobile
 // convolutions.
-func Im2Col(x *Tensor, p ConvParams) *Tensor {
-	n, c, h, w := nchw("Im2Col", x)
-	oh, ow := p.OutSize(h, w)
-	cols := New(n*oh*ow, c*p.KH*p.KW)
-	Im2ColInto(cols, x, p)
-	return cols
-}
-
-// Im2ColInto unfolds x into an existing column matrix of shape
-// [N*OH*OW, C*KH*KW], overwriting every element.
 func Im2ColInto(cols, x *Tensor, p ConvParams) {
 	n, c, h, w := nchw("Im2ColInto", x)
 	oh, ow := p.OutSize(h, w)
@@ -196,18 +187,11 @@ func im2colRow(d, xr []float32, colW, ow, oxLo, oxHi int, p ConvParams) {
 	}
 }
 
-// Col2Im folds a column matrix (as produced by Im2Col) back into an
-// NCHW image, accumulating overlapping contributions. It is the adjoint
-// of Im2Col and is used for the convolution input gradient.
-func Col2Im(cols *Tensor, n, c, h, w int, p ConvParams) *Tensor {
-	img := New(n, c, h, w)
-	Col2ImInto(img, cols, p)
-	return img
-}
-
-// Col2ImInto folds cols into an existing NCHW tensor, overwriting its
-// contents (the accumulation of overlapping window contributions starts
-// from zero, not from img's prior values).
+// Col2ImInto folds a column matrix (as Im2ColInto lays it out) back
+// into an existing NCHW tensor, overwriting its contents: overlapping
+// window contributions accumulate from zero, not from img's prior
+// values. It is the adjoint of Im2ColInto and computes the convolution
+// input gradient.
 func Col2ImInto(img, cols *Tensor, p ConvParams) {
 	n, c, h, w := nchw("Col2ImInto", img)
 	oh, ow := p.OutSize(h, w)
@@ -465,19 +449,10 @@ func maxPoolBackwardImage(dx, grad []float32, arg []int, per, dper, img int) {
 	}
 }
 
-// AvgPool applies average pooling to x[N,C,H,W]. Out-of-bounds window
-// cells count as zeros with the full window size as divisor, matching
-// the conventional "count_include_pad" behaviour.
-func AvgPool(x *Tensor, p ConvParams) *Tensor {
-	n, c, h, w := nchw("AvgPool", x)
-	oh, ow := p.OutSize(h, w)
-	out := New(n, c, oh, ow)
-	AvgPoolInto(out, x, p)
-	return out
-}
-
-// AvgPoolInto applies average pooling into an existing output tensor,
-// overwriting its contents.
+// AvgPoolInto average-pools x[N,C,H,W] into an existing output tensor,
+// overwriting its contents. Out-of-bounds window cells count as zeros
+// with the full window size as divisor, matching the conventional
+// "count_include_pad" behaviour.
 func AvgPoolInto(out, x *Tensor, p ConvParams) {
 	n, c, h, w := nchw("AvgPoolInto", x)
 	oh, ow := p.OutSize(h, w)
@@ -518,16 +493,9 @@ func avgPoolImage(out, x []float32, inv float32, c, h, w, oh, ow int, p ConvPara
 	}
 }
 
-// AvgPoolBackward distributes the output gradient uniformly over each
-// pooling window.
-func AvgPoolBackward(grad *Tensor, inShape []int, p ConvParams) *Tensor {
-	dx := New(inShape...)
-	AvgPoolBackwardInto(dx, grad, p)
-	return dx
-}
-
-// AvgPoolBackwardInto distributes the output gradient into an existing
-// input-gradient tensor, overwriting its contents.
+// AvgPoolBackwardInto distributes the output gradient uniformly over
+// each pooling window, into an existing input-gradient tensor,
+// overwriting its contents.
 func AvgPoolBackwardInto(dx, grad *Tensor, p ConvParams) {
 	n, c, h, w := nchw("AvgPoolBackwardInto", dx)
 	oh, ow := p.OutSize(h, w)

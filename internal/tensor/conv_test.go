@@ -25,7 +25,8 @@ func TestIm2ColIdentityKernel(t *testing.T) {
 	// A 1x1 kernel with stride 1 makes im2col a pure reshape.
 	x := FromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
 	p := ConvParams{KH: 1, KW: 1, SH: 1, SW: 1}
-	cols := Im2Col(x, p)
+	cols := New(4, 1)
+	Im2ColInto(cols, x, p)
 	if cols.Shape[0] != 4 || cols.Shape[1] != 1 {
 		t.Fatalf("cols shape %v", cols.Shape)
 	}
@@ -44,7 +45,8 @@ func TestIm2ColHandComputed(t *testing.T) {
 		7, 8, 9,
 	}, 1, 1, 3, 3)
 	p := ConvParams{KH: 2, KW: 2, SH: 1, SW: 1}
-	cols := Im2Col(x, p)
+	cols := New(4, 4)
+	Im2ColInto(cols, x, p)
 	want := [][]float32{
 		{1, 2, 4, 5}, {2, 3, 5, 6},
 		{4, 5, 7, 8}, {5, 6, 8, 9},
@@ -61,7 +63,8 @@ func TestIm2ColHandComputed(t *testing.T) {
 func TestIm2ColPadding(t *testing.T) {
 	x := Ones(1, 1, 2, 2)
 	p := ConvParams{KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1}
-	cols := Im2Col(x, p)
+	cols := New(4, 9)
+	Im2ColInto(cols, x, p)
 	// Top-left output position: only the bottom-right 2x2 of the kernel
 	// overlaps real pixels.
 	row0 := cols.Data[:9]
@@ -76,7 +79,7 @@ func TestIm2ColPadding(t *testing.T) {
 	}
 }
 
-// Col2Im is the adjoint of Im2Col: <Im2Col(x), y> == <x, Col2Im(y)>.
+// Col2ImInto is the adjoint of Im2ColInto: <im2col(x), y> == <x, col2im(y)>.
 // This adjoint property is exactly what makes the conv backward pass
 // correct, so we verify it directly as a property test.
 func TestCol2ImAdjointProperty(t *testing.T) {
@@ -92,10 +95,13 @@ func TestCol2ImAdjointProperty(t *testing.T) {
 			return true // window does not fit; skip
 		}
 		x := RandNormal(rr, 0, 1, n, c, h, w)
-		cols := Im2Col(x, p)
+		oh, ow := p.OutSize(h, w)
+		cols, img := New(n*oh*ow, c*p.KH*p.KW), New(x.Shape...)
+		Im2ColInto(cols, x, p)
 		y := RandNormal(rr, 0, 1, cols.Shape...)
+		Col2ImInto(img, y, p)
 		lhs := Dot(cols, y)
-		rhs := Dot(x, Col2Im(y, n, c, h, w, p))
+		rhs := Dot(x, img)
 		return almostEq(lhs, rhs, 1e-2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -141,12 +147,14 @@ func TestAvgPoolForwardBackward(t *testing.T) {
 		3, 4,
 	}, 1, 1, 2, 2)
 	p := ConvParams{KH: 2, KW: 2, SH: 2, SW: 2}
-	y := AvgPool(x, p)
+	y := New(1, 1, 1, 1)
+	AvgPoolInto(y, x, p)
 	if y.Size() != 1 || y.Data[0] != 2.5 {
 		t.Fatalf("AvgPool = %v", y.Data)
 	}
 	g := FromSlice([]float32{4}, 1, 1, 1, 1)
-	dx := AvgPoolBackward(g, x.Shape, p)
+	dx := New(x.Shape...)
+	AvgPoolBackwardInto(dx, g, p)
 	for _, v := range dx.Data {
 		if v != 1 {
 			t.Fatalf("AvgPoolBackward = %v, want all 1", dx.Data)

@@ -9,10 +9,10 @@ import "fmt"
 //
 // with one float32 accumulator per element, p ascending, the product
 // rounded before the sum, and no zero-operand skip (0·NaN must stay NaN
-// so exploding-gradient corruption is never masked). MatMul is
-// (ai, ap) = (k, 1), MatMulT1 reads A[k,m] as (1, m), and MatMulT2
-// transposes B[n,k] once per call into scratch from a free list and
-// then runs as MatMul. Tiling happens over the OUTPUT only, so every
+// so exploding-gradient corruption is never masked). MatMulInto is
+// (ai, ap) = (k, 1), MatMulT1Into reads A[k,m] as (1, m), and
+// MatMulT2Into transposes B[n,k] once per call into scratch from a free
+// list and then runs as MatMulInto. Tiling happens over the OUTPUT only, so every
 // result is bit-identical to the naive (i,j,p) triple loop (pinned by
 // the golden hex-loss test). A GEMM runs on its calling goroutine:
 // host parallelism lives one level up, where training groups, pipeline
@@ -31,7 +31,7 @@ import "fmt"
 // AVX2 kernel where the CPU has it, gemmRangeGo everywhere else.
 var gemmRange = gemmRangeGo
 
-// transposeFree is MatMulT2's free list of Bᵀ scratch, reused by
+// transposeFree is MatMulT2Into's free list of Bᵀ scratch, reused by
 // capacity. A GC empties a sync.Pool but not a channel, so a steady
 // workload allocates one buffer per concurrent caller once, where a
 // pool would reallocate after GCs. The channel's buffer bounds how many
@@ -185,17 +185,8 @@ func gemmDot(a, b, bias []float32, a0, ap, k, n, j int) float32 {
 	return s
 }
 
-// MatMul computes C = A x B for 2-D tensors A[m,k] and B[k,n].
-func MatMul(a, b *Tensor) *Tensor {
-	m, _, n := gemmShape("MatMul", nil, a, b, false, false)
-	out := New(m, n)
-	MatMulInto(out, a, b)
-	return out
-}
-
 // MatMulInto computes dst = A x B into an existing [m,n] tensor,
-// overwriting its contents. It is the scratch-buffer variant of MatMul
-// and produces bit-identical results.
+// overwriting its contents.
 func MatMulInto(dst, a, b *Tensor) {
 	gemmInto("MatMulInto", dst, a, b, nil, false, false)
 }
@@ -208,33 +199,17 @@ func MatMulBiasInto(dst, a, b, bias *Tensor) {
 	gemmInto("MatMulBiasInto", dst, a, b, bias, false, false)
 }
 
-// MatMulT1 computes C = Aᵀ x B for A[k,m], B[k,n] -> C[m,n], used in
-// dense-layer weight gradients.
-func MatMulT1(a, b *Tensor) *Tensor {
-	m, _, n := gemmShape("MatMulT1", nil, a, b, true, false)
-	out := New(m, n)
-	MatMulT1Into(out, a, b)
-	return out
-}
-
-// MatMulT1Into computes dst = Aᵀ x B into an existing [m,n] tensor,
-// overwriting its contents. Like MatMulInto it never skips zero
+// MatMulT1Into computes dst = Aᵀ x B for A[k,m], B[k,n] into an
+// existing [m,n] tensor, overwriting its contents; dense-layer weight
+// gradients use it. Like MatMulInto it never skips zero
 // operands, so NaN/Inf in either factor always propagates.
 func MatMulT1Into(dst, a, b *Tensor) {
 	gemmInto("MatMulT1Into", dst, a, b, nil, true, false)
 }
 
-// MatMulT2 computes C = A x Bᵀ for A[m,k], B[n,k] -> C[m,n], used in
-// dense-layer input gradients and the im2col convolution forward.
-func MatMulT2(a, b *Tensor) *Tensor {
-	m, _, n := gemmShape("MatMulT2", nil, a, b, false, true)
-	out := New(m, n)
-	MatMulT2Into(out, a, b)
-	return out
-}
-
-// MatMulT2Into computes dst = A x Bᵀ into an existing [m,n] tensor,
-// overwriting its contents.
+// MatMulT2Into computes dst = A x Bᵀ for A[m,k], B[n,k] into an
+// existing [m,n] tensor, overwriting its contents; dense-layer input
+// gradients use it.
 func MatMulT2Into(dst, a, b *Tensor) {
 	gemmInto("MatMulT2Into", dst, a, b, nil, false, true)
 }

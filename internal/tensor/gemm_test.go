@@ -345,16 +345,12 @@ func TestGEMMRejectsNon2DOperands(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"MatMul 3-D A", func() { MatMul(a3, b) }},
-		{"MatMul 3-D B", func() { MatMul(a, b3) }},
 		{"MatMulInto 3-D A", func() { MatMulInto(dst, a3, b) }},
+		{"MatMulInto 3-D B", func() { MatMulInto(dst, a, b3) }},
+		{"MatMulBiasInto 3-D A", func() { MatMulBiasInto(dst, a3, b, bias) }},
 		{"MatMulBiasInto 3-D B", func() { MatMulBiasInto(dst, a, b3, bias) }},
-		{"MatMulT1 3-D A", func() { MatMulT1(at3, b) }},
-		{"MatMulT1 3-D B", func() { MatMulT1(at, b3) }},
 		{"MatMulT1Into 3-D A", func() { MatMulT1Into(dst, at3, b) }},
 		{"MatMulT1Into 3-D B", func() { MatMulT1Into(dst, at, b3) }},
-		{"MatMulT2 3-D A", func() { MatMulT2(a3, bt) }},
-		{"MatMulT2 3-D B", func() { MatMulT2(a, bt3) }},
 		{"MatMulT2Into 3-D A", func() { MatMulT2Into(dst, a3, bt) }},
 		{"MatMulT2Into 3-D B", func() { MatMulT2Into(dst, a, bt3) }},
 		{"MatMulT2BiasInto 3-D A", func() { MatMulT2BiasInto(dst, a3, bt, bias) }},

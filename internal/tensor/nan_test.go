@@ -19,7 +19,8 @@ func TestMatMulPropagatesNaNThroughZero(t *testing.T) {
 	// the NaN never reached the output.
 	a := FromSlice([]float32{0, 0, 1, 2}, 2, 2)
 	b := FromSlice([]float32{nan32(), 1, 3, 4}, 2, 2)
-	c := MatMul(a, b)
+	c := New(2, 2)
+	MatMulInto(c, a, b)
 	if !isNaN32(c.Data[0]) {
 		t.Fatalf("0·NaN lost: row 0 = %v", c.Data[:2])
 	}
@@ -33,7 +34,8 @@ func TestMatMulPropagatesInfThroughZero(t *testing.T) {
 	inf := float32(math.Inf(1))
 	a := FromSlice([]float32{0, 1, 0, 2}, 2, 2)
 	b := FromSlice([]float32{inf, 0, 1, 1}, 2, 2)
-	c := MatMul(a, b)
+	c := New(2, 2)
+	MatMulInto(c, a, b)
 	// 0·Inf + 1·1 = NaN + 1 = NaN.
 	if !isNaN32(c.Data[0]) || !isNaN32(c.Data[2]) {
 		t.Fatalf("0·Inf must poison the column: %v", c.Data)
@@ -41,10 +43,11 @@ func TestMatMulPropagatesInfThroughZero(t *testing.T) {
 }
 
 func TestMatMulT1PropagatesNaNThroughZero(t *testing.T) {
-	// MatMulT1(a, b) = aᵀ·b; a zero in aᵀ's row meets a NaN in b.
+	// MatMulT1Into(c, a, b) is c = aᵀ·b; a zero in aᵀ's row meets a NaN in b.
 	a := FromSlice([]float32{0, 1, nan32(), 2}, 2, 2)
 	b := FromSlice([]float32{nan32(), 1, 1, 1}, 2, 2)
-	c := MatMulT1(a, b)
+	c := New(2, 2)
+	MatMulT1Into(c, a, b)
 	// c[0,0] = a[0,0]·b[0,0] + a[1,0]·b[1,0] = 0·NaN + NaN·1.
 	if !isNaN32(c.Data[0]) {
 		t.Fatalf("T1 zero-skip masked NaN: %v", c.Data)
@@ -54,7 +57,8 @@ func TestMatMulT1PropagatesNaNThroughZero(t *testing.T) {
 func TestMatMulT2PropagatesNaNThroughZero(t *testing.T) {
 	a := FromSlice([]float32{0, 1, 2, 3}, 2, 2)
 	b := FromSlice([]float32{nan32(), 0, 0, 1}, 2, 2)
-	c := MatMulT2(a, b)
+	c := New(2, 2)
+	MatMulT2Into(c, a, b)
 	// c[0,0] = 0·NaN + 1·0 = NaN.
 	if !isNaN32(c.Data[0]) {
 		t.Fatalf("T2 lost 0·NaN: %v", c.Data)

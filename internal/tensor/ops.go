@@ -128,16 +128,6 @@ func CosineSimilarity(a, b *Tensor) float32 {
 	return float32(float64(Dot(a, b)) / (na * nb))
 }
 
-// Transpose2D returns the transpose of a 2-D tensor.
-func Transpose2D(a *Tensor) *Tensor {
-	if a.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: Transpose2D of %v", a.Shape))
-	}
-	out := New(a.Shape[1], a.Shape[0])
-	Transpose2DInto(out, a)
-	return out
-}
-
 // Transpose2DInto writes the transpose of a 2-D tensor a[m,n] into an
 // existing [n,m] tensor, overwriting its contents.
 func Transpose2DInto(dst, a *Tensor) {
@@ -194,19 +184,10 @@ func AddRowVector(a, v *Tensor) {
 	}
 }
 
-// Softmax computes row-wise softmax of a 2-D tensor [batch, classes]
-// with the usual max-subtraction for numerical stability.
-func Softmax(a *Tensor) *Tensor {
-	if a.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: Softmax of %v", a.Shape))
-	}
-	out := New(a.Shape...)
-	SoftmaxInto(out, a)
-	return out
-}
-
-// SoftmaxInto computes row-wise softmax of a into an existing tensor of
-// the same shape, overwriting its contents. dst may alias a.
+// SoftmaxInto computes the row-wise softmax of a 2-D tensor [batch,
+// classes], with the usual max-subtraction for numerical stability,
+// into an existing tensor of the same shape, overwriting its contents.
+// dst may alias a.
 func SoftmaxInto(dst, a *Tensor) {
 	if a.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: SoftmaxInto of %v", a.Shape))

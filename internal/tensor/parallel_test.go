@@ -40,16 +40,19 @@ func TestKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 	run := func() result {
 		var r result
-		r.mm = MatMul(a, b)
-		r.t1 = MatMulT1(at1, b)
-		r.t2 = MatMulT2(a, bt)
-		r.cols = Im2Col(x, p)
-		r.img = Col2Im(r.cols, 4, 3, 14, 14, p)
+		r.mm, r.t1, r.t2 = New(144, 120), New(144, 120), New(144, 120)
+		MatMulInto(r.mm, a, b)
+		MatMulT1Into(r.t1, at1, b)
+		MatMulT2Into(r.t2, a, bt)
+		r.cols, r.img = New(4*14*14, 3*3*3), New(x.Shape...)
+		Im2ColInto(r.cols, x, p)
+		Col2ImInto(r.img, r.cols, p)
 		mp, arg := MaxPool(x, pool)
 		r.mp = mp
 		r.mpb = MaxPoolBackward(grad, arg, x.Shape)
-		r.ap = AvgPool(x, pool)
-		r.apb = AvgPoolBackward(grad, x.Shape, pool)
+		r.ap, r.apb = New(grad.Shape...), New(x.Shape...)
+		AvgPoolInto(r.ap, x, pool)
+		AvgPoolBackwardInto(r.apb, grad, pool)
 		r.add = Add(big1, big2)
 		return r
 	}

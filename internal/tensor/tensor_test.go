@@ -192,7 +192,8 @@ func TestDotAndCosine(t *testing.T) {
 func TestMatMulHandComputed(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
+	c := New(2, 2)
+	MatMulInto(c, a, b)
 	want := []float32{58, 64, 139, 154}
 	for i, w := range want {
 		if c.Data[i] != w {
@@ -205,18 +206,22 @@ func TestMatMulTransposedVariants(t *testing.T) {
 	r := NewRNG(7)
 	a := RandNormal(r, 0, 1, 4, 3)
 	b := RandNormal(r, 0, 1, 4, 5)
-	// MatMulT1(a,b) == MatMul(aᵀ, b)
-	got := MatMulT1(a, b)
-	want := MatMul(Transpose2D(a), b)
+	// MatMulT1Into(a,b) == MatMulInto(aᵀ, b)
+	got, at, want := New(3, 5), New(3, 4), New(3, 5)
+	MatMulT1Into(got, a, b)
+	Transpose2DInto(at, a)
+	MatMulInto(want, at, b)
 	for i := range got.Data {
 		if !almostEq(got.Data[i], want.Data[i], 1e-4) {
 			t.Fatalf("MatMulT1 mismatch at %d: %v vs %v", i, got.Data[i], want.Data[i])
 		}
 	}
-	// MatMulT2(a,c) == MatMul(a, cᵀ)
+	// MatMulT2Into(a,c) == MatMulInto(a, cᵀ)
 	c := RandNormal(r, 0, 1, 5, 3)
-	got2 := MatMulT2(a, c)
-	want2 := MatMul(a, Transpose2D(c))
+	got2, ct, want2 := New(4, 5), New(3, 5), New(4, 5)
+	MatMulT2Into(got2, a, c)
+	Transpose2DInto(ct, c)
+	MatMulInto(want2, a, ct)
 	for i := range got2.Data {
 		if !almostEq(got2.Data[i], want2.Data[i], 1e-4) {
 			t.Fatalf("MatMulT2 mismatch at %d", i)
@@ -230,12 +235,13 @@ func TestMatMulDimChecks(t *testing.T) {
 			t.Fatal("mismatched MatMul must panic")
 		}
 	}()
-	MatMul(New(2, 3), New(4, 2))
+	MatMulInto(New(2, 2), New(2, 3), New(4, 2))
 }
 
 func TestTranspose2D(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	at := Transpose2D(a)
+	at := New(3, 2)
+	Transpose2DInto(at, a)
 	if at.Shape[0] != 3 || at.Shape[1] != 2 || at.At(2, 1) != 6 || at.At(0, 1) != 4 {
 		t.Fatalf("Transpose2D wrong: %v", at.Data)
 	}
@@ -256,7 +262,8 @@ func TestSumRowsAndAddRowVector(t *testing.T) {
 
 func TestSoftmaxRows(t *testing.T) {
 	a := FromSlice([]float32{1, 1, 1, 1000, 0, 0}, 2, 3)
-	s := Softmax(a)
+	s := New(a.Shape...)
+	SoftmaxInto(s, a)
 	for j := 0; j < 3; j++ {
 		if !almostEq(s.At(0, j), 1.0/3, 1e-5) {
 			t.Fatalf("uniform softmax row wrong: %v", s.Data[:3])
@@ -322,8 +329,13 @@ func TestMatMulDistributesProperty(t *testing.T) {
 		a := RandNormal(rr, 0, 1, m, k)
 		b := RandNormal(rr, 0, 1, k, n)
 		c := RandNormal(rr, 0, 1, k, n)
-		left := MatMul(a, Add(b, c))
-		right := Add(MatMul(a, b), MatMul(a, c))
+		mm := func(b *Tensor) *Tensor {
+			out := New(m, n)
+			MatMulInto(out, a, b)
+			return out
+		}
+		left := mm(Add(b, c))
+		right := Add(mm(b), mm(c))
 		for i := range left.Data {
 			if !almostEq(left.Data[i], right.Data[i], 1e-3) {
 				return false
@@ -344,7 +356,8 @@ func TestSoftmaxIsDistributionProperty(t *testing.T) {
 		rr := r.Split(seed)
 		rows, cols := 1+rr.Intn(4), 1+rr.Intn(6)
 		x := RandNormal(rr, 0, 10, rows, cols)
-		s := Softmax(x)
+		s := New(rows, cols)
+		SoftmaxInto(s, x)
 		for i := 0; i < rows; i++ {
 			var sum float32
 			for j := 0; j < cols; j++ {

@@ -27,7 +27,7 @@ func TestMeshTracksArePinned(t *testing.T) {
 				JobSpec: JobSpec{Model: "lenet5", Dataset: "fmnist", Seed: 1, Epochs: 2, TrainSamples: 640},
 				NumSoCs: 8, Groups: 2, InProcess: true,
 			},
-			acc:      []float64{0x1.9p-02, 0x1.94p-01},
+			acc:      []float64{0x1.b8p-02, 0x1.74p-01},
 			topology: [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}},
 		},
 		{
@@ -36,7 +36,7 @@ func TestMeshTracksArePinned(t *testing.T) {
 				JobSpec: JobSpec{Model: "lenet5", Dataset: "fmnist", Seed: 1, Epochs: 2, TrainSamples: 640},
 				NumSoCs: 8, Groups: 2,
 			},
-			acc:      []float64{0x1.9p-02, 0x1.94p-01},
+			acc:      []float64{0x1.b8p-02, 0x1.74p-01},
 			topology: [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}},
 		},
 		{

@@ -5,7 +5,8 @@
 # checks that a config the daemon can never run is refused at submit with
 # its sentinel named, checks that /debug/pprof/ is served only with
 # --pprof (200 on a second daemon started with it, 404 here), follows a
-# job's events stream and its trace, and stops the daemons with SIGINT
+# job's events stream, its trace and its scheduler decision log (parked
+# by a higher-priority job, then resumed), and stops the daemons with SIGINT
 # (promptly, with that stream still open). Nothing is written in the
 # checkout.
 #
@@ -45,7 +46,9 @@ expect_status() {
     fi
 }
 
-"$bin/socflow-server" --addr 127.0.0.1:0 --socs 32 2>"$bin/server.log" &
+# The park directory of the job this daemon parks at shutdown (kept for
+# a next generation) lands in $bin, which the exit trap removes.
+TMPDIR="$bin" "$bin/socflow-server" --addr 127.0.0.1:0 --socs 32 2>"$bin/server.log" &
 pid=$!
 url=http://$(wait_addr "$bin/server.log")
 expect_status "$url/debug/pprof/" 404
@@ -90,6 +93,22 @@ curl -sf "$url/v1/jobs/$id/trace" >"$bin/trace.json"
 grep -q '"traceEvents"' "$bin/trace.json" && grep -q '"ph": "X"' "$bin/trace.json" ||
     { echo "no span in $id's trace:" >&2; head -c 2000 "$bin/trace.json" >&2; exit 1; }
 expect_status "$url/v1/jobs/job-999999/trace" 404
+
+# A priority-9 job wanting the whole cluster parks the long job at its
+# next epoch boundary and runs; its exit resumes the long job. The long
+# job's GET /v1/jobs/{id}/decisions names the evictor and its priority;
+# an unknown job's decision log is a 404.
+hid=$(curl -s -X POST "$url/v1/jobs" -d '{"tenant":"u","priority":9,"kind":"train","config":{"Model":"lenet5","Dataset":"fmnist","Epochs":1,"TrainSamples":160,"NumSoCs":32,"Groups":2}}' |
+    sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
+for _ in $(seq 200); do
+    curl -sf "$url/v1/jobs/$id/decisions" >"$bin/decisions.json"
+    grep -q '"outcome":"resume"' "$bin/decisions.json" && break
+    sleep 0.1
+done
+grep -q '"outcome":"resume"' "$bin/decisions.json" &&
+    grep -q "\"outcome\":\"park\",\"reason\":\"evicted by $hid (priority 9" "$bin/decisions.json" ||
+    { echo "$id's decision log does not show its park by $hid and its resume:" >&2; cat "$bin/decisions.json" >&2; exit 1; }
+expect_status "$url/v1/jobs/job-999999/decisions" 404
 
 start=$(date +%s)
 kill -INT "$pid"

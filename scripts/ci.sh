@@ -61,6 +61,9 @@ go test -run '^$' -fuzz '^FuzzReadCheckpoint$' -fuzztime 10s ./internal/core
 # every job kind, is admitted or refused with one of errors.go's
 # sentinels (the daemon's 400), never a panic.
 go test -run '^$' -fuzz '^FuzzAdmitWire$' -fuzztime 10s .
+# A hand-built plan (WithPlan, DistConfig.Plan): Validate never panics,
+# and every plan it accepts prices through the planner without a panic.
+go test -run '^$' -fuzz '^FuzzPlanValidate$' -fuzztime 10s ./internal/plan
 # Both GEMM kernels against the naive loops, with NaN/Inf/-0 injected:
 # every result bit-equal.
 go test -run '^$' -fuzz '^FuzzGEMMMatchesNaive$' -fuzztime 10s ./internal/tensor

@@ -67,7 +67,10 @@ func (s *Server) Client() *Client { return &Client{srv: s.srv} }
 // socflow-server serves and `socflow-train --server` consumes: POST
 // /v1/jobs, GET /v1/jobs, GET /v1/jobs/{id}, GET /v1/jobs/{id}/events
 // (the job's events as server-sent events), GET /v1/jobs/{id}/trace
-// (the job's spans so far as a Chrome trace), DELETE /v1/jobs/{id},
+// (the job's spans so far as a Chrome trace), GET
+// /v1/jobs/{id}/decisions (the scheduler's decision log for the job,
+// each admit, queue, park, resume and resize with the figure behind
+// it), DELETE /v1/jobs/{id},
 // GET /metrics (every job's registry as Prometheus text), GET /healthz.
 // A submission is admitted by its kind's own code, the code an
 // in-process Client runs, so a bad config is a 400 and never a job. An
