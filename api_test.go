@@ -4,37 +4,86 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"log"
+	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"socflow/internal/core"
+	"socflow/internal/tensor"
 )
 
 // The options tune execution, never results: the same seeded job must
-// produce bit-identical accuracies and simulated time at any
-// parallelism level (DESIGN.md, "host parallelism vs. simulated
-// concurrency").
+// produce bit-identical accuracies, simulated time, energy and final
+// model at any parallelism level (DESIGN.md, "host parallelism vs.
+// simulated concurrency"). The final weights and state are the last
+// epoch's checkpoint: the lead replica's, exactly Result.FinalWeights
+// and FinalState.
 func TestParallelismInvariance(t *testing.T) {
-	seq, err := Run(context.Background(), fastCfg("socflow"), WithParallelism(1))
-	if err != nil {
-		t.Fatal(err)
+	type outcome struct {
+		rep *Report
+		cp  *core.Checkpoint
 	}
-	par, err := Run(context.Background(), fastCfg("socflow"), WithParallelism(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq.EpochAccuracies) != len(par.EpochAccuracies) {
-		t.Fatalf("epoch counts differ: %d vs %d", len(seq.EpochAccuracies), len(par.EpochAccuracies))
-	}
-	for e := range seq.EpochAccuracies {
-		if seq.EpochAccuracies[e] != par.EpochAccuracies[e] {
-			t.Fatalf("epoch %d accuracy diverged: %v (p=1) vs %v (p=8)",
-				e, seq.EpochAccuracies[e], par.EpochAccuracies[e])
+	run := func(width int) outcome {
+		dir := t.TempDir()
+		cfg := fastCfg("socflow")
+		rep, err := Run(context.Background(), cfg, WithParallelism(width), WithCheckpointEvery(cfg.Epochs, dir))
+		if err != nil {
+			t.Fatal(err)
 		}
+		store, err := core.NewCheckpointStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := store.Latest()
+		if err != nil || cp == nil {
+			t.Fatalf("width %d: final checkpoint %v, %v", width, cp, err)
+		}
+		return outcome{rep, cp}
 	}
-	if seq.SimSeconds != par.SimSeconds || seq.FinalAccuracy != par.FinalAccuracy {
-		t.Fatalf("results not bit-identical: %v/%v vs %v/%v",
-			seq.FinalAccuracy, seq.SimSeconds, par.FinalAccuracy, par.SimSeconds)
+	seq := run(1)
+	if len(seq.cp.Weights) == 0 {
+		t.Fatal("final checkpoint holds no weights")
+	}
+	for _, width := range []int{2, 3, 8} {
+		par := run(width)
+		if len(seq.rep.EpochAccuracies) != len(par.rep.EpochAccuracies) {
+			t.Fatalf("p=%d: epoch counts differ: %d vs %d", width, len(seq.rep.EpochAccuracies), len(par.rep.EpochAccuracies))
+		}
+		for e := range seq.rep.EpochAccuracies {
+			if seq.rep.EpochAccuracies[e] != par.rep.EpochAccuracies[e] {
+				t.Fatalf("epoch %d accuracy diverged: %v (p=1) vs %v (p=%d)",
+					e, seq.rep.EpochAccuracies[e], par.rep.EpochAccuracies[e], width)
+			}
+		}
+		if seq.rep.SimSeconds != par.rep.SimSeconds || seq.rep.FinalAccuracy != par.rep.FinalAccuracy ||
+			seq.rep.EnergyKJ != par.rep.EnergyKJ {
+			t.Fatalf("results not bit-identical at p=%d: %v/%v/%v vs %v/%v/%v", width,
+				seq.rep.FinalAccuracy, seq.rep.SimSeconds, seq.rep.EnergyKJ,
+				par.rep.FinalAccuracy, par.rep.SimSeconds, par.rep.EnergyKJ)
+		}
+		requireSameBits(t, fmt.Sprintf("p=%d final weights", width), seq.cp.Weights, par.cp.Weights)
+		requireSameBits(t, fmt.Sprintf("p=%d final state", width), seq.cp.State, par.cp.State)
+	}
+}
+
+// requireSameBits fails unless a and b hold the same tensors bit for bit.
+func requireSameBits(t *testing.T, what string, a, b []*tensor.Tensor) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d vs %d tensors", what, len(a), len(b))
+	}
+	for i := range a {
+		if len(a[i].Data) != len(b[i].Data) {
+			t.Fatalf("%s: tensor %d has %d vs %d elements", what, i, len(a[i].Data), len(b[i].Data))
+		}
+		for j, v := range a[i].Data {
+			if math.Float32bits(v) != math.Float32bits(b[i].Data[j]) {
+				t.Fatalf("%s: tensor %d element %d: %v vs %v", what, i, j, v, b[i].Data[j])
+			}
+		}
 	}
 }
 

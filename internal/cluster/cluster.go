@@ -49,7 +49,18 @@ type Cluster struct {
 	socUp, socDown []*simnet.Link // SoC <-> its PCB NIC
 	pcbUp, pcbDown []*simnet.Link // PCB NIC <-> switch
 	fabric         *simnet.Link   // switch fabric
+
+	net simnet.Counters // what this cluster's network has simulated
 }
+
+// Simulate runs flows over the cluster's links (simnet.Simulate),
+// charging them to the cluster's own counters as well as the process
+// aggregate. The collective and planner pricing a run does on its
+// cluster simulate through here, so NetStats is that run's own traffic.
+func (c *Cluster) Simulate(flows []*simnet.Flow) float64 { return c.net.Simulate(flows) }
+
+// NetStats reads the counters of everything simulated on the cluster.
+func (c *Cluster) NetStats() simnet.Stats { return c.net.Stats() }
 
 // New builds a cluster and its network topology.
 func New(cfg Config) *Cluster {

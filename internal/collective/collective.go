@@ -161,12 +161,12 @@ func (m *Memo) shape(c *cluster.Cluster, kind byte, bytes float64, lists [][]int
 // must be a function of kind, bytes and the shape of lists alone.
 func (m *Memo) window(c *cluster.Cluster, kind byte, bytes float64, lists [][]int, build func() []*simnet.Flow) float64 {
 	if m == nil {
-		return simnet.Simulate(build())
+		return c.Simulate(build())
 	}
 	key := m.shape(c, kind, bytes, lists)
 	t, ok := m.times[string(key)]
 	if !ok {
-		t = simnet.Simulate(build())
+		t = c.Simulate(build())
 		m.times[string(key)] = t
 	}
 	return t
@@ -213,7 +213,7 @@ func PSTime(c *cluster.Cluster, members []int, server int, bytes float64) float6
 	if len(push) == 0 {
 		return 0
 	}
-	t1 := simnet.Simulate(push)
+	t1 := c.Simulate(push)
 	var pull []*simnet.Flow
 	for _, m := range members {
 		if m == server {
@@ -221,7 +221,7 @@ func PSTime(c *cluster.Cluster, members []int, server int, bytes float64) float6
 		}
 		pull = append(pull, c.Flow("ps.pull", server, m, bytes, 0))
 	}
-	t2 := simnet.Simulate(pull)
+	t2 := c.Simulate(pull)
 	overhead := 0.0
 	if spansPCBs(c, members) {
 		overhead = cluster.SyncStartupPerSoC * float64(len(members)) * 0.5 * setupSizeFactor(bytes)
@@ -259,7 +259,7 @@ func TreeAggregateTime(c *cluster.Cluster, members []int, root int, bytes float6
 		up2 = append(up2, c.Flow("tree.relay-up", r, root, bytes, 0))
 		down1 = append(down1, c.Flow("tree.relay-down", root, r, bytes, 0))
 	}
-	t := simnet.Simulate(up1) + simnet.Simulate(up2) + simnet.Simulate(down1) + simnet.Simulate(down2)
+	t := c.Simulate(up1) + c.Simulate(up2) + c.Simulate(down1) + c.Simulate(down2)
 	return t + cluster.SyncStartupPerSoC*float64(len(relays))
 }
 

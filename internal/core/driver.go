@@ -113,7 +113,8 @@ type epochAttempt func(ctx context.Context, epoch int) (simSeconds float64, lead
 // park protocol and the final result — so every strategy honours every
 // lifecycle field of Job. build constructs the strategy's replicas and
 // returns its epoch attempt; the attempt charges meter and attributes
-// res.Breakdown as it prices.
+// res.Breakdown as it prices, simulating its network on clu, which the
+// job's harvest tracks.
 func runEpochs(ctx context.Context, name string, job *Job, clu *cluster.Cluster,
 	build func(job *Job, clu *cluster.Cluster, res *Result, meter *cluster.EnergyMeter) ([]*replica, epochAttempt, error)) (*Result, error) {
 
@@ -122,6 +123,7 @@ func runEpochs(ctx context.Context, name string, job *Job, clu *cluster.Cluster,
 	}
 	res := &Result{Strategy: name}
 	meter := cluster.NewEnergyMeter(clu.Config.NumSoCs)
+	job.Kernels.TrackNet(clu)
 	reps, attempt, err := build(job, clu, res, meter)
 	if err != nil {
 		return nil, err

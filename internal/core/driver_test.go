@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -43,12 +44,13 @@ func driverRows(t *testing.T) []driverRow {
 	}
 }
 
+// sameTensors reports whether a and b hold the same tensors bit for bit.
 func sameTensors(a, b []*tensor.Tensor) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if !slices.Equal(a[i].Data, b[i].Data) {
+		if !slices.EqualFunc(a[i].Data, b[i].Data, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) }) {
 			return false
 		}
 	}

@@ -190,6 +190,53 @@ func TestSoCFlowPreemption(t *testing.T) {
 	}
 }
 
+// The group fan-out runs over the active set, not over all groups: with
+// Mixed auto (every group ends its own epoch with an α probe and an
+// Eq. 5 merge), uneven shards and a preemption plan that sits one group
+// out, the run is bit for bit the same at every fan-out width —
+// accuracies, simulated time, energy, attribution, and the final
+// weights and batch-norm state.
+func TestParallelismInvarianceMixedPreempted(t *testing.T) {
+	run := func(width int) *Result {
+		job := testJob(t, 250, 3)          // 250 samples over 4 groups: shards of 62 and 63
+		job.Spec = nn.MustSpec("resnet18") // batch norm: FinalState carries running statistics
+		job.Width = width
+		if job.Train.Len()%4 == 0 {
+			t.Fatalf("setup: %d samples shard evenly over 4 groups", job.Train.Len())
+		}
+		s := &SoCFlow{NumGroups: 4, Mixed: MixedAuto,
+			Preempt: &PreemptionPlan{ByEpoch: map[int][]int{1: {2}}}}
+		res, err := s.Run(context.Background(), job, cluN(16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	seq := run(1)
+	if seq.Preemptions != 1 || len(seq.FinalWeights) == 0 || len(seq.FinalState) == 0 {
+		t.Fatalf("setup: %d preemptions, %d weights, %d state tensors",
+			seq.Preemptions, len(seq.FinalWeights), len(seq.FinalState))
+	}
+	for _, width := range []int{2, 3, 8} {
+		par := run(width)
+		for e := range seq.EpochAccuracies {
+			if seq.EpochAccuracies[e] != par.EpochAccuracies[e] || seq.EpochSimSeconds[e] != par.EpochSimSeconds[e] {
+				t.Fatalf("width %d epoch %d: acc %v / sim %v, want %v / %v", width, e,
+					par.EpochAccuracies[e], par.EpochSimSeconds[e], seq.EpochAccuracies[e], seq.EpochSimSeconds[e])
+			}
+		}
+		if par.SimSeconds != seq.SimSeconds || par.EnergyJ != seq.EnergyJ || par.Breakdown != seq.Breakdown ||
+			par.Preemptions != seq.Preemptions {
+			t.Fatalf("width %d: sim %v energy %v breakdown %+v preemptions %d, want %v %v %+v %d", width,
+				par.SimSeconds, par.EnergyJ, par.Breakdown, par.Preemptions,
+				seq.SimSeconds, seq.EnergyJ, seq.Breakdown, seq.Preemptions)
+		}
+		if !sameTensors(seq.FinalWeights, par.FinalWeights) || !sameTensors(seq.FinalState, par.FinalState) {
+			t.Fatalf("width %d: final weights or state differ in their bits", width)
+		}
+	}
+}
+
 func TestSyncSGDRunsAndLearns(t *testing.T) {
 	job := testJob(t, 480, 8)
 	ring := &SyncSGD{

@@ -3,33 +3,56 @@ package core
 import (
 	"sync"
 
+	"socflow/internal/cluster"
 	"socflow/internal/metrics"
 	"socflow/internal/nn"
 	"socflow/internal/simnet"
 )
 
-// KernelHarvest collects one run's kernel counts for its registry. The
-// run tracks every model it builds (Job.BuildModel does); each model's
-// Conv2D and Dense layers count their own GEMMs, im2cols and passes, and
+// KernelHarvest collects one run's kernel and simulated-network counts
+// for its registry. The run tracks every model it builds (Job.BuildModel
+// does); each model's Conv2D and Dense layers count their own GEMMs,
+// im2cols and passes. It also tracks every cluster it prices on (the
+// epoch driver does); each cluster counts what its network simulates.
 // Finish adds the sums to the registry, so concurrent runs never see
-// each other's kernels. simnet's counters are still process-global: a
-// run's simnet.* figures are a snapshot delta that folds in whatever
-// other runs simulate meanwhile.
+// each other's kernels or flows.
 type KernelHarvest struct {
 	reg *metrics.Registry
-	s0  simnet.Stats
 
 	mu     sync.Mutex
 	models []*nn.Sequential
+	nets   []trackedNet
+}
+
+// trackedNet is a tracked cluster and its counters when tracking began.
+type trackedNet struct {
+	c  *cluster.Cluster
+	s0 simnet.Stats
 }
 
 // BeginKernelHarvest starts a harvest into reg. A nil reg yields a nil
-// harvest, on which Track and Finish do nothing.
+// harvest, on which Track, TrackNet and Finish do nothing.
 func BeginKernelHarvest(reg *metrics.Registry) *KernelHarvest {
 	if reg == nil {
 		return nil
 	}
-	return &KernelHarvest{reg: reg, s0: simnet.SnapshotStats()}
+	return &KernelHarvest{reg: reg}
+}
+
+// TrackNet adds c's network to the run's: Finish publishes what c
+// simulates from now on. Tracking c again changes nothing.
+func (h *KernelHarvest) TrackNet(c *cluster.Cluster) {
+	if h == nil {
+		return
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, n := range h.nets {
+		if n.c == c {
+			return
+		}
+	}
+	h.nets = append(h.nets, trackedNet{c, c.NetStats()})
 }
 
 // Track adds m to the run's models and turns on its GEMM timing, which
@@ -45,9 +68,9 @@ func (h *KernelHarvest) Track(m *nn.Sequential) *nn.Sequential {
 	return m
 }
 
-// Finish publishes the tracked models' counts and the simnet delta into
-// the registry. Call it once the run has returned and its models are
-// idle.
+// Finish publishes the tracked models' counts and what the tracked
+// clusters simulated into the registry. Call it once the run has
+// returned and its models are idle.
 func (h *KernelHarvest) Finish() {
 	if h == nil {
 		return
@@ -57,8 +80,14 @@ func (h *KernelHarvest) Finish() {
 	for _, m := range h.models {
 		k.Add(m.KernelStats())
 	}
+	var sd simnet.Stats
+	for _, n := range h.nets {
+		d := n.c.NetStats().Delta(n.s0)
+		sd.Flows += d.Flows
+		sd.Bytes += d.Bytes
+		sd.SimSeconds += d.SimSeconds
+	}
 	h.mu.Unlock()
-	sd := simnet.SnapshotStats().Delta(h.s0)
 	reg := h.reg
 	reg.Counter("tensor.gemm.ops").Add(k.GEMMOps)
 	reg.Counter("tensor.gemm.flops").Add(k.GEMMFLOPs)

@@ -163,6 +163,7 @@ func (s *SoCFlow) build(job *Job, clu *cluster.Cluster, res *Result, meter *clus
 	tl := &timeline{job: job, clu: clu, mapping: mapping, cgs: cgs, s: s, res: res, meter: meter,
 		pricer: autoplan.NewPricer(clu, job.Spec)}
 
+	shares := make([]float64, n) // per group: the CPU share that set this epoch's split
 	return groups, func(ctx context.Context, epoch int) (float64, int) {
 		active := s.activeGroups(n, epoch)
 
@@ -175,43 +176,46 @@ func (s *SoCFlow) build(job *Job, clu *cluster.Cluster, res *Result, meter *clus
 			}
 		}
 
-		// Functional training: each active group walks its shard once.
-		// Groups only interact at epoch-end aggregation — each owns its
-		// model, optimizer, iterator, and RNG — so whole per-group epochs
-		// run concurrently, mirroring the real cluster where logical
-		// groups train simultaneously on disjoint SoCs. Per-group math is
-		// unchanged from the sequential interleaved order, so seeded
-		// results are bit-identical at every parallelism level.
+		// Functional training: each active group walks its shard once and
+		// then ends its own epoch — α refresh on the validation probe and
+		// the Eq. 5 merge (§3.2) — as its SoCs would, while the other
+		// groups do the same. Groups only interact at the cross-group
+		// aggregation below — each owns its model, optimizer, iterator,
+		// probe buffers and RNG — so whole per-group epochs run
+		// concurrently, mirroring the real cluster where logical groups
+		// train simultaneously on disjoint SoCs. Per-group math is
+		// unchanged from the sequential order, so seeded results are
+		// bit-identical at every parallelism level.
+		//
+		// The performance track prices the epoch with the α that governed
+		// its data split, so the CPU shares are read before EndEpoch
+		// refreshes them.
 		act := make([]*replica, len(active))
 		its := make([]*dataset.BatchIterator, len(active))
 		for ai, g := range active {
 			act[ai] = groups[g]
 			its[ai] = sched.Iterator(n, g, epoch)
+			if mp := groups[g].mp; mp != nil {
+				shares[g] = mp.CPUShare()
+			}
 		}
 		iters := sched.Steps(n, epoch)
 		job.fanOut(len(active), func(ai int) {
+			r := act[ai]
 			for i := 0; i < iters; i++ {
 				if ctx.Err() != nil {
 					return
 				}
-				act[ai].step(its[ai].Next())
+				r.step(its[ai].Next())
+			}
+			if r.mp != nil {
+				r.mp.EndEpoch(job.Val, probeBatch)
 			}
 		})
 		if ctx.Err() != nil {
 			return 0, 0
 		}
-
-		// Performance track first: the epoch must be priced with the α
-		// that governed its data split, before EndEpoch refreshes it.
-		epochTime := tl.epochTime(groups, active)
-
-		// End of the intra-group epoch: refresh α from the replicas'
-		// divergence and merge them per Eq. 5 (§3.2).
-		for _, r := range act {
-			if r.mp != nil {
-				r.mp.EndEpoch(job.Val, probeBatch)
-			}
-		}
+		epochTime := tl.epochTime(active, shares)
 
 		// Delayed aggregation across groups (per epoch): average the
 		// merged weights, then requantize the INT8 replicas.
@@ -277,8 +281,10 @@ func cgOf(cgs [][]int, g int) int {
 }
 
 // epochTime advances the simulated clock by one epoch under the Fig. 7
-// interleaved schedule and charges the energy meter.
-func (tl *timeline) epochTime(groups []*replica, active []int) float64 {
+// interleaved schedule and charges the energy meter. shares[g] is the
+// CPU share of active group g's mixed-precision split (unused under
+// MixedOff, where every sample trains on the CPU).
+func (tl *timeline) epochTime(active []int, shares []float64) float64 {
 	job, clu, meter := tl.job, tl.clu, tl.meter
 	nAll := len(tl.mapping.Groups)
 	payload := float64(job.Spec.GradBytes())
@@ -301,9 +307,8 @@ func (tl *timeline) epochTime(groups []*replica, active []int) float64 {
 		for i, perSoC := range tl.pricer.MemberBatches(members, job.PricingBatch(), !tl.s.DisableRebalance) {
 			soc := members[i]
 			var ct, cs, ns float64
-			if mp := groups[g].mp; mp != nil {
-				share := mp.CPUShare()
-				cpuN := int(math.Round(share * float64(perSoC)))
+			if tl.s.Mixed != MixedOff {
+				cpuN := int(math.Round(shares[g] * float64(perSoC)))
 				npuN := perSoC - cpuN
 				ct = clu.SplitStepTime(soc, job.Spec, cpuN, npuN)
 				cs = clu.StepTime(soc, job.Spec, cpuN, cluster.CPU)

@@ -389,7 +389,7 @@ func (pr *Pricer) boundarySeconds(a, b int, bytes float64) float64 {
 	key := boundary{pr.Clu.SamePCB(a, b), bytes}
 	t, ok := pr.xfer[key]
 	if !ok {
-		t = simnet.Simulate([]*simnet.Flow{
+		t = pr.Clu.Simulate([]*simnet.Flow{
 			pr.Clu.Flow("act.fwd", a, b, bytes, 0),
 			pr.Clu.Flow("act.bwd", b, a, bytes, 0),
 		})

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"socflow/internal/cluster"
 	"socflow/internal/metrics"
 	"socflow/internal/nn"
 	autoplan "socflow/internal/plan"
@@ -102,6 +103,12 @@ func newPipePolicy(cfg *DistConfig, spec *nn.Spec, numNodes, samples int) (*pipe
 	if eff != numNodes {
 		return nil, fmt.Errorf("runtime: Planner options target %d SoCs, mesh has %d nodes", eff, numNodes)
 	}
+	// One cluster for the run's pricer and every re-plan search, so the
+	// run's harvest counts what they simulate.
+	if o.Cluster == nil {
+		o.Cluster = cluster.New(cluster.Config{NumSoCs: eff})
+	}
+	cfg.Kernels.TrackNet(o.Cluster)
 	return &pipePolicy{popts: o, pricer: autoplan.PricerFor(o), plan: cfg.Plan}, nil
 }
 

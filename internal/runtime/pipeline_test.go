@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"reflect"
+	goruntime "runtime"
 	"strings"
 	"testing"
 
@@ -30,6 +31,39 @@ func pipelinePlan(t *testing.T, socs, maxGroups int) *autoplan.Plan {
 		t.Fatalf("planner chose %v; the runtime pipeline tests need a pipeline plan", p.Mode)
 	}
 	return p
+}
+
+// A Validate-clean pipeline plan whose last stage runs past the built
+// model (a hand-built plan, say, or one searched for another model) is
+// refused by RunDistributed before any stage worker starts: an error,
+// not a panic in a worker goroutine, and nothing left running. So is
+// one that stops short of the model's last layer.
+func TestRunDistributedRejectsStagesPastModel(t *testing.T) {
+	prof := dataset.MustProfile("cifar10")
+	train, val := prof.Generate(dataset.GenOptions{Samples: 40, Seed: 7}).Split(0.8)
+	spec := nn.MustSpec("resnet34")
+	for _, to := range []int{999, 1} {
+		p := pipelinePlan(t, 16, 2)
+		last := &p.Stages[len(p.Stages)-1]
+		if to <= last.From {
+			to = last.From
+		}
+		last.To = to
+		if err := p.Validate(); err != nil {
+			t.Fatalf("To=%d: the plan must stay Validate-clean: %v", to, err)
+		}
+		before := goruntime.NumGoroutine()
+		_, err := RunDistributed(context.Background(), transport.NewChanMesh(16), spec, train, val, DistConfig{
+			JobSpec: core.JobSpec{Epochs: 1, GlobalBatch: 8, LR: 0.02, Momentum: 0.9, Seed: 42},
+			Plan:    p,
+		})
+		if err == nil || !strings.Contains(err.Error(), "pipeline stages cover layers") {
+			t.Fatalf("To=%d: err = %v, want the stage-bounds refusal", to, err)
+		}
+		if after := goruntime.NumGoroutine(); after > before {
+			t.Fatalf("To=%d: %d goroutines after the refusal, %d before", to, after, before)
+		}
+	}
 }
 
 // The mesh execution of a pipeline plan must agree with the in-process

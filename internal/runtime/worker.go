@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"socflow/internal/core"
 	"socflow/internal/dataset"
@@ -136,8 +137,20 @@ func RunDistributed(ctx context.Context, mesh transport.Mesh, spec *nn.Spec, tra
 	}
 	pipe := p.Mode == autoplan.ModePipeline
 	prefix := "worker"
+	// Validate holds a pipeline plan's stages contiguous from layer 0;
+	// only the built model knows where its layers end. Every stage worker
+	// slices its model by them, so check once, before any starts. The
+	// first stage worker to start trains the model the check built (every
+	// worker builds the same one from the seed), so the check costs no
+	// extra model.
+	var shell atomic.Pointer[nn.Sequential]
 	if pipe {
 		prefix = "stage worker"
+		m := buildModel(spec, train, cfg.Seed)
+		if last := p.Stages[len(p.Stages)-1]; last.To != len(m.Layers)-1 {
+			return nil, fmt.Errorf("runtime: pipeline stages cover layers [0, %d], the %s model has %d", last.To, spec.Name, len(m.Layers))
+		}
+		shell.Store(m)
 	}
 	// Every node the plan trains on hosts a worker and the others idle —
 	// except on the elastic pipeline track, where they park at the barrier
@@ -196,7 +209,7 @@ func RunDistributed(ctx context.Context, mesh transport.Mesh, spec *nn.Spec, tra
 		}
 		mesh.Close()
 	}, func(id int) error {
-		t, e := newWorker(mesh.Node(id), spec, train, &cfg, rep)
+		t, e := newWorker(mesh.Node(id), spec, train, &cfg, rep, shell.Swap(nil))
 		if m != nil {
 			e.mgr, e.clock.plan = m, cfg.Faults
 			return e.run(t)
@@ -241,14 +254,18 @@ func RunDistributed(ctx context.Context, mesh transport.Mesh, spec *nn.Spec, tra
 
 // newWorker builds node's worker for the plan's mode — a data-parallel
 // replica or a pipeline stage — and the track-independent half the
-// elastic track snapshots and transfers.
-func newWorker(node transport.Node, spec *nn.Spec, train *dataset.Dataset, cfg *DistConfig, rep *reporter) (roundTrainer, *elasticState) {
+// elastic track snapshots and transfers. A pipeline stage worker trains
+// shell when it is non-nil, and builds its own model otherwise.
+func newWorker(node transport.Node, spec *nn.Spec, train *dataset.Dataset, cfg *DistConfig, rep *reporter, shell *nn.Sequential) (roundTrainer, *elasticState) {
 	if cfg.Plan.Mode == autoplan.ModeData {
 		g, _, _ := positionIn(cfg.Plan.Placement, node.ID())
 		w := newDPWorker(node, spec, train, cfg, g, rep)
 		return w, &elasticState{node: node, clock: &w.clock, weights: w.weights, state: w.state, shipVel: true}
 	}
-	w := newPipeWorker(node, spec, train, cfg, rep)
+	if shell == nil {
+		shell = buildModel(spec, train, cfg.Seed)
+	}
+	w := newPipeWorker(node, shell, train, cfg, rep)
 	w.elastic = cfg.Recovery != nil
 	return w, &elasticState{node: node, clock: &w.clock, weights: w.weights, state: w.state}
 }
@@ -284,6 +301,13 @@ type dpWorker struct {
 	cGradBytes, cIters *metrics.Counter
 }
 
+// buildModel builds the micro model every mesh worker starts from:
+// the same seed everywhere, so every replica and every stage's slice
+// starts identical.
+func buildModel(spec *nn.Spec, train *dataset.Dataset, seed uint64) *nn.Sequential {
+	return spec.BuildMicro(tensor.NewRNG(seed), train.Channels(), train.ImageSize(), train.Classes)
+}
+
 func newDPWorker(node transport.Node, spec *nn.Spec, train *dataset.Dataset, cfg *DistConfig, group int, rep *reporter) *dpWorker {
 	w := &dpWorker{node: node, cfg: cfg, group: group, rep: rep}
 	w.sched = dataset.Schedule{Train: train, Batch: cfg.GlobalBatch, Seed: cfg.Seed}
@@ -291,7 +315,7 @@ func newDPWorker(node transport.Node, spec *nn.Spec, train *dataset.Dataset, cfg
 	// Identical init everywhere: same seed, same stream. A rejoiner
 	// rebuilds the same shell and then overwrites it with the
 	// transferred state.
-	w.model = cfg.Kernels.Track(spec.BuildMicro(tensor.NewRNG(cfg.Seed), train.Channels(), train.ImageSize(), train.Classes))
+	w.model = cfg.Kernels.Track(buildModel(spec, train, cfg.Seed))
 	w.opt = nn.NewSGD(cfg.LR, cfg.Momentum, 0)
 	w.params = w.model.Params()
 	w.weights = w.model.Weights()

@@ -143,8 +143,16 @@ func (s *Simulator) resolve(flows []*Flow) {
 // The algorithm alternates between (1) computing the max-min fair rate
 // allocation for the currently active flows and (2) advancing time to
 // the next flow start or finish. Complexity is O(E · (F·L)) for E
-// events, fine for the fleet sizes here (hundreds of flows).
+// events, fine for the fleet sizes here (hundreds of flows). The call
+// is charged to the process aggregate (SnapshotStats).
 func (s *Simulator) Simulate(flows []*Flow) float64 {
+	makespan := s.run(flows)
+	record(nil, flows, makespan)
+	return makespan
+}
+
+// run is Simulate without the counters.
+func (s *Simulator) run(flows []*Flow) float64 {
 	s.resolve(flows)
 	for _, f := range flows {
 		f.remaining = f.Bytes
@@ -228,7 +236,6 @@ func (s *Simulator) Simulate(flows []*Flow) float64 {
 		}
 		now += dt
 	}
-	record(flows, makespan)
 	return makespan
 }
 
@@ -310,10 +317,15 @@ var simPool = sync.Pool{New: func() any { return NewSimulator() }}
 
 // Simulate runs progressive filling over the given flows using a pooled
 // reusable Simulator. See Simulator.Simulate.
-func Simulate(flows []*Flow) float64 {
+func Simulate(flows []*Flow) float64 { return (*Counters)(nil).Simulate(flows) }
+
+// Simulate is the package-level Simulate charged to c as well as to the
+// process aggregate; a nil c charges the aggregate alone.
+func (c *Counters) Simulate(flows []*Flow) float64 {
 	s := simPool.Get().(*Simulator)
-	ms := s.Simulate(flows)
+	ms := s.run(flows)
 	simPool.Put(s)
+	record(c, flows, ms)
 	return ms
 }
 

@@ -2,16 +2,17 @@ package simnet
 
 import "sync/atomic"
 
-// Package-level simulation counters, harvested by snapshot delta (the
-// same pattern as tensor's kernel counters): Simulate is called from
-// deep inside collective pricing, far from any run-scoped registry, so
-// the metrics layer snapshots before a run and publishes the delta
-// after it.
-var (
-	statFlows    atomic.Int64
-	statBytes    atomic.Int64
-	statSimNanos atomic.Int64
-)
+// Counters tally simulated transfers. Each simulated network keeps its
+// own (cluster.Cluster does, so a run's figures are its cluster's and
+// never another run's), and every Simulate call is also charged to one
+// process-wide aggregate, which SnapshotStats reads. The zero value is
+// ready to use; a Counters must not be copied once used.
+type Counters struct {
+	flows, bytes, simNanos atomic.Int64
+}
+
+// process is the process-wide aggregate.
+var process Counters
 
 // Stats is a snapshot of the simulator counters.
 type Stats struct {
@@ -23,14 +24,18 @@ type Stats struct {
 	SimSeconds float64
 }
 
-// SnapshotStats reads the current counter values.
-func SnapshotStats() Stats {
+// Stats reads c's current values.
+func (c *Counters) Stats() Stats {
 	return Stats{
-		Flows:      statFlows.Load(),
-		Bytes:      statBytes.Load(),
-		SimSeconds: float64(statSimNanos.Load()) / 1e9,
+		Flows:      c.flows.Load(),
+		Bytes:      c.bytes.Load(),
+		SimSeconds: float64(c.simNanos.Load()) / 1e9,
 	}
 }
+
+// SnapshotStats reads the process-wide aggregate: every simulation of
+// every network in the process, whoever ran it.
+func SnapshotStats() Stats { return process.Stats() }
 
 // Delta returns s - since, the simulation activity between snapshots.
 func (s Stats) Delta(since Stats) Stats {
@@ -41,13 +46,18 @@ func (s Stats) Delta(since Stats) Stats {
 	}
 }
 
-// record charges one Simulate call to the counters.
-func record(flows []*Flow, makespan float64) {
-	statFlows.Add(int64(len(flows)))
+// record charges one Simulate call to the process aggregate and, when
+// non-nil, to net.
+func record(net *Counters, flows []*Flow, makespan float64) {
 	var bytes float64
 	for _, f := range flows {
 		bytes += f.Bytes
 	}
-	statBytes.Add(int64(bytes))
-	statSimNanos.Add(int64(makespan * 1e9))
+	for _, c := range [2]*Counters{&process, net} {
+		if c != nil {
+			c.flows.Add(int64(len(flows)))
+			c.bytes.Add(int64(bytes))
+			c.simNanos.Add(int64(makespan * 1e9))
+		}
+	}
 }

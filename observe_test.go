@@ -187,6 +187,74 @@ func TestConcurrentRunsKeepTheirOwnKernelStats(t *testing.T) {
 	}
 }
 
+// Two runs that overlap in time must each publish exactly the simulated
+// network traffic of their own cluster — the simnet counters of the same
+// config run alone — not whatever the other run simulates meanwhile.
+func TestConcurrentRunsKeepTheirOwnSimnetStats(t *testing.T) {
+	cfgs := [2]Config{fastCfg("socflow"), fastCfg("socflow")}
+	cfgs[0].Epochs, cfgs[1].Epochs = 2, 3
+	cfgs[1].Seed, cfgs[1].NumSoCs = 9, 8
+
+	var solo [2]*metrics.RunReport
+	for i, cfg := range cfgs {
+		rep, err := Run(context.Background(), cfg, WithMetrics(metrics.New()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo[i] = rep.Metrics
+	}
+
+	// Both runs wait for each other at their first epoch end, after
+	// each has priced (and simulated) its first epoch and before either
+	// publishes.
+	var arrive sync.WaitGroup
+	arrive.Add(2)
+	both := make(chan struct{})
+	go func() { arrive.Wait(); close(both) }()
+	var (
+		wg   sync.WaitGroup
+		reps [2]*metrics.RunReport
+		errs [2]error
+	)
+	for i, cfg := range cfgs {
+		reg := metrics.New()
+		var once sync.Once
+		reg.Subscribe(func(e metrics.Event) {
+			once.Do(func() {
+				arrive.Done()
+				select {
+				case <-both:
+				case <-time.After(10 * time.Second):
+				}
+			})
+		})
+		wg.Add(1)
+		go func(i int, cfg Config) {
+			defer wg.Done()
+			rep, err := Run(context.Background(), cfg, WithMetrics(reg))
+			if err == nil {
+				reps[i] = rep.Metrics
+			}
+			errs[i] = err
+		}(i, cfg)
+	}
+	wg.Wait()
+	for i := range cfgs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		for _, name := range []string{"simnet.flows", "simnet.bytes"} {
+			if got, want := reps[i].Counters[name], solo[i].Counters[name]; got != want || want <= 0 {
+				t.Errorf("run %d: %s = %d concurrently, %d alone", i, name, got, want)
+			}
+		}
+		const g = "simnet.makespan.seconds"
+		if got, want := reps[i].Gauges[g], solo[i].Gauges[g]; got != want || !(want > 0) {
+			t.Errorf("run %d: %s = %v concurrently, %v alone", i, g, got, want)
+		}
+	}
+}
+
 // Two overlapping runs at different WithParallelism widths must each
 // fan their groups out at their own width for as long as they run —
 // A starts, B starts, A ends, B ends — and leave the process default

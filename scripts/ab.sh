@@ -25,6 +25,9 @@
 # The result_digest and failed-operation count of every run are compared
 # across the sides and reported per workload (a simplicity or
 # performance change must move neither).
+#
+# BENCH_ARGS, if set, is passed on to every bench.sh run, e.g.
+# BENCH_ARGS='--seed 2' for the same pairs on another input.
 set -eu
 
 pairs=10
@@ -61,7 +64,7 @@ export_tree "$change" "$tmp/change"
 # $tmp/WORKLOAD.METRIC.SIDE and "DIGEST failed=N" to $tmp/WORKLOAD.digest.SIDE.
 run_side() {
     log="$tmp/$2.$1.log"
-    if ! (cd "$tmp/$1" && bash benchmark/bench.sh --workload "$2" --out "$tmp/out-$1") >"$log" 2>&1; then
+    if ! (cd "$tmp/$1" && bash benchmark/bench.sh --workload "$2" --out "$tmp/out-$1" ${BENCH_ARGS:-}) >"$log" 2>&1; then
         cat "$log" >&2
         echo "ab.sh: $1 failed on $2" >&2
         exit 1
@@ -75,7 +78,7 @@ run_side() {
 
 status=0
 for w; do
-    echo "== $w: $pairs alternating pairs, parent=$parent change=$change"
+    echo "== $w: $pairs alternating pairs, parent=$parent change=$change ${BENCH_ARGS:-}"
     i=1
     while [ "$i" -le "$pairs" ]; do
         if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi

@@ -39,6 +39,12 @@ done
 # can check, and an exhaustive float32 sweep is pure arithmetic that the
 # detector would slow to minutes. The width matrix above owns those tests.
 make race
+# Each SoCFlow group ends its own epoch (α probe and Eq. 5 merge) inside
+# the group fan-out, so those steps interleave across groups; make race
+# only runs at this host's width. Race the invariance and mixed-precision
+# tests at one and at four schedulers, as the chaos gate does below.
+GOMAXPROCS=1 go test -race -skip 'Alloc|Exhaustive' -run 'ParallelismInvariance|Mixed' . ./internal/core
+GOMAXPROCS=4 go test -race -skip 'Alloc|Exhaustive' -run 'ParallelismInvariance|Mixed' . ./internal/core
 # The fault suite, tidal resizes included. TestExpFig4cINT8Degrades
 # matches "Degrade" but measures INT8 accuracy, not a fault, and is by
 # far the slowest test of its package under the race detector.
