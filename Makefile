@@ -25,7 +25,8 @@ RACE = $(GO) test -race -skip 'Alloc|Exhaustive'
 race:
 	$(RACE) ./ ./internal/parallel ./internal/tensor ./internal/nn \
 		./internal/core ./internal/runtime ./internal/transport ./internal/metrics \
-		./internal/serve ./internal/server ./internal/plan ./internal/dataset
+		./internal/serve ./internal/server ./internal/plan ./internal/dataset \
+		./internal/collective ./internal/simnet
 
 # Seeded chaos suite: randomized crash/straggle/link-drop/rejoin
 # schedules against the elastic recovery track, under the race
@@ -46,12 +47,14 @@ server-smoke:
 serve-smoke:
 	$(RACE) -run 'TestServeSmoke|TestServeOverHTTP' -count 1 .
 
-# Benchmark build-and-run smoke (~5 s): the repo benchmark the driver
-# runs (BENCHMARK.json) must build and complete one tiny pass of every
-# workload, so a broken benchmark is caught here first. --smoke shrinks
-# the workloads; --seconds shrinks each timed loop from its 10 s.
+# Benchmark build-and-run smoke (~40 s on 2 cores, most of it the cold build):
+# BENCHMARK.json's own entry, benchmark/bench.sh, run in an export of
+# the tree without .git must build and complete one tiny pass of every
+# workload and leave no benchmark process running, so a broken benchmark
+# is caught here first. --smoke shrinks the workloads; --seconds shrinks
+# each timed loop from its 10 s.
 bench-smoke:
-	$(GO) run ./benchmark --smoke --seconds 0.2
+	./scripts/bench-smoke.sh
 
 # The repo benchmark in full: two untraced passes that must agree within
 # the benchmark's own bounds, then a traced one (benchmark/README.md).

@@ -19,6 +19,7 @@ package collective
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 
 	"socflow/internal/cluster"
 	"socflow/internal/simnet"
@@ -36,23 +37,71 @@ const (
 // RingFlows returns the fluid-approximation flows of one ring
 // all-reduce over members: member i streams 2(N-1)/N · bytes to its
 // ring successor. Callers combine flows from several groups to model
-// concurrent synchronization.
+// concurrent synchronization. The flows are freshly allocated (one
+// allocation each for the pointers, the flows and their paths, whatever
+// the ring's size).
 func RingFlows(c *cluster.Cluster, members []int, bytes float64, startAt float64) []*simnet.Flow {
 	n := len(members)
 	if n < 2 {
 		return nil
 	}
-	payload := 2 * float64(n-1) / float64(n) * bytes
-	// One allocation each for the pointers, the flows and their paths
-	// (at most five links a flow), whatever the ring's size.
-	flows, ring, links := make([]*simnet.Flow, n), make([]simnet.Flow, n), make([]*simnet.Link, 0, 5*n)
-	for i, src := range members {
-		lo := len(links)
-		links = c.AppendPath(links, src, members[(i+1)%n])
-		ring[i] = simnet.Flow{Name: "ring", Path: links[lo:len(links):len(links)], Bytes: payload, StartAt: startAt}
-		flows[i] = &ring[i]
+	var fs flowSet
+	fs.grow(n)
+	fs.appendRing(c, members, bytes, startAt)
+	return fs.pointers()
+}
+
+// flowSet lays out one flow set: the flows, their pointers and their
+// link paths, each in one backing array. A Memo keeps one and rebuilds
+// every window it simulates into it; RingFlows and the nil Memo build
+// into a fresh one.
+type flowSet struct {
+	ptrs  []*simnet.Flow
+	flows []simnet.Flow
+	links []*simnet.Link
+}
+
+// reset empties the set, keeping its arrays for the next window.
+func (fs *flowSet) reset() {
+	fs.flows, fs.links = fs.flows[:0], fs.links[:0]
+}
+
+// grow makes room for n more flows of at most five links each (the
+// longest cluster path), so building them allocates nothing.
+func (fs *flowSet) grow(n int) {
+	fs.flows = slices.Grow(fs.flows, n)
+	fs.links = slices.Grow(fs.links, 5*n)
+}
+
+// appendFlow appends a src->dst flow. Its path is capped so appending
+// to it can never overwrite the next flow's.
+func (fs *flowSet) appendFlow(c *cluster.Cluster, name string, src, dst int, bytes, startAt float64) {
+	lo := len(fs.links)
+	fs.links = c.AppendPath(fs.links, src, dst)
+	fs.flows = append(fs.flows, simnet.Flow{Name: name, Path: fs.links[lo:len(fs.links):len(fs.links)], Bytes: bytes, StartAt: startAt})
+}
+
+// appendRing appends one ring all-reduce's flows, in member order.
+func (fs *flowSet) appendRing(c *cluster.Cluster, members []int, bytes, startAt float64) {
+	n := len(members)
+	if n < 2 {
+		return
 	}
-	return flows
+	payload := 2 * float64(n-1) / float64(n) * bytes
+	for i, src := range members {
+		fs.appendFlow(c, "ring", src, members[(i+1)%n], payload, startAt)
+	}
+}
+
+// pointers returns the set's flows as the pointer list simnet takes.
+// Taken once the set is complete, so no pointer outlives a regrown
+// array.
+func (fs *flowSet) pointers() []*simnet.Flow {
+	fs.ptrs = slices.Grow(fs.ptrs[:0], len(fs.flows))
+	for i := range fs.flows {
+		fs.ptrs = append(fs.ptrs, &fs.flows[i])
+	}
+	return fs.ptrs
 }
 
 // ringOverhead returns the per-collective fixed costs: 2(N-1) step
@@ -110,14 +159,17 @@ func spansPCBs(c *cluster.Cluster, members []int) bool {
 //
 // A Memo belongs to one cluster and lives exactly as long as its owner
 // (one plan.Pricer: one search, one strategy run); nothing is shared
-// across owners. A nil *Memo remembers nothing and prices every window
-// from scratch — the package-level functions, which tests use as the
-// oracle. Not safe for concurrent use.
+// across owners. Every window it does simulate is built into its own
+// flow buffers, which the next miss overwrites. A nil *Memo remembers
+// nothing and prices every window from scratch in freshly allocated
+// flows — the package-level functions, which tests use as the oracle.
+// Not safe for concurrent use.
 type Memo struct {
 	times  map[string]float64
 	key    []byte
 	labels []label // per SoC, then per PCB: its label under the key being built
 	gen    uint32
+	flows  flowSet // the last simulated window's flows
 }
 
 type label struct {
@@ -157,29 +209,42 @@ func (m *Memo) shape(c *cluster.Cluster, kind byte, bytes float64, lists [][]int
 	return key
 }
 
-// window returns the simulated time of the flows build makes, which
-// must be a function of kind, bytes and the shape of lists alone.
-func (m *Memo) window(c *cluster.Cluster, kind byte, bytes float64, lists [][]int, build func() []*simnet.Flow) float64 {
+// window returns the simulated time of the flows build appends, which
+// must be a function of kind, bytes and the shape of lists alone; n is
+// how many flows build appends at most.
+func (m *Memo) window(c *cluster.Cluster, kind byte, bytes float64, lists [][]int, n int, build func(*flowSet)) float64 {
 	if m == nil {
-		return c.Simulate(build())
+		var fs flowSet
+		return simulate(c, &fs, n, build)
 	}
 	key := m.shape(c, kind, bytes, lists)
 	t, ok := m.times[string(key)]
 	if !ok {
-		t = c.Simulate(build())
+		m.flows.reset()
+		t = simulate(c, &m.flows, n, build)
 		m.times[string(key)] = t
 	}
 	return t
 }
 
+// simulate builds up to n flows into fs and simulates them.
+func simulate(c *cluster.Cluster, fs *flowSet, n int, build func(*flowSet)) float64 {
+	fs.grow(n)
+	build(fs)
+	return c.Simulate(fs.pointers())
+}
+
 // ringWindow returns the simulated network time of the groups' ring
 // all-reduces running concurrently, without their fixed overheads.
 func (m *Memo) ringWindow(c *cluster.Cluster, bytes float64, groups ...[]int) float64 {
-	return m.window(c, 'r', bytes, groups, func() (flows []*simnet.Flow) {
+	n := 0
+	for _, members := range groups {
+		n += len(members)
+	}
+	return m.window(c, 'r', bytes, groups, n, func(fs *flowSet) {
 		for _, members := range groups {
-			flows = append(flows, RingFlows(c, members, bytes, 0)...)
+			fs.appendRing(c, members, bytes, 0)
 		}
-		return flows
 	})
 }
 
@@ -272,13 +337,12 @@ func BroadcastTime(c *cluster.Cluster, src int, dsts []int, bytes float64) float
 
 // BroadcastTime is the package-level function, remembered.
 func (m *Memo) BroadcastTime(c *cluster.Cluster, src int, dsts []int, bytes float64) float64 {
-	return m.window(c, 'b', bytes, [][]int{{src}, dsts}, func() (flows []*simnet.Flow) {
+	return m.window(c, 'b', bytes, [][]int{{src}, dsts}, len(dsts), func(fs *flowSet) {
 		for _, d := range dsts {
 			if d != src {
-				flows = append(flows, c.Flow("bcast", src, d, bytes, 0))
+				fs.appendFlow(c, "bcast", src, d, bytes, 0)
 			}
 		}
-		return flows
 	})
 }
 

@@ -111,7 +111,46 @@ func TestMemoMatchesFromScratch(t *testing.T) {
 	if memoFlows*2 > scratchFlows {
 		t.Errorf("the memo simulated %d flows where from-scratch pricing simulated %d; want under half (every random combined window is new)", memoFlows, scratchFlows)
 	}
+
+	// The memo rebuilds every window it simulates in its own flow
+	// buffers. Walk the same memo through misses whose flow count grows
+	// to the whole cluster and shrinks back, ring windows and broadcasts
+	// interleaved (a fresh payload each step makes every window new),
+	// while a set RingFlows returned earlier must stay as it was built.
+	held := RingFlows(c, seededPerm(37)[:9], 5e6, 0.25)
+	want := make([]simnet.Flow, len(held))
+	for i, f := range held {
+		want[i] = simnet.Flow{Name: f.Name, Path: slices.Clone(f.Path), Bytes: f.Bytes, StartAt: f.StartAt}
+	}
+	sizes := []int{2, 5, 9, 17, 26, 37, 30, 12, 6, 3, 2}
+	for step, k := range sizes {
+		members := seededPerm(37)[:k]
+		groups := [][]int{members[:k/2+1], members[k/2+1:]}
+		bytes := 1e6 + float64(step)
+		if got, want := memo.ConcurrentRingTime(c, groups, bytes), ConcurrentRingTime(c, groups, bytes); got != want {
+			t.Fatalf("step %d: concurrent rings %v: memo %x, from scratch %x", step, groups, got, want)
+		}
+		src := members[k-1]
+		if got, want := memo.BroadcastTime(c, src, members, bytes), BroadcastTime(c, src, members, bytes); got != want {
+			t.Fatalf("step %d: broadcast %d -> %v: memo %x, from scratch %x", step, src, members, got, want)
+		}
+		if got, want := memo.RingAllReduceTime(c, members, bytes), RingAllReduceTime(c, members, bytes); got != want {
+			t.Fatalf("step %d: ring %v: memo %x, from scratch %x", step, members, got, want)
+		}
+	}
+	for i, f := range held {
+		w := want[i]
+		if f.Name != w.Name || !slices.Equal(f.Path, w.Path) || f.Bytes != w.Bytes || f.StartAt != w.StartAt {
+			t.Fatalf("RingFlows' flow %d changed under later memo windows: %+v, built as %+v", i, *f, w)
+		}
+	}
+	if again := RingFlows(c, seededPerm(37)[:9], 5e6, 0.25); again[0] == held[0] || &again[0].Path[0] == &held[0].Path[0] {
+		t.Error("RingFlows returned flows it had returned before; want a fresh set per call")
+	}
 }
+
+// seededPerm returns a seeded permutation of [0, n), the same on every call.
+func seededPerm(n int) []int { return rand.New(rand.NewSource(7)).Perm(n) }
 
 // Repricing a remembered window allocates nothing: the key is built in
 // the Memo's own buffer and looked up without being copied.

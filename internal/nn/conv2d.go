@@ -34,7 +34,8 @@ type Conv2D struct {
 	kc kernelCounter
 }
 
-// NewConv2D creates a conv layer with a square kernel, He init.
+// NewConv2D creates a conv layer with a square kernel, He init (zero
+// weights when r is nil).
 func NewConv2D(r *tensor.RNG, inC, outC, k, stride, pad int) *Conv2D {
 	fanIn := inC * k * k
 	return &Conv2D{
@@ -42,7 +43,7 @@ func NewConv2D(r *tensor.RNG, inC, outC, k, stride, pad int) *Conv2D {
 		OutC: outC,
 		P:    tensor.ConvParams{KH: k, KW: k, SH: stride, SW: stride, PH: pad, PW: pad},
 		Weight: newParam("conv.w",
-			tensor.HeInit(r, fanIn, outC, fanIn), false),
+			heWeight(r, fanIn, outC, fanIn), false),
 		Bias: newParam("conv.b", tensor.New(outC), true),
 	}
 }
@@ -183,7 +184,7 @@ func NewDepthwiseConv2D(r *tensor.RNG, c, k, stride, pad int) *DepthwiseConv2D {
 	return &DepthwiseConv2D{
 		C:      c,
 		P:      tensor.ConvParams{KH: k, KW: k, SH: stride, SW: stride, PH: pad, PW: pad},
-		Weight: newParam("dwconv.w", tensor.HeInit(r, k*k, c, k*k), false),
+		Weight: newParam("dwconv.w", heWeight(r, k*k, c, k*k), false),
 		Bias:   newParam("dwconv.b", tensor.New(c), true),
 	}
 }

@@ -18,12 +18,12 @@ type Dense struct {
 }
 
 // NewDense creates a dense layer with He initialization (suited to the
-// ReLU networks used throughout the paper).
+// ReLU networks used throughout the paper); zero weights when r is nil.
 func NewDense(r *tensor.RNG, in, out int) *Dense {
 	return &Dense{
 		In:     in,
 		Out:    out,
-		Weight: newParam("dense.w", tensor.HeInit(r, in, in, out), false),
+		Weight: newParam("dense.w", heWeight(r, in, in, out), false),
 		Bias:   newParam("dense.b", tensor.New(out), true),
 	}
 }

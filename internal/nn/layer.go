@@ -32,6 +32,16 @@ func newParam(name string, w *tensor.Tensor, noDecay bool) *Param {
 	return &Param{Name: name, W: w, Grad: tensor.New(w.Shape...), NoDecay: noDecay}
 }
 
+// heWeight returns a weight tensor of the given shape, He-initialized
+// from r, or all +0 when r is nil: a geometry-only build (Spec.BuildMicro)
+// that draws nothing.
+func heWeight(r *tensor.RNG, fanIn int, shape ...int) *tensor.Tensor {
+	if r == nil {
+		return tensor.New(shape...)
+	}
+	return tensor.HeInit(r, fanIn, shape...)
+}
+
 // Layer is a differentiable module. Forward caches whatever Backward
 // needs; Backward accumulates parameter gradients and returns the
 // gradient with respect to the layer input.

@@ -33,6 +33,9 @@ type Spec struct {
 	EpochsToConverge int
 	// BuildMicro constructs the micro (functionally trainable) variant
 	// for the given input channels, square image size, and class count.
+	// A nil r builds the geometry alone: every layer, shape and buffer
+	// as a seeded build has them, every weight +0 and no RNG draw —
+	// what a shape walk such as serve.LayerCosts needs.
 	BuildMicro func(r *tensor.RNG, inC, imgSize, classes int) *Sequential
 }
 

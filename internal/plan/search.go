@@ -8,7 +8,6 @@ import (
 	"socflow/internal/cluster"
 	"socflow/internal/nn"
 	"socflow/internal/serve"
-	"socflow/internal/tensor"
 )
 
 // Options parameterizes a planner search.
@@ -17,8 +16,8 @@ type Options struct {
 	// against. Required.
 	Spec *nn.Spec
 	// Model is the micro model used for the layer-cost shape walk. When
-	// nil, one is built from Spec with a fixed seed and the default
-	// micro input (the walk only needs layer ratios, not weights).
+	// nil, Spec's geometry is built for the micro input with no weights
+	// drawn (BuildMicro with a nil RNG: the walk reads shapes only).
 	Model *nn.Sequential
 	// InC and ImgSize are the micro input shape for the cost walk
 	// (defaults 3 and 8 — the CIFAR micro profile).
@@ -126,9 +125,7 @@ func search(o Options, each func(p *Plan, epochSeconds float64)) (*Plan, error) 
 	}
 	model := o.Model
 	if model == nil {
-		// Weights are irrelevant to the shape walk; the seed is fixed so
-		// the builder's RNG draws never perturb anything.
-		model = o.Spec.BuildMicro(tensor.NewRNG(1), o.InC, o.ImgSize, 10)
+		model = o.Spec.BuildMicro(nil, o.InC, o.ImgSize, 10)
 	}
 	costs := serve.LayerCosts(model, o.InC, o.ImgSize)
 

@@ -111,7 +111,8 @@ func (e *Engine) StageSeconds(batch int) []float64 {
 
 // TransferSeconds prices each stage boundary's activation handoff for
 // the batch through the simnet topology (SoC uplink/downlink, and the
-// PCB uplinks plus switch fabric when a boundary crosses boards).
+// PCB uplinks plus switch fabric when a boundary crosses boards). Each
+// handoff is simulated on, and counted by, the engine's cluster.
 func (e *Engine) TransferSeconds(batch int) []float64 {
 	if len(e.Stages) < 2 {
 		return nil
@@ -119,7 +120,7 @@ func (e *Engine) TransferSeconds(batch int) []float64 {
 	out := make([]float64, len(e.Stages)-1)
 	for i := range out {
 		bytes := float64(e.Stages[i].OutElems) * e.actScale * 4 * float64(batch)
-		out[i] = simnet.TransferTime(bytes, e.clu.Path(e.socs[i], e.socs[i+1])...)
+		out[i] = e.clu.Simulate([]*simnet.Flow{e.clu.Flow("stage", e.socs[i], e.socs[i+1], bytes, 0)})
 	}
 	return out
 }

@@ -30,12 +30,21 @@ type Link struct {
 	Latency float64
 }
 
-// NewLink creates a link with the given capacity in bytes/second.
+// NewLink creates a link with the given capacity in bytes/second,
+// which must be positive and finite.
 func NewLink(name string, bandwidth, latency float64) *Link {
-	if bandwidth <= 0 {
-		panic(fmt.Sprintf("simnet: link %q with non-positive bandwidth", name))
-	}
+	checkBandwidth(name, bandwidth)
 	return &Link{Name: name, Bandwidth: bandwidth, Latency: latency}
+}
+
+// checkBandwidth panics, naming the link, unless bw is a positive
+// finite capacity. NaN would otherwise pass a bw <= 0 test and +Inf
+// never lose a bottleneck comparison; either ends in a zero-rate
+// deadlock that names no link.
+func checkBandwidth(name string, bw float64) {
+	if !(bw > 0 && bw <= math.MaxFloat64) {
+		panic(fmt.Sprintf("simnet: link %q with bandwidth %v, want positive and finite", name, bw))
+	}
 }
 
 // Flow is one transfer traversing a path of links.
@@ -128,6 +137,7 @@ func (s *Simulator) resolve(flows []*Flow) {
 				s.slots[l] = slot
 				s.states = append(s.states, linkState{})
 			}
+			checkBandwidth(l.Name, l.Bandwidth) // Bandwidth may have changed since NewLink
 			s.states[slot].bw = l.Bandwidth
 			s.paths = append(s.paths, slot)
 		}

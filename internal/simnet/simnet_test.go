@@ -1,7 +1,9 @@
 package simnet
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -113,13 +115,32 @@ func TestEmptySimulation(t *testing.T) {
 	}
 }
 
+// A link must have a positive, finite bandwidth: NewLink refuses any
+// other, and so does Simulate for a link whose Bandwidth was changed
+// after it was made, naming the link rather than ending in a zero-rate
+// deadlock.
 func TestLinkValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero-bandwidth link must panic")
-		}
-	}()
-	NewLink("bad", 0, 0)
+	panics := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatalf("%s: no panic", what)
+			}
+			if msg := fmt.Sprint(r); !strings.Contains(msg, `"bad"`) || strings.Contains(msg, "deadlock") {
+				t.Errorf("%s: panic %q, want one naming link \"bad\"", what, msg)
+			}
+		}()
+		f()
+	}
+	for _, bw := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		panics(fmt.Sprintf("NewLink(%v)", bw), func() { NewLink("bad", bw, 0) })
+		l := NewLink("bad", 100, 0)
+		l.Bandwidth = bw
+		panics(fmt.Sprintf("Simulate over a link set to %v", bw), func() {
+			NewSimulator().Simulate([]*Flow{{Path: []*Link{l}, Bytes: 100}})
+		})
+	}
 }
 
 func TestSimulateIsRepeatable(t *testing.T) {

@@ -255,6 +255,85 @@ func TestConcurrentRunsKeepTheirOwnSimnetStats(t *testing.T) {
 	}
 }
 
+// Two serving jobs that overlap in time must each publish their own
+// engine's kernel counts and simulated network traffic — the figures
+// the same config publishes when it serves alone — not the process's
+// or the other job's.
+func TestConcurrentServeJobsKeepTheirOwnStats(t *testing.T) {
+	cfgs := [2]ServeConfig{smokeServeConfig(), smokeServeConfig()}
+	cfgs[0].Hours, cfgs[1].Hours = 2, 3
+	cfgs[1].Seed, cfgs[1].NumSoCs, cfgs[1].PeakRPS = 9, 12, 3
+	serveAlone := func(cfg ServeConfig) (*metrics.RunReport, error) {
+		srv := NewServer(ServerConfig{})
+		defer srv.Close()
+		h, err := srv.Client().Serve(context.Background(), cfg, WithMetrics(metrics.New()))
+		if err != nil {
+			return nil, err
+		}
+		rep, err := h.Wait(context.Background())
+		if err != nil {
+			return nil, err
+		}
+		return rep.Metrics, nil
+	}
+	var solo [2]*metrics.RunReport
+	for i, cfg := range cfgs {
+		rep, err := serveAlone(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo[i] = rep
+	}
+
+	// Both jobs wait for each other at their first hour's end, after
+	// each has replayed (and simulated) that hour and before either
+	// publishes.
+	var arrive sync.WaitGroup
+	arrive.Add(2)
+	both := make(chan struct{})
+	go func() { arrive.Wait(); close(both) }()
+	var (
+		wg   sync.WaitGroup
+		reps [2]*metrics.RunReport
+		errs [2]error
+	)
+	for i, cfg := range cfgs {
+		var once sync.Once
+		cfg.HourEnd = func(ServeHourStat) {
+			once.Do(func() {
+				arrive.Done()
+				select {
+				case <-both:
+				case <-time.After(10 * time.Second):
+				}
+			})
+		}
+		wg.Add(1)
+		go func(i int, cfg ServeConfig) {
+			defer wg.Done()
+			reps[i], errs[i] = serveAlone(cfg)
+		}(i, cfg)
+	}
+	wg.Wait()
+	for i := range cfgs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		for _, name := range []string{"simnet.flows", "simnet.bytes", "nn.conv.forward"} {
+			if got, want := reps[i].Counters[name], solo[i].Counters[name]; got != want || want <= 0 {
+				t.Errorf("job %d: %s = %d concurrently, %d alone", i, name, got, want)
+			}
+		}
+		const g = "simnet.makespan.seconds"
+		if got, want := reps[i].Gauges[g], solo[i].Gauges[g]; got != want || !(want > 0) {
+			t.Errorf("job %d: %s = %v concurrently, %v alone", i, g, got, want)
+		}
+	}
+	if reps[0].Counters["simnet.flows"] == reps[1].Counters["simnet.flows"] {
+		t.Errorf("both jobs published %d simnet flows; want configs that simulate different traffic", reps[0].Counters["simnet.flows"])
+	}
+}
+
 // Two overlapping runs at different WithParallelism widths must each
 // fan their groups out at their own width for as long as they run —
 // A starts, B starts, A ends, B ends — and leave the process default

@@ -3,8 +3,15 @@ package socflow
 import (
 	"context"
 	"errors"
+	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"socflow/internal/nn"
+	"socflow/internal/serve"
+	"socflow/internal/tensor"
 )
 
 // tinyPlan is a valid micro architecture usable at every catalog
@@ -94,11 +101,43 @@ func TestRegisterModelEveryConstructor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGeometryBuild(t, nn.MustSpec(name))
 	cfg := fastCfg("")
 	cfg.Model = name
 	cfg.Epochs = 2
 	if _, err := Run(context.Background(), cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// checkGeometryBuild holds a registered model's nil-RNG build (the
+// planner's layer-cost walk builds no weights) to a seeded build's
+// geometry: equal layer costs and parameter shapes, drawn weights +0,
+// every other parameter as seeded.
+func checkGeometryBuild(t *testing.T, spec *nn.Spec) {
+	t.Helper()
+	seeded, bare := spec.BuildMicro(tensor.NewRNG(1), 3, 8, 10), spec.BuildMicro(nil, 3, 8, 10)
+	if got, want := serve.LayerCosts(bare, 3, 8), serve.LayerCosts(seeded, 3, 8); !reflect.DeepEqual(got, want) {
+		t.Errorf("layer costs of the nil-RNG build %+v, seeded %+v", got, want)
+	}
+	sp, bp := seeded.Params(), bare.Params()
+	if len(sp) != len(bp) {
+		t.Fatalf("%d params, seeded %d", len(bp), len(sp))
+	}
+	for i, p := range bp {
+		s := sp[i]
+		if p.Name != s.Name || !slices.Equal(p.W.Shape, s.W.Shape) {
+			t.Fatalf("param %d is %s%v, seeded %s%v", i, p.Name, p.W.Shape, s.Name, s.W.Shape)
+		}
+		for j, v := range p.W.Data {
+			want := s.W.Data[j]
+			if strings.HasSuffix(p.Name, ".w") {
+				want = 0
+			}
+			if math.Float32bits(v) != math.Float32bits(want) {
+				t.Fatalf("%s[%d] = %v in the nil-RNG build, want %v", p.Name, j, v, want)
+			}
+		}
 	}
 }
 

@@ -242,7 +242,9 @@ func buildServe(cfg ServeConfig, cat catalog, _ runOptions) (runner, error) {
 		reg := obs.reg
 		clu := cat.cluster(cfg.NumSoCs)
 		ds := cat.prof.Generate(dataset.GenOptions{Samples: cfg.Samples, Seed: cfg.Seed})
-		model := cat.spec.BuildMicro(tensor.NewRNG(cfg.Seed), ds.Channels(), ds.ImageSize(), ds.Classes)
+		kernels := core.BeginKernelHarvest(obs.user)
+		kernels.TrackNet(clu)
+		model := kernels.Track(cat.spec.BuildMicro(tensor.NewRNG(cfg.Seed), ds.Channels(), ds.ImageSize(), ds.Classes))
 		if startCP != nil {
 			startCP.Restore(model.Weights(), model.StateTensors())
 		}
@@ -311,6 +313,7 @@ func buildServe(cfg ServeConfig, cat catalog, _ runOptions) (runner, error) {
 				cfg.HourEnd(stat)
 			}
 		}
+		kernels.Finish()
 		if n := rep.Requests - rep.Canceled; n > 0 {
 			rep.Attainment /= float64(n)
 		} else {
