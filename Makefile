@@ -23,7 +23,7 @@ RACE = $(GO) test -race -skip 'Alloc|Exhaustive'
 
 # The race-detector package list; scripts/ci.sh runs this target.
 race:
-	$(RACE) ./ ./internal/parallel ./internal/tensor ./internal/nn \
+	$(RACE) ./ ./internal/parallel ./internal/tensor ./internal/quant ./internal/nn \
 		./internal/core ./internal/runtime ./internal/transport ./internal/metrics \
 		./internal/serve ./internal/server ./internal/plan ./internal/dataset \
 		./internal/collective ./internal/simnet

@@ -84,53 +84,87 @@ func (o *Int8SGD) anchor(w *tensor.Tensor) []float32 {
 
 // Step applies one integer SGD update:
 //
-//	codes <- clamp(codes - stochastic_round(lr·fakequant(g)/scale))
+//	codes <- clamp(codes - stochastic_round(lr·fakequant(clip(g))/scale))
 //
 // with per-channel scales that persist across steps. If any channel's
-// weights have outgrown its grid, the tensor is re-anchored first.
+// weights have outgrown its grid, the tensor is re-anchored afterwards.
+//
+// The gradient is fake-quantized element by element inside the update
+// loop, never copied. Its grid scale is gs = min(g.AbsMax(), GradClip)
+// /127, the abs-max of the clipped gradient (clipping keeps NaN, which
+// AbsMax skips, and turns ±Inf into ±clip). On that grid the clip
+// itself is implied: when it binds, ±clip is code ±127, and so is every
+// value beyond it.
 func (o *Int8SGD) Step(w, g *tensor.Tensor) {
-	gq := tensor.Scratch.GetTensor(g.Shape...)
-	defer tensor.Scratch.ReleaseTensor(gq)
+	gmax := g.AbsMax()
 	if o.GradClip > 0 {
-		gq.CopyFrom(g)
-		tensor.ClipInPlace(gq, o.GradClip)
-		FakeQuantizeInto(gq, gq)
-	} else {
-		FakeQuantizeInto(gq, g)
+		gmax = min(gmax, o.GradClip)
 	}
-
+	gs := scaleFor(gmax)
+	u := update{lr: o.LR, gs: gs, ginv: 1 / gs}
 	s := o.scaleOf(w)
 	ch, stride := channelsOf(w)
+	gd := g.Data[:len(w.Data)]
 	regrid := false
 	for c := 0; c < ch; c++ {
-		scale := s[c]
-		limit := scale * 127
-		row := w.Data[c*stride : (c+1)*stride]
-		grow := gq.Data[c*stride : (c+1)*stride]
-		inv := 1 / scale
-		for i := range row {
-			x := float64((row[i] - o.LR*grow[i]) * inv)
-			if x != x {
-				// NaN weight, gradient, or scale: keep the poison
-				// explicit instead of feeding NaN to int8 conversion.
-				row[i] = nan32()
-				continue
-			}
-			lo := math.Floor(x)
-			r := lo
-			if o.RNG.Float64() < x-lo {
-				r = lo + 1
-			}
-			v := float32(clampInt8(r)) * scale
-			row[i] = v
-			if v >= limit || v <= -limit {
-				regrid = true
-			}
+		u.scale = s[c]
+		u.inv, u.limit = 1/u.scale, u.scale*127
+		lo, hi := c*stride, (c+1)*stride
+		if stepRow(w.Data[lo:hi], gd[lo:hi], u, o) {
+			regrid = true
 		}
 	}
 	if regrid {
 		o.scales[w] = o.anchor(w)
 	}
+}
+
+// update holds the constants of one Step row: the learning rate, the
+// gradient's grid scale gs and 1/gs, and the weight row's persistent
+// scale, 1/scale and grid edge scale·127.
+type update struct {
+	lr, gs, ginv      float32
+	scale, inv, limit float32
+}
+
+// stepRow updates one channel row and reports whether a weight reached
+// its grid edge: the portable loop, or the AVX2 lanes of
+// quant_amd64.go.
+var stepRow = stepRowGo
+
+// stepRowGo is the update loop. Each element draws one uniform from
+// o.RNG, in order, unless its x is NaN (a NaN weight, gradient or
+// scale): that weight becomes NaN and draws nothing.
+func stepRowGo(row, grad []float32, u update, o *Int8SGD) (regrid bool) {
+	grad = grad[:len(row)]
+	wide := u.ginv > math.MaxFloat32 // fakeQuantRange's overflowing-1/s grid
+	for i, v := range grad {
+		q := gridCode(v*u.ginv) * u.gs
+		if wide {
+			q = float32(clampInt8(math.Round(float64(v*u.ginv)))) * u.gs
+		}
+		if isNaN32(v) {
+			q = v
+		}
+		x := float64((row[i] - u.lr*q) * u.inv)
+		if x != x {
+			// NaN weight, gradient, or scale: keep the poison
+			// explicit instead of feeding NaN to int8 conversion.
+			row[i] = nan32()
+			continue
+		}
+		lo := math.Floor(x)
+		r := lo
+		if o.RNG.Float64() < x-lo {
+			r = lo + 1
+		}
+		w := float32(clampInt8(r)) * u.scale
+		row[i] = w
+		if w >= u.limit || w <= -u.limit {
+			regrid = true
+		}
+	}
+	return regrid
 }
 
 // StepParams applies Step to each (weight, gradient) pair.

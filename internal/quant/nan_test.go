@@ -34,7 +34,7 @@ func countNaN(t *tensor.Tensor) int {
 }
 
 func TestQuantizePoisonsOnNaN(t *testing.T) {
-	q := Quantize(nanT(4, 5))
+	q := quantize(nanT(4, 5))
 	if !isNaN32(q.Scale) {
 		t.Fatalf("Quantize of NaN tensor produced finite scale %v", q.Scale)
 	}
@@ -47,7 +47,7 @@ func TestQuantizePoisonsOnNaN(t *testing.T) {
 func TestQuantizePoisonsOnInf(t *testing.T) {
 	x := tensor.New(3, 3)
 	x.Data[4] = float32(math.Inf(1))
-	q := Quantize(x)
+	q := quantize(x)
 	if !isNaN32(q.Scale) {
 		t.Fatalf("Quantize of Inf tensor produced finite scale %v", q.Scale)
 	}
@@ -63,7 +63,7 @@ func TestQuantizeStochasticPoisonsOnNaN(t *testing.T) {
 func TestFakeQuantizePreservesNaN(t *testing.T) {
 	x := nanT(6, 6)
 	nanIdx := len(x.Data) / 2
-	out := FakeQuantize(x)
+	out := fakeQuantize(x)
 	if !isNaN32(out.Data[nanIdx]) {
 		t.Fatalf("FakeQuantize converted NaN to %v", out.Data[nanIdx])
 	}
@@ -77,16 +77,18 @@ func TestFakeQuantizePreservesNaN(t *testing.T) {
 func TestFakeQuantizePoisonsAllOnInf(t *testing.T) {
 	x := tensor.New(8)
 	x.Data[3] = float32(math.Inf(-1))
-	out := FakeQuantize(x)
+	out := fakeQuantize(x)
 	if countNaN(out) != len(out.Data) {
 		t.Fatalf("Inf absmax must poison the whole tensor, got %v", out.Data)
 	}
 }
 
+// TestFakeQuantizePerChannelPreservesNaN rounds onto per-channel grids
+// through Requantize, whose fresh grid skips the NaN like AbsMax.
 func TestFakeQuantizePerChannelPreservesNaN(t *testing.T) {
 	x := nanT(4, 9)
 	nanIdx := len(x.Data) / 2
-	FakeQuantizePerChannelInPlace(x)
+	(&Int8SGD{}).Requantize(x)
 	if !isNaN32(x.Data[nanIdx]) {
 		t.Fatalf("per-channel fake quant converted NaN to %v", x.Data[nanIdx])
 	}

@@ -30,33 +30,6 @@ type QTensor struct {
 	Scale float32
 }
 
-// Quantize converts t to INT8 with a symmetric per-tensor scale chosen
-// so the absolute maximum maps to ±127. A zero tensor quantizes with
-// scale 1 (all-zero codes).
-func Quantize(t *tensor.Tensor) *QTensor {
-	q := &QTensor{
-		Shape: append([]int(nil), t.Shape...),
-		Codes: make([]int8, len(t.Data)),
-		Scale: scaleFor(t.AbsMax()),
-	}
-	if isNaN32(q.Scale) {
-		return q // poisoned: dequantizes to all-NaN
-	}
-	inv := 1 / q.Scale
-	for i, v := range t.Data {
-		if isNaN32(v) {
-			// AbsMax is NaN-blind, so a NaN element can reach here
-			// under a finite scale. int8 codes cannot carry NaN, so
-			// poison the whole tensor through the scale instead of
-			// silently converting NaN to a platform-dependent int8.
-			q.Scale = nan32()
-			return q
-		}
-		q.Codes[i] = clampInt8(math.Round(float64(v * inv)))
-	}
-	return q
-}
-
 // QuantizeStochastic converts t to INT8 using stochastic rounding: a
 // value between two grid points rounds up with probability equal to its
 // fractional position. Stochastic rounding keeps the *expected* update
@@ -114,29 +87,16 @@ func (q *QTensor) Clone() *QTensor {
 	return c
 }
 
-// FakeQuantize rounds t onto its INT8 grid and back, returning a new
-// float32 tensor. This is the standard simulated-quantization operator:
-// the result is exactly what the NPU would compute with, while staying
-// in float32 for the rest of the pipeline.
-func FakeQuantize(t *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(t.Shape...)
-	FakeQuantizeInto(out, t)
-	return out
-}
-
 // FakeQuantizeInto rounds t onto its INT8 grid and back into an
 // existing tensor of the same element count, overwriting it. dst may
-// alias t. Results are bit-identical to FakeQuantize.
+// alias t. This is the standard simulated-quantization operator: the
+// result is exactly what the NPU would compute with, while staying in
+// float32 for the rest of the pipeline.
 func FakeQuantizeInto(dst, t *tensor.Tensor) {
 	if len(dst.Data) != len(t.Data) {
 		panic(fmt.Sprintf("quant: FakeQuantizeInto size mismatch %v vs %v", dst.Shape, t.Shape))
 	}
 	fakeQuantRange(dst.Data, t.Data, scaleFor(t.AbsMax()))
-}
-
-// FakeQuantizeInPlace rounds t onto its INT8 grid in place.
-func FakeQuantizeInPlace(t *tensor.Tensor) {
-	fakeQuantRange(t.Data, t.Data, scaleFor(t.AbsMax()))
 }
 
 // fakeQuantRange rounds src onto the grid of scale s into dst (which
@@ -167,6 +127,14 @@ func fakeQuantRange(dst, src []float32, s float32) {
 		}
 		return
 	}
+	fakeQuantGrid(dst, src, s, inv)
+}
+
+// fakeQuantGrid is fakeQuantRange's main branch, s finite and inv = 1/s
+// finite: the portable loop, or the AVX2 lanes of quant_amd64.go.
+var fakeQuantGrid = fakeQuantGridGo
+
+func fakeQuantGridGo(dst, src []float32, s, inv float32) {
 	dst = dst[:len(src)]
 	for i, v := range src {
 		q := gridCode(v*inv) * s
@@ -195,18 +163,6 @@ func gridCode(y float32) float32 {
 	r := int32(float64(a) + 0.5)
 	neg := int32(bits) >> 31 // 0 or −1
 	return float32((r ^ neg) - neg)
-}
-
-// QuantError returns the relative L2 quantization error
-// ‖t − deq(quant(t))‖ / ‖t‖, or 0 for a zero tensor. The engine uses it
-// as a cheap health metric alongside α.
-func QuantError(t *tensor.Tensor) float32 {
-	n := t.L2Norm()
-	if n == 0 {
-		return 0
-	}
-	d := tensor.Sub(t, FakeQuantize(t))
-	return d.L2Norm() / n
 }
 
 // scaleFor maps an absolute maximum to the symmetric grid scale. A
@@ -262,35 +218,6 @@ func LogitConfidence(fp32Logits, int8Logits *tensor.Tensor) float32 {
 		return 1
 	}
 	return a
-}
-
-// FakeQuantizePerChannelInPlace rounds t onto per-channel INT8 grids,
-// treating the first dimension as the channel axis (the layout of conv
-// kernels [OutC, InC·K·K] and dense weights). Per-channel scales are
-// what mobile INT8 stacks (NNAPI, QNN, Mandheling) use for weights —
-// the error is several times smaller than a single per-tensor scale.
-// Tensors with fewer than 2 dimensions fall back to per-tensor.
-func FakeQuantizePerChannelInPlace(t *tensor.Tensor) {
-	if t.Dims() < 2 || t.Shape[0] <= 1 {
-		FakeQuantizeInPlace(t)
-		return
-	}
-	ch := t.Shape[0]
-	stride := len(t.Data) / ch
-	for c := 0; c < ch; c++ {
-		row := t.Data[c*stride : (c+1)*stride]
-		var absMax float32
-		for _, v := range row {
-			a := v
-			if a < 0 {
-				a = -a
-			}
-			if a > absMax {
-				absMax = a
-			}
-		}
-		fakeQuantRange(row, row, scaleFor(absMax))
-	}
 }
 
 // QuantizeStochasticPerChannelInPlace applies stochastic rounding onto

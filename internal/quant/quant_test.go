@@ -8,10 +8,25 @@ import (
 	"socflow/internal/tensor"
 )
 
+// quantize nearest-rounds x onto its per-tensor INT8 grid through
+// QuantizeSlice.
+func quantize(x *tensor.Tensor) *QTensor {
+	q := &QTensor{Shape: x.Shape, Codes: make([]int8, len(x.Data))}
+	q.Scale = QuantizeSlice(q.Codes, x.Data)
+	return q
+}
+
+// fakeQuantize returns FakeQuantizeInto's result in a new tensor.
+func fakeQuantize(x *tensor.Tensor) *tensor.Tensor {
+	out := tensor.New(x.Shape...)
+	FakeQuantizeInto(out, x)
+	return out
+}
+
 func TestQuantizeRoundTripBound(t *testing.T) {
 	r := tensor.NewRNG(1)
 	x := tensor.RandNormal(r, 0, 2, 100)
-	q := Quantize(x)
+	q := quantize(x)
 	d := q.Dequantize()
 	// Nearest-rounding error is at most half the grid step per element.
 	half := q.Scale / 2
@@ -23,7 +38,7 @@ func TestQuantizeRoundTripBound(t *testing.T) {
 }
 
 func TestQuantizeZeroTensor(t *testing.T) {
-	q := Quantize(tensor.New(5))
+	q := quantize(tensor.New(5))
 	if q.Scale != 1 {
 		t.Fatalf("zero tensor scale = %v, want 1", q.Scale)
 	}
@@ -36,14 +51,14 @@ func TestQuantizeZeroTensor(t *testing.T) {
 
 func TestQuantizeExtremesHitLimits(t *testing.T) {
 	x := tensor.FromSlice([]float32{-3, 0, 3}, 3)
-	q := Quantize(x)
+	q := quantize(x)
 	if q.Codes[0] != -127 || q.Codes[2] != 127 || q.Codes[1] != 0 {
 		t.Fatalf("codes = %v, want [-127 0 127]", q.Codes)
 	}
 }
 
 func TestQTensorBytes(t *testing.T) {
-	q := Quantize(tensor.Ones(10))
+	q := quantize(tensor.Ones(10))
 	if q.Bytes() != 14 {
 		t.Fatalf("Bytes = %d, want 14", q.Bytes())
 	}
@@ -53,7 +68,7 @@ func TestQTensorBytes(t *testing.T) {
 }
 
 func TestQTensorClone(t *testing.T) {
-	q := Quantize(tensor.Ones(3))
+	q := quantize(tensor.Ones(3))
 	c := q.Clone()
 	c.Codes[0] = 0
 	if q.Codes[0] == 0 {
@@ -81,8 +96,8 @@ func TestStochasticRoundingUnbiased(t *testing.T) {
 func TestFakeQuantizeIdempotent(t *testing.T) {
 	r := tensor.NewRNG(3)
 	x := tensor.RandNormal(r, 0, 1, 64)
-	once := FakeQuantize(x)
-	twice := FakeQuantize(once)
+	once := fakeQuantize(x)
+	twice := fakeQuantize(once)
 	for i := range once.Data {
 		if math.Abs(float64(once.Data[i]-twice.Data[i])) > 1e-6 {
 			t.Fatalf("fake-quantize not idempotent at %d: %v vs %v", i, once.Data[i], twice.Data[i])
@@ -93,8 +108,8 @@ func TestFakeQuantizeIdempotent(t *testing.T) {
 func TestFakeQuantizeInPlaceMatches(t *testing.T) {
 	r := tensor.NewRNG(4)
 	x := tensor.RandNormal(r, 0, 1, 32)
-	want := FakeQuantize(x)
-	FakeQuantizeInPlace(x)
+	want := fakeQuantize(x)
+	FakeQuantizeInto(x, x)
 	for i := range x.Data {
 		if x.Data[i] != want.Data[i] {
 			t.Fatalf("in-place mismatch at %d", i)
@@ -102,13 +117,23 @@ func TestFakeQuantizeInPlaceMatches(t *testing.T) {
 	}
 }
 
+// TestQuantErrorProperties checks the relative L2 quantization error
+// ‖t − fakequant(t)‖ / ‖t‖: 0 for a zero tensor, small and positive for
+// a normal one.
 func TestQuantErrorProperties(t *testing.T) {
-	if QuantError(tensor.New(8)) != 0 {
+	quantError := func(x *tensor.Tensor) float32 {
+		n := x.L2Norm()
+		if n == 0 {
+			return 0
+		}
+		return tensor.Sub(x, fakeQuantize(x)).L2Norm() / n
+	}
+	if quantError(tensor.New(8)) != 0 {
 		t.Fatal("zero tensor must have zero quant error")
 	}
 	r := tensor.NewRNG(5)
 	x := tensor.RandNormal(r, 0, 1, 1000)
-	e := QuantError(x)
+	e := quantError(x)
 	if e <= 0 || e > 0.05 {
 		t.Fatalf("INT8 relative error = %v, want small positive", e)
 	}
@@ -133,7 +158,7 @@ func TestQuantizeBoundProperty(t *testing.T) {
 		r := root.Split(seed)
 		n := 1 + r.Intn(200)
 		x := tensor.RandNormal(r, 0, 1+10*r.Float32(), n)
-		q := Quantize(x)
+		q := quantize(x)
 		d := q.Dequantize()
 		for i := range x.Data {
 			if math.Abs(float64(x.Data[i]-d.Data[i])) > float64(q.Scale)/2+1e-5 {

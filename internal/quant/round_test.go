@@ -89,3 +89,35 @@ func BenchmarkFakeQuantize(b *testing.B) {
 		FakeQuantizeInto(dst, act)
 	}
 }
+
+// BenchmarkInt8SGDStep times Int8SGD.Step at the ladder's
+// quant.int8_sgd_ns_per_param shape ([16,144], GradClip 1); ns/op ÷
+// 2,304 is the rung.
+func BenchmarkInt8SGDStep(b *testing.B) {
+	r := tensor.NewRNG(1)
+	w, g := tensor.RandNormal(r, 0, 1, 16, 144), tensor.RandNormal(r, 0, 0.01, 16, 144)
+	opt := &Int8SGD{LR: 0.02, GradClip: 1, RNG: r.Split(77)}
+	for i := 0; i < b.N; i++ {
+		opt.Step(w, g)
+	}
+}
+
+// TestNPUEmulationZeroAlloc: FakeQuantizeInto and an Int8SGD.Step that
+// does not regrid allocate nothing, on either path.
+func TestNPUEmulationZeroAlloc(t *testing.T) {
+	r := tensor.NewRNG(1)
+	w, g := tensor.RandNormal(r, 0, 1, 16, 144), tensor.RandNormal(r, 0, 0.01, 16, 144)
+	dst := tensor.New(16, 144)
+	check := func(path string) {
+		opt := &Int8SGD{LR: 0.02, GradClip: 1, RNG: r.Split(77)}
+		opt.Step(w, g) // anchors the grid
+		if a := testing.AllocsPerRun(20, func() { opt.Step(w, g) }); a != 0 {
+			t.Errorf("%s: Int8SGD.Step allocates %v per call", path, a)
+		}
+		if a := testing.AllocsPerRun(20, func() { FakeQuantizeInto(dst, w) }); a != 0 {
+			t.Errorf("%s: FakeQuantizeInto allocates %v per call", path, a)
+		}
+	}
+	check("lanes")
+	withPortable(func() { check("portable") })
+}

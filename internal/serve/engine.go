@@ -45,10 +45,27 @@ type Engine struct {
 	Stages []Stage
 
 	clu        *cluster.Cluster
-	socs       []int // stage index -> SoC ID (replica 0's placement)
+	socs       []int          // stage index -> SoC ID (replica 0's placement)
+	hops       []*simnet.Flow // stage boundary i -> its hand-off flow
 	totalFLOPs float64
 	actScale   float64
 	preds      []int
+	price      Pricing
+}
+
+// Pricing is one batch's simulated cost, as Engine.Price leaves it.
+type Pricing struct {
+	// Stages holds each stage's forward seconds, Transfers each stage
+	// boundary's hand-off seconds.
+	Stages, Transfers []float64
+	// Latency is the end-to-end pipeline latency: every stage plus
+	// every boundary transfer, in sequence, summed in that order.
+	Latency float64
+	// Bottleneck is the pipeline's initiation interval: the slowest
+	// stage or transfer. A replica can admit a new batch this long after
+	// the previous one entered — the pipelining win over a monolithic
+	// placement.
+	Bottleneck float64
 }
 
 // NewEngine partitions the model and builds the engine.
@@ -80,6 +97,11 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	for i := range stages {
 		e.socs = append(e.socs, i)
 	}
+	for i := 1; i < len(stages); i++ {
+		e.hops = append(e.hops, e.clu.Flow("stage", e.socs[i-1], e.socs[i], 0, 0))
+	}
+	e.price.Stages = make([]float64, len(stages))
+	e.price.Transfers = make([]float64, len(e.hops))
 	return e, nil
 }
 
@@ -93,49 +115,40 @@ func (e *Engine) Predict(x *tensor.Tensor) []int {
 	return e.preds
 }
 
-// StageSeconds prices each stage's forward for the batch: the stage's
-// share of the paper-scale forward FLOPs on the SoC's NPU (serving is
-// the INT8 inference path — 1× forward, not training's 3×), plus the
-// per-batch NPU dispatch overhead, derated by the SoC's DVFS throttle.
-func (e *Engine) StageSeconds(batch int) []float64 {
+// Price prices one batch in one pass and returns the engine's Pricing,
+// which the next call overwrites. A stage's forward is its share of
+// the paper-scale forward FLOPs on the SoC's NPU (serving is the INT8
+// inference path — 1× forward, not training's 3×), plus the per-batch
+// NPU dispatch overhead, derated by the SoC's live DVFS throttle. A
+// boundary's activation hand-off is simulated through the simnet
+// topology (SoC uplink/downlink, and the PCB uplinks plus switch fabric
+// when it crosses boards) on, and counted by, the engine's cluster:
+// once per call. Steady state allocates nothing: each boundary's flow
+// and path are built once, and Simulate resets what it writes into a
+// flow before it runs.
+func (e *Engine) Price(batch int) *Pricing {
+	p := &e.price
 	gen := e.clu.Config.Generation
 	npu := gen.CPUGflops * e.Spec.NPUSpeedup * gen.NPUBoost
-	out := make([]float64, len(e.Stages))
 	for i, st := range e.Stages {
 		frac := st.FLOPs / e.totalFLOPs
 		t := frac*e.Spec.ForwardGFLOPs*float64(batch)/npu + cluster.NPUBatchOverhead
-		out[i] = t / e.clu.SoCs[e.socs[i]].Throttle
+		p.Stages[i] = t / e.clu.SoCs[e.socs[i]].Throttle
 	}
-	return out
-}
-
-// TransferSeconds prices each stage boundary's activation handoff for
-// the batch through the simnet topology (SoC uplink/downlink, and the
-// PCB uplinks plus switch fabric when a boundary crosses boards). Each
-// handoff is simulated on, and counted by, the engine's cluster.
-func (e *Engine) TransferSeconds(batch int) []float64 {
-	if len(e.Stages) < 2 {
-		return nil
+	for i, f := range e.hops {
+		f.Bytes = float64(e.Stages[i].OutElems) * e.actScale * 4 * float64(batch)
+		p.Transfers[i] = e.clu.Simulate(e.hops[i : i+1])
 	}
-	out := make([]float64, len(e.Stages)-1)
-	for i := range out {
-		bytes := float64(e.Stages[i].OutElems) * e.actScale * 4 * float64(batch)
-		out[i] = e.clu.Simulate([]*simnet.Flow{e.clu.Flow("stage", e.socs[i], e.socs[i+1], bytes, 0)})
+	p.Latency, p.Bottleneck = 0, 0
+	for _, ts := range [2][]float64{p.Stages, p.Transfers} {
+		for _, t := range ts {
+			p.Latency += t
+			if t > p.Bottleneck {
+				p.Bottleneck = t
+			}
+		}
 	}
-	return out
-}
-
-// BatchLatency is the end-to-end pipeline latency for one batch: every
-// stage plus every boundary transfer, in sequence.
-func (e *Engine) BatchLatency(batch int) float64 {
-	sum := 0.0
-	for _, t := range e.StageSeconds(batch) {
-		sum += t
-	}
-	for _, t := range e.TransferSeconds(batch) {
-		sum += t
-	}
-	return sum
+	return p
 }
 
 // Footprint is the SoCs the serving plane wants from a numSoCs cluster
@@ -152,23 +165,4 @@ func Footprint(numSoCs, stages int, busy float64) (socs, replicas int) {
 		replicas = max
 	}
 	return replicas * stages, replicas
-}
-
-// BottleneckSeconds is the pipeline's initiation interval for the
-// batch: the slowest stage or transfer. A replica can admit a new
-// batch this long after the previous one entered — the pipelining win
-// over a monolithic placement.
-func (e *Engine) BottleneckSeconds(batch int) float64 {
-	worst := 0.0
-	for _, t := range e.StageSeconds(batch) {
-		if t > worst {
-			worst = t
-		}
-	}
-	for _, t := range e.TransferSeconds(batch) {
-		if t > worst {
-			worst = t
-		}
-	}
-	return worst
 }

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"fmt"
+
 	"socflow/internal/dataset"
 	"socflow/internal/metrics"
 	"socflow/internal/tensor"
@@ -88,7 +90,18 @@ func Replay(e *Engine, reqs []Request, cfg ReplayConfig) (*Result, error) {
 		cCanceled = reg.Counter("serve.canceled")
 		cBatches  = reg.Counter("serve.batches")
 		hLatency  = reg.Histogram("serve.latency.seconds", metrics.DefaultSecondsBuckets)
+		// A request's latency split: its queue time (launch − arrival),
+		// then each stage's compute and each boundary's transfer.
+		hQueue    = reg.Histogram("serve.queue.seconds", metrics.DefaultSecondsBuckets)
+		hCompute  = make([]*metrics.Histogram, len(e.Stages))
+		hTransfer = make([]*metrics.Histogram, len(e.hops))
 	)
+	for i := range hCompute {
+		hCompute[i] = reg.Histogram(fmt.Sprintf("serve.stage%d.compute.seconds", i), metrics.DefaultSecondsBuckets)
+	}
+	for i := range hTransfer {
+		hTransfer[i] = reg.Histogram(fmt.Sprintf("serve.boundary%d.transfer.seconds", i), metrics.DefaultSecondsBuckets)
+	}
 
 	// Functional-track batch buffers, reused across flushes.
 	var (
@@ -98,7 +111,7 @@ func Replay(e *Engine, reqs []Request, cfg ReplayConfig) (*Result, error) {
 		free   = make([]float64, replicas) // when each replica admits again
 		now    float64
 		next   int // arrival cursor
-		minLat = e.BatchLatency(1)
+		minLat = e.Price(1).Latency
 	)
 	if cfg.Data != nil {
 		bx = newTensorBatch(cfg.Data)
@@ -107,7 +120,7 @@ func Replay(e *Engine, reqs []Request, cfg ReplayConfig) (*Result, error) {
 	// The hopeless test prices the best case: wait for a replica, wait
 	// out the backlog already queued ahead (one initiation interval per
 	// full batch), then ride the smallest batch through the pipeline.
-	bnFull := e.BottleneckSeconds(cfg.Batcher.MaxBatch)
+	bnFull := e.Price(cfg.Batcher.MaxBatch).Bottleneck
 	admit := func(r Request) {
 		res.Requests++
 		cRequests.Inc()
@@ -157,17 +170,24 @@ func Replay(e *Engine, reqs []Request, cfg ReplayConfig) (*Result, error) {
 		if len(batch) == 0 {
 			continue // timer fired on a fully-canceled queue
 		}
-		bs := len(batch)
-		finish := now + e.BatchLatency(bs)
+		p := e.Price(len(batch))
+		finish := now + p.Latency
 		// The launching replica pipelines: it can admit the next batch
 		// after the bottleneck stage drains, not after the full latency.
 		i := argminFree(free)
-		free[i] = now + e.BottleneckSeconds(bs)
+		free[i] = now + p.Bottleneck
 		res.Batches++
 		cBatches.Inc()
 		for _, r := range batch {
 			lat := finish - r.Arrival
 			hLatency.Observe(lat)
+			hQueue.Observe(now - r.Arrival)
+			for j, t := range p.Stages {
+				hCompute[j].Observe(t)
+			}
+			for j, t := range p.Transfers {
+				hTransfer[j].Observe(t)
+			}
 			res.Served++
 			cServed.Inc()
 			if finish <= r.Deadline {

@@ -102,7 +102,8 @@ func TestLayerCostsAndPartitionBalance(t *testing.T) {
 
 func TestEngineTimingModel(t *testing.T) {
 	e, _ := testEngine(t, 2, 8)
-	st := e.StageSeconds(8)
+	p := e.Price(8)
+	st, xf := p.Stages, p.Transfers
 	if len(st) != 2 {
 		t.Fatalf("want 2 stage times, got %v", st)
 	}
@@ -111,20 +112,40 @@ func TestEngineTimingModel(t *testing.T) {
 			t.Fatalf("non-positive stage time: %v", st)
 		}
 	}
-	xf := e.TransferSeconds(8)
 	if len(xf) != 1 || xf[0] <= 0 {
 		t.Fatalf("want one positive transfer, got %v", xf)
 	}
-	lat := e.BatchLatency(8)
-	if want := st[0] + st[1] + xf[0]; math.Abs(lat-want) > 1e-12 {
-		t.Fatalf("BatchLatency %v != stages+transfers %v", lat, want)
+	if want := st[0] + st[1] + xf[0]; p.Latency != want {
+		t.Fatalf("latency %v != stages+transfers %v", p.Latency, want)
 	}
-	if bn := e.BottleneckSeconds(8); bn >= lat || bn <= 0 {
+	if want := max(st[0], st[1], xf[0]); p.Bottleneck != want {
+		t.Fatalf("bottleneck %v != the slowest stage or transfer %v", p.Bottleneck, want)
+	}
+	if bn, lat := p.Bottleneck, p.Latency; bn >= lat || bn <= 0 {
 		t.Fatalf("bottleneck %v should be positive and below full latency %v", bn, lat)
 	}
 	// Bigger batches take longer.
-	if e.BatchLatency(16) <= e.BatchLatency(1) {
+	lat8 := p.Latency
+	if e.Price(16).Latency <= lat8 || e.Price(1).Latency >= lat8 {
 		t.Fatal("latency must grow with batch size")
+	}
+	// One stage has no boundary to price.
+	e1, _ := testEngine(t, 1, 8)
+	if p1 := e1.Price(8); len(p1.Transfers) != 0 || p1.Latency != p1.Stages[0] || p1.Bottleneck != p1.Stages[0] {
+		t.Fatalf("one stage: %+v", p1)
+	}
+}
+
+// Pricing a batch allocates nothing, and simulates each hand-off once.
+func TestEnginePriceZeroAlloc(t *testing.T) {
+	e, _ := testEngine(t, 3, 8)
+	before := e.clu.NetStats().Flows
+	e.Price(4)
+	if got := e.clu.NetStats().Flows - before; got != 2 {
+		t.Fatalf("one Price of a 3-stage engine simulated %d flows, want 2", got)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { e.Price(5) }); allocs != 0 {
+		t.Fatalf("Price allocates %v per call, want 0", allocs)
 	}
 }
 
@@ -309,6 +330,64 @@ func TestReplayDeterministic(t *testing.T) {
 		t.Fatalf("implausible latency summary: %+v", r1)
 	}
 }
+
+// A request's latency splits into its queue time, each stage's compute
+// and each boundary's transfer: replayed alone, every request of a
+// stream observes parts whose sum, taken as Pricing.Latency sums them,
+// is its serve.latency.seconds observation to within the rounding of
+// the two ways of adding (now + latency − arrival against now −
+// arrival + latency: a few ulps of the finish time). Replayed together,
+// every histogram counts each served request once.
+func TestReplayLatencySplit(t *testing.T) {
+	e, ds := testEngine(t, 3, 8)
+	g := LoadGen{Trace: cluster.DefaultTidalTrace(), PeakRPS: 10, SLO: 0.5, Samples: ds.Len(), Seed: 3}
+	reqs := g.Arrivals(14, 0.2)
+	cfg := ReplayConfig{Batcher: BatcherConfig{MaxBatch: 8, MaxDelay: 0.05}, Replicas: 2}
+	parts := []string{"serve.queue.seconds", "serve.stage0.compute.seconds", "serve.stage1.compute.seconds",
+		"serve.stage2.compute.seconds", "serve.boundary0.transfer.seconds", "serve.boundary1.transfer.seconds"}
+	for _, r := range reqs {
+		cfg.Metrics = metrics.New()
+		if _, err := Replay(e, []Request{r}, cfg); err != nil {
+			t.Fatal(err)
+		}
+		h := cfg.Metrics.Snapshot().Histograms
+		lat := h["serve.latency.seconds"]
+		sum := h[parts[0]].Sum
+		for _, name := range parts[1:] {
+			if h[name].Count != 1 {
+				t.Fatalf("request %d: %s counted %d times", r.ID, name, h[name].Count)
+			}
+		}
+		latency := 0.0
+		for _, name := range parts[1:] {
+			latency += h[name].Sum
+		}
+		sum += latency
+		finish := r.Arrival + lat.Sum
+		if lat.Count != 1 || math.Abs(sum-lat.Sum) > 4*ulp(finish) {
+			t.Fatalf("request %d: queue + compute + transfer = %v, latency %v", r.ID, sum, lat.Sum)
+		}
+	}
+	cfg.Metrics = metrics.New()
+	res, err := Replay(e, reqs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := cfg.Metrics.Snapshot().Histograms
+	var sum float64
+	for _, name := range parts {
+		if h[name].Count != int64(res.Served) {
+			t.Fatalf("%s counted %d of %d served requests", name, h[name].Count, res.Served)
+		}
+		sum += h[name].Sum
+	}
+	if lat := h["serve.latency.seconds"].Sum; math.Abs(sum-lat) > 1e-9*lat {
+		t.Fatalf("the split sums to %v, the latencies to %v", sum, lat)
+	}
+}
+
+// ulp is the spacing of float64s at x.
+func ulp(x float64) float64 { return math.Nextafter(x, math.Inf(1)) - x }
 
 // At the night trough with generous SLOs, attainment must clear the
 // co-location experiment's 99% bar.

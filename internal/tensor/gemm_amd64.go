@@ -6,7 +6,7 @@ package tensor
 
 func init() {
 	if HasAVX2() {
-		gemmRange = gemmRangeAVX2
+		gemmRange, absMax = gemmRangeAVX2, absMaxAVX2
 	}
 }
 
@@ -14,7 +14,7 @@ func init() {
 // leaf 1 sets OSXSAVE and AVX, XCR0 has the XMM and YMM state bits the
 // OS saves on a context switch, and CPUID leaf 7 sets AVX2. It is the
 // one check behind every AVX2 kernel of the module: this package's
-// GEMM and nn's tanh lanes.
+// GEMM and abs-max, nn's tanh lanes and quant's NPU emulation.
 func HasAVX2() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
@@ -57,6 +57,14 @@ func gemmRangeAVX2(dst, a, b, bias []float32, ai, ap, k, n, lo, hi int) {
 	}
 }
 
+// absMaxAVX2 is Tensor.AbsMax's lane path.
+func absMaxAVX2(d []float32) float32 {
+	if len(d) == 0 {
+		return 0
+	}
+	return absMax8AVX2(&d[0], len(d))
+}
+
 // cpuid executes CPUID with EAX = leaf and ECX = sub.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -74,3 +82,8 @@ func gemm4AVX2(dst, a, b, bias *float32, ai, ap, k, n int)
 //
 //go:noescape
 func gemm1AVX2(dst, a, b, bias *float32, ap, k, n int)
+
+// absMax8AVX2 returns max(|x[i]|) over i < n, skipping NaN, for n >= 1.
+//
+//go:noescape
+func absMax8AVX2(x *float32, n int) float32

@@ -319,6 +319,69 @@ done1:
 	VZEROUPPER
 	RET
 
+// func absMax8AVX2(x *float32, n int) float32
+//
+// Tensor.AbsMax in eight lanes: |x| by clearing the sign bit, then
+// VMAXPS with the running max as its second source, so a NaN element
+// leaves the max as it was, as maxAbs's a > m does. Two accumulators of
+// sixteen elements, then one block of eight, then the n mod 8 tail
+// through tailMask (masked-off lanes load +0). Every lane holds a
+// non-NaN value, so the final reduction across lanes is exact in any
+// order.
+//
+//	SI x   DX n·4   BX i·4   Y15 0x7fffffff   Y0, Y1 max
+TEXT ·absMax8AVX2(SB), NOSPLIT, $0-20
+	MOVQ      x+0(FP), SI
+	MOVQ      n+8(FP), DX
+	SHLQ      $2, DX
+	XORQ      BX, BX
+	VPCMPEQD  Y15, Y15, Y15
+	VPSRLD    $1, Y15, Y15
+	VXORPS    Y0, Y0, Y0
+	VXORPS    Y1, Y1, Y1
+
+abs16:
+	MOVQ   DX, AX
+	SUBQ   BX, AX
+	CMPQ   AX, $64
+	JLT    abs8
+	VANDPS (SI)(BX*1), Y15, Y2
+	VANDPS 32(SI)(BX*1), Y15, Y3
+	VMAXPS Y0, Y2, Y0
+	VMAXPS Y1, Y3, Y1
+	ADDQ   $64, BX
+	JMP    abs16
+
+abs8:
+	CMPQ   AX, $32
+	JLT    abstail
+	VANDPS (SI)(BX*1), Y15, Y2
+	VMAXPS Y0, Y2, Y0
+	ADDQ   $32, BX
+	SUBQ   $32, AX
+
+abstail:
+	TESTQ      AX, AX
+	JZ         absreduce
+	LEAQ       tailMask<>+32(SB), CX
+	SUBQ       AX, CX
+	VMOVDQU    (CX), Y14
+	VMASKMOVPS (SI)(BX*1), Y14, Y2
+	VANDPS     Y15, Y2, Y2
+	VMAXPS     Y1, Y2, Y1
+
+absreduce:
+	VMAXPS       Y1, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VMAXPS       X1, X0, X0
+	VPSHUFD      $0x4e, X0, X1
+	VMAXPS       X1, X0, X0
+	VPSHUFD      $0xb1, X0, X1
+	VMAXPS       X1, X0, X0
+	VMOVSS       X0, ret+16(FP)
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

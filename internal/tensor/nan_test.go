@@ -64,3 +64,45 @@ func TestMatMulT2PropagatesNaNThroughZero(t *testing.T) {
 		t.Fatalf("T2 lost 0·NaN: %v", c.Data)
 	}
 }
+
+// TestAbsMaxLanesMatchLoop holds AbsMax (the AVX2 lanes of
+// gemm_amd64.go on a host with AVX2, else the loop itself) to absMaxGo
+// bit for bit: lengths 0 to three blocks of sixteen + 1, NaN, ±Inf, ±0,
+// denormals, the quant grid's ±126.5 and ±127.5, and ±MaxFloat32 at
+// every position, with +Inf canaries past the end, which an over-read
+// would return.
+func TestAbsMaxLanesMatchLoop(t *testing.T) {
+	specials := []float32{
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		0, float32(math.Copysign(0, -1)),
+		math.Float32frombits(1), -math.Float32frombits(0x007fffff),
+		126.5, -126.5, 127.5, -127.5, math.MaxFloat32, -math.MaxFloat32,
+	}
+	r := NewRNG(4)
+	for n := 0; n <= 3*16+1; n++ {
+		for p := 0; p <= n; p++ {
+			for _, sp := range specials {
+				buf := RandNormal(r, 0, 3, n+16).Data
+				for i := n; i < len(buf); i++ {
+					buf[i] = float32(math.Inf(1))
+				}
+				d := buf[:n]
+				if p < n {
+					d[p] = sp
+				}
+				got, want := (&Tensor{Data: d}).AbsMax(), absMaxGo(d)
+				if math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("n=%d special %v at %d: AbsMax = %v, want %v", n, sp, p, got, want)
+				}
+			}
+		}
+		// Every element NaN: the max stays +0.
+		d := make([]float32, n)
+		for i := range d {
+			d[i] = float32(math.NaN())
+		}
+		if got := (&Tensor{Data: d}).AbsMax(); math.Float32bits(got) != 0 {
+			t.Fatalf("n=%d all NaN: AbsMax = %v, want +0", n, got)
+		}
+	}
+}

@@ -247,12 +247,16 @@ func (t *Tensor) Min() float32 {
 }
 
 // AbsMax returns max(|x|) over all elements (0 for empty tensors),
-// skipping NaN. |x| clears the sign bit, so no branch depends on the
+// skipping NaN: the portable loop, or the AVX2 lanes of gemm_amd64.go.
+func (t *Tensor) AbsMax() float32 { return absMax(t.Data) }
+
+var absMax = absMaxGo
+
+// absMaxGo clears the sign bit for |x|, so no branch depends on the
 // sign, the one branch a predictor cannot learn on signed data; four
 // lanes give it independent chains. Max-reduction is exact and
 // order-free, so the result is bit-identical to a sequential scan.
-func (t *Tensor) AbsMax() float32 {
-	d := t.Data
+func absMaxGo(d []float32) float32 {
 	var m0, m1, m2, m3 float32
 	i := 0
 	for ; i+4 <= len(d); i += 4 {

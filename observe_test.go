@@ -328,6 +328,14 @@ func TestConcurrentServeJobsKeepTheirOwnStats(t *testing.T) {
 		if got, want := reps[i].Gauges[g], solo[i].Gauges[g]; got != want || !(want > 0) {
 			t.Errorf("job %d: %s = %v concurrently, %v alone", i, g, got, want)
 		}
+		// The per-stage latency split, as the latency itself.
+		for _, name := range []string{"serve.latency.seconds", "serve.queue.seconds",
+			"serve.stage0.compute.seconds", "serve.stage1.compute.seconds", "serve.boundary0.transfer.seconds"} {
+			got, want := reps[i].Histograms[name], solo[i].Histograms[name]
+			if got.Count != want.Count || got.Sum != want.Sum || want.Count <= 0 {
+				t.Errorf("job %d: %s count %d sum %v concurrently, %d %v alone", i, name, got.Count, got.Sum, want.Count, want.Sum)
+			}
+		}
 	}
 	if reps[0].Counters["simnet.flows"] == reps[1].Counters["simnet.flows"] {
 		t.Errorf("both jobs published %d simnet flows; want configs that simulate different traffic", reps[0].Counters["simnet.flows"])

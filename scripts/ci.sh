@@ -11,11 +11,13 @@ go vet ./...
 test -z "$(gofmt -l .)"
 go build ./...
 go test ./...
-# The portable GEMM and tanh paths against the same oracles. An AVX2
-# amd64 host runs the GEMM and the Tanh layer in assembly; a 386 build
-# runs the Go kernels, which must reproduce the golden losses,
-# fused/unfused bit-identity and math.Tanh's bits too, and quant's
-# branch-free rounding its reference on a second float→int conversion.
+# The portable GEMM, abs-max, tanh and NPU-emulation paths against the
+# same oracles. An AVX2 amd64 host runs the GEMM, Tensor.AbsMax, the
+# Tanh layer and quant's fake-quantize and Int8SGD update in assembly;
+# a 386 build runs the Go loops, which must reproduce the golden
+# losses, fused/unfused bit-identity and math.Tanh's bits too, and
+# quant's branch-free rounding and update the lane tests' references
+# on a second float→int conversion.
 # go vet's asmdecl checks every .s file against its Go declarations; the
 # arm64 vet keeps the build without assembly compiling.
 GOARCH=386 go test -count=1 ./internal/tensor ./internal/quant

@@ -3,8 +3,12 @@ package socflow
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -136,6 +140,18 @@ func TestServeOverHTTP(t *testing.T) {
 	}
 	if rep.Model != "lenet5" || len(rep.Hourly) != 1 {
 		t.Fatalf("report did not survive the round trip: %+v", rep)
+	}
+	// The job's latency split is scraped with its latency.
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, family := range []string{"serve_latency", "serve_queue", "serve_stage0_compute", "serve_stage1_compute", "serve_boundary0_transfer"} {
+		if sample := fmt.Sprintf("socflow_%s_seconds_count{job=%q,tenant=\"web\"} %d\n", family, h.ID(), rep.Served); !strings.Contains(string(scrape), sample) {
+			t.Errorf("GET /metrics lacks %q", sample)
+		}
 	}
 }
 

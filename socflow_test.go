@@ -2,12 +2,16 @@ package socflow
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
+	"math"
 	"reflect"
 	"testing"
 	"time"
 
 	"socflow/internal/core"
+	"socflow/internal/tensor"
 )
 
 func fastCfg(strategy string) Config {
@@ -350,13 +354,17 @@ func TestRunDistributedFacadeRejectsBadModel(t *testing.T) {
 // result_digest. Pinning them here, at the benchmark's --smoke size and
 // seed 1, makes a moved training result a tier-1 failure rather than a
 // benchmark surprise (TestMeshTracksArePinned does the same for the
-// mesh workloads).
+// mesh workloads). The final weights and state, read from the last
+// epoch's checkpoint as TestParallelismInvariance reads them, are
+// pinned too, as an FNV-1a hash of their bits: accuracies at smoke size
+// move only when a prediction flips, the weight bits on any change.
 func TestTrainTracksArePinned(t *testing.T) {
 	for _, want := range []struct {
 		name        string
 		cfg         Config
 		acc         []float64
 		sim, energy float64
+		bits        uint64
 	}{
 		{
 			name: "train-conv",
@@ -367,6 +375,7 @@ func TestTrainTracksArePinned(t *testing.T) {
 			acc:    []float64{0x1.2p-04, 0x1.1p-03},
 			sim:    0x1.3c10fc504816ep+07,
 			energy: 0x1.33d75ef7065c3p+03,
+			bits:   0xc70dadd685918b49,
 		},
 		{
 			name: "train-small",
@@ -377,9 +386,11 @@ func TestTrainTracksArePinned(t *testing.T) {
 			acc:    []float64{0x1.8p-04, 0x1.cp-04},
 			sim:    0x1.e4b898e66273cp+03,
 			energy: 0x1.6c4d14ede57d7p-01,
+			bits:   0xb51452123e2bdd96,
 		},
 	} {
-		rep, err := Run(context.Background(), want.cfg)
+		dir := t.TempDir()
+		rep, err := Run(context.Background(), want.cfg, WithCheckpointEvery(want.cfg.Epochs, dir))
 		if err != nil {
 			t.Fatalf("%s: %v", want.name, err)
 		}
@@ -387,5 +398,30 @@ func TestTrainTracksArePinned(t *testing.T) {
 			t.Errorf("%s: accuracies %x sim %x energy %x, want %x %x %x",
 				want.name, rep.EpochAccuracies, rep.SimSeconds, rep.EnergyKJ, want.acc, want.sim, want.energy)
 		}
+		store, err := core.NewCheckpointStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := store.Latest()
+		if err != nil || cp == nil {
+			t.Fatalf("%s: final checkpoint %v, %v", want.name, cp, err)
+		}
+		if bits := tensorBitsHash(append(cp.Weights, cp.State...)); bits != want.bits {
+			t.Errorf("%s: final weight and state bits hash to %#x, want %#x", want.name, bits, want.bits)
+		}
 	}
+}
+
+// tensorBitsHash is FNV-1a over the little-endian bits of every element
+// of ts, in order.
+func tensorBitsHash(ts []*tensor.Tensor) uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	for _, x := range ts {
+		for _, v := range x.Data {
+			binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
 }
