@@ -62,6 +62,15 @@ type ActiveSpan struct {
 	begin time.Time
 }
 
+// WallSeconds returns t in seconds since the registry's wall origin: the
+// Start of a wall-clock span handed to AddSpan. It is 0 on nil.
+func (r *Registry) WallSeconds(t time.Time) float64 {
+	if r == nil {
+		return 0
+	}
+	return t.Sub(r.wallOrigin).Seconds()
+}
+
 // BeginSpan opens a wall-clock span. On a nil registry it returns nil,
 // and End on a nil ActiveSpan is a no-op, so callers never branch.
 func (r *Registry) BeginSpan(name, cat string, tid int) *ActiveSpan {

@@ -163,6 +163,62 @@ func (s *Sequential) CopyWeightsFrom(src *Sequential) {
 	}
 }
 
+// EvalTwin returns a model that runs s's eval forward on another
+// goroutine: the same layers over the same Params and batch-norm
+// running statistics, with forward buffers, Conv2D Wᵀ caches and kernel
+// counts of its own. Its eval forward is s's bit for bit, and a write
+// to s's weights or state (a restored checkpoint, a training step) is
+// the twin's too. A twin is for eval forwards only, run while nothing
+// writes the shared tensors: a train forward would update the shared
+// running statistics, and Backward would accumulate into the shared
+// gradients.
+func (s *Sequential) EvalTwin() *Sequential {
+	layers := make([]Layer, len(s.Layers))
+	for i, l := range s.Layers {
+		layers[i] = evalTwin(l)
+	}
+	return NewSequential(layers...)
+}
+
+// evalTwin is EvalTwin for one layer: shared parameters and state,
+// fresh buffers, the original's GEMM timing switch.
+func evalTwin(l Layer) Layer {
+	switch v := l.(type) {
+	case *Sequential:
+		return v.EvalTwin()
+	case *Residual:
+		var sc *Sequential
+		if v.Shortcut != nil {
+			sc = v.Shortcut.EvalTwin()
+		}
+		return NewResidual(v.Body.EvalTwin(), sc)
+	case *Conv2D:
+		return &Conv2D{InC: v.InC, OutC: v.OutC, P: v.P, Weight: v.Weight, Bias: v.Bias,
+			kc: kernelCounter{timed: v.kc.timed}}
+	case *DepthwiseConv2D:
+		return &DepthwiseConv2D{C: v.C, P: v.P, Weight: v.Weight, Bias: v.Bias}
+	case *Dense:
+		return &Dense{In: v.In, Out: v.Out, Weight: v.Weight, Bias: v.Bias,
+			kc: kernelCounter{timed: v.kc.timed}}
+	case *BatchNorm2D:
+		return &BatchNorm2D{C: v.C, Momentum: v.Momentum, Eps: v.Eps, Gamma: v.Gamma, Beta: v.Beta,
+			RunningMean: v.RunningMean, RunningVar: v.RunningVar}
+	case *MaxPool2D:
+		return &MaxPool2D{P: v.P}
+	case *AvgPool2D:
+		return &AvgPool2D{P: v.P}
+	case *ReLU:
+		return NewReLU()
+	case *Tanh:
+		return NewTanh()
+	case *GlobalAvgPool:
+		return NewGlobalAvgPool()
+	case *Flatten:
+		return NewFlatten()
+	}
+	panic(fmt.Sprintf("nn: no eval twin for %T", l))
+}
+
 // Residual wraps a body with an identity (or projection) shortcut:
 // y = body(x) + shortcut(x). The ReLU after the sum is applied inside.
 type Residual struct {

@@ -1,6 +1,10 @@
 package nn
 
-import "time"
+import (
+	"time"
+
+	"socflow/internal/tensor"
+)
 
 // KernelStats counts the tensor kernels and layer passes of a model's
 // Conv2D and Dense layers — the only callers of tensor's GEMM and
@@ -77,6 +81,18 @@ func (s *Sequential) KernelStats() KernelStats {
 	var t KernelStats
 	s.counters(func(c *kernelCounter) { t.Add(c.KernelStats) })
 	return t
+}
+
+// ReserveEval sizes the model's forward buffers for an eval forward of
+// x's shape by running one, then puts every kernel count back: the
+// forwards that follow at that batch or a smaller one allocate nothing,
+// and the counts say only what they did. Its output is not read.
+func (s *Sequential) ReserveEval(x *tensor.Tensor) {
+	var saved []KernelStats
+	s.counters(func(c *kernelCounter) { saved = append(saved, c.KernelStats) })
+	s.Forward(x, false)
+	i := 0
+	s.counters(func(c *kernelCounter) { c.KernelStats, i = saved[i], i+1 })
 }
 
 // TimeKernels turns on GEMM wall-time measurement (two clock reads per

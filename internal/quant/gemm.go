@@ -3,6 +3,8 @@ package quant
 import (
 	"fmt"
 	"math"
+
+	"socflow/internal/tensor"
 )
 
 // INT8 GEMM: int8×int8 products accumulate in int32 and each output
@@ -35,17 +37,7 @@ func QuantizeSlice(codes []int8, src []float32) float32 {
 	if len(codes) != len(src) {
 		panic(fmt.Sprintf("quant: QuantizeSlice size mismatch %d vs %d", len(codes), len(src)))
 	}
-	var absMax float32
-	for _, v := range src {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > absMax {
-			absMax = a
-		}
-	}
-	s := scaleFor(absMax)
+	s := scaleFor(tensor.AbsMax(src))
 	if isNaN32(s) {
 		return s
 	}

@@ -67,17 +67,7 @@ func (o *Int8SGD) anchor(w *tensor.Tensor) []float32 {
 	s := make([]float32, ch)
 	for c := 0; c < ch; c++ {
 		row := w.Data[c*stride : (c+1)*stride]
-		var absMax float32
-		for _, v := range row {
-			a := v
-			if a < 0 {
-				a = -a
-			}
-			if a > absMax {
-				absMax = a
-			}
-		}
-		s[c] = scaleFor(absMax * headroom)
+		s[c] = scaleFor(tensor.AbsMax(row) * headroom)
 	}
 	return s
 }

@@ -233,17 +233,7 @@ func QuantizeStochasticPerChannelInPlace(t *tensor.Tensor, rng *tensor.RNG) {
 	stride := len(t.Data) / ch
 	for c := 0; c < ch; c++ {
 		row := t.Data[c*stride : (c+1)*stride]
-		var absMax float32
-		for _, v := range row {
-			a := v
-			if a < 0 {
-				a = -a
-			}
-			if a > absMax {
-				absMax = a
-			}
-		}
-		s := scaleFor(absMax)
+		s := scaleFor(tensor.AbsMax(row))
 		if isNaN32(s) {
 			for i := range row {
 				row[i] = nan32()

@@ -18,8 +18,8 @@ type dpPolicy struct {
 	plan *autoplan.Plan
 }
 
-func (p *dpPolicy) changed(int, string, bool) {}
-func (p *dpPolicy) commit(*round)             {}
+func (p *dpPolicy) changed(int, string, bool)    {}
+func (p *dpPolicy) commit(*roundManager, *round) {}
 
 func (p *dpPolicy) build(m *roundManager, r *round) error {
 	r.plan = p.plan

@@ -124,10 +124,12 @@ type pipePolicy struct {
 	dirty      bool
 	trigger    string
 	detectedAt time.Time
-	// pending is the not-yet-committed decision; the round that commits
-	// its epoch appends it to replans.
-	pending *ReplanEpisode
-	replans []ReplanEpisode
+	// pending is the not-yet-committed decision, and pendingAt the
+	// detection it answers; the round that commits its epoch appends it
+	// to replans.
+	pending   *ReplanEpisode
+	pendingAt time.Time
+	replans   []ReplanEpisode
 }
 
 // changed re-opens the plan decision when a placed node leaves or any
@@ -141,13 +143,28 @@ func (p *pipePolicy) changed(x int, trigger string, left bool) {
 }
 
 // commit stamps a pending replan decision with its executed epoch
-// seconds and records it.
-func (p *pipePolicy) commit(r *round) {
-	if p.pending != nil {
-		p.pending.ExecutedEpochSeconds = p.pricer.EpochSeconds(r.plan, p.popts.Samples)
-		p.replans = append(p.replans, *p.pending)
-		p.pending = nil
+// seconds, records it, and publishes it live: the episode as a
+// wall-clock "replan" span from detection to resume, its
+// detect-to-resume latency, and the plan's predicted and executed epoch
+// seconds with their drift (0 while prediction and execution share
+// one formula).
+func (p *pipePolicy) commit(m *roundManager, r *round) {
+	if p.pending == nil {
+		return
 	}
+	ep := p.pending
+	ep.ExecutedEpochSeconds = p.pricer.EpochSeconds(r.plan, p.popts.Samples)
+	p.replans = append(p.replans, *ep)
+	p.pending = nil
+	m.reg.AddSpan(metrics.Span{
+		Name: "replan", Cat: "recovery", Clock: metrics.ClockWall,
+		Start: m.reg.WallSeconds(p.pendingAt), Dur: ep.DetectToResumeSeconds,
+		Args: map[string]float64{"epoch": float64(ep.Epoch)},
+	})
+	m.reg.Histogram("recovery.detect_to_resume.seconds", metrics.DefaultSecondsBuckets).Observe(ep.DetectToResumeSeconds)
+	m.reg.Gauge("plan.predicted_epoch_seconds").Set(ep.PredictedEpochSeconds)
+	m.reg.Gauge("plan.executed_epoch_seconds").Set(ep.ExecutedEpochSeconds)
+	m.reg.Gauge("plan.drift_seconds").Set(ep.ExecutedEpochSeconds - ep.PredictedEpochSeconds)
 }
 
 // build runs the replan-vs-degrade decision if membership changed,
@@ -174,6 +191,7 @@ func (p *pipePolicy) build(m *roundManager, r *round) error {
 				PredictedEpochSeconds: chosen.EpochSeconds,
 				DetectToResumeSeconds: time.Since(p.detectedAt).Seconds(),
 			}
+			p.pendingAt = p.detectedAt
 			m.reg.Counter("recovery.replans").Inc()
 			m.reg.Emit(metrics.Event{Kind: metrics.KindReplan, Epoch: r.epoch,
 				Detail: fmt.Sprintf("%s %s: %s -> %s", p.trigger, decision, p.plan, chosen)})

@@ -153,7 +153,7 @@ type roundPolicy interface {
 	// was re-admitted, with the trigger "crash", "resize" or "rejoin".
 	changed(x int, trigger string, left bool)
 	// commit seals a round every participant finished.
-	commit(r *round)
+	commit(m *roundManager, r *round)
 }
 
 // roundManager supervises elastic workers on either track: the
@@ -553,7 +553,7 @@ func (m *roundManager) releaseLocked() {
 					delete(m.joining, x)
 				}
 			}
-			m.policy.commit(m.cur)
+			m.policy.commit(m, m.cur)
 		}
 	}
 	if epoch >= m.epochs {

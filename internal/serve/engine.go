@@ -38,7 +38,9 @@ type EngineConfig struct {
 // stage's INT8 forward on its SoC's NPU and each stage boundary's
 // activation transfer on simnet.
 //
-// An Engine is not goroutine-safe; Replay drives it from one loop.
+// An Engine is not goroutine-safe: one caller at a time drives it.
+// Replay's loop runs on the simulated clock on the caller's goroutine
+// and hands the launched batches' forwards to the engine's workers.
 type Engine struct {
 	Spec   *nn.Spec
 	Model  *nn.Sequential
@@ -51,6 +53,13 @@ type Engine struct {
 	actScale   float64
 	preds      []int
 	price      Pricing
+
+	// twins are eval twins of Model (nn.Sequential.EvalTwin), built
+	// once for the engine's life; workers and chunks are Replay's
+	// worker pool and its hand-off buffers, kept across windows.
+	twins   []*nn.Sequential
+	workers []*worker
+	chunks  []*chunk
 }
 
 // Pricing is one batch's simulated cost, as Engine.Price leaves it.
@@ -113,6 +122,17 @@ func (e *Engine) Predict(x *tensor.Tensor) []int {
 	logits := e.Model.Forward(x, false)
 	e.preds = tensor.ArgmaxRowsInto(e.preds, logits)
 	return e.preds
+}
+
+// Twins returns n eval twins of the engine's model, building those it
+// does not have yet: however many windows an engine replays, it builds
+// each twin once. Replay's worker 0 runs Model and worker i twin i-1,
+// so a run that counts its kernels tracks Twins(width-1) as well.
+func (e *Engine) Twins(n int) []*nn.Sequential {
+	for len(e.twins) < n {
+		e.twins = append(e.twins, e.Model.EvalTwin())
+	}
+	return e.twins[:n]
 }
 
 // Price prices one batch in one pass and returns the engine's Pricing,

@@ -56,7 +56,11 @@ func (g LoadGen) Arrivals(startHour, hours float64) []Request {
 	}
 	rng := tensor.NewRNG(g.Seed)
 	horizon := hours * 3600
-	var out []Request
+	// The kept arrivals are Poisson with mean at most λ, the envelope's:
+	// sized at λ plus five standard deviations, the slice is allocated
+	// once (append still grows past it on a one-in-millions draw).
+	lambda := g.PeakRPS * horizon
+	out := make([]Request, 0, int(math.Ceil(lambda+5*math.Sqrt(lambda)))+16)
 	t := 0.0
 	id := 0
 	for {

@@ -2,9 +2,12 @@ package serve
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"socflow/internal/dataset"
 	"socflow/internal/metrics"
+	"socflow/internal/nn"
 	"socflow/internal/tensor"
 )
 
@@ -18,10 +21,15 @@ type ReplayConfig struct {
 	// Metrics, when set, receives the serve.* instruments; otherwise an
 	// ephemeral registry backs the result's quantiles.
 	Metrics *metrics.Registry
-	// Data, when set, makes the functional track real: each batch is
-	// assembled from these samples (buffers reused) and classified with
-	// Engine.Predict. Nil skips the math and replays timing only.
+	// Data, when set, makes the functional track real: each launched
+	// batch is assembled from these samples and classified by an eval
+	// forward, and Result.Correct counts the right answers. Nil skips
+	// the math and replays timing only.
 	Data *dataset.Dataset
+	// Width is how many host workers run those forwards (0:
+	// runtime.GOMAXPROCS). It is the run's own, like core.Job.Width; a
+	// request's prediction is the same at every width.
+	Width int
 }
 
 // Result summarizes a replayed serving window.
@@ -34,6 +42,9 @@ type Result struct {
 	Batches  int `json:"batches"`
 	// MaxQueueDepth is the deepest the admission queue got.
 	MaxQueueDepth int `json:"max_queue_depth"`
+	// Correct counts served requests whose prediction matched their
+	// sample's label (0 without ReplayConfig.Data).
+	Correct int `json:"correct"`
 	// Attainment is SLOMet over every non-abandoned request — sheds
 	// count as misses; a shed request is still a user turned away.
 	Attainment float64 `json:"attainment"`
@@ -53,6 +64,7 @@ func (r *Result) Merge(o *Result) {
 	r.Shed += o.Shed
 	r.Canceled += o.Canceled
 	r.Batches += o.Batches
+	r.Correct += o.Correct
 	if o.MaxQueueDepth > r.MaxQueueDepth {
 		r.MaxQueueDepth = o.MaxQueueDepth
 	}
@@ -68,6 +80,13 @@ func (r *Result) Merge(o *Result) {
 // pipeline's initiation interval, and every request in a batch finishes
 // after the full pipeline latency. Deterministic: same engine, stream,
 // and config give bit-identical results.
+//
+// With cfg.Data the loop does not wait for the math: it hands each
+// launched batch's sample indices, in chunks, to cfg.Width workers,
+// each running the eval forward on its own model (the engine's, or one
+// of its Twins), and returns once every chunk has run. Eval forwards
+// are row-independent, so a request's prediction does not depend on
+// the worker or the batch that served it.
 func Replay(e *Engine, reqs []Request, cfg ReplayConfig) (*Result, error) {
 	b, err := NewBatcher(cfg.Batcher)
 	if err != nil {
@@ -89,6 +108,7 @@ func Replay(e *Engine, reqs []Request, cfg ReplayConfig) (*Result, error) {
 		cShed     = reg.Counter("serve.shed")
 		cCanceled = reg.Counter("serve.canceled")
 		cBatches  = reg.Counter("serve.batches")
+		cCorrect  = reg.Counter("serve.correct")
 		hLatency  = reg.Histogram("serve.latency.seconds", metrics.DefaultSecondsBuckets)
 		// A request's latency split: its queue time (launch − arrival),
 		// then each stage's compute and each boundary's transfer.
@@ -103,9 +123,8 @@ func Replay(e *Engine, reqs []Request, cfg ReplayConfig) (*Result, error) {
 		hTransfer[i] = reg.Histogram(fmt.Sprintf("serve.boundary%d.transfer.seconds", i), metrics.DefaultSecondsBuckets)
 	}
 
-	// Functional-track batch buffers, reused across flushes.
 	var (
-		bx     *tensorBatch
+		pool   *servePool
 		bbuf   []Request // reused FlushInto destination
 		res    Result
 		free   = make([]float64, replicas) // when each replica admits again
@@ -114,7 +133,7 @@ func Replay(e *Engine, reqs []Request, cfg ReplayConfig) (*Result, error) {
 		minLat = e.Price(1).Latency
 	)
 	if cfg.Data != nil {
-		bx = newTensorBatch(cfg.Data)
+		pool = e.startPool(cfg.Data, cfg.Width, cfg.Batcher.MaxBatch)
 	}
 
 	// The hopeless test prices the best case: wait for a replica, wait
@@ -195,9 +214,13 @@ func Replay(e *Engine, reqs []Request, cfg ReplayConfig) (*Result, error) {
 				cSLOMet.Inc()
 			}
 		}
-		if bx != nil {
-			e.Predict(bx.assemble(batch))
+		if pool != nil {
+			pool.add(batch)
 		}
+	}
+	if pool != nil {
+		res.Correct = pool.finish()
+		cCorrect.Add(int64(res.Correct))
 	}
 
 	res.Shed = b.Shed()
@@ -243,22 +266,159 @@ func argminFree(free []float64) int {
 	return idx
 }
 
-// tensorBatch assembles request samples into a reused input tensor so
-// the functional forward path stays allocation-free across flushes.
-type tensorBatch struct {
-	ds     *dataset.Dataset
-	idx    []int
-	x      *tensor.Tensor
-	labels []int
+// chunkBatches is how many launched batches Replay hands a worker at
+// once. A served batch is ~2 requests and tens of microseconds of
+// forward, less than a goroutine wake-up would overlap; one hand-off
+// per 64 of them is noise.
+const chunkBatches = 64
+
+// chunk is up to chunkBatches launched batches: their sample indices
+// back to back, and where each batch ends. Its buffers are sized once,
+// for chunkBatches full batches, and keep what they grow to.
+type chunk struct {
+	idx, ends []int
 }
 
-func newTensorBatch(ds *dataset.Dataset) *tensorBatch { return &tensorBatch{ds: ds} }
+// worker runs the eval forward and argmax of handed-over batches on
+// one model, into buffers of its own, and counts correct predictions.
+type worker struct {
+	model         *nn.Sequential
+	x             *tensor.Tensor
+	labels, preds []int
+	correct       int
+	reserved      int // the batch its buffers are sized for
+}
 
-func (tb *tensorBatch) assemble(batch []Request) *tensor.Tensor {
-	tb.idx = tb.idx[:0]
-	for _, r := range batch {
-		tb.idx = append(tb.idx, r.Sample%tb.ds.Len())
+// reserve sizes the worker's buffers, its model's included, for
+// batches of up to maxBatch samples of ds.
+func (w *worker) reserve(ds *dataset.Dataset, maxBatch int) {
+	if w.reserved >= maxBatch {
+		return
 	}
-	tb.x, tb.labels = tb.ds.BatchInto(tb.x, tb.labels, tb.idx)
-	return tb.x
+	s := ds.X.Shape
+	w.x = tensor.Ensure(w.x, maxBatch, s[1], s[2], s[3])
+	w.labels, w.preds = make([]int, maxBatch), make([]int, maxBatch)
+	w.model.ReserveEval(w.x)
+	w.reserved = maxBatch
+}
+
+// run serves every batch of c from ds and empties c.
+func (w *worker) run(ds *dataset.Dataset, c *chunk) {
+	lo := 0
+	for _, hi := range c.ends {
+		w.x, w.labels = ds.BatchInto(w.x, w.labels, c.idx[lo:hi])
+		w.preds = tensor.ArgmaxRowsInto(w.preds, w.model.Forward(w.x, false))
+		for i, p := range w.preds {
+			if p == w.labels[i] {
+				w.correct++
+			}
+		}
+		lo = hi
+	}
+	c.idx, c.ends = c.idx[:0], c.ends[:0]
+}
+
+// servePool is one Replay's functional track: the loop fills chunks,
+// the workers run them. At width 1 the loop runs each full chunk
+// itself and no goroutine starts.
+type servePool struct {
+	ds         *dataset.Dataset
+	workers    []*worker
+	cur        *chunk
+	work, free chan *chunk // nil at width 1
+	done       sync.WaitGroup
+}
+
+// startPool readies width workers (worker 0 on Model, worker i on twin
+// i-1) and 2·width chunks, reusing what the engine kept from earlier
+// windows, and starts the workers.
+func (e *Engine) startPool(ds *dataset.Dataset, width, maxBatch int) *servePool {
+	if width < 1 {
+		width = runtime.GOMAXPROCS(0)
+	}
+	twins := e.Twins(width - 1)
+	for len(e.workers) < width {
+		m := e.Model
+		if i := len(e.workers); i > 0 {
+			m = twins[i-1]
+		}
+		e.workers = append(e.workers, &worker{model: m})
+	}
+	for _, w := range e.workers[:width] {
+		w.reserve(ds, maxBatch)
+	}
+	nChunks := 1
+	if width > 1 {
+		nChunks = 2 * width
+	}
+	for len(e.chunks) < nChunks {
+		e.chunks = append(e.chunks, &chunk{
+			idx:  make([]int, 0, chunkBatches*maxBatch),
+			ends: make([]int, 0, chunkBatches),
+		})
+	}
+	p := &servePool{ds: ds, workers: e.workers[:width], cur: e.chunks[0]}
+	if width == 1 {
+		return p
+	}
+	p.work = make(chan *chunk, nChunks)
+	p.free = make(chan *chunk, nChunks)
+	for _, c := range e.chunks[1:nChunks] {
+		p.free <- c
+	}
+	p.done.Add(width)
+	for _, w := range p.workers {
+		go p.serve(w)
+	}
+	return p
+}
+
+// serve is one worker's loop: run each chunk handed over, give it back.
+func (p *servePool) serve(w *worker) {
+	defer p.done.Done()
+	for c := range p.work {
+		w.run(p.ds, c)
+		p.free <- c
+	}
+}
+
+// add appends one launched batch, handing the chunk over once full.
+func (p *servePool) add(batch []Request) {
+	n := p.ds.Len()
+	for _, r := range batch {
+		p.cur.idx = append(p.cur.idx, r.Sample%n)
+	}
+	p.cur.ends = append(p.cur.ends, len(p.cur.idx))
+	if len(p.cur.ends) == chunkBatches {
+		p.handOff()
+	}
+}
+
+// handOff runs the current chunk (width 1) or hands it to the workers
+// and takes a free one.
+func (p *servePool) handOff() {
+	if p.work == nil {
+		p.workers[0].run(p.ds, p.cur)
+		return
+	}
+	p.work <- p.cur
+	p.cur = <-p.free
+}
+
+// finish hands over the last, partial chunk, waits for every worker
+// and returns the window's correct predictions.
+func (p *servePool) finish() int {
+	if len(p.cur.ends) > 0 {
+		p.handOff()
+	}
+	if p.work != nil {
+		close(p.work)
+		p.done.Wait()
+	}
+	correct := 0
+	for _, w := range p.workers {
+		correct += w.correct
+		w.correct = 0
+	}
+	return correct
 }

@@ -241,3 +241,65 @@ func TestPartitionByTrainingWeight(t *testing.T) {
 		}
 	}
 }
+
+// appendArrivals is LoadGen.Arrivals as it was before the arrivals
+// slice was sized up front: the same draws, appended one at a time.
+func appendArrivals(g LoadGen, startHour, hours float64) []Request {
+	if g.PeakRPS <= 0 || hours <= 0 {
+		return nil
+	}
+	peak := g.Trace.PeakBusy
+	if peak <= 0 {
+		for _, busy := range g.Trace.HourlyProfile() {
+			peak = math.Max(peak, busy)
+		}
+	}
+	if peak <= 0 {
+		return nil
+	}
+	rng := tensor.NewRNG(g.Seed)
+	horizon := hours * 3600
+	var out []Request
+	t := 0.0
+	for {
+		t += -math.Log(1-rng.Float64()) / g.PeakRPS
+		if t >= horizon {
+			return out
+		}
+		keep := g.Trace.BusyFraction(math.Mod(startHour+t/3600, 24)) / peak
+		if rng.Float64() >= keep {
+			continue
+		}
+		sample := 0
+		if g.Samples > 0 {
+			sample = rng.Intn(g.Samples)
+		}
+		out = append(out, Request{ID: len(out), Arrival: t, Deadline: t + g.SLO, Sample: sample})
+	}
+}
+
+func TestArrivalsMatchAppendLoop(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 0x9e3779b97f4a7c15} {
+		for _, hours := range []float64{0.01, 0.5, 1.5} {
+			for _, rps := range []float64{0.3, 4, 20, 40} {
+				g := LoadGen{Trace: cluster.DefaultTidalTrace(), PeakRPS: rps, SLO: 0.5, Samples: 64, Seed: seed}
+				for _, start := range []float64{3, 14, 23.5} {
+					got, want := g.Arrivals(start, hours), appendArrivals(g, start, hours)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d, %v h from %v at %v rps: %d arrivals, the append loop %d",
+							seed, hours, start, rps, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// The stream is one allocation: the slice, sized from the envelope's
+// mean count before the first draw.
+func TestArrivalsAllocateOnce(t *testing.T) {
+	g := LoadGen{Trace: cluster.DefaultTidalTrace(), PeakRPS: 20, SLO: 0.5, Samples: 256, Seed: 1}
+	if a := testing.AllocsPerRun(3, func() { g.Arrivals(14, 0.5) }); a != 1 {
+		t.Fatalf("Arrivals allocated %v times, want 1", a)
+	}
+}

@@ -444,3 +444,86 @@ func TestReplayOverloadSheds(t *testing.T) {
 		t.Fatalf("accounting: %+v", res)
 	}
 }
+
+// labelByPredict relabels every sample of ds with Engine.Predict's
+// answer on it alone, a batch of one, and returns how many classes
+// those answers use.
+func labelByPredict(e *Engine, ds *dataset.Dataset) int {
+	classes := map[int]bool{}
+	for i := range ds.Labels {
+		x, _ := ds.Batch([]int{i})
+		ds.Labels[i] = e.Predict(x)[0]
+		classes[ds.Labels[i]] = true
+	}
+	return len(classes)
+}
+
+// A served request's prediction is the same on every worker and in
+// every batch. With every sample labelled by per-request Predict, a
+// shed-free window serves every request correctly at widths 1, 2, 3 and
+// 8: one prediction off on any worker would show. It holds again after
+// weights and batch-norm statistics are written into the engine's model
+// once its twins exist (a restored checkpoint is served by every
+// worker).
+func TestReplayPredictionsAtEveryWidth(t *testing.T) {
+	for _, model := range []string{"lenet5", "resnet18"} {
+		t.Run(model, func(t *testing.T) {
+			spec := nn.MustSpec(model)
+			ds := dataset.MustProfile("cifar10").Generate(dataset.GenOptions{Samples: 96, Seed: 5})
+			build := func(seed uint64) *nn.Sequential {
+				return spec.BuildMicro(tensor.NewRNG(seed), ds.Channels(), ds.ImageSize(), ds.Classes)
+			}
+			e, err := NewEngine(EngineConfig{
+				Spec: spec, Model: build(7), Cluster: cluster.New(cluster.Config{NumSoCs: 8}), Stages: 2,
+				InC: ds.Channels(), ImgSize: ds.ImageSize(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := LoadGen{Trace: cluster.DefaultTidalTrace(), PeakRPS: 4, SLO: 0.5, Samples: ds.Len(), Seed: 11}
+			reqs := g.Arrivals(14, 0.2)
+			for round, seed := range []uint64{0, 9} {
+				if seed != 0 {
+					// After the twins exist: new weights, and running
+					// statistics moved off their 0/1 start by train forwards
+					// over the data.
+					e.Model.CopyWeightsFrom(build(seed))
+					for i := 0; i+8 <= ds.Len(); i += 8 {
+						x, _ := ds.Batch([]int{i, i + 1, i + 2, i + 3, i + 4, i + 5, i + 6, i + 7})
+						e.Model.Forward(x, true)
+					}
+				}
+				if n := labelByPredict(e, ds); n < 2 {
+					t.Fatalf("round %d: the model answers only %d classes; the check would be weak", round, n)
+				}
+				want := len(reqs)
+				var first *Result
+				for _, width := range []int{1, 2, 3, 8} {
+					reg := metrics.New()
+					res, err := Replay(e, reqs, ReplayConfig{
+						Batcher: BatcherConfig{MaxBatch: 8, MaxDelay: 0.05}, Replicas: 1,
+						Metrics: reg, Data: ds, Width: width,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Shed != 0 || res.Canceled != 0 || res.Served != len(reqs) {
+						t.Fatalf("window not shed-free: %+v", res)
+					}
+					if res.Correct != want || reg.Snapshot().Counters["serve.correct"] != int64(want) {
+						t.Errorf("round %d, width %d: %d correct (counter %d) of %d",
+							round, width, res.Correct, reg.Snapshot().Counters["serve.correct"], want)
+					}
+					if first == nil {
+						first = res
+					} else if !reflect.DeepEqual(res, first) {
+						t.Errorf("round %d, width %d: %+v, at width 1 %+v", round, width, res, first)
+					}
+				}
+			}
+			if len(e.twins) != 7 {
+				t.Errorf("the engine built %d twins for widths up to 8", len(e.twins))
+			}
+		})
+	}
+}

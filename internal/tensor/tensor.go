@@ -250,6 +250,10 @@ func (t *Tensor) Min() float32 {
 // skipping NaN: the portable loop, or the AVX2 lanes of gemm_amd64.go.
 func (t *Tensor) AbsMax() float32 { return absMax(t.Data) }
 
+// AbsMax is Tensor.AbsMax over a slice: max(|x|) (+0 for an empty
+// slice or one of NaNs only), skipping NaN, on the same lanes.
+func AbsMax(d []float32) float32 { return absMax(d) }
+
 var absMax = absMaxGo
 
 // absMaxGo clears the sign bit for |x|, so no branch depends on the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -339,6 +340,50 @@ func TestConcurrentServeJobsKeepTheirOwnStats(t *testing.T) {
 	}
 	if reps[0].Counters["simnet.flows"] == reps[1].Counters["simnet.flows"] {
 		t.Errorf("both jobs published %d simnet flows; want configs that simulate different traffic", reps[0].Counters["simnet.flows"])
+	}
+}
+
+// A serving job's width changes where its forwards run, not what they
+// count or answer: the kernel counters its harvest publishes (the
+// model's and every eval twin's) and its report are equal at widths 1
+// and 4.
+func TestServeKernelCountsAtEveryWidth(t *testing.T) {
+	cfg := smokeServeConfig()
+	// Two windows (1 h, then 0.5 h) near the peak: thousands of batches,
+	// so every worker gets chunks.
+	cfg.StartHour, cfg.Hours, cfg.PeakRPS = 13, 1.5, 4
+	serveAt := func(width int) (*ServeReport, error) {
+		srv := NewServer(ServerConfig{})
+		defer srv.Close()
+		h, err := srv.Client().Serve(context.Background(), cfg, WithMetrics(metrics.New()), WithParallelism(width))
+		if err != nil {
+			return nil, err
+		}
+		return h.Wait(context.Background())
+	}
+	one, err := serveAt(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	four, err := serveAt(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"nn.conv.forward", "nn.dense.forward", "tensor.gemm.ops", "tensor.gemm.flops",
+		"tensor.im2col.ops", "serve.correct", "serve.served"} {
+		if got, want := four.Metrics.Counters[name], one.Metrics.Counters[name]; got != want || want <= 0 {
+			t.Errorf("%s = %d at width 4, %d at width 1", name, got, want)
+		}
+	}
+	if one.Batches < 8*64 {
+		t.Fatalf("%d batches: too few for every worker to get a chunk", one.Batches)
+	}
+	if one.Correct != int(one.Metrics.Counters["serve.correct"]) {
+		t.Errorf("report counts %d correct, the counter %d", one.Correct, one.Metrics.Counters["serve.correct"])
+	}
+	one.Metrics, four.Metrics = nil, nil
+	if !reflect.DeepEqual(one, four) {
+		t.Errorf("report at width 4 %+v, at width 1 %+v", four, one)
 	}
 }
 

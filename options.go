@@ -48,7 +48,10 @@ type runOptions struct {
 
 // WithParallelism caps the run's host parallelism at n: at most n
 // logical groups or federated clients train at once, each running its
-// kernels on its own goroutine. The width belongs to this run alone —
+// kernels on its own goroutine. A serving job (Client.Serve) runs its
+// served batches' eval forwards on n host workers, each on its own copy
+// of the model's buffers over the shared weights, while its replay
+// stays on the simulated clock. The width belongs to this run alone —
 // concurrent runs keep their own, and the process default is never
 // touched. n <= 0 keeps the default, runtime.GOMAXPROCS. Results are
 // bit-identical at every parallelism level; only wall-clock time

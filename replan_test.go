@@ -9,6 +9,7 @@ import (
 
 	"socflow/internal/core"
 	"socflow/internal/dataset"
+	"socflow/internal/metrics"
 	"socflow/internal/nn"
 	autoplan "socflow/internal/plan"
 )
@@ -127,6 +128,62 @@ func TestDistributedPipelineRecoveryReplans(t *testing.T) {
 		}
 		if ep.OldPlan == "" || ep.NewPlan == "" {
 			t.Fatalf("episode must name old and new plans: %+v", ep)
+		}
+	}
+}
+
+// A committed re-plan episode goes live on the run's registry: a
+// wall-clock "replan" span from detection to resume, the
+// detect-to-resume observation, and the plan's predicted and executed
+// epoch seconds with a drift of exactly 0.
+func TestReplanEpisodesGoLive(t *testing.T) {
+	cfg := pipeCfg()
+	cfg.Epochs = 4
+	p := pipeCfgPlan(t, cfg)
+	cfg.PreemptWindows = []PreemptWindow{{SoC: p.Placement[p.Groups()-1][0], Epoch: 1, Return: -1}}
+	reg := metrics.New()
+	rep, err := RunDistributed(context.Background(), cfg, WithMetrics(reg),
+		WithRecovery(3, 5*time.Millisecond),
+		WithHeartbeat(5*time.Millisecond, 250*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Recovery == nil || len(rep.Recovery.Replans) < 1 {
+		t.Fatalf("the crash produced no replan episode: %+v", rep.Recovery)
+	}
+	eps := rep.Recovery.Replans
+	snap := reg.Snapshot()
+	var spans []metrics.Span
+	for _, s := range snap.Spans {
+		if s.Name == "replan" {
+			spans = append(spans, s)
+		}
+	}
+	if len(spans) != len(eps) {
+		t.Fatalf("%d replan spans for %d episodes", len(spans), len(eps))
+	}
+	for i, s := range spans {
+		if s.Clock != metrics.ClockWall || s.Dur != eps[i].DetectToResumeSeconds || s.Start <= 0 ||
+			s.Start+s.Dur > snap.WallSeconds || s.Args["epoch"] != float64(eps[i].Epoch) {
+			t.Errorf("span %d = %+v for episode %+v (registry age %v s)", i, s, eps[i], snap.WallSeconds)
+		}
+	}
+	h := snap.Histograms["recovery.detect_to_resume.seconds"]
+	var sum float64
+	for _, ep := range eps {
+		sum += ep.DetectToResumeSeconds
+	}
+	if h.Count != int64(len(eps)) || h.Sum != sum {
+		t.Errorf("recovery.detect_to_resume.seconds: %d observations summing %v, want %d summing %v", h.Count, h.Sum, len(eps), sum)
+	}
+	last := eps[len(eps)-1]
+	for name, want := range map[string]float64{
+		"plan.predicted_epoch_seconds": last.PredictedEpochSeconds,
+		"plan.executed_epoch_seconds":  last.ExecutedEpochSeconds,
+		"plan.drift_seconds":           0,
+	} {
+		if got, ok := snap.Gauges[name]; !ok || got != want {
+			t.Errorf("%s = %v (set: %v), want %v", name, got, ok, want)
 		}
 	}
 }

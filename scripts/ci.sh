@@ -47,6 +47,11 @@ make race
 # tests at one and at four schedulers, as the chaos gate does below.
 GOMAXPROCS=1 go test -race -skip 'Alloc|Exhaustive' -run 'ParallelismInvariance|Mixed' . ./internal/core
 GOMAXPROCS=4 go test -race -skip 'Alloc|Exhaustive' -run 'ParallelismInvariance|Mixed' . ./internal/core
+# Replay hands served batches, in chunks, to one worker per width step,
+# each on the engine's model or an eval twin sharing its weights and
+# batch-norm statistics; race it at one and at four schedulers.
+GOMAXPROCS=1 go test -race -skip 'Alloc|Exhaustive' -run 'Replay|Serve' . ./internal/serve
+GOMAXPROCS=4 go test -race -skip 'Alloc|Exhaustive' -run 'Replay|Serve' . ./internal/serve
 # The fault suite, tidal resizes included. TestExpFig4cINT8Degrades
 # matches "Degrade" but measures INT8 accuracy, not a fault, and is by
 # far the slowest test of its package under the race detector.

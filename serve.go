@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 
 	"socflow/internal/cluster"
 	"socflow/internal/core"
@@ -169,6 +170,8 @@ type ServeReport struct {
 	Batches       int     `json:"batches"`
 	MaxQueueDepth int     `json:"max_queue_depth"`
 	Attainment    float64 `json:"attainment"`
+	// Correct counts served requests the model classified right.
+	Correct int `json:"correct"`
 
 	// Latency quantiles in simulated seconds, estimated from the
 	// serve.latency.seconds histogram.
@@ -222,7 +225,14 @@ func admitServe(cfg ServeConfig, _ runOptions) (ServeConfig, catalog, error) {
 // tide's footprint, generate that hour's arrivals, replay them through
 // the pipelined engine, accumulate. Serving jobs are not preemptible —
 // the whole point of co-location is that training yields, not serving.
-func buildServe(cfg ServeConfig, cat catalog, _ runOptions) (runner, error) {
+// The served batches' forwards run on the job's width (WithParallelism):
+// one eval twin of the model per host worker past the first, built once
+// and harvested with the model.
+func buildServe(cfg ServeConfig, cat catalog, o runOptions) (runner, error) {
+	width := o.parallelism
+	if width < 1 {
+		width = runtime.GOMAXPROCS(0)
+	}
 	var startCP *core.Checkpoint
 	if cfg.CheckpointDir != "" {
 		store, err := core.NewCheckpointStore(cfg.CheckpointDir)
@@ -255,6 +265,9 @@ func buildServe(cfg ServeConfig, cat catalog, _ runOptions) (runner, error) {
 		})
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadOption, err)
+		}
+		for _, twin := range engine.Twins(width - 1) {
+			kernels.Track(twin)
 		}
 
 		rep := &ServeReport{
@@ -289,6 +302,7 @@ func buildServe(cfg ServeConfig, cat catalog, _ runOptions) (runner, error) {
 				Replicas: replicas,
 				Metrics:  reg,
 				Data:     ds,
+				Width:    width,
 			})
 			if err != nil {
 				return nil, err
@@ -304,6 +318,7 @@ func buildServe(cfg ServeConfig, cat catalog, _ runOptions) (runner, error) {
 			rep.Shed += res.Shed
 			rep.Canceled += res.Canceled
 			rep.Batches += res.Batches
+			rep.Correct += res.Correct
 			rep.Attainment += float64(res.SLOMet) // running SLOMet total; normalized below
 			if res.MaxQueueDepth > rep.MaxQueueDepth {
 				rep.MaxQueueDepth = res.MaxQueueDepth
