@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"sync"
 	"testing"
 )
@@ -26,6 +27,37 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 	if snap.Count != 7 || snap.Sum != 16 || snap.Min != -1 || snap.Max != 7 {
 		t.Fatalf("summary wrong: %+v", snap)
+	}
+}
+
+// ObserveN(v, n) leaves a histogram bit for bit where n Observe(v)
+// calls would: buckets, count, and the bits of sum, min and max, with
+// NaN and ±Inf among the values and n = 0 among the counts.
+func TestHistogramObserveNMatchesObserve(t *testing.T) {
+	values := []float64{0.3, 1, 1e-17, math.NaN(), 0.1, math.Inf(1), -2.5, math.Inf(-1), 7, math.Copysign(0, -1), 0.7}
+	counts := []int{3, 0, 5, 2, 1, 4, 0, 1, 6, 2, 9}
+	for start := range values { // every rotation: NaN or ±Inf first, empty histograms, ...
+		batched, single := New(), New()
+		hb := batched.Histogram("h", []float64{0.5, 1, 5})
+		hs := single.Histogram("h", []float64{0.5, 1, 5})
+		for k := range values {
+			v, n := values[(start+k)%len(values)], counts[k]
+			hb.ObserveN(v, n)
+			for i := 0; i < n; i++ {
+				hs.Observe(v)
+			}
+			b, s := batched.Snapshot().Histograms["h"], single.Snapshot().Histograms["h"]
+			same := b.Count == s.Count && len(b.Counts) == len(s.Counts) &&
+				math.Float64bits(b.Sum) == math.Float64bits(s.Sum) &&
+				math.Float64bits(b.Min) == math.Float64bits(s.Min) &&
+				math.Float64bits(b.Max) == math.Float64bits(s.Max)
+			for i := range b.Counts {
+				same = same && b.Counts[i] == s.Counts[i]
+			}
+			if !same {
+				t.Fatalf("rotation %d, after ObserveN(%v, %d): %+v, %d Observe calls give %+v", start, v, n, b, n, s)
+			}
+		}
 	}
 }
 
@@ -96,6 +128,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil gauge has a value")
 	}
 	r.Histogram("h", []float64{1}).Observe(1)
+	r.Histogram("h", []float64{1}).ObserveN(1, 3)
 	r.AddSpan(Span{})
 	r.AddSimSpan("s", "", 0, 0, 1, nil)
 	r.BeginSpan("s", "", 0).End()

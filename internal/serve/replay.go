@@ -197,16 +197,18 @@ func Replay(e *Engine, reqs []Request, cfg ReplayConfig) (*Result, error) {
 		free[i] = now + p.Bottleneck
 		res.Batches++
 		cBatches.Inc()
+		// Every request in the batch sees the batch's stage and
+		// boundary times: one observation of each per batch.
+		for j, t := range p.Stages {
+			hCompute[j].ObserveN(t, len(batch))
+		}
+		for j, t := range p.Transfers {
+			hTransfer[j].ObserveN(t, len(batch))
+		}
 		for _, r := range batch {
 			lat := finish - r.Arrival
 			hLatency.Observe(lat)
 			hQueue.Observe(now - r.Arrival)
-			for j, t := range p.Stages {
-				hCompute[j].Observe(t)
-			}
-			for j, t := range p.Transfers {
-				hTransfer[j].Observe(t)
-			}
 			res.Served++
 			cServed.Inc()
 			if finish <= r.Deadline {

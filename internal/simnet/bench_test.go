@@ -34,6 +34,43 @@ func BenchmarkSimnetSimulate(b *testing.B) {
 	}
 }
 
+// componentFlows is the shape a 512-SoC search simulates: 30 two-flow
+// components inside PCBs (two flows out of one SoC) and one fabric
+// component of 30 flows between boards, with staggered starts, so most
+// events touch one component of 31.
+func componentFlows() []*Flow {
+	const boards = 30
+	fabric := NewLink("fabric", 2.5e9, 2e-4)
+	soc := func() *Link { return NewLink("soc", 125e6, 2e-4) }
+	up, down := make([]*Link, boards), make([]*Link, boards)
+	for p := range up {
+		up[p], down[p] = NewLink("pcb.up", 125e6, 2e-4), NewLink("pcb.down", 125e6, 2e-4)
+	}
+	flows := make([]*Flow, 0, 3*boards)
+	for p := 0; p < boards; p++ {
+		src := soc()
+		flows = append(flows,
+			&Flow{Name: "intra", Path: []*Link{src, soc()}, Bytes: float64(1+p%5) * 1e6},
+			&Flow{Name: "intra", Path: []*Link{src, soc()}, Bytes: float64(1+p%3) * 1e6, StartAt: float64(p%4) * 0.002},
+			&Flow{Name: "cross", Path: []*Link{soc(), up[p], fabric, down[(p+1)%boards], soc()}, Bytes: 4e6, StartAt: float64(p%3) * 0.001},
+		)
+	}
+	return flows
+}
+
+// BenchmarkSimnetSimulateComponents is BenchmarkSimnetSimulate's rung
+// for many link-disjoint components (componentFlows), where a share
+// re-fills only the components an event touched.
+func BenchmarkSimnetSimulateComponents(b *testing.B) {
+	flows := componentFlows()
+	Simulate(flows)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Simulate(flows)
+	}
+}
+
 // TestSimulatorReuseMatchesPackageSimulate checks that a long-lived
 // Simulator produces bit-identical results to fresh package-level
 // calls, across repeated reuse and differing flow sets.
@@ -56,31 +93,41 @@ func TestSimulatorReuseMatchesPackageSimulate(t *testing.T) {
 }
 
 // TestSimulateSteadyStateAllocs asserts the pooled Simulate path stays
-// allocation-free once warm.
+// allocation-free once warm, on one component and on many.
 func TestSimulateSteadyStateAllocs(t *testing.T) {
-	flows := benchFlows()
-	Simulate(flows)
-	avg := testing.AllocsPerRun(20, func() { Simulate(flows) })
-	if avg > 0.5 {
-		t.Fatalf("Simulate steady state allocates %.1f objects/run, want 0", avg)
+	for _, flows := range [][]*Flow{benchFlows(), componentFlows()} {
+		Simulate(flows)
+		avg := testing.AllocsPerRun(20, func() { Simulate(flows) })
+		if avg > 0.5 {
+			t.Fatalf("Simulate steady state allocates %.1f objects/run over %d flows, want 0", avg, len(flows))
+		}
 	}
 }
 
-// TestSimulatorScratchResetBound exercises the retained-link cap: after
-// simulating across more links than maxRetainedLinks the scratch map is
-// rebuilt, and results stay correct.
+// TestSimulatorScratchResetBound checks that a Simulator's slot table
+// is sized per call: after a call over 5,000 distinct links, a call
+// over one link keeps one slot, both results are right, and between
+// calls the link table holds no link.
 func TestSimulatorScratchResetBound(t *testing.T) {
 	sim := NewSimulator()
-	for i := 0; i < maxRetainedLinks+10; i += 500 {
-		links := make([]*Link, 500)
-		for j := range links {
-			links[j] = NewLink("l", 100, 0)
+	check := func(what string, ms float64, slots int) {
+		t.Helper()
+		if ms != 1 {
+			t.Fatalf("%s: makespan %v, want 1", what, ms)
 		}
-		for j := range links {
-			f := &Flow{Path: []*Link{links[j]}, Bytes: 100}
-			if ms := sim.Simulate([]*Flow{f}); ms != 1 {
-				t.Fatalf("makespan %v, want 1", ms)
+		if len(sim.states) != slots {
+			t.Fatalf("%s: %d slots, want %d", what, len(sim.states), slots)
+		}
+		for i, e := range sim.table {
+			if e.link != nil {
+				t.Fatalf("%s: table entry %d still holds link %q", what, i, e.link.Name)
 			}
 		}
 	}
+	flows := make([]*Flow, 5000)
+	for i := range flows {
+		flows[i] = &Flow{Path: []*Link{NewLink("l", 100, 0)}, Bytes: 100}
+	}
+	check("5,000 links", sim.Simulate(flows), 5000)
+	check("one link", sim.Simulate([]*Flow{{Path: []*Link{NewLink("one", 100, 0)}, Bytes: 100}}), 1)
 }

@@ -15,8 +15,10 @@ package simnet
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
+	"unsafe"
 )
 
 // Link is a directed, fixed-capacity network resource.
@@ -42,10 +44,12 @@ func NewLink(name string, bandwidth, latency float64) *Link {
 // never lose a bottleneck comparison; either ends in a zero-rate
 // deadlock that names no link.
 func checkBandwidth(name string, bw float64) {
-	if !(bw > 0 && bw <= math.MaxFloat64) {
+	if !validBandwidth(bw) {
 		panic(fmt.Sprintf("simnet: link %q with bandwidth %v, want positive and finite", name, bw))
 	}
 }
+
+func validBandwidth(bw float64) bool { return bw > 0 && bw <= math.MaxFloat64 }
 
 // Flow is one transfer traversing a path of links.
 type Flow struct {
@@ -67,6 +71,7 @@ type Flow struct {
 	remaining float64
 	rate      float64
 	lo, hi    int32 // this flow's slots in the running Simulator's paths
+	comp      int32 // component label while a share is labelling, else -1
 	started   bool
 	done      bool
 	frozen    bool
@@ -81,20 +86,36 @@ func (f *Flow) latency() float64 {
 	return l
 }
 
-// linkState is one link's water-filling scratch: a slot in the
-// Simulator's flat state table, reset lazily per fair-share round via
-// generation stamping.
+// linkState is one link's slot in the Simulator's flat state table:
+// the active flows crossing it, kept across events, and its
+// water-filling scratch, reset lazily per share via generation
+// stamping.
 type linkState struct {
 	gen      uint64
 	bw       float64 // Link.Bandwidth as of the Simulate call that resolved the slot
 	cap      float64
-	unfrozen int // path crossings by flows not yet frozen this round
-	flows    []*Flow
+	unfrozen int32   // path crossings by flows not yet frozen this share
+	comp     int32   // component label while a share is labelling, else -1
+	at       int32   // the link's entry in the Simulator's table
+	dirty    bool    // a flow crossing the link started or retired since the last share
+	flows    []*Flow // one entry per crossing by a started flow, in no particular order
+}
+
+// tableEntry is one bucket of the Simulator's link → slot table.
+type tableEntry struct {
+	link *Link
+	slot int32
+}
+
+// component is one link-connected set of active flows that a share
+// re-fills: its links are order[start:end], in first-touch order.
+type component struct {
+	start, end, flows, hops int
 }
 
 // Simulator runs flow simulations while reusing all per-event scratch
-// (link states, resolved paths, the active-flow list, the touched-link
-// list) across events and across Simulate calls. A planner sweeping
+// (link states, resolved paths, the active-flow list, the component
+// tables) across events and across Simulate calls. A planner sweeping
 // thousands of candidate placements holds one Simulator and pays zero
 // steady-state allocations per call; the package-level Simulate draws
 // from a pool and has the same property.
@@ -102,46 +123,80 @@ type linkState struct {
 // A Simulator is not safe for concurrent use; use one per goroutine or
 // the package-level functions (which are).
 type Simulator struct {
-	slots  map[*Link]int32 // link -> index into states; touched once per path hop per call
+	table  []tableEntry // open-addressed link -> slot, empty between calls
 	states []linkState
 	paths  []int32 // every flow's Path as slots; flow f owns paths[f.lo:f.hi]
-	links  []int32 // slots touched in the current fair-share round
+	dirty  []int32 // slots whose flow set changed since the last share
+	order  []int32 // the re-shared components' links, grouped by component
+	stack  []int32 // the component walk's frontier
+	comps  []component
 	active []*Flow
 	gen    uint64
 }
 
 // NewSimulator returns an empty reusable simulator.
 func NewSimulator() *Simulator {
-	return &Simulator{slots: make(map[*Link]int32)}
+	return &Simulator{}
 }
 
-// maxRetainedLinks bounds the slot table so a long-lived pooled
-// Simulator cannot pin link objects from arbitrarily many dead
-// topologies.
-const maxRetainedLinks = 4096
-
 // resolve maps every flow's Path to link-state slots, once per Simulate
-// call, so the event loop and fairShare index slices instead of hashing
-// a *Link per hop per water-filling round.
+// call, so the event loop and fairShare index slices instead of looking
+// a *Link up per hop per water-filling round. The slots number the
+// links of this call alone: the table is sized for the call's hops and
+// emptied again before resolve returns, so it keeps no link between
+// calls and the Simulator has as many slots as the call has links. A
+// link hashes by its address, as a map keyed by *Link does; nothing is
+// ever ordered by slot number.
 func (s *Simulator) resolve(flows []*Flow) {
-	if len(s.slots) > maxRetainedLinks {
-		s.slots, s.states = make(map[*Link]int32), nil
+	hops := 0
+	for _, f := range flows {
+		hops += len(f.Path)
 	}
+	shift := 64 - bits.Len(uint(2*hops)) // at most half the buckets fill
+	mask := uint64(1)<<(64-shift) - 1
+	if uint64(len(s.table)) <= mask {
+		s.table = make([]tableEntry, mask+1)
+	}
+	s.states = s.states[:0]
 	s.paths = s.paths[:0]
 	for _, f := range flows {
 		f.lo = int32(len(s.paths))
 		for _, l := range f.Path {
-			slot, ok := s.slots[l]
-			if !ok {
-				slot = int32(len(s.states))
-				s.slots[l] = slot
-				s.states = append(s.states, linkState{})
+			// Multiplicative hashing: the top bits of address × 2⁶⁴/φ.
+			h := uint64(uintptr(unsafe.Pointer(l))) * 0x9E3779B97F4A7C15 >> shift
+			for s.table[h].link != nil && s.table[h].link != l {
+				h = (h + 1) & mask
 			}
-			checkBandwidth(l.Name, l.Bandwidth) // Bandwidth may have changed since NewLink
-			s.states[slot].bw = l.Bandwidth
-			s.paths = append(s.paths, slot)
+			e := &s.table[h]
+			if e.link == nil {
+				e.link, e.slot = l, int32(len(s.states))
+				if len(s.states) < cap(s.states) {
+					s.states = s.states[:e.slot+1]
+				} else {
+					s.states = append(s.states, linkState{})
+				}
+				// gen, cap and unfrozen are set when a share first
+				// touches the slot; every stale gen is below the next.
+				st := &s.states[e.slot]
+				st.bw, st.comp, st.at, st.dirty = l.Bandwidth, -1, int32(h), false
+				st.flows = st.flows[:0]
+			}
+			s.paths = append(s.paths, e.slot)
 		}
 		f.hi = int32(len(s.paths))
+	}
+	// Empty the table, then refuse a Bandwidth changed since NewLink:
+	// a panic must not leave a link in the table for the next call.
+	var bad *Link
+	for i := range s.states {
+		e := &s.table[s.states[i].at]
+		if bad == nil && !validBandwidth(e.link.Bandwidth) {
+			bad = e.link
+		}
+		*e = tableEntry{}
+	}
+	if bad != nil {
+		checkBandwidth(bad.Name, bad.Bandwidth)
 	}
 }
 
@@ -152,9 +207,11 @@ func (s *Simulator) resolve(flows []*Flow) {
 //
 // The algorithm alternates between (1) computing the max-min fair rate
 // allocation for the currently active flows and (2) advancing time to
-// the next flow start or finish. Complexity is O(E · (F·L)) for E
-// events, fine for the fleet sizes here (hundreds of flows). The call
-// is charged to the process aggregate (SnapshotStats).
+// the next flow start or finish. Only the link-connected components
+// that a start or a finish touched are re-shared; every other flow
+// keeps the rate it has, which is what a full re-share would give it
+// (see fairShare). The call is charged to the process aggregate
+// (SnapshotStats).
 func (s *Simulator) Simulate(flows []*Flow) float64 {
 	makespan := s.run(flows)
 	record(nil, flows, makespan)
@@ -164,8 +221,10 @@ func (s *Simulator) Simulate(flows []*Flow) float64 {
 // run is Simulate without the counters.
 func (s *Simulator) run(flows []*Flow) float64 {
 	s.resolve(flows)
+	s.dirty = s.dirty[:0]
 	for _, f := range flows {
 		f.remaining = f.Bytes
+		f.comp = -1
 		f.started = false
 		f.done = false
 		f.FinishAt = 0
@@ -185,6 +244,7 @@ func (s *Simulator) run(flows []*Flow) float64 {
 			if !f.started {
 				if f.StartAt <= now+1e-12 {
 					f.started = true
+					s.join(f)
 				} else if f.StartAt < nextStart {
 					nextStart = f.StartAt
 				}
@@ -202,6 +262,7 @@ func (s *Simulator) run(flows []*Flow) float64 {
 		for _, f := range active {
 			if f.remaining <= 1e-9 || len(f.Path) == 0 {
 				f.done = true
+				s.touch(f)
 				f.FinishAt = now + f.latency()
 				if f.FinishAt > makespan {
 					makespan = f.FinishAt
@@ -249,42 +310,175 @@ func (s *Simulator) run(flows []*Flow) float64 {
 	return makespan
 }
 
-// fairShare computes the max-min fair rate for each active flow via
-// water-filling: repeatedly find the most-constrained link (smallest
-// per-flow share), freeze its flows at that share, remove their demand,
-// and continue. Every active flow has a non-empty path (Simulate
-// retires loopbacks first). Scratch is generation-stamped: a link's
-// state is reset lazily the first time the current round touches it, so
-// nothing is reallocated between events.
+// join adds a starting flow to its links' flow lists.
+func (s *Simulator) join(f *Flow) {
+	for _, slot := range s.paths[f.lo:f.hi] {
+		s.states[slot].flows = append(s.states[slot].flows, f)
+	}
+	s.touch(f)
+}
+
+// touch marks a starting or retiring flow's links dirty: the next
+// share re-fills their components, and drops retired flows from their
+// lists.
+func (s *Simulator) touch(f *Flow) {
+	for _, slot := range s.paths[f.lo:f.hi] {
+		if st := &s.states[slot]; !st.dirty {
+			st.dirty = true
+			s.dirty = append(s.dirty, slot)
+		}
+	}
+}
+
+// fairShare computes the max-min fair rate of each active flow in the
+// link-connected components that hold a dirty link, one water-filling
+// per component; every other flow keeps its rate. Every active flow
+// has a non-empty path (Simulate retires loopbacks first).
+//
+// Why that is the full re-share's answer, bit for bit: water-filling
+// over link-disjoint components decomposes exactly. A round in
+// component A reads and writes only A's links and flows, and A's
+// bottleneck is the smallest share among A's own links, ties going to
+// the first touched; a round in another component leaves that minimum
+// unchanged. So A performs the same float operations in the same
+// order whether the components fill interleaved, one after another, or
+// A alone. A component without a dirty link holds exactly the flows it
+// held at the last share: a start dirties its own links, and a retire
+// dirties a link of every piece it splits off (the link it shared with
+// the piece). Its rates are therefore the ones a re-share would
+// recompute.
 func (s *Simulator) fairShare(active []*Flow) {
+	// Only a dirty link can hold a retired flow: drop them first. A
+	// dirty link crossed as often as there are active flows is, but for
+	// a flow that crosses it twice, crossed by every one: then they are
+	// all one component and the walk is skipped. Filling all active
+	// flows as one is exact whatever the components (see above), so
+	// the test need not be.
+	whole := false
+	for _, slot := range s.dirty {
+		st := &s.states[slot]
+		st.dirty = false
+		live := st.flows[:0]
+		for _, f := range st.flows {
+			if !f.done {
+				live = append(live, f)
+			}
+		}
+		if len(live) < len(st.flows) {
+			clear(st.flows[len(live):])
+			st.flows = live
+		}
+		whole = whole || len(live) >= len(active)
+	}
+
+	// Otherwise label the components holding a dirty link by walking
+	// the link–flow graph from each (a dirty link left without flows
+	// belongs to none).
+	s.comps = s.comps[:0]
+	hops := len(s.paths)
+	if whole {
+		s.comps = append(s.comps, component{flows: len(active), hops: hops})
+	} else {
+		hops = 0
+		for _, slot := range s.dirty {
+			if st := &s.states[slot]; st.comp < 0 && len(st.flows) > 0 {
+				hops += s.walk(slot)
+			}
+		}
+	}
+	s.dirty = s.dirty[:0]
+	if len(s.comps) == 0 {
+		return
+	}
+
+	// Lay each component's links out in first-touch order — flow order,
+	// then path order, as a share over all active flows would meet
+	// them — and reset their water-filling scratch. A component's
+	// segment has room for its hops; labels are cleared as they are
+	// read.
+	if cap(s.order) < hops {
+		s.order = make([]int32, hops)
+	}
+	s.order = s.order[:hops]
+	at := 0
+	for i := range s.comps {
+		c := &s.comps[i]
+		c.start, c.end = at, at
+		at += c.hops
+	}
 	s.gen++
-	s.links = s.links[:0]
 	for _, f := range active {
-		f.rate = 0
+		var c *component
+		if whole {
+			c = &s.comps[0]
+		} else if f.comp >= 0 {
+			c = &s.comps[f.comp]
+			f.comp = -1
+		} else {
+			continue
+		}
 		f.frozen = false
 		for _, slot := range s.paths[f.lo:f.hi] {
 			st := &s.states[slot]
 			if st.gen != s.gen {
 				st.gen = s.gen
 				st.cap = st.bw
-				st.unfrozen = 0
-				st.flows = st.flows[:0]
-				s.links = append(s.links, slot)
+				st.unfrozen = int32(len(st.flows))
+				st.comp = -1
+				s.order[c.end] = slot
+				c.end++
 			}
-			st.unfrozen++
-			st.flows = append(st.flows, f)
 		}
 	}
+	for _, c := range s.comps {
+		s.fill(s.order[c.start:c.end], c.flows)
+	}
+}
 
-	for nFrozen := 0; nFrozen < len(active); {
+// walk labels the component holding slot with the next component
+// number, records it with its flow and hop counts, and returns the hop
+// count.
+func (s *Simulator) walk(slot int32) int {
+	c := component{}
+	label := int32(len(s.comps))
+	s.states[slot].comp = label
+	stack := append(s.stack[:0], slot)
+	for len(stack) > 0 {
+		slot, stack = stack[len(stack)-1], stack[:len(stack)-1]
+		for _, f := range s.states[slot].flows {
+			if f.comp >= 0 {
+				continue
+			}
+			f.comp = label
+			c.flows++
+			c.hops += int(f.hi - f.lo)
+			for _, l := range s.paths[f.lo:f.hi] {
+				if st := &s.states[l]; st.comp < 0 {
+					st.comp = label
+					stack = append(stack, l)
+				}
+			}
+		}
+	}
+	s.stack = stack
+	s.comps = append(s.comps, c)
+	return c.hops
+}
+
+// fill water-fills one component of n flows over its links, given in
+// first-touch order: repeatedly find the most-constrained link
+// (smallest per-flow share), freeze its flows at that share, remove
+// their demand, and continue.
+func (s *Simulator) fill(links []int32, n int) {
+	for nFrozen := 0; nFrozen < n; {
 		// Find bottleneck link: min cap/unfrozen-count. Scanning the
-		// touched slots in first-touch order with a strict < keeps
+		// links in first-touch order with a strict < keeps
 		// tie-breaking deterministic; links whose flows are all frozen
 		// are dropped from the scan in passing, order preserved.
 		var bottleneck *linkState
 		best := math.Inf(1)
-		live := s.links[:0]
-		for _, slot := range s.links {
+		live := links[:0]
+		for _, slot := range links {
 			st := &s.states[slot]
 			if st.unfrozen == 0 {
 				continue
@@ -295,12 +489,14 @@ func (s *Simulator) fairShare(active []*Flow) {
 				bottleneck = st
 			}
 		}
-		s.links = live
+		links = live
 		if bottleneck == nil {
 			break
 		}
 		// Freeze that link's unfrozen flows at the bottleneck share and
-		// charge their rate against every link they cross.
+		// charge their rate against every link they cross. Each charges
+		// the same share, so the order of the (unordered) list changes
+		// no bit.
 		for _, f := range bottleneck.flows {
 			if f.frozen {
 				continue

@@ -28,6 +28,14 @@
 #
 # BENCH_ARGS, if set, is passed on to every bench.sh run, e.g.
 # BENCH_ARGS='--seed 2' for the same pairs on another input.
+#
+# AB_JSON=FILE also writes the printed table to FILE as data: both
+# revisions (as given, and the commit each names), nproc, BENCH_ARGS,
+# the pair count, and per workload the digest comparison and per metric
+# each side's median and quartiles, the ratio, the pairs won and the
+# verdict. If FILE already holds tables, this one is appended, so one
+# change's runs share a file (BENCH_PR<n>.json at the root;
+# scripts/trajectory.sh reads them). One object per line, for awk.
 set -eu
 
 pairs=10
@@ -76,7 +84,18 @@ run_side() {
         /^"value":/ && name != "" { print substr($0, 9) >> (out "." name "." side); name = "" }'
 }
 
+json=${AB_JSON:+$tmp/table.json}
+# commit REV_OR_DIR: the commit a git revision names; a directory has none.
+commit() {
+    if [ -d "$1" ]; then echo; else (cd "$repo" && git rev-parse --verify -q "$1^{commit}") || echo; fi
+}
+if [ -n "$json" ]; then
+    printf '{"parent": "%s", "parent_commit": "%s", "change": "%s", "change_commit": "%s", "nproc": %s, "bench_args": "%s", "pairs": %s, "workloads": [\n' \
+        "$parent" "$(commit "$parent")" "$change" "$(commit "$change")" "$(nproc)" "${BENCH_ARGS:-}" "$pairs" >"$json"
+fi
+
 status=0
+first=1
 for w; do
     echo "== $w: $pairs alternating pairs, parent=$parent change=$change ${BENCH_ARGS:-}"
     i=1
@@ -86,14 +105,25 @@ for w; do
         i=$((i + 1))
     done
     if [ "$(sort -u "$tmp/$w.digest.parent" "$tmp/$w.digest.change" | wc -l)" -ne 1 ]; then
+        equal=false
         echo "   result_digest/failed DIFFER: parent $(sort -u "$tmp/$w.digest.parent" | tr '\n' ' ')change $(sort -u "$tmp/$w.digest.change" | tr '\n' ' ')"
     else
+        equal=true
         echo "   result_digest $(head -n 1 "$tmp/$w.digest.parent") on both sides, every run"
     fi
+    if [ -n "$json" ]; then
+        # "DIGEST failed=N" lines as a JSON list of strings.
+        digests() { sort -u "$1" | awk '{ printf "%s\"%s\"", (NR > 1 ? ", " : ""), $0 }'; }
+        [ "$first" -eq 1 ] || printf ',\n' >>"$json"
+        printf '{"workload": "%s", "digest_equal": %s, "parent_digests": [%s], "change_digests": [%s], "metrics": [\n' \
+            "$w" "$equal" "$(digests "$tmp/$w.digest.parent")" "$(digests "$tmp/$w.digest.change")" >>"$json"
+    fi
+    first=0
     # One line per gated metric: name, better, bound.
     sed -n 's/.*{"name": "\([a-z_]*\)", "unit": "[^"]*", "better": "\([a-z]*\)", "bound": \([0-9.]*\)}.*/\1 \2 \3/p' "$spec" |
         while read -r metric better bound; do
-            paste "$tmp/$w.$metric.parent" "$tmp/$w.$metric.change" | awk -v metric="$metric" -v better="$better" -v bound="$bound" '
+            [ -s "$tmp/$w.$metric.parent" ] || continue # a metric this workload does not report
+            paste "$tmp/$w.$metric.parent" "$tmp/$w.$metric.change" | awk -v metric="$metric" -v better="$better" -v bound="$bound" -v json="${json:+$tmp/$w.metrics.json}" '
                 function sort(a, n,    i, j, v) {
                     for (i = 2; i <= n; i++) { v = a[i]; for (j = i - 1; j >= 1 && a[j] > v; j--) a[j + 1] = a[j]; a[j + 1] = v }
                 }
@@ -115,10 +145,26 @@ for w; do
                     else if (iqr > bound * (pm < 0 ? -pm : pm) && lost > 0) verdict = "unresolved"
                     printf "   %-22s parent %.6g [%.6g, %.6g]  change %.6g [%.6g, %.6g]  x%.3f  won %d/%d  %s\n",
                         metric, pm, cut(p, n, 1), cut(p, n, 3), cm, cut(c, n, 1), cut(c, n, 3), pm ? cm / pm : 0, won, n, verdict
+                    if (json != "")
+                        printf "{\"metric\": \"%s\", \"better\": \"%s\", \"bound\": %s, \"parent\": {\"median\": %.6g, \"q1\": %.6g, \"q3\": %.6g}, \"change\": {\"median\": %.6g, \"q1\": %.6g, \"q3\": %.6g}, \"ratio\": %.6g, \"won\": %d, \"pairs\": %d, \"verdict\": \"%s\"}\n",
+                            metric, better, bound, pm, cut(p, n, 1), cut(p, n, 3), cm, cut(c, n, 1), cut(c, n, 3), pm ? cm / pm : 0, won, n, verdict >> json
                     exit verdict == "REGRESSED"
                 }' || echo "$w $metric" >>"$tmp/regressed"
         done
+    if [ -n "$json" ]; then # this workload's metric lines, comma-separated
+        { sed '$!s/$/,/' "$tmp/$w.metrics.json"; echo "]}"; } >>"$json"
+    fi
 done
+if [ -n "$json" ]; then
+    printf ']}\n' >>"$json"
+    if [ -s "$AB_JSON" ]; then
+        # Append to the tables already there: drop the closing "]}".
+        sed '$d' "$AB_JSON" >"$tmp/prev.json"
+        { cat "$tmp/prev.json"; echo ","; cat "$json"; echo "]}"; } >"$AB_JSON"
+    else
+        { echo '{"schema": "socflow-ab/1", "tables": ['; cat "$json"; echo "]}"; } >"$AB_JSON"
+    fi
+fi
 if [ -s "$tmp/regressed" ]; then
     echo "ab.sh: regressed past the BENCHMARK.json bound:" $(tr '\n' ';' <"$tmp/regressed") >&2
     status=1

@@ -77,6 +77,10 @@ go test -run '^$' -fuzz '^FuzzAdmitWire$' -fuzztime 10s .
 # A hand-built plan (WithPlan, DistConfig.Plan): Validate never panics,
 # and every plan it accepts prices through the planner without a panic.
 go test -run '^$' -fuzz '^FuzzPlanValidate$' -fuzztime 10s ./internal/plan
+# The delta simulation against the from-scratch water-filling it
+# replaced: small two-tier topologies with capacities of 1-4, so shares
+# tie across components; every FinishAt bit-equal.
+go test -run '^$' -fuzz '^FuzzSimulateMatchesReference$' -fuzztime 10s ./internal/simnet
 # Both GEMM kernels against the naive loops, with NaN/Inf/-0 injected:
 # every result bit-equal.
 go test -run '^$' -fuzz '^FuzzGEMMMatchesNaive$' -fuzztime 10s ./internal/tensor
