@@ -219,6 +219,33 @@ func TestExpGridIsPinned(t *testing.T) {
 	}
 }
 
+// TestExpGridTablesArePinned pins the whole evaluation grid — Table 3,
+// Fig. 8 and Fig. 9 over the three core scenarios at the exp-grid
+// workload's options — the way TestExpGridIsPinned pins LeNet's Fig. 8.
+// Fig. 9's energy is where a wrong per-strategy charge would show.
+func TestExpGridTablesArePinned(t *testing.T) {
+	o := Options{TrainSamples: 160, Epochs: 2, NumSoCs: 32, Groups: 8, Seed: 1}
+	for _, c := range []struct {
+		name string
+		run  func([]Scenario, Options) (*Table, error)
+		want string
+	}{
+		{"Table 3", ExpTable3, "03c9a7c01a99323e"},
+		{"Fig. 8", ExpFig8, "ba21cc3a6760a975"},
+		{"Fig. 9", ExpFig9, "850c5c656e1d47d7"},
+	} {
+		tb, err := c.run(CoreScenarios(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := tb.String()
+		sum := sha256.Sum256([]byte(text))
+		if got := hex.EncodeToString(sum[:])[:16]; got != c.want {
+			t.Errorf("%s hashes to %s, want %s:\n%s", c.name, got, c.want, text)
+		}
+	}
+}
+
 func TestExpFig9EnergyShape(t *testing.T) {
 	o := fastOpts()
 	o.Epochs = 4
