@@ -96,38 +96,131 @@ func averageReplicas(reps []*replica) {
 	collective.AverageInPlace(states)
 }
 
-// epochAttempt is the part of a run a strategy owns: one attempt at an
-// epoch — position the data at the start of that epoch (a function of
-// the job and the epoch alone, so a resumed or retried epoch replays
-// the identical batches), train every replica through it, aggregate,
-// and price the attempt on the simulated cluster. It returns the
-// attempt's simulated seconds and the index of a replica holding the
-// aggregated model. A cancelled attempt returns early; the driver
-// checks ctx.
-type epochAttempt func(ctx context.Context, epoch int) (simSeconds float64, lead int)
+// training is the functional half of a run: the replicas it trains
+// and one attempt at an epoch — position the data at the start of that
+// epoch (a function of the job and the epoch alone, so a resumed or
+// retried epoch replays the identical batches), train every replica
+// through it and aggregate. attempt returns the index of a replica
+// holding the aggregated model. A cancelled attempt returns early; the
+// driver checks ctx.
+type training struct {
+	reps    []*replica
+	attempt func(ctx context.Context, epoch int) (lead int)
+}
 
-// runEpochs is the one epoch driver behind every Strategy.Run. It owns
-// the job lifecycle — validation, Resume/StartEpoch, the per-epoch
-// learning rate, bounded retry from start-of-epoch snapshots, the
-// auto-checkpoint stride, evaluation, epoch reporting, early stop, the
-// park protocol and the final result — so every strategy honours every
-// lifecycle field of Job. build constructs the strategy's replicas and
-// returns its epoch attempt; the attempt charges meter and attributes
-// res.Breakdown as it prices, simulating its network on clu, which the
-// job's harvest tracks.
-func runEpochs(ctx context.Context, name string, job *Job, clu *cluster.Cluster,
-	build func(job *Job, clu *cluster.Cluster, res *Result, meter *cluster.EnergyMeter) ([]*replica, epochAttempt, error)) (*Result, error) {
+// epochPrice is the priced half of a run: it prices the attempt the
+// training just made on the simulated cluster, charges the member's
+// energy meter and Breakdown, and returns the attempt's simulated
+// seconds.
+type epochPrice func() float64
 
-	if err := job.Validate(); err != nil {
-		return nil, err
-	}
-	res := &Result{Strategy: name}
-	meter := cluster.NewEnergyMeter(clu.Config.NumSoCs)
-	job.Kernels.TrackNet(clu)
-	reps, attempt, err := build(job, clu, res, meter)
+// runner is a strategy the epoch driver runs. Every strategy in this
+// package is one.
+type runner interface {
+	Strategy
+	// trainingKey identifies the functional training the strategy runs
+	// on clu: runners whose keys are non-nil and equal train the same
+	// replicas to the same bits on the same job, so one training serves
+	// them all. A nil key trains alone. Keys come from configuration,
+	// never from Name.
+	trainingKey(clu *cluster.Cluster) any
+	// build returns the strategy's price, charging res and meter, on top
+	// of tr — building tr first when it is nil. A non-nil tr was built
+	// by a runner with an equal key.
+	build(job *Job, clu *cluster.Cluster, tr *training, res *Result, meter *cluster.EnergyMeter) (*training, epochPrice, error)
+}
+
+// runOne is Strategy.Run for every runner: runEpochs with one member.
+func runOne(ctx context.Context, job *Job, clu *cluster.Cluster, s runner) (*Result, error) {
+	res, err := runEpochs(ctx, job, clu, []runner{s})
 	if err != nil {
 		return nil, err
 	}
+	return res[0], nil
+}
+
+// RunStrategies runs every strategy on one job and returns their
+// results in order, each equal to the strategy's own Run bit for bit:
+// accuracies, simulated seconds, energy, breakdown, retries and final
+// tensors. Strategies that train identically share one training —
+// every SyncSGD without a Compressor, and FedSGDs whose LocalEpochs,
+// Clients and DirichletAlpha agree after defaulting — and each member
+// is priced on its own. Sharing ends with the call: nothing carries
+// over to another call, job or cluster. The job's hooks follow the
+// training: EpochFault, ShouldPark and the auto-checkpoint run once per
+// shared attempt or epoch, while EpochEnd and the registry see every
+// member's epochs. A strategy from outside this package runs through
+// its own Run.
+func RunStrategies(ctx context.Context, job *Job, clu *cluster.Cluster, strats []Strategy) ([]*Result, error) {
+	out := make([]*Result, len(strats))
+	for i, s := range strats {
+		if out[i] != nil {
+			continue
+		}
+		r, ok := s.(runner)
+		if !ok {
+			res, err := s.Run(ctx, job, clu)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = res
+			continue
+		}
+		idx, members := []int{i}, []runner{r}
+		if key := r.trainingKey(clu); key != nil {
+			for j := i + 1; j < len(strats); j++ {
+				if o, ok := strats[j].(runner); ok && out[j] == nil && o.trainingKey(clu) == key {
+					idx, members = append(idx, j), append(members, o)
+				}
+			}
+		}
+		res, err := runEpochs(ctx, job, clu, members)
+		if err != nil {
+			return nil, err
+		}
+		for k, j := range idx {
+			out[j] = res[k]
+		}
+	}
+	return out, nil
+}
+
+// member is one strategy riding a training: its result, meter, price
+// and the epoch's simulated seconds so far.
+type member struct {
+	res       *Result
+	meter     *cluster.EnergyMeter
+	price     epochPrice
+	epochTime float64
+}
+
+// runEpochs is the one epoch driver behind every Strategy.Run and
+// RunStrategies. It owns the job lifecycle — validation,
+// Resume/StartEpoch, the per-epoch learning rate, bounded retry from
+// start-of-epoch snapshots, the auto-checkpoint stride, evaluation,
+// epoch reporting, early stop, the park protocol and the final result —
+// so every strategy honours every lifecycle field of Job. The runners
+// share one training (they have equal training keys, or there is one
+// of them); each attempt is priced once per member, failed ones too,
+// and each member reports its epochs, charges its meter and gets its
+// own copies of the final tensors, as its own run would. Pricing
+// simulates the network on clu, which the job's harvest tracks.
+func runEpochs(ctx context.Context, job *Job, clu *cluster.Cluster, runners []runner) ([]*Result, error) {
+	if err := job.Validate(); err != nil {
+		return nil, err
+	}
+	job.Kernels.TrackNet(clu)
+	ms := make([]member, len(runners))
+	var tr *training
+	for i, r := range runners {
+		ms[i].res = &Result{Strategy: r.Name()}
+		ms[i].meter = cluster.NewEnergyMeter(clu.Config.NumSoCs)
+		var err error
+		if tr, ms[i].price, err = r.build(job, clu, tr, ms[i].res, ms[i].meter); err != nil {
+			return nil, err
+		}
+	}
+	reps := tr.reps
 
 	// Resuming a parked job: every replica restarts from the checkpoint.
 	// Momentum restarts, as on a real resume.
@@ -157,14 +250,17 @@ func runEpochs(ctx context.Context, name string, job *Job, clu *cluster.Cluster,
 
 		// Failed attempts accumulate too — retried work costs real
 		// simulated time and energy.
-		var epochTime float64
+		for i := range ms {
+			ms[i].epochTime = 0
+		}
 		for try := 0; ; try++ {
-			t, l := attempt(ctx, epoch)
+			lead = tr.attempt(ctx, epoch)
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			epochTime += t
-			lead = l
+			for i := range ms {
+				ms[i].epochTime += ms[i].price()
+			}
 			failure := epochFailure(job, reps[lead], epoch, try)
 			if failure == nil {
 				break
@@ -172,9 +268,11 @@ func runEpochs(ctx context.Context, name string, job *Job, clu *cluster.Cluster,
 			if try >= job.MaxEpochRetries {
 				return nil, fmt.Errorf("core: epoch %d failed after %d attempts: %w", epoch, try+1, failure)
 			}
-			res.EpochRetries++
-			job.Metrics.Counter("core.epoch.retries").Inc()
-			job.Metrics.Emit(metrics.Event{Kind: metrics.KindRetry, Epoch: epoch, Iter: try + 1, Detail: failure.Error()})
+			for i := range ms {
+				ms[i].res.EpochRetries++
+				job.Metrics.Counter("core.epoch.retries").Inc()
+				job.Metrics.Emit(metrics.Event{Kind: metrics.KindRetry, Epoch: epoch, Iter: try + 1, Detail: failure.Error()})
+			}
 			for i, r := range reps {
 				r.restore(snaps[i], r.retryState())
 			}
@@ -199,29 +297,39 @@ func runEpochs(ctx context.Context, name string, job *Job, clu *cluster.Cluster,
 		}
 
 		acc := EvalAccuracy(reps[lead].model, job.Val)
-		res.observe(acc, epochTime, job.TargetAccuracy)
-		job.epochEnd(epoch, acc, epochTime)
+		for i := range ms {
+			ms[i].res.observe(acc, ms[i].epochTime, job.TargetAccuracy)
+			job.epochEnd(epoch, acc, ms[i].epochTime)
+		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if res.done(job.TargetAccuracy) {
+		// Members see one accuracy, so they stop together.
+		if ms[0].res.done(job.TargetAccuracy) {
 			break
 		}
 		if epoch+1 < job.Epochs && job.ShouldPark != nil && job.ShouldPark() {
-			res.Parked = true
+			for i := range ms {
+				ms[i].res.Parked = true
+			}
 			break
 		}
 	}
-	res.EnergyJ = meter.Total()
-	meter.Publish(job.Metrics)
-	publishResult(job.Metrics, res)
-	for _, w := range reps[lead].weights() {
-		res.FinalWeights = append(res.FinalWeights, w.Clone())
+	out := make([]*Result, len(ms))
+	for i, m := range ms {
+		res := m.res
+		res.EnergyJ = m.meter.Total()
+		m.meter.Publish(job.Metrics)
+		publishResult(job.Metrics, res)
+		for _, w := range reps[lead].weights() {
+			res.FinalWeights = append(res.FinalWeights, w.Clone())
+		}
+		for _, st := range reps[lead].state() {
+			res.FinalState = append(res.FinalState, st.Clone())
+		}
+		out[i] = res
 	}
-	for _, st := range reps[lead].state() {
-		res.FinalState = append(res.FinalState, st.Clone())
-	}
-	return res, nil
+	return out, nil
 }
 
 // epochFailure decides whether an epoch attempt failed: the injected

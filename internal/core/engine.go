@@ -269,6 +269,15 @@ func publishResult(reg *metrics.Registry, res *Result) {
 	}
 }
 
+// PublishPlanDrift sets the plan.* gauges for one executed epoch: the
+// planner's price of the plan the run executes, the epoch the run
+// executed, and their difference.
+func PublishPlanDrift(reg *metrics.Registry, predicted, executed float64) {
+	reg.Gauge("plan.predicted_epoch_seconds").Set(predicted)
+	reg.Gauge("plan.executed_epoch_seconds").Set(executed)
+	reg.Gauge("plan.drift_seconds").Set(executed - predicted)
+}
+
 // Strategy is a distributed training method (SoCFlow or a baseline).
 type Strategy interface {
 	// Name returns the display name used in experiment tables.

@@ -37,13 +37,16 @@ func (s *Pipeline) Name() string { return "Pipeline" }
 
 // Run implements Strategy.
 func (s *Pipeline) Run(ctx context.Context, job *Job, clu *cluster.Cluster) (*Result, error) {
-	return runEpochs(ctx, s.Name(), job, clu, s.build)
+	return runOne(ctx, job, clu, s)
 }
+
+// trainingKey is nil: a pipeline run trains alone.
+func (s *Pipeline) trainingKey(*cluster.Cluster) any { return nil }
 
 // build validates the plan against the cluster, builds one full-model
 // replica per group — the stage cut moves simulated time around, never
-// the math — and returns the pipeline's epoch attempt.
-func (s *Pipeline) build(job *Job, clu *cluster.Cluster, res *Result, meter *cluster.EnergyMeter) ([]*replica, epochAttempt, error) {
+// the math — and returns the pipeline's training and price.
+func (s *Pipeline) build(job *Job, clu *cluster.Cluster, _ *training, res *Result, meter *cluster.EnergyMeter) (*training, epochPrice, error) {
 	p := s.Plan
 	if p == nil {
 		return nil, nil, fmt.Errorf("core: Pipeline needs a plan (run plan.Search or pass one)")
@@ -81,7 +84,7 @@ func (s *Pipeline) build(job *Job, clu *cluster.Cluster, res *Result, meter *clu
 	reg := job.Metrics
 	var simNow float64
 
-	return groups, func(ctx context.Context, epoch int) (float64, int) {
+	tr := &training{reps: groups, attempt: func(ctx context.Context, epoch int) int {
 		// Functional training: every group walks its shard once with
 		// GPipe accumulation. Groups interact only at epoch-end
 		// averaging, so they run concurrently; per-group math is
@@ -101,14 +104,17 @@ func (s *Pipeline) build(job *Job, clu *cluster.Cluster, res *Result, meter *clu
 			}
 		})
 		if ctx.Err() != nil {
-			return 0, 0
+			return 0
 		}
 
 		// Delayed aggregation across groups, once per epoch.
 		if n > 1 {
 			averageReplicas(groups)
 		}
+		return 0
+	}}
 
+	return tr, func() float64 {
 		// Performance track: groups run in parallel, so the epoch spans
 		// the slowest group's iteration schedule plus the sequential
 		// cross-group stage rings.
@@ -169,9 +175,10 @@ func (s *Pipeline) build(job *Job, clu *cluster.Cluster, res *Result, meter *clu
 				simBytes += 2 * float64(n-1) * float64(job.Spec.GradBytes())
 			}
 			reg.Counter("sim.net.bytes").Add(int64(simBytes))
+			PublishPlanDrift(reg, pricer.EpochSeconds(p, job.PaperSamples), span)
 		}
 		simNow += span
-		return span, 0
+		return span
 	}, nil
 }
 

@@ -98,12 +98,18 @@ func (s *SoCFlow) Name() string { return "SoCFlow" }
 
 // Run implements Strategy.
 func (s *SoCFlow) Run(ctx context.Context, job *Job, clu *cluster.Cluster) (*Result, error) {
-	return runEpochs(ctx, s.Name(), job, clu, s.build)
+	return runOne(ctx, job, clu, s)
 }
 
+// trainingKey is nil: SoCFlow's epochs read the cluster (α, throttles,
+// preemption) as they train, so each run trains alone.
+func (s *SoCFlow) trainingKey(*cluster.Cluster) any { return nil }
+
 // build groups, maps and plans the cluster (§3.1 steps 1-3), builds one
-// replica per logical group and returns SoCFlow's epoch attempt.
-func (s *SoCFlow) build(job *Job, clu *cluster.Cluster, res *Result, meter *cluster.EnergyMeter) ([]*replica, epochAttempt, error) {
+// replica per logical group and returns SoCFlow's training and its
+// price, which reads the active set and the CPU shares the attempt
+// trained with.
+func (s *SoCFlow) build(job *Job, clu *cluster.Cluster, _ *training, res *Result, meter *cluster.EnergyMeter) (*training, epochPrice, error) {
 	m := clu.Config.NumSoCs
 	n := s.NumGroups
 	if n <= 0 {
@@ -164,8 +170,9 @@ func (s *SoCFlow) build(job *Job, clu *cluster.Cluster, res *Result, meter *clus
 		pricer: autoplan.NewPricer(clu, job.Spec)}
 
 	shares := make([]float64, n) // per group: the CPU share that set this epoch's split
-	return groups, func(ctx context.Context, epoch int) (float64, int) {
-		active := s.activeGroups(n, epoch)
+	var active []int             // the groups the last attempt trained
+	tr := &training{reps: groups, attempt: func(ctx context.Context, epoch int) int {
+		active = s.activeGroups(n, epoch)
 
 		// Apply this epoch's DVFS throttle trace (if any).
 		if epoch < len(s.Thermal) {
@@ -189,7 +196,8 @@ func (s *SoCFlow) build(job *Job, clu *cluster.Cluster, res *Result, meter *clus
 		//
 		// The performance track prices the epoch with the α that governed
 		// its data split, so the CPU shares are read before EndEpoch
-		// refreshes them.
+		// refreshes them. Pricing reads no weights, so it follows the
+		// aggregation below.
 		act := make([]*replica, len(active))
 		its := make([]*dataset.BatchIterator, len(active))
 		for ai, g := range active {
@@ -213,9 +221,8 @@ func (s *SoCFlow) build(job *Job, clu *cluster.Cluster, res *Result, meter *clus
 			}
 		})
 		if ctx.Err() != nil {
-			return 0, 0
+			return 0
 		}
-		epochTime := tl.epochTime(active, shares)
 
 		// Delayed aggregation across groups (per epoch): average the
 		// merged weights, then requantize the INT8 replicas.
@@ -227,7 +234,21 @@ func (s *SoCFlow) build(job *Job, clu *cluster.Cluster, res *Result, meter *clus
 				}
 			}
 		}
-		return epochTime, active[0]
+		return active[0]
+	}}
+	// With a registry attached, each attempt also publishes the plan
+	// drift against the data plan of this mapping — what the planner
+	// prices for it, in FP32 with every group active.
+	var dataPlan *autoplan.Plan
+	if job.Metrics != nil {
+		dataPlan = &autoplan.Plan{NumSoCs: m, Mode: autoplan.ModeData, Placement: mapping.Groups, Batch: job.PricingBatch()}
+	}
+	return tr, func() float64 {
+		span := tl.epochTime(active, shares)
+		if dataPlan != nil {
+			PublishPlanDrift(job.Metrics, tl.pricer.EpochSeconds(dataPlan, job.PaperSamples), span)
+		}
+		return span
 	}, nil
 }
 

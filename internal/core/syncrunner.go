@@ -20,6 +20,11 @@ import (
 // accuracy for these four baselines. They differ only in how the
 // per-iteration synchronization and compute are priced, and in the
 // optional gradient compression.
+//
+// Only Compressor belongs to the training; SyncTime, ComputeTime and
+// ComputeOverhead belong to the price. So every SyncSGD without a
+// Compressor trains the same model to the same bits, and RunStrategies
+// trains them once.
 type SyncSGD struct {
 	// StrategyName labels results ("PS", "RING", ...).
 	StrategyName string
@@ -33,6 +38,7 @@ type SyncSGD struct {
 	ComputeOverhead float64
 	// Compressor, when set, passes the aggregate gradient through
 	// DGC-style top-k with error feedback before the optimizer step.
+	// Its residuals carry state, so a compressed run trains alone.
 	Compressor *collective.TopKCompressor
 }
 
@@ -43,32 +49,24 @@ func (s *SyncSGD) Name() string { return s.StrategyName }
 // sequential at the batch level; host parallelism comes from the tensor
 // kernels inside each forward/backward pass.
 func (s *SyncSGD) Run(ctx context.Context, job *Job, clu *cluster.Cluster) (*Result, error) {
-	return runEpochs(ctx, s.Name(), job, clu, s.build)
+	return runOne(ctx, job, clu, s)
 }
 
-func (s *SyncSGD) build(job *Job, clu *cluster.Cluster, res *Result, meter *cluster.EnergyMeter) ([]*replica, epochAttempt, error) {
-	m := clu.Config.NumSoCs
-	root := tensor.NewRNG(job.Seed)
-	rep := &replica{model: job.BuildModel(root), opt: nn.NewSGD(job.LR, job.Momentum, 0)}
-	params := rep.model.Params()
-	if s.Compressor != nil && job.MaxEpochRetries > 0 {
-		// Error-feedback residuals are optimizer state a retry must roll
-		// back. They are created on first use; compressing a zero
-		// gradient creates the same zero residual now, so the snapshot
-		// can hold it.
-		for pi, p := range params {
-			if s.Compressor.Residual(pi) == nil {
-				s.Compressor.Compress(pi, tensor.New(p.Grad.Shape...))
-			}
-			rep.extra = append(rep.extra, s.Compressor.Residual(pi))
-		}
+// syncTraining is the key of the one uncompressed SyncSGD training.
+type syncTraining struct{}
+
+func (s *SyncSGD) trainingKey(*cluster.Cluster) any {
+	if s.Compressor != nil {
+		return nil
 	}
+	return syncTraining{}
+}
 
-	// One iterator walks the whole training set and is kept across
-	// epochs; it stands at the start of `at`.
-	var it *dataset.BatchIterator
-	at := -1
-
+func (s *SyncSGD) build(job *Job, clu *cluster.Cluster, tr *training, res *Result, meter *cluster.EnergyMeter) (*training, epochPrice, error) {
+	if tr == nil {
+		tr = s.train(job)
+	}
+	m := clu.Config.NumSoCs
 	// Per-iteration pricing is constant across the run.
 	perSoCBatch := job.PricingBatch() / m
 	if perSoCBatch < 1 {
@@ -93,7 +91,41 @@ func (s *SyncSGD) build(job *Job, clu *cluster.Cluster, res *Result, meter *clus
 	}
 	epochT := float64(paperIters) * iterT
 
-	return []*replica{rep}, func(ctx context.Context, epoch int) (float64, int) {
+	return tr, func() float64 {
+		for soc := 0; soc < m; soc++ {
+			meter.AddCompute(soc, float64(paperIters)*computeT, cluster.CPU)
+			meter.AddComm(soc, float64(paperIters)*syncT)
+		}
+		res.Breakdown.Compute += float64(paperIters) * computeT * float64(m)
+		res.Breakdown.Sync += float64(paperIters) * syncT * float64(m)
+		res.Breakdown.Update += float64(paperIters) * upd * float64(m)
+		return epochT
+	}, nil
+}
+
+// train builds the single fleet-wide model and its epoch attempt.
+func (s *SyncSGD) train(job *Job) *training {
+	root := tensor.NewRNG(job.Seed)
+	rep := &replica{model: job.BuildModel(root), opt: nn.NewSGD(job.LR, job.Momentum, 0)}
+	params := rep.model.Params()
+	if s.Compressor != nil && job.MaxEpochRetries > 0 {
+		// Error-feedback residuals are optimizer state a retry must roll
+		// back. They are created on first use; compressing a zero
+		// gradient creates the same zero residual now, so the snapshot
+		// can hold it.
+		for pi, p := range params {
+			if s.Compressor.Residual(pi) == nil {
+				s.Compressor.Compress(pi, tensor.New(p.Grad.Shape...))
+			}
+			rep.extra = append(rep.extra, s.Compressor.Residual(pi))
+		}
+	}
+
+	// One iterator walks the whole training set and is kept across
+	// epochs; it stands at the start of `at`.
+	var it *dataset.BatchIterator
+	at := -1
+	return &training{reps: []*replica{rep}, attempt: func(ctx context.Context, epoch int) int {
 		if at != epoch {
 			// A resumed or retried epoch: rebuild the stream and replay
 			// it up to this epoch's first batch.
@@ -106,7 +138,7 @@ func (s *SyncSGD) build(job *Job, clu *cluster.Cluster, res *Result, meter *clus
 		iters := it.BatchesPerEpoch()
 		for i := 0; i < iters; i++ {
 			if ctx.Err() != nil {
-				return 0, 0
+				return 0
 			}
 			x, labels := it.Next()
 			lossBackward(rep.model, x, labels)
@@ -118,16 +150,8 @@ func (s *SyncSGD) build(job *Job, clu *cluster.Cluster, res *Result, meter *clus
 			}
 			rep.opt.Step(params)
 		}
-
-		for soc := 0; soc < m; soc++ {
-			meter.AddCompute(soc, float64(paperIters)*computeT, cluster.CPU)
-			meter.AddComm(soc, float64(paperIters)*syncT)
-		}
-		res.Breakdown.Compute += float64(paperIters) * computeT * float64(m)
-		res.Breakdown.Sync += float64(paperIters) * syncT * float64(m)
-		res.Breakdown.Update += float64(paperIters) * upd * float64(m)
-		return epochT, 0
-	}, nil
+		return 0
+	}}
 }
 
 // AllSoCs returns [0, 1, ..., n-1], the member list for fleet-wide

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"context"
-
 	"fmt"
 
 	"socflow/internal/cluster"
@@ -48,17 +47,28 @@ func firstEpochReaching(accs []float64, target float64) int {
 // runGrid executes the full evaluation grid: for each scenario it
 // trains the Local reference and every strategy for the full epoch
 // budget, then derives accuracy, convergence-normalized hours, and
-// energy. This single pass feeds Table 3, Fig. 8, and Fig. 9.
+// energy. This single pass feeds Table 3, Fig. 8, and Fig. 9. One
+// core.RunStrategies call per row trains each distinct training once:
+// Local, PS, RING and 2D-Paral share one SGD run, FedAvg and T-FedAvg
+// one federated run.
 func runGrid(scs []Scenario, o Options) ([]gridRow, error) {
 	o = o.withDefaults()
 	clu := cluster.New(cluster.Config{NumSoCs: o.NumSoCs})
 	var rows []gridRow
 	for _, sc := range scs {
 		job := jobFor(sc, o)
-		local, err := localReference(job, clu)
-		if err != nil {
-			return nil, fmt.Errorf("local reference for %s: %w", sc.Label, err)
+		grid := strategyGrid(o)
+		strats := []core.Strategy{localReference()}
+		for _, strat := range grid {
+			if !(sc.SkipFL && isFL(strat.Name())) {
+				strats = append(strats, strat)
+			}
 		}
+		results, err := core.RunStrategies(context.Background(), job, clu, strats)
+		if err != nil {
+			return nil, fmt.Errorf("grid row %s: %w", sc.Label, err)
+		}
+		local, results := results[0], results[1:]
 		target := relativeTarget * local.BestAccuracy
 		localE := firstEpochReaching(local.EpochAccuracies, target)
 		if localE == 0 {
@@ -66,17 +76,15 @@ func runGrid(scs []Scenario, o Options) ([]gridRow, error) {
 		}
 		row := gridRow{Scenario: sc, LocalAcc: local.BestAccuracy, LocalEpch: localE, Target: target}
 
-		for _, strat := range strategyGrid(o) {
+		for _, strat := range grid {
 			if sc.SkipFL && isFL(strat.Name()) {
 				row.Cells = append(row.Cells, gridCell{Strategy: strat.Name(), Skipped: true})
 				continue
 			}
-			res, err := strat.Run(context.Background(), job, clu)
-			if err != nil {
-				return nil, fmt.Errorf("%s on %s: %w", strat.Name(), sc.Label, err)
-			}
+			res := results[0]
+			results = results[1:]
 			e := firstEpochReaching(res.EpochAccuracies, target)
-			cell := gridCell{Strategy: strat.Name(), Res: res, Converged: e > 0}
+			cell := gridCell{Strategy: res.Strategy, Res: res, Converged: e > 0}
 			scaledE := e
 			if scaledE == 0 {
 				scaledE = len(res.EpochAccuracies) + 1

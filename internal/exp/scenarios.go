@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"context"
-
 	"fmt"
 
 	"socflow/internal/baselines"
@@ -160,14 +158,14 @@ func strategyGrid(o Options) []core.Strategy {
 // isFL reports whether a strategy is one of the federated baselines.
 func isFL(name string) bool { return name == "FedAvg" || name == "T-FedAvg" }
 
-// localReference trains the job as plain single-model SGD — the
-// paper's "Local" accuracy column — and returns the result.
-func localReference(job *core.Job, clu *cluster.Cluster) (*core.Result, error) {
-	local := &core.SyncSGD{
+// localReference is plain single-model SGD with free synchronization —
+// the paper's "Local" accuracy column. It trains what the synchronous
+// baselines train, so a grid row trains it once for all of them.
+func localReference() core.Strategy {
+	return &core.SyncSGD{
 		StrategyName: "Local",
 		SyncTime:     func(*cluster.Cluster, *nn.Spec) float64 { return 0 },
 	}
-	return local.Run(context.Background(), job, clu)
 }
 
 // fmtHours renders hours, marking non-converged runs like the paper's

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"socflow/internal/cluster"
+	"socflow/internal/core"
 	"socflow/internal/metrics"
 	"socflow/internal/nn"
 	autoplan "socflow/internal/plan"
@@ -162,9 +163,7 @@ func (p *pipePolicy) commit(m *roundManager, r *round) {
 		Args: map[string]float64{"epoch": float64(ep.Epoch)},
 	})
 	m.reg.Histogram("recovery.detect_to_resume.seconds", metrics.DefaultSecondsBuckets).Observe(ep.DetectToResumeSeconds)
-	m.reg.Gauge("plan.predicted_epoch_seconds").Set(ep.PredictedEpochSeconds)
-	m.reg.Gauge("plan.executed_epoch_seconds").Set(ep.ExecutedEpochSeconds)
-	m.reg.Gauge("plan.drift_seconds").Set(ep.ExecutedEpochSeconds - ep.PredictedEpochSeconds)
+	core.PublishPlanDrift(m.reg, ep.PredictedEpochSeconds, ep.ExecutedEpochSeconds)
 }
 
 // build runs the replan-vs-degrade decision if membership changed,

@@ -10,6 +10,7 @@ import (
 	"socflow/internal/dataset"
 	"socflow/internal/metrics"
 	"socflow/internal/nn"
+	autoplan "socflow/internal/plan"
 	"socflow/internal/transport"
 )
 
@@ -74,6 +75,12 @@ type reporter struct {
 	val *dataset.Dataset
 	mu  sync.Mutex
 	res *DistResult
+
+	// pricer, when set, re-prices cfg.Plan at every epoch end for the
+	// plan.* drift gauges, against predicted.
+	pricer    *autoplan.Pricer
+	samples   int
+	predicted float64
 }
 
 func newReporter(cfg *DistConfig, val *dataset.Dataset) *reporter {
@@ -91,7 +98,14 @@ func (r *reporter) epochEnd(epoch int, model *nn.Sequential) error {
 	if last {
 		r.res.Final = model
 	}
+	var executed float64
+	if r.pricer != nil {
+		executed = r.pricer.EpochSeconds(cfg.Plan, r.samples)
+	}
 	r.mu.Unlock()
+	if r.pricer != nil {
+		core.PublishPlanDrift(cfg.Metrics, r.predicted, executed)
+	}
 	cfg.Metrics.ObserveEpoch(epoch, acc, 0)
 	if cfg.EpochEnd != nil {
 		cfg.EpochEnd(epoch, acc)
@@ -105,6 +119,29 @@ func (r *reporter) epochEnd(epoch int, model *nn.Sequential) error {
 	}
 	cfg.Metrics.Counter("runtime.checkpoints.saved").Inc()
 	return nil
+}
+
+// watchDrift makes the reporter publish the plan.* drift gauges at
+// every epoch end: the plan's predicted epoch seconds (as the search
+// recorded them, or priced at launch for a plan no search priced)
+// against its price on the simulated cluster, with the options the
+// search used. It prices only when a registry is attached.
+func (r *reporter) watchDrift(spec *nn.Spec, numSoCs, samples int) {
+	cfg := r.cfg
+	if cfg.Metrics == nil {
+		return
+	}
+	var o autoplan.Options
+	if cfg.Planner != nil {
+		o = *cfg.Planner
+	}
+	o = PlannerOptions(o, spec, numSoCs, cfg.GlobalBatch, samples)
+	r.pricer, r.samples = autoplan.PricerFor(o), o.Samples
+	cfg.Kernels.TrackNet(r.pricer.Clu)
+	r.predicted = cfg.Plan.EpochSeconds
+	if r.predicted == 0 {
+		r.predicted = r.pricer.EpochSeconds(cfg.Plan, r.samples)
+	}
 }
 
 // faultClock is a worker's view of the scripted fault plan: it moves

@@ -196,6 +196,11 @@ func RunDistributed(ctx context.Context, mesh transport.Mesh, spec *nn.Spec, tra
 	mesh = transport.WithMetrics(mesh, cfg.Metrics)
 
 	rep := newReporter(&cfg, val)
+	// A re-planning track's policy publishes the drift of each plan it
+	// commits; every other track executes cfg.Plan throughout.
+	if _, replans := policy.(*pipePolicy); !replans {
+		rep.watchDrift(spec, mesh.Size(), train.Len())
+	}
 	// The plain track's membership never changes: one static round, read
 	// by every worker, stands for the whole run. The elastic track's
 	// manager releases a round per epoch attempt instead.

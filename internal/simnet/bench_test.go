@@ -131,3 +131,35 @@ func TestSimulatorScratchResetBound(t *testing.T) {
 	check("5,000 links", sim.Simulate(flows), 5000)
 	check("one link", sim.Simulate([]*Flow{{Path: []*Link{NewLink("one", 100, 0)}, Bytes: 100}}), 1)
 }
+
+// TestSimulatorReleasesFlows checks that after a call neither a slot's
+// flow list nor the active list, up to its capacity, holds a *Flow —
+// through the package-level Simulate's pooled Simulator too — so an
+// idle Simulator keeps no topology of its last call reachable.
+func TestSimulatorReleasesFlows(t *testing.T) {
+	held := func(what string, sim *Simulator) {
+		t.Helper()
+		for i, st := range sim.states {
+			for _, f := range st.flows[:cap(st.flows)] {
+				if f != nil {
+					t.Fatalf("%s: slot %d still holds flow %q", what, i, f.Name)
+				}
+			}
+		}
+		for _, f := range sim.active[:cap(sim.active)] {
+			if f != nil {
+				t.Fatalf("%s: the active list still holds flow %q", what, f.Name)
+			}
+		}
+	}
+	sim := NewSimulator()
+	for _, flows := range [][]*Flow{benchFlows(), componentFlows(), benchFlows()[:1]} {
+		sim.Simulate(flows)
+		held("held Simulator", sim)
+	}
+	flows := componentFlows()
+	Simulate(flows)
+	pooled := simPool.Get().(*Simulator)
+	defer simPool.Put(pooled)
+	held("pooled Simulator", pooled)
+}

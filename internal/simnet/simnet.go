@@ -307,7 +307,22 @@ func (s *Simulator) run(flows []*Flow) float64 {
 		}
 		now += dt
 	}
+	s.release()
 	return makespan
+}
+
+// release drops every *Flow the call left in the Simulator — the slots'
+// flow lists and the active list up to its capacity — so a pooled or
+// idle Simulator keeps no flow, nor through its path any link, of its
+// last call reachable.
+func (s *Simulator) release() {
+	for i := range s.states {
+		st := &s.states[i]
+		clear(st.flows)
+		st.flows = st.flows[:0]
+	}
+	clear(s.active[:cap(s.active)])
+	s.active = s.active[:0]
 }
 
 // join adds a starting flow to its links' flow lists.

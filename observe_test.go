@@ -456,3 +456,63 @@ func TestConcurrentRunsKeepTheirOwnParallelism(t *testing.T) {
 		t.Errorf("process default width is %d after both runs, want %d as before", got, d)
 	}
 }
+
+// Runs that never re-plan publish the plan.* drift gauges each epoch:
+// SoCFlow in FP32 against the data plan of its mapping, the facade's
+// pipeline track, and the mesh's pipeline and data tracks against the
+// plan they execute. On the simulated clock prediction and execution
+// are one formula, so the drift reads 0.
+func TestPlanDriftGaugesOnPlainRuns(t *testing.T) {
+	fp32 := dataPlanConfig()
+	fp32.Epochs = 2
+	meshData := pipeCfg()
+	meshData.Parallelism = ""
+	for _, c := range []struct {
+		name string
+		run  func(reg *metrics.Registry) (*metrics.RunReport, error)
+	}{
+		{"socflow fp32", func(reg *metrics.Registry) (*metrics.RunReport, error) {
+			rep, err := Run(context.Background(), fp32, WithMetrics(reg))
+			if err != nil {
+				return nil, err
+			}
+			return rep.Metrics, nil
+		}},
+		{"pipeline", func(reg *metrics.Registry) (*metrics.RunReport, error) {
+			cfg := autoparConfig()
+			cfg.Parallelism = "pipeline"
+			rep, err := Run(context.Background(), cfg, WithMetrics(reg))
+			if err != nil {
+				return nil, err
+			}
+			return rep.Metrics, nil
+		}},
+		{"distributed pipeline", func(reg *metrics.Registry) (*metrics.RunReport, error) {
+			rep, err := RunDistributed(context.Background(), pipeCfg(), WithMetrics(reg))
+			if err != nil {
+				return nil, err
+			}
+			return rep.Metrics, nil
+		}},
+		{"distributed data", func(reg *metrics.Registry) (*metrics.RunReport, error) {
+			rep, err := RunDistributed(context.Background(), meshData, WithMetrics(reg))
+			if err != nil {
+				return nil, err
+			}
+			return rep.Metrics, nil
+		}},
+	} {
+		snap, err := c.run(metrics.New())
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		g := snap.Gauges
+		pred, okP := g["plan.predicted_epoch_seconds"]
+		exec, okE := g["plan.executed_epoch_seconds"]
+		drift, okD := g["plan.drift_seconds"]
+		if !okP || !okE || !okD || !(pred > 0) || pred != exec || drift != 0 {
+			t.Errorf("%s: predicted %v (%v), executed %v (%v), drift %v (%v); want all three set, equal and positive, drift 0",
+				c.name, pred, okP, exec, okE, drift, okD)
+		}
+	}
+}

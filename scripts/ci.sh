@@ -52,6 +52,12 @@ GOMAXPROCS=4 go test -race -skip 'Alloc|Exhaustive' -run 'ParallelismInvariance|
 # batch-norm statistics; race it at one and at four schedulers.
 GOMAXPROCS=1 go test -race -skip 'Alloc|Exhaustive' -run 'Replay|Serve' . ./internal/serve
 GOMAXPROCS=4 go test -race -skip 'Alloc|Exhaustive' -run 'Replay|Serve' . ./internal/serve
+# core.RunStrategies trains each distinct training of a grid row once
+# and prices every member on its own; FedSGD fans its clients out inside
+# the shared training. Race the shared-equals-solo test and the grid
+# pins at one and at four schedulers.
+GOMAXPROCS=1 go test -race -skip 'Alloc|Exhaustive' -run 'SharedRunsMatchSolo|GridTablesArePinned|GridIsPinned' ./internal/core ./internal/exp
+GOMAXPROCS=4 go test -race -skip 'Alloc|Exhaustive' -run 'SharedRunsMatchSolo|GridTablesArePinned|GridIsPinned' ./internal/core ./internal/exp
 # The fault suite, tidal resizes included. TestExpFig4cINT8Degrades
 # matches "Degrade" but measures INT8 accuracy, not a fault, and is by
 # far the slowest test of its package under the race detector.
