@@ -35,7 +35,7 @@ race:
 chaos:
 	$(RACE) -run 'TestChaos|TestElastic' -count 1 ./internal/runtime
 
-# Control-plane smoke gate: a socflow-server daemon handler takes jobs
+# Control-plane smoke gate: a `socflow server` daemon handler takes jobs
 # from two tenants over real HTTP under the race detector, asserting
 # completion, per-tenant quota enforcement, and deterministic reports.
 server-smoke:

@@ -1,15 +1,16 @@
 package socflow
 
-// One benchmark per table and figure of the paper's evaluation. Each
-// bench regenerates its experiment through internal/exp and reports
-// the simulated-cluster metrics as benchmark outputs, so
+// The paper's evaluation as benchmarks: BenchmarkExperiments has one
+// sub-benchmark per entry of exp.Catalog, the same list `socflow bench`
+// reads, each regenerating its tables at benchOpts and reporting their
+// row count, so
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench Experiments -benchmem .
 //
-// reproduces the entire evaluation. The same tables are available
-// interactively via `go run ./cmd/socflow-bench --exp <id>`; the full
-// eight-scenario grid (instead of the three-scenario benchmark subset)
-// via `--full`.
+// reproduces the entire evaluation, and -bench 'Experiments/fig8$' one
+// figure. The same tables are available interactively via `go run
+// ./cmd/socflow bench --exp <id>`; the full eight-scenario grid
+// (instead of the three-scenario benchmark subset) via `--full`.
 
 import (
 	"context"
@@ -25,169 +26,24 @@ func benchOpts() exp.Options {
 	return exp.Options{TrainSamples: 640, ValSamples: 120, Epochs: 8, NumSoCs: 32, Groups: 8, Seed: 1}
 }
 
-func report(b *testing.B, t *exp.Table) {
-	b.Helper()
-	if testing.Verbose() {
-		b.Log("\n" + t.String())
-	}
-	b.ReportMetric(float64(len(t.Rows)), "rows")
-}
-
-func BenchmarkFig3Trace(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, exp.ExpFig3())
-	}
-}
-
-func BenchmarkFig4aSingleSoC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, exp.ExpFig4a())
-	}
-}
-
-func BenchmarkFig4bCommLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, exp.ExpFig4b())
-	}
-}
-
-func BenchmarkFig4cAccuracy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := exp.ExpFig4c(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, t)
-	}
-}
-
-func BenchmarkFig6GroupSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := exp.ExpFig6("vgg11", benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, t)
-	}
-}
-
-func BenchmarkTable3Accuracy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := exp.ExpTable3(exp.CoreScenarios(), benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, t)
-	}
-}
-
-func BenchmarkFig8TrainTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := exp.ExpFig8(exp.CoreScenarios(), benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, t)
-	}
-}
-
-func BenchmarkFig9Energy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := exp.ExpFig9(exp.CoreScenarios(), benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, t)
-	}
-}
-
-func BenchmarkFig10Scalability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := exp.ExpFig10(exp.CoreScenarios()[0], benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, t)
-	}
-}
-
-func BenchmarkFig11GPUComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := exp.ExpFig11(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, t)
-	}
-}
-
-func BenchmarkFig12Breakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := exp.ExpFig12("vgg11", benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, t)
-	}
-}
-
-func BenchmarkFig13Ablation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := exp.ExpFig13("vgg11", benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, t)
-	}
-}
-
-func BenchmarkFig14MixedPrecision(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := exp.ExpFig14("vgg11", benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, t)
-	}
-}
-
-func BenchmarkExtNonIID(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := exp.ExpNonIID(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, t)
-	}
-}
-
-func BenchmarkExtGroupHeuristic(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := exp.ExpHeuristic("vgg11", benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, t)
-	}
-}
-
-func BenchmarkExtUnderclocking(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := exp.ExpUnderclocking(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, t)
-	}
-}
-
-func BenchmarkExtPreemption(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := exp.ExpPreemption(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, t)
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range exp.Catalog() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tables, err := e.Run(benchOpts(), false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows := 0
+				for _, t := range tables {
+					if testing.Verbose() {
+						b.Log("\n" + t.String())
+					}
+					rows += len(t.Rows)
+				}
+				b.ReportMetric(float64(rows), "rows")
+			}
+		})
 	}
 }
 

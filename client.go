@@ -39,14 +39,14 @@ type JobStatus = server.Status
 
 // Client submits jobs to a control plane: either an in-process Server
 // (NewServer(...).Client(), or the implicit unbounded server behind
-// Run/RunDistributed) or a remote socflow-server daemon (Dial).
+// Run/RunDistributed) or a remote `socflow server` daemon (Dial).
 type Client struct {
 	srv  *server.Server // in-process
 	base string         // remote daemon base URL
 	hc   *http.Client
 }
 
-// Dial returns a Client for a socflow-server daemon at base (e.g.
+// Dial returns a Client for a `socflow server` daemon at base (e.g.
 // "http://127.0.0.1:7077"). Remote jobs carry the Config and the
 // tenant/priority options; execution options (parallelism, tracing,
 // metrics) apply to the daemon's process and are not transmitted.

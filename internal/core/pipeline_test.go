@@ -137,7 +137,7 @@ func TestDataPlanEpochMatchesPlannerPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.EpochSecondsOn(cluN(16), o.Spec, o.Samples); got != p.EpochSeconds {
+	if got := autoplan.NewPricer(cluN(16), o.Spec).EpochSeconds(p, o.Samples); got != p.EpochSeconds {
 		t.Errorf("survivor-subset plan %v re-priced %.6fs, search recorded %.6fs", p, got, p.EpochSeconds)
 	}
 }

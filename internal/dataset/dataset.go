@@ -16,7 +16,6 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"socflow/internal/tensor"
 )
@@ -120,28 +119,6 @@ func (d *Dataset) ShardIID(n int, seed uint64) []*Dataset {
 		lo := i * d.Len() / n
 		hi := (i + 1) * d.Len() / n
 		shards[i] = d.Subset(perm[lo:hi])
-	}
-	return shards
-}
-
-// ShardByClass splits the dataset into n shards where each shard holds
-// a contiguous slice of classes (pathological non-IID), used to study
-// the cross-group distribution gap that SoCFlow's per-epoch reshuffling
-// repairs.
-func (d *Dataset) ShardByClass(n int) []*Dataset {
-	if n <= 0 {
-		panic("dataset: ShardByClass with n <= 0")
-	}
-	order := make([]int, d.Len())
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return d.Labels[order[a]] < d.Labels[order[b]] })
-	shards := make([]*Dataset, n)
-	for i := 0; i < n; i++ {
-		lo := i * d.Len() / n
-		hi := (i + 1) * d.Len() / n
-		shards[i] = d.Subset(order[lo:hi])
 	}
 	return shards
 }

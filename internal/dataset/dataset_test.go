@@ -141,26 +141,9 @@ func TestShardIIDPartition(t *testing.T) {
 	}
 }
 
-func TestShardByClassIsSkewed(t *testing.T) {
-	d := gen(t, "cifar10", 100)
-	shards := d.ShardByClass(5)
-	for i, s := range shards {
-		h := s.ClassHistogram()
-		seen := 0
-		for _, n := range h {
-			if n > 0 {
-				seen++
-			}
-		}
-		if seen > 3 {
-			t.Fatalf("class shard %d sees %d classes — should be skewed", i, seen)
-		}
-	}
-}
-
 func TestReshuffleRestoresIID(t *testing.T) {
 	d := gen(t, "cifar10", 100)
-	skewed := d.ShardByClass(5)
+	skewed := d.ShardDirichlet(5, 0.1, 3)
 	fixed := Reshuffle(skewed, 11)
 	if len(fixed) != 5 {
 		t.Fatalf("reshuffle count = %d", len(fixed))

@@ -45,8 +45,8 @@ func Scenarios() []Scenario {
 }
 
 // CoreScenarios returns the three-scenario subset used by the fast
-// benchmark defaults (the full grid is available via socflow-bench
-// --full).
+// benchmark defaults (the full grid is available via `socflow bench
+// --full`).
 func CoreScenarios() []Scenario {
 	all := Scenarios()
 	return []Scenario{all[1], all[2], all[6]} // VGG11, ResNet18, LeNet5-FMNIST

@@ -1,10 +1,10 @@
 // Package exp regenerates every table and figure of the paper's
 // evaluation (§2.3 measurements, §4.2–§4.6) on the simulated
 // SoC-Cluster: each ExpXxx function runs the necessary training jobs
-// and returns a Table whose rows mirror what the paper plots. The
-// bench harness at the repository root and cmd/socflow-bench both
-// dispatch into this package; EXPERIMENTS.md records paper-vs-measured
-// numbers produced by it.
+// and returns a Table whose rows mirror what the paper plots. Catalog
+// lists them; the root package's BenchmarkExperiments and `socflow
+// bench` both run them from there. EXPERIMENTS.md records
+// paper-vs-measured numbers produced by it.
 package exp
 
 import (

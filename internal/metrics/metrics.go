@@ -247,14 +247,3 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	}
 	return h
 }
-
-// SetMaxSpans caps the span buffer (for tests and memory-constrained
-// callers). Spans past the cap are dropped and counted in the report.
-func (r *Registry) SetMaxSpans(n int) {
-	if r == nil || n < 0 {
-		return
-	}
-	r.mu.Lock()
-	r.maxSpans = n
-	r.mu.Unlock()
-}

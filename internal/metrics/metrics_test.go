@@ -135,7 +135,6 @@ func TestNilSafety(t *testing.T) {
 	r.Subscribe(func(Event) {})
 	r.Emit(Event{})
 	r.ObserveEpoch(0, 0.5, 1)
-	r.SetMaxSpans(1)
 	if r.Snapshot() != nil {
 		t.Fatal("nil registry snapshots non-nil")
 	}
@@ -185,7 +184,7 @@ func TestObserveEpochDualClock(t *testing.T) {
 
 func TestSpanCapDrops(t *testing.T) {
 	r := New()
-	r.SetMaxSpans(2)
+	r.maxSpans = 2
 	for i := 0; i < 5; i++ {
 		r.AddSimSpan("s", "", 0, float64(i), 1, nil)
 	}

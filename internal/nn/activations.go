@@ -217,11 +217,6 @@ type AvgPool2D struct {
 	out, dx *tensor.Tensor // persistent buffers
 }
 
-// NewAvgPool2D creates a kxk average pool with the given stride.
-func NewAvgPool2D(k, stride int) *AvgPool2D {
-	return &AvgPool2D{P: tensor.ConvParams{KH: k, KW: k, SH: stride, SW: stride}}
-}
-
 // Forward implements Layer.
 func (a *AvgPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	checkDims("AvgPool2D", x, 4)

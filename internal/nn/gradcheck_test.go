@@ -131,7 +131,7 @@ func TestGlobalAvgPoolGradients(t *testing.T) {
 
 func TestAvgPool2DGradients(t *testing.T) {
 	r := tensor.NewRNG(8)
-	l := NewAvgPool2D(2, 2)
+	l := &AvgPool2D{P: tensor.ConvParams{KH: 2, KW: 2, SH: 2, SW: 2}}
 	x := tensor.RandNormal(r, 0, 1, 1, 2, 4, 4)
 	checkLayerGradients(t, l, x, 1e-2)
 }

@@ -27,7 +27,7 @@ func TestLayersBitIdenticalAcrossWorkers(t *testing.T) {
 		{"ReLU", func(*tensor.RNG) Layer { return NewReLU() }, true},
 		{"Tanh", func(*tensor.RNG) Layer { return NewTanh() }, true},
 		{"MaxPool2D", func(*tensor.RNG) Layer { return NewMaxPool2D(2, 2) }, true},
-		{"AvgPool2D", func(*tensor.RNG) Layer { return NewAvgPool2D(2, 2) }, true},
+		{"AvgPool2D", func(*tensor.RNG) Layer { return &AvgPool2D{P: tensor.ConvParams{KH: 2, KW: 2, SH: 2, SW: 2}} }, true},
 		{"GlobalAvgPool", func(*tensor.RNG) Layer { return NewGlobalAvgPool() }, true},
 	}
 	// run builds the layer from a fixed seed and returns every tensor

@@ -221,13 +221,6 @@ func (p *Plan) IterationsPerEpoch(samples int) int {
 	return iters
 }
 
-// EpochSecondsOn prices the plan's epoch makespan on the given cluster
-// and model with a fresh Pricer. Hot loops (the search, the executing
-// strategy) hold one Pricer instead.
-func (p *Plan) EpochSecondsOn(clu *cluster.Cluster, spec *nn.Spec, samples int) float64 {
-	return NewPricer(clu, spec).EpochSeconds(p, samples)
-}
-
 // Timing is the priced steady-state schedule of one pipeline group.
 type Timing struct {
 	// StageSeconds[i] is stage i's compute time for one micro-batch.

@@ -113,7 +113,7 @@ func TestChosenPlanRepricesIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	clu := cluster.New(cluster.Config{NumSoCs: 8})
-	got := p.EpochSecondsOn(clu, o.Spec, o.Samples)
+	got := NewPricer(clu, o.Spec).EpochSeconds(p, o.Samples)
 	if got != p.EpochSeconds {
 		t.Fatalf("re-priced epoch %.6fs != searched %.6fs", got, p.EpochSeconds)
 	}

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"unsafe"
 )
@@ -555,16 +554,4 @@ func (c *Counters) Simulate(flows []*Flow) float64 {
 func TransferTime(bytes float64, path ...*Link) float64 {
 	f := Flow{Name: "single", Path: path, Bytes: bytes}
 	return Simulate([]*Flow{&f})
-}
-
-// Makespan is a convenience that simulates the flows and returns both
-// the makespan and the sorted per-flow finish times.
-func Makespan(flows []*Flow) (float64, []float64) {
-	ms := Simulate(flows)
-	times := make([]float64, len(flows))
-	for i, f := range flows {
-		times[i] = f.FinishAt
-	}
-	sort.Float64s(times)
-	return ms, times
 }

@@ -171,9 +171,9 @@ func TestMakespanSortsTimes(t *testing.T) {
 		{Name: "big", Path: []*Link{l}, Bytes: 300},
 		{Name: "small", Path: []*Link{l}, Bytes: 100},
 	}
-	ms, times := Makespan(flows)
-	if len(times) != 2 || times[0] > times[1] || ms != times[1] {
-		t.Fatalf("Makespan = %v, times = %v", ms, times)
+	ms := Simulate(flows)
+	if flows[1].FinishAt > flows[0].FinishAt || ms != flows[0].FinishAt {
+		t.Fatalf("makespan = %v, finish times = %v, %v", ms, flows[0].FinishAt, flows[1].FinishAt)
 	}
 }
 

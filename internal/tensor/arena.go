@@ -2,33 +2,27 @@ package tensor
 
 import "sync"
 
-// Arena is a goroutine-safe pool of scratch buffers keyed by element
+// Arena is a goroutine-safe pool of scratch tensors keyed by element
 // count. Training loops hand back every buffer they borrow, so after
 // the first batch the pool serves all steady-state scratch demand
 // without touching the allocator — the same per-batch working-set
 // reuse MNN's static memory planner gives the paper's CPU backend.
 //
 // Ownership rules (see DESIGN.md §11):
-//   - Get/GetTensor transfers ownership to the caller. The buffer is
+//   - GetTensor transfers ownership to the caller. The buffer is
 //     zeroed, exactly like a fresh tensor.New allocation, so pooled and
 //     allocating paths stay bit-identical.
-//   - Release/ReleaseTensor transfers ownership back. The caller must
+//   - ReleaseTensor transfers ownership back. The caller must
 //     not retain any reference (slices of it included) afterwards.
 //   - A buffer that escapes (is stored in a result) is simply never
 //     released; the arena does not track outstanding buffers.
 type Arena struct {
 	mu      sync.Mutex
 	tensors map[int][]*Tensor
-	slabs   map[int][][]float32
 }
 
 // NewArena returns an empty arena.
-func NewArena() *Arena {
-	return &Arena{
-		tensors: make(map[int][]*Tensor),
-		slabs:   make(map[int][][]float32),
-	}
-}
+func NewArena() *Arena { return &Arena{tensors: make(map[int][]*Tensor)} }
 
 // GetTensor borrows a zeroed tensor of the given shape. The tensor
 // header and backing array come from the pool when an entry of the
@@ -66,38 +60,9 @@ func (a *Arena) ReleaseTensor(t *Tensor) {
 	a.mu.Unlock()
 }
 
-// Get borrows a zeroed []float32 of length n from the pool.
-func (a *Arena) Get(n int) []float32 {
-	a.mu.Lock()
-	l := a.slabs[n]
-	var buf []float32
-	if len(l) > 0 {
-		buf = l[len(l)-1]
-		a.slabs[n] = l[:len(l)-1]
-	}
-	a.mu.Unlock()
-	if buf == nil {
-		return make([]float32, n)
-	}
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-// Release returns a slice borrowed with Get to the pool.
-func (a *Arena) Release(buf []float32) {
-	if buf == nil {
-		return
-	}
-	a.mu.Lock()
-	a.slabs[len(buf)] = append(a.slabs[len(buf)], buf)
-	a.mu.Unlock()
-}
-
-// Scratch is the process-wide default arena. Hot paths that need
-// transient tensors (fake-quantized activations, aggregation
-// accumulators) borrow from here instead of allocating.
+// Scratch is the process-wide default arena: the aggregation
+// accumulators of collective.AverageInPlace and WeightedAverageInPlace
+// borrow from here instead of allocating.
 var Scratch = NewArena()
 
 // Ensure returns a tensor of the given shape backed by buf's storage

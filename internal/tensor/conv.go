@@ -274,20 +274,11 @@ func col2imRow(xr, d []float32, colW, ow, oxLo, oxHi int, p ConvParams) {
 	}
 }
 
-// MaxPool applies max pooling to x[N,C,H,W] and returns the pooled
-// tensor plus the flat argmax indices needed by the backward pass.
-func MaxPool(x *Tensor, p ConvParams) (*Tensor, []int) {
-	n, c, h, w := nchw("MaxPool", x)
-	oh, ow := p.OutSize(h, w)
-	out := New(n, c, oh, ow)
-	arg := make([]int, out.Size())
-	MaxPoolInto(out, arg, x, p)
-	return out, arg
-}
-
-// MaxPoolInto applies max pooling into an existing output tensor and
-// argmax slice (len(arg) == out.Size()), overwriting both. A nil arg
-// skips the argmax: an eval forward keeps no backward state.
+// MaxPoolInto applies max pooling to x[N,C,H,W] into an existing output
+// tensor and argmax slice (len(arg) == out.Size()), overwriting both:
+// arg holds the flat input index of each output's maximum, which the
+// backward pass scatters to. A nil arg skips the argmax: an eval
+// forward keeps no backward state.
 func MaxPoolInto(out *Tensor, arg []int, x *Tensor, p ConvParams) {
 	n, c, h, w := nchw("MaxPoolInto", x)
 	oh, ow := p.OutSize(h, w)
@@ -412,16 +403,9 @@ func maxPoolImage(out []float32, arg []int, x []float32, c, h, w, oh, ow int, p 
 	}
 }
 
-// MaxPoolBackward scatters the output gradient back to the argmax
-// positions recorded by MaxPool.
-func MaxPoolBackward(grad *Tensor, arg []int, inShape []int) *Tensor {
-	dx := New(inShape...)
-	MaxPoolBackwardInto(dx, grad, arg)
-	return dx
-}
-
-// MaxPoolBackwardInto scatters the output gradient into an existing
-// input-gradient tensor, overwriting its contents.
+// MaxPoolBackwardInto scatters the output gradient back to the argmax
+// positions MaxPoolInto recorded, into an existing input-gradient
+// tensor, overwriting its contents.
 func MaxPoolBackwardInto(dx, grad *Tensor, arg []int) {
 	n, c, _, _ := nchw("MaxPoolBackwardInto", dx)
 	if gn, gc, _, _ := nchw("MaxPoolBackwardInto", grad); gn != n || gc != c || len(arg) != grad.Size() {

@@ -117,15 +117,17 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
 	p := ConvParams{KH: 2, KW: 2, SH: 2, SW: 2}
-	y, arg := MaxPool(x, p)
+	y, arg := New(1, 1, 2, 2), make([]int, 4)
+	MaxPoolInto(y, arg, x, p)
 	want := []float32{6, 8, 14, 16}
 	for i, w := range want {
 		if y.Data[i] != w {
-			t.Fatalf("MaxPool = %v, want %v", y.Data, want)
+			t.Fatalf("MaxPoolInto = %v, want %v", y.Data, want)
 		}
 	}
 	g := Ones(1, 1, 2, 2)
-	dx := MaxPoolBackward(g, arg, x.Shape)
+	dx := New(x.Shape...)
+	MaxPoolBackwardInto(dx, g, arg)
 	// Gradient flows only to argmax positions.
 	var nonzero int
 	for i, v := range dx.Data {
@@ -172,9 +174,12 @@ func TestMaxPoolGradMassProperty(t *testing.T) {
 		hw := k * (1 + rr.Intn(3))
 		x := RandNormal(rr, 0, 1, 1, 2, hw, hw)
 		p := ConvParams{KH: k, KW: k, SH: k, SW: k}
-		y, arg := MaxPool(x, p)
+		y := New(1, 2, hw/k, hw/k)
+		arg := make([]int, y.Size())
+		MaxPoolInto(y, arg, x, p)
 		g := RandNormal(rr, 0, 1, y.Shape...)
-		dx := MaxPoolBackward(g, arg, x.Shape)
+		dx := New(x.Shape...)
+		MaxPoolBackwardInto(dx, g, arg)
 		return almostEq(dx.Sum(), g.Sum(), 1e-3)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -258,6 +263,7 @@ func TestRNGPermIsPermutation(t *testing.T) {
 	}
 }
 
+// TestHeXavierInitScale checks HeInit's variance, 2/fanIn.
 func TestHeXavierInitScale(t *testing.T) {
 	r := NewRNG(10)
 	h := HeInit(r, 100, 10000)
@@ -269,10 +275,6 @@ func TestHeXavierInitScale(t *testing.T) {
 	std := sq / float64(h.Size())
 	if std < 0.015 || std > 0.025 {
 		t.Fatalf("He init variance = %v, want ~0.02", std)
-	}
-	x := XavierInit(r, 50, 50, 10000)
-	if x.AbsMax() > float32(0.245)+1e-6 { // sqrt(6/100) ≈ 0.2449
-		t.Fatalf("Xavier exceeded limit: %v", x.AbsMax())
 	}
 }
 

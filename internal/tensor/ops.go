@@ -57,15 +57,6 @@ func AddInPlace(a, b *Tensor) {
 	}
 }
 
-// SubInPlace subtracts b from a (a -= b).
-func SubInPlace(a, b *Tensor) {
-	checkSame("SubInPlace", a, b)
-	d := a.Data
-	for i, v := range b.Data {
-		d[i] -= v
-	}
-}
-
 // Axpy performs a += alpha*b, the workhorse of SGD updates and gradient
 // aggregation.
 func Axpy(alpha float32, b, a *Tensor) {
@@ -137,19 +128,8 @@ func Transpose2DInto(dst, a *Tensor) {
 	transposeInto(dst.Data, a.Data, a.Shape[0], a.Shape[1])
 }
 
-// SumRows reduces a 2-D tensor [m,n] over rows, producing [n]. Used for
-// bias gradients.
-func SumRows(a *Tensor) *Tensor {
-	if a.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: SumRows of %v", a.Shape))
-	}
-	out := New(a.Shape[1])
-	SumRowsInto(out, a)
-	return out
-}
-
 // SumRowsInto reduces a[m,n] over rows into an existing dst[n],
-// overwriting its contents.
+// overwriting its contents: the bias gradient.
 func SumRowsInto(dst, a *Tensor) {
 	if a.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: SumRowsInto of %v", a.Shape))
@@ -258,16 +238,6 @@ func ClipInPlace(t *Tensor, c float32) {
 			t.Data[i] = -c
 		}
 	}
-}
-
-// Row returns a view (shared data) of row i of a 2-D tensor as a 1-D
-// tensor.
-func Row(a *Tensor, i int) *Tensor {
-	if a.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: Row of %v", a.Shape))
-	}
-	n := a.Shape[1]
-	return &Tensor{Shape: []int{n}, Data: a.Data[i*n : (i+1)*n]}
 }
 
 // Rows returns a view of rows [lo,hi) of tensor a whose first dimension

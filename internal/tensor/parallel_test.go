@@ -47,9 +47,10 @@ func TestKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 		r.cols, r.img = New(4*14*14, 3*3*3), New(x.Shape...)
 		Im2ColInto(r.cols, x, p)
 		Col2ImInto(r.img, r.cols, p)
-		mp, arg := MaxPool(x, pool)
-		r.mp = mp
-		r.mpb = MaxPoolBackward(grad, arg, x.Shape)
+		r.mp, r.mpb = New(grad.Shape...), New(x.Shape...)
+		arg := make([]int, r.mp.Size())
+		MaxPoolInto(r.mp, arg, x, pool)
+		MaxPoolBackwardInto(r.mpb, grad, arg)
 		r.ap, r.apb = New(grad.Shape...), New(x.Shape...)
 		AvgPoolInto(r.ap, x, pool)
 		AvgPoolBackwardInto(r.apb, grad, pool)

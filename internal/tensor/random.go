@@ -96,16 +96,6 @@ func (r *RNG) Shuffle(idx []int) {
 	}
 }
 
-// RandUniform fills a new tensor with uniform values in [lo, hi).
-func RandUniform(r *RNG, lo, hi float32, shape ...int) *Tensor {
-	t := New(shape...)
-	span := hi - lo
-	for i := range t.Data {
-		t.Data[i] = lo + span*r.Float32()
-	}
-	return t
-}
-
 // RandNormal fills a new tensor with N(mean, std²) samples.
 func RandNormal(r *RNG, mean, std float32, shape ...int) *Tensor {
 	t := New(shape...)
@@ -124,14 +114,4 @@ func HeInit(r *RNG, fanIn int, shape ...int) *Tensor {
 	}
 	std := float32(math.Sqrt(2 / float64(fanIn)))
 	return RandNormal(r, 0, std, shape...)
-}
-
-// XavierInit returns a tensor initialized with Glorot uniform
-// initialization, used for the final classifier layers.
-func XavierInit(r *RNG, fanIn, fanOut int, shape ...int) *Tensor {
-	if fanIn <= 0 || fanOut <= 0 {
-		panic("tensor: XavierInit with non-positive fan")
-	}
-	limit := float32(math.Sqrt(6 / float64(fanIn+fanOut)))
-	return RandUniform(r, -limit, limit, shape...)
 }

@@ -30,10 +30,6 @@ func New(shape ...int) *Tensor {
 	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float32, numel(shape))}
 }
 
-// Zeros is an alias for New, provided for readability at call sites that
-// emphasise the initial contents.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
 // Ones allocates a tensor filled with 1.
 func Ones(shape ...int) *Tensor {
 	t := New(shape...)

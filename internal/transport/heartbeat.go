@@ -152,9 +152,6 @@ func (hm *HeartbeatMesh) Close() error {
 // Timeout returns the liveness timeout the mesh was built with.
 func (hm *HeartbeatMesh) Timeout() time.Duration { return hm.timeout }
 
-// Interval returns the beat interval the mesh was built with.
-func (hm *HeartbeatMesh) Interval() time.Duration { return hm.interval }
-
 // Alive reports whether any observer has heard from subject within the
 // liveness timeout. It is the failure detector's verdict: purely
 // observational, never consulting the fault plan.

@@ -1,14 +1,16 @@
 #!/bin/sh
-# Runs the cmd/ binaries end to end against a live daemon: builds
-# ./cmd/... into a temporary directory, starts socflow-server on a port
-# the kernel picks, submits a training job and a serving window to it,
+# Runs the socflow binary end to end against a live daemon: builds
+# ./cmd/socflow into a temporary directory, starts `socflow server` on a
+# port the kernel picks, submits a training job (`socflow train
+# --server`) and a serving window (`socflow serve --server`) to it,
 # checks that a config the daemon can never run is refused at submit with
-# its sentinel named, checks that /debug/pprof/ is served only with
-# --pprof (200 on a second daemon started with it, 404 here), follows a
-# job's events stream, its trace and its scheduler decision log (parked
-# by a higher-priority job, then resumed), and stops the daemons with SIGINT
-# (promptly, with that stream still open). Nothing is written in the
-# checkout.
+# its sentinel named, checks that `socflow train` refuses --server with a
+# local-only flag at parse time (exit 2, the flag named), checks that
+# /debug/pprof/ is served only with --pprof (200 on a second daemon
+# started with it, 404 here), follows a job's events stream, its trace
+# and its scheduler decision log (parked by a higher-priority job, then
+# resumed), and stops the daemons with SIGINT (promptly, with that stream
+# still open). Nothing is written in the checkout.
 #
 #   scripts/binaries.sh
 set -eu
@@ -21,7 +23,7 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-go build -o "$bin" ./cmd/...
+go build -o "$bin/socflow" ./cmd/socflow
 
 # wait_addr LOG: prints the address the daemon logging to LOG bound.
 wait_addr() {
@@ -48,31 +50,44 @@ expect_status() {
 
 # The park directory of the job this daemon parks at shutdown (kept for
 # a next generation) lands in $bin, which the exit trap removes.
-TMPDIR="$bin" "$bin/socflow-server" --addr 127.0.0.1:0 --socs 32 2>"$bin/server.log" &
+TMPDIR="$bin" "$bin/socflow" server --addr 127.0.0.1:0 --socs 32 2>"$bin/server.log" &
 pid=$!
 url=http://$(wait_addr "$bin/server.log")
 expect_status "$url/debug/pprof/" 404
 
-"$bin/socflow-server" --addr 127.0.0.1:0 --socs 32 --pprof 2>"$bin/pprof.log" &
+"$bin/socflow" server --addr 127.0.0.1:0 --socs 32 --pprof 2>"$bin/pprof.log" &
 ppid=$!
 purl=http://$(wait_addr "$bin/pprof.log")
 expect_status "$purl/debug/pprof/" 200
+expect_status "$purl/debug/pprof/cmdline" 200
 expect_status "$purl/metrics" 200
 kill -INT "$ppid"
 wait "$ppid"
 ppid=
 
-"$bin/socflow-train" --server "$url" --model lenet5 --dataset fmnist \
+"$bin/socflow" train --server "$url" --model lenet5 --dataset fmnist \
     --socs 8 --groups 2 --epochs 1 --samples 160
-"$bin/socflow-serve" --server "$url" --model lenet5 --dataset fmnist \
+"$bin/socflow" serve --server "$url" --model lenet5 --dataset fmnist \
     --hours 1 --socs 8
 
-if "$bin/socflow-train" --server "$url" --model lenet5 --dataset fmnist \
+if "$bin/socflow" train --server "$url" --model lenet5 --dataset fmnist \
     --socs 8 --groups 99 --epochs 1 >"$bin/bad.out" 2>&1; then
-    echo "socflow-train accepted 99 groups on 8 SoCs" >&2
+    echo "socflow train accepted 99 groups on 8 SoCs" >&2
     exit 1
 fi
 grep -q "socflow: invalid option" "$bin/bad.out" || { cat "$bin/bad.out"; exit 1; }
+
+# A daemon never receives train's local-only flags: asked for one with
+# --server, train refuses at parse time with exit 2, naming the flag,
+# and submits nothing.
+status=0
+"$bin/socflow" train --server "$url" --model lenet5 --dataset fmnist \
+    --socs 8 --groups 2 --epochs 1 --metrics-out "$bin/m.json" >"$bin/local.out" 2>&1 || status=$?
+if [ "$status" != 2 ] || ! grep -q -- "--metrics-out" "$bin/local.out" || grep -q submitted "$bin/local.out"; then
+    echo "socflow train --server --metrics-out exited $status, want a refusal naming the flag:" >&2
+    cat "$bin/local.out" >&2
+    exit 1
+fi
 
 # A long job with its GET /v1/jobs/{id}/events stream open: SIGINT must
 # still end the stream, park the job and exit well inside the daemon's

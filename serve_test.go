@@ -118,7 +118,7 @@ func TestServeSmoke(t *testing.T) {
 }
 
 // Serving over the daemon's HTTP surface: the same Kind-dispatched
-// handler cmd/socflow-server exposes.
+// handler `socflow server` exposes.
 func TestServeOverHTTP(t *testing.T) {
 	srv := NewServer(ServerConfig{TotalSoCs: 8})
 	defer srv.Close()

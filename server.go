@@ -64,7 +64,7 @@ func NewServer(cfg ServerConfig) *Server {
 func (s *Server) Client() *Client { return &Client{srv: s.srv} }
 
 // Handler exposes the server over HTTP/JSON — the same API
-// socflow-server serves and `socflow-train --server` consumes: POST
+// `socflow server` serves and `socflow train --server` consumes: POST
 // /v1/jobs, GET /v1/jobs, GET /v1/jobs/{id}, GET /v1/jobs/{id}/events
 // (the job's events as server-sent events), GET /v1/jobs/{id}/trace
 // (the job's spans so far as a Chrome trace), GET
@@ -76,7 +76,7 @@ func (s *Server) Client() *Client { return &Client{srv: s.srv} }
 // in-process Client runs, so a bad config is a 400 and never a job. An
 // events stream lasts until its job ends or its request's context is
 // canceled; a server that shuts down with streams open cancels them
-// (socflow-server does so through http.Server's BaseContext).
+// (`socflow server` does so through http.Server's BaseContext).
 func (s *Server) Handler() http.Handler {
 	return server.NewHandler(s.srv, func(req server.SubmitRequest) (server.JobSpec, error) {
 		k, ok := kinds[req.Kind]

@@ -18,7 +18,7 @@ import (
 )
 
 // TestServerSmokeHTTP is the `make server-smoke` gate: a daemon (the
-// same handler cmd/socflow-server serves) takes jobs from two tenants
+// same handler `socflow server` serves) takes jobs from two tenants
 // over real HTTP, enforces their quotas, and returns full reports.
 func TestServerSmokeHTTP(t *testing.T) {
 	srv := NewServer(ServerConfig{

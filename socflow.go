@@ -188,7 +188,7 @@ type Report struct {
 //
 // Run is a submit-and-wait wrapper over the in-process control plane:
 // the job flows through the same scheduler as Client.Submit and a
-// socflow-server daemon, against an unbounded cluster so it starts
+// `socflow server` daemon, against an unbounded cluster so it starts
 // immediately. For concurrent jobs, quotas, priorities, and preemption,
 // use NewServer/Client directly.
 func Run(ctx context.Context, cfg Config, opts ...Option) (*Report, error) {
